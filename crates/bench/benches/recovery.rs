@@ -1,36 +1,51 @@
-//! Criterion benchmarks of the recovery path: metadata directory restore and
-//! WAL redo/undo planning.
+//! Criterion benchmarks of the recovery path: flash-cache directory restore
+//! from the metadata journal and WAL redo/undo planning.
 
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use face_cache::{DirEntry, IoLog, MetadataDirectory};
+use face_cache::{
+    CacheConfig, FlashCache, FlashStore, HeaderFlashStore, IoLog, MvFifoCache, NoSupplier,
+    StagedPage,
+};
 use face_pagestore::{Lsn, PageId};
 use face_wal::{
     build_recovery_plan, recovery::build_redo_plan, InMemoryLogStorage, LogRecord, LogStorage,
     TxnId, WalWriter,
 };
 
-fn bench_directory_recover(c: &mut Criterion) {
-    c.bench_function("metadata_directory_recover_100k", |b| {
-        let mut dir = MetadataDirectory::new(64_000);
+/// The production restore path: 100k enqueues journaled through the ring
+/// (group size 64, default checkpoint cadence), then a crash, then
+/// [`MvFifoCache::recover`] rebuilding the directory from the surviving
+/// checkpoint and sealed groups.
+fn bench_ring_recover(c: &mut Criterion) {
+    c.bench_function("mvfifo_recover_100k", |b| {
+        let capacity = 200_000;
+        let config = CacheConfig {
+            capacity_pages: capacity,
+            ..CacheConfig::default()
+        };
+        let store: Arc<dyn FlashStore> = Arc::new(HeaderFlashStore::new(capacity));
+        let mut cache = MvFifoCache::new(config.clone(), Arc::clone(&store));
         let mut io = IoLog::new();
         for i in 0..100_000u32 {
-            dir.append(
-                DirEntry {
-                    slot: i % 200_000,
-                    page: PageId::new(0, i),
-                    lsn: Lsn(i as u64),
-                    dirty: i % 2 == 0,
-                },
-                &mut io,
-            );
+            let page = StagedPage::meta_only(PageId::new(0, i), Lsn(i as u64), i % 2 == 0, true);
+            cache
+                .insert(page, &mut NoSupplier, &mut io)
+                .expect("header store never fails");
+            io.clear();
         }
-        dir.update_pointers(0, 100_000);
-        dir.crash();
+        let mut survivor = cache.journal().clone();
+        survivor.crash();
         b.iter(|| {
-            let out = dir.recover(200_000, &mut |_| None, &mut IoLog::new());
-            black_box(out.entries.len());
+            let (recovered, info) = MvFifoCache::recover(
+                config.clone(),
+                Arc::clone(&store),
+                &survivor,
+                Lsn(u64::MAX),
+                &mut IoLog::new(),
+            );
+            black_box((recovered.len(), info.entries_restored));
         });
     });
 }
@@ -94,7 +109,7 @@ fn bench_recovery_plan_with_losers(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_directory_recover,
+    bench_ring_recover,
     bench_redo_plan,
     bench_recovery_plan_with_losers
 );

@@ -16,6 +16,12 @@
 //! | LC (lazy cleaning) | on exit | write-back | LRU-2, in-place overwrite | [`lc`] |
 //! | TAC (temperature-aware) | on entry | write-through | temperature buckets | [`tac`] |
 //!
+//! The four FIFO-family rows are decision rules over one shared mechanism,
+//! the [`ring::GroupRing`]: slot table and circular regions, pending batch,
+//! deferred in-flight groups, metadata journal, quarantine, evacuation and
+//! journal recovery live there once, and [`mvfifo`] and [`s3fifo`] only decide
+//! where a page goes and which victims survive a dequeue.
+//!
 //! All policies implement the [`FlashCache`] trait, record the physical I/O
 //! they cause in an [`IoLog`] (so the simulation driver can charge calibrated
 //! device times), and optionally carry real page data through a [`FlashStore`]
@@ -32,11 +38,8 @@
 //! bounded amount of journal. Recovery reconciles the rebuilt directory
 //! against the WAL's durable end: versions newer than the durable log are
 //! discarded; dirty versions at or below it substitute for disk reads during
-//! redo. The older [`directory::MetadataDirectory`] (fixed-size segments plus
-//! a header scan of recently enqueued pages) is kept as a standalone model of
-//! the paper's original segment scheme — every cache, simulated or
-//! functional, recovers through the journal; the directory's remaining
-//! consumer is the `recovery` micro-bench.
+//! redo. Every ring cache, simulated or functional, recovers through the
+//! journal ([`ring::GroupRing::recover`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -46,12 +49,12 @@ pub mod concurrent;
 pub mod cost_model;
 pub mod degrade;
 pub mod destage;
-pub mod directory;
 pub mod io;
 pub mod lc;
 pub mod meta;
 pub mod mvfifo;
 pub mod policy;
+pub mod ring;
 pub mod s3fifo;
 pub mod store;
 pub mod tac;
@@ -65,12 +68,12 @@ pub use destage::{
     DestageConfig, DestageJob, DestageSink, DestageStats, Destager, PendingGroupWrite,
     PendingSlotWrite,
 };
-pub use directory::{DirEntry, MetadataDirectory, RecoveredDirectory};
 pub use io::{FlashIoEvent, IoLog, StripedIoLog};
 pub use lc::LcCache;
 pub use meta::{CacheCheckpoint, JournalEntry, JournalStats, MetaJournal, RecoveredJournal};
 pub use mvfifo::MvFifoCache;
 pub use policy::{build_cache, CachePolicyKind, FlashCache, NoSupplier, PageSupplier};
+pub use ring::GroupRing;
 pub use s3fifo::S3FifoCache;
 pub use store::{
     FaultyFlashStore, FlashStore, GateFlashStore, HeaderFlashStore, MemFlashStore, NullFlashStore,

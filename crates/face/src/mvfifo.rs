@@ -1,1285 +1,116 @@
 //! Multi-Version FIFO replacement with Group Replacement and Group Second
-//! Chance — the FaCE caching algorithms (paper §3.2–3.3, Algorithm 1).
+//! Chance — the FaCE caching decisions (paper §3.2–3.3, Algorithm 1) over a
+//! single-region [`GroupRing`] (which owns the queue, batch, journal and
+//! recovery mechanics).
 //!
-//! The flash cache is a circular queue of page slots. Pages evicted from the
-//! DRAM buffer are *enqueued at the rear* (append-only, hence sequential flash
-//! writes); victims are *dequeued from the front*. Because older versions of a
-//! page are never overwritten in place, several versions of the same page can
-//! coexist; only the most recently enqueued one is *valid*. Dequeued pages are
-//! written to disk only if they are dirty and valid; everything else is simply
-//! discarded.
-//!
+//! * **Conditional enqueue.** A clean page whose identical copy is already
+//!   cached is not enqueued again; every other page is enqueued at the rear,
+//!   invalidating the version it supersedes.
 //! * **FaCE** (base): `group_size = 1` — every enqueue is an append of one
 //!   page, every replacement dequeues one page.
 //! * **FaCE + GR**: enqueues are buffered and written as one batch-sized
-//!   sequential I/O; replacements dequeue a whole group at once.
+//!   sequential I/O; replacements dequeue a whole group at once. Dirty valid
+//!   victims go to disk, everything else is discarded.
 //! * **FaCE + GSC**: like GR, but a dequeued page whose reference bit is set
-//!   (it was hit while cached) is re-enqueued instead of discarded; if the
-//!   write batch still has room it is topped up with dirty pages pulled from
-//!   the DRAM buffer's LRU tail.
+//!   (it was hit while cached) is re-enqueued instead of discarded — unless
+//!   the whole group was referenced, in which case the oldest is forced out
+//!   so the replacement makes progress. If the write batch still has room it
+//!   is topped up with dirty pages pulled from the DRAM buffer's LRU tail.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
+use face_pagestore::DeviceResult;
 
-use face_pagestore::{DeviceResult, Lsn, Page, PageId};
-
-use crate::destage::{PendingGroupWrite, PendingSlotWrite};
 use crate::io::IoLog;
-use crate::meta::{JournalEntry, MetaJournal};
-use crate::policy::{FlashCache, PageSupplier};
-use crate::store::FlashStore;
-use crate::types::{
-    CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, Evacuation, FetchPin,
-    FlashFetch, InsertOutcome, QuarantineOutcome, SlotGenerations, StagedPage,
-};
+use crate::policy::PageSupplier;
+use crate::ring::{GroupRing, RingPolicy};
+use crate::types::{CacheConfig, InsertOutcome, StagedPage};
 
-/// Metadata for one occupied flash slot.
-#[derive(Debug, Clone)]
-struct SlotMeta {
-    page: PageId,
-    lsn: Lsn,
-    /// The cached version is newer than the disk copy.
-    dirty: bool,
-    /// This is the latest version of the page (only valid copies are served
-    /// and only valid dirty copies are flushed to disk at dequeue).
-    valid: bool,
-    /// The page was referenced (hit) while cached — second-chance candidate.
-    referenced: bool,
-    /// The journal group epoch this version was enqueued under.
-    epoch: u64,
-}
+/// The FaCE flash cache: mvFIFO decisions over the shared ring.
+pub type MvFifoCache = GroupRing<MvFifo>;
 
-/// A group formed under [`CacheConfig::defer_group_writes`]: the directory
-/// already references its slots, but the physical batch write is owed by the
-/// caller (the destage pipeline). Its journal records are RAM-resident until
-/// [`MvFifoCache::complete_group`] seals them — a crash before then loses
-/// data and metadata together, the §4.3 invariant.
-struct InflightGroup {
-    write: PendingGroupWrite,
-    /// The caller reported the physical write done; the group seals once
-    /// every older in-flight group has sealed too.
-    completed: bool,
-}
+/// The mvFIFO decision rules; which of FaCE, FaCE+GR and FaCE+GSC runs is
+/// read from [`CacheConfig::group_size`] and [`CacheConfig::second_chance`].
+#[derive(Debug, Default)]
+pub struct MvFifo;
 
-/// The FaCE flash cache.
-pub struct MvFifoCache {
-    config: CacheConfig,
-    store: Arc<dyn FlashStore>,
-    /// Slot metadata; `None` means the slot is currently outside the queue.
-    slots: Vec<Option<SlotMeta>>,
-    /// Index of the oldest occupied slot.
-    front: usize,
-    /// Number of occupied slots.
-    size: usize,
-    /// Latest valid version of each cached page.
-    dir: HashMap<PageId, usize>,
-    /// Slots assigned but whose physical batch write has not happened yet.
-    pending_slots: Vec<usize>,
-    /// Data for the pending slots (parallel to `pending_slots`) when the
-    /// store carries data.
-    pending_data: Vec<Option<Arc<Page>>>,
-    /// Deferred groups awaiting their physical batch write, by epoch.
-    inflight: BTreeMap<u64, InflightGroup>,
-    /// `slot -> (epoch, frame)` for the in-flight groups, so fetches of
-    /// versions whose batch write has not completed are served from RAM —
-    /// the foreground never waits for a specific group write to finish.
-    inflight_data: HashMap<usize, (u64, Arc<Page>)>,
-    /// Per-slot version counters for the lock-light fetch protocol: bumped
-    /// whenever the slot's occupant changes (enqueue assignment, dequeue), so
-    /// an off-lock reader can detect that the bytes it read may no longer
-    /// belong to the version it pinned ([`FlashCache::fetch_validate`]).
-    generations: SlotGenerations,
-    /// Slots removed from the replacement rotation after repeated device
-    /// failures ([`FlashCache::quarantine_slot`]). RAM-only by design: the
-    /// flash bytes are not trimmed, so a post-crash recovery may still use
-    /// them if they turn out readable; a slot that keeps failing is simply
-    /// re-quarantined. Inside the queue window a quarantined slot is a hole
-    /// (`slots[s]` stays `None`); at the rear it is absorbed into the window
-    /// without a page ([`MvFifoCache::absorb_quarantined_rear`]).
-    quarantined: HashSet<usize>,
-    /// Dirty pages rolled back from failed inline flash writes, awaiting the
-    /// caller's disk failover ([`FlashCache::take_write_fallout`]).
-    write_fallout: Vec<StagedPage>,
-    journal: MetaJournal,
-    stats: CacheStatCounters,
-}
+/// The single queue.
+const QUEUE: usize = 0;
 
-impl MvFifoCache {
-    /// Create a cache with the given configuration over `store`.
-    ///
-    /// # Panics
-    /// Panics if the store capacity does not match the configured capacity or
-    /// if the capacity is zero.
-    pub fn new(config: CacheConfig, store: Arc<dyn FlashStore>) -> Self {
-        assert!(config.capacity_pages > 0, "flash cache needs capacity");
-        assert!(
-            store.capacity() >= config.capacity_pages,
-            "flash store smaller than configured capacity"
-        );
-        assert!(config.group_size >= 1, "group size must be at least 1");
-        let capacity = config.capacity_pages;
-        let journal = MetaJournal::new(config.meta_checkpoint_interval_groups);
-        Self {
-            config,
-            store,
-            slots: (0..capacity).map(|_| None).collect(),
-            front: 0,
-            size: 0,
-            dir: HashMap::new(),
-            pending_slots: Vec::new(),
-            pending_data: Vec::new(),
-            inflight: BTreeMap::new(),
-            inflight_data: HashMap::new(),
-            generations: SlotGenerations::new(capacity),
-            quarantined: HashSet::new(),
-            write_fallout: Vec::new(),
-            journal,
-            stats: CacheStatCounters::default(),
-        }
+impl RingPolicy for MvFifo {
+    fn new(_config: &CacheConfig) -> Self {
+        MvFifo
     }
 
-    /// The cache configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// The persistent mapping-metadata journal (for recovery experiments).
-    pub fn journal(&self) -> &MetaJournal {
-        &self.journal
-    }
-
-    /// The valid (served) page versions with their LSN and dirty flag, in
-    /// queue (oldest-to-newest) order. Recovery tests assert against this.
-    pub fn valid_versions(&self) -> Vec<(PageId, Lsn, bool)> {
-        self.directory_snapshot()
-            .into_iter()
-            .map(|e| (e.page, e.lsn, e.dirty))
-            .collect()
-    }
-
-    /// Snapshot the live directory (valid versions in queue order) as journal
-    /// entries — the payload of a [`crate::meta::CacheCheckpoint`].
-    fn directory_snapshot(&self) -> Vec<JournalEntry> {
-        self.snapshot_filtered(u64::MAX)
-    }
-
-    /// Snapshot only the **durable** part of the directory: entries whose
-    /// group has sealed. With deferred group writes, a cadence checkpoint can
-    /// fire while newer groups are still in flight (or buffering); their
-    /// bytes have not reached flash, so a snapshot referencing them would let
-    /// a crash resurrect metadata for pages that were never written — the
-    /// exact §4.3 violation the group-seal coupling exists to prevent.
-    fn durable_directory_snapshot(&self) -> Vec<JournalEntry> {
-        // Seals are contiguous in epoch order, so everything strictly below
-        // the oldest unsealed epoch (oldest in-flight group, else the
-        // still-buffering current group) is durable.
-        let oldest_unsealed = self
-            .inflight
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or_else(|| self.journal.current_epoch());
-        self.snapshot_filtered(oldest_unsealed)
-    }
-
-    fn snapshot_filtered(&self, below_epoch: u64) -> Vec<JournalEntry> {
-        let capacity = self.config.capacity_pages;
-        let mut out = Vec::new();
-        for i in 0..self.size {
-            let slot = (self.front + i) % capacity;
-            if let Some(m) = &self.slots[slot] {
-                if m.valid && m.epoch < below_epoch {
-                    out.push(JournalEntry {
-                        epoch: m.epoch,
-                        slot: slot as u32,
-                        page: m.page,
-                        lsn: m.lsn,
-                        dirty: m.dirty,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// Force a flash-cache checkpoint: flush the pending batch (sealing its
-    /// journal group) and persist a directory snapshot, so a subsequent
-    /// restart replays no journal at all. Independent of database
-    /// checkpointing, as in the paper. On a device error the unflushable
-    /// batch has been rolled back (dirty pages wait in
-    /// [`FlashCache::take_write_fallout`]) and no snapshot is written.
-    pub fn checkpoint_metadata(&mut self, io: &mut IoLog) -> DeviceResult<()> {
-        self.flush_all_groups_inline(io)?;
-        // The flush may just have installed a cadence checkpoint (or a
-        // previous call already left the journal fully folded): skip the
-        // second, identical snapshot write in that case.
-        let pointers = (self.front as u64, self.size as u64);
-        let already_folded = self.journal.replay_entries() == 0
-            && self.journal.checkpoint().map(|c| (c.front, c.size)) == Some(pointers);
-        if already_folded {
-            return Ok(());
-        }
-        let snapshot = self.durable_directory_snapshot();
-        self.journal
-            .install_checkpoint(pointers.0, pointers.1, snapshot, io);
-        self.stats.metadata_flushes.inc();
-        Ok(())
-    }
-
-    /// Fraction of occupied slots holding invalidated (duplicate) versions —
-    /// the paper reports 30–40 % duplicates for an 8 GB cache.
-    pub fn duplicate_ratio(&self) -> f64 {
-        if self.size == 0 {
-            return 0.0;
-        }
-        let invalid = self
-            .slots
-            .iter()
-            .filter(|s| matches!(s, Some(m) if !m.valid))
-            .count();
-        invalid as f64 / self.size as f64
-    }
-
-    fn free_slots(&self) -> usize {
-        self.config.capacity_pages - self.size
-    }
-
-    /// Slots still usable for caching: total capacity minus the quarantined
-    /// ones. At zero the cache cannot admit anything and inserts degrade to
-    /// serve-through (the engine's breaker trips long before this point).
-    fn usable_capacity(&self) -> usize {
-        self.config.capacity_pages - self.quarantined.len()
-    }
-
-    /// Absorb quarantined slots sitting at the queue rear into the window as
-    /// holes, so the next enqueue lands on a usable slot. Each absorbed slot
-    /// consumes window space and is reclaimed when it circulates back to the
-    /// front (a dequeue of an empty slot is a no-op).
-    fn absorb_quarantined_rear(&mut self) {
-        while self.free_slots() > 0 && self.quarantined.contains(&self.rear()) {
-            let slot = self.rear();
-            debug_assert!(self.slots[slot].is_none(), "quarantined slot occupied");
-            self.generations.bump(slot);
-            self.size += 1;
-        }
-    }
-
-    /// The RAM-resident frame for `slot`, when its batch write has not
-    /// reached the device yet: `Some(frame)` for a slot in the not-yet-formed
-    /// pending batch or an in-flight deferred group (the inner option is
-    /// `None` for metadata-only staged pages), `None` when the slot's bytes
-    /// live on the flash store.
-    fn ram_frame(&self, slot: usize) -> Option<Option<Arc<Page>>> {
-        if let Some(pos) = self.pending_slots.iter().position(|&s| s == slot) {
-            return Some(self.pending_data[pos].clone());
-        }
-        if let Some((_, frame)) = self.inflight_data.get(&slot) {
-            return Some(Some(Arc::clone(frame)));
-        }
-        None
-    }
-
-    /// The shared frame stored at `slot`, looking in the not-yet-formed
-    /// pending batch first, then the in-flight groups (both RAM-resident
-    /// until their batch write), then the flash store (fallible).
-    fn slot_frame(&self, slot: usize) -> DeviceResult<Option<Arc<Page>>> {
-        match self.ram_frame(slot) {
-            Some(frame) => Ok(frame),
-            None => Ok(self.store.read_slot(slot)?.map(Arc::new)),
-        }
-    }
-
-    fn rear(&self) -> usize {
-        (self.front + self.size) % self.config.capacity_pages
-    }
-
-    /// Assign the rear slot to a page version and record its metadata entry
-    /// in the journal's current group. The physical write — data pages and
-    /// the group's metadata records together — is deferred to the pending
-    /// batch ([`MvFifoCache::flush_pending`]).
-    fn enqueue_assign(&mut self, staged: &StagedPage, _io: &mut IoLog) -> usize {
-        debug_assert!(self.free_slots() > 0, "enqueue without free slot");
-        let slot = self.rear();
-        debug_assert!(
-            !self.quarantined.contains(&slot),
-            "enqueue onto a quarantined slot"
-        );
-        self.size += 1;
-        self.generations.bump(slot);
-        self.slots[slot] = Some(SlotMeta {
-            page: staged.page,
-            lsn: staged.lsn,
-            dirty: staged.dirty,
-            valid: true,
-            referenced: false,
-            epoch: self.journal.current_epoch(),
-        });
-        self.dir.insert(staged.page, slot);
-        self.journal
-            .append(slot as u32, staged.page, staged.lsn, staged.dirty);
-        self.pending_slots.push(slot);
-        self.pending_data.push(staged.data.clone());
-        slot
-    }
-
-    /// Physically write the pending batch as one sequential flash I/O and
-    /// seal the batch's journal group (metadata flushed *with* the group, per
-    /// §4.3). Once enough groups have sealed, a cache checkpoint snapshots
-    /// the directory and prunes the journal. This is the **inline** path;
-    /// with [`CacheConfig::defer_group_writes`] the batch is instead handed
-    /// back via [`MvFifoCache::form_pending_group`].
-    fn flush_pending(&mut self, io: &mut IoLog) -> DeviceResult<()> {
-        if self.pending_slots.is_empty() {
-            return Ok(());
-        }
-        let n = self.pending_slots.len() as u32;
-        // One batch-sized sequential flash write (the pending slots were
-        // assigned consecutively at the rear).
-        io.flash_write_seq(n);
-        for i in 0..self.pending_slots.len() {
-            let slot = self.pending_slots[i];
-            if self.store.carries_data() {
-                if let Some(page) = self.pending_data[i].clone() {
-                    if let Err(e) = self.store.write_slot(slot, &page) {
-                        // A prefix of the batch may have persisted; its
-                        // journal group never seals, so those bytes are
-                        // invisible to recovery — exactly what a crash
-                        // between the writes and the seal would leave.
-                        self.rollback_pending(io);
-                        return Err(e);
-                    }
-                }
-            }
-            // Header-only stores learn which page now occupies the slot, so
-            // a recovery scan of page headers works in simulation mode too.
-            if let Some(meta) = &self.slots[slot] {
-                self.store.note_slot_header(slot, meta.page, meta.lsn);
-            }
-        }
-        self.pending_slots.clear();
-        self.pending_data.clear();
-        self.journal
-            .seal_group(self.front as u64, self.size as u64, io);
-        self.maybe_cadence_checkpoint(io);
-        Ok(())
-    }
-
-    /// Inline-write failure: un-admit every entry of the pending batch. The
-    /// batch's journal records are dropped with it — data and metadata are
-    /// lost together, exactly as a crash between the appends and the seal
-    /// would lose them (§4.3). Versions the batch invalidated are *not*
-    /// revalidated (their contents are stale); dirty rolled-back pages move
-    /// to the write-fallout buffer for the caller's disk failover. The
-    /// slots stay inside the queue window as holes and are reclaimed when
-    /// they circulate to the front.
-    fn rollback_pending(&mut self, io: &mut IoLog) {
-        let slots = std::mem::take(&mut self.pending_slots);
-        let data = std::mem::take(&mut self.pending_data);
-        for (slot, frame) in slots.into_iter().zip(data) {
-            self.generations.bump(slot);
-            let Some(meta) = self.slots[slot].take() else {
-                continue;
-            };
-            if self.dir.get(&meta.page) == Some(&slot) {
-                self.dir.remove(&meta.page);
-            }
-            if meta.valid && meta.dirty {
-                io.disk_write(meta.page);
-                self.write_fallout.push(StagedPage {
-                    page: meta.page,
-                    lsn: meta.lsn,
-                    dirty: true,
-                    fdirty: false,
-                    data: frame,
-                });
-            }
-        }
-        self.journal.abort_current_group();
-    }
-
-    fn maybe_cadence_checkpoint(&mut self, io: &mut IoLog) {
-        if self.journal.checkpoint_due() {
-            let snapshot = self.durable_directory_snapshot();
-            self.journal
-                .install_checkpoint(self.front as u64, self.size as u64, snapshot, io);
-            self.stats.metadata_flushes.inc();
-        }
-    }
-
-    /// Detach the filled pending batch as a [`PendingGroupWrite`] (deferred
-    /// mode): the directory keeps referencing the slots, the frames move into
-    /// the in-flight table so fetches and dequeues still see them, and the
-    /// group's journal records leave the current buffer but stay volatile
-    /// until [`MvFifoCache::complete_group`]. No I/O happens here — that is
-    /// the point.
-    fn form_pending_group(&mut self) -> Option<PendingGroupWrite> {
-        if self.pending_slots.is_empty() {
-            return None;
-        }
-        let (epoch, entries) = self
-            .journal
-            .begin_deferred_group()
-            .expect("pending slots imply unsealed journal entries");
-        let slots = std::mem::take(&mut self.pending_slots);
-        let data = std::mem::take(&mut self.pending_data);
-        let mut pages = Vec::with_capacity(slots.len());
-        for (slot, frame) in slots.into_iter().zip(data) {
-            let meta = self.slots[slot]
-                .as_ref()
-                .expect("pending slot has metadata");
-            if let Some(frame) = &frame {
-                self.inflight_data.insert(slot, (epoch, Arc::clone(frame)));
-            }
-            pages.push(PendingSlotWrite {
-                slot,
-                page: meta.page,
-                lsn: meta.lsn,
-                data: frame,
-            });
-        }
-        let write = PendingGroupWrite {
-            shard: 0,
-            epoch,
-            pages,
-            meta_records: entries,
-        };
-        self.inflight.insert(
-            epoch,
-            InflightGroup {
-                write: write.clone(),
-                completed: false,
-            },
-        );
-        Some(write)
-    }
-
-    /// Inline fallback for sync/checkpoint/evacuation paths: apply and seal
-    /// every in-flight group (oldest first), then flush the current batch.
-    /// Engine callers drain the destage pipeline before reaching these paths,
-    /// so the in-flight table is normally empty here; applying a group twice
-    /// is idempotent at the device (same bytes, same slots) and
-    /// [`MvFifoCache::complete_group`] ignores epochs already sealed.
-    ///
-    /// A failed group write aborts that group ([`FlashCache::abort_group`]):
-    /// its dirty pages join the write-fallout buffer and the error is
-    /// returned; already-sealed groups are unaffected.
-    fn flush_all_groups_inline(&mut self, io: &mut IoLog) -> DeviceResult<()> {
-        let epochs: Vec<u64> = self.inflight.keys().copied().collect();
-        for epoch in epochs {
-            let write = match self.inflight.get(&epoch) {
-                Some(g) if !g.completed => Some(g.write.clone()),
-                _ => None,
-            };
-            if let Some(write) = write {
-                if let Err(e) = write.apply(&*self.store, io) {
-                    let fallout = self.abort_group(epoch, io);
-                    self.write_fallout.extend(fallout);
-                    return Err(e);
-                }
-            }
-            self.complete_group(epoch, io);
-        }
-        if self.config.defer_group_writes {
-            if let Some(write) = self.form_pending_group() {
-                if let Err(e) = write.apply(&*self.store, io) {
-                    let fallout = self.abort_group(write.epoch, io);
-                    self.write_fallout.extend(fallout);
-                    return Err(e);
-                }
-                self.complete_group(write.epoch, io);
-            }
-            Ok(())
-        } else {
-            self.flush_pending(io)
-        }
-    }
-
-    /// Dequeue up to `group_size` slots from the front. Dirty valid pages are
-    /// staged out to disk; referenced valid pages get a second chance under
-    /// GSC. Returns the staged pages that must be written to disk and the
-    /// pages to re-enqueue.
-    ///
-    /// A device read error aborts the dequeue with **no mutation at all**:
-    /// the bytes of every victim that needs them (disk-bound dirty pages,
-    /// second-chance survivors) are prefetched in a read-only first pass, so
-    /// an error leaves the queue exactly as it was and the caller can retry
-    /// or degrade.
-    fn group_dequeue(
-        &mut self,
-        io: &mut IoLog,
-    ) -> DeviceResult<(Vec<StagedPage>, Vec<StagedPage>)> {
-        let n = self.config.group_size.min(self.size);
-        if n == 0 {
-            return Ok((Vec::new(), Vec::new()));
-        }
-        // Pass 1 (read-only): prefetch the bytes of every victim that will
-        // be flushed to disk or re-enqueued; clean unreferenced pages are
-        // discarded without ever touching the device.
-        let mut prefetched: HashMap<usize, Option<Arc<Page>>> = HashMap::new();
-        let mut needs_read = false;
-        for i in 0..n {
-            let slot = (self.front + i) % self.config.capacity_pages;
-            let Some(m) = &self.slots[slot] else {
-                continue;
-            };
-            if m.valid && (m.dirty || (self.config.second_chance && m.referenced)) {
-                needs_read = true;
-                let frame = match self.ram_frame(slot) {
-                    Some(frame) => frame,
-                    None => {
-                        // Residual under-lock flash read: the victim's
-                        // bytes are no longer RAM-resident (its group
-                        // write completed long ago), so the dequeue has
-                        // to fetch them from the device while the shard
-                        // lock is held. Acknowledged, counted, rare.
-                        let _allow = face_analysis::witness::allow_device_io(
-                            "mvfifo: dequeue reads a non-resident victim's slot",
-                        );
-                        self.store.read_slot(slot)?.map(Arc::new)
-                    }
-                };
-                prefetched.insert(slot, frame);
-            }
-        }
-        if needs_read {
-            io.flash_read_seq(n as u32);
-        }
-
-        let mut to_disk = Vec::new();
-        let mut second_chance = Vec::new();
-        for i in 0..n {
-            let slot = (self.front + i) % self.config.capacity_pages;
-            // The slot leaves the queue (and may be reused by a later
-            // enqueue): invalidate any outstanding lock-light pins on it.
-            self.generations.bump(slot);
-            let Some(meta) = self.slots[slot].take() else {
-                continue;
-            };
-            // If this slot's write is still pending, take its data out of the
-            // pending batch so it is neither lost nor written later. A slot
-            // whose write is *in flight* keeps its queued write (the frames
-            // are shared and a later re-enqueue of the slot lands in a later
-            // group, which the per-shard FIFO destage order applies after).
-            if let Some(pos) = self.pending_slots.iter().position(|&s| s == slot) {
-                self.pending_slots.remove(pos);
-                self.pending_data.remove(pos);
-            }
-            self.stats.staged_out.inc();
-            if meta.valid {
-                // The directory entry must point at this slot (it is the
-                // latest version); remove it — the page is leaving the cache
-                // unless it gets a second chance.
-                if self.dir.get(&meta.page) == Some(&slot) {
-                    self.dir.remove(&meta.page);
-                }
-                if self.config.second_chance && meta.referenced {
-                    let data = prefetched.remove(&slot).flatten();
-                    self.stats.second_chances.inc();
-                    second_chance.push(StagedPage {
-                        page: meta.page,
-                        lsn: meta.lsn,
-                        dirty: meta.dirty,
-                        fdirty: true, // force unconditional re-enqueue
-                        data,
-                    });
-                } else if meta.dirty {
-                    let data = prefetched.remove(&slot).flatten();
-                    self.stats.staged_out_to_disk.inc();
-                    io.disk_write(meta.page);
-                    to_disk.push(StagedPage {
-                        page: meta.page,
-                        lsn: meta.lsn,
-                        dirty: true,
-                        fdirty: false,
-                        data,
-                    });
-                }
-                // Clean, unreferenced valid pages are simply discarded.
-            }
-            // Invalid (superseded) versions are discarded with no I/O.
-        }
-        self.front = (self.front + n) % self.config.capacity_pages;
-        self.size -= n;
-        // Pointer movement becomes durable with the next group seal or
-        // checkpoint; recovery may therefore see a slightly stale front and
-        // re-admit recently dequeued versions. That is safe because every
-        // re-admitted version is at or below the durable LSN (so redo
-        // patches it forward), not because it matches the disk — a GSC
-        // second-chance survivor's old slot, for example, was never staged
-        // to disk.
-
-        // Pathological case: every page in the group was referenced. Force
-        // the oldest one out so the replacement makes progress (paper §3.3).
-        if !second_chance.is_empty() && second_chance.len() == n {
-            let forced = second_chance.remove(0);
-            self.stats.second_chances.sub(1);
-            if forced.dirty {
-                self.stats.staged_out_to_disk.inc();
-                io.disk_write(forced.page);
-                to_disk.push(forced);
-            }
-        }
-        Ok((to_disk, second_chance))
-    }
-
-    /// Invalidate the previous version of `page`, if cached.
-    fn invalidate_previous(&mut self, page: PageId) {
-        if let Some(slot) = self.dir.remove(&page) {
-            if let Some(meta) = &mut self.slots[slot] {
-                meta.valid = false;
-                self.stats.invalidations.inc();
-            }
-        }
-    }
-
-    /// Admit one page version: ensure space, assign a slot, and collect any
-    /// stage-outs and second-chance re-enqueues triggered by replacement.
-    ///
-    /// On a device error the insert is not admitted: the staged page (if
-    /// dirty) and everything already dequeued into `outcome.staged_out` move
-    /// to the write-fallout buffer for disk failover, and the error
-    /// propagates.
-    fn admit(
-        &mut self,
-        staged: StagedPage,
-        outcome: &mut InsertOutcome,
-        io: &mut IoLog,
-    ) -> DeviceResult<()> {
-        // Make space. Each iteration frees at least one slot; quarantined
-        // holes at the rear are absorbed into the window so the enqueue
-        // lands on a usable slot (progress is guaranteed while at least one
-        // slot remains usable — the caller checks).
-        loop {
-            self.absorb_quarantined_rear();
-            if self.free_slots() > 0 {
-                break;
-            }
-            let (to_disk, second_chance) = match self.group_dequeue(io) {
-                Ok(batch) => batch,
-                Err(e) => {
-                    if staged.dirty {
-                        io.disk_write(staged.page);
-                        self.write_fallout.push(staged);
-                    }
-                    self.write_fallout.append(&mut outcome.staged_out);
-                    return Err(e);
-                }
-            };
-            outcome.staged_out.extend(to_disk);
-            for sc in second_chance {
-                // Re-enqueue survivors. Space for them is normally
-                // guaranteed (the dequeue freed `group_size` slots and at
-                // most `group_size - 1` survivors remain) — unless
-                // quarantined holes absorbed the freed space, in which case
-                // the survivor loses its second chance: dirty to disk,
-                // clean dropped.
-                self.absorb_quarantined_rear();
-                if self.free_slots() == 0 {
-                    if sc.dirty {
-                        self.stats.staged_out_to_disk.inc();
-                        io.disk_write(sc.page);
-                        outcome.staged_out.push(sc);
-                    }
-                    continue;
-                }
-                self.invalidate_previous(sc.page);
-                self.enqueue_assign(&sc, io);
-            }
-        }
-        self.invalidate_previous(staged.page);
-        self.enqueue_assign(&staged, io);
-        self.stats.cached_inserts.inc();
-        Ok(())
-    }
-
-    /// Restore a cache from its surviving flash-resident state after a crash:
-    /// the cache checkpoint plus the sealed journal groups, reconciled
-    /// against the WAL's durable end, plus a bounded header scan of window
-    /// slots the journal left uncovered (paper §4.2). The recovered cache
-    /// serves fetches for every page whose metadata could be restored, in
-    /// the original FIFO order (front/size and per-slot versions are
-    /// rebuilt), so eviction order is preserved across the crash.
-    ///
-    /// Reconciliation rules:
-    /// * a journaled version with `lsn > durable_lsn` is **discarded** — its
-    ///   WAL records were lost with the crash, so serving it would diverge
-    ///   from redo; any older surviving version of the page becomes valid
-    ///   again and redo patches it forward;
-    /// * a dirty version with `lsn <= durable_lsn` is kept and substitutes
-    ///   for the disk copy during redo (the paper's fast-restart path).
-    pub fn recover(
-        config: CacheConfig,
-        store: Arc<dyn FlashStore>,
-        survived: &MetaJournal,
-        durable_lsn: Lsn,
-        io: &mut IoLog,
-    ) -> (Self, CacheRecoveryInfo) {
-        let capacity = config.capacity_pages;
-        let recovered = survived.recover(io);
-        let group_size = config.group_size;
-
-        let mut cache = Self::new(config, Arc::clone(&store));
-        cache.front = recovered.front as usize % capacity.max(1);
-        cache.size = (recovered.size as usize).min(capacity);
-        let front = cache.front;
-        let size = cache.size;
-        let mut info = CacheRecoveryInfo {
-            survived: true,
-            metadata_segments_loaded: u64::from(recovered.checkpoint_loaded)
-                + survived.sealed_groups() as u64,
-            checkpoint_loaded: recovered.checkpoint_loaded,
-            checkpoint_entries_loaded: recovered.checkpoint_entries,
-            journal_records_replayed: recovered.journal_records_replayed,
-            ..CacheRecoveryInfo::default()
-        };
-
-        // Replay in journal order (checkpoint snapshot, then sealed groups
-        // oldest-first): a later entry is the newer version and supersedes
-        // earlier ones, for its page and for its slot alike.
-        let mut doomed_slots: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        for e in &recovered.entries {
-            let slot = e.slot as usize;
-            // Only slots inside the occupied window are live.
-            let offset = (slot + capacity - front) % capacity;
-            if offset >= size {
-                continue;
-            }
-            if e.lsn > durable_lsn {
-                // The version outran the durable log; rule 1 discards it.
-                // The slot's physical bytes belong to this discarded version
-                // (data and metadata seal together), so any earlier entry
-                // replayed onto the same slot must go too — its metadata
-                // would otherwise serve the discarded version's bytes. The
-                // slot is marked for physical invalidation below (deferred:
-                // a *later* replay entry may legitimately re-occupy it).
-                info.entries_discarded_beyond_wal += 1;
-                doomed_slots.insert(slot);
-                if let Some(old) = cache.slots[slot].take() {
-                    if cache.dir.get(&old.page) == Some(&slot) {
-                        cache.dir.remove(&old.page);
-                    }
-                }
-                continue;
-            }
-            // A later entry re-occupying a doomed slot owns its bytes again.
-            doomed_slots.remove(&slot);
-            // A stale occupant of a reused slot loses its directory entry.
-            if let Some(old) = &cache.slots[slot] {
-                if old.page != e.page && cache.dir.get(&old.page) == Some(&slot) {
-                    cache.dir.remove(&old.page);
-                }
-            }
-            if let Some(prev) = cache.dir.insert(e.page, slot) {
-                if prev != slot {
-                    if let Some(m) = &mut cache.slots[prev] {
-                        m.valid = false;
-                    }
-                }
-            }
-            cache.slots[slot] = Some(SlotMeta {
-                page: e.page,
-                lsn: e.lsn,
-                dirty: e.dirty,
-                valid: true,
-                referenced: false,
-                epoch: e.epoch,
-            });
-        }
-
-        // Physically invalidate the slots whose only content is a discarded
-        // version: a readable header there would let a *later* recovery's
-        // tail scan resurrect the dead timeline once the reused LSN range
-        // becomes durable again.
-        for slot in &doomed_slots {
-            store.clear_slot(*slot);
-        }
-
-        // Bounded tail scan (§4.2): window slots the journal did not cover —
-        // normally none, because metadata seals with its group — are probed
-        // through their page headers, newest-first, capped at two groups.
-        // A scanned header is admitted only under the same reconciliation
-        // rule and never over a journaled version of the same page.
-        let mut scanned = 0u64;
-        let scan_cap = (2 * group_size.max(1)) as u64;
-        for i in (0..size).rev() {
-            if scanned >= scan_cap {
-                break;
-            }
-            let slot = (front + i) % capacity;
-            if cache.slots[slot].is_some() {
-                continue;
-            }
-            scanned += 1;
-            info.pages_scanned += 1;
-            if let Some((page, lsn)) = store.slot_header(slot) {
-                if lsn > durable_lsn || cache.dir.contains_key(&page) {
-                    continue;
-                }
-                cache.dir.insert(page, slot);
-                cache.slots[slot] = Some(SlotMeta {
-                    page,
-                    lsn,
-                    // The dirty flag is not in the page header; assume dirty
-                    // (safe: at worst an extra disk write at stage-out).
-                    dirty: true,
-                    valid: true,
-                    referenced: false,
-                    epoch: 0,
-                });
-            }
-        }
-        if scanned > 0 {
-            io.flash_read_seq(scanned as u32);
-        }
-
-        info.entries_restored = cache.dir.len() as u64;
-        // The restored journal continues from the survivor.
-        cache.journal = survived.clone();
-        // If reconciliation discarded anything, the survivor's durable
-        // metadata still describes the discarded versions. Rewrite the
-        // snapshot from the reconciled directory immediately: otherwise a
-        // later recovery — once the (reused) LSN range becomes durable
-        // again — would re-admit versions from the dead timeline.
-        if info.entries_discarded_beyond_wal > 0 {
-            let snapshot = cache.directory_snapshot();
-            cache
-                .journal
-                .install_checkpoint(cache.front as u64, cache.size as u64, snapshot, io);
-        }
-        (cache, info)
-    }
-}
-
-impl FlashCache for MvFifoCache {
-    fn policy_name(&self) -> &'static str {
-        if self.config.second_chance {
+    fn name(config: &CacheConfig) -> &'static str {
+        if config.second_chance {
             "FaCE+GSC"
-        } else if self.config.group_size > 1 {
+        } else if config.group_size > 1 {
             "FaCE+GR"
         } else {
             "FaCE"
         }
     }
 
-    fn contains(&self, page: PageId) -> bool {
-        self.dir.contains_key(&page)
+    fn region_capacities(config: &CacheConfig) -> Vec<usize> {
+        vec![config.capacity_pages]
     }
 
-    fn fetch(&mut self, page: PageId, io: &mut IoLog) -> DeviceResult<Option<FlashFetch>> {
-        self.stats.lookups.inc();
-        let Some(&slot) = self.dir.get(&page) else {
-            return Ok(None);
-        };
-        let Some(meta) = self.slots[slot].as_mut() else {
-            return Ok(None);
-        };
-        debug_assert!(meta.valid, "directory points at an invalid version");
-        self.stats.hits.inc();
-        meta.referenced = true;
-        let dirty = meta.dirty;
-        let lsn = meta.lsn;
-        io.flash_read_rand(1);
-        Ok(Some(FlashFetch {
-            data: self.slot_frame(slot)?.map(|f| f.as_ref().clone()),
-            dirty,
-            lsn,
-        }))
-    }
-
-    fn fetch_pin(&mut self, page: PageId, retry: bool, io: &mut IoLog) -> Option<FetchPin> {
-        if retry {
-            self.stats.fetch_retries.inc();
-        } else {
-            self.stats.lookups.inc();
-        }
-        let slot = *self.dir.get(&page)?;
-        let meta = self.slots[slot].as_mut()?;
-        debug_assert!(meta.valid, "directory points at an invalid version");
-        if !retry {
-            self.stats.hits.inc();
-        }
-        meta.referenced = true;
-        let lsn = meta.lsn;
-        let dirty = meta.dirty;
-        io.flash_read_rand(1);
-        // A version whose batch write has not reached the device is served
-        // from its shared RAM frame — the store may still hold the slot's
-        // previous occupant, so an off-lock device read would be wrong, not
-        // merely stale. The frame is immutable and `Arc`-shared: it outlives
-        // any eviction or destage completing mid-read.
-        let (frame, data_expected) = match self.ram_frame(slot) {
-            Some(frame) => {
-                let expected = frame.is_some();
-                (frame, expected)
-            }
-            None => (None, true),
-        };
-        Some(FetchPin {
-            slot,
-            lsn,
-            dirty,
-            generation: self.generations.current(slot),
-            frame,
-            data_expected,
-        })
-    }
-
-    fn fetch_validate(&self, slot: usize, generation: u64) -> bool {
-        self.generations.check(slot, generation)
-    }
-
-    fn insert(
-        &mut self,
+    fn place(
+        ring: &mut GroupRing<Self>,
         staged: StagedPage,
         supplier: &mut dyn PageSupplier,
+        outcome: &mut InsertOutcome,
         io: &mut IoLog,
-    ) -> DeviceResult<InsertOutcome> {
-        self.stats.inserts.inc();
-        if staged.dirty {
-            self.stats.dirty_inserts.inc();
+    ) -> DeviceResult<()> {
+        if ring.skip_clean_duplicate(&staged) {
+            return Ok(());
         }
-        let mut outcome = InsertOutcome {
-            cached: true,
-            ..Default::default()
-        };
-
-        // Conditional enqueue (Algorithm 1): a clean page whose identical
-        // copy is already cached is not enqueued again.
-        if !staged.fdirty && self.dir.contains_key(&staged.page) {
-            self.stats.skipped_inserts.inc();
-            return Ok(outcome);
-        }
-
-        // Fully-quarantined degenerate case: nothing is usable, so the
-        // insert degrades to serve-through (dirty straight to disk).
-        if self.usable_capacity() == 0 {
-            outcome.cached = false;
-            if staged.dirty {
-                io.disk_write(staged.page);
-                self.stats.staged_out_to_disk.inc();
-                outcome.staged_out.push(staged);
-            }
-            return Ok(outcome);
-        }
-
-        let had_replacement_potential = self.free_slots() == 0;
-        self.admit(staged, &mut outcome, io)?;
+        let replacing = ring.free(QUEUE) == 0;
+        ring.admit(QUEUE, staged, outcome, io)?;
 
         // Group Second Chance: top the write batch up with dirty pages pulled
         // from the DRAM buffer's LRU tail so the batch write is full-sized.
-        if self.config.second_chance && had_replacement_potential {
+        if ring.config().second_chance && replacing {
             loop {
-                self.absorb_quarantined_rear();
-                if self.pending_slots.len() >= self.config.group_size || self.free_slots() == 0 {
+                ring.absorb_quarantined_rear(QUEUE);
+                if ring.pending_len() >= ring.config().group_size || ring.free(QUEUE) == 0 {
                     break;
                 }
                 let Some(extra) = supplier.next_dirty_page() else {
                     break;
                 };
-                self.stats.pulled_from_dram.inc();
-                self.stats.inserts.inc();
-                if extra.dirty {
-                    self.stats.dirty_inserts.inc();
-                }
-                if !extra.fdirty && self.dir.contains_key(&extra.page) {
-                    self.stats.skipped_inserts.inc();
-                    continue;
-                }
-                self.invalidate_previous(extra.page);
-                self.enqueue_assign(&extra, io);
-                self.stats.cached_inserts.inc();
-            }
-        }
-
-        // Write the batch once it reaches the group size (always, for the
-        // base policy where the group size is 1). In deferred mode the
-        // filled group is handed back instead: the caller owns the physical
-        // write, and this insert performed no device I/O at all.
-        if self.pending_slots.len() >= self.config.group_size {
-            if self.config.defer_group_writes {
-                outcome.pending_group = self.form_pending_group();
-            } else if let Err(e) = self.flush_pending(io) {
-                // The batch (including this insert) was rolled back; its
-                // dirty pages wait in the fallout buffer. Pages already
-                // dequeued by this call join them — `Err` carries no
-                // outcome, and the caller must still write them to disk.
-                self.write_fallout.append(&mut outcome.staged_out);
-                return Err(e);
-            }
-        }
-        Ok(outcome)
-    }
-
-    fn group_write_pending(&self, epoch: u64) -> bool {
-        self.inflight.get(&epoch).is_some_and(|g| !g.completed)
-    }
-
-    fn complete_group(&mut self, epoch: u64, io: &mut IoLog) {
-        let Some(group) = self.inflight.get_mut(&epoch) else {
-            // Unknown epoch: already sealed inline (sync raced the pipeline)
-            // or dropped by a crash. Idempotent by design.
-            return;
-        };
-        group.completed = true;
-        // Seal contiguously from the oldest in-flight epoch so journal groups
-        // become durable in epoch order even if completions raced (they do
-        // not under the per-shard FIFO destage routing; this is the policy's
-        // own guarantee).
-        while let Some((&oldest, group)) = self.inflight.iter().next() {
-            if !group.completed {
-                break;
-            }
-            let group = self.inflight.remove(&oldest).expect("key just observed");
-            for w in &group.write.pages {
-                if self
-                    .inflight_data
-                    .get(&w.slot)
-                    .is_some_and(|(e, _)| *e == oldest)
-                {
-                    self.inflight_data.remove(&w.slot);
+                ring.stats.pulled_from_dram.inc();
+                ring.count_insert(&extra);
+                if !ring.skip_clean_duplicate(&extra) {
+                    ring.enqueue_fresh(QUEUE, &extra);
                 }
             }
-            self.journal.seal_detached_group(
-                group.write.meta_records,
-                self.front as u64,
-                self.size as u64,
-                io,
-            );
         }
-        self.maybe_cadence_checkpoint(io);
+        Ok(())
     }
 
-    fn sync(&mut self, io: &mut IoLog) -> DeviceResult<()> {
-        // Flush the pending batch (sealing its journal group) and snapshot
-        // the directory, so a clean shutdown restarts with zero replay.
-        self.checkpoint_metadata(io)
-    }
-
-    fn take_write_fallout(&mut self) -> Vec<StagedPage> {
-        std::mem::take(&mut self.write_fallout)
-    }
-
-    fn evacuate_dirty(&mut self, io: &mut IoLog) -> Evacuation {
-        // Dirty flash pages are the only persistent copy of their contents
-        // (write-back, checkpoint-to-flash): before the cache device can be
-        // wiped they must reach the disk. Clean and invalidated versions
-        // need nothing. The dirty flags are deliberately *left set*: the
-        // caller's disk writes may still fail, and clearing early would let
-        // a retry (or a later eviction) drop the only persistent copy. A
-        // successful evacuation is followed by a cache wipe, which retires
-        // the flags anyway; a repeated call is idempotent, merely re-listing
-        // the same pages.
-        //
-        // Best-effort under a failing device: each inline-flush error aborts
-        // exactly one group, whose dirty pages join the output from their
-        // RAM copies, so the loop below terminates; residents whose bytes
-        // the device refuses to return are counted in `unread_dirty` and
-        // left to WAL redo.
-        let mut ev = Evacuation::default();
-        while self.flush_all_groups_inline(io).is_err() {}
-        ev.pages.append(&mut self.write_fallout);
-        let capacity = self.config.capacity_pages;
-        let mut scanned = 0u32;
-        for i in 0..self.size {
-            let slot = (self.front + i) % capacity;
-            let Some(meta) = self.slots[slot].as_ref() else {
-                continue;
-            };
-            if !meta.valid || !meta.dirty {
-                continue;
-            }
-            let data = if self.store.carries_data() {
-                match self.store.read_slot(slot) {
-                    Ok(Some(p)) => Some(Arc::new(p)),
-                    Ok(None) | Err(_) => {
-                        // Bytes lost with the failing slot: emit a data-less
-                        // marker so the caller can refuse stale disk serves
-                        // of this page until WAL redo rebuilds it.
-                        ev.unread_dirty += 1;
-                        ev.pages.push(StagedPage {
-                            page: meta.page,
-                            lsn: meta.lsn,
-                            dirty: true,
-                            fdirty: false,
-                            data: None,
-                        });
-                        continue;
-                    }
-                }
-            } else {
-                None
-            };
-            scanned += 1;
-            io.disk_write(meta.page);
-            ev.pages.push(StagedPage {
-                page: meta.page,
-                lsn: meta.lsn,
-                dirty: true,
-                fdirty: false,
-                data,
-            });
-        }
-        if scanned > 0 {
-            io.flash_read_seq(scanned);
-        }
-        ev
-    }
-
-    fn quarantine_slot(&mut self, slot: usize, io: &mut IoLog) -> QuarantineOutcome {
-        let mut out = QuarantineOutcome::default();
-        if slot >= self.config.capacity_pages || self.quarantined.contains(&slot) {
-            return out;
-        }
-        out.quarantined = true;
-        self.quarantined.insert(slot);
-        self.generations.bump(slot);
-        // Pull the slot out of the not-yet-written pending batch; its
-        // journal record goes with it, so data and metadata leave together.
-        let pending = self
-            .pending_slots
-            .iter()
-            .position(|&s| s == slot)
-            .and_then(|pos| {
-                self.pending_slots.remove(pos);
-                self.journal.remove_current_records_for_slot(slot as u32);
-                self.pending_data.remove(pos)
-            });
-        let inflight = self.inflight_data.get(&slot).map(|(_, f)| Arc::clone(f));
-        let Some(meta) = self.slots[slot].take() else {
-            return out;
-        };
-        if !meta.valid {
-            return out;
-        }
-        if self.dir.get(&meta.page) == Some(&slot) {
-            self.dir.remove(&meta.page);
-        }
-        out.removed = Some(meta.page);
-        if !meta.dirty {
-            // Clean resident: simply dropped, re-fetched from disk on the
-            // next miss.
-            return out;
-        }
-        // Dirty resident: its bytes must reach the disk. RAM copies first;
-        // the device only as a last resort — the slot is being quarantined
-        // because it fails, so an unreadable dirty resident is counted and
-        // recovered through WAL redo instead.
-        let data = match pending.or(inflight) {
-            Some(frame) => Some(frame),
-            None if self.store.carries_data() => match self.store.read_slot(slot) {
-                Ok(Some(p)) => Some(Arc::new(p)),
-                Ok(None) | Err(_) => {
-                    // Bytes lost: hand back a data-less evacuee so the
-                    // caller can block stale disk serves of this page until
-                    // WAL redo rebuilds it.
-                    out.dirty_unread = true;
-                    out.evacuee = Some(StagedPage {
-                        page: meta.page,
-                        lsn: meta.lsn,
-                        dirty: true,
-                        fdirty: false,
-                        data: None,
-                    });
-                    return out;
-                }
-            },
-            None => None,
-        };
-        io.disk_write(meta.page);
-        out.evacuee = Some(StagedPage {
-            page: meta.page,
-            lsn: meta.lsn,
-            dirty: true,
-            fdirty: false,
-            data,
-        });
-        out
-    }
-
-    fn abort_group(&mut self, epoch: u64, io: &mut IoLog) -> Vec<StagedPage> {
-        let Some(group) = self.inflight.remove(&epoch) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for w in &group.write.pages {
-            if self
-                .inflight_data
-                .get(&w.slot)
-                .is_some_and(|(e, _)| *e == epoch)
-            {
-                self.inflight_data.remove(&w.slot);
-            }
-            let occupant_matches = self.slots[w.slot]
-                .as_ref()
-                .is_some_and(|m| m.epoch == epoch && m.page == w.page);
-            if !occupant_matches {
-                // Already dequeued, or the slot was reused by a later
-                // version — nothing of this group remains there.
-                continue;
-            }
-            let meta = self.slots[w.slot].take().expect("occupant just observed");
-            self.generations.bump(w.slot);
-            if self.dir.get(&meta.page) == Some(&w.slot) {
-                self.dir.remove(&meta.page);
-            }
-            if meta.valid && meta.dirty {
-                io.disk_write(meta.page);
-                out.push(StagedPage {
-                    page: meta.page,
-                    lsn: meta.lsn,
-                    dirty: true,
-                    fdirty: false,
-                    data: w.data.clone(),
-                });
-            }
-        }
-        // The group's journal records drop with `group`: they never seal,
-        // so data and metadata are lost together — the crash contract.
-        out
-    }
-
-    fn persists_dirty_pages(&self) -> bool {
-        true
-    }
-
-    fn crash_and_recover(&mut self, durable_lsn: Lsn, io: &mut IoLog) -> CacheRecoveryInfo {
-        // RAM-resident state (directory, slot metadata, pending batch, the
-        // journal's unsealed group) is lost; the flash store contents, the
-        // cache checkpoint and the sealed journal groups survive and the
-        // cache is rebuilt from them, reconciled against `durable_lsn`.
-        let mut survivor = self.journal.clone();
-        survivor.crash();
-        let config = self.config.clone();
-        let store = Arc::clone(&self.store);
-        let stats = self.stats.snapshot();
-        let (mut rebuilt, info) = Self::recover(config, store, &survivor, durable_lsn, io);
-        rebuilt.stats = CacheStatCounters::from(stats);
-        *self = rebuilt;
-        info
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    fn capacity(&self) -> usize {
-        self.config.capacity_pages
-    }
-
-    fn len(&self) -> usize {
-        self.size
+    fn make_room(
+        ring: &mut GroupRing<Self>,
+        region: usize,
+        outcome: &mut InsertOutcome,
+        io: &mut IoLog,
+    ) -> DeviceResult<()> {
+        let mut batch = ring.group_dequeue(region, ring.config().second_chance, io)?;
+        ring.force_progress(&mut batch, io);
+        outcome.staged_out.append(&mut batch.to_disk);
+        ring.reenqueue(region, batch.survivors, outcome, io);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use face_pagestore::{Lsn, Page, PageId};
+
     use super::*;
-    use crate::policy::NoSupplier;
-    use crate::store::{MemFlashStore, NullFlashStore};
+    use crate::policy::{FlashCache, NoSupplier};
+    use crate::store::{FlashStore, MemFlashStore, NullFlashStore};
 
     fn pid(n: u32) -> PageId {
         PageId::new(0, n)
@@ -1883,466 +714,5 @@ mod tests {
             .insert(staged(100, true, true), &mut NoSupplier, &mut io)
             .unwrap();
         assert_eq!(out.staged_out[0].page, pid(0));
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// An arbitrary interleaving of inserts and fetches against any
-        /// cache geometry preserves the structural invariants of mvFIFO:
-        /// bounded occupancy, a directory that only points at valid slots
-        /// holding the right page, and never a random flash write.
-        fn check(ops: Vec<(u8, u32, bool)>, capacity: usize, group: usize, sc: bool) {
-            let mut cache = meta_cache(capacity, group, sc);
-            let mut io = IoLog::new();
-            for (op, page, dirty) in ops {
-                if op % 3 == 0 {
-                    cache.fetch(pid(page % 64), &mut io).unwrap();
-                } else {
-                    cache
-                        .insert(staged(page % 64, dirty, true), &mut NoSupplier, &mut io)
-                        .unwrap();
-                }
-                assert!(cache.len() <= cache.capacity());
-                for (p, s) in cache.dir.iter() {
-                    let m = cache.slots[*s]
-                        .as_ref()
-                        .expect("directory points at a slot");
-                    assert!(m.valid, "directory must reference valid versions only");
-                    assert_eq!(m.page, *p);
-                }
-                // At most one valid version per page.
-                let mut valid_pages = std::collections::HashSet::new();
-                for m in cache.slots.iter().flatten() {
-                    if m.valid {
-                        assert!(valid_pages.insert(m.page), "duplicate valid version");
-                    }
-                }
-            }
-            assert_eq!(io.flash_pages_written_random(), 0);
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-            #[test]
-            fn invariants_hold_for_base_face(ops in prop::collection::vec((any::<u8>(), any::<u32>(), any::<bool>()), 1..200)) {
-                check(ops, 16, 1, false);
-            }
-
-            #[test]
-            fn invariants_hold_for_gr_and_gsc(
-                ops in prop::collection::vec((any::<u8>(), any::<u32>(), any::<bool>()), 1..200),
-                group in 2usize..8,
-                sc in any::<bool>(),
-            ) {
-                check(ops, 24, group, sc);
-            }
-        }
-
-        /// Crash-point recovery property: run a recorded operation history
-        /// against a data-carrying cache, crash after `crash_at` operations,
-        /// recover with an arbitrary durable LSN, and check that the
-        /// post-recovery directory is a prefix-consistent subset of what the
-        /// history enqueued:
-        ///
-        /// * every recovered mapping `page -> (lsn, dirty-or-cleaner)` is a
-        ///   version the pre-crash history actually enqueued;
-        /// * no recovered version is newer than the pre-crash latest version
-        ///   of its page;
-        /// * no recovered version has an LSN beyond the durable log end.
-        fn check_crash_recovery(
-            ops: Vec<(u8, u32, bool)>,
-            crash_at: usize,
-            durable_pick: u8,
-            capacity: usize,
-            group: usize,
-            sc: bool,
-            defer: bool,
-        ) {
-            use std::collections::HashMap as Map;
-            let store = Arc::new(MemFlashStore::new(capacity));
-            let cfg = CacheConfig {
-                defer_group_writes: defer,
-                ..meta_cfg(capacity, group, sc)
-            };
-            let mut cache = MvFifoCache::new(cfg, Arc::clone(&store) as Arc<dyn FlashStore>);
-            let mut io = IoLog::new();
-            // Every version ever enqueued, and the latest version per page.
-            let mut enqueued: std::collections::HashSet<(PageId, Lsn)> =
-                std::collections::HashSet::new();
-            let mut latest: Map<PageId, Lsn> = Map::new();
-            let crash_at = crash_at % (ops.len() + 1);
-            let mut max_lsn = 0u64;
-            for (i, (op, page, dirty)) in ops.iter().take(crash_at).enumerate() {
-                let lsn = Lsn(i as u64 + 1);
-                let page = pid(page % 48);
-                match op % 4 {
-                    0 => {
-                        cache.fetch(page, &mut io).unwrap();
-                    }
-                    1 => cache.sync(&mut io).unwrap(),
-                    _ => {
-                        let mut p = Page::new(page);
-                        p.set_lsn(lsn);
-                        let out = cache
-                            .insert(
-                                StagedPage::with_data(p, *dirty, true),
-                                &mut NoSupplier,
-                                &mut io,
-                            )
-                            .unwrap();
-                        // Deferred pipeline: the op byte decides how far the
-                        // destage of a returned group got before the crash —
-                        // never started (dropped), write applied but seal
-                        // lost, or fully completed. These are exactly the
-                        // in-pipeline crash points.
-                        if let Some(write) = out.pending_group {
-                            match op % 3 {
-                                0 => {} // enqueued, never written
-                                1 => write.apply(&*store, &mut io).unwrap(),
-                                _ => {
-                                    write.apply(&*store, &mut io).unwrap();
-                                    cache.complete_group(write.epoch, &mut io);
-                                }
-                            }
-                        }
-                        enqueued.insert((page, lsn));
-                        latest.insert(page, lsn);
-                        max_lsn = lsn.0;
-                    }
-                }
-            }
-            let durable = Lsn((durable_pick as u64) % (max_lsn + 2));
-            let info = cache.crash_and_recover(durable, &mut io);
-            assert!(info.survived);
-            for (page, lsn, _dirty) in cache.valid_versions() {
-                assert!(
-                    lsn <= durable,
-                    "{page}: recovered lsn {lsn:?} beyond durable {durable:?}"
-                );
-                assert!(
-                    enqueued.contains(&(page, lsn)),
-                    "{page}: recovered version {lsn:?} was never enqueued"
-                );
-                let newest = latest.get(&page).copied().expect("page was enqueued");
-                assert!(
-                    lsn <= newest,
-                    "{page}: recovered {lsn:?} newer than pre-crash latest {newest:?}"
-                );
-            }
-            // The recovered cache still honours its structural invariants
-            // and keeps serving.
-            assert!(cache.len() <= cache.capacity());
-            for (p, s) in cache.dir.iter() {
-                let m = cache.slots[*s]
-                    .as_ref()
-                    .expect("directory points at a slot");
-                assert!(m.valid);
-                assert_eq!(m.page, *p);
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-            #[test]
-            fn any_crash_point_recovers_a_prefix_consistent_subset(
-                ops in prop::collection::vec((any::<u8>(), any::<u32>(), any::<bool>()), 1..250),
-                crash_at in any::<u16>(),
-                durable in any::<u8>(),
-                group in 1usize..8,
-                sc in any::<bool>(),
-            ) {
-                check_crash_recovery(ops, crash_at as usize, durable, 32, group, sc, false);
-            }
-
-            /// Same property with the asynchronous destage pipeline in every
-            /// intermediate state: groups enqueued but unwritten, written
-            /// but unsealed, and completed, interleaved arbitrarily.
-            #[test]
-            fn any_destage_crash_point_recovers_a_prefix_consistent_subset(
-                ops in prop::collection::vec((any::<u8>(), any::<u32>(), any::<bool>()), 1..250),
-                crash_at in any::<u16>(),
-                durable in any::<u8>(),
-                group in 1usize..8,
-                sc in any::<bool>(),
-            ) {
-                check_crash_recovery(ops, crash_at as usize, durable, 32, group, sc, true);
-            }
-        }
-    }
-
-    mod deferred {
-        use super::*;
-
-        fn defer_cfg(capacity: usize, group: usize) -> CacheConfig {
-            CacheConfig {
-                defer_group_writes: true,
-                ..meta_cfg(capacity, group, false)
-            }
-        }
-
-        fn data_staged(n: u32, lsn: u64) -> StagedPage {
-            let mut p = Page::new(pid(n));
-            p.set_lsn(Lsn(lsn));
-            p.write_body(0, &n.to_le_bytes());
-            StagedPage::with_data(p, true, true)
-        }
-
-        #[test]
-        fn filled_group_is_returned_not_written() {
-            let store = Arc::new(MemFlashStore::new(16));
-            let mut c = MvFifoCache::new(defer_cfg(16, 4), Arc::clone(&store) as _);
-            let mut io = IoLog::new();
-            let mut pending = None;
-            for n in 0..4u32 {
-                let out = c
-                    .insert(data_staged(n, n as u64 + 1), &mut NoSupplier, &mut io)
-                    .unwrap();
-                if out.pending_group.is_some() {
-                    pending = out.pending_group;
-                }
-            }
-            // The foreground performed no device I/O at all: the insert only
-            // mutated the directory and handed the batch back.
-            assert!(io.is_empty(), "deferred insert must charge no I/O");
-            assert_eq!(store.occupied(), 0, "no bytes reached the store");
-            let write = pending.expect("fourth insert fills the group");
-            assert_eq!(write.pages.len(), 4);
-            assert_eq!(write.meta_records.len(), 4);
-            assert_eq!(c.journal().unsealed_entries(), 0, "records detached");
-            assert_eq!(c.journal().sealed_groups(), 0, "but not yet durable");
-
-            // Fetches of in-flight versions are served from the shared RAM
-            // frames — the foreground never waits for the batch write.
-            let hit = c
-                .fetch(pid(2), &mut io)
-                .unwrap()
-                .expect("in-flight page served");
-            assert_eq!(hit.data.unwrap().read_body(0, 4), &2u32.to_le_bytes());
-
-            // The caller applies the batch off-lock, then seals it.
-            let mut apply_io = IoLog::new();
-            write.apply(&*store, &mut apply_io).unwrap();
-            assert_eq!(apply_io.flash_pages_written(), 4);
-            assert_eq!(store.occupied(), 4);
-            c.complete_group(write.epoch, &mut apply_io);
-            assert_eq!(c.journal().sealed_groups(), 1);
-            // Completion is idempotent.
-            c.complete_group(write.epoch, &mut apply_io);
-            assert_eq!(c.journal().sealed_groups(), 1);
-        }
-
-        #[test]
-        fn completions_seal_in_epoch_order() {
-            let store = Arc::new(MemFlashStore::new(32));
-            let mut c = MvFifoCache::new(defer_cfg(32, 2), Arc::clone(&store) as _);
-            let mut io = IoLog::new();
-            let mut groups = Vec::new();
-            for n in 0..6u32 {
-                let out = c
-                    .insert(data_staged(n, n as u64 + 1), &mut NoSupplier, &mut io)
-                    .unwrap();
-                groups.extend(out.pending_group);
-            }
-            assert_eq!(groups.len(), 3);
-            // Complete the *youngest* group first: nothing may seal until the
-            // older ones complete, or replay order (and §4.3) would break.
-            for g in &groups {
-                g.apply(&*store, &mut io).unwrap();
-            }
-            c.complete_group(groups[2].epoch, &mut io);
-            assert_eq!(c.journal().sealed_groups(), 0);
-            c.complete_group(groups[0].epoch, &mut io);
-            assert_eq!(c.journal().sealed_groups(), 1);
-            c.complete_group(groups[1].epoch, &mut io);
-            assert_eq!(c.journal().sealed_groups(), 3);
-            let rec = c.journal().recover(&mut IoLog::new());
-            let epochs: Vec<u64> = rec.entries.iter().map(|e| e.epoch).collect();
-            let mut sorted = epochs.clone();
-            sorted.sort_unstable();
-            assert_eq!(epochs, sorted, "replay must be epoch-ordered");
-        }
-
-        #[test]
-        fn crash_with_group_enqueued_but_unwritten_loses_it_consistently() {
-            // Crash point 1: the group left the foreground but its batch
-            // write never ran. Data and metadata die together — recovery
-            // sees neither.
-            let store = Arc::new(MemFlashStore::new(16));
-            let mut c = MvFifoCache::new(defer_cfg(16, 4), Arc::clone(&store) as _);
-            let mut io = IoLog::new();
-            let mut pending = None;
-            for n in 0..4u32 {
-                let out = c
-                    .insert(data_staged(n, n as u64 + 1), &mut NoSupplier, &mut io)
-                    .unwrap();
-                if out.pending_group.is_some() {
-                    pending = out.pending_group;
-                }
-            }
-            assert!(pending.is_some());
-            let info = c.crash_and_recover(Lsn(u64::MAX), &mut IoLog::new());
-            assert!(info.survived);
-            assert_eq!(info.entries_restored, 0, "unwritten group fully lost");
-            for n in 0..4u32 {
-                assert!(!c.contains(pid(n)));
-            }
-        }
-
-        #[test]
-        fn crash_with_write_done_but_seal_pending_readmits_only_reconciled() {
-            // Crash point 2: the batch hit the device but the journal seal
-            // never happened. The journal does not reference the slots; when
-            // the durable queue pointers cover them (a cadence checkpoint
-            // fired after an older group sealed), the bounded tail scan may
-            // re-admit them from page headers — but only under the WAL
-            // reconciliation rule.
-            let store = Arc::new(MemFlashStore::new(16));
-            let cfg = CacheConfig {
-                meta_checkpoint_interval_groups: 1,
-                ..defer_cfg(16, 2)
-            };
-            let mut c = MvFifoCache::new(cfg, Arc::clone(&store) as _);
-            let mut io = IoLog::new();
-            let mut groups = Vec::new();
-            for n in 0..4u32 {
-                let out = c
-                    .insert(data_staged(n, 10 + n as u64), &mut NoSupplier, &mut io)
-                    .unwrap();
-                groups.extend(out.pending_group);
-            }
-            assert_eq!(groups.len(), 2);
-            // Group 1 (pages 0,1) fully destages; its completion installs a
-            // cadence checkpoint whose pointers cover all four slots. Group 2
-            // (pages 2,3) hits the device but its seal is lost in the crash.
-            groups[0].apply(&*store, &mut io).unwrap();
-            c.complete_group(groups[0].epoch, &mut io);
-            groups[1].apply(&*store, &mut io).unwrap();
-            // Durable LSN 12 covers pages 0..=2; the header scan may re-admit
-            // page 2 but must discard page 3 (lsn 13).
-            let info = c.crash_and_recover(Lsn(12), &mut IoLog::new());
-            assert!(info.survived);
-            assert!(info.pages_scanned > 0, "tail scan probed the slots");
-            for (page, lsn, _) in c.valid_versions() {
-                assert!(lsn <= Lsn(12), "{page} outran the durable log");
-            }
-            assert!(c.contains(pid(0)) && c.contains(pid(1)), "sealed group");
-            assert!(c.contains(pid(2)), "scan re-admitted the covered page");
-            assert!(!c.contains(pid(3)), "scan must respect the durable LSN");
-        }
-
-        #[test]
-        fn sync_applies_and_seals_outstanding_groups_inline() {
-            let store = Arc::new(MemFlashStore::new(16));
-            let mut c = MvFifoCache::new(defer_cfg(16, 4), Arc::clone(&store) as _);
-            let mut io = IoLog::new();
-            for n in 0..5u32 {
-                c.insert(data_staged(n, n as u64 + 1), &mut NoSupplier, &mut io)
-                    .unwrap();
-                // The pending group is deliberately "leaked": sync is the
-                // safety net for callers that never drained it.
-            }
-            c.sync(&mut io).unwrap();
-            assert_eq!(store.occupied(), 5, "group + partial batch written");
-            assert_eq!(c.journal().replay_entries(), 0, "checkpoint folded all");
-            let info = c.crash_and_recover(Lsn(u64::MAX), &mut IoLog::new());
-            assert_eq!(info.entries_restored, 5);
-        }
-
-        #[test]
-        fn cadence_checkpoint_never_references_unwritten_groups() {
-            // Group 1 completes while groups 2..N are still in flight; the
-            // cadence checkpoint (interval 1) fires at the completion and
-            // must exclude the in-flight entries — their bytes are not on
-            // flash, and a crash would otherwise serve garbage.
-            let store = Arc::new(MemFlashStore::new(32));
-            let cfg = CacheConfig {
-                meta_checkpoint_interval_groups: 1,
-                ..defer_cfg(32, 2)
-            };
-            let mut c = MvFifoCache::new(cfg, Arc::clone(&store) as _);
-            let mut io = IoLog::new();
-            let mut groups = Vec::new();
-            for n in 0..6u32 {
-                let out = c
-                    .insert(data_staged(n, n as u64 + 1), &mut NoSupplier, &mut io)
-                    .unwrap();
-                groups.extend(out.pending_group);
-            }
-            // Apply and seal only the first group; 2 and 3 stay in flight.
-            groups[0].apply(&*store, &mut io).unwrap();
-            c.complete_group(groups[0].epoch, &mut io);
-            let ckpt = c.journal().checkpoint().expect("cadence fired");
-            assert_eq!(ckpt.entries.len(), 2, "only the sealed group's pages");
-            // Crash: in-flight groups vanish; the checkpoint must not
-            // resurrect their entries.
-            let info = c.crash_and_recover(Lsn(u64::MAX), &mut IoLog::new());
-            assert_eq!(info.entries_restored, 2);
-            assert!(c.contains(pid(0)) && c.contains(pid(1)));
-            for n in 2..6u32 {
-                assert!(!c.contains(pid(n)), "page {n} resurrected unwritten");
-            }
-        }
-
-        #[test]
-        fn dequeue_of_inflight_slot_carries_its_ram_frame() {
-            // A 4-slot cache with group 4: the first group is in flight when
-            // the next inserts force a dequeue of its slots. The staged-out
-            // dirty pages must carry data from the shared RAM frames (the
-            // store has nothing yet).
-            let store = Arc::new(MemFlashStore::new(4));
-            let mut c = MvFifoCache::new(defer_cfg(4, 4), Arc::clone(&store) as _);
-            let mut io = IoLog::new();
-            let mut groups = Vec::new();
-            for n in 0..4u32 {
-                let out = c
-                    .insert(data_staged(n, n as u64 + 1), &mut NoSupplier, &mut io)
-                    .unwrap();
-                groups.extend(out.pending_group);
-            }
-            assert_eq!(groups.len(), 1);
-            // Group 1 not applied yet; the next insert dequeues its slots.
-            let out = c
-                .insert(data_staged(100, 100), &mut NoSupplier, &mut io)
-                .unwrap();
-            assert_eq!(out.staged_out.len(), 4, "all four were dirty+valid");
-            for s in &out.staged_out {
-                let data = s.data.as_ref().expect("RAM frame travels along");
-                assert_eq!(data.id(), s.page);
-            }
-        }
-    }
-
-    #[test]
-    fn capacity_invariant_under_random_workload() {
-        let mut c = meta_cache(32, 8, true);
-        let mut io = IoLog::new();
-        let mut rng: u64 = 0x12345;
-        for i in 0..2000u32 {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let page = (rng >> 16) as u32 % 200;
-            if rng.is_multiple_of(3) {
-                c.fetch(pid(page), &mut io).unwrap();
-            } else {
-                c.insert(
-                    staged(page, rng.is_multiple_of(2), true),
-                    &mut NoSupplier,
-                    &mut io,
-                )
-                .unwrap();
-            }
-            assert!(c.len() <= c.capacity(), "overflow at step {i}");
-            // The directory never points at an invalid slot.
-            for (p, s) in c.dir.iter() {
-                let m = c.slots[*s].as_ref().expect("directory points at a slot");
-                assert!(m.valid);
-                assert_eq!(m.page, *p);
-            }
-        }
-        // Writes to flash are never random under mvFIFO.
-        assert_eq!(io.flash_pages_written_random(), 0);
-        assert!(c.stats().hits > 0);
-        assert!(c.stats().staged_out > 0);
     }
 }

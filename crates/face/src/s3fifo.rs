@@ -1,5 +1,6 @@
-//! S3-FIFO replacement with ghost-queue admission — a wear-aware policy
-//! behind the same [`FlashCache`] contract as the FaCE mvFIFO family.
+//! S3-FIFO replacement with ghost-queue admission — a wear-aware set of
+//! decisions over a two-region [`GroupRing`] (which owns the queue, batch,
+//! journal and recovery mechanics, exactly as for [`crate::mvfifo`]).
 //!
 //! The flash device is split into two **static circular queues**: a small
 //! probationary region (default 10 % of capacity) and a main region, plus a
@@ -8,24 +9,20 @@
 //!
 //! * a **clean first touch** is recorded only in the ghost directory and is
 //!   *not* admitted — no flash write for a potential one-hit wonder;
-//! * a page whose id is live in the ghost (it came back) is admitted straight
-//!   into the **main** queue — the re-reference earned the flash write;
+//! * a page whose id is live in the ghost (it came back), or a new version
+//!   of a cached page, is admitted straight into the **main** queue — the
+//!   re-reference earned the flash write;
 //! * a **dirty** first touch must be absorbed (that is FaCE's write-economy
 //!   bargain), so it enters the **small** queue on probation;
 //! * eviction from *small* quickly demotes one-hit wonders: an unreferenced
 //!   victim leaves the flash (dirty → disk, clean → dropped) and its id goes
-//!   to the ghost; a referenced victim is promoted to *main*;
+//!   to the ghost; a referenced victim is promoted to *main*. Promotion
+//!   always vacates the small queue, so it needs no forced progress;
 //! * eviction from *main* is group FIFO with second chance, exactly like
 //!   FaCE+GSC's dequeue (forced progress when every victim is referenced).
 //!
-//! Everything around that — multi-version slots with a validity bit, deferred
-//! group writes with [`S3FifoCache::complete_group`] sealing, the
-//! `fetch_pin`/`fetch_validate` generation protocol, metadata-journal
-//! durability with crash recovery — mirrors [`crate::mvfifo::MvFifoCache`].
-//! Both regions share one pending batch and one journal; a journal group's
-//! `front`/`size` pointers pack the two regions' pointers into the two u64s
-//! (`pack_pointers`). The ghost directory is volatile by design: it is an
-//! admission heuristic, and after a crash it restarts empty.
+//! The ghost directory is volatile by design: it is an admission heuristic,
+//! and after a crash it restarts empty.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -52,143 +49,39 @@
 //! assert!(cache.contains(PageId::new(0, 1)));
 //! ```
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
-
-use face_pagestore::{DeviceResult, Lsn, Page, PageId};
+use face_pagestore::DeviceResult;
 
 use crate::admission::GhostQueue;
-use crate::destage::{PendingGroupWrite, PendingSlotWrite};
 use crate::io::IoLog;
-use crate::meta::{JournalEntry, MetaJournal};
 use crate::policy::{FlashCache, PageSupplier};
-use crate::store::FlashStore;
-use crate::types::{
-    CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, Evacuation, FetchPin,
-    FlashFetch, InsertOutcome, QuarantineOutcome, SlotGenerations, StagedPage,
-};
+use crate::ring::{GroupRing, RingPolicy};
+use crate::types::{CacheConfig, InsertOutcome, StagedPage};
 
-/// Metadata for one occupied flash slot (same shape as mvFIFO's).
-#[derive(Debug, Clone)]
-struct SlotMeta {
-    page: PageId,
-    lsn: Lsn,
-    dirty: bool,
-    /// This is the latest version of the page.
-    valid: bool,
-    /// Hit while cached — promotion (small) / second-chance (main) candidate.
-    referenced: bool,
-    /// The journal group epoch this version was enqueued under.
-    epoch: u64,
-}
+/// The S3-FIFO flash cache: small/main/ghost decisions over the shared ring.
+pub type S3FifoCache = GroupRing<S3Fifo>;
 
-/// A deferred group whose physical batch write is owed by the caller.
-struct InflightGroup {
-    write: PendingGroupWrite,
-    completed: bool,
-}
-
-/// One of the two static queue regions of the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Queue {
-    Small,
-    Main,
-}
-
-/// A circular FIFO over the slot range `[base, base + cap)`.
-#[derive(Debug, Clone, Copy)]
-struct Region {
-    base: usize,
-    cap: usize,
-    /// Offset (within the region) of the oldest occupied slot.
-    front: usize,
-    /// Occupied slots.
-    size: usize,
-}
-
-impl Region {
-    fn new(base: usize, cap: usize) -> Self {
-        Self {
-            base,
-            cap,
-            front: 0,
-            size: 0,
-        }
-    }
-
-    fn free(&self) -> usize {
-        self.cap - self.size
-    }
-
-    /// Absolute slot index of the `i`-th occupied slot (queue order).
-    fn slot_at(&self, i: usize) -> usize {
-        self.base + (self.front + i) % self.cap
-    }
-
-    fn rear(&self) -> usize {
-        self.base + (self.front + self.size) % self.cap
-    }
-
-    /// Whether the absolute slot index lies inside the occupied window.
-    fn in_window(&self, slot: usize) -> bool {
-        if slot < self.base || slot >= self.base + self.cap {
-            return false;
-        }
-        let offset = (slot - self.base + self.cap - self.front) % self.cap;
-        offset < self.size
-    }
-}
-
-/// Pack the two regions' queue pointers into one u64 (small in the low half)
-/// for the journal's single `front`/`size` pointer pair. Capacities are
-/// asserted below `u32::MAX`, so the halves cannot collide.
-fn pack_pointers(small: usize, main: usize) -> u64 {
-    (small as u64) | ((main as u64) << 32)
-}
-
-/// Inverse of [`pack_pointers`].
-fn unpack_pointers(packed: u64) -> (usize, usize) {
-    ((packed & u32::MAX as u64) as usize, (packed >> 32) as usize)
-}
-
-/// The S3-FIFO flash cache.
-pub struct S3FifoCache {
-    config: CacheConfig,
-    store: Arc<dyn FlashStore>,
-    /// Slot metadata over the whole device; `None` = outside both queues.
-    slots: Vec<Option<SlotMeta>>,
-    small: Region,
-    main: Region,
-    /// Latest valid version of each cached page.
-    dir: HashMap<PageId, usize>,
+/// The S3-FIFO decision rules and their one piece of state.
+#[derive(Debug)]
+pub struct S3Fifo {
     /// RAM-only ghost directory (rejected first touches + small-queue
     /// evictions). Lost on crash — admission heuristic, not metadata.
     ghost: GhostQueue,
-    /// Slots assigned but whose physical batch write has not happened yet.
-    /// Shared by both regions: their entries seal under one journal group.
-    pending_slots: Vec<usize>,
-    pending_data: Vec<Option<Arc<Page>>>,
-    /// Deferred groups awaiting their physical batch write, by epoch.
-    inflight: BTreeMap<u64, InflightGroup>,
-    /// `slot -> (epoch, frame)` for in-flight groups (RAM-served fetches).
-    inflight_data: HashMap<usize, (u64, Arc<Page>)>,
-    generations: SlotGenerations,
-    journal: MetaJournal,
-    stats: CacheStatCounters,
-    /// RAM-only quarantine tombstones: these slots never host a page again
-    /// (they circulate through their region's window as permanent holes).
-    /// Lost at crash — safe, the bytes were never trimmed.
-    quarantined: HashSet<usize>,
-    /// Dirty pages rolled back from failed inline flash writes, awaiting
-    /// the caller's disk failover ([`FlashCache::take_write_fallout`]).
-    write_fallout: Vec<StagedPage>,
 }
+
+/// The probationary queue.
+const SMALL: usize = 0;
+/// The main queue.
+const MAIN: usize = 1;
 
 impl S3FifoCache {
     /// Split `capacity` into the small-queue share and the rest, both at
     /// least one slot.
     fn split_capacity(config: &CacheConfig) -> (usize, usize) {
         let capacity = config.capacity_pages;
+        assert!(
+            capacity >= 2,
+            "S3-FIFO needs at least two pages (one per region)"
+        );
         let fraction = if config.s3_small_fraction.is_finite() {
             config.s3_small_fraction.clamp(0.0, 1.0)
         } else {
@@ -198,1166 +91,99 @@ impl S3FifoCache {
         (small, capacity - small)
     }
 
-    /// Create a cache with the given configuration over `store`.
-    ///
-    /// # Panics
-    /// Panics if the capacity is below two pages (each region needs a slot),
-    /// exceeds `u32::MAX` (queue pointers pack into journal u64 halves), or
-    /// the store is smaller than the configured capacity.
-    pub fn new(config: CacheConfig, store: Arc<dyn FlashStore>) -> Self {
-        assert!(
-            config.capacity_pages >= 2,
-            "S3-FIFO needs at least two pages (one per region)"
-        );
-        assert!(
-            config.capacity_pages < u32::MAX as usize,
-            "region pointers pack into u32 halves"
-        );
-        assert!(
-            store.capacity() >= config.capacity_pages,
-            "flash store smaller than configured capacity"
-        );
-        assert!(config.group_size >= 1, "group size must be at least 1");
-        let capacity = config.capacity_pages;
-        let (small_cap, main_cap) = Self::split_capacity(&config);
-        let journal = MetaJournal::new(config.meta_checkpoint_interval_groups);
-        let ghost = GhostQueue::new(config.effective_ghost_capacity());
-        Self {
-            config,
-            store,
-            slots: (0..capacity).map(|_| None).collect(),
-            small: Region::new(0, small_cap),
-            main: Region::new(small_cap, main_cap),
-            dir: HashMap::new(),
-            ghost,
-            pending_slots: Vec::new(),
-            pending_data: Vec::new(),
-            inflight: BTreeMap::new(),
-            inflight_data: HashMap::new(),
-            generations: SlotGenerations::new(capacity),
-            journal,
-            stats: CacheStatCounters::default(),
-            quarantined: HashSet::new(),
-            write_fallout: Vec::new(),
-        }
-    }
-
-    /// The cache configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// The persistent mapping-metadata journal (for recovery experiments).
-    pub fn journal(&self) -> &MetaJournal {
-        &self.journal
-    }
-
     /// (small, main) occupied sizes — queue-membership assertions in tests.
     pub fn region_sizes(&self) -> (usize, usize) {
-        (self.small.size, self.main.size)
+        (self.regions[SMALL].size, self.regions[MAIN].size)
     }
 
     /// Live ghost entries (diagnostics).
     pub fn ghost_len(&self) -> usize {
-        self.ghost.len()
-    }
-
-    /// The valid (served) page versions with LSN and dirty flag, small queue
-    /// first, each region in queue (oldest-to-newest) order.
-    pub fn valid_versions(&self) -> Vec<(PageId, Lsn, bool)> {
-        self.directory_snapshot()
-            .into_iter()
-            .map(|e| (e.page, e.lsn, e.dirty))
-            .collect()
-    }
-
-    fn region(&self, which: Queue) -> &Region {
-        match which {
-            Queue::Small => &self.small,
-            Queue::Main => &self.main,
-        }
-    }
-
-    fn region_mut(&mut self, which: Queue) -> &mut Region {
-        match which {
-            Queue::Small => &mut self.small,
-            Queue::Main => &mut self.main,
-        }
-    }
-
-    /// Which region an absolute slot index belongs to.
-    fn queue_of(&self, slot: usize) -> Queue {
-        if slot < self.small.cap {
-            Queue::Small
-        } else {
-            Queue::Main
-        }
-    }
-
-    fn packed_front(&self) -> u64 {
-        pack_pointers(self.small.front, self.main.front)
-    }
-
-    fn packed_size(&self) -> u64 {
-        pack_pointers(self.small.size, self.main.size)
-    }
-
-    fn snapshot_filtered(&self, below_epoch: u64) -> Vec<JournalEntry> {
-        let mut out = Vec::new();
-        for region in [&self.small, &self.main] {
-            for i in 0..region.size {
-                let slot = region.slot_at(i);
-                if let Some(m) = &self.slots[slot] {
-                    if m.valid && m.epoch < below_epoch {
-                        out.push(JournalEntry {
-                            epoch: m.epoch,
-                            slot: slot as u32,
-                            page: m.page,
-                            lsn: m.lsn,
-                            dirty: m.dirty,
-                        });
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// The live directory (valid versions, small then main, queue order).
-    fn directory_snapshot(&self) -> Vec<JournalEntry> {
-        self.snapshot_filtered(u64::MAX)
-    }
-
-    /// Only entries whose journal group has sealed — see
-    /// `MvFifoCache::durable_directory_snapshot` for why a checkpoint must
-    /// never reference in-flight (unwritten) versions.
-    fn durable_directory_snapshot(&self) -> Vec<JournalEntry> {
-        let oldest_unsealed = self
-            .inflight
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or_else(|| self.journal.current_epoch());
-        self.snapshot_filtered(oldest_unsealed)
-    }
-
-    /// Force a cache checkpoint: flush the pending batch and persist a
-    /// directory snapshot, so a subsequent restart replays no journal. On
-    /// `Err` a group was aborted (its dirty pages wait in the write-fallout
-    /// buffer) and the checkpoint was not installed.
-    pub fn checkpoint_metadata(&mut self, io: &mut IoLog) -> DeviceResult<()> {
-        self.flush_all_groups_inline(io)?;
-        let pointers = (self.packed_front(), self.packed_size());
-        let already_folded = self.journal.replay_entries() == 0
-            && self.journal.checkpoint().map(|c| (c.front, c.size)) == Some(pointers);
-        if already_folded {
-            return Ok(());
-        }
-        let snapshot = self.durable_directory_snapshot();
-        self.journal
-            .install_checkpoint(pointers.0, pointers.1, snapshot, io);
-        self.stats.metadata_flushes.inc();
-        Ok(())
-    }
-
-    /// Slots of `which`'s region that can still host pages.
-    fn usable_capacity(&self, which: Queue) -> usize {
-        let r = *self.region(which);
-        let dead = self
-            .quarantined
-            .iter()
-            .filter(|&&s| s >= r.base && s < r.base + r.cap)
-            .count();
-        r.cap - dead
-    }
-
-    /// Absorb quarantined slots sitting at `which`'s rear into the window as
-    /// permanent holes, so the next enqueue lands on a usable slot. Holes
-    /// are reclaimed as no-op dequeues when the front reaches them.
-    fn absorb_quarantined_rear(&mut self, which: Queue) {
-        while self.region(which).free() > 0 && self.quarantined.contains(&self.region(which).rear())
-        {
-            let slot = self.region(which).rear();
-            debug_assert!(self.slots[slot].is_none(), "quarantined slot occupied");
-            self.generations.bump(slot);
-            self.region_mut(which).size += 1;
-        }
-    }
-
-    /// The RAM-resident frame for `slot` (pending batch or in-flight group),
-    /// if its batch write has not reached the device.
-    fn ram_frame(&self, slot: usize) -> Option<Option<Arc<Page>>> {
-        if let Some(pos) = self.pending_slots.iter().position(|&s| s == slot) {
-            return Some(self.pending_data[pos].clone());
-        }
-        if let Some((_, frame)) = self.inflight_data.get(&slot) {
-            return Some(Some(Arc::clone(frame)));
-        }
-        None
-    }
-
-    fn slot_frame(&self, slot: usize) -> DeviceResult<Option<Arc<Page>>> {
-        match self.ram_frame(slot) {
-            Some(frame) => Ok(frame),
-            None => Ok(self.store.read_slot(slot)?.map(Arc::new)),
-        }
-    }
-
-    /// Assign `which`'s rear slot to a page version and record its journal
-    /// entry in the current group; the physical write is deferred to the
-    /// pending batch.
-    fn enqueue_assign(&mut self, which: Queue, staged: &StagedPage) -> usize {
-        debug_assert!(self.region(which).free() > 0, "enqueue without free slot");
-        let slot = self.region(which).rear();
-        debug_assert!(
-            !self.quarantined.contains(&slot),
-            "enqueue onto a quarantined slot"
-        );
-        self.region_mut(which).size += 1;
-        self.generations.bump(slot);
-        self.slots[slot] = Some(SlotMeta {
-            page: staged.page,
-            lsn: staged.lsn,
-            dirty: staged.dirty,
-            valid: true,
-            referenced: false,
-            epoch: self.journal.current_epoch(),
-        });
-        self.dir.insert(staged.page, slot);
-        self.journal
-            .append(slot as u32, staged.page, staged.lsn, staged.dirty);
-        self.pending_slots.push(slot);
-        self.pending_data.push(staged.data.clone());
-        slot
-    }
-
-    /// Physically write the pending batch and seal its journal group
-    /// (inline path; deferred mode uses [`S3FifoCache::form_pending_group`]).
-    /// The batch may span both regions: each region appends sequentially at
-    /// its own rear, so the device sees (at most) two append streams.
-    ///
-    /// On a device error the whole batch is rolled back
-    /// ([`S3FifoCache::rollback_pending`]): a prefix may persist on flash,
-    /// but the journal group never seals, so recovery cannot see it —
-    /// crash-equivalent.
-    fn flush_pending(&mut self, io: &mut IoLog) -> DeviceResult<()> {
-        if self.pending_slots.is_empty() {
-            return Ok(());
-        }
-        let n = self.pending_slots.len() as u32;
-        for i in 0..self.pending_slots.len() {
-            let slot = self.pending_slots[i];
-            if self.store.carries_data() {
-                if let Some(page) = self.pending_data[i].clone() {
-                    if let Err(e) = self.store.write_slot(slot, &page) {
-                        self.rollback_pending(io);
-                        return Err(e);
-                    }
-                }
-            }
-            if let Some(meta) = &self.slots[slot] {
-                self.store.note_slot_header(slot, meta.page, meta.lsn);
-            }
-        }
-        io.flash_write_seq(n);
-        self.pending_slots.clear();
-        self.pending_data.clear();
-        self.journal
-            .seal_group(self.packed_front(), self.packed_size(), io);
-        self.maybe_cadence_checkpoint(io);
-        Ok(())
-    }
-
-    /// Undo the directory effects of a failed inline batch write: every
-    /// pending slot becomes a window hole, its journal record is dropped
-    /// with the aborted group, and dirty valid pages move to the
-    /// write-fallout buffer for the caller's disk failover. Previously
-    /// invalidated versions are *not* revalidated (they are stale).
-    fn rollback_pending(&mut self, io: &mut IoLog) {
-        let slots = std::mem::take(&mut self.pending_slots);
-        let data = std::mem::take(&mut self.pending_data);
-        for (slot, frame) in slots.into_iter().zip(data) {
-            self.generations.bump(slot);
-            let Some(meta) = self.slots[slot].take() else {
-                continue;
-            };
-            if self.dir.get(&meta.page) == Some(&slot) {
-                self.dir.remove(&meta.page);
-            }
-            if meta.valid && meta.dirty {
-                io.disk_write(meta.page);
-                self.stats.staged_out_to_disk.inc();
-                self.write_fallout.push(StagedPage {
-                    page: meta.page,
-                    lsn: meta.lsn,
-                    dirty: true,
-                    fdirty: false,
-                    data: frame,
-                });
-            }
-        }
-        self.journal.abort_current_group();
-    }
-
-    fn maybe_cadence_checkpoint(&mut self, io: &mut IoLog) {
-        if self.journal.checkpoint_due() {
-            let snapshot = self.durable_directory_snapshot();
-            self.journal
-                .install_checkpoint(self.packed_front(), self.packed_size(), snapshot, io);
-            self.stats.metadata_flushes.inc();
-        }
-    }
-
-    /// Detach the filled pending batch as a [`PendingGroupWrite`] (deferred
-    /// mode). No I/O happens here.
-    fn form_pending_group(&mut self) -> Option<PendingGroupWrite> {
-        if self.pending_slots.is_empty() {
-            return None;
-        }
-        let (epoch, entries) = self
-            .journal
-            .begin_deferred_group()
-            .expect("pending slots imply unsealed journal entries");
-        let slots = std::mem::take(&mut self.pending_slots);
-        let data = std::mem::take(&mut self.pending_data);
-        let mut pages = Vec::with_capacity(slots.len());
-        for (slot, frame) in slots.into_iter().zip(data) {
-            let meta = self.slots[slot]
-                .as_ref()
-                .expect("pending slot has metadata");
-            if let Some(frame) = &frame {
-                self.inflight_data.insert(slot, (epoch, Arc::clone(frame)));
-            }
-            pages.push(PendingSlotWrite {
-                slot,
-                page: meta.page,
-                lsn: meta.lsn,
-                data: frame,
-            });
-        }
-        let write = PendingGroupWrite {
-            shard: 0,
-            epoch,
-            pages,
-            meta_records: entries,
-        };
-        self.inflight.insert(
-            epoch,
-            InflightGroup {
-                write: write.clone(),
-                completed: false,
-            },
-        );
-        Some(write)
-    }
-
-    /// Inline fallback for sync/checkpoint/evacuation: apply and seal every
-    /// in-flight group (oldest first), then flush the current batch. On a
-    /// device error exactly one group is aborted (its dirty pages land in
-    /// the write-fallout buffer) and the error returns; the remaining
-    /// groups are untouched.
-    fn flush_all_groups_inline(&mut self, io: &mut IoLog) -> DeviceResult<()> {
-        let epochs: Vec<u64> = self.inflight.keys().copied().collect();
-        for epoch in epochs {
-            let write = match self.inflight.get(&epoch) {
-                Some(g) if !g.completed => Some(g.write.clone()),
-                _ => None,
-            };
-            if let Some(write) = write {
-                if let Err(e) = write.apply(&*self.store, io) {
-                    let fallout = self.abort_group(epoch, io);
-                    self.write_fallout.extend(fallout);
-                    return Err(e);
-                }
-            }
-            self.complete_group(epoch, io);
-        }
-        if self.config.defer_group_writes {
-            if let Some(write) = self.form_pending_group() {
-                if let Err(e) = write.apply(&*self.store, io) {
-                    let fallout = self.abort_group(write.epoch, io);
-                    self.write_fallout.extend(fallout);
-                    return Err(e);
-                }
-                self.complete_group(write.epoch, io);
-            }
-            Ok(())
-        } else {
-            self.flush_pending(io)
-        }
-    }
-
-    /// Dequeue up to `group_size` victims from `which`'s front.
-    ///
-    /// * **Small**: an unreferenced valid victim leaves the flash — its id is
-    ///   recorded in the ghost, dirty contents go to `to_disk`; a referenced
-    ///   valid victim is returned in `survivors` for promotion to main.
-    /// * **Main**: a referenced valid victim is returned in `survivors` for
-    ///   re-enqueue at the main rear (second chance), with forced progress
-    ///   when the whole group was referenced; unreferenced dirty victims go
-    ///   to `to_disk`.
-    ///
-    /// Every dequeued slot leaves its region unconditionally (unlike mvFIFO's
-    /// single queue, promotion moves pages *between* regions, so a small-
-    /// queue dequeue always makes progress).
-    fn group_dequeue(
-        &mut self,
-        which: Queue,
-        io: &mut IoLog,
-    ) -> DeviceResult<(Vec<StagedPage>, Vec<StagedPage>)> {
-        let n = self.config.group_size.min(self.region(which).size);
-        if n == 0 {
-            return Ok((Vec::new(), Vec::new()));
-        }
-        // Pass 1 (read-only): prefetch the bytes of every victim whose
-        // contents are needed (stage-out to disk, promotion, or second
-        // chance), so a device read error aborts before any mutation.
-        let mut prefetched: HashMap<usize, Option<Arc<Page>>> = HashMap::new();
-        let mut needs_read = false;
-        for i in 0..n {
-            let slot = self.region(which).slot_at(i);
-            let Some(m) = &self.slots[slot] else {
-                continue;
-            };
-            if m.valid && (m.dirty || m.referenced) {
-                needs_read = true;
-                let frame = match self.ram_frame(slot) {
-                    Some(frame) => frame,
-                    None => {
-                        // Residual under-lock flash read, same as the
-                        // mvFIFO dequeue: the victim's bytes are no
-                        // longer RAM-resident. Acknowledged and rare.
-                        let _allow = face_analysis::witness::allow_device_io(
-                            "s3fifo: dequeue reads a non-resident victim's slot",
-                        );
-                        self.store.read_slot(slot)?.map(Arc::new)
-                    }
-                };
-                prefetched.insert(slot, frame);
-            }
-        }
-        if needs_read {
-            io.flash_read_seq(n as u32);
-        }
-
-        let mut to_disk = Vec::new();
-        let mut survivors = Vec::new();
-        for i in 0..n {
-            let slot = self.region(which).slot_at(i);
-            self.generations.bump(slot);
-            let Some(meta) = self.slots[slot].take() else {
-                continue;
-            };
-            if let Some(pos) = self.pending_slots.iter().position(|&s| s == slot) {
-                self.pending_slots.remove(pos);
-                self.pending_data.remove(pos);
-            }
-            self.stats.staged_out.inc();
-            if meta.valid {
-                if self.dir.get(&meta.page) == Some(&slot) {
-                    self.dir.remove(&meta.page);
-                }
-                if meta.referenced {
-                    // Promotion (small) / second chance (main): the page
-                    // proved itself while cached.
-                    let data = prefetched.remove(&slot).flatten();
-                    self.stats.second_chances.inc();
-                    survivors.push(StagedPage {
-                        page: meta.page,
-                        lsn: meta.lsn,
-                        dirty: meta.dirty,
-                        fdirty: true, // force unconditional re-enqueue
-                        data,
-                    });
-                } else {
-                    if which == Queue::Small {
-                        // Quick demotion: remember the id so a comeback is
-                        // admitted straight to main.
-                        self.ghost.record(meta.page);
-                    }
-                    if meta.dirty {
-                        let data = prefetched.remove(&slot).flatten();
-                        self.stats.staged_out_to_disk.inc();
-                        io.disk_write(meta.page);
-                        to_disk.push(StagedPage {
-                            page: meta.page,
-                            lsn: meta.lsn,
-                            dirty: true,
-                            fdirty: false,
-                            data,
-                        });
-                    }
-                    // Clean, unreferenced valid pages are simply discarded.
-                }
-            }
-            // Invalid (superseded) versions are discarded with no I/O.
-        }
-        {
-            let region = self.region_mut(which);
-            region.front = (region.front + n) % region.cap;
-            region.size -= n;
-        }
-
-        // Forced progress in main (paper §3.3): if every victim was
-        // referenced, a full re-enqueue would replace nothing — force the
-        // oldest out. Small needs no forcing: promotion always vacates it.
-        if which == Queue::Main && !survivors.is_empty() && survivors.len() == n {
-            let forced = survivors.remove(0);
-            self.stats.second_chances.sub(1);
-            if forced.dirty {
-                self.stats.staged_out_to_disk.inc();
-                io.disk_write(forced.page);
-                to_disk.push(forced);
-            }
-        }
-        Ok((to_disk, survivors))
-    }
-
-    /// Invalidate the previous version of `page`, if cached.
-    fn invalidate_previous(&mut self, page: PageId) {
-        if let Some(slot) = self.dir.remove(&page) {
-            if let Some(meta) = &mut self.slots[slot] {
-                meta.valid = false;
-                self.stats.invalidations.inc();
-            }
-        }
-    }
-
-    /// Divert a page that cannot be cached (its region is fully
-    /// quarantined, or an eviction error displaced it): dirty pages go to
-    /// disk, clean pages are simply dropped (the disk copy is current).
-    fn serve_through(&mut self, staged: StagedPage, sink: &mut Vec<StagedPage>, io: &mut IoLog) {
-        if staged.dirty {
-            io.disk_write(staged.page);
-            self.stats.staged_out_to_disk.inc();
-            sink.push(staged);
-        }
-    }
-
-    /// Admit one version into the main queue: make space (second-chance
-    /// survivors re-enqueue inside the loop, like mvFIFO's `admit`), then
-    /// assign a slot. On a dequeue device error the displaced pages —
-    /// including `staged` itself if dirty — land in the write-fallout
-    /// buffer for the caller's disk failover.
-    fn admit_main(
-        &mut self,
-        staged: StagedPage,
-        outcome: &mut InsertOutcome,
-        io: &mut IoLog,
-    ) -> DeviceResult<()> {
-        if self.usable_capacity(Queue::Main) == 0 {
-            // Every main slot is quarantined: serve through to disk.
-            outcome.cached = false;
-            let mut diverted = Vec::new();
-            self.serve_through(staged, &mut diverted, io);
-            outcome.staged_out.extend(diverted);
-            return Ok(());
-        }
-        loop {
-            self.absorb_quarantined_rear(Queue::Main);
-            if self.main.free() > 0 {
-                break;
-            }
-            let (to_disk, survivors) = match self.group_dequeue(Queue::Main, io) {
-                Ok(batch) => batch,
-                Err(e) => {
-                    let mut fallout = std::mem::take(&mut self.write_fallout);
-                    self.serve_through(staged, &mut fallout, io);
-                    self.write_fallout = fallout;
-                    return Err(e);
-                }
-            };
-            outcome.staged_out.extend(to_disk);
-            for sc in survivors {
-                // Space is normally guaranteed (the dequeue freed `n` slots
-                // and at most `n - 1` survivors remain), but quarantine
-                // holes absorbed at the rear can eat the freed space — a
-                // survivor that loses its slot is diverted instead.
-                self.absorb_quarantined_rear(Queue::Main);
-                if self.main.free() == 0 {
-                    let mut diverted = Vec::new();
-                    self.serve_through(sc, &mut diverted, io);
-                    outcome.staged_out.extend(diverted);
-                    continue;
-                }
-                self.invalidate_previous(sc.page);
-                self.enqueue_assign(Queue::Main, &sc);
-            }
-        }
-        self.invalidate_previous(staged.page);
-        self.enqueue_assign(Queue::Main, &staged);
-        self.stats.cached_inserts.inc();
-        Ok(())
-    }
-
-    /// Admit one version into the small (probationary) queue, promoting
-    /// referenced victims into main as a side effect.
-    fn admit_small(
-        &mut self,
-        staged: StagedPage,
-        outcome: &mut InsertOutcome,
-        io: &mut IoLog,
-    ) -> DeviceResult<()> {
-        if self.usable_capacity(Queue::Small) == 0 {
-            outcome.cached = false;
-            let mut diverted = Vec::new();
-            self.serve_through(staged, &mut diverted, io);
-            outcome.staged_out.extend(diverted);
-            return Ok(());
-        }
-        loop {
-            self.absorb_quarantined_rear(Queue::Small);
-            if self.small.free() > 0 {
-                break;
-            }
-            let (to_disk, promotions) = match self.group_dequeue(Queue::Small, io) {
-                Ok(batch) => batch,
-                Err(e) => {
-                    let mut fallout = std::mem::take(&mut self.write_fallout);
-                    self.serve_through(staged, &mut fallout, io);
-                    self.write_fallout = fallout;
-                    return Err(e);
-                }
-            };
-            outcome.staged_out.extend(to_disk);
-            for p in promotions {
-                if let Err(e) = self.admit_main(p, outcome, io) {
-                    let mut fallout = std::mem::take(&mut self.write_fallout);
-                    self.serve_through(staged, &mut fallout, io);
-                    self.write_fallout = fallout;
-                    return Err(e);
-                }
-            }
-        }
-        self.invalidate_previous(staged.page);
-        self.enqueue_assign(Queue::Small, &staged);
-        self.stats.cached_inserts.inc();
-        Ok(())
-    }
-
-    /// Restore a cache from its surviving flash-resident state after a
-    /// crash. Identical reconciliation rules to `MvFifoCache::recover`
-    /// (versions beyond `durable_lsn` are discarded and their slots
-    /// physically invalidated; a bounded newest-first header scan re-admits
-    /// uncovered window slots); the only structural difference is that the
-    /// journal's packed pointers rebuild *two* queue windows, and the ghost
-    /// directory restarts empty (it is RAM-only by design).
-    pub fn recover(
-        config: CacheConfig,
-        store: Arc<dyn FlashStore>,
-        survived: &MetaJournal,
-        durable_lsn: Lsn,
-        io: &mut IoLog,
-    ) -> (Self, CacheRecoveryInfo) {
-        let recovered = survived.recover(io);
-        let group_size = config.group_size;
-
-        let mut cache = Self::new(config, Arc::clone(&store));
-        let (small_front, main_front) = unpack_pointers(recovered.front);
-        let (small_size, main_size) = unpack_pointers(recovered.size);
-        cache.small.front = small_front % cache.small.cap.max(1);
-        cache.small.size = small_size.min(cache.small.cap);
-        cache.main.front = main_front % cache.main.cap.max(1);
-        cache.main.size = main_size.min(cache.main.cap);
-        let mut info = CacheRecoveryInfo {
-            survived: true,
-            metadata_segments_loaded: u64::from(recovered.checkpoint_loaded)
-                + survived.sealed_groups() as u64,
-            checkpoint_loaded: recovered.checkpoint_loaded,
-            checkpoint_entries_loaded: recovered.checkpoint_entries,
-            journal_records_replayed: recovered.journal_records_replayed,
-            ..CacheRecoveryInfo::default()
-        };
-
-        // Replay in journal order; later entries supersede earlier ones for
-        // their page and their slot alike.
-        let mut doomed_slots: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        for e in &recovered.entries {
-            let slot = e.slot as usize;
-            if slot >= cache.slots.len() {
-                continue;
-            }
-            let live = match cache.queue_of(slot) {
-                Queue::Small => cache.small.in_window(slot),
-                Queue::Main => cache.main.in_window(slot),
-            };
-            if !live {
-                continue;
-            }
-            if e.lsn > durable_lsn {
-                // Rule 1: the version outran the durable log. Its bytes own
-                // the slot (data and metadata seal together), so any earlier
-                // entry replayed onto the slot goes too.
-                info.entries_discarded_beyond_wal += 1;
-                doomed_slots.insert(slot);
-                if let Some(old) = cache.slots[slot].take() {
-                    if cache.dir.get(&old.page) == Some(&slot) {
-                        cache.dir.remove(&old.page);
-                    }
-                }
-                continue;
-            }
-            doomed_slots.remove(&slot);
-            if let Some(old) = &cache.slots[slot] {
-                if old.page != e.page && cache.dir.get(&old.page) == Some(&slot) {
-                    cache.dir.remove(&old.page);
-                }
-            }
-            if let Some(prev) = cache.dir.insert(e.page, slot) {
-                if prev != slot {
-                    if let Some(m) = &mut cache.slots[prev] {
-                        m.valid = false;
-                    }
-                }
-            }
-            cache.slots[slot] = Some(SlotMeta {
-                page: e.page,
-                lsn: e.lsn,
-                dirty: e.dirty,
-                valid: true,
-                referenced: false,
-                epoch: e.epoch,
-            });
-        }
-
-        for slot in &doomed_slots {
-            store.clear_slot(*slot);
-        }
-
-        // Bounded tail scan (§4.2), shared budget across both regions,
-        // newest-first within each: window slots the journal left uncovered
-        // are probed through their page headers under the same rules.
-        let mut scanned = 0u64;
-        let scan_cap = (2 * group_size.max(1)) as u64;
-        let windows = [cache.main, cache.small];
-        for region in windows {
-            for i in (0..region.size).rev() {
-                if scanned >= scan_cap {
-                    break;
-                }
-                let slot = region.slot_at(i);
-                if cache.slots[slot].is_some() {
-                    continue;
-                }
-                scanned += 1;
-                info.pages_scanned += 1;
-                if let Some((page, lsn)) = store.slot_header(slot) {
-                    if lsn > durable_lsn || cache.dir.contains_key(&page) {
-                        continue;
-                    }
-                    cache.dir.insert(page, slot);
-                    cache.slots[slot] = Some(SlotMeta {
-                        page,
-                        lsn,
-                        // The dirty flag is not in the page header; assume
-                        // dirty (safe: at worst an extra disk write).
-                        dirty: true,
-                        valid: true,
-                        referenced: false,
-                        epoch: 0,
-                    });
-                }
-            }
-        }
-        if scanned > 0 {
-            io.flash_read_seq(scanned as u32);
-        }
-
-        info.entries_restored = cache.dir.len() as u64;
-        cache.journal = survived.clone();
-        // Reconciliation discarded versions the survivor's durable metadata
-        // still describes: rewrite the snapshot from the reconciled
-        // directory so a later recovery cannot resurrect the dead timeline.
-        if info.entries_discarded_beyond_wal > 0 {
-            let snapshot = cache.directory_snapshot();
-            cache.journal.install_checkpoint(
-                cache.packed_front(),
-                cache.packed_size(),
-                snapshot,
-                io,
-            );
-        }
-        (cache, info)
+        self.policy.ghost.len()
     }
 }
 
-impl FlashCache for S3FifoCache {
-    fn policy_name(&self) -> &'static str {
+impl RingPolicy for S3Fifo {
+    fn new(config: &CacheConfig) -> Self {
+        Self {
+            ghost: GhostQueue::new(config.effective_ghost_capacity()),
+        }
+    }
+
+    fn name(_config: &CacheConfig) -> &'static str {
         "S3-FIFO"
     }
 
-    fn contains(&self, page: PageId) -> bool {
-        self.dir.contains_key(&page)
+    fn region_capacities(config: &CacheConfig) -> Vec<usize> {
+        let (small, main) = S3FifoCache::split_capacity(config);
+        vec![small, main]
     }
 
-    fn fetch(&mut self, page: PageId, io: &mut IoLog) -> DeviceResult<Option<FlashFetch>> {
-        self.stats.lookups.inc();
-        let Some(&slot) = self.dir.get(&page) else {
-            return Ok(None);
-        };
-        let Some(meta) = self.slots[slot].as_mut() else {
-            return Ok(None);
-        };
-        debug_assert!(meta.valid, "directory points at an invalid version");
-        self.stats.hits.inc();
-        meta.referenced = true;
-        let dirty = meta.dirty;
-        let lsn = meta.lsn;
-        io.flash_read_rand(1);
-        Ok(Some(FlashFetch {
-            data: self.slot_frame(slot)?.map(|f| f.as_ref().clone()),
-            dirty,
-            lsn,
-        }))
-    }
-
-    fn fetch_pin(&mut self, page: PageId, retry: bool, io: &mut IoLog) -> Option<FetchPin> {
-        if retry {
-            self.stats.fetch_retries.inc();
-        } else {
-            self.stats.lookups.inc();
-        }
-        let slot = *self.dir.get(&page)?;
-        let meta = self.slots[slot].as_mut()?;
-        debug_assert!(meta.valid, "directory points at an invalid version");
-        if !retry {
-            self.stats.hits.inc();
-        }
-        meta.referenced = true;
-        let lsn = meta.lsn;
-        let dirty = meta.dirty;
-        io.flash_read_rand(1);
-        let (frame, data_expected) = match self.ram_frame(slot) {
-            Some(frame) => {
-                let expected = frame.is_some();
-                (frame, expected)
-            }
-            None => (None, true),
-        };
-        Some(FetchPin {
-            slot,
-            lsn,
-            dirty,
-            generation: self.generations.current(slot),
-            frame,
-            data_expected,
-        })
-    }
-
-    fn fetch_validate(&self, slot: usize, generation: u64) -> bool {
-        self.generations.check(slot, generation)
-    }
-
-    fn insert(
-        &mut self,
+    fn place(
+        ring: &mut GroupRing<Self>,
         staged: StagedPage,
         _supplier: &mut dyn PageSupplier,
+        outcome: &mut InsertOutcome,
         io: &mut IoLog,
-    ) -> DeviceResult<InsertOutcome> {
-        self.stats.inserts.inc();
-        if staged.dirty {
-            self.stats.dirty_inserts.inc();
+    ) -> DeviceResult<()> {
+        if ring.skip_clean_duplicate(&staged) {
+            return Ok(());
         }
-        let mut outcome = InsertOutcome {
-            cached: true,
-            ..Default::default()
-        };
-
-        // Conditional enqueue (shared with Algorithm 1): a clean page whose
-        // identical copy is already cached is not enqueued again.
-        if !staged.fdirty && self.dir.contains_key(&staged.page) {
-            self.stats.skipped_inserts.inc();
-            return Ok(outcome);
-        }
-
-        let admitted = if self.dir.contains_key(&staged.page) {
+        if ring.contains(staged.page) {
             // A newer version of a cached page: it is demonstrably no
             // one-hit wonder — the fresh version goes to main.
-            self.admit_main(staged, &mut outcome, io)
-        } else if self.ghost.take(staged.page) {
+            ring.admit(MAIN, staged, outcome, io)
+        } else if ring.policy.ghost.take(staged.page) {
             // The id came back while its ghost entry was live: the
             // re-reference earns the flash write, straight into main.
-            self.stats.admission_ghost_hits.inc();
-            self.admit_main(staged, &mut outcome, io)
+            ring.stats.admission_ghost_hits.inc();
+            ring.admit(MAIN, staged, outcome, io)
         } else if staged.dirty {
             // A dirty first touch must be absorbed (write economy is bought
             // with exactly these writes) — probation in the small queue.
-            self.admit_small(staged, &mut outcome, io)
+            ring.admit(SMALL, staged, outcome, io)
         } else {
             // Clean first touch: ghost only. No flash write for a potential
             // one-hit wonder; the disk copy is current, so rejecting is safe.
-            self.ghost.record(staged.page);
-            self.stats.admission_filtered.inc();
+            ring.policy.ghost.record(staged.page);
+            ring.stats.admission_filtered.inc();
             outcome.cached = false;
-            return Ok(outcome);
-        };
-        if let Err(e) = admitted {
-            // Already-dequeued pages would be lost with the Err (it carries
-            // no outcome): move them to the fallout buffer the caller
-            // drains alongside the error.
-            self.write_fallout.append(&mut outcome.staged_out);
-            return Err(e);
+            Ok(())
         }
+    }
 
-        if self.pending_slots.len() >= self.config.group_size {
-            if self.config.defer_group_writes {
-                outcome.pending_group = self.form_pending_group();
-            } else if let Err(e) = self.flush_pending(io) {
-                self.write_fallout.append(&mut outcome.staged_out);
-                return Err(e);
-            }
+    fn make_room(
+        ring: &mut GroupRing<Self>,
+        region: usize,
+        outcome: &mut InsertOutcome,
+        io: &mut IoLog,
+    ) -> DeviceResult<()> {
+        let mut batch = ring.group_dequeue(region, true, io)?;
+        if region == MAIN {
+            ring.force_progress(&mut batch, io);
+            outcome.staged_out.append(&mut batch.to_disk);
+            ring.reenqueue(MAIN, batch.survivors, outcome, io);
+            return Ok(());
         }
-        Ok(outcome)
-    }
-
-    fn group_write_pending(&self, epoch: u64) -> bool {
-        self.inflight.get(&epoch).is_some_and(|g| !g.completed)
-    }
-
-    fn complete_group(&mut self, epoch: u64, io: &mut IoLog) {
-        let Some(group) = self.inflight.get_mut(&epoch) else {
-            return;
-        };
-        group.completed = true;
-        while let Some((&oldest, group)) = self.inflight.iter().next() {
-            if !group.completed {
-                break;
-            }
-            let group = self.inflight.remove(&oldest).expect("key just observed");
-            for w in &group.write.pages {
-                if self
-                    .inflight_data
-                    .get(&w.slot)
-                    .is_some_and(|(e, _)| *e == oldest)
-                {
-                    self.inflight_data.remove(&w.slot);
-                }
-            }
-            self.journal.seal_detached_group(
-                group.write.meta_records,
-                self.packed_front(),
-                self.packed_size(),
-                io,
-            );
+        // Quick demotion: remember the ids so a comeback is admitted
+        // straight to main. Referenced victims are promoted.
+        for page in batch.evicted {
+            ring.policy.ghost.record(page);
         }
-        self.maybe_cadence_checkpoint(io);
-    }
-
-    fn sync(&mut self, io: &mut IoLog) -> DeviceResult<()> {
-        self.checkpoint_metadata(io)
-    }
-
-    fn take_write_fallout(&mut self) -> Vec<StagedPage> {
-        std::mem::take(&mut self.write_fallout)
-    }
-
-    fn evacuate_dirty(&mut self, io: &mut IoLog) -> Evacuation {
-        // Same contract as mvFIFO: dirty flash pages are the only persistent
-        // copy; flags are left set so a failed disk write can be retried.
-        // Each flush error aborts exactly one group (its dirty pages land
-        // in the fallout buffer), so this loop is bounded.
-        while self.flush_all_groups_inline(io).is_err() {}
-        let mut ev = Evacuation::default();
-        ev.pages.append(&mut self.write_fallout);
-        let mut scanned = 0u32;
-        for region in [self.small, self.main] {
-            for i in 0..region.size {
-                let slot = region.slot_at(i);
-                let Some(meta) = self.slots[slot].as_ref() else {
-                    continue;
-                };
-                if !meta.valid || !meta.dirty {
-                    continue;
-                }
-                scanned += 1;
-                let data = if self.store.carries_data() {
-                    match self.store.read_slot(slot) {
-                        Ok(Some(p)) => Some(Arc::new(p)),
-                        // Unreadable dirty resident on a failing device:
-                        // counted, and a data-less marker emitted so the
-                        // caller can block stale disk serves of the page
-                        // until WAL redo rebuilds it.
-                        Ok(None) | Err(_) => {
-                            ev.unread_dirty += 1;
-                            ev.pages.push(StagedPage {
-                                page: meta.page,
-                                lsn: meta.lsn,
-                                dirty: true,
-                                fdirty: false,
-                                data: None,
-                            });
-                            continue;
-                        }
-                    }
-                } else {
-                    None
-                };
-                io.disk_write(meta.page);
-                ev.pages.push(StagedPage {
-                    page: meta.page,
-                    lsn: meta.lsn,
-                    dirty: true,
-                    fdirty: false,
-                    data,
-                });
-            }
-        }
-        if scanned > 0 {
-            io.flash_read_seq(scanned);
-        }
-        ev
-    }
-
-    fn quarantine_slot(&mut self, slot: usize, io: &mut IoLog) -> QuarantineOutcome {
-        let mut out = QuarantineOutcome::default();
-        if slot >= self.config.capacity_pages || self.quarantined.contains(&slot) {
-            return out;
-        }
-        out.quarantined = true;
-        self.quarantined.insert(slot);
-        self.generations.bump(slot);
-        // Pull the slot out of the not-yet-written pending batch; its
-        // journal record goes with it, so data and metadata leave together.
-        let pending = self
-            .pending_slots
-            .iter()
-            .position(|&s| s == slot)
-            .and_then(|pos| {
-                self.pending_slots.remove(pos);
-                self.journal.remove_current_records_for_slot(slot as u32);
-                self.pending_data.remove(pos)
-            });
-        let inflight = self.inflight_data.get(&slot).map(|(_, f)| Arc::clone(f));
-        let Some(meta) = self.slots[slot].take() else {
-            return out;
-        };
-        if !meta.valid {
-            return out;
-        }
-        if self.dir.get(&meta.page) == Some(&slot) {
-            self.dir.remove(&meta.page);
-        }
-        out.removed = Some(meta.page);
-        if !meta.dirty {
-            return out;
-        }
-        // Dirty resident: RAM copies first; the failing device only as a
-        // last resort (an unreadable dirty resident is counted and
-        // recovered through WAL redo).
-        let data = match pending.or(inflight) {
-            Some(frame) => Some(frame),
-            None if self.store.carries_data() => match self.store.read_slot(slot) {
-                Ok(Some(p)) => Some(Arc::new(p)),
-                Ok(None) | Err(_) => {
-                    // Bytes lost: hand back a data-less evacuee so the
-                    // caller can block stale disk serves until WAL redo
-                    // rebuilds the page.
-                    out.dirty_unread = true;
-                    out.evacuee = Some(StagedPage {
-                        page: meta.page,
-                        lsn: meta.lsn,
-                        dirty: true,
-                        fdirty: false,
-                        data: None,
-                    });
-                    return out;
-                }
-            },
-            None => None,
-        };
-        io.disk_write(meta.page);
-        out.evacuee = Some(StagedPage {
-            page: meta.page,
-            lsn: meta.lsn,
-            dirty: true,
-            fdirty: false,
-            data,
-        });
-        out
-    }
-
-    fn abort_group(&mut self, epoch: u64, io: &mut IoLog) -> Vec<StagedPage> {
-        let Some(group) = self.inflight.remove(&epoch) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for w in &group.write.pages {
-            if self
-                .inflight_data
-                .get(&w.slot)
-                .is_some_and(|(e, _)| *e == epoch)
-            {
-                self.inflight_data.remove(&w.slot);
-            }
-            let occupant_matches = self.slots[w.slot]
-                .as_ref()
-                .is_some_and(|m| m.epoch == epoch && m.page == w.page);
-            if !occupant_matches {
-                // The slot was dequeued or reassigned since; whatever lives
-                // there now belongs to a different (younger) group.
-                continue;
-            }
-            self.generations.bump(w.slot);
-            let meta = self.slots[w.slot].take().expect("occupant just observed");
-            if self.dir.get(&meta.page) == Some(&w.slot) {
-                self.dir.remove(&meta.page);
-            }
-            if meta.valid && meta.dirty {
-                io.disk_write(meta.page);
-                self.stats.staged_out_to_disk.inc();
-                out.push(StagedPage {
-                    page: meta.page,
-                    lsn: meta.lsn,
-                    dirty: true,
-                    fdirty: false,
-                    data: w.data.clone(),
-                });
-            }
-        }
-        out
-    }
-
-    fn persists_dirty_pages(&self) -> bool {
-        true
-    }
-
-    fn crash_and_recover(&mut self, durable_lsn: Lsn, io: &mut IoLog) -> CacheRecoveryInfo {
-        // RAM-resident state — directory, slot metadata, pending batch, the
-        // unsealed journal group AND the ghost directory — is lost; the
-        // flash contents, cache checkpoint and sealed groups survive.
-        let mut survivor = self.journal.clone();
-        survivor.crash();
-        let config = self.config.clone();
-        let store = Arc::clone(&self.store);
-        let stats = self.stats.snapshot();
-        let (mut rebuilt, info) = Self::recover(config, store, &survivor, durable_lsn, io);
-        rebuilt.stats = CacheStatCounters::from(stats);
-        *self = rebuilt;
-        info
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    fn capacity(&self) -> usize {
-        self.config.capacity_pages
-    }
-
-    fn len(&self) -> usize {
-        self.small.size + self.main.size
+        outcome.staged_out.append(&mut batch.to_disk);
+        ring.admit_all(MAIN, batch.survivors, outcome, io)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use face_pagestore::{Lsn, Page, PageId};
+
     use super::*;
     use crate::policy::NoSupplier;
-    use crate::store::MemFlashStore;
+    use crate::ring::{pack_pointers, unpack_pointers};
+    use crate::store::{FlashStore, MemFlashStore};
 
     fn pid(n: u32) -> PageId {
         PageId::new(0, n)
@@ -1478,7 +304,10 @@ mod tests {
             .unwrap();
         assert!(c.contains(pid(1)), "referenced victim survived");
         let slot = *c.dir.get(&pid(1)).unwrap();
-        assert!(slot >= c.small.cap, "page 1 now lives in the main region");
+        assert!(
+            slot >= c.regions[SMALL].cap,
+            "page 1 now lives in the main region"
+        );
         assert!(c.stats().second_chances >= 1);
     }
 
@@ -1540,7 +369,7 @@ mod tests {
         assert_eq!(f.lsn, Lsn(2), "latest version is served");
         // The update of a cached page goes to main (proven re-reference).
         let slot = *c.dir.get(&pid(1)).unwrap();
-        assert!(slot >= c.small.cap);
+        assert!(slot >= c.regions[SMALL].cap);
     }
 
     #[test]
@@ -1725,33 +554,10 @@ mod tests {
     }
 
     mod properties {
-        use super::*;
         use proptest::prelude::*;
 
-        fn check_structure(cache: &S3FifoCache) {
-            assert!(cache.len() <= cache.capacity());
-            let (small, main) = cache.region_sizes();
-            assert!(small <= cache.small.cap, "small region within its cap");
-            assert!(main <= cache.main.cap, "main region within its cap");
-            for (p, s) in cache.dir.iter() {
-                let m = cache.slots[*s]
-                    .as_ref()
-                    .expect("directory points at a slot");
-                assert!(m.valid, "directory must reference valid versions only");
-                assert_eq!(m.page, *p);
-                assert!(
-                    cache.small.in_window(*s) || cache.main.in_window(*s),
-                    "slot {s} outside both queue windows"
-                );
-            }
-            // At most one valid version per page.
-            let mut valid_pages = std::collections::HashSet::new();
-            for m in cache.slots.iter().flatten() {
-                if m.valid {
-                    assert!(valid_pages.insert(m.page), "duplicate valid version");
-                }
-            }
-        }
+        use super::*;
+        use crate::ring::tests::check_structure;
 
         /// An arbitrary interleaving of inserts and fetches against any
         /// geometry preserves the structural invariants of S3-FIFO (bounded
@@ -1837,106 +643,6 @@ mod tests {
                 }
                 cache.sync(&mut io).unwrap();
                 prop_assert_eq!(store.pages_written(), 0);
-            }
-        }
-
-        /// Crash-point recovery property, mirroring mvFIFO's: run a recorded
-        /// history (with the deferred destage pipeline in every intermediate
-        /// state), crash after `crash_at` operations, recover with an
-        /// arbitrary durable LSN, and check the recovered directory is a
-        /// prefix-consistent subset of what the history enqueued.
-        fn check_crash_recovery(
-            ops: Vec<(u8, u32, bool)>,
-            crash_at: usize,
-            durable_pick: u8,
-            capacity: usize,
-            group: usize,
-            defer: bool,
-        ) {
-            use std::collections::HashMap as Map;
-            let store = Arc::new(MemFlashStore::new(capacity));
-            let config = CacheConfig {
-                defer_group_writes: defer,
-                ..cfg(capacity, group)
-            };
-            let mut cache = S3FifoCache::new(config, Arc::clone(&store) as Arc<dyn FlashStore>);
-            let mut io = IoLog::new();
-            let mut enqueued: std::collections::HashSet<(PageId, Lsn)> =
-                std::collections::HashSet::new();
-            let mut latest: Map<PageId, Lsn> = Map::new();
-            let crash_at = crash_at % (ops.len() + 1);
-            let mut max_lsn = 0u64;
-            for (i, (op, page, dirty)) in ops.iter().take(crash_at).enumerate() {
-                let lsn = Lsn(i as u64 + 1);
-                let page_id = pid(page % 48);
-                match op % 4 {
-                    0 => {
-                        cache.fetch(page_id, &mut io).unwrap();
-                    }
-                    1 => cache.sync(&mut io).unwrap(),
-                    _ => {
-                        let out = cache
-                            .insert(staged(page % 48, lsn.0, *dirty), &mut NoSupplier, &mut io)
-                            .unwrap();
-                        if let Some(write) = out.pending_group {
-                            match op % 3 {
-                                0 => {} // enqueued, never written
-                                1 => write.apply(&*store, &mut io).unwrap(),
-                                _ => {
-                                    write.apply(&*store, &mut io).unwrap();
-                                    cache.complete_group(write.epoch, &mut io);
-                                }
-                            }
-                        }
-                        if out.cached {
-                            enqueued.insert((page_id, lsn));
-                            latest.insert(page_id, lsn);
-                        }
-                        max_lsn = lsn.0;
-                    }
-                }
-            }
-            let durable = Lsn((durable_pick as u64) % (max_lsn + 2));
-            let info = cache.crash_and_recover(durable, &mut io);
-            assert!(info.survived);
-            for (page, lsn, _dirty) in cache.valid_versions() {
-                assert!(
-                    lsn <= durable,
-                    "{page}: recovered lsn {lsn:?} beyond durable {durable:?}"
-                );
-                assert!(
-                    enqueued.contains(&(page, lsn)),
-                    "{page}: recovered version {lsn:?} was never enqueued"
-                );
-                let newest = latest.get(&page).copied().expect("page was enqueued");
-                assert!(
-                    lsn <= newest,
-                    "{page}: recovered {lsn:?} newer than pre-crash latest {newest:?}"
-                );
-            }
-            check_structure(&cache);
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-            #[test]
-            fn any_crash_point_recovers_a_prefix_consistent_subset(
-                ops in prop::collection::vec((any::<u8>(), any::<u32>(), any::<bool>()), 1..250),
-                crash_at in any::<u16>(),
-                durable in any::<u8>(),
-                group in 1usize..8,
-            ) {
-                check_crash_recovery(ops, crash_at as usize, durable, 32, group, false);
-            }
-
-            #[test]
-            fn any_destage_crash_point_recovers_a_prefix_consistent_subset(
-                ops in prop::collection::vec((any::<u8>(), any::<u32>(), any::<bool>()), 1..250),
-                crash_at in any::<u16>(),
-                durable in any::<u8>(),
-                group in 1usize..8,
-            ) {
-                check_crash_recovery(ops, crash_at as usize, durable, 32, group, true);
             }
         }
     }

@@ -420,7 +420,12 @@ pub struct CacheStats {
     pub invalidations: u64,
     /// Pages staged out of the cache (dequeued / replaced).
     pub staged_out: u64,
-    /// Staged-out pages that had to be written to disk (dirty and valid).
+    /// Pages the cache sent to disk: dirty valid victims of a dequeue, and —
+    /// for every ring policy alike — dirty pages that left through a fault
+    /// path (a rolled-back inline batch, an aborted deferred group, an insert
+    /// displaced by a failed dequeue, a serve-through past a fully
+    /// quarantined region). Those are handed to the caller's disk failover,
+    /// so they do reach disk and are counted here.
     pub staged_out_to_disk: u64,
     /// Pages given a second chance (re-enqueued by GSC).
     pub second_chances: u64,
