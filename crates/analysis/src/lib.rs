@@ -10,7 +10,7 @@
 //!   wrappers over the vendored `parking_lot` stub that feed the witness.
 //! - [`witness`] — the lockdep runtime: a thread-local held-lock stack, a
 //!   global acquisition graph with cycle detection, and the I/O-under-lock
-//!   detector that device wrappers consult via [`check_device_op`].
+//!   detector that the device hooks consult via [`check_device_op`].
 //!
 //! The witness is active in debug builds and under the `lockdep` cargo
 //! feature; otherwise everything compiles to pass-throughs ([`enabled`]

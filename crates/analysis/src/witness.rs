@@ -301,7 +301,7 @@ pub fn release(token: Token) {
     });
 }
 
-/// The I/O-under-lock detector: device wrappers call this on every physical
+/// The I/O-under-lock detector: the device hooks call this on every physical
 /// operation. Panics (or records, under capture) when a lock of an
 /// I/O-forbidding class is held and no [`allow_device_io`] scope is active.
 pub fn check_device_op(op: &'static str) {

@@ -9,7 +9,7 @@ use face_pagestore::FaultPlan;
 use crate::latency::DeviceLatency;
 
 /// A pluggable flash-store constructor (per cache shard, given the shard's
-/// slot capacity). Tests inject instrumented stores — e.g. one whose writes
+/// slot capacity). Tests inject their own stores — e.g. one whose writes
 /// block — to pin down where device I/O happens; production configurations
 /// leave it unset and get in-memory stores.
 #[derive(Clone)]
@@ -215,21 +215,6 @@ impl EngineConfig {
     /// Install a fault-injection plan on the disk page store.
     pub fn disk_faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.disk_faults = Some(plan);
-        self
-    }
-
-    /// Install fault plans from `FACE_FAULT_*` environment knobs (see
-    /// [`FaultPlan::from_env`]). `FACE_FAULT_DEVICE` selects the target:
-    /// `flash` (the default) or `disk`. A no-op when no trigger is set, so
-    /// binaries can call this unconditionally.
-    pub fn faults_from_env(mut self) -> Self {
-        if let Some(plan) = FaultPlan::from_env() {
-            let plan = Arc::new(plan);
-            match std::env::var("FACE_FAULT_DEVICE").as_deref() {
-                Ok("disk") => self.disk_faults = Some(plan),
-                _ => self.flash_faults = Some(plan),
-            }
-        }
         self
     }
 

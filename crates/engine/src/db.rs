@@ -48,18 +48,19 @@ use face_analysis::OrderedMutex;
 use face_buffer::BufferPool;
 use face_cache::{
     CachePolicyKind, CacheRecoveryInfo, CacheStats, Counter, DegradeController, DegradeStats,
-    FaultyFlashStore, FlashStore, MemFlashStore, ShardedFlashCache,
+    FlashStore, InstrumentedFlashStore, MemFlashStore, ShardedFlashCache,
 };
-use face_pagestore::{FaultyPageStore, FilePageStore, InMemoryPageStore, PageId, PageStore};
+use face_pagestore::{
+    DeviceHooks, FilePageStore, InMemoryPageStore, InstrumentedPageStore, PageId, PageStore,
+};
 use face_wal::{
-    recovery::build_recovery_plan, CheckpointData, FileLogStorage, InMemoryLogStorage, LogReader,
-    LogRecord, LogStorage, Lsn, TxnId, WalWriter,
+    recovery::build_recovery_plan, CheckpointData, FileLogStorage, InMemoryLogStorage,
+    InstrumentedLogStorage, LogReader, LogRecord, LogStorage, Lsn, TxnId, WalWriter,
 };
 
 use crate::config::{EngineConfig, StorageBackend};
 use crate::error::{EngineError, EngineResult};
-use crate::iocheck::{CheckedFlashStore, CheckedLogStorage, CheckedPageStore};
-use crate::latency::{LatencyFlashStore, LatencyLogStorage, LatencyPageStore};
+use crate::latency::DeviceLatency;
 use crate::table::{self, PutOutcome, VALUE_CAPACITY};
 use crate::tier::{FaceTier, TierStats};
 
@@ -241,33 +242,40 @@ impl Database {
     /// already contains work (a file-backed database being reopened), redo is
     /// run before the database becomes available.
     pub fn open(config: EngineConfig) -> EngineResult<Self> {
-        let (mut disk, mut log_storage): (Arc<dyn PageStore>, Arc<dyn LogStorage>) =
-            match &config.backend {
-                StorageBackend::InMemory => (
-                    Arc::new(InMemoryPageStore::new()),
-                    Arc::new(InMemoryLogStorage::new()),
-                ),
-                StorageBackend::OnDisk(dir) => (
-                    Arc::new(FilePageStore::open(dir.join("data"))?),
-                    Arc::new(FileLogStorage::open(dir.join("wal.log"))?),
-                ),
-            };
-        // Fault injection sits directly over the raw device, below the
-        // latency and witness wrappers, so injected errors travel the same
-        // path a real device error would.
-        if let Some(plan) = &config.disk_faults {
-            disk = Arc::new(FaultyPageStore::new(disk, Arc::clone(plan)));
-        }
-        if let Some(latency) = config.device_latency {
-            disk = Arc::new(LatencyPageStore::new(disk, latency));
-            log_storage = Arc::new(LatencyLogStorage::new(log_storage, latency));
-        }
-        // With the witness compiled in, every physical device op is reported
-        // to the I/O-under-lock detector (see `crate::iocheck`).
-        if face_analysis::enabled() {
-            disk = Arc::new(CheckedPageStore::new(disk));
-            log_storage = Arc::new(CheckedLogStorage::new(log_storage));
-        }
+        let (disk, log_storage): (Arc<dyn PageStore>, Arc<dyn LogStorage>) = match &config.backend {
+            StorageBackend::InMemory => (
+                Arc::new(InMemoryPageStore::new()),
+                Arc::new(InMemoryLogStorage::new()),
+            ),
+            StorageBackend::OnDisk(dir) => (
+                Arc::new(FilePageStore::open(dir.join("data"))?),
+                Arc::new(FileLogStorage::open(dir.join("wal.log"))?),
+            ),
+        };
+        // Each device gets one instrumented view over its raw store (or the
+        // raw store itself when nothing is switched on): see
+        // `face_pagestore::hooks` for what a physical operation pays, in
+        // which order, and why.
+        let latency = config.device_latency.unwrap_or_else(DeviceLatency::zero);
+        let check = face_analysis::enabled();
+        let disk = InstrumentedPageStore::wrap(
+            disk,
+            DeviceHooks {
+                read: latency.disk_read,
+                write: latency.disk_write,
+                faults: config.disk_faults.clone(),
+                check,
+                ..DeviceHooks::default()
+            },
+        );
+        let log_storage = InstrumentedLogStorage::wrap(
+            log_storage,
+            DeviceHooks {
+                sync: latency.log_sync,
+                check,
+                ..DeviceHooks::default()
+            },
+        );
         // FaCE's group writes run through the asynchronous destage pipeline:
         // the policy hands filled groups back instead of writing them under
         // the shard lock. (LC/TAC have no group writes; the flag is inert
@@ -296,26 +304,23 @@ impl Database {
             cache_config,
             config.cache_shards,
             |shard_capacity| {
-                let mut store: Arc<dyn FlashStore> = match &config.flash_store_factory {
+                let store: Arc<dyn FlashStore> = match &config.flash_store_factory {
                     Some(factory) => (factory.0)(shard_capacity),
                     None => Arc::new(MemFlashStore::new(shard_capacity)),
                 };
-                // Faults inject directly over the raw store so the retry /
-                // quarantine / breaker machinery above sees them exactly as
-                // it would a failing device.
-                if let Some(plan) = &config.flash_faults {
-                    store = Arc::new(FaultyFlashStore::new(store, Arc::clone(plan)));
-                }
-                if let Some(latency) = config.device_latency {
-                    store = Arc::new(LatencyFlashStore::new(store, latency));
-                }
                 // FaCE's contract is that foreground paths never touch flash
                 // under the shard lock; LC/TAC stage synchronously by design,
                 // so only the FaCE-family policies get the detector.
-                if face_analysis::enabled() && face_family {
-                    store = Arc::new(CheckedFlashStore::new(store));
-                }
-                store
+                InstrumentedFlashStore::wrap(
+                    store,
+                    DeviceHooks {
+                        read: latency.flash_read,
+                        write: latency.flash_write,
+                        faults: config.flash_faults.clone(),
+                        check: check && face_family,
+                        ..DeviceHooks::default()
+                    },
+                )
             },
         )
         .map(|cache| match &degrade {
@@ -927,11 +932,6 @@ impl Database {
             .lower()
             .cache()
             .map_or(0, |c| c.flash_pages_written())
-    }
-
-    /// The configured cache policy.
-    pub fn cache_policy(&self) -> CachePolicyKind {
-        self.config.cache_policy
     }
 
     /// Number of log records written so far.

@@ -40,7 +40,6 @@
 pub mod config;
 pub mod db;
 pub mod error;
-pub mod iocheck;
 pub mod latency;
 pub mod sim;
 pub mod table;

@@ -76,7 +76,8 @@ pub use policy::{build_cache, CachePolicyKind, FlashCache, NoSupplier, PageSuppl
 pub use ring::GroupRing;
 pub use s3fifo::S3FifoCache;
 pub use store::{
-    FaultyFlashStore, FlashStore, GateFlashStore, HeaderFlashStore, MemFlashStore, NullFlashStore,
+    FlashStore, GateFlashStore, HeaderFlashStore, InstrumentedFlashStore, MemFlashStore,
+    NullFlashStore,
 };
 pub use tac::TacCache;
 pub use types::{

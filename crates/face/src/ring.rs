@@ -1379,13 +1379,13 @@ impl<P: RingPolicy> FlashCache for GroupRing<P> {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use face_pagestore::FaultPlan;
+    use face_pagestore::{DeviceHooks, FaultPlan};
 
     use super::*;
     use crate::mvfifo::MvFifo;
     use crate::policy::NoSupplier;
     use crate::s3fifo::S3Fifo;
-    use crate::store::{FaultyFlashStore, MemFlashStore, NullFlashStore};
+    use crate::store::{InstrumentedFlashStore, MemFlashStore, NullFlashStore};
 
     /// Run a policy-generic test body against every ring policy.
     macro_rules! for_each_policy {
@@ -1943,6 +1943,15 @@ pub(crate) mod tests {
     mod faults {
         use super::*;
 
+        /// A fresh in-memory store behind a view that fails as `plan` says.
+        fn faulty_store(capacity: usize, plan: &Arc<FaultPlan>) -> Arc<dyn FlashStore> {
+            let hooks = DeviceHooks {
+                faults: Some(Arc::clone(plan)),
+                ..DeviceHooks::default()
+            };
+            InstrumentedFlashStore::wrap(Arc::new(MemFlashStore::new(capacity)), hooks)
+        }
+
         /// A `P` cache (see [`fifo_of`]) over a store that fails as `plan`
         /// says, with pages 0..4 inserted dirty and the last insert's result.
         fn faulty_fifo<P: RingPolicy>(
@@ -1956,9 +1965,8 @@ pub(crate) mod tests {
         ) {
             let cfg = fifo_cfg::<P>(cfg);
             let plan = Arc::new(plan);
-            let store = Arc::new(MemFlashStore::new(cfg.capacity_pages));
-            let faulty = FaultyFlashStore::new(store, Arc::clone(&plan));
-            let mut cache: GroupRing<P> = GroupRing::new(cfg, Arc::new(faulty));
+            let faulty = faulty_store(cfg.capacity_pages, &plan);
+            let mut cache: GroupRing<P> = GroupRing::new(cfg, faulty);
             let mut io = IoLog::new();
             let mut last = Ok(InsertOutcome::default());
             for n in 0..4u32 {
@@ -2078,8 +2086,8 @@ pub(crate) mod tests {
                 .probability(1.0)
                 .armed_on_crash();
             let plan = Arc::new(plan);
-            let store = FaultyFlashStore::new(Arc::new(MemFlashStore::new(20)), Arc::clone(&plan));
-            let mut c: GroupRing<S3Fifo> = GroupRing::new(meta_cfg(20, 4, false), Arc::new(store));
+            let store = faulty_store(20, &plan);
+            let mut c: GroupRing<S3Fifo> = GroupRing::new(meta_cfg(20, 4, false), store);
             let mut io = IoLog::new();
             for n in 0..18u32 {
                 c.insert(staged(n, 1, false), &mut NoSupplier, &mut io)

@@ -9,16 +9,15 @@
 //! [`DeviceResult`], so a worn-out or injected-faulty device reports a typed
 //! [`face_pagestore::DeviceError`] instead of panicking or silently
 //! conflating "empty slot"
-//! with "unreadable slot". The [`FaultyFlashStore`] wrapper injects failures
-//! from a seed-deterministic [`FaultPlan`]; install it through the engine's
-//! `flash_store_factory` knob.
+//! with "unreadable slot". The [`InstrumentedFlashStore`] view puts a
+//! device's [`DeviceHooks`] (lockdep check, service time, seeded faults)
+//! over any store.
 
 use std::sync::Arc;
 
 use face_analysis::classes::FLASH_SLOTS;
 use face_analysis::OrderedRwLock;
-use face_pagestore::fault::sleep_for;
-use face_pagestore::{Counter, DeviceOp, DeviceResult, FaultAction, FaultPlan, Page, PageId};
+use face_pagestore::{Counter, DeviceHooks, DeviceResult, HookOp, Page, PageId};
 
 /// Storage for flash cache slots.
 pub trait FlashStore: Send + Sync {
@@ -43,7 +42,7 @@ pub trait FlashStore: Send + Sync {
     /// Write an explicit (slot, page) batch as one sequential device
     /// operation — the destage pipeline's group write, whose slots were
     /// assigned consecutively at the queue rear (possibly wrapping).
-    /// Latency-charging wrappers override this to bill the batch once
+    /// [`InstrumentedFlashStore`] overrides this to bill the batch once
     /// instead of per page. Same torn-write caveat as
     /// [`FlashStore::write_slots`].
     fn write_batch(&self, writes: &[(usize, &Page)]) -> DeviceResult<()> {
@@ -426,113 +425,59 @@ impl FlashStore for NullFlashStore {
     }
 }
 
-/// A fault-injecting flash store: consults a seed-deterministic
-/// [`FaultPlan`] on every data operation and fails, tears, or delays it —
-/// the flash-side twin of `face_pagestore::FaultyPageStore`.
-///
-/// Install it through the engine's `flash_store_factory` knob:
-///
-/// ```ignore
-/// let plan = Arc::new(FaultPlan::new(42).probability(0.01).transient());
-/// config.flash_store_factory(move |shard| {
-///     Arc::new(FaultyFlashStore::new(
-///         Arc::new(MemFlashStore::new(4096)),
-///         plan.clone(),
-///     ))
-/// });
-/// ```
-///
-/// Header notes, clears and capacity are passed through unconditionally —
-/// faults model failing *data* I/O, not failing bookkeeping.
-pub struct FaultyFlashStore {
+/// The instrumented [`FlashStore`] view: every slot read, slot or batch
+/// write and whole-device `clear` goes through [`DeviceHooks::admit`] (see
+/// its module docs for the order); header notes, slot clears, capacity and
+/// the wear tally pass straight through — they are bookkeeping, not data I/O.
+pub struct InstrumentedFlashStore {
     inner: Arc<dyn FlashStore>,
-    plan: Arc<FaultPlan>,
+    hooks: DeviceHooks,
 }
 
-impl FaultyFlashStore {
-    /// Wrap `inner`, consulting `plan` on every slot read and write.
-    pub fn new(inner: Arc<dyn FlashStore>, plan: Arc<FaultPlan>) -> Self {
-        Self { inner, plan }
-    }
-
-    /// The installed plan (for arming and fault counters).
-    pub fn plan(&self) -> &Arc<FaultPlan> {
-        &self.plan
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &Arc<dyn FlashStore> {
-        &self.inner
-    }
-
-    fn gate(&self, op: DeviceOp, slot: Option<usize>) -> DeviceResult<()> {
-        match self.plan.decide(op, slot) {
-            Some(FaultAction::Fail(e)) | Some(FaultAction::Torn(e)) => Err(e),
-            Some(FaultAction::Delay(d)) => {
-                sleep_for(d);
-                Ok(())
-            }
-            None => Ok(()),
+impl InstrumentedFlashStore {
+    /// `inner` behind `hooks` — or `inner` itself when the hooks are inert.
+    pub fn wrap(inner: Arc<dyn FlashStore>, hooks: DeviceHooks) -> Arc<dyn FlashStore> {
+        if hooks.is_inert() {
+            return inner;
         }
+        Arc::new(Self { inner, hooks })
     }
 }
 
-impl FlashStore for FaultyFlashStore {
+impl FlashStore for InstrumentedFlashStore {
     fn capacity(&self) -> usize {
         self.inner.capacity()
     }
 
     fn write_slot(&self, slot: usize, page: &Page) -> DeviceResult<()> {
-        self.gate(DeviceOp::Write, Some(slot))?;
+        self.hooks
+            .admit("flash.write_slot", HookOp::Write, Some(slot))?;
         self.inner.write_slot(slot, page)
     }
 
     fn write_slots(&self, start_slot: usize, pages: &[Page]) -> DeviceResult<()> {
-        match self.plan.decide(DeviceOp::Write, Some(start_slot)) {
-            Some(FaultAction::Fail(e)) => Err(e),
-            Some(FaultAction::Torn(e)) => {
-                // Persist a prefix, then fail: the classic torn batch write.
-                // The journal group must not seal, so recovery ignores it.
-                let torn_at = pages.len() / 2;
-                self.inner.write_slots(start_slot, &pages[..torn_at])?;
-                Err(e)
-            }
-            Some(FaultAction::Delay(d)) => {
-                sleep_for(d);
-                self.inner.write_slots(start_slot, pages)
-            }
-            None => self.inner.write_slots(start_slot, pages),
-        }
+        let write = |part: &[Page]| self.inner.write_slots(start_slot, part);
+        self.hooks
+            .admit_batch("flash.write_slots", Some(start_slot), pages, write)
     }
 
     fn write_batch(&self, writes: &[(usize, &Page)]) -> DeviceResult<()> {
         let first_slot = writes.first().map(|(s, _)| *s);
-        match self.plan.decide(DeviceOp::Write, first_slot) {
-            Some(FaultAction::Fail(e)) => Err(e),
-            Some(FaultAction::Torn(e)) => {
-                let torn_at = writes.len() / 2;
-                self.inner.write_batch(&writes[..torn_at])?;
-                Err(e)
-            }
-            Some(FaultAction::Delay(d)) => {
-                sleep_for(d);
-                self.inner.write_batch(writes)
-            }
-            None => self.inner.write_batch(writes),
-        }
+        let write = |part: &[(usize, &Page)]| self.inner.write_batch(part);
+        self.hooks
+            .admit_batch("flash.write_batch", first_slot, writes, write)
     }
 
     fn read_slot(&self, slot: usize) -> DeviceResult<Option<Page>> {
-        self.gate(DeviceOp::Read, Some(slot))?;
+        self.hooks
+            .admit("flash.read_slot", HookOp::Read, Some(slot))?;
         self.inner.read_slot(slot)
     }
 
     fn slot_header(&self, slot: usize) -> Option<(PageId, face_pagestore::Lsn)> {
-        // Recovery's header scan sees faults too: an unreadable slot simply
-        // is not re-admitted.
-        if self.gate(DeviceOp::Read, Some(slot)).is_err() {
-            return None;
-        }
+        self.hooks
+            .admit("flash.slot_header", HookOp::HeaderRead, Some(slot))
+            .ok()?;
         self.inner.slot_header(slot)
     }
 
@@ -545,6 +490,8 @@ impl FlashStore for FaultyFlashStore {
     }
 
     fn clear(&self) {
+        // A control operation: checked, never faulted, and infallible.
+        let _ = self.hooks.admit("flash.clear", HookOp::Sync, None);
         self.inner.clear();
     }
 
@@ -560,7 +507,8 @@ impl FlashStore for FaultyFlashStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use face_pagestore::{DeviceErrorKind, Lsn};
+    use face_pagestore::{DeviceErrorKind, FaultMode, FaultPlan, Lsn};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn mem_store_round_trips_pages() {
@@ -652,10 +600,19 @@ mod tests {
         assert_eq!(null.pages_written(), 2, "clones share the device tally");
     }
 
+    /// `inner` behind a view whose only live hook is `plan`.
+    fn faulty(inner: Arc<MemFlashStore>, plan: &Arc<FaultPlan>) -> Arc<dyn FlashStore> {
+        let hooks = DeviceHooks {
+            faults: Some(Arc::clone(plan)),
+            ..DeviceHooks::default()
+        };
+        InstrumentedFlashStore::wrap(inner, hooks)
+    }
+
     #[test]
     fn faulty_store_injects_typed_errors_and_passes_through_otherwise() {
         let plan = Arc::new(FaultPlan::new(9).fail_nth(2).permanent());
-        let store = FaultyFlashStore::new(Arc::new(MemFlashStore::new(8)), plan.clone());
+        let store = faulty(Arc::new(MemFlashStore::new(8)), &plan);
         let mut page = Page::new(PageId::new(0, 1));
         page.set_lsn(Lsn(3));
 
@@ -673,8 +630,6 @@ mod tests {
 
     #[test]
     fn torn_batch_persists_a_prefix_then_fails() {
-        use face_pagestore::FaultMode;
-
         let inner = Arc::new(MemFlashStore::new(8));
         let plan = Arc::new(
             FaultPlan::new(1)
@@ -682,7 +637,7 @@ mod tests {
                 .mode(FaultMode::TornWrite)
                 .transient(),
         );
-        let store = FaultyFlashStore::new(inner.clone(), plan);
+        let store = faulty(inner.clone(), &plan);
         let pages: Vec<Page> = (0..4).map(|i| Page::new(PageId::new(0, i))).collect();
         let err = store.write_slots(0, &pages).unwrap_err();
         assert!(err.is_transient());
@@ -690,6 +645,48 @@ mod tests {
         assert_eq!(inner.occupied(), 2);
         assert!(inner.read_slot(0).unwrap().is_some());
         assert!(inner.read_slot(3).unwrap().is_none());
+    }
+
+    /// The full chain on one group write: lockdep check on, a write service
+    /// time, and a plan that tears the batch.
+    #[test]
+    fn torn_write_batch_through_the_full_chain_pays_once_and_persists_half() {
+        let inner = Arc::new(MemFlashStore::new(8));
+        let plan = Arc::new(
+            FaultPlan::new(1)
+                .fail_nth(1)
+                .mode(FaultMode::TornWrite)
+                .permanent(),
+        );
+        let write = Duration::from_millis(5);
+        let hooks = DeviceHooks {
+            write,
+            faults: Some(Arc::clone(&plan)),
+            check: true,
+            ..DeviceHooks::default()
+        };
+        let store = InstrumentedFlashStore::wrap(inner.clone(), hooks);
+        let pages: Vec<Page> = (0..6).map(|i| Page::new(PageId::new(0, i))).collect();
+        let batch: Vec<(usize, &Page)> = pages.iter().enumerate().collect();
+
+        let start = Instant::now();
+        let err = store.write_batch(&batch).unwrap_err();
+        assert!(start.elapsed() >= write, "a torn batch still pays");
+        assert_eq!(err.kind, DeviceErrorKind::Permanent);
+        assert_eq!(err.slot(), Some(0), "faults match on the first slot");
+        // One batch is one admitted operation — one pause, one decision —
+        // however many pages it carries.
+        assert_eq!(plan.ops_observed(), 1);
+        assert_eq!(inner.occupied(), 3, "first half persisted");
+        assert!(inner.read_slot(2).unwrap().is_some());
+        assert!(inner.read_slot(3).unwrap().is_none());
+
+        // A torn single-page write persists nothing.
+        let plan = Arc::new(FaultPlan::new(1).fail_nth(1).mode(FaultMode::TornWrite));
+        let inner = Arc::new(MemFlashStore::new(8));
+        let store = faulty(inner.clone(), &plan);
+        store.write_slot(0, &pages[0]).unwrap_err();
+        assert_eq!(inner.occupied(), 0);
     }
 
     #[test]
@@ -701,7 +698,7 @@ mod tests {
         inner.write_slot(1, &page).unwrap();
 
         let plan = Arc::new(FaultPlan::new(2).fail_nth(1).permanent().reads_only());
-        let store = FaultyFlashStore::new(inner, plan);
+        let store = faulty(inner, &plan);
         // First header scan hits the injected read fault → slot skipped...
         assert_eq!(store.slot_header(0), None);
         // ...later slots still scan fine.

@@ -6,17 +6,18 @@
 //! - `raw-lock` — raw `parking_lot` usage outside `face-analysis`. Every
 //!   lock must go through `OrderedMutex`/`OrderedRwLock` so the lockdep
 //!   witness sees it.
-//! - `sleep` — `thread::sleep` outside the device-latency emulators
-//!   (`face-iosim`, `face_engine::latency`, and the fault injector's
-//!   latency-spike mode in `face_pagestore::fault`), the arrival-schedule
+//! - `sleep` — `thread::sleep` outside the device emulators (`face-iosim`,
+//!   and `face_pagestore::hooks`, the one device-path file that blocks:
+//!   service times, latency spikes and retry backoff), the arrival-schedule
 //!   emulator (`face_workload::arrival`, which paces transaction release the
-//!   way `latency.rs` paces device service) and test code. Library code must
+//!   way the hooks pace device service) and test code. Library code must
 //!   never block on wall-clock time.
 //! - `print` — `println!`/`eprintln!`/`print!`/`dbg!` in library crates
 //!   (the bench/report binaries and test code are exempt).
 //! - `unwrap-device` — `.unwrap()`/`.expect(` on the device-path files
-//!   (flash store, WAL storage/writer, page stores, the fault/latency/iocheck
-//!   device wrappers, and the destage + degrade recovery machinery) outside
+//!   (flash store, WAL storage/writer, page stores, the fault plan, the
+//!   device hooks and the instrumented views that sit beside the three
+//!   storage traits, and the destage + degrade recovery machinery) outside
 //!   `#[cfg(test)]` scopes: device failures must surface as typed errors,
 //!   and the code that handles them must not itself panic.
 //!
@@ -71,8 +72,7 @@ const DEVICE_PATH_FILES: &[&str] = &[
     "crates/pagestore/src/file_store.rs",
     "crates/pagestore/src/mem_store.rs",
     "crates/pagestore/src/fault.rs",
-    "crates/engine/src/latency.rs",
-    "crates/engine/src/iocheck.rs",
+    "crates/pagestore/src/hooks.rs",
 ];
 
 /// The begin/end markers bracketing the generated lock-order block in docs.
@@ -268,9 +268,8 @@ pub fn scan_sources(root: &Path) -> Vec<Finding> {
             if !line.in_test_scope && !exempt_tree {
                 if code.contains("thread::sleep")
                     && !rel.starts_with("crates/iosim/")
-                    && rel != "crates/engine/src/latency.rs"
+                    && rel != "crates/pagestore/src/hooks.rs"
                     && rel != "crates/workload/src/arrival.rs"
-                    && rel != "crates/pagestore/src/fault.rs"
                     && !allowed("sleep")
                 {
                     findings.push(Finding {
@@ -438,7 +437,17 @@ mod tests {
             "crates/face/src/store.rs",
             "pub fn read() { std::fs::read(\"x\").unwrap(); }\n",
         );
+        // The sleep exemption is one file: the old homes of the device
+        // pauses are ordinary library code now.
+        for old_home in [
+            "crates/engine/src/latency.rs",
+            "crates/pagestore/src/fault.rs",
+        ] {
+            write(&root, old_home, "pub fn nap() { std::thread::sleep(d); }\n");
+        }
         let findings = scan_sources(&root);
+        let sleeps = findings.iter().filter(|f| f.rule == "sleep").count();
+        assert_eq!(sleeps, 3, "{findings:?}");
         let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&"raw-lock"), "{findings:?}");
         assert!(rules.contains(&"sleep"), "{findings:?}");
@@ -469,6 +478,11 @@ mod tests {
             &root,
             "crates/iosim/src/lib.rs",
             "pub fn tick() { std::thread::sleep(d); }\n",
+        );
+        write(
+            &root,
+            "crates/pagestore/src/hooks.rs",
+            "pub fn pause() { std::thread::sleep(d); }\n",
         );
         write(
             &root,

@@ -7,23 +7,15 @@
 //! thread interleaving can permute *which thread* observes a given fault,
 //! but not how many fire over N operations or which operation indices fail.
 //!
-//! The plan is installed by wrapping a device: [`FaultyPageStore`] here for
-//! the disk side, `FaultyFlashStore` in `face-cache` for the flash side
-//! (installed through the existing `flash_store_factory` knob). Triggers
-//! (nth-op, probability, slot-range, arm-after) and modes (typed error,
-//! torn write, latency spike) compose freely.
-//!
-//! This file is the one place in the storage layers allowed to block on
-//! wall-clock time (latency spikes, retry backoff) — `face-lint` exempts it
-//! the same way it exempts the simulated-device latency emulators.
+//! The plan is installed as the `faults` field of a device's
+//! [`crate::hooks::DeviceHooks`], whose `admit` consults it once per data
+//! operation. Triggers (nth-op, probability, slot-range, arm-after) and
+//! modes (typed error, torn write, latency spike) compose freely.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::device::{DeviceError, DeviceErrorKind, DeviceOp, DeviceScope};
-use crate::page::{Page, PageId};
-use crate::store::{PageStore, StoreError, StoreResult};
 
 /// What an injected fault does to the operation it hits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,164 +254,11 @@ impl FaultPlan {
             detail: format!("injected fault #{fault_no} (op {idx}, seed {})", self.seed),
         }
     }
-
-    /// Build a plan from `FACE_FAULT_*` environment knobs. Returns `None`
-    /// unless at least one trigger (`FACE_FAULT_PROB` or `FACE_FAULT_NTH`)
-    /// is set. Knobs: `FACE_FAULT_SEED` (default 42), `FACE_FAULT_MODE`
-    /// (`error`|`torn`|`latency:<micros>`), `FACE_FAULT_KIND`
-    /// (`transient`|`permanent`), `FACE_FAULT_SCOPE` (`slot`|`device`),
-    /// `FACE_FAULT_PROB` (per-op probability), `FACE_FAULT_NTH`
-    /// (comma-separated 1-based op indices), `FACE_FAULT_SLOTS`
-    /// (`start..end`), `FACE_FAULT_AFTER` (ops before arming),
-    /// `FACE_FAULT_OPS` (`read`|`write`|`both`), `FACE_FAULT_MAX`
-    /// (fault budget).
-    pub fn from_env() -> Option<Self> {
-        let get = |k: &str| std::env::var(k).ok();
-        let prob = get("FACE_FAULT_PROB").and_then(|v| v.parse::<f64>().ok());
-        let nth: Vec<u64> = get("FACE_FAULT_NTH")
-            .map(|v| v.split(',').filter_map(|n| n.trim().parse().ok()).collect())
-            .unwrap_or_default();
-        if prob.is_none() && nth.is_empty() {
-            return None;
-        }
-        let seed = get("FACE_FAULT_SEED")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(42);
-        let mut plan = Self::new(seed);
-        for n in nth {
-            plan = plan.fail_nth(n);
-        }
-        if let Some(p) = prob {
-            plan = plan.probability(p);
-        }
-        if let Some(mode) = get("FACE_FAULT_MODE") {
-            plan = match mode.as_str() {
-                "torn" => plan.mode(FaultMode::TornWrite),
-                m if m.starts_with("latency") => {
-                    let micros = m
-                        .split(':')
-                        .nth(1)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(1_000);
-                    plan.mode(FaultMode::LatencySpike(Duration::from_micros(micros)))
-                }
-                _ => plan.mode(FaultMode::Error),
-            };
-        }
-        if let Some(kind) = get("FACE_FAULT_KIND") {
-            plan = match kind.as_str() {
-                "permanent" => plan.permanent(),
-                _ => plan.transient(),
-            };
-        }
-        if get("FACE_FAULT_SCOPE").as_deref() == Some("device") {
-            plan = plan.device_scoped();
-        }
-        if let Some(slots) = get("FACE_FAULT_SLOTS") {
-            if let Some((a, b)) = slots.split_once("..") {
-                if let (Ok(a), Ok(b)) = (a.trim().parse(), b.trim().parse()) {
-                    plan = plan.slot_range(a, b);
-                }
-            }
-        }
-        if let Some(after) = get("FACE_FAULT_AFTER").and_then(|v| v.parse().ok()) {
-            plan = plan.arm_after(after);
-        }
-        if let Some(ops) = get("FACE_FAULT_OPS") {
-            plan = match ops.as_str() {
-                "read" => plan.reads_only(),
-                "write" => plan.writes_only(),
-                _ => plan,
-            };
-        }
-        if let Some(max) = get("FACE_FAULT_MAX").and_then(|v| v.parse().ok()) {
-            plan = plan.max_faults(max);
-        }
-        Some(plan)
-    }
-}
-
-/// Stall the calling thread — the latency-spike arm of a [`FaultAction`].
-/// Lives here so device wrappers in other crates need no sleep of their own.
-pub fn sleep_for(d: Duration) {
-    std::thread::sleep(d);
-}
-
-/// Capped exponential backoff between retries of a transient device error:
-/// 50 µs doubling per attempt, capped at 2 ms. Callers must not hold any
-/// lock (the destager retries between jobs; foreground retries run off-lock).
-pub fn backoff_sleep(attempt: u32) {
-    let micros = 50u64.saturating_mul(1 << attempt.min(6));
-    std::thread::sleep(Duration::from_micros(micros.min(2_000)));
-}
-
-/// A [`PageStore`] wrapper that injects faults from a [`FaultPlan`] — the
-/// disk-side twin of the flash cache's `FaultyFlashStore`. Slot-range
-/// triggers match on the page number within its file.
-pub struct FaultyPageStore {
-    inner: Arc<dyn PageStore>,
-    plan: Arc<FaultPlan>,
-}
-
-impl FaultyPageStore {
-    /// Wrap `inner`, consulting `plan` on every read and write.
-    pub fn new(inner: Arc<dyn PageStore>, plan: Arc<FaultPlan>) -> Self {
-        Self { inner, plan }
-    }
-
-    /// The installed plan (for arming and counters).
-    pub fn plan(&self) -> &Arc<FaultPlan> {
-        &self.plan
-    }
-}
-
-impl PageStore for FaultyPageStore {
-    fn read_page(&self, id: PageId, buf: &mut Page) -> StoreResult<()> {
-        match self.plan.decide(DeviceOp::Read, Some(id.page_no as usize)) {
-            Some(FaultAction::Fail(e)) | Some(FaultAction::Torn(e)) => {
-                return Err(StoreError::Device(e))
-            }
-            Some(FaultAction::Delay(d)) => sleep_for(d),
-            None => {}
-        }
-        self.inner.read_page(id, buf)
-    }
-
-    fn write_page(&self, id: PageId, page: &Page) -> StoreResult<()> {
-        match self.plan.decide(DeviceOp::Write, Some(id.page_no as usize)) {
-            // A torn single-page write persists nothing: page granularity is
-            // the smallest unit this store models.
-            Some(FaultAction::Fail(e)) | Some(FaultAction::Torn(e)) => {
-                return Err(StoreError::Device(e))
-            }
-            Some(FaultAction::Delay(d)) => sleep_for(d),
-            None => {}
-        }
-        self.inner.write_page(id, page)
-    }
-
-    fn allocate(&self, file: u32) -> StoreResult<PageId> {
-        self.inner.allocate(file)
-    }
-
-    fn num_pages(&self, file: u32) -> u64 {
-        self.inner.num_pages(file)
-    }
-
-    fn sync(&self) -> StoreResult<()> {
-        self.inner.sync()
-    }
-
-    fn contains(&self, id: PageId) -> bool {
-        self.inner.contains(id)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem_store::InMemoryPageStore;
-    use crate::page::Lsn;
 
     #[test]
     fn nth_op_trigger_is_deterministic() {
@@ -511,33 +350,5 @@ mod tests {
             plan.decide(DeviceOp::Read, Some(0)),
             Some(FaultAction::Fail(_))
         ));
-    }
-
-    #[test]
-    fn faulty_page_store_surfaces_typed_errors() {
-        let inner = Arc::new(InMemoryPageStore::new());
-        let id = inner.allocate(0).unwrap();
-        let mut page = Page::new(id);
-        page.set_lsn(Lsn(1));
-        page.update_checksum();
-
-        let plan = Arc::new(FaultPlan::new(11).fail_nth(1).permanent());
-        let store = FaultyPageStore::new(inner.clone(), plan.clone());
-        let err = store.write_page(id, &page).unwrap_err();
-        match err {
-            StoreError::Device(e) => {
-                assert_eq!(e.kind, DeviceErrorKind::Permanent);
-                assert_eq!(e.op, DeviceOp::Write);
-            }
-            other => panic!("expected device error, got {other}"),
-        }
-        // The failed write persisted nothing.
-        assert_eq!(inner.materialized_pages(), 0);
-        // Later ops pass through.
-        store.write_page(id, &page).unwrap();
-        let mut out = Page::zeroed();
-        store.read_page(id, &mut out).unwrap();
-        assert_eq!(out.lsn(), Lsn(1));
-        assert_eq!(plan.faults_injected(), 1);
     }
 }

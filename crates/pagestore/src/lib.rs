@@ -19,19 +19,19 @@
 #![warn(rust_2018_idioms)]
 
 pub mod counter;
-pub mod counting;
 pub mod device;
 pub mod fault;
 pub mod file_store;
+pub mod hooks;
 pub mod mem_store;
 pub mod page;
 pub mod store;
 
 pub use counter::Counter;
-pub use counting::CountingStore;
 pub use device::{DeviceError, DeviceErrorKind, DeviceOp, DeviceResult, DeviceScope};
-pub use fault::{backoff_sleep, sleep_for, FaultAction, FaultMode, FaultPlan, FaultyPageStore};
+pub use fault::{FaultAction, FaultMode, FaultPlan};
 pub use file_store::FilePageStore;
+pub use hooks::{backoff_sleep, DeviceHooks, HookOp, InstrumentedPageStore};
 pub use mem_store::InMemoryPageStore;
 pub use page::{stripe_of, Lsn, Page, PageId, PAGE_BODY_SIZE, PAGE_HEADER_SIZE, PAGE_SIZE};
 pub use store::{PageStore, StoreError, StoreResult};

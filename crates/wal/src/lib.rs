@@ -43,5 +43,7 @@ pub use record::{CheckpointData, LogRecord, TxnId};
 pub use recovery::{
     build_recovery_plan, AnalysisResult, RedoPlan, RedoUpdate, UndoPlan, UndoUpdate,
 };
-pub use storage::{FileLogStorage, InMemoryLogStorage, LogStorage, WalError, WalResult};
+pub use storage::{
+    FileLogStorage, InMemoryLogStorage, InstrumentedLogStorage, LogStorage, WalError, WalResult,
+};
 pub use writer::WalWriter;

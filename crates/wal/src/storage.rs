@@ -3,9 +3,11 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use face_analysis::classes::WAL_STORAGE;
 use face_analysis::OrderedMutex;
+use face_pagestore::{DeviceHooks, HookOp};
 
 /// Errors from the WAL layer.
 #[derive(Debug)]
@@ -214,6 +216,56 @@ impl LogStorage for FileLogStorage {
     }
 }
 
+/// The instrumented [`LogStorage`] view: `append`, `read_at`, `sync` and
+/// `truncate` go through [`DeviceHooks::admit`] (see its module docs for the
+/// order). A log device's hooks carry a sync time only, so `sync` is the one
+/// call that pauses; `len` is a metadata query and passes straight through.
+pub struct InstrumentedLogStorage {
+    inner: Arc<dyn LogStorage>,
+    hooks: DeviceHooks,
+}
+
+impl InstrumentedLogStorage {
+    /// `inner` behind `hooks` — or `inner` itself when the hooks are inert.
+    pub fn wrap(inner: Arc<dyn LogStorage>, hooks: DeviceHooks) -> Arc<dyn LogStorage> {
+        if hooks.is_inert() {
+            return inner;
+        }
+        Arc::new(Self { inner, hooks })
+    }
+
+    fn admit(&self, label: &'static str, op: HookOp) -> WalResult<()> {
+        let verdict = self.hooks.admit(label, op, None);
+        verdict.map_err(|e| WalError::Io(std::io::Error::other(e)))
+    }
+}
+
+impl LogStorage for InstrumentedLogStorage {
+    fn append(&self, data: &[u8]) -> WalResult<u64> {
+        self.admit("log.append", HookOp::Write)?;
+        self.inner.append(data)
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> WalResult<usize> {
+        self.admit("log.read_at", HookOp::Read)?;
+        self.inner.read_at(offset, buf)
+    }
+
+    fn len(&self) -> WalResult<u64> {
+        self.inner.len()
+    }
+
+    fn sync(&self) -> WalResult<()> {
+        self.admit("log.sync", HookOp::Sync)?;
+        self.inner.sync()
+    }
+
+    fn truncate(&self, len: u64) -> WalResult<()> {
+        self.admit("log.truncate", HookOp::Write)?;
+        self.inner.truncate(len)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +308,16 @@ mod tests {
     fn in_memory_storage_behaviour() {
         let s = InMemoryLogStorage::new();
         exercise(&s);
+    }
+
+    #[test]
+    fn instrumented_storage_behaviour() {
+        let hooks = DeviceHooks {
+            check: true,
+            ..DeviceHooks::default()
+        };
+        let s = InstrumentedLogStorage::wrap(Arc::new(InMemoryLogStorage::new()), hooks);
+        exercise(s.as_ref());
     }
 
     #[test]
