@@ -107,7 +107,14 @@ fn required_fields(file_name: &str) -> &'static [&'static str] {
             "p99_us",
             "p999_us",
         ],
-        "BENCH_recovery.json" => &["mode", "restart_secs", "recovery", "windows"],
+        "BENCH_recovery.json" => &[
+            "mode",
+            "load_txns_per_thread",
+            "restart_secs",
+            "restart_secs_runs",
+            "recovery",
+            "windows",
+        ],
         "BENCH_flash_economy.json" => &[
             "policy",
             "ghost_admission",
@@ -147,6 +154,17 @@ fn check_file(path: &Path) -> Vec<String> {
         return vec![format!("{name}: empty result array")];
     }
     let mut problems = Vec::new();
+    // The restart gates compare named arms; a missing arm is a hollow gate.
+    if name == "BENCH_recovery.json" {
+        for mode in ["warm", "warm_long_history", "cold"] {
+            if !rows
+                .iter()
+                .any(|r| r.get("mode").and_then(|m| m.as_str()) == Some(mode))
+            {
+                problems.push(format!("{name}: no `{mode}` row"));
+            }
+        }
+    }
     let fields = required_fields(&name);
     for (i, row) in rows.iter().enumerate() {
         let Some(obj) = row.as_object() else {

@@ -1560,6 +1560,14 @@ impl Default for RecoveryScale {
     }
 }
 
+/// Committed history before the checkpoint in the long-history warm arm of
+/// the Figure 6 ramp, as a multiple of the warm arm's load phase.
+pub const LONG_HISTORY_FACTOR: usize = 10;
+
+/// Crash-and-restart repetitions of each warm arm of the Figure 6 ramp, each
+/// on a fresh database; an arm's `restart_secs` is the median over them.
+pub const WARM_RESTART_RUNS: usize = 3;
+
 impl RecoveryScale {
     /// Read the scale from `FACE_REC_*` environment variables.
     pub fn from_env() -> Self {
@@ -1662,17 +1670,23 @@ pub struct RampWindowRow {
     pub disk_fetches: u64,
 }
 
-/// One arm (warm or cold restart) of the functional Figure 6 ramp.
+/// One arm of the functional Figure 6 ramp.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RampArmReport {
-    /// "warm" (journal + checkpoint recovery) or "cold" (wiped cache).
+    /// "warm" (journal + checkpoint recovery), "warm_long_history" (the
+    /// same crash after [`LONG_HISTORY_FACTOR`] times the committed history)
+    /// or "cold" (wiped cache).
     pub mode: String,
-    /// Wall-clock seconds the restart (cache recovery + analysis + redo)
-    /// took.
+    /// Load-phase transactions per thread committed before the checkpoint.
+    pub load_txns_per_thread: usize,
+    /// Wall-clock seconds the restart (cache recovery + analysis + redo +
+    /// undo) took: the median of `restart_secs_runs`.
     pub restart_secs: f64,
-    /// The restart's recovery report.
+    /// The restart time of every repetition of this arm, in run order.
+    pub restart_secs_runs: Vec<f64>,
+    /// The last repetition's recovery report.
     pub recovery: RecoveryReportRow,
-    /// Post-restart throughput windows.
+    /// Post-restart throughput windows of the last repetition.
     pub windows: Vec<RampWindowRow>,
 }
 
@@ -1733,49 +1747,69 @@ fn load_and_crash(scale: &RecoveryScale, db: &std::sync::Arc<face_engine::Databa
 
 /// Figure 6 (functional): crash the real engine mid-interval, restart warm
 /// (journal + checkpoint + WAL reconciliation) versus cold (wiped cache
-/// device), and trace the post-restart throughput ramp of each arm.
+/// device), and trace the post-restart throughput ramp of each arm. The
+/// `warm_long_history` arm repeats the warm crash behind
+/// [`LONG_HISTORY_FACTOR`] times the committed history: restart reads the
+/// log from the last checkpoint, so the two warm arms must restart in the
+/// same time. Each warm arm is crashed and restarted [`WARM_RESTART_RUNS`]
+/// times on a fresh database.
 pub fn run_fig6_functional(scale: &RecoveryScale) -> Vec<RampArmReport> {
     use std::sync::Arc;
     use std::time::Instant;
-    let mut arms = Vec::new();
-    for mode in ["warm", "cold"] {
-        let db = Arc::new(
-            face_engine::Database::open(recovery_engine_config(scale, CachePolicyKind::FaceGsc))
-                .expect("in-memory open cannot fail"),
-        );
-        load_and_crash(scale, &db);
-
-        let started = Instant::now();
-        let report = if mode == "warm" {
-            db.restart().expect("restart")
-        } else {
-            db.restart_cold().expect("restart_cold")
-        };
-        let restart_secs = started.elapsed().as_secs_f64();
-
-        let windows = face_tpcc::run_ramp(
-            &db,
-            &driver(scale, scale.window_txns_per_thread, 37),
-            scale.windows,
-        )
-        .into_iter()
-        .map(|w| RampWindowRow {
-            window: w.window,
-            tpm: w.tpm,
-            secs: w.secs,
-            flash_hits: w.flash_hits,
-            disk_fetches: w.disk_fetches,
+    let long_load = scale.load_txns_per_thread * LONG_HISTORY_FACTOR;
+    let arms = [
+        ("warm", scale.load_txns_per_thread, WARM_RESTART_RUNS),
+        ("cold", scale.load_txns_per_thread, 1),
+        ("warm_long_history", long_load, WARM_RESTART_RUNS),
+    ];
+    arms.into_iter()
+        .map(|(mode, load_txns_per_thread, runs)| {
+            let arm_scale = RecoveryScale {
+                load_txns_per_thread,
+                ..*scale
+            };
+            let mut restart_secs_runs = Vec::new();
+            let mut last = None;
+            for _ in 0..runs {
+                let config = recovery_engine_config(&arm_scale, CachePolicyKind::FaceGsc);
+                let db = Arc::new(
+                    face_engine::Database::open(config).expect("in-memory open cannot fail"),
+                );
+                load_and_crash(&arm_scale, &db);
+                let started = Instant::now();
+                let report = if mode == "cold" {
+                    db.restart_cold().expect("restart_cold")
+                } else {
+                    db.restart().expect("restart")
+                };
+                restart_secs_runs.push(started.elapsed().as_secs_f64());
+                last = Some((db, report));
+            }
+            let (db, report) = last.expect("every arm runs at least once");
+            let windows = face_tpcc::run_ramp(
+                &db,
+                &driver(scale, scale.window_txns_per_thread, 37),
+                scale.windows,
+            )
+            .into_iter()
+            .map(|w| RampWindowRow {
+                window: w.window,
+                tpm: w.tpm,
+                secs: w.secs,
+                flash_hits: w.flash_hits,
+                disk_fetches: w.disk_fetches,
+            })
+            .collect();
+            RampArmReport {
+                mode: mode.to_string(),
+                load_txns_per_thread,
+                restart_secs: crate::tail::median(&restart_secs_runs),
+                restart_secs_runs,
+                recovery: RecoveryReportRow::from(&report),
+                windows,
+            }
         })
-        .collect();
-
-        arms.push(RampArmReport {
-            mode: mode.to_string(),
-            restart_secs,
-            recovery: RecoveryReportRow::from(&report),
-            windows,
-        });
-    }
-    arms
+        .collect()
 }
 
 /// One row of the functional Table 6 restart-time sweep.
@@ -1971,11 +2005,23 @@ mod tests {
     #[test]
     fn functional_ramp_warm_beats_cold_first_window() {
         let arms = run_fig6_functional(&RecoveryScale::tiny());
-        assert_eq!(arms.len(), 2);
-        let warm = &arms[0];
-        let cold = &arms[1];
-        assert_eq!(warm.mode, "warm");
-        assert_eq!(cold.mode, "cold");
+        let modes: Vec<&str> = arms.iter().map(|a| a.mode.as_str()).collect();
+        assert_eq!(modes, ["warm", "cold", "warm_long_history"]);
+        let (warm, cold, long) = (&arms[0], &arms[1], &arms[2]);
+        // Ten times the committed history, the same post-checkpoint work:
+        // restart decodes the same tail, not the history.
+        assert_eq!(
+            long.load_txns_per_thread,
+            warm.load_txns_per_thread * LONG_HISTORY_FACTOR
+        );
+        assert_eq!(long.recovery.losers_found, warm.recovery.losers_found);
+        assert!(
+            long.recovery.records_scanned <= warm.recovery.records_scanned * 3 / 2,
+            "long history scanned {} records, short {}",
+            long.recovery.records_scanned,
+            warm.recovery.records_scanned
+        );
+        assert!(long.recovery.durable_lsn > warm.recovery.durable_lsn * 4);
         // The warm arm actually recovered persistent cache metadata...
         assert!(warm.recovery.cache_recovery.survived);
         assert!(warm.recovery.cache_recovery.entries_restored > 0);

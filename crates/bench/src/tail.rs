@@ -283,7 +283,7 @@ fn tail_engine_config(
 }
 
 /// Median of `values` (0 when empty; mean of the middle pair when even).
-fn median(values: &[f64]) -> f64 {
+pub(crate) fn median(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }

@@ -54,7 +54,7 @@ use face_pagestore::{
     DeviceHooks, FilePageStore, InMemoryPageStore, InstrumentedPageStore, PageId, PageStore,
 };
 use face_wal::{
-    recovery::build_recovery_plan, CheckpointData, FileLogStorage, InMemoryLogStorage,
+    recovery::build_recovery_plan, ActiveTxn, CheckpointData, FileLogStorage, InMemoryLogStorage,
     InstrumentedLogStorage, LogReader, LogRecord, LogStorage, Lsn, TxnId, WalWriter,
 };
 
@@ -116,13 +116,30 @@ impl DbStatCounters {
     }
 }
 
-/// One stripe of the transaction table (the ARIES transaction table: who is
-/// active and where each transaction's backward update chain ends). Rollback
-/// no longer keeps before-images in RAM — they are in the log records, and
+/// One row of the transaction table.
+struct TxnEntry {
+    /// LSN of the transaction's `Begin` record: nothing it logged lies below.
+    first_lsn: Lsn,
+    /// LSN of its most recent update record (the head of its `prev_lsn`
+    /// chain); [`Lsn::ZERO`] before the first update.
+    last_lsn: Lsn,
+    /// `abort` has started and its rollback is not durable yet. The
+    /// transaction takes no further operations, but checkpoints must keep
+    /// listing it: its updates may lie below the checkpoint's redo LSN, and
+    /// a crash before the last CLR is durable leaves restart to finish the
+    /// rollback.
+    rolling_back: bool,
+}
+
+/// One stripe of the transaction table (the ARIES transaction table: who may
+/// still need undo and where each transaction's backward update chain ends).
+/// Rollback keeps no before-images in RAM — they are in the log records, and
 /// `abort` walks the chain from `last_lsn`.
 #[derive(Default)]
 struct TxnStripe {
-    active: HashSet<u64>,
+    /// Every transaction from its `Begin` until its `Commit` is appended or
+    /// its rollback is durable — the conservative table checkpoints record.
+    active: HashMap<u64, TxnEntry>,
     /// Transactions with an operation currently in flight. One writer per
     /// transaction is an enforced contract, not a convention: the chain-head
     /// read, the WAL append under the page latch and the new-head store are
@@ -130,9 +147,6 @@ struct TxnStripe {
     /// them on the same id would silently break the `prev_lsn` chain that
     /// rollback and restart undo walk.
     busy: HashSet<u64>,
-    /// LSN of each active transaction's most recent update record (the head
-    /// of its `prev_lsn` chain).
-    last_lsn: HashMap<u64, Lsn>,
 }
 
 /// Exclusive claim on one transaction for the duration of one operation
@@ -181,7 +195,9 @@ pub struct RecoveryStats {
 /// Table 6 and Figure 6 of the paper are about making these numbers small.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
-    /// Log records scanned by the analysis pass.
+    /// Log records this restart decoded: the restart-anchor probe, the
+    /// analysis scan from the last durable checkpoint (from LSN 0 without
+    /// one) and the plan scan over the same tail.
     pub records_scanned: u64,
     /// Redo updates applied.
     pub redo_applied: u64,
@@ -405,7 +421,7 @@ impl Database {
     /// the `busy` marker the returned guard holds until dropped.
     fn claim_txn(&self, txn: TxnId) -> EngineResult<TxnClaim<'_>> {
         let mut stripe = self.stripe(txn).lock();
-        if !stripe.active.contains(&txn.0) {
+        if stripe.active.get(&txn.0).is_none_or(|t| t.rolling_back) {
             return Err(EngineError::UnknownTransaction(txn.0));
         }
         if !stripe.busy.insert(txn.0) {
@@ -421,8 +437,20 @@ impl Database {
     /// Start a new transaction.
     pub fn begin(&self) -> TxnId {
         let txn = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
-        self.stripe(txn).lock().active.insert(txn.0);
-        self.wal.append(&LogRecord::Begin { txn });
+        // Log first, list second: the table row needs the Begin's LSN. A
+        // checkpoint that reads the table in between misses the transaction,
+        // which is sound — the caller has no id to log an update with until
+        // this returns, so every update lands above that checkpoint's redo
+        // LSN (see `face_wal::recovery`).
+        let first_lsn = self.wal.append(&LogRecord::Begin { txn });
+        self.stripe(txn).lock().active.insert(
+            txn.0,
+            TxnEntry {
+                first_lsn,
+                last_lsn: Lsn::ZERO,
+                rolling_back: false,
+            },
+        );
         self.stats.txns_started.inc();
         txn
     }
@@ -435,10 +463,7 @@ impl Database {
         self.check_not_crashed()?;
         let _claim = self.claim_txn(txn)?;
         self.wal.append_and_force(&LogRecord::Commit { txn })?;
-        let mut stripe = self.stripe(txn).lock();
-        stripe.active.remove(&txn.0);
-        stripe.last_lsn.remove(&txn.0);
-        drop(stripe);
+        self.stripe(txn).lock().active.remove(&txn.0);
         self.stats.txns_committed.inc();
         Ok(())
     }
@@ -459,14 +484,20 @@ impl Database {
         self.wal.append_and_force(&LogRecord::Abort { txn })?;
         let head = {
             let mut stripe = self.stripe(txn).lock();
-            stripe.active.remove(&txn.0);
-            stripe.last_lsn.remove(&txn.0).unwrap_or(Lsn::ZERO)
+            let entry = stripe.active.get_mut(&txn.0).expect("claimed above");
+            entry.rolling_back = true;
+            entry.last_lsn
         };
         self.stats.txns_aborted.inc();
         self.rollback_chain(txn, head)?;
         // Make the rollback durable so a crash cannot resurrect the aborted
         // updates from persisted pages without their compensations.
         self.wal.force_all()?;
+        // Only now does the transaction leave the table. A checkpoint taken
+        // while the chain was being walked listed it, so a restart anchored
+        // there still reads its updates and finishes the rollback. (When the
+        // rollback fails the row stays: restart owes the remaining undo.)
+        self.stripe(txn).lock().active.remove(&txn.0);
         Ok(())
     }
 
@@ -481,8 +512,7 @@ impl Database {
         let mut next = head;
         let mut undone = 0u64;
         while next != Lsn::ZERO {
-            let mut reader = LogReader::from_lsn(Arc::clone(&self.log_storage), next);
-            let Some(rec) = reader.next_record()? else {
+            let Some(rec) = LogReader::record_at(Arc::clone(&self.log_storage), next)? else {
                 return Err(EngineError::CorruptUndoChain {
                     txn: txn.0,
                     at: next.0,
@@ -582,7 +612,7 @@ impl Database {
             Ok(lsn)
         })?;
         let lsn = write?;
-        self.stripe(txn).lock().last_lsn.insert(txn.0, lsn);
+        self.set_chain_head(txn, lsn);
         drop(claim);
         self.stats.puts.inc();
         Ok(())
@@ -594,10 +624,16 @@ impl Database {
     fn chain_head(&self, txn: TxnId) -> Lsn {
         self.stripe(txn)
             .lock()
-            .last_lsn
+            .active
             .get(&txn.0)
-            .copied()
-            .unwrap_or(Lsn::ZERO)
+            .map_or(Lsn::ZERO, |t| t.last_lsn)
+    }
+
+    /// Store `txn`'s new chain head after an update was logged at `lsn`.
+    fn set_chain_head(&self, txn: TxnId, lsn: Lsn) {
+        if let Some(entry) = self.stripe(txn).lock().active.get_mut(&txn.0) {
+            entry.last_lsn = lsn;
+        }
     }
 
     /// Read the value stored under `key`.
@@ -633,7 +669,7 @@ impl Database {
         let Some(lsn) = write else {
             return Ok(false);
         };
-        self.stripe(txn).lock().last_lsn.insert(txn.0, lsn);
+        self.set_chain_head(txn, lsn);
         drop(claim);
         self.stats.deletes.inc();
         Ok(true)
@@ -645,31 +681,35 @@ impl Database {
 
     /// Take a (fuzzy) checkpoint. With FaCE enabled, dirty DRAM pages are
     /// flushed to the flash cache (sequential flash writes); without it (or
-    /// under LC/TAC) they go to disk. The checkpoint record is forced to the
-    /// log. Operations may keep running concurrently; their updates simply
-    /// stay dirty for the next checkpoint.
+    /// under LC/TAC) they go to disk. The checkpoint record — redo LSN,
+    /// transaction table, transaction-id fence — is forced to the log and
+    /// its LSN then stored as the log's restart anchor, so the next restart
+    /// reads the log from here rather than from LSN 0. Operations may keep
+    /// running concurrently; their updates simply stay dirty for the next
+    /// checkpoint.
     pub fn checkpoint(&self) -> EngineResult<usize> {
         self.check_not_crashed()?;
         let redo_lsn = self.wal.next_lsn();
         let flushed = self.pool.flush_all_dirty()?;
         // Policies that cannot keep dirty pages in flash drain them to disk.
         self.pool.lower().checkpoint_cache()?;
-        let active_txns = self
-            .stripes
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .active
-                    .iter()
-                    .map(|t| TxnId(*t))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        self.wal
-            .append_and_force(&LogRecord::Checkpoint(CheckpointData {
-                redo_lsn,
-                active_txns,
-            }))?;
+        // The table and the id fence are read after `redo_lsn` was taken: a
+        // transaction missing from the table either ended before this point
+        // or logs its first update after it, and every id in a record below
+        // `redo_lsn` was allocated before the fence is read.
+        let mut active_txns = Vec::new();
+        for stripe in &self.stripes {
+            active_txns.extend(stripe.lock().active.iter().map(|(id, t)| ActiveTxn {
+                txn: TxnId(*id),
+                first_lsn: t.first_lsn,
+            }));
+        }
+        let next_txn = TxnId(self.next_txn.load(Ordering::Relaxed));
+        self.wal.append_checkpoint(CheckpointData {
+            redo_lsn,
+            active_txns,
+            next_txn,
+        })?;
         self.stats.checkpoints.inc();
         Ok(flushed)
     }
@@ -694,7 +734,6 @@ impl Database {
             let mut stripe = stripe.lock();
             stripe.active.clear();
             stripe.busy.clear();
-            stripe.last_lsn.clear();
         }
     }
 
@@ -1166,6 +1205,170 @@ mod tests {
         assert_eq!(db.get(4).unwrap(), None);
     }
 
+    /// Every durable record of `db`'s log.
+    fn log_records(db: &Database) -> Vec<face_wal::reader::LoggedRecord> {
+        LogReader::new(Arc::clone(&db.log_storage))
+            .read_to_end()
+            .unwrap()
+    }
+
+    /// Whether `rec` is a checkpoint whose table lists `txn`; `None` for any
+    /// other record.
+    fn checkpoint_lists(rec: &face_wal::reader::LoggedRecord, txn: TxnId) -> Option<bool> {
+        match &rec.record {
+            LogRecord::Checkpoint(data) => Some(data.active_txns.iter().any(|t| t.txn == txn)),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn failed_rollback_stays_in_the_checkpoint_table_and_restart_finishes_it() {
+        use face_pagestore::FaultPlan;
+        // Dormant until armed: then the next disk read fails, once.
+        let plan = Arc::new(
+            FaultPlan::new(3)
+                .armed_on_crash()
+                .reads_only()
+                .permanent()
+                .probability(1.0)
+                .max_faults(1),
+        );
+        let db = Database::open(
+            EngineConfig::in_memory()
+                .buffer_frames(4)
+                .buffer_shards(1)
+                .table_buckets(64)
+                .no_flash_cache()
+                .disk_faults(Arc::clone(&plan)),
+        )
+        .unwrap();
+        const KEYS: u64 = 24;
+        let setup = db.begin();
+        for k in 0..KEYS {
+            db.put(setup, k, b"original").unwrap();
+        }
+        db.commit(setup).unwrap();
+
+        // Far more pages than frames: the oldest updates' pages are on disk
+        // again by the time the rollback walks back to them.
+        let txn = db.begin();
+        for k in 0..KEYS {
+            db.put(txn, k, b"doomed").unwrap();
+        }
+        plan.arm();
+        assert!(db.abort(txn).is_err(), "the rollback should hit the fault");
+        assert_eq!(plan.faults_injected(), 1);
+        // The transaction is over for its client...
+        assert!(matches!(
+            db.put(txn, 0, b"late"),
+            Err(EngineError::UnknownTransaction(_))
+        ));
+        assert!(matches!(
+            db.commit(txn),
+            Err(EngineError::UnknownTransaction(_))
+        ));
+        // ...but a checkpoint still lists it: part of its rollback is owed.
+        db.checkpoint().unwrap();
+        let records = log_records(&db);
+        let listed: Vec<bool> = records
+            .iter()
+            .filter_map(|r| checkpoint_lists(r, txn))
+            .collect();
+        assert_eq!(listed, [true], "one checkpoint, listing the transaction");
+        let compensated = records
+            .iter()
+            .filter(|r| matches!(r.record, LogRecord::Clr { .. }))
+            .count() as u64;
+        assert!(
+            compensated > 0 && compensated < KEYS,
+            "the rollback should stop part-way, got {compensated} CLRs"
+        );
+
+        // The checkpoint flushed the half-rolled-back pages, and its redo LSN
+        // lies above every record of the transaction. Restart reads the log
+        // from the transaction's Begin because the table says so.
+        db.crash();
+        let report = db.restart().unwrap();
+        assert_eq!(report.undo.losers_found, 1);
+        assert_eq!(report.undo.updates_undone, KEYS - compensated);
+        for k in 0..KEYS {
+            assert_eq!(db.get(k).unwrap().unwrap(), b"original", "key {k}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_from_a_second_thread_during_abort_lists_the_aborting_txn() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        const KEYS: u64 = 300;
+        // Which interleaving the two threads get is up to the scheduler, so
+        // the scenario repeats until a checkpoint record landed between the
+        // Abort record and the rollback's last CLR.
+        let mut landed_mid_rollback = 0;
+        for _attempt in 0..200 {
+            let db = Database::open(
+                EngineConfig::in_memory()
+                    .buffer_frames(16)
+                    .table_buckets(512)
+                    .flash_cache(CachePolicyKind::FaceGsc, 256),
+            )
+            .unwrap();
+            let setup = db.begin();
+            for k in 0..KEYS {
+                db.put(setup, k, b"original").unwrap();
+            }
+            db.commit(setup).unwrap();
+            let txn = db.begin();
+            for k in 0..KEYS {
+                db.put(txn, k, b"doomed").unwrap();
+            }
+            let (start, done) = (Barrier::new(2), AtomicBool::new(false));
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    start.wait();
+                    db.abort(txn).unwrap();
+                    done.store(true, Ordering::SeqCst);
+                });
+                s.spawn(|| {
+                    start.wait();
+                    while !done.load(Ordering::SeqCst) {
+                        db.checkpoint().unwrap();
+                    }
+                });
+            });
+
+            let records = log_records(&db);
+            let abort_lsn = records
+                .iter()
+                .find(|r| r.record == LogRecord::Abort { txn })
+                .expect("the Abort record")
+                .lsn;
+            let last_clr_lsn = records
+                .iter()
+                .rfind(|r| matches!(r.record, LogRecord::Clr { .. }))
+                .expect("the rollback's CLRs")
+                .lsn;
+            for rec in &records {
+                if rec.lsn > abort_lsn && rec.lsn < last_clr_lsn {
+                    if let Some(listed) = checkpoint_lists(rec, txn) {
+                        landed_mid_rollback += 1;
+                        assert!(listed, "checkpoint at {} omits {txn}", rec.lsn);
+                    }
+                }
+            }
+            // Whatever the interleaving, the abort holds across a crash.
+            db.crash();
+            db.restart().unwrap();
+            for k in (0..KEYS).step_by(17) {
+                assert_eq!(db.get(k).unwrap().unwrap(), b"original", "key {k}");
+            }
+            if landed_mid_rollback > 0 {
+                return;
+            }
+        }
+        panic!("no checkpoint landed inside a {KEYS}-update rollback in 200 attempts");
+    }
+
     #[test]
     fn recovery_info_is_none_until_a_recovery_ran() {
         let db = small_db(CachePolicyKind::FaceGsc);
@@ -1561,6 +1764,66 @@ mod tests {
             )
             .unwrap();
             assert_eq!(db.get(7).unwrap().unwrap(), b"persisted");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopen_starts_analysis_at_the_anchored_checkpoint() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static N: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "face_engine_anchor_{}_{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        // No flash cache: the checkpoint flushes to the data files, which a
+        // new process finds again (a `MemFlashStore` would die with this one).
+        let config = || {
+            EngineConfig::on_disk(&dir)
+                .buffer_frames(8)
+                .table_buckets(64)
+                .no_flash_cache()
+        };
+        let last_id = {
+            let db = Database::open(config()).unwrap();
+            for k in 0..40u64 {
+                let txn = db.begin();
+                db.put(txn, k, b"history").unwrap();
+                db.commit(txn).unwrap();
+            }
+            let loser = db.begin();
+            db.put(loser, 1_000, b"loser").unwrap();
+            db.checkpoint().unwrap();
+            let tail = db.begin();
+            db.put(tail, 2_000, b"tail").unwrap();
+            db.commit(tail).unwrap();
+            tail
+            // The process dies here: no clean shutdown.
+        };
+        assert!(dir.join("wal.log.anchor").exists());
+        {
+            let db = Database::open(config()).unwrap();
+            let info = db.recovery_info().expect("reopen ran recovery");
+            // Loser Begin + update, checkpoint, tail Begin + update + Commit,
+            // read by the probe and the two passes — not the 120 records of
+            // history in front of them.
+            assert!(
+                info.records_scanned <= 14,
+                "reopen decoded {} records",
+                info.records_scanned
+            );
+            assert_eq!(info.undo.losers_found, 1);
+            assert_eq!(info.undo.updates_undone, 1);
+            for k in 0..40u64 {
+                assert_eq!(db.get(k).unwrap().unwrap(), b"history");
+            }
+            assert_eq!(db.get(2_000).unwrap().unwrap(), b"tail");
+            assert_eq!(db.get(1_000).unwrap(), None);
+            // The id fence came from the checkpoint and the tail, not from
+            // the history.
+            assert!(db.begin().0 > last_id.0);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

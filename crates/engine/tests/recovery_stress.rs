@@ -477,3 +477,81 @@ fn cold_restart_loses_the_cache_but_not_the_data() {
     assert!(report.cache_recovery.survived);
     assert_flash_below_durable(&db);
 }
+
+/// `history` committed transactions, then a fixed epilogue: two losers, a
+/// checkpoint, a few committed transactions and one more loser, a crash, and
+/// the restart whose report is returned with the database.
+fn restart_after_history(history: u64) -> (Arc<Database>, face_engine::RecoveryReport) {
+    let db = stress_db();
+    for t in 0..history {
+        let txn = db.begin();
+        for i in 0..4 {
+            db.put(txn, key_of(0, t * 4 + i), b"history").unwrap();
+        }
+        db.commit(txn).unwrap();
+    }
+    // Losers from before the checkpoint (their pages get flushed by it)...
+    for l in 0..2 {
+        let loser = db.begin();
+        db.put(loser, key_of(1, l), b"loser").unwrap();
+    }
+    db.checkpoint().unwrap();
+    // ...redo work behind it, and a loser the checkpoint never saw.
+    for t in 0..5 {
+        let txn = db.begin();
+        db.put(txn, key_of(2, t), b"tail").unwrap();
+        db.commit(txn).unwrap();
+    }
+    let loser = db.begin();
+    db.put(loser, key_of(1, 2), b"loser").unwrap();
+    let flusher = db.begin();
+    db.put(flusher, key_of(2, 5), b"tail").unwrap();
+    db.commit(flusher).unwrap();
+    db.crash();
+    let report = db.restart().unwrap();
+    (db, report)
+}
+
+#[test]
+fn restart_reads_the_log_since_the_checkpoint_not_the_history() {
+    let (short_db, short) = restart_after_history(30);
+    let (long_db, long) = restart_after_history(300);
+    // Ten times the committed history ahead of the same epilogue: the two
+    // restarts decode the same records, do the same redo and undo...
+    assert_eq!(long.records_scanned, short.records_scanned);
+    assert_eq!(short.undo.losers_found, 3);
+    assert_eq!(long.undo.losers_found, 3);
+    assert_eq!(long.undo.updates_undone, short.undo.updates_undone);
+    assert_eq!(long.undo.clrs_skipped, short.undo.clrs_skipped);
+    assert_eq!(
+        long.redo_applied + long.redo_skipped,
+        short.redo_applied + short.redo_skipped
+    );
+    // ...and that is the epilogue's ~30 records read twice, not the 1,800
+    // records of history (and ten times the log) behind it.
+    assert!(
+        long.records_scanned < 80,
+        "{} records",
+        long.records_scanned
+    );
+    assert!(long.durable_lsn.0 > 5 * short.durable_lsn.0);
+    for (db, history) in [(&short_db, 30), (&long_db, 300)] {
+        assert_eq!(db.get(key_of(0, 0)).unwrap().unwrap(), b"history");
+        assert_eq!(
+            db.get(key_of(0, history * 4 - 1)).unwrap().unwrap(),
+            b"history"
+        );
+        for t in 0..=5 {
+            assert_eq!(db.get(key_of(2, t)).unwrap().unwrap(), b"tail");
+        }
+        for l in 0..3 {
+            assert_eq!(db.get(key_of(1, l)).unwrap(), None, "loser {l} visible");
+        }
+        // A second restart anchors at the same checkpoint and finds the
+        // rollback already durable.
+        db.crash();
+        let again = db.restart().unwrap();
+        assert_eq!(again.undo.updates_undone, 0);
+        assert_eq!(db.get(key_of(1, 0)).unwrap(), None);
+    }
+}

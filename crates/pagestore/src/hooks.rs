@@ -24,8 +24,9 @@
 //!    operation costs what a real one would. Charged once per call: a
 //!    `write_slots` / `write_batch` group is one sequential device operation
 //!    and pays one write time, not one per page. On the log `append`,
-//!    `read_at`, `sync` and `truncate` are all checked but only `sync`
-//!    pauses — the group-commit lever: the leader sleeps there while other
+//!    `read_at`, `sync`, `truncate` and the restart-anchor calls are all
+//!    checked but only `sync` pauses (an anchor write is a write then a
+//!    sync) — the group-commit lever: the leader sleeps there while other
 //!    committers append and pile onto the next batch.
 //! 3. **Fault decision** ([`FaultPlan::decide`]) — directly over the raw
 //!    device, so the retry / quarantine / breaker machinery above sees an

@@ -12,13 +12,16 @@
 //! * [`LogRecord`] — begin / update (after-image **and** before-image, with
 //!   a per-transaction `prev_lsn` backward chain) / commit / abort /
 //!   compensation ([`LogRecord::Clr`], carrying `undo_next_lsn`) /
-//!   checkpoint records with a compact binary encoding.
+//!   checkpoint records (redo LSN, transaction table, transaction-id fence)
+//!   with a compact binary encoding.
 //! * [`WalWriter`] — an append buffer that assigns LSNs and forces the tail to
 //!   a [`LogStorage`] on commit (group commit).
-//! * [`LogReader`] — sequential scan of the log from any LSN.
-//! * [`recovery`] — the analysis → redo → undo pipeline: analysis finds the
-//!   last checkpoint, the committed set, and the losers with their undo
-//!   resume points; [`recovery::build_recovery_plan`] produces a
+//! * [`LogReader`] — chunked sequential scan of the log from any LSN.
+//! * [`recovery`] — the analysis → redo → undo pipeline: analysis starts at
+//!   the last durable checkpoint (found through the storage's restart
+//!   anchor, validated, with a scan from LSN 0 as the fallback) and finds
+//!   the committed set and the losers with their undo resume points;
+//!   [`recovery::build_recovery_plan`] produces a
 //!   [`recovery::RedoPlan`] (committed updates plus repeated CLRs) and an
 //!   [`recovery::UndoPlan`] (loser updates newest-first) that the engine
 //!   applies through its buffer manager / flash cache, logging a CLR per
@@ -39,7 +42,7 @@ pub mod writer;
 
 pub use face_pagestore::Lsn;
 pub use reader::LogReader;
-pub use record::{CheckpointData, LogRecord, TxnId};
+pub use record::{ActiveTxn, CheckpointData, LogRecord, TxnId};
 pub use recovery::{
     build_recovery_plan, AnalysisResult, RedoPlan, RedoUpdate, UndoPlan, UndoUpdate,
 };

@@ -9,17 +9,30 @@ use crate::record::LogRecord;
 use crate::storage::{LogStorage, WalError, WalResult};
 use crate::writer::FRAME_HEADER_SIZE;
 
+/// Bytes a sequential scan asks the storage for at a time.
+const SCAN_CHUNK: usize = 64 * 1024;
+/// Bytes a single-record read asks for: a frame header plus the engine's
+/// largest usual record (an update with two 128-byte images).
+const POINT_CHUNK: usize = 512;
+
 /// Reads records back from a [`LogStorage`], starting at any LSN that is a
 /// record boundary.
 ///
-/// The reader stops cleanly at the end of the log. A torn tail (a frame whose
-/// header or payload is incomplete, as happens when a crash interrupts a log
-/// write) terminates the scan as "end of log", exactly as a real recovery
-/// would treat it; a CRC mismatch in the *middle* of the log is reported as
-/// corruption.
+/// The reader fetches the log in chunks and decodes frames out of its
+/// buffer, so a scan touches the storage once per chunk rather than three
+/// times per record. It stops cleanly at the end of the log. A torn tail (a
+/// frame whose header or payload is incomplete, as happens when a crash
+/// interrupts a log write) terminates the scan as "end of log", exactly as a
+/// real recovery would treat it; a CRC mismatch in the *middle* of the log is
+/// reported as corruption. Reaching the end is not sticky: a later call sees
+/// records appended since.
 pub struct LogReader {
     storage: Arc<dyn LogStorage>,
     pos: u64,
+    /// Log bytes starting at offset `buf_start`; `pos` always lies within.
+    buf: Vec<u8>,
+    buf_start: u64,
+    chunk: usize,
 }
 
 /// A record together with its LSN and the LSN of the following record.
@@ -36,7 +49,7 @@ pub struct LoggedRecord {
 impl LogReader {
     /// Start reading at the beginning of the log.
     pub fn new(storage: Arc<dyn LogStorage>) -> Self {
-        Self { storage, pos: 0 }
+        Self::from_lsn(storage, Lsn::ZERO)
     }
 
     /// Start reading at `lsn` (must be a record boundary).
@@ -44,7 +57,19 @@ impl LogReader {
         Self {
             storage,
             pos: lsn.0,
+            buf: Vec::new(),
+            buf_start: lsn.0,
+            chunk: SCAN_CHUNK,
         }
+    }
+
+    /// Read the one record at `lsn` (`Ok(None)` at or beyond the end of the
+    /// log), fetching no more of the log than a record usually needs —
+    /// rollback follows a transaction's chain backwards one record at a time.
+    pub fn record_at(storage: Arc<dyn LogStorage>, lsn: Lsn) -> WalResult<Option<LoggedRecord>> {
+        let mut reader = Self::from_lsn(storage, lsn);
+        reader.chunk = POINT_CHUNK;
+        reader.next_record()
     }
 
     /// The LSN the next call to [`LogReader::next_record`] will read.
@@ -52,45 +77,77 @@ impl LogReader {
         Lsn(self.pos)
     }
 
+    /// Payload length of the frame at `pos`, if the buffer holds all of it.
+    fn buffered_frame(&self) -> Option<usize> {
+        let window = &self.buf[(self.pos - self.buf_start) as usize..];
+        let header = window.get(..FRAME_HEADER_SIZE as usize)?;
+        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
+        (window.len() - header.len() >= len).then_some(len)
+    }
+
+    /// Replace the buffer with `want` bytes of the log starting at `pos`
+    /// (fewer if the storage has fewer).
+    fn fill(&mut self, want: usize) -> WalResult<()> {
+        self.buf.resize(want, 0);
+        let n = self.storage.read_at(self.pos, &mut self.buf)?;
+        self.buf.truncate(n);
+        self.buf_start = self.pos;
+        Ok(())
+    }
+
+    /// Fetch the frame at `pos` from storage and return its payload length.
+    /// `Ok(None)` when the log ends before the frame does: the clean end, or
+    /// a torn tail.
+    fn fetch_frame(&mut self) -> WalResult<Option<usize>> {
+        // The frame length comes from the log itself; the log's own length
+        // bounds what is read (and allocated) for it.
+        let available = self.storage.len()?.saturating_sub(self.pos);
+        if available < FRAME_HEADER_SIZE {
+            self.buf.clear();
+            self.buf_start = self.pos;
+            return Ok(None);
+        }
+        self.fill(available.min(self.chunk as u64) as usize)?;
+        if let Some(len) = self.buffered_frame() {
+            return Ok(Some(len));
+        }
+        let Some(header) = self.buf.get(..4) else {
+            return Ok(None);
+        };
+        let frame = FRAME_HEADER_SIZE + u32::from_le_bytes(header.try_into().unwrap()) as u64;
+        if frame > available {
+            return Ok(None);
+        }
+        self.fill(frame as usize)?;
+        Ok(self.buffered_frame())
+    }
+
     /// Read the next record, or `Ok(None)` at end of log (including a torn
     /// tail).
     pub fn next_record(&mut self) -> WalResult<Option<LoggedRecord>> {
-        let log_len = self.storage.len()?;
-        if self.pos >= log_len {
-            return Ok(None);
-        }
-        // Frame header.
-        let mut header = [0u8; FRAME_HEADER_SIZE as usize];
-        let n = self.storage.read_at(self.pos, &mut header)?;
-        if n < header.len() {
-            // Torn header at the tail: treat as end of log.
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
+        let len = match self.buffered_frame() {
+            Some(len) => len,
+            None => match self.fetch_frame()? {
+                Some(len) => len,
+                None => return Ok(None),
+            },
+        };
+        let at = (self.pos - self.buf_start) as usize;
+        let header = &self.buf[at..at + FRAME_HEADER_SIZE as usize];
         let expected_crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-
-        let payload_off = self.pos + FRAME_HEADER_SIZE;
-        if payload_off + len as u64 > log_len {
-            // Torn payload at the tail.
-            return Ok(None);
-        }
-        let mut payload = vec![0u8; len];
-        let n = self.storage.read_at(payload_off, &mut payload)?;
-        if n < len {
-            return Ok(None);
-        }
-        if crc32(&payload) != expected_crc {
+        let payload = &self.buf[at + header.len()..at + header.len() + len];
+        if crc32(payload) != expected_crc {
             return Err(WalError::Corrupt {
                 at: self.pos,
                 reason: "CRC mismatch".to_string(),
             });
         }
-        let record = LogRecord::decode(&payload).map_err(|e| WalError::Corrupt {
+        let record = LogRecord::decode(payload).map_err(|e| WalError::Corrupt {
             at: self.pos,
             reason: e.to_string(),
         })?;
         let lsn = Lsn(self.pos);
-        self.pos = payload_off + len as u64;
+        self.pos += FRAME_HEADER_SIZE + len as u64;
         Ok(Some(LoggedRecord {
             lsn,
             next_lsn: Lsn(self.pos),
@@ -176,6 +233,81 @@ mod tests {
         let mut r = LogReader::new(storage);
         let recs = r.read_to_end().unwrap();
         assert_eq!(recs.len(), 2);
+    }
+
+    fn big_update(i: u64, len: usize) -> LogRecord {
+        LogRecord::Update {
+            txn: TxnId(i),
+            page: PageId::new(0, i as u32),
+            offset: 0,
+            data: vec![i as u8; len],
+            before: vec![!(i as u8); len],
+            prev_lsn: Lsn(i),
+        }
+    }
+
+    #[test]
+    fn frames_straddling_chunk_boundaries_read_back_whole() {
+        let storage: Arc<dyn LogStorage> = Arc::new(InMemoryLogStorage::new());
+        let w = WalWriter::new(Arc::clone(&storage)).unwrap();
+        // ~600 KiB of ordinary records, with one frame larger than a whole
+        // chunk in the middle: plenty of frames end up split across fetches.
+        let mut written = Vec::new();
+        for i in 0..2_000u64 {
+            let len = if i == 1_000 { 3 * SCAN_CHUNK } else { 128 };
+            let rec = big_update(i, len);
+            written.push((w.append(&rec), rec));
+        }
+        w.force_all().unwrap();
+        assert!(storage.len().unwrap() > 8 * SCAN_CHUNK as u64);
+
+        let mut r = LogReader::new(Arc::clone(&storage));
+        let recs = r.read_to_end().unwrap();
+        assert_eq!(recs.len(), written.len());
+        for (got, (lsn, rec)) in recs.iter().zip(&written) {
+            assert_eq!(got.lsn, *lsn);
+            assert_eq!(&got.record, rec);
+        }
+        assert_eq!(r.position(), w.next_lsn());
+
+        // Point reads fetch one frame, whatever its size.
+        for i in [0usize, 999, 1_000, 1_001, 1_999] {
+            let (lsn, rec) = &written[i];
+            let got = LogReader::record_at(Arc::clone(&storage), *lsn)
+                .unwrap()
+                .unwrap();
+            assert_eq!(&got.record, rec);
+        }
+        assert!(LogReader::record_at(storage, w.next_lsn())
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn the_end_of_the_log_is_not_sticky() {
+        let (storage, _) = setup();
+        let mut r = LogReader::new(Arc::clone(&storage));
+        assert_eq!(r.read_to_end().unwrap().len(), 3);
+        assert!(r.next_record().unwrap().is_none());
+        let w = WalWriter::new(Arc::clone(&storage)).unwrap();
+        let lsn = w.append(&LogRecord::Begin { txn: TxnId(2) });
+        w.force_all().unwrap();
+        let rec = r.next_record().unwrap().expect("the appended record");
+        assert_eq!(rec.lsn, lsn);
+        assert!(r.next_record().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_torn_length_field_cannot_make_the_reader_allocate_the_claim() {
+        let (storage, lsns) = setup();
+        // The last frame's header survives but claims 4 GiB of payload.
+        storage.truncate(lsns[2].0).unwrap();
+        let mut header = [0xFFu8; FRAME_HEADER_SIZE as usize].to_vec();
+        header.extend_from_slice(b"tail");
+        storage.append(&header).unwrap();
+        let mut r = LogReader::new(storage);
+        assert_eq!(r.read_to_end().unwrap().len(), 2);
+        assert!(r.buf.capacity() <= SCAN_CHUNK);
     }
 
     #[test]

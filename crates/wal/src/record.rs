@@ -17,20 +17,50 @@ impl std::fmt::Display for TxnId {
     }
 }
 
+/// One row of a checkpoint's transaction table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ActiveTxn {
+    /// The transaction.
+    pub txn: TxnId,
+    /// LSN of its first record (its `Begin`): nothing the transaction logged
+    /// lies below this.
+    pub first_lsn: Lsn,
+}
+
 /// The state captured by a checkpoint record.
 ///
 /// The paper's checkpoints flush dirty DRAM pages to the flash cache (when
-/// FaCE is enabled) or to disk (baseline). The checkpoint record itself only
-/// needs the begin-LSN from which redo must scan and the transactions that
-/// were active, exactly as in textbook fuzzy checkpointing.
+/// FaCE is enabled) or to disk (baseline). The checkpoint record carries
+/// what restart needs to start reading the log *here* instead of at LSN 0:
+/// the LSN from which redo must scan, the transaction table, and the
+/// transaction-id fence.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CheckpointData {
     /// Redo must start scanning from this LSN (the minimum recovery LSN of
     /// any page that was dirty and not yet flushed when the checkpoint
     /// completed; equal to the checkpoint's own LSN for a sharp checkpoint).
     pub redo_lsn: Lsn,
-    /// Transactions active at the time of the checkpoint.
-    pub active_txns: Vec<TxnId>,
+    /// The transaction table: every transaction that may still need undo.
+    /// The table is **conservative** — a transaction is listed from its
+    /// `Begin` until its `Commit` is appended or its rollback is durable —
+    /// so a transaction missing from it has no undo work below
+    /// [`CheckpointData::redo_lsn`].
+    pub active_txns: Vec<ActiveTxn>,
+    /// The transaction-id fence: every id below this may already be in the
+    /// log, including ids whose records all lie below the scan start.
+    pub next_txn: TxnId,
+}
+
+impl CheckpointData {
+    /// Where restart analysis anchored at this checkpoint starts reading:
+    /// the earlier of the redo LSN and the oldest listed transaction's first
+    /// record. Every record redo or undo can need lies at or above it.
+    pub fn scan_start(&self) -> Lsn {
+        self.active_txns
+            .iter()
+            .map(|t| t.first_lsn)
+            .fold(self.redo_lsn, Lsn::min)
+    }
 }
 
 /// A single write-ahead log record.
@@ -103,8 +133,10 @@ const TAG_BEGIN: u8 = 1;
 const TAG_UPDATE: u8 = 2;
 const TAG_COMMIT: u8 = 3;
 const TAG_ABORT: u8 = 4;
-const TAG_CHECKPOINT: u8 = 5;
 const TAG_CLR: u8 = 6;
+/// Tag 5 was the checkpoint record that listed bare transaction ids; a log
+/// holding one is rejected as an unknown tag instead of being misread.
+const TAG_CHECKPOINT: u8 = 7;
 
 impl LogRecord {
     /// The transaction this record belongs to, if any.
@@ -127,6 +159,13 @@ impl LogRecord {
     /// Encode the record payload (without framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(32);
+        self.encode_into(&mut w);
+        w.into_vec()
+    }
+
+    /// Append the record payload to `w` (the log writer encodes straight
+    /// into the frame it is building).
+    pub fn encode_into(&self, w: &mut ByteWriter) {
         match self {
             LogRecord::Begin { txn } => {
                 w.put_u8(TAG_BEGIN);
@@ -173,13 +212,14 @@ impl LogRecord {
             LogRecord::Checkpoint(data) => {
                 w.put_u8(TAG_CHECKPOINT);
                 w.put_u64(data.redo_lsn.0);
+                w.put_u64(data.next_txn.0);
                 w.put_u32(data.active_txns.len() as u32);
                 for t in &data.active_txns {
-                    w.put_u64(t.0);
+                    w.put_u64(t.txn.0);
+                    w.put_u64(t.first_lsn.0);
                 }
             }
         }
-        w.into_vec()
     }
 
     /// Decode a record payload produced by [`LogRecord::encode`].
@@ -228,14 +268,24 @@ impl LogRecord {
             }
             TAG_CHECKPOINT => {
                 let redo_lsn = Lsn(r.get_u64()?);
+                let next_txn = TxnId(r.get_u64()?);
                 let n = r.get_u32()? as usize;
+                // The count comes from the log: bound it by what the payload
+                // can hold before allocating for it.
+                if n > r.remaining() / 16 {
+                    return Err(CodecError::UnexpectedEnd);
+                }
                 let mut active_txns = Vec::with_capacity(n);
                 for _ in 0..n {
-                    active_txns.push(TxnId(r.get_u64()?));
+                    active_txns.push(ActiveTxn {
+                        txn: TxnId(r.get_u64()?),
+                        first_lsn: Lsn(r.get_u64()?),
+                    });
                 }
                 Ok(LogRecord::Checkpoint(CheckpointData {
                     redo_lsn,
                     active_txns,
+                    next_txn,
                 }))
             }
             other => Err(CodecError::InvalidTag(other)),
@@ -290,9 +340,39 @@ mod tests {
         });
         roundtrip(LogRecord::Checkpoint(CheckpointData {
             redo_lsn: Lsn(12345),
-            active_txns: vec![TxnId(1), TxnId(2), TxnId(3)],
+            active_txns: vec![
+                ActiveTxn {
+                    txn: TxnId(1),
+                    first_lsn: Lsn(40),
+                },
+                ActiveTxn {
+                    txn: TxnId(3),
+                    first_lsn: Lsn(9000),
+                },
+            ],
+            next_txn: TxnId(4),
         }));
         roundtrip(LogRecord::Checkpoint(CheckpointData::default()));
+    }
+
+    #[test]
+    fn checkpoint_scan_start_is_the_oldest_of_redo_lsn_and_table() {
+        let mut ckpt = CheckpointData {
+            redo_lsn: Lsn(500),
+            active_txns: vec![],
+            next_txn: TxnId(9),
+        };
+        assert_eq!(ckpt.scan_start(), Lsn(500));
+        ckpt.active_txns.push(ActiveTxn {
+            txn: TxnId(7),
+            first_lsn: Lsn(900),
+        });
+        assert_eq!(ckpt.scan_start(), Lsn(500));
+        ckpt.active_txns.push(ActiveTxn {
+            txn: TxnId(3),
+            first_lsn: Lsn(120),
+        });
+        assert_eq!(ckpt.scan_start(), Lsn(120));
     }
 
     #[test]
@@ -318,6 +398,25 @@ mod tests {
     fn invalid_tag_rejected() {
         let err = LogRecord::decode(&[99]).unwrap_err();
         assert_eq!(err, CodecError::InvalidTag(99));
+        // The retired id-only checkpoint format is not misread as the
+        // transaction-table one.
+        let mut old = vec![5u8];
+        old.extend_from_slice(&[0; 12]);
+        assert_eq!(
+            LogRecord::decode(&old).unwrap_err(),
+            CodecError::InvalidTag(5)
+        );
+        // A table count the payload cannot hold is rejected before any
+        // allocation.
+        let mut w = crate::codec::ByteWriter::new();
+        w.put_u8(TAG_CHECKPOINT);
+        w.put_u64(0);
+        w.put_u64(1);
+        w.put_u32(u32::MAX);
+        assert_eq!(
+            LogRecord::decode(&w.into_vec()).unwrap_err(),
+            CodecError::UnexpectedEnd
+        );
         // Truncated payloads.
         assert_eq!(
             LogRecord::decode(&[TAG_UPDATE, 1, 2]).unwrap_err(),
@@ -390,12 +489,24 @@ mod tests {
                         data: d,
                         undo_next_lsn: Lsn(next),
                     }),
-                (any::<u64>(), prop::collection::vec(any::<u64>(), 0..16)).prop_map(
-                    |(lsn, txns)| LogRecord::Checkpoint(CheckpointData {
-                        redo_lsn: Lsn(lsn),
-                        active_txns: txns.into_iter().map(TxnId).collect(),
-                    })
-                ),
+                (
+                    any::<u64>(),
+                    prop::collection::vec((any::<u64>(), any::<u64>()), 0..16),
+                    any::<u64>(),
+                )
+                    .prop_map(|(lsn, txns, fence)| LogRecord::Checkpoint(
+                        CheckpointData {
+                            redo_lsn: Lsn(lsn),
+                            active_txns: txns
+                                .into_iter()
+                                .map(|(t, first)| ActiveTxn {
+                                    txn: TxnId(t),
+                                    first_lsn: Lsn(first),
+                                })
+                                .collect(),
+                            next_txn: TxnId(fence),
+                        }
+                    )),
             ]
         }
 

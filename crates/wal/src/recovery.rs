@@ -1,13 +1,50 @@
 //! Restart analysis, redo and undo planning.
 //!
-//! Recovery is ARIES-complete: **analysis** scans the log to find the most
-//! recent checkpoint, the committed transactions, and the losers (started
-//! but not committed, with a non-empty undo chain); **redo** repeats history
+//! Recovery is ARIES-complete: **analysis** reads the log from the last
+//! durable checkpoint to find the committed transactions and the losers
+//! (not committed, with a non-empty undo chain); **redo** repeats history
 //! — committed updates *and every CLR* at or after the checkpoint's redo LSN
 //! — applying each after-image when the pageLSN is older (pages are fetched
 //! from the flash cache if present: FaCE's restart advantage); **undo**
 //! rolls losers back in descending-LSN order, writing a compensation log
 //! record ([`crate::LogRecord::Clr`]) for every reverted update.
+//!
+//! ## Where the scan starts, and why that is enough
+//!
+//! A checkpoint record carries the redo LSN, the transaction table (each
+//! listed transaction with the LSN of its first record) and the
+//! transaction-id fence, and [`crate::WalWriter::append_checkpoint`] stores
+//! the record's LSN as the log storage's *restart anchor* once the record is
+//! durable. [`analyze`] reads the anchor, checks that the record there
+//! frames, decodes as a checkpoint and does not claim to start after itself,
+//! and scans from [`CheckpointData::scan_start`] — the earlier of the redo
+//! LSN and the oldest listed transaction's first record — to the end of the
+//! log. Restart cost therefore follows the work since the last checkpoint,
+//! not the length of the history.
+//!
+//! Nothing below that point can matter:
+//!
+//! * **Redo** only ever repeats records at or after the last checkpoint's
+//!   redo LSN, and the scan starts at or below it.
+//! * **Undo** needs every update of every loser. The table is conservative:
+//!   a transaction is listed from its `Begin` until its `Commit` is appended
+//!   or its rollback is durable. A loser was therefore either listed — and
+//!   the scan starts at or below its first record — or absent, in which case
+//!   it logged its first update after the table was read, above the redo
+//!   LSN. Only its `Begin` can lie below the scan start, so the scan
+//!   classifies a transaction by the records it sees and never requires its
+//!   `Begin`.
+//! * **The id fence** covers every id that only appears below the scan start.
+//!
+//! As a safety net, a loser whose undo chain (`prev_lsn` / `undo_next_lsn`)
+//! points below the scan start means the table was *not* conservative; the
+//! same scan then runs again from LSN 0. That is also what happens when
+//! there is no anchor, or the anchor is torn, or it names an LSN that is not
+//! (or is no longer) a durable checkpoint record: the full scan is the
+//! anchored scan started at LSN 0 with nothing known, not a second
+//! implementation.
+//!
+//! ## Idempotence
 //!
 //! Idempotence across repeated crashes falls out of two facts. CLRs append
 //! in increasing LSN while compensating in decreasing target LSN, and log
@@ -23,9 +60,9 @@ use std::sync::Arc;
 
 use face_pagestore::{Lsn, PageId};
 
-use crate::reader::LogReader;
+use crate::reader::{LogReader, LoggedRecord};
 use crate::record::{CheckpointData, LogRecord, TxnId};
-use crate::storage::LogStorage;
+use crate::storage::{LogStorage, WalError};
 use crate::WalResult;
 
 /// One record that must be re-applied during restart redo.
@@ -67,16 +104,23 @@ pub struct UndoUpdate {
     pub undo_next_lsn: Lsn,
 }
 
-/// What the analysis pass learned from the log.
+/// What the analysis pass learned from the log at and above
+/// [`AnalysisResult::scan_start`].
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisResult {
+    /// Where the scan began: [`CheckpointData::scan_start`] of the anchored
+    /// checkpoint, or [`Lsn::ZERO`] without a usable anchor (see the module
+    /// docs).
+    pub scan_start: Lsn,
     /// The most recent checkpoint found, if any.
     pub last_checkpoint: Option<CheckpointData>,
     /// LSN of that checkpoint record.
     pub checkpoint_lsn: Option<Lsn>,
-    /// Transactions that committed (over the whole log).
+    /// Transactions whose `Commit` lies at or above the scan start. A
+    /// transaction that committed below it has no record the plan can need.
     pub committed: HashSet<TxnId>,
-    /// Transactions that started but neither committed nor aborted.
+    /// Transactions with a record at or above the scan start and neither a
+    /// `Commit` nor an `Abort`.
     pub in_flight: HashSet<TxnId>,
     /// Losers: transactions that must be (further) rolled back, mapped to
     /// the LSN of their next record to undo. Covers in-flight transactions
@@ -84,11 +128,15 @@ pub struct AnalysisResult {
     /// whose CLR chain already reached [`Lsn::ZERO`] are fully compensated
     /// and excluded.
     pub losers: BTreeMap<TxnId, Lsn>,
-    /// Total records scanned.
+    /// Records decoded so far: the anchor probe and the analysis scan (both
+    /// scans, when the anchored one had to be repeated from LSN 0).
+    /// [`build_recovery_plan`] adds its plan pass.
     pub records_scanned: u64,
     /// End of the log at the time of analysis.
     pub end_lsn: Lsn,
-    /// The highest transaction id mentioned by **any** record in the log —
+    /// A fence for the transaction-id allocator: at least the highest id
+    /// mentioned by **any** record in the log — the ids the scan saw, and
+    /// the anchored checkpoint's `next_txn` for everything below it. That is
     /// a superset of `committed` ∪ `in_flight` ∪ `losers`, because a fully
     /// rolled-back aborted transaction is in none of those sets. Reopen
     /// seeds its id allocator past this value: reusing a durable id would
@@ -96,8 +144,8 @@ pub struct AnalysisResult {
     /// updates into the new transaction's undo chain.
     pub max_txn_seen: TxnId,
     /// Where a log scan that must see every loser record can safely start:
-    /// the earliest `Begin` LSN among the losers (`None` when there are no
-    /// losers). A transaction's updates never precede its `Begin` record.
+    /// the earliest record of any loser at or above the scan start (`None`
+    /// when there are no losers). A loser has no update below it.
     pub undo_scan_start: Option<Lsn>,
 }
 
@@ -152,75 +200,143 @@ impl UndoPlan {
     }
 }
 
-/// Scan the whole log and classify transactions.
-pub fn analyze(storage: Arc<dyn LogStorage>) -> WalResult<AnalysisResult> {
-    let mut reader = LogReader::new(storage);
-    let mut result = AnalysisResult::default();
-    let mut started: HashSet<TxnId> = HashSet::new();
-    let mut finished: HashSet<TxnId> = HashSet::new();
-    // Per-transaction resume point: the LSN of the next record needing undo.
-    // An Update sets it to its own LSN; a CLR rewinds it to its
-    // undo_next_lsn (everything newer is already compensated).
-    let mut undo_next: HashMap<TxnId, Lsn> = HashMap::new();
-    // First Begin LSN per transaction (for `undo_scan_start`).
-    let mut begin_lsn: HashMap<TxnId, Lsn> = HashMap::new();
-    let mut max_txn = TxnId(0);
+/// What one scan learned about one transaction.
+#[derive(Default)]
+struct TxnTrace {
+    /// LSN of the first record seen.
+    first_lsn: Lsn,
+    committed: bool,
+    /// A `Commit` or an `Abort` was seen.
+    ended: bool,
+    /// The next record needing undo: an Update sets it to its own LSN, a CLR
+    /// rewinds it to its `undo_next_lsn` (everything newer is already
+    /// compensated). [`Lsn::ZERO`] when there is nothing (left) to undo.
+    undo_next: Lsn,
+    /// A chain pointer (`prev_lsn` / `undo_next_lsn`) named a record below
+    /// the scan start.
+    reaches_below_start: bool,
+}
 
+/// The checkpoint the storage's restart anchor names, if the anchor holds up:
+/// the record there must frame-check, lie wholly inside the log, decode as a
+/// checkpoint, and start its scan at or below itself.
+fn anchored_checkpoint(
+    storage: &Arc<dyn LogStorage>,
+    decoded: &mut u64,
+) -> WalResult<Option<CheckpointData>> {
+    let Some(anchor) = storage.restart_anchor()? else {
+        return Ok(None);
+    };
+    match LogReader::record_at(Arc::clone(storage), anchor) {
+        Ok(Some(LoggedRecord {
+            record: LogRecord::Checkpoint(data),
+            ..
+        })) => {
+            *decoded += 1;
+            Ok((data.scan_start() <= anchor).then_some(data))
+        }
+        // Off a record boundary, beyond a truncated tail, or not a
+        // checkpoint: stale, not fatal.
+        Ok(_) | Err(WalError::Corrupt { .. }) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Classify transactions from the records at and above `start`, given that
+/// every id below `next_txn` may be in use below it. Returns the result and
+/// whether it is complete: `false` when a loser's undo chain points below
+/// `start`, which a scan from [`Lsn::ZERO`] never reports.
+fn scan(
+    storage: &Arc<dyn LogStorage>,
+    start: Lsn,
+    next_txn: TxnId,
+    decoded: &mut u64,
+) -> WalResult<(AnalysisResult, bool)> {
+    let mut reader = LogReader::from_lsn(Arc::clone(storage), start);
+    let mut result = AnalysisResult {
+        scan_start: start,
+        ..AnalysisResult::default()
+    };
+    let mut seen: HashMap<TxnId, TxnTrace> = HashMap::new();
+    let mut fence = next_txn;
+    let below_start = |ptr: Lsn| ptr != Lsn::ZERO && ptr < start;
     while let Some(rec) = reader.next_record()? {
-        result.records_scanned += 1;
-        result.end_lsn = rec.next_lsn;
-        match &rec.record {
-            LogRecord::Begin { txn } => {
-                max_txn = max_txn.max(*txn);
-                started.insert(*txn);
-                begin_lsn.entry(*txn).or_insert(rec.lsn);
-            }
-            LogRecord::Commit { txn } => {
-                max_txn = max_txn.max(*txn);
-                result.committed.insert(*txn);
-                finished.insert(*txn);
-            }
-            LogRecord::Abort { txn } => {
-                // Rollback began, but the transaction stays a loser until
-                // its CLR chain reaches Lsn::ZERO.
-                max_txn = max_txn.max(*txn);
-                finished.insert(*txn);
-            }
-            LogRecord::Checkpoint(data) => {
-                for txn in &data.active_txns {
-                    max_txn = max_txn.max(*txn);
-                }
-                result.last_checkpoint = Some(data.clone());
+        *decoded += 1;
+        let Some(txn) = rec.record.txn() else {
+            if let LogRecord::Checkpoint(data) = rec.record {
+                fence = fence.max(data.next_txn);
+                result.last_checkpoint = Some(data);
                 result.checkpoint_lsn = Some(rec.lsn);
             }
-            LogRecord::Update { txn, .. } => {
-                max_txn = max_txn.max(*txn);
-                undo_next.insert(*txn, rec.lsn);
+            continue;
+        };
+        fence = fence.max(TxnId(txn.0.saturating_add(1)));
+        let trace = seen.entry(txn).or_insert_with(|| TxnTrace {
+            first_lsn: rec.lsn,
+            ..TxnTrace::default()
+        });
+        match rec.record {
+            LogRecord::Commit { .. } => {
+                trace.committed = true;
+                trace.ended = true;
             }
-            LogRecord::Clr {
-                txn, undo_next_lsn, ..
-            } => {
-                max_txn = max_txn.max(*txn);
-                undo_next.insert(*txn, *undo_next_lsn);
+            // Rollback began, but the transaction stays a loser until its
+            // CLR chain reaches Lsn::ZERO.
+            LogRecord::Abort { .. } => trace.ended = true,
+            LogRecord::Update { prev_lsn, .. } => {
+                trace.undo_next = rec.lsn;
+                trace.reaches_below_start |= below_start(prev_lsn);
             }
+            LogRecord::Clr { undo_next_lsn, .. } => {
+                trace.undo_next = undo_next_lsn;
+                trace.reaches_below_start |= below_start(undo_next_lsn);
+            }
+            LogRecord::Begin { .. } | LogRecord::Checkpoint(_) => {}
         }
     }
-    result.in_flight = started.difference(&finished).copied().collect();
-    result.losers = started
+    result.end_lsn = reader.position();
+    result.max_txn_seen = TxnId(fence.0.saturating_sub(1));
+    let mut complete = true;
+    for (txn, trace) in seen {
+        if trace.committed {
+            result.committed.insert(txn);
+            continue;
+        }
+        if !trace.ended {
+            result.in_flight.insert(txn);
+        }
+        if trace.undo_next != Lsn::ZERO {
+            result.losers.insert(txn, trace.undo_next);
+            complete &= !trace.reaches_below_start;
+            result.undo_scan_start = Some(
+                result
+                    .undo_scan_start
+                    .map_or(trace.first_lsn, |s| s.min(trace.first_lsn)),
+            );
+        }
+    }
+    Ok((result, complete))
+}
+
+/// The analysis pass: classify transactions from the last durable
+/// checkpoint's scan start, or from [`Lsn::ZERO`] when the storage holds no
+/// usable restart anchor or the anchored scan turned out incomplete (module
+/// docs).
+pub fn analyze(storage: Arc<dyn LogStorage>) -> WalResult<AnalysisResult> {
+    let mut decoded = 0;
+    let anchored = anchored_checkpoint(&storage, &mut decoded)?;
+    let origins = anchored
         .iter()
-        .filter(|t| !result.committed.contains(t))
-        .filter_map(|t| match undo_next.get(t) {
-            Some(resume) if *resume != Lsn::ZERO => Some((*t, *resume)),
-            _ => None,
-        })
-        .collect();
-    result.max_txn_seen = max_txn;
-    result.undo_scan_start = result
-        .losers
-        .keys()
-        .map(|t| begin_lsn.get(t).copied().unwrap_or(Lsn::ZERO))
-        .min();
-    Ok(result)
+        .map(|ckpt| (ckpt.scan_start(), ckpt.next_txn))
+        .chain([(Lsn::ZERO, TxnId(0))]);
+    for (start, next_txn) in origins {
+        let (mut result, complete) = scan(&storage, start, next_txn, &mut decoded)?;
+        if complete {
+            result.records_scanned = decoded;
+            return Ok(result);
+        }
+    }
+    unreachable!("no undo chain points below LSN 0")
 }
 
 /// Build the full recovery plan: analysis, then a second scan producing the
@@ -230,7 +346,7 @@ pub fn analyze(storage: Arc<dyn LogStorage>) -> WalResult<AnalysisResult> {
 pub fn build_recovery_plan(
     storage: Arc<dyn LogStorage>,
 ) -> WalResult<(AnalysisResult, RedoPlan, UndoPlan)> {
-    let analysis = analyze(Arc::clone(&storage))?;
+    let mut analysis = analyze(Arc::clone(&storage))?;
     let redo_start = analysis
         .last_checkpoint
         .as_ref()
@@ -238,9 +354,8 @@ pub fn build_recovery_plan(
         .unwrap_or(Lsn::ZERO);
 
     // Loser updates may predate the checkpoint, so the second pass starts at
-    // the earlier of the redo point and the oldest loser's Begin record —
-    // with no losers it degenerates to redo_start, keeping restart cost
-    // proportional to the since-checkpoint tail rather than total log size.
+    // the earlier of the redo point and the oldest loser's first record —
+    // with no losers it degenerates to redo_start.
     let scan_start = analysis
         .undo_scan_start
         .map_or(redo_start, |l| l.min(redo_start));
@@ -250,6 +365,7 @@ pub fn build_recovery_plan(
     let mut undo_updates = Vec::new();
     let mut already_compensated = 0u64;
     while let Some(rec) = reader.next_record()? {
+        analysis.records_scanned += 1;
         match rec.record {
             LogRecord::Update {
                 txn,
@@ -339,7 +455,7 @@ pub fn build_redo_plan(storage: Arc<dyn LogStorage>) -> WalResult<(AnalysisResul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::LogRecord;
+    use crate::record::{ActiveTxn, LogRecord};
     use crate::storage::InMemoryLogStorage;
     use crate::writer::WalWriter;
 
@@ -353,6 +469,20 @@ mod tests {
 
     fn update(txn: u64, page: u32, val: u8) -> LogRecord {
         update_chained(txn, page, val, Lsn::ZERO)
+    }
+
+    fn ckpt(redo_lsn: Lsn, table: &[(u64, Lsn)], next_txn: u64) -> CheckpointData {
+        CheckpointData {
+            redo_lsn,
+            active_txns: table
+                .iter()
+                .map(|&(txn, first_lsn)| ActiveTxn {
+                    txn: TxnId(txn),
+                    first_lsn,
+                })
+                .collect(),
+            next_txn: TxnId(next_txn),
+        }
     }
 
     fn update_chained(txn: u64, page: u32, val: u8, prev_lsn: Lsn) -> LogRecord {
@@ -421,10 +551,7 @@ mod tests {
         w.append(&LogRecord::Commit { txn: TxnId(1) });
         // Checkpoint whose redo_lsn points past everything so far.
         let ckpt_redo = w.next_lsn();
-        w.append(&LogRecord::Checkpoint(CheckpointData {
-            redo_lsn: ckpt_redo,
-            active_txns: vec![],
-        }));
+        w.append_checkpoint(ckpt(ckpt_redo, &[], 2)).unwrap();
         w.append(&LogRecord::Begin { txn: TxnId(2) });
         w.append(&update(2, 5, 2));
         w.append(&LogRecord::Commit { txn: TxnId(2) });
@@ -432,6 +559,11 @@ mod tests {
 
         let (analysis, plan) = build_redo_plan(storage).unwrap();
         assert!(analysis.last_checkpoint.is_some());
+        // Anchored: the three records below the checkpoint were never read,
+        // the checkpoint was probed and scanned, the tail was read twice.
+        assert_eq!(analysis.scan_start, ckpt_redo);
+        assert_eq!(analysis.records_scanned, 1 + 4 + 4);
+        assert_eq!(analysis.max_txn_seen, TxnId(2));
         assert_eq!(plan.redo_start, ckpt_redo);
         // Only txn 2's update is at/after the redo point.
         assert_eq!(plan.len(), 1);
@@ -442,18 +574,16 @@ mod tests {
     fn later_checkpoint_wins() {
         let storage: Arc<dyn LogStorage> = Arc::new(InMemoryLogStorage::new());
         let w = WalWriter::new(Arc::clone(&storage)).unwrap();
-        w.append(&LogRecord::Checkpoint(CheckpointData {
-            redo_lsn: Lsn(0),
-            active_txns: vec![TxnId(9)],
-        }));
+        w.append_checkpoint(ckpt(Lsn(0), &[], 10)).unwrap();
         let second_redo = w.next_lsn();
-        w.append(&LogRecord::Checkpoint(CheckpointData {
-            redo_lsn: second_redo,
-            active_txns: vec![],
-        }));
+        // The second checkpoint is durable but its anchor write never
+        // happened: the scan anchored at the first still finds it.
+        w.append(&LogRecord::Checkpoint(ckpt(second_redo, &[], 10)));
         w.force_all().unwrap();
         let a = analyze(storage).unwrap();
         assert_eq!(a.last_checkpoint.unwrap().redo_lsn, second_redo);
+        // The fence outlives the transactions that set it.
+        assert_eq!(a.max_txn_seen, TxnId(9));
     }
 
     #[test]
@@ -612,10 +742,7 @@ mod tests {
             undo_next_lsn: Lsn::ZERO,
         });
         let ckpt_redo = w.next_lsn();
-        w.append(&LogRecord::Checkpoint(CheckpointData {
-            redo_lsn: ckpt_redo,
-            active_txns: vec![],
-        }));
+        w.append_checkpoint(ckpt(ckpt_redo, &[], 2)).unwrap();
         w.append(&LogRecord::Begin { txn: TxnId(2) });
         w.append(&update(2, 9, 9));
         w.append(&LogRecord::Commit { txn: TxnId(2) });
@@ -634,14 +761,12 @@ mod tests {
     fn loser_updates_before_checkpoint_are_still_undone() {
         let storage: Arc<dyn LogStorage> = Arc::new(InMemoryLogStorage::new());
         let w = WalWriter::new(Arc::clone(&storage)).unwrap();
-        w.append(&LogRecord::Begin { txn: TxnId(1) });
+        let begin = w.append(&LogRecord::Begin { txn: TxnId(1) });
         let l1 = w.append(&update(1, 1, 1));
         // Checkpoint after the loser's update; redo starts past it.
         let ckpt_redo = w.next_lsn();
-        w.append(&LogRecord::Checkpoint(CheckpointData {
-            redo_lsn: ckpt_redo,
-            active_txns: vec![TxnId(1)],
-        }));
+        w.append_checkpoint(ckpt(ckpt_redo, &[(1, begin)], 2))
+            .unwrap();
         w.append(&LogRecord::Begin { txn: TxnId(2) });
         w.append(&update(2, 9, 9));
         w.append(&LogRecord::Commit { txn: TxnId(2) });

@@ -1,13 +1,16 @@
 //! Durable homes for the log stream.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use face_analysis::classes::WAL_STORAGE;
 use face_analysis::OrderedMutex;
-use face_pagestore::{DeviceHooks, HookOp};
+use face_pagestore::{DeviceHooks, HookOp, Lsn};
+
+use crate::codec::crc32;
 
 /// Errors from the WAL layer.
 #[derive(Debug)]
@@ -70,10 +73,9 @@ pub trait LogStorage: Send + Sync {
     /// of bytes read (0 at end of stream).
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> WalResult<usize>;
 
-    /// Current length of the stream in bytes. Fallible: on file-backed
-    /// storage this is a metadata query of the device, and recovery decides
-    /// where the durable log ends from it — an I/O error here must surface,
-    /// not read as "empty log".
+    /// Current length of the stream in bytes. Fallible: recovery decides
+    /// where the durable log ends from it, so a storage that has to ask its
+    /// device must surface an I/O error, not read it as "empty log".
     fn len(&self) -> WalResult<u64>;
 
     /// Whether the stream is empty (same fallibility as [`LogStorage::len`]).
@@ -87,20 +89,46 @@ pub trait LogStorage: Send + Sync {
     /// Truncate the stream to `len` bytes (used by tests to simulate a torn
     /// tail after a crash).
     fn truncate(&self, len: u64) -> WalResult<()>;
+
+    /// Persist `lsn` as the **restart anchor**: the LSN of a durable
+    /// checkpoint record, kept on the log device but outside the append
+    /// stream so restart finds the checkpoint without reading the log. The
+    /// anchor is durable when this returns. The default is a storage that
+    /// keeps no anchor, which costs restart a scan from LSN 0 and nothing
+    /// else.
+    fn set_restart_anchor(&self, lsn: Lsn) -> WalResult<()> {
+        let _ = lsn;
+        Ok(())
+    }
+
+    /// The persisted restart anchor; `None` when none was ever written or
+    /// the stored one fails its integrity check. The caller still has to
+    /// validate it against the log (see [`crate::recovery::analyze`]).
+    fn restart_anchor(&self) -> WalResult<Option<Lsn>> {
+        Ok(None)
+    }
 }
 
 /// A log kept in memory. Durability is simulated: the contents survive as
 /// long as the process does, which is exactly what the crash-simulation tests
 /// need (they drop volatile state explicitly but keep the "devices").
 pub struct InMemoryLogStorage {
-    data: OrderedMutex<Vec<u8>>,
+    inner: OrderedMutex<MemLog>,
+}
+
+#[derive(Default)]
+struct MemLog {
+    data: Vec<u8>,
+    /// The restart anchor: part of the "device", so it outlives a simulated
+    /// crash like the bytes do.
+    anchor: Option<Lsn>,
 }
 
 impl InMemoryLogStorage {
     /// An empty log.
     pub fn new() -> Self {
         Self {
-            data: OrderedMutex::new(WAL_STORAGE, Vec::new()),
+            inner: OrderedMutex::new(WAL_STORAGE, MemLog::default()),
         }
     }
 }
@@ -113,25 +141,25 @@ impl Default for InMemoryLogStorage {
 
 impl LogStorage for InMemoryLogStorage {
     fn append(&self, data: &[u8]) -> WalResult<u64> {
-        let mut g = self.data.lock();
-        let off = g.len() as u64;
-        g.extend_from_slice(data);
+        let mut g = self.inner.lock();
+        let off = g.data.len() as u64;
+        g.data.extend_from_slice(data);
         Ok(off)
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> WalResult<usize> {
-        let g = self.data.lock();
-        if offset >= g.len() as u64 {
+        let g = self.inner.lock();
+        if offset >= g.data.len() as u64 {
             return Ok(0);
         }
         let start = offset as usize;
-        let n = buf.len().min(g.len() - start);
-        buf[..n].copy_from_slice(&g[start..start + n]);
+        let n = buf.len().min(g.data.len() - start);
+        buf[..n].copy_from_slice(&g.data[start..start + n]);
         Ok(n)
     }
 
     fn len(&self) -> WalResult<u64> {
-        Ok(self.data.lock().len() as u64)
+        Ok(self.inner.lock().data.len() as u64)
     }
 
     fn sync(&self) -> WalResult<()> {
@@ -139,17 +167,36 @@ impl LogStorage for InMemoryLogStorage {
     }
 
     fn truncate(&self, len: u64) -> WalResult<()> {
-        let mut g = self.data.lock();
-        g.truncate(len as usize);
+        self.inner.lock().data.truncate(len as usize);
         Ok(())
+    }
+
+    fn set_restart_anchor(&self, lsn: Lsn) -> WalResult<()> {
+        self.inner.lock().anchor = Some(lsn);
+        Ok(())
+    }
+
+    fn restart_anchor(&self) -> WalResult<Option<Lsn>> {
+        Ok(self.inner.lock().anchor)
     }
 }
 
-/// A log stored in a single append-only file.
+/// A log stored in a single append-only file, with the restart anchor in a
+/// small sidecar file next to it (`<log>.anchor`: the LSN and its CRC-32,
+/// replaced atomically by write-to-temporary, sync, rename, sync directory).
 pub struct FileLogStorage {
     path: PathBuf,
-    file: OrderedMutex<File>,
+    /// Opened in append mode: writes land at the end whatever the cursor
+    /// says, and reads are positional, so the handle needs no lock of its
+    /// own.
+    file: File,
+    /// Length of the file. Appends, truncation and anchor replacement
+    /// serialise on this lock.
+    end: OrderedMutex<u64>,
 }
+
+/// Bytes of the anchor sidecar: `u64` LSN then `u32` CRC of those eight.
+const ANCHOR_FILE_LEN: usize = 12;
 
 impl FileLogStorage {
     /// Open (creating if necessary) the log file at `path`.
@@ -163,9 +210,11 @@ impl FileLogStorage {
             .append(true)
             .create(true)
             .open(&path)?;
+        let end = file.metadata()?.len();
         Ok(Self {
             path,
-            file: OrderedMutex::new(WAL_STORAGE, file),
+            file,
+            end: OrderedMutex::new(WAL_STORAGE, end),
         })
     }
 
@@ -173,53 +222,103 @@ impl FileLogStorage {
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    fn anchor_path(&self, suffix: &str) -> PathBuf {
+        let mut name = self.path.as_os_str().to_owned();
+        name.push(suffix);
+        PathBuf::from(name)
+    }
 }
 
 impl LogStorage for FileLogStorage {
     fn append(&self, data: &[u8]) -> WalResult<u64> {
-        let mut f = self.file.lock();
-        let off = f.metadata()?.len();
-        f.write_all(data)?;
+        let mut end = self.end.lock();
+        let off = *end;
+        if let Err(e) = (&self.file).write_all(data) {
+            // A failed write may have landed in part: take the length from
+            // the device again rather than guess it.
+            if let Ok(meta) = self.file.metadata() {
+                *end = meta.len();
+            }
+            return Err(e.into());
+        }
+        *end += data.len() as u64;
         Ok(off)
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> WalResult<usize> {
-        // Open a read handle separately so reads do not disturb the append
-        // cursor guarded by the mutex.
-        let mut rf = File::open(&self.path)?;
-        let len = rf.metadata()?.len();
-        if offset >= len {
-            return Ok(0);
+        let mut filled = 0;
+        while filled < buf.len() {
+            match self
+                .file
+                .read_at(&mut buf[filled..], offset + filled as u64)
+            {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
         }
-        rf.seek(SeekFrom::Start(offset))?;
-        let want = buf.len().min((len - offset) as usize);
-        rf.read_exact(&mut buf[..want])?;
-        Ok(want)
+        Ok(filled)
     }
 
     fn len(&self) -> WalResult<u64> {
-        // Previously swallowed the metadata error into `0`, which recovery
-        // would have read as "the log is empty" — losing every committed
-        // transaction on a transient device error.
-        Ok(self.file.lock().metadata()?.len())
+        Ok(*self.end.lock())
     }
 
     fn sync(&self) -> WalResult<()> {
-        self.file.lock().sync_data()?;
+        self.file.sync_data()?;
         Ok(())
     }
 
     fn truncate(&self, len: u64) -> WalResult<()> {
-        let f = self.file.lock();
-        f.set_len(len)?;
+        let mut end = self.end.lock();
+        self.file.set_len(len)?;
+        *end = len;
         Ok(())
+    }
+
+    fn set_restart_anchor(&self, lsn: Lsn) -> WalResult<()> {
+        let mut bytes = [0u8; ANCHOR_FILE_LEN];
+        bytes[..8].copy_from_slice(&lsn.0.to_le_bytes());
+        let crc = crc32(&bytes[..8]);
+        bytes[8..].copy_from_slice(&crc.to_le_bytes());
+        let (tmp, anchor) = (self.anchor_path(".anchor.tmp"), self.anchor_path(".anchor"));
+        // One replacement at a time: two checkpoints share the temporary.
+        let _serial = self.end.lock();
+        let mut f = File::create(&tmp)?;
+        f.write_all(&bytes)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, &anchor)?;
+        // The rename is durable once the directory entry is.
+        if let Some(dir) = anchor.parent().filter(|d| !d.as_os_str().is_empty()) {
+            File::open(dir)?.sync_all()?;
+        }
+        Ok(())
+    }
+
+    fn restart_anchor(&self) -> WalResult<Option<Lsn>> {
+        let bytes = match std::fs::read(self.anchor_path(".anchor")) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        if bytes.len() != ANCHOR_FILE_LEN {
+            return Ok(None);
+        }
+        let (mut lsn, mut crc) = ([0u8; 8], [0u8; 4]);
+        lsn.copy_from_slice(&bytes[..8]);
+        crc.copy_from_slice(&bytes[8..]);
+        Ok((crc32(&lsn) == u32::from_le_bytes(crc)).then_some(Lsn(u64::from_le_bytes(lsn))))
     }
 }
 
 /// The instrumented [`LogStorage`] view: `append`, `read_at`, `sync` and
 /// `truncate` go through [`DeviceHooks::admit`] (see its module docs for the
-/// order). A log device's hooks carry a sync time only, so `sync` is the one
-/// call that pauses; `len` is a metadata query and passes straight through.
+/// order), and so do the restart-anchor calls: writing the anchor is a log
+/// write followed by a sync, reading it is a log read. A log device's hooks
+/// carry a sync time only, so `sync` and the anchor write are the calls that
+/// pause; `len` is a metadata query and passes straight through.
 pub struct InstrumentedLogStorage {
     inner: Arc<dyn LogStorage>,
     hooks: DeviceHooks,
@@ -264,6 +363,17 @@ impl LogStorage for InstrumentedLogStorage {
         self.admit("log.truncate", HookOp::Write)?;
         self.inner.truncate(len)
     }
+
+    fn set_restart_anchor(&self, lsn: Lsn) -> WalResult<()> {
+        self.admit("log.set_restart_anchor", HookOp::Write)?;
+        self.admit("log.set_restart_anchor", HookOp::Sync)?;
+        self.inner.set_restart_anchor(lsn)
+    }
+
+    fn restart_anchor(&self) -> WalResult<Option<Lsn>> {
+        self.admit("log.restart_anchor", HookOp::Read)?;
+        self.inner.restart_anchor()
+    }
 }
 
 #[cfg(test)]
@@ -302,6 +412,18 @@ mod tests {
         assert_eq!(storage.len().unwrap(), 6);
         let o3 = storage.append(b"again").unwrap();
         assert_eq!(o3, 6);
+
+        // The restart anchor lives beside the stream, not in it.
+        assert_eq!(storage.restart_anchor().unwrap(), None);
+        storage.set_restart_anchor(Lsn(6)).unwrap();
+        storage.set_restart_anchor(Lsn(3)).unwrap();
+        assert_eq!(storage.restart_anchor().unwrap(), Some(Lsn(3)));
+        assert_eq!(storage.len().unwrap(), 11);
+    }
+
+    fn remove_log(path: &Path) {
+        std::fs::remove_file(path).unwrap();
+        let _ = std::fs::remove_file(path.with_extension("log.anchor"));
     }
 
     #[test]
@@ -326,7 +448,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let s = FileLogStorage::open(&path).unwrap();
         exercise(&s);
-        std::fs::remove_file(&path).unwrap();
+        remove_log(&path);
     }
 
     #[test]
@@ -345,8 +467,37 @@ mod tests {
             s.read_at(0, &mut buf).unwrap();
             assert_eq!(&buf, b"durable");
             assert_eq!(s.path(), path.as_path());
+            // The tracked length continues from the reopened file.
+            assert_eq!(s.append(b"!").unwrap(), 7);
+            assert_eq!(s.len().unwrap(), 8);
         }
-        std::fs::remove_file(&path).unwrap();
+        remove_log(&path);
+    }
+
+    #[test]
+    fn file_anchor_survives_reopen_and_a_torn_one_reads_as_none() {
+        let path = temp_log("anchor");
+        let _ = std::fs::remove_file(&path);
+        let sidecar = path.with_extension("log.anchor");
+        {
+            let s = FileLogStorage::open(&path).unwrap();
+            s.append(b"0123456789").unwrap();
+            s.set_restart_anchor(Lsn(4)).unwrap();
+        }
+        let s = FileLogStorage::open(&path).unwrap();
+        assert_eq!(s.restart_anchor().unwrap(), Some(Lsn(4)));
+        assert!(!path.with_extension("log.anchor.tmp").exists());
+        // A flipped byte fails the CRC; a short file fails the length check.
+        let mut bytes = std::fs::read(&sidecar).unwrap();
+        bytes[0] ^= 1;
+        std::fs::write(&sidecar, &bytes).unwrap();
+        assert_eq!(s.restart_anchor().unwrap(), None);
+        std::fs::write(&sidecar, &bytes[..5]).unwrap();
+        assert_eq!(s.restart_anchor().unwrap(), None);
+        // The next checkpoint replaces it whole.
+        s.set_restart_anchor(Lsn(9)).unwrap();
+        assert_eq!(s.restart_anchor().unwrap(), Some(Lsn(9)));
+        remove_log(&path);
     }
 
     #[test]

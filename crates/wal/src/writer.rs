@@ -6,8 +6,8 @@ use face_analysis::classes::{WAL_APPEND, WAL_FLUSH};
 use face_analysis::OrderedMutex;
 use face_pagestore::Lsn;
 
-use crate::codec::crc32;
-use crate::record::LogRecord;
+use crate::codec::{crc32, ByteWriter};
+use crate::record::{CheckpointData, LogRecord};
 use crate::storage::{LogStorage, WalError, WalResult};
 
 /// Size of the per-record frame header: `u32` payload length + `u32` CRC.
@@ -85,19 +85,26 @@ impl WalWriter {
     /// Append a record to the in-memory log tail; returns its LSN.
     /// The record is *not* durable until a subsequent [`WalWriter::force`].
     pub fn append(&self, record: &LogRecord) -> Lsn {
-        let payload = record.encode();
+        // Encode, checksum and frame before taking the append lock: callers
+        // hold a page latch here, and every other appender queues behind it.
+        let frame = frame(record);
         let mut inner = self.inner.lock();
         let lsn = inner.next_lsn;
-        inner
-            .pending
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        inner
-            .pending
-            .extend_from_slice(&crc32(&payload).to_le_bytes());
-        inner.pending.extend_from_slice(&payload);
-        inner.next_lsn = lsn.advance(FRAME_HEADER_SIZE + payload.len() as u64);
+        inner.pending.extend_from_slice(&frame);
+        inner.next_lsn = lsn.advance(frame.len() as u64);
         inner.stats.records_appended += 1;
         lsn
+    }
+
+    /// Append a checkpoint record, force the log through it, and only then
+    /// persist its LSN as the storage's restart anchor — an anchor never
+    /// names a record that is not durable. Returns the record's LSN. When
+    /// the anchor write fails the checkpoint record itself stands; restart
+    /// falls back to the previous anchor or to a scan from LSN 0.
+    pub fn append_checkpoint(&self, data: CheckpointData) -> WalResult<Lsn> {
+        let lsn = self.append_and_force(&LogRecord::Checkpoint(data))?;
+        self.storage.set_restart_anchor(lsn)?;
+        Ok(lsn)
     }
 
     /// Append a record and immediately force the log through it — the
@@ -231,6 +238,21 @@ impl WalWriter {
     pub fn storage(&self) -> Arc<dyn LogStorage> {
         Arc::clone(&self.storage)
     }
+}
+
+/// `[u32 len][u32 crc][payload]` for `record`.
+fn frame(record: &LogRecord) -> Vec<u8> {
+    // Room for the engine's usual update (two 128-byte images, ~300 bytes
+    // framed) without regrowing; the buffer only lives until it is copied
+    // into the pending tail.
+    let mut w = ByteWriter::with_capacity(512);
+    w.put_u64(0); // the header, filled in below
+    record.encode_into(&mut w);
+    let mut frame = w.into_vec();
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER_SIZE as usize);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    frame
 }
 
 #[cfg(test)]
