@@ -44,7 +44,7 @@ pub const CLASSES: &[LockClassSpec] = &[
         rank: 20,
         nestable: false,
         forbids_io: false,
-        doc: "buffer-pool shard structural mutex (`face_buffer::pool`); cross-shard GSC pulls use `try_lock` only",
+        doc: "buffer-pool shard structural mutex (`face_buffer::pool`): lookups, replacement and the eviction write-back; never held across a lower-tier fetch (a miss loads under its frame's page latch); cross-shard GSC pulls use `try_lock` only",
     },
     LockClassSpec {
         name: "buffer_map",
@@ -58,7 +58,7 @@ pub const CLASSES: &[LockClassSpec] = &[
         rank: 40,
         nestable: true,
         forbids_io: false,
-        doc: "per-frame page latch (`face_buffer::pool`); the GSC donor probe latches candidate frames while the evicted victim's latch is held, with the donor shard pinned by `try_lock`",
+        doc: "per-frame page latch (`face_buffer::pool`); held exclusively across a miss's lower-tier fetch; the GSC donor probe latches candidate frames while the evicted victim's latch is held, with the donor shard pinned by `try_lock`",
     },
     LockClassSpec {
         name: "cache_shard",

@@ -14,28 +14,41 @@
 //! map lookup, a shared page latch and an atomic reference-bit touch — no
 //! exclusive lock anywhere. Replacement switches from strict LRU to a
 //! second-chance sweep over those reference bits (a clock approximation of
-//! LRU, as in the paper's host system). Without the flag every access takes
+//! LRU, as in the paper's host system). Without the flag every lookup takes
 //! the structural mutex and maintains exact LRU order, which several tests
 //! pin down.
 //!
+//! The structural mutex covers lookups, replacement and the eviction
+//! write-back; it is **never held across a lower-tier fetch** and never
+//! while waiting for a page latch on the access paths. A miss makes room,
+//! maps a placeholder frame whose latch it already holds exclusively,
+//! releases the mutex, and only then fetches into the latched page; the
+//! caller's closure runs under that same latch hold. Everyone else who wants
+//! the page finds the placeholder and queues on its latch — one fetch per
+//! page, and other pages of the shard are not delayed by it.
+//!
 //! Frames live in `Arc`ed cells, so an eviction (or a destage completing
-//! mid-read) can never free a frame a reader still holds; the evictor flips
-//! the cell's `evicted` flag under the page latch and optimistic readers
-//! revalidate it after acquiring theirs, retrying the lookup if they lost
-//! the race ([`BufferStats::read_retries`]).
+//! mid-read) can never free a frame a reader still holds. Whoever takes a
+//! frame out of the pool flips its `evicted` flag under the exclusive page
+//! latch — the evictor and the GSC pull after unmapping it, a loader whose
+//! fetch failed before unmapping it — and every access revalidates the flag
+//! after acquiring its latch, retrying the lookup if it lost the race
+//! ([`BufferStats::read_retries`]).
 //!
 //! Lock order within the pool: structural mutex → mapping lock → page latch.
 //! A thread holds at most one shard's structural mutex (the GSC victim pull
-//! only ever `try_lock`s others), and may call into the lower tier (which
-//! takes its own internal locks) while holding it. The lower tier never
-//! calls back into the pool, so `shard → tier-internals` stays acyclic.
+//! only ever `try_lock`s others). It calls into the lower tier holding a page
+//! latch (fetch: the loading frame's) or the structural mutex and a page
+//! latch (write-back: the victim's). The lower tier never calls back into
+//! the pool except through that pull, so `shard → tier-internals` stays
+//! acyclic.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use face_analysis::classes::{BUFFER_MAP, BUFFER_STRUCTURAL, PAGE_LATCH};
-use face_analysis::{witness, OrderedMutex, OrderedRwLock};
+use face_analysis::{witness, OrderedMutex, OrderedMutexGuard, OrderedRwLock};
 use face_pagestore::{Counter, Lsn, Page, PageId};
 
 use crate::flags::{AtomicFrameFlags, FrameFlags};
@@ -69,8 +82,10 @@ pub struct BufferStats {
     pub dirty_evictions: u64,
     /// Pages flushed by checkpoints.
     pub checkpoint_writes: u64,
-    /// Lock-light read hits that caught their frame mid-eviction and
-    /// retried the lookup (the optimistic path's revalidation firing).
+    /// Accesses that latched a frame only to find it had left the pool
+    /// meanwhile (evicted, pulled by GSC, or its load failed) and retried the
+    /// lookup. Lookups hold no lock across the latch wait, so every hit
+    /// revalidates.
     pub read_retries: u64,
     /// Eviction candidates spared by the second-chance sweep because their
     /// reference bit was set (lock-light mode only).
@@ -322,33 +337,41 @@ impl<L: LowerTier> BufferPool<L> {
     /// Read access to a page: fetches it from the lower tier on a miss and
     /// passes a shared reference to `f`.
     ///
-    /// In lock-light mode a hit holds only the shared mapping lock (briefly)
-    /// and the shared page latch for the duration of `f`; otherwise the
-    /// shard's structural mutex is held throughout, as the classic pool did.
+    /// `f` runs under the page latch only. In lock-light mode a hit takes no
+    /// exclusive lock at all (shared mapping lock, shared latch, reference
+    /// bit); otherwise the lookup goes through the shard's structural mutex,
+    /// which is released before the latch is taken.
     pub fn read<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> TierResult<R> {
         self.stats.accesses.inc();
         let sidx = self.shard_index(id);
-        if self.lock_light {
-            loop {
-                let cell = self.shards[sidx].map.read().get(&id).cloned();
-                let Some(cell) = cell else { break };
-                let page = cell.page.read();
-                if cell.evicted.load(Ordering::Acquire) {
-                    // The frame left the pool between our lookup and our
-                    // latch; the map already reflects it — retry.
-                    self.stats.read_retries.inc();
-                    drop(page);
-                    continue;
+        let shard = &self.shards[sidx];
+        // After a lost race the lookup repeats under the structural mutex,
+        // which is where a dead frame still in the map gets unlinked.
+        let mut optimistic = self.lock_light;
+        loop {
+            let mapped = optimistic
+                .then(|| shard.map.read().get(&id).cloned())
+                .flatten();
+            let cell = match mapped {
+                Some(cell) => cell,
+                None => {
+                    let mut core = shard.core.lock();
+                    match self.lookup(shard, &mut core, id) {
+                        Some(cell) => cell,
+                        None => return self.load(sidx, core, id, |_, page| f(page)),
+                    }
                 }
-                cell.referenced.store(true, Ordering::Relaxed);
-                self.stats.hits.inc();
-                return Ok(f(&page));
+            };
+            let page = cell.page.read();
+            if cell.evicted.load(Ordering::Acquire) {
+                // The frame left the pool between our lookup and our latch.
+                self.stats.read_retries.inc();
+                optimistic = false;
+                continue;
             }
+            self.note_hit(&cell);
+            return Ok(f(&page));
         }
-        let mut core = self.shards[sidx].core.lock();
-        let cell = self.resident_cell(sidx, &mut core, id)?;
-        let page = cell.page.read();
-        Ok(f(&page))
     }
 
     /// Update a page: fetches on miss, applies `f`, stamps `lsn` into the
@@ -371,18 +394,37 @@ impl<L: LowerTier> BufferPool<L> {
     /// closure. This is the concurrent engine's write path: appending the
     /// WAL record and applying the change inside one critical section keeps
     /// the log order consistent with the page's update order, which redo
-    /// correctness requires once multiple threads write. Updates always take
-    /// the structural mutex (they may need to evict), so an update can never
-    /// race an eviction of its own frame.
+    /// correctness requires once multiple threads write.
+    ///
+    /// The frame is flagged dirty under the latch *before* `f` runs, so a
+    /// checkpoint that starts after `f` logged its record finds the flag
+    /// (it latches every flagged frame, which waits `f` out).
     pub fn update_with<R>(&self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> TierResult<R> {
         self.stats.accesses.inc();
         let sidx = self.shard_index(id);
-        let mut core = self.shards[sidx].core.lock();
-        let cell = self.resident_cell(sidx, &mut core, id)?;
-        let mut page = cell.page.write();
-        let r = f(&mut page);
-        cell.flags.mark_updated();
-        Ok(r)
+        let shard = &self.shards[sidx];
+        loop {
+            let cell = {
+                let mut core = shard.core.lock();
+                match self.lookup(shard, &mut core, id) {
+                    Some(cell) => cell,
+                    None => {
+                        return self.load(sidx, core, id, |cell, page| {
+                            cell.flags.mark_updated();
+                            f(page)
+                        })
+                    }
+                }
+            };
+            let mut page = cell.page.write();
+            if cell.evicted.load(Ordering::Acquire) {
+                self.stats.read_retries.inc();
+                continue;
+            }
+            self.note_hit(&cell);
+            cell.flags.mark_updated();
+            return Ok(f(&mut page));
+        }
     }
 
     /// Allocate a new page on the backing store and install it resident and
@@ -457,8 +499,12 @@ impl<L: LowerTier> BufferPool<L> {
                     .take(VICTIM_PROBE_DEPTH)
                     .copied()
                     .find(|id| {
+                        // `try_read`: a frame that is loading or being
+                        // updated is not cold, and waiting for it here would
+                        // be waiting under the caller's cache shard lock.
                         map.get(id).is_some_and(|c| {
-                            c.flags.load().dirty && filter(*id, c.page.read().lsn())
+                            c.flags.load().dirty
+                                && c.page.try_read().is_some_and(|p| filter(*id, p.lsn()))
                         })
                     })
             };
@@ -487,9 +533,12 @@ impl<L: LowerTier> BufferPool<L> {
     /// Returns the number of pages written.
     ///
     /// Shards are flushed one at a time (their structural mutex held, so no
-    /// frame evicts mid-flush; lock-light read hits keep flowing); updates
-    /// racing ahead of the checkpoint simply leave their pages dirty for the
-    /// next one (a fuzzy checkpoint, as in the paper's host system).
+    /// frame evicts or loads mid-flush; hits on other frames keep flowing);
+    /// updates racing ahead of the checkpoint simply leave their pages dirty
+    /// for the next one (a fuzzy checkpoint, as in the paper's host system).
+    /// An update that logged its record before the checkpoint began has
+    /// flagged its frame already ([`BufferPool::update_with`]), so it is
+    /// collected here and the latch below waits for it to finish.
     pub fn flush_all_dirty(&self) -> TierResult<usize> {
         let mut written = 0;
         for shard in &self.shards {
@@ -502,9 +551,9 @@ impl<L: LowerTier> BufferPool<L> {
                 .map(Arc::clone)
                 .collect();
             for cell in dirty {
-                // The shared latch keeps the body stable; updaters are held
-                // off by the structural mutex, so the flag transition below
-                // cannot swallow a concurrent mark_updated.
+                // The shared latch keeps the body stable and holds updaters
+                // off (they flag the frame under the exclusive latch), so the
+                // flag transition below cannot swallow a mark_updated.
                 let page = cell.page.read();
                 let flags = cell.flags.load();
                 let outcome = self.lower.write_back(
@@ -560,46 +609,100 @@ impl<L: LowerTier> BufferPool<L> {
             .collect()
     }
 
-    /// The frame cell for `id`, fetched from the lower tier on a miss. Runs
-    /// under the shard's structural mutex.
-    fn resident_cell(
+    /// The frame mapped for `id`, looked up under the shard's structural
+    /// mutex (exact-LRU mode records the touch here). The caller releases
+    /// the mutex, latches the frame and checks `evicted` before using it: the
+    /// frame may be evicted, or still loading and then fail, in between.
+    fn lookup(&self, shard: &Shard, core: &mut ShardCore, id: PageId) -> Option<Arc<FrameCell>> {
+        let cell = shard.map.read().get(&id).cloned()?;
+        if cell.evicted.load(Ordering::Acquire) {
+            // Evictions unmap a frame before they mark it, so a marked frame
+            // still mapped is a failed load its loader has not unlinked yet.
+            self.unlink(shard, core, id, &cell);
+            return None;
+        }
+        if !self.lock_light {
+            core.lru.touch(&id);
+        }
+        Some(cell)
+    }
+
+    /// Count a hit on a latched, validated frame.
+    fn note_hit(&self, cell: &FrameCell) {
+        self.stats.hits.inc();
+        if self.lock_light {
+            cell.referenced.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// The miss path. Under the structural mutex: make room, then map a
+    /// placeholder frame with its latch already held exclusively, so nobody
+    /// can see the frame's bytes before they are loaded. The mutex is then
+    /// released; the lower-tier fetch — device time — runs under the page
+    /// latch alone, and `run` (the caller's closure) runs under that same
+    /// latch hold. Accesses to this page queue on the latch meanwhile, other
+    /// pages of the shard proceed.
+    ///
+    /// If the fetch fails the frame is marked `evicted` before the latch is
+    /// released, which sends every queued access back to the lookup, and then
+    /// unlinked.
+    fn load<R>(
         &self,
         sidx: usize,
-        core: &mut ShardCore,
+        mut core: OrderedMutexGuard<'_, ShardCore>,
         id: PageId,
-    ) -> TierResult<Arc<FrameCell>> {
+        run: impl FnOnce(&FrameCell, &mut Page) -> R,
+    ) -> TierResult<R> {
         let shard = &self.shards[sidx];
-        if let Some(cell) = shard.map.read().get(&id).cloned() {
-            self.stats.hits.inc();
-            if self.lock_light {
-                cell.referenced.store(true, Ordering::Relaxed);
-            } else {
-                core.lru.touch(&id);
-            }
-            return Ok(cell);
-        }
         self.stats.misses.inc();
-        self.make_room(sidx, core)?;
-        let mut page = Page::zeroed();
-        let outcome = self.lower.fetch(id, &mut page)?;
-        match outcome.source {
-            FetchSource::FlashCache => self.stats.flash_hits.inc(),
-            FetchSource::Disk => self.stats.disk_fetches.inc(),
-        }
-        let flags = match outcome.source {
-            FetchSource::FlashCache => FrameFlags::fetched_from_flash(outcome.dirty),
-            FetchSource::Disk => FrameFlags::fetched_from_disk(),
+        self.make_room(sidx, &mut core)?;
+        let cell = Arc::new(FrameCell::new(Page::zeroed(), FrameFlags::default()));
+        let mut page = {
+            let mut map = shard.map.write();
+            map.insert(id, Arc::clone(&cell));
+            cell.page.write()
         };
+        core.lru.insert_mru(id);
+        self.resident.inc();
+        drop(core);
+        let outcome = match self.lower.fetch(id, &mut page) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                cell.evicted.store(true, Ordering::Release);
+                drop(page);
+                self.unlink(shard, &mut shard.core.lock(), id, &cell);
+                return Err(e);
+            }
+        };
+        cell.flags.store(match outcome.source {
+            FetchSource::FlashCache => {
+                self.stats.flash_hits.inc();
+                FrameFlags::fetched_from_flash(outcome.dirty)
+            }
+            FetchSource::Disk => {
+                self.stats.disk_fetches.inc();
+                FrameFlags::fetched_from_disk()
+            }
+        });
         // A page fetched from storage may be unformatted (never written);
         // give it a proper header so later updates are well-formed.
         if !page.is_formatted() {
             page.set_id(id);
         }
-        let cell = Arc::new(FrameCell::new(page, flags));
-        shard.map.write().insert(id, Arc::clone(&cell));
-        core.lru.insert_mru(id);
-        self.resident.inc();
-        Ok(cell)
+        Ok(run(&cell, &mut page))
+    }
+
+    /// Take `cell` out of the map, the LRU list and the resident count — if
+    /// it is still the frame mapped for `id`. An evictor may have unmapped it
+    /// already, and a later miss may have mapped a new frame under the same
+    /// id; neither may be disturbed.
+    fn unlink(&self, shard: &Shard, core: &mut ShardCore, id: PageId, cell: &Arc<FrameCell>) {
+        let mut map = shard.map.write();
+        if map.get(&id).is_some_and(|mapped| Arc::ptr_eq(mapped, cell)) {
+            map.remove(&id);
+            core.lru.remove(&id);
+            self.resident.sub(1);
+        }
     }
 
     fn make_room(&self, sidx: usize, core: &mut ShardCore) -> TierResult<()> {
@@ -640,11 +743,16 @@ impl<L: LowerTier> BufferPool<L> {
             .write()
             .remove(&victim)
             .expect("lru and map in sync");
-        // The exclusive latch waits out in-flight readers; `evicted` then
-        // turns away optimistic readers that already hold the cell.
+        // The exclusive latch waits out in-flight accesses — a frame still
+        // loading included, so what is written back below is what its fetch
+        // brought in. `evicted` then turns away everyone who already holds
+        // the cell.
         let page = cell.page.write();
-        cell.evicted.store(true, Ordering::Release);
         self.resident.sub(1);
+        if cell.evicted.swap(true, Ordering::AcqRel) {
+            // Its load failed while we waited: there is nothing to write.
+            return Ok(Some(victim));
+        }
         let flags = cell.flags.load();
         self.stats.evictions.inc();
         if flags.needs_writeback() {
@@ -1092,6 +1200,283 @@ mod tests {
             assert!(buf.is_formatted(), "pulled dirty page lost");
         }
         assert!(pool.len() <= pool.capacity());
+    }
+
+    /// The miss protocol: the fetch runs under the loading frame's latch, not
+    /// under the shard's structural mutex. Every pool here has one shard, so
+    /// "another page" is always a page of the same shard.
+    mod loading {
+        use super::*;
+        use crate::tier::{FetchOutcome, LowerTier, TierError, WriteBackOutcome};
+        use std::collections::HashMap;
+        use std::sync::{mpsc, Condvar, Mutex as StdMutex};
+        use std::time::Duration;
+
+        #[derive(Default)]
+        struct GateState {
+            /// Fetches of this page park until released.
+            held: Option<PageId>,
+            /// A fetch is parked on `held`.
+            parked: bool,
+            /// The parked (or, with nothing held, the next) fetch fails.
+            fail: bool,
+            fetches: HashMap<PageId, u32>,
+        }
+
+        /// A disk tier whose fetch of one chosen page can be parked
+        /// mid-flight and made to fail.
+        struct GatedTier {
+            inner: DirectDiskTier,
+            state: StdMutex<GateState>,
+            cv: Condvar,
+        }
+
+        impl GatedTier {
+            fn hold(&self, id: PageId) {
+                self.state.lock().unwrap().held = Some(id);
+            }
+
+            fn fail_next(&self) {
+                self.state.lock().unwrap().fail = true;
+            }
+
+            /// Block until a fetch is parked on the held page.
+            fn wait_parked(&self) {
+                let state = self.state.lock().unwrap();
+                drop(self.cv.wait_while(state, |s| !s.parked).unwrap());
+            }
+
+            fn release(&self) {
+                self.state.lock().unwrap().held = None;
+                self.cv.notify_all();
+            }
+
+            fn fetches(&self, id: PageId) -> u32 {
+                self.state
+                    .lock()
+                    .unwrap()
+                    .fetches
+                    .get(&id)
+                    .copied()
+                    .unwrap_or(0)
+            }
+        }
+
+        impl LowerTier for GatedTier {
+            fn fetch(&self, id: PageId, buf: &mut Page) -> TierResult<FetchOutcome> {
+                let mut state = self.state.lock().unwrap();
+                *state.fetches.entry(id).or_default() += 1;
+                if state.held == Some(id) {
+                    state.parked = true;
+                    self.cv.notify_all();
+                    state = self.cv.wait_while(state, |s| s.held == Some(id)).unwrap();
+                    state.parked = false;
+                }
+                if std::mem::take(&mut state.fail) {
+                    // What a failing device may leave behind in the buffer.
+                    buf.as_bytes_mut().fill(0xEE);
+                    return Err(TierError::Cache("injected fetch failure".into()));
+                }
+                drop(state);
+                self.inner.fetch(id, buf)
+            }
+            fn write_back(
+                &self,
+                page: &Page,
+                dirty: bool,
+                fdirty: bool,
+                reason: WriteBackReason,
+            ) -> TierResult<WriteBackOutcome> {
+                self.inner.write_back(page, dirty, fdirty, reason)
+            }
+            fn allocate(&self, file: u32) -> TierResult<PageId> {
+                self.inner.allocate(file)
+            }
+            fn sync(&self) -> TierResult<()> {
+                self.inner.sync()
+            }
+        }
+
+        /// A one-shard pool of `capacity` frames over `pages` pages that all
+        /// exist on disk, page `i` holding the byte `i`; the last `capacity`
+        /// of them are resident.
+        fn gated_pool(
+            capacity: usize,
+            pages: usize,
+            lock_light: bool,
+        ) -> (BufferPool<GatedTier>, Arc<InMemoryPageStore>, Vec<PageId>) {
+            let store = Arc::new(InMemoryPageStore::new());
+            let tier = GatedTier {
+                inner: DirectDiskTier::new(store.clone() as Arc<dyn PageStore>),
+                state: StdMutex::default(),
+                cv: Condvar::new(),
+            };
+            let pool = BufferPool::with_shards(capacity, 1, tier).lock_light_reads(lock_light);
+            let ids: Vec<PageId> = (0..pages)
+                .map(|i| {
+                    let id = pool.allocate_page(0).unwrap();
+                    pool.update(id, Lsn(i as u64 + 1), |p| p.write_body(0, &[i as u8]))
+                        .unwrap();
+                    id
+                })
+                .collect();
+            pool.flush_all_dirty().unwrap();
+            (pool, store, ids)
+        }
+
+        fn first_byte(pool: &BufferPool<GatedTier>, id: PageId) -> TierResult<u8> {
+            pool.read(id, |p| p.read_body(0, 1)[0])
+        }
+
+        /// Run `work` on a thread of its own and wait for it, but not for
+        /// ever: a pool that holds the shard across the parked fetch would
+        /// hang the test instead of failing it.
+        fn finishes<'s, T: Send + 's>(
+            scope: &'s std::thread::Scope<'s, '_>,
+            work: impl FnOnce() -> T + Send + 's,
+        ) -> Option<T> {
+            let (tx, rx) = mpsc::channel();
+            scope.spawn(move || tx.send(work()));
+            rx.recv_timeout(Duration::from_secs(20)).ok()
+        }
+
+        #[test]
+        fn parked_fetch_blocks_neither_a_hit_nor_a_miss_on_another_page() {
+            for lock_light in [false, true] {
+                let (pool, _, ids) = gated_pool(4, 8, lock_light);
+                let (pool, tier) = (&pool, pool.lower());
+                tier.hold(ids[0]);
+                std::thread::scope(|s| {
+                    let loader = s.spawn(|| first_byte(pool, ids[0]));
+                    tier.wait_parked();
+                    // ids[7] is resident, ids[1] is not; ids[2] takes an
+                    // update through the miss path.
+                    let others = finishes(s, || {
+                        (
+                            first_byte(pool, ids[7]).unwrap(),
+                            first_byte(pool, ids[1]).unwrap(),
+                            pool.update(ids[2], Lsn(100), |p| p.read_body(0, 1)[0])
+                                .unwrap(),
+                        )
+                    });
+                    tier.release();
+                    assert_eq!(
+                        others.expect("accesses to other pages waited for the parked fetch"),
+                        (7, 1, 2)
+                    );
+                    assert_eq!(loader.join().unwrap().unwrap(), 0);
+                });
+                assert_eq!(tier.fetches(ids[0]), 1);
+                assert!(pool.len() <= pool.capacity());
+                assert_eq!(pool.len(), pool.resident_by_shard()[0]);
+            }
+        }
+
+        #[test]
+        fn two_misses_on_one_page_share_one_fetch() {
+            let (pool, _, ids) = gated_pool(4, 8, false);
+            let (pool, tier) = (&pool, pool.lower());
+            pool.reset_stats();
+            tier.hold(ids[0]);
+            std::thread::scope(|s| {
+                let loader = s.spawn(|| first_byte(pool, ids[0]));
+                tier.wait_parked();
+                let second = s.spawn(|| {
+                    pool.update(ids[0], Lsn(100), |p| {
+                        let seen = p.read_body(0, 1)[0];
+                        p.write_body(1, b"x");
+                        seen
+                    })
+                });
+                // Let the second access get in behind the first (it counts
+                // itself on entry); whether it has reached the latch yet or
+                // not, the outcome below is the same.
+                while pool.stats().accesses < 2 {
+                    std::thread::yield_now();
+                }
+                tier.release();
+                assert_eq!(loader.join().unwrap().unwrap(), 0);
+                assert_eq!(second.join().unwrap().unwrap(), 0, "saw the loaded page");
+            });
+            assert_eq!(tier.fetches(ids[0]), 1);
+            let stats = pool.stats();
+            assert_eq!((stats.misses, stats.hits), (1, 1));
+            assert!(pool.flags(ids[0]).unwrap().dirty);
+        }
+
+        #[test]
+        fn failed_fetch_leaves_no_trace_of_the_placeholder() {
+            let (pool, _, ids) = gated_pool(4, 8, false);
+            let tier = pool.lower();
+            tier.fail_next();
+            assert!(first_byte(&pool, ids[0]).is_err());
+            assert!(!pool.contains(ids[0]));
+            // Room was made before the fetch, as it always was; the frame
+            // that was to hold the page is gone from map, LRU and count.
+            assert_eq!(pool.resident_lru_order(), [ids[5], ids[6], ids[7]]);
+            assert_eq!(pool.resident_by_shard(), [3]);
+            assert_eq!(pool.len(), 3);
+            // The page itself is fine: the next access loads it.
+            assert_eq!(first_byte(&pool, ids[0]).unwrap(), 0);
+            assert_eq!(pool.len(), 4);
+        }
+
+        #[test]
+        fn access_queued_on_a_failing_load_retries_and_never_sees_the_placeholder() {
+            let (pool, _, ids) = gated_pool(4, 8, false);
+            let (pool, tier) = (&pool, pool.lower());
+            pool.reset_stats();
+            tier.hold(ids[0]);
+            std::thread::scope(|s| {
+                let loader = s.spawn(|| first_byte(pool, ids[0]));
+                tier.wait_parked();
+                tier.fail_next();
+                let second = s.spawn(|| first_byte(pool, ids[0]));
+                while pool.stats().accesses < 2 {
+                    std::thread::yield_now();
+                }
+                tier.release();
+                assert!(loader.join().unwrap().is_err());
+                // Queued on the latch or arriving after the unlink: either
+                // way the second access fetches for itself.
+                assert_eq!(second.join().unwrap().unwrap(), 0);
+            });
+            assert_eq!(tier.fetches(ids[0]), 2);
+            assert_eq!(pool.len(), pool.resident_by_shard()[0]);
+            assert_eq!(pool.resident_lru_order().last(), Some(&ids[0]));
+        }
+
+        #[test]
+        fn evictor_waits_for_a_loading_frame_and_writes_back_what_it_loaded() {
+            let (pool, store, ids) = gated_pool(1, 3, false);
+            let (pool, tier) = (&pool, pool.lower());
+            tier.hold(ids[0]);
+            std::thread::scope(|s| {
+                // The update's miss takes the only frame and parks loading it.
+                let updater = s.spawn(|| {
+                    pool.update(ids[0], Lsn(50), |p| {
+                        assert_eq!(p.read_body(0, 1), [0], "loaded before the closure");
+                        p.write_body(0, b"U");
+                    })
+                });
+                tier.wait_parked();
+                // A miss on another page must evict that loading frame. It
+                // unmaps the frame first, then waits on its latch.
+                let other = s.spawn(|| first_byte(pool, ids[1]));
+                while pool.contains(ids[0]) {
+                    std::thread::yield_now();
+                }
+                tier.release();
+                updater.join().unwrap().unwrap();
+                assert_eq!(other.join().unwrap().unwrap(), 1);
+            });
+            let mut out = Page::zeroed();
+            store.read_page(ids[0], &mut out).unwrap();
+            assert_eq!(out.read_body(0, 1), b"U", "the loaded, updated bytes");
+            assert_eq!(out.lsn(), Lsn(50));
+            assert_eq!(pool.resident_lru_order(), [ids[1]]);
+            assert_eq!(pool.len(), 1);
+        }
     }
 
     #[test]

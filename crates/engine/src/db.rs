@@ -25,12 +25,13 @@
 //!   ([`face_wal::WalWriter`]);
 //! * counters are atomics.
 //!
-//! Lock order (outer to inner): txn stripe → buffer-pool shard →
-//! tier internals (cache shard, I/O log, stores) → WAL. A thread never holds
+//! Lock order (outer to inner): txn stripe → buffer-pool shard → page latch
+//! → tier internals (cache shard, I/O log, stores) → WAL. A thread never holds
 //! two locks of the same layer, so the order is acyclic.
 //!
 //! The engine page-latches writes (the WAL record is appended while the
-//! page's shard lock is held, so log order matches apply order per page) but
+//! page's latch is held exclusively, so log order matches apply order per
+//! page) but
 //! provides **no key-level write locking**: two transactions racing a
 //! read-modify-write of the *same key* can lose one update, exactly like the
 //! paper's host system without row locks. Drivers partition keys across
@@ -142,24 +143,35 @@ struct TxnStripe {
     active: HashMap<u64, TxnEntry>,
     /// Transactions with an operation currently in flight. One writer per
     /// transaction is an enforced contract, not a convention: the chain-head
-    /// read, the WAL append under the page latch and the new-head store are
-    /// three separate critical sections, and a second thread interleaving
-    /// them on the same id would silently break the `prev_lsn` chain that
-    /// rollback and restart undo walk.
+    /// read (at claim), the WAL append under the page latch and the new-head
+    /// store (at release) are three separate critical sections, and a second
+    /// thread interleaving them on the same id would silently break the
+    /// `prev_lsn` chain that rollback and restart undo walk.
     busy: HashSet<u64>,
 }
 
 /// Exclusive claim on one transaction for the duration of one operation
-/// (`put` / `delete` / `commit` / `abort`). Dropping the claim releases the
-/// transaction for the next operation; see [`Database::claim_txn`].
+/// (`put` / `delete` / `commit` / `abort`). The claim carries the
+/// transaction's chain head out of the table; dropping it stores the head
+/// back (an update sets it to its record's LSN first) and releases the
+/// transaction for the next operation — one stripe acquisition each way. See
+/// [`Database::claim_txn`].
 struct TxnClaim<'a> {
     db: &'a Database,
     txn: TxnId,
+    /// Head of the transaction's backward update chain ([`Lsn::ZERO`] before
+    /// its first update). Nobody else can move it while the claim is held.
+    head: Lsn,
 }
 
 impl Drop for TxnClaim<'_> {
     fn drop(&mut self) {
-        self.db.stripe(self.txn).lock().busy.remove(&self.txn.0);
+        let mut stripe = self.db.stripe(self.txn).lock();
+        stripe.busy.remove(&self.txn.0);
+        // Absent once `commit` or a finished `abort` has removed the row.
+        if let Some(entry) = stripe.active.get_mut(&self.txn.0) {
+            entry.last_lsn = self.head;
+        }
     }
 }
 
@@ -421,13 +433,18 @@ impl Database {
     /// the `busy` marker the returned guard holds until dropped.
     fn claim_txn(&self, txn: TxnId) -> EngineResult<TxnClaim<'_>> {
         let mut stripe = self.stripe(txn).lock();
-        if stripe.active.get(&txn.0).is_none_or(|t| t.rolling_back) {
-            return Err(EngineError::UnknownTransaction(txn.0));
-        }
+        let head = match stripe.active.get(&txn.0) {
+            Some(entry) if !entry.rolling_back => entry.last_lsn,
+            _ => return Err(EngineError::UnknownTransaction(txn.0)),
+        };
         if !stripe.busy.insert(txn.0) {
             return Err(EngineError::TransactionBusy(txn.0));
         }
-        Ok(TxnClaim { db: self, txn })
+        Ok(TxnClaim {
+            db: self,
+            txn,
+            head,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -477,19 +494,19 @@ impl Database {
     /// work is never repeated and never lost.
     pub fn abort(&self, txn: TxnId) -> EngineResult<()> {
         self.check_not_crashed()?;
-        let _claim = self.claim_txn(txn)?;
+        let claim = self.claim_txn(txn)?;
         // Force the Abort record: the chain walk below reads the
         // transaction's update records back from log storage, and the
         // unforced tail lives only in the writer's RAM buffer.
         self.wal.append_and_force(&LogRecord::Abort { txn })?;
-        let head = {
-            let mut stripe = self.stripe(txn).lock();
-            let entry = stripe.active.get_mut(&txn.0).expect("claimed above");
-            entry.rolling_back = true;
-            entry.last_lsn
-        };
+        self.stripe(txn)
+            .lock()
+            .active
+            .get_mut(&txn.0)
+            .expect("claimed above")
+            .rolling_back = true;
         self.stats.txns_aborted.inc();
-        self.rollback_chain(txn, head)?;
+        self.rollback_chain(txn, claim.head)?;
         // Make the rollback durable so a crash cannot resurrect the aborted
         // updates from persisted pages without their compensations.
         self.wal.force_all()?;
@@ -579,7 +596,7 @@ impl Database {
     /// Insert or update `key` with `value` under transaction `txn`.
     pub fn put(&self, txn: TxnId, key: u64, value: &[u8]) -> EngineResult<()> {
         self.check_not_crashed()?;
-        let claim = self.claim_txn(txn)?;
+        let mut claim = self.claim_txn(txn)?;
         if value.len() > VALUE_CAPACITY {
             return Err(EngineError::ValueTooLarge {
                 len: value.len(),
@@ -587,7 +604,7 @@ impl Database {
             });
         }
         let page_id = self.bucket_of(key);
-        let prev_lsn = self.chain_head(txn);
+        let prev_lsn = claim.head;
         // Apply the change and append its log record under the page latch:
         // with concurrent writers, redo correctness needs the log order of a
         // page's records to match the order the page absorbed them.
@@ -611,29 +628,10 @@ impl Database {
             }
             Ok(lsn)
         })?;
-        let lsn = write?;
-        self.set_chain_head(txn, lsn);
+        claim.head = write?;
         drop(claim);
         self.stats.puts.inc();
         Ok(())
-    }
-
-    /// Head of `txn`'s backward update chain ([`Lsn::ZERO`] before its first
-    /// update). Callers hold the transaction's [`TxnClaim`], so the head
-    /// cannot move between this read and the caller's new-head store.
-    fn chain_head(&self, txn: TxnId) -> Lsn {
-        self.stripe(txn)
-            .lock()
-            .active
-            .get(&txn.0)
-            .map_or(Lsn::ZERO, |t| t.last_lsn)
-    }
-
-    /// Store `txn`'s new chain head after an update was logged at `lsn`.
-    fn set_chain_head(&self, txn: TxnId, lsn: Lsn) {
-        if let Some(entry) = self.stripe(txn).lock().active.get_mut(&txn.0) {
-            entry.last_lsn = lsn;
-        }
     }
 
     /// Read the value stored under `key`.
@@ -648,9 +646,9 @@ impl Database {
     /// Delete `key` under transaction `txn`. Returns whether the key existed.
     pub fn delete(&self, txn: TxnId, key: u64) -> EngineResult<bool> {
         self.check_not_crashed()?;
-        let claim = self.claim_txn(txn)?;
+        let mut claim = self.claim_txn(txn)?;
         let page_id = self.bucket_of(key);
-        let prev_lsn = self.chain_head(txn);
+        let prev_lsn = claim.head;
         let write = self.pool.update_with(page_id, |p| {
             let (write, undo) = table::delete_with_undo(p, key)?;
             let lsn = self.wal.append(&LogRecord::Update {
@@ -669,7 +667,7 @@ impl Database {
         let Some(lsn) = write else {
             return Ok(false);
         };
-        self.set_chain_head(txn, lsn);
+        claim.head = lsn;
         drop(claim);
         self.stats.deletes.inc();
         Ok(true)

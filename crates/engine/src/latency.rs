@@ -139,6 +139,10 @@ mod tests {
         ("flash.read_slot", |v| {
             assert!(v.flash.read_slot(5).unwrap().is_none());
         }),
+        ("flash.read_batch", |v| {
+            let pages = v.flash.read_batch(&[5, 6, 7]).unwrap();
+            assert_eq!(pages.len(), 3);
+        }),
         ("flash.clear", |v| v.flash.clear()),
         ("log.append", |v| {
             let at = v.log.len().unwrap();

@@ -54,26 +54,26 @@ fn encode_slot(key: u64, value: &[u8]) -> Vec<u8> {
     bytes
 }
 
-fn decode_slot(page: &Page, slot: usize) -> Option<(u64, Vec<u8>)> {
-    let off = slot_offset(slot);
-    let raw = page.read_body(off, SLOT_SIZE);
+/// The key and value of an occupied slot, borrowed from the page.
+fn slot_record(page: &Page, slot: usize) -> Option<(u64, &[u8])> {
+    let raw = page.read_body(slot_offset(slot), SLOT_SIZE);
     if raw[0] != 1 {
         return None;
     }
     let key = u64::from_le_bytes(raw[1..9].try_into().unwrap());
     let len = u16::from_le_bytes(raw[9..11].try_into().unwrap()) as usize;
-    Some((key, raw[11..11 + len].to_vec()))
+    Some((key, &raw[11..11 + len]))
 }
 
 /// Find the slot holding `key`, if any.
 pub fn find_slot(page: &Page, key: u64) -> Option<usize> {
-    (0..SLOTS_PER_PAGE).find(|&s| matches!(decode_slot(page, s), Some((k, _)) if k == key))
+    (0..SLOTS_PER_PAGE).find(|&s| slot_record(page, s).is_some_and(|(k, _)| k == key))
 }
 
 /// Read the value stored for `key`.
 pub fn get(page: &Page, key: u64) -> Option<Vec<u8>> {
-    let slot = find_slot(page, key)?;
-    decode_slot(page, slot).map(|(_, v)| v)
+    let (_, value) = slot_record(page, find_slot(page, key)?)?;
+    Some(value.to_vec())
 }
 
 /// Insert or update `key` with `value`, returning the slot image written so
@@ -93,7 +93,7 @@ pub fn put_with_undo(page: &mut Page, key: u64, value: &[u8]) -> (PutOutcome, Op
     let (slot, existed) = match find_slot(page, key) {
         Some(slot) => (Some(slot), true),
         None => (
-            (0..SLOTS_PER_PAGE).find(|&s| decode_slot(page, s).is_none()),
+            (0..SLOTS_PER_PAGE).find(|&s| slot_record(page, s).is_none()),
             false,
         ),
     };
@@ -133,14 +133,15 @@ pub fn delete_with_undo(page: &mut Page, key: u64) -> Option<(SlotWrite, Vec<u8>
 /// Number of live records in the page.
 pub fn record_count(page: &Page) -> usize {
     (0..SLOTS_PER_PAGE)
-        .filter(|&s| decode_slot(page, s).is_some())
+        .filter(|&s| slot_record(page, s).is_some())
         .count()
 }
 
 /// Iterate all live `(key, value)` pairs in the page.
 pub fn scan(page: &Page) -> Vec<(u64, Vec<u8>)> {
     (0..SLOTS_PER_PAGE)
-        .filter_map(|s| decode_slot(page, s))
+        .filter_map(|s| slot_record(page, s))
+        .map(|(key, value)| (key, value.to_vec()))
         .collect()
 }
 

@@ -46,12 +46,11 @@
 //! the foreground thread after every cache lock is released), and flash
 //! fetch reads run between the pin and validate halves of the fetch with no
 //! lock held — one slow flash read never stalls the other threads hashing
-//! to that cache shard. Deliberately out of scope: a DRAM **miss** still
-//! performs its tier fetch while holding the missing page's *buffer* shard
-//! structural mutex (misses and evictions are the buffer pool's serialized
-//! slow path; only read *hits* are lock-free there), so two misses hashing
-//! to the same buffer shard serialize — different buffer shards, and all
-//! hits, proceed.
+//! to that cache shard. [`FaceTier::fetch`] is called under the loading
+//! frame's page latch only (the buffer pool releases its structural mutex
+//! first), so a slow fetch delays accesses to that page and nobody else;
+//! [`FaceTier::write_back_with`] still runs under the evicting shard's
+//! structural mutex.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -10,9 +10,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use face_analysis::witness;
 use face_engine::{CachePolicyKind, Database, EngineConfig};
+use face_pagestore::{FaultMode, FaultPlan};
 
 const THREADS: usize = 4;
 const OPS_PER_THREAD: u64 = 300;
@@ -144,5 +146,72 @@ fn concurrent_engine_has_no_lockdep_violations() {
     assert!(
         !witness::edges().is_empty(),
         "no acquisition edges recorded — is the witness wired in?"
+    );
+}
+
+/// A disk read parked mid-flight (a one-second latency spike on the first
+/// read after arming) holds the loading frame's page latch and nothing else
+/// of the buffer pool: with a single buffer shard, an update of a resident
+/// page and a miss on a third page both complete while it is parked, and the
+/// witness sees the fetch's locks (page latch → cache shard → wash table →
+/// disk) in order.
+#[test]
+fn parked_disk_read_does_not_hold_the_buffer_shard() {
+    const SPIKE: Duration = Duration::from_secs(1);
+    let plan = Arc::new(
+        FaultPlan::new(15)
+            .reads_only()
+            .probability(1.0)
+            .max_faults(1)
+            .mode(FaultMode::LatencySpike(SPIKE))
+            .armed_on_crash(),
+    );
+    let config = EngineConfig::in_memory()
+        .buffer_frames(8)
+        .buffer_shards(1)
+        .table_buckets(1024)
+        .flash_cache(CachePolicyKind::FaceGsc, 128)
+        .cache_shards(2)
+        .destage_threads(2)
+        .disk_faults(Arc::clone(&plan));
+    let db = Database::open(config).unwrap();
+    let put = |key: u64, byte: u8| {
+        let txn = db.begin();
+        db.put(txn, key, &[byte; 16]).unwrap();
+        db.commit(txn).unwrap();
+    };
+    put(1, 1); // key 1's page is resident from here on
+
+    plan.arm();
+    let before = db.buffer_stats();
+    thread::scope(|s| {
+        let parked = s.spawn(|| db.get(2).unwrap());
+        while plan.faults_injected() == 0 {
+            thread::yield_now();
+        }
+        let start = Instant::now();
+        put(1, 2); // a hit on the same (only) shard
+        put(3, 3); // a miss on the same shard, to disk, not spiked
+        let took = start.elapsed();
+        let during = db.buffer_stats();
+        assert!(
+            took < SPIKE / 2,
+            "updates waited {took:?} behind a parked disk read"
+        );
+        assert!(during.hits > before.hits);
+        assert_eq!(during.disk_fetches, before.disk_fetches + 1, "key 3's");
+        assert_eq!(parked.join().unwrap(), None);
+    });
+    assert_eq!(db.buffer_stats().disk_fetches, before.disk_fetches + 2);
+    assert_eq!(db.get(1).unwrap().unwrap(), [2; 16]);
+    assert_eq!(db.get(3).unwrap().unwrap(), [3; 16]);
+    assert_eq!(
+        (
+            witness::order_violation_count(),
+            witness::io_violation_count()
+        ),
+        (0, 0),
+        "lockdep violations recorded:\n{}",
+        witness::reports().join("\n")
     );
 }

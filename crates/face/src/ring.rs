@@ -32,9 +32,12 @@
 //!   the directory — entries whose group has sealed. Both regions share the
 //!   one journal; their queue pointers pack into the journal's `front`/`size`
 //!   pair (`pack_pointers`).
-//! * **Dequeue mechanics.** A group dequeue first prefetches, read-only, the
-//!   bytes of every victim that needs them; a device error therefore aborts
-//!   with no mutation at all. Which victims survive is the policy's call.
+//! * **Dequeue mechanics.** A group dequeue first collects, read-only, the
+//!   bytes of every victim that needs them — RAM frames where the write is
+//!   still pending or in flight, and **one batch read**
+//!   ([`FlashStore::read_batch`]) for all the rest; a device error therefore
+//!   aborts with no mutation at all. Which victims survive is the policy's
+//!   call.
 //! * **Failure handling.** Rollback of a failed inline batch, abort of a
 //!   failed deferred group, the write-fallout buffer the caller drains to
 //!   disk, slot quarantine, and dirty evacuation before a cache wipe.
@@ -651,9 +654,10 @@ impl<P: RingPolicy> GroupRing<P> {
     ///
     /// A device read error aborts the dequeue with **no mutation at all**:
     /// the bytes of every victim that needs them (disk-bound dirty pages,
-    /// survivors) are prefetched in a read-only first pass, so an error
-    /// leaves the queue exactly as it was and the caller can retry or
-    /// degrade.
+    /// survivors) are collected in a read-only first pass — one batch read
+    /// for those not in RAM — so an error leaves the queue exactly as it was
+    /// and the caller can retry or degrade. The error names the slot that
+    /// failed, not merely the batch.
     pub(crate) fn group_dequeue(
         &mut self,
         region: usize,
@@ -666,11 +670,14 @@ impl<P: RingPolicy> GroupRing<P> {
             slots: n,
             ..Dequeued::default()
         };
-        // Pass 1 (read-only): prefetch the bytes of every victim that will
-        // be flushed to disk or re-enqueued; clean unreferenced pages are
-        // discarded without ever touching the device.
+        // Pass 1 (read-only): collect the bytes of every victim that will be
+        // flushed to disk or re-enqueued; clean unreferenced pages are
+        // discarded without ever touching the device. Frames still in RAM
+        // (pending batch, in-flight group) are shared; the rest are fetched
+        // below with one batch read.
         let mut prefetched: Vec<Option<Arc<Page>>> = vec![None; n];
         let mut needs_read = false;
+        let mut on_device: Vec<usize> = Vec::new();
         for (i, frame) in prefetched.iter_mut().enumerate() {
             let slot = window.slot_at(i);
             let Some(m) = &self.slots[slot] else {
@@ -678,20 +685,40 @@ impl<P: RingPolicy> GroupRing<P> {
             };
             if m.valid && (m.dirty || (second_chance && m.referenced)) {
                 needs_read = true;
-                *frame = match self.ram_frame(slot) {
-                    Some(frame) => frame,
-                    None => {
-                        // Residual under-lock flash read: the victim's
-                        // bytes are no longer RAM-resident (its group
-                        // write completed long ago), so the dequeue has
-                        // to fetch them from the device while the shard
-                        // lock is held. Acknowledged, counted, rare.
-                        let _allow = face_analysis::witness::allow_device_io(
-                            "ring: dequeue reads a non-resident victim's slot",
-                        );
-                        self.store.read_slot(slot)?.map(Arc::new)
+                match self.ram_frame(slot) {
+                    Some(ram) => *frame = ram,
+                    None => on_device.push(i),
+                }
+            }
+        }
+        if !on_device.is_empty() {
+            // The residual under-lock flash read: these victims' group
+            // writes completed long ago, so their bytes come off the device
+            // while the shard lock is held — as the one batch-sized read of
+            // the paper's group replacement (§3.3), which is also how
+            // `flash_read_seq` below bills it.
+            let _allow = face_analysis::witness::allow_device_io(
+                "ring: dequeue reads its non-resident victims' slots",
+            );
+            let slots: Vec<usize> = on_device.iter().map(|&i| window.slot_at(i)).collect();
+            let pages = match self.store.read_batch(&slots) {
+                Ok(pages) => pages,
+                Err(batch_err) => {
+                    // The dequeue aborts either way. A slot-scoped error from
+                    // a batch names the batch's first slot, though, and
+                    // quarantine acts on the slot it is given: re-read slot
+                    // by slot so that a slot which is really bad is the one
+                    // named.
+                    if batch_err.slot().is_some() {
+                        for &slot in &slots {
+                            self.store.read_slot(slot)?;
+                        }
                     }
-                };
+                    return Err(batch_err);
+                }
+            };
+            for (i, page) in on_device.into_iter().zip(pages) {
+                prefetched[i] = page.map(Arc::new);
             }
         }
         if needs_read {
@@ -1379,7 +1406,7 @@ impl<P: RingPolicy> FlashCache for GroupRing<P> {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use face_pagestore::{DeviceHooks, FaultPlan};
+    use face_pagestore::{DeviceError, DeviceHooks, DeviceOp, FaultPlan};
 
     use super::*;
     use crate::mvfifo::MvFifo;
@@ -1952,8 +1979,24 @@ pub(crate) mod tests {
             InstrumentedFlashStore::wrap(Arc::new(MemFlashStore::new(capacity)), hooks)
         }
 
-        /// A `P` cache (see [`fifo_of`]) over a store that fails as `plan`
-        /// says, with pages 0..4 inserted dirty and the last insert's result.
+        /// A `P` cache (see [`fifo_of`]) over `store` with pages 0..4 inserted
+        /// dirty, the last insert's result and the I/O so far.
+        fn filled_fifo<P: RingPolicy>(
+            cfg: CacheConfig,
+            store: impl FnOnce(usize) -> Arc<dyn FlashStore>,
+        ) -> (GroupRing<P>, DeviceResult<InsertOutcome>, IoLog) {
+            let cfg = fifo_cfg::<P>(cfg);
+            let store = store(cfg.capacity_pages);
+            let mut cache: GroupRing<P> = GroupRing::new(cfg, store);
+            let mut io = IoLog::new();
+            let mut last = Ok(InsertOutcome::default());
+            for n in 0..4u32 {
+                last = cache.insert(staged(n, n as u64 + 1, true), &mut NoSupplier, &mut io);
+            }
+            (cache, last, io)
+        }
+
+        /// [`filled_fifo`] over a store that fails as `plan` says.
         fn faulty_fifo<P: RingPolicy>(
             cfg: CacheConfig,
             plan: FaultPlan,
@@ -1963,15 +2006,8 @@ pub(crate) mod tests {
             DeviceResult<InsertOutcome>,
             IoLog,
         ) {
-            let cfg = fifo_cfg::<P>(cfg);
             let plan = Arc::new(plan);
-            let faulty = faulty_store(cfg.capacity_pages, &plan);
-            let mut cache: GroupRing<P> = GroupRing::new(cfg, faulty);
-            let mut io = IoLog::new();
-            let mut last = Ok(InsertOutcome::default());
-            for n in 0..4u32 {
-                last = cache.insert(staged(n, n as u64 + 1, true), &mut NoSupplier, &mut io);
-            }
+            let (cache, last, io) = filled_fifo(cfg, |capacity| faulty_store(capacity, &plan));
             (cache, plan, last, io)
         }
 
@@ -2041,6 +2077,175 @@ pub(crate) mod tests {
                 assert_eq!(fallout[0].page, pid(9));
                 assert_eq!(c.stats().staged_out_to_disk, 1);
                 assert_eq!(c.valid_versions(), before, "no victim was touched");
+            }
+            case::<MvFifo>();
+            case::<S3Fifo>();
+        }
+
+        /// What the batched-dequeue scenarios share: one four-slot group of
+        /// dirty pages, written out inline, so the next dirty insert dequeues
+        /// four victims whose bytes are on the device only.
+        fn full_of_written_dirty_pages<P: RingPolicy>(
+            store: impl FnOnce(usize) -> Arc<dyn FlashStore>,
+        ) -> GroupRing<P> {
+            let (cache, last, _) = filled_fifo::<P>(meta_cfg(4, 4, false), store);
+            last.unwrap();
+            assert_eq!(cache.pending_len(), 0, "the group went out inline");
+            cache
+        }
+
+        #[test]
+        fn dequeue_reads_its_non_resident_victims_with_one_device_operation() {
+            fn case<P: RingPolicy>() {
+                // A plan that never fires still counts every admitted op.
+                let plan = Arc::new(FaultPlan::new(6));
+                let mut c = full_of_written_dirty_pages::<P>(|n| faulty_store(n, &plan));
+                let before = plan.ops_observed();
+                let mut io = IoLog::new();
+                let out = c
+                    .insert(staged(9, 9, true), &mut NoSupplier, &mut io)
+                    .unwrap();
+                assert_eq!(out.staged_out.len(), 4);
+                for s in &out.staged_out {
+                    assert_eq!(s.data.as_ref().expect("bytes read back").id(), s.page);
+                }
+                assert_eq!(plan.ops_observed() - before, 1, "four victims, one read");
+                let reads: Vec<u32> = io
+                    .events()
+                    .iter()
+                    .filter(|e| !e.is_write())
+                    .map(|e| e.pages())
+                    .collect();
+                assert_eq!(reads, [4], "billed as one batch-sized read, as before");
+            }
+            case::<MvFifo>();
+            case::<S3Fifo>();
+        }
+
+        #[test]
+        fn whole_device_read_fault_surfaces_as_it_is() {
+            fn case<P: RingPolicy>() {
+                let plan = FaultPlan::new(7)
+                    .reads_only()
+                    .probability(1.0)
+                    .permanent()
+                    .device_scoped()
+                    .max_faults(1)
+                    .armed_on_crash();
+                let plan = Arc::new(plan);
+                let mut c = full_of_written_dirty_pages::<P>(|n| faulty_store(n, &plan));
+                let before = c.valid_versions();
+                plan.arm();
+                let ops = plan.ops_observed();
+                let err = c
+                    .insert(staged(9, 9, true), &mut NoSupplier, &mut IoLog::new())
+                    .unwrap_err();
+                // No slot to narrow down: nothing is re-read, and a one-shot
+                // fault is not retried away before the breaker hears of it.
+                assert_eq!(err.slot(), None);
+                assert_eq!(plan.ops_observed() - ops, 1);
+                assert_eq!(c.valid_versions(), before);
+            }
+            case::<MvFifo>();
+            case::<S3Fifo>();
+        }
+
+        #[test]
+        fn held_read_gate_parks_a_dequeue_exactly_once() {
+            let store = Arc::new(crate::store::GateFlashStore::new(4));
+            store.release();
+            let mut c = full_of_written_dirty_pages::<MvFifo>(|_| Arc::clone(&store) as _);
+            store.hold_reads();
+            let calls = store.read_calls();
+            std::thread::scope(|s| {
+                let dequeue = s.spawn(|| {
+                    c.insert(staged(9, 9, true), &mut NoSupplier, &mut IoLog::new())
+                        .unwrap()
+                });
+                while store.read_calls() == calls {
+                    std::thread::yield_now();
+                }
+                store.release_reads();
+                assert_eq!(dequeue.join().unwrap().staged_out.len(), 4);
+            });
+            assert_eq!(store.read_calls() - calls, 1);
+        }
+
+        /// A device with one unreadable slot. A batch read covering it fails
+        /// the way the instrumented view fails a batch: naming the batch's
+        /// first slot, not the bad one.
+        struct BadSlotStore {
+            inner: MemFlashStore,
+            bad: usize,
+        }
+
+        impl FlashStore for BadSlotStore {
+            fn capacity(&self) -> usize {
+                self.inner.capacity()
+            }
+            fn write_slot(&self, slot: usize, page: &Page) -> DeviceResult<()> {
+                self.inner.write_slot(slot, page)
+            }
+            fn read_slot(&self, slot: usize) -> DeviceResult<Option<Page>> {
+                if slot == self.bad {
+                    return Err(DeviceError::permanent_slot(
+                        DeviceOp::Read,
+                        slot,
+                        "worn out",
+                    ));
+                }
+                self.inner.read_slot(slot)
+            }
+            fn read_batch(&self, slots: &[usize]) -> DeviceResult<Vec<Option<Page>>> {
+                if slots.contains(&self.bad) {
+                    return Err(DeviceError::permanent_slot(
+                        DeviceOp::Read,
+                        slots[0],
+                        "batch covers a worn-out slot",
+                    ));
+                }
+                self.inner.read_batch(slots)
+            }
+            fn carries_data(&self) -> bool {
+                true
+            }
+            fn clear(&self) {
+                self.inner.clear();
+            }
+        }
+
+        #[test]
+        fn read_fault_on_one_victim_names_that_slot_and_mutates_nothing() {
+            fn case<P: RingPolicy>() {
+                const BAD: usize = 2;
+                let mut c = full_of_written_dirty_pages::<P>(|capacity| {
+                    Arc::new(BadSlotStore {
+                        inner: MemFlashStore::new(capacity),
+                        bad: BAD,
+                    })
+                });
+                let before = c.valid_versions();
+                let mut io = IoLog::new();
+                let err = c
+                    .insert(staged(9, 9, true), &mut NoSupplier, &mut io)
+                    .unwrap_err();
+                assert_eq!(err.slot(), Some(BAD), "the slot quarantine must act on");
+                assert_eq!(c.valid_versions(), before, "no victim was touched");
+                check_structure(&c);
+                assert_eq!(c.take_write_fallout().len(), 1, "only the new page");
+                // The ladder's next step works on that slot and unblocks the
+                // queue: the resident leaves (its bytes are gone), and the
+                // retried insert dequeues the three readable victims.
+                let out = c.quarantine_slot(BAD, &mut io);
+                assert_eq!(
+                    out.evacuee.expect("slot was occupied").page,
+                    pid(BAD as u32)
+                );
+                let out = c
+                    .insert(staged(9, 10, true), &mut NoSupplier, &mut io)
+                    .unwrap();
+                assert_eq!(out.staged_out.len(), 3);
+                assert!(out.staged_out.iter().all(|s| s.data.is_some()));
             }
             case::<MvFifo>();
             case::<S3Fifo>();

@@ -56,6 +56,17 @@ pub trait FlashStore: Send + Sync {
     /// distinct from `Err`, which means the slot (or device) failed to read.
     fn read_slot(&self, slot: usize) -> DeviceResult<Option<Page>>;
 
+    /// Read the pages stored in `slots` as one device operation — the group
+    /// dequeue's single batch-sized read (paper §3.3). Results come back in
+    /// the order of `slots`. On error nothing is returned; the error names at
+    /// most one slot, so a caller that needs to know *which* slot is bad
+    /// re-reads them one by one. [`InstrumentedFlashStore`] overrides this to
+    /// bill the batch once instead of per page; the default reads slot by
+    /// slot.
+    fn read_batch(&self, slots: &[usize]) -> DeviceResult<Vec<Option<Page>>> {
+        slots.iter().map(|&slot| self.read_slot(slot)).collect()
+    }
+
     /// The id and LSN of the page stored in `slot`, without the body. Used by
     /// recovery to rebuild metadata from page headers (paper §4.2). An
     /// unreadable slot reports `None` — recovery simply does not re-admit it.
@@ -143,6 +154,15 @@ impl FlashStore for MemFlashStore {
         Ok(slots
             .get(slot % slots.len().max(1))
             .and_then(|s| s.as_deref().cloned()))
+    }
+
+    fn read_batch(&self, slots: &[usize]) -> DeviceResult<Vec<Option<Page>>> {
+        let stored = self.slots.read();
+        let len = stored.len().max(1);
+        Ok(slots
+            .iter()
+            .map(|slot| stored.get(slot % len).and_then(|s| s.as_deref().cloned()))
+            .collect())
     }
 
     fn carries_data(&self) -> bool {
@@ -251,6 +271,8 @@ impl FlashStore for HeaderFlashStore {
 struct Gate {
     open: std::sync::Mutex<bool>,
     cv: std::sync::Condvar,
+    /// Calls that have arrived at the gate, parked or not.
+    arrivals: Counter,
 }
 
 impl Gate {
@@ -258,6 +280,7 @@ impl Gate {
         Self {
             open: std::sync::Mutex::new(open),
             cv: std::sync::Condvar::new(),
+            arrivals: Counter::default(),
         }
     }
 
@@ -278,6 +301,7 @@ impl Gate {
 
     fn wait(&self) {
         let guard = self.lock();
+        self.arrivals.inc();
         let _guard = self
             .cv
             .wait_while(guard, |open| !*open)
@@ -334,6 +358,14 @@ impl GateFlashStore {
     pub fn release_reads(&self) {
         self.reads.release();
     }
+
+    /// How many read calls (a [`FlashStore::read_batch`] is one call) have
+    /// arrived at the read gate. With the gate held, tests poll this to know
+    /// a reader is parked; afterwards it is the number of device read
+    /// operations issued.
+    pub fn read_calls(&self) -> u64 {
+        self.reads.arrivals.get()
+    }
 }
 
 impl FlashStore for GateFlashStore {
@@ -354,6 +386,11 @@ impl FlashStore for GateFlashStore {
     fn read_slot(&self, slot: usize) -> DeviceResult<Option<Page>> {
         self.reads.wait();
         self.inner.read_slot(slot)
+    }
+
+    fn read_batch(&self, slots: &[usize]) -> DeviceResult<Vec<Option<Page>>> {
+        self.reads.wait();
+        self.inner.read_batch(slots)
     }
 
     fn carries_data(&self) -> bool {
@@ -472,6 +509,14 @@ impl FlashStore for InstrumentedFlashStore {
         self.hooks
             .admit("flash.read_slot", HookOp::Read, Some(slot))?;
         self.inner.read_slot(slot)
+    }
+
+    fn read_batch(&self, slots: &[usize]) -> DeviceResult<Vec<Option<Page>>> {
+        // One sequential read: one check, one read time and one fault
+        // decision on the first slot, as `write_batch` is one write.
+        self.hooks
+            .admit("flash.read_batch", HookOp::Read, slots.first().copied())?;
+        self.inner.read_batch(slots)
     }
 
     fn slot_header(&self, slot: usize) -> Option<(PageId, face_pagestore::Lsn)> {
@@ -687,6 +732,39 @@ mod tests {
         let store = faulty(inner.clone(), &plan);
         store.write_slot(0, &pages[0]).unwrap_err();
         assert_eq!(inner.occupied(), 0);
+    }
+
+    /// A batch read is one admitted operation: one read time, one decision
+    /// on its first slot, and every slot's page back in request order.
+    #[test]
+    fn batch_read_through_the_full_chain_pays_and_decides_once() {
+        let inner = Arc::new(MemFlashStore::new(8));
+        let pages: Vec<Page> = (0..6).map(|i| Page::new(PageId::new(0, i))).collect();
+        inner.write_slots(0, &pages).unwrap();
+        // The second admitted operation fails, whichever it is.
+        let plan = Arc::new(FaultPlan::new(1).fail_nth(2).permanent());
+        let read = Duration::from_millis(5);
+        let hooks = DeviceHooks {
+            read,
+            faults: Some(Arc::clone(&plan)),
+            check: true,
+            ..DeviceHooks::default()
+        };
+        let store = InstrumentedFlashStore::wrap(inner, hooks);
+
+        let start = Instant::now();
+        let got = store.read_batch(&[4, 1, 7, 3]).unwrap();
+        assert!(start.elapsed() >= read);
+        let ids: Vec<Option<u32>> = got
+            .iter()
+            .map(|p| p.as_ref().map(|p| p.id().page_no))
+            .collect();
+        assert_eq!(ids, [Some(4), Some(1), None, Some(3)]);
+        assert_eq!(plan.ops_observed(), 1);
+
+        let err = store.read_batch(&[5, 2]).unwrap_err();
+        assert_eq!(err.slot(), Some(5), "faults match on the first slot");
+        assert_eq!(plan.ops_observed(), 2);
     }
 
     #[test]

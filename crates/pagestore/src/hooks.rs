@@ -23,7 +23,8 @@
 //! 2. **Service-time pause** — before the fault decision, so a failed
 //!    operation costs what a real one would. Charged once per call: a
 //!    `write_slots` / `write_batch` group is one sequential device operation
-//!    and pays one write time, not one per page. On the log `append`,
+//!    and pays one write time, not one per page, and a flash `read_batch`
+//!    (the group dequeue's victim read) pays one read time. On the log `append`,
 //!    `read_at`, `sync`, `truncate` and the restart-anchor calls are all
 //!    checked but only `sync` pauses (an anchor write is a write then a
 //!    sync) — the group-commit lever: the leader sleeps there while other
@@ -31,8 +32,9 @@
 //! 3. **Fault decision** ([`FaultPlan::decide`]) — directly over the raw
 //!    device, so the retry / quarantine / breaker machinery above sees an
 //!    injected error exactly as it would a failing medium. Called exactly
-//!    once per data operation (reads, writes, and the recovery header scan),
-//!    never for syncs, so seeded plans fire on stable operation indices. A
+//!    once per data operation (reads, writes, and the recovery header scan;
+//!    a batch is one operation, decided on its first slot), never for syncs,
+//!    so seeded plans fire on stable operation indices. A
 //!    latency spike sleeps and proceeds; a torn *batch* persists its first
 //!    half and then errors; a torn single-page write persists nothing.
 //! 4. **The inner store.**

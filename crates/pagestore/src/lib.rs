@@ -19,6 +19,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod counter;
+pub mod crc;
 pub mod device;
 pub mod fault;
 pub mod file_store;
@@ -28,6 +29,7 @@ pub mod page;
 pub mod store;
 
 pub use counter::Counter;
+pub use crc::{crc32, crc32_fold};
 pub use device::{DeviceError, DeviceErrorKind, DeviceOp, DeviceResult, DeviceScope};
 pub use fault::{FaultAction, FaultMode, FaultPlan};
 pub use file_store::FilePageStore;

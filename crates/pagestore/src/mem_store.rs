@@ -51,22 +51,23 @@ impl InMemoryPageStore {
 
 impl PageStore for InMemoryPageStore {
     fn read_page(&self, id: PageId, buf: &mut Page) -> StoreResult<()> {
-        let g = self.inner.read();
-        let size = g.file_sizes.get(&id.file).copied().unwrap_or(0);
-        if (id.page_no as u64) >= size {
-            return Err(StoreError::PageNotFound(id));
-        }
-        match g.pages.get(&id) {
-            Some(p) => {
-                *buf = (**p).clone();
-                validate_read(id, buf)
+        {
+            let g = self.inner.read();
+            let size = g.file_sizes.get(&id.file).copied().unwrap_or(0);
+            if (id.page_no as u64) >= size {
+                return Err(StoreError::PageNotFound(id));
             }
-            None => {
-                // Allocated but never written: zero-filled.
-                *buf = Page::zeroed();
-                Ok(())
+            match g.pages.get(&id) {
+                Some(p) => *buf = (**p).clone(),
+                None => {
+                    // Allocated but never written: zero-filled.
+                    *buf = Page::zeroed();
+                    return Ok(());
+                }
             }
         }
+        // Checksumming the private copy needs no lock.
+        validate_read(id, buf)
     }
 
     fn write_page(&self, id: PageId, page: &Page) -> StoreResult<()> {

@@ -1,8 +1,16 @@
 //! Fixed-size pages with a self-describing header.
+//!
+//! The header checksum is [`crate::crc32`] over the page with the checksum
+//! field counted as zero. Builds before this one stored a byte-serial FNV-1a
+//! there, so a `FilePageStore` directory they wrote does not verify under
+//! this build (every read reports a checksum mismatch); there is no
+//! migration, as for the WAL's record-tag change before it.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+
+use crate::crc::crc32_fold;
 
 /// Size of a database page in bytes. The paper's PostgreSQL setup uses 4 KiB
 /// pages and all Table 1 device calibrations are for 4 KiB requests.
@@ -21,7 +29,7 @@ const MAGIC: u32 = 0xFACE_CA4E;
 //   4..8    file id
 //   8..12   page number
 //   12..20  pageLSN
-//   20..24  checksum (over header-with-zero-checksum + body)
+//   20..24  checksum (CRC-32 over header-with-zero-checksum + body)
 //   24..28  flags (reserved for the record layer)
 //   28..32  reserved
 const OFF_MAGIC: usize = 0;
@@ -251,19 +259,11 @@ impl Page {
         self.read_u32(OFF_CHECKSUM) == self.compute_checksum()
     }
 
-    /// FNV-1a over the page with the checksum field treated as zero.
+    /// CRC-32 over the page with the checksum field treated as zero.
     fn compute_checksum(&self) -> u32 {
-        let mut hash: u32 = 0x811c9dc5;
-        for (i, &b) in self.bytes.iter().enumerate() {
-            let byte = if (OFF_CHECKSUM..OFF_CHECKSUM + 4).contains(&i) {
-                0
-            } else {
-                b
-            };
-            hash ^= byte as u32;
-            hash = hash.wrapping_mul(0x01000193);
-        }
-        hash
+        let crc = crc32_fold(!0, &self.bytes[..OFF_CHECKSUM]);
+        let crc = crc32_fold(crc, &[0; 4]);
+        !crc32_fold(crc, &self.bytes[OFF_CHECKSUM + 4..])
     }
 
     fn read_u32(&self, off: usize) -> u32 {
@@ -381,6 +381,33 @@ mod tests {
         let mut corrupted = p.clone();
         corrupted.set_lsn(Lsn(56));
         assert!(!corrupted.verify_checksum());
+
+        // Corrupt the stored checksum itself.
+        let mut corrupted = p.clone();
+        corrupted.as_bytes_mut()[OFF_CHECKSUM] ^= 1;
+        assert!(!corrupted.verify_checksum());
+    }
+
+    #[test]
+    fn checksum_counts_its_own_field_as_zero() {
+        let mut p = Page::new(PageId::new(2, 9));
+        p.write_body(17, b"payload");
+        p.update_checksum();
+        let stored = u32::from_le_bytes(
+            p.as_bytes()[OFF_CHECKSUM..OFF_CHECKSUM + 4]
+                .try_into()
+                .unwrap(),
+        );
+        let mut zeroed = *p.as_bytes();
+        zeroed[OFF_CHECKSUM..OFF_CHECKSUM + 4].fill(0);
+        assert_eq!(stored, crate::crc32(&zeroed));
+        // Recomputing over a page that already carries a checksum is stable.
+        p.update_checksum();
+        assert!(p.verify_checksum());
+        assert_eq!(
+            p.as_bytes()[OFF_CHECKSUM..OFF_CHECKSUM + 4],
+            stored.to_le_bytes()
+        );
     }
 
     #[test]

@@ -4,10 +4,10 @@ use std::sync::Arc;
 
 use face_pagestore::Lsn;
 
-use crate::codec::crc32;
 use crate::record::LogRecord;
 use crate::storage::{LogStorage, WalError, WalResult};
 use crate::writer::FRAME_HEADER_SIZE;
+use face_pagestore::crc32;
 
 /// Bytes a sequential scan asks the storage for at a time.
 const SCAN_CHUNK: usize = 64 * 1024;

@@ -10,7 +10,7 @@ use face_analysis::classes::WAL_STORAGE;
 use face_analysis::OrderedMutex;
 use face_pagestore::{DeviceHooks, HookOp, Lsn};
 
-use crate::codec::crc32;
+use face_pagestore::crc32;
 
 /// Errors from the WAL layer.
 #[derive(Debug)]

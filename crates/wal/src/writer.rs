@@ -6,9 +6,10 @@ use face_analysis::classes::{WAL_APPEND, WAL_FLUSH};
 use face_analysis::OrderedMutex;
 use face_pagestore::Lsn;
 
-use crate::codec::{crc32, ByteWriter};
+use crate::codec::ByteWriter;
 use crate::record::{CheckpointData, LogRecord};
 use crate::storage::{LogStorage, WalError, WalResult};
+use face_pagestore::crc32;
 
 /// Size of the per-record frame header: `u32` payload length + `u32` CRC.
 pub const FRAME_HEADER_SIZE: u64 = 8;
