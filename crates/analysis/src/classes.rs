@@ -137,6 +137,13 @@ pub const CLASSES: &[LockClassSpec] = &[
         forbids_io: false,
         doc: "diagnostic cells (destager last-error and similar) — leaf",
     },
+    LockClassSpec {
+        name: "page_buffers",
+        rank: 150,
+        nestable: false,
+        forbids_io: false,
+        doc: "shared free list of recycled 4 KiB page buffers (`face_pagestore::page`) — innermost leaf: a `Page` may be created or dropped under any other lock, and nothing is acquired while it is held",
+    },
     // Scratch classes below exist only for the witness's own deliberate-
     // violation tests. They share rank 900 so no static rank relation holds
     // between them — ordering is learned dynamically by the acquisition
@@ -215,11 +222,12 @@ pub const FLASH_SLOTS: LockClassId = LockClassId(11);
 pub const PAGE_STORE: LockClassId = LockClassId(12);
 pub const IO_STRIPE: LockClassId = LockClassId(13);
 pub const DIAG: LockClassId = LockClassId(14);
-pub const SCRATCH_A: LockClassId = LockClassId(15);
-pub const SCRATCH_B: LockClassId = LockClassId(16);
-pub const SCRATCH_C: LockClassId = LockClassId(17);
-pub const SCRATCH_OUTER: LockClassId = LockClassId(18);
-pub const SCRATCH_INNER: LockClassId = LockClassId(19);
+pub const PAGE_BUFFERS: LockClassId = LockClassId(15);
+pub const SCRATCH_A: LockClassId = LockClassId(16);
+pub const SCRATCH_B: LockClassId = LockClassId(17);
+pub const SCRATCH_C: LockClassId = LockClassId(18);
+pub const SCRATCH_OUTER: LockClassId = LockClassId(19);
+pub const SCRATCH_INNER: LockClassId = LockClassId(20);
 
 /// Number of registered classes, scratch included.
 pub const NUM_CLASSES: usize = CLASSES.len();
@@ -276,6 +284,7 @@ mod tests {
             (PAGE_STORE, "page_store"),
             (IO_STRIPE, "io_stripe"),
             (DIAG, "diag"),
+            (PAGE_BUFFERS, "page_buffers"),
             (SCRATCH_A, "scratch_a"),
             (SCRATCH_B, "scratch_b"),
             (SCRATCH_C, "scratch_c"),

@@ -2,10 +2,13 @@
 //!
 //! Implemented as a doubly-linked list over a slab of nodes plus a hash map
 //! from key to node index, giving O(1) touch / insert / remove / evict. Used
-//! by the DRAM buffer pool and by the LC baseline's LRU-2 approximation.
+//! by the DRAM buffer pools, whose keys are page ids the engine allocated —
+//! which is why the index may use [`face_pagestore::IdHashMap`]'s unkeyed
+//! hash. A list over keys that arrive from outside the program must not.
 
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use face_pagestore::IdHashMap;
 
 const NIL: usize = usize::MAX;
 
@@ -22,7 +25,7 @@ struct Node<K> {
 pub struct LruList<K> {
     nodes: Vec<Node<K>>,
     free: Vec<usize>,
-    map: HashMap<K, usize>,
+    map: IdHashMap<K, usize>,
     head: usize,
     tail: usize,
 }
@@ -39,7 +42,7 @@ impl<K: Eq + Hash + Copy> LruList<K> {
         Self {
             nodes: Vec::new(),
             free: Vec::new(),
-            map: HashMap::new(),
+            map: IdHashMap::default(),
             head: NIL,
             tail: NIL,
         }
@@ -50,7 +53,7 @@ impl<K: Eq + Hash + Copy> LruList<K> {
         Self {
             nodes: Vec::with_capacity(cap),
             free: Vec::new(),
-            map: HashMap::with_capacity(cap),
+            map: IdHashMap::with_capacity_and_hasher(cap, Default::default()),
             head: NIL,
             tail: NIL,
         }

@@ -43,13 +43,12 @@
 //! the pool except through that pull, so `shard → tier-internals` stays
 //! acyclic.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use face_analysis::classes::{BUFFER_MAP, BUFFER_STRUCTURAL, PAGE_LATCH};
 use face_analysis::{witness, OrderedMutex, OrderedMutexGuard, OrderedRwLock};
-use face_pagestore::{Counter, Lsn, Page, PageId};
+use face_pagestore::{Counter, IdHashMap, Lsn, Page, PageId};
 
 use crate::flags::{AtomicFrameFlags, FrameFlags};
 use crate::lru::LruList;
@@ -194,7 +193,7 @@ struct ShardCore {
 struct Shard {
     capacity: usize,
     /// The read-optimized mapping; see the module docs for the lock order.
-    map: OrderedRwLock<HashMap<PageId, Arc<FrameCell>>>,
+    map: OrderedRwLock<IdHashMap<PageId, Arc<FrameCell>>>,
     core: OrderedMutex<ShardCore>,
 }
 
@@ -237,7 +236,10 @@ impl<L: LowerTier> BufferPool<L> {
                 let cap = base + usize::from(i < rem);
                 Shard {
                     capacity: cap,
-                    map: OrderedRwLock::new(BUFFER_MAP, HashMap::with_capacity(cap)),
+                    map: OrderedRwLock::new(
+                        BUFFER_MAP,
+                        IdHashMap::with_capacity_and_hasher(cap, Default::default()),
+                    ),
                     core: OrderedMutex::new(
                         BUFFER_STRUCTURAL,
                         ShardCore {
@@ -465,7 +467,8 @@ impl<L: LowerTier> BufferPool<L> {
         self.evict_from(fullest, &mut core)
     }
 
-    /// Opportunistically remove one cold dirty frame matching `filter` from
+    /// Opportunistically remove one cold dirty frame whose id passes `wants`
+    /// and whose pageLSN is below `lsn_below` (see [`VictimPull::pull`]) from
     /// a shard other than `exclude`, probing each shard's LRU tail at most
     /// [`VICTIM_PROBE_DEPTH`] deep. Only `try_lock` is used on the
     /// structural mutex, so this can run while the caller holds other locks
@@ -475,7 +478,8 @@ impl<L: LowerTier> BufferPool<L> {
     fn pull_dirty_victim(
         &self,
         exclude: usize,
-        filter: &dyn Fn(PageId, Lsn) -> bool,
+        wants: &dyn Fn(PageId) -> bool,
+        lsn_below: Option<Lsn>,
     ) -> Option<(Page, bool, bool)> {
         // The lower tier invokes this pull while holding its own (higher-
         // ranked) locks, so the donor shard's map/latch acquisitions below
@@ -499,13 +503,18 @@ impl<L: LowerTier> BufferPool<L> {
                     .take(VICTIM_PROBE_DEPTH)
                     .copied()
                     .find(|id| {
-                        // `try_read`: a frame that is loading or being
-                        // updated is not cold, and waiting for it here would
-                        // be waiting under the caller's cache shard lock.
-                        map.get(id).is_some_and(|c| {
-                            c.flags.load().dirty
-                                && c.page.try_read().is_some_and(|p| filter(*id, p.lsn()))
-                        })
+                        // The id test first: most tail frames route to
+                        // another cache shard and are turned away here, before
+                        // any lookup. `try_read`: a frame that is loading or
+                        // being updated is not cold, and waiting for it here
+                        // would be waiting under the caller's cache shard lock.
+                        wants(*id)
+                            && map.get(id).is_some_and(|c| {
+                                c.flags.load().dirty
+                                    && c.page
+                                        .try_read()
+                                        .is_some_and(|p| lsn_below.is_none_or(|b| p.lsn() < b))
+                            })
                     })
             };
             if let Some(id) = candidate {
@@ -785,8 +794,12 @@ struct PoolVictims<'a, L: LowerTier> {
 }
 
 impl<L: LowerTier> VictimPull for PoolVictims<'_, L> {
-    fn pull(&mut self, filter: &dyn Fn(PageId, Lsn) -> bool) -> Option<(Page, bool, bool)> {
-        self.pool.pull_dirty_victim(self.exclude, filter)
+    fn pull(
+        &mut self,
+        wants: &dyn Fn(PageId) -> bool,
+        lsn_below: Option<Lsn>,
+    ) -> Option<(Page, bool, bool)> {
+        self.pool.pull_dirty_victim(self.exclude, wants, lsn_below)
     }
 }
 
@@ -1161,7 +1174,7 @@ mod tests {
                 reason: WriteBackReason,
                 victims: &mut dyn VictimPull,
             ) -> TierResult<WriteBackOutcome> {
-                while let Some((extra, d, f)) = victims.pull(&|_, _| true) {
+                while let Some((extra, d, f)) = victims.pull(&|_| true, None) {
                     self.pulled.lock().unwrap().push(extra.id());
                     self.inner.write_back(&extra, d, f, reason)?;
                 }

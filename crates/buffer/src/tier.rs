@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use face_pagestore::{Counter, DeviceError, Page, PageId, PageStore, StoreError};
+use face_pagestore::{Counter, DeviceError, Lsn, Page, PageId, PageStore, StoreError};
 
 /// Errors surfaced by a lower tier.
 #[derive(Debug)]
@@ -118,13 +118,17 @@ pub struct WriteBackOutcome {
 /// tier invokes this while cache-internal locks are held; a blocking wait on
 /// a buffer shard would close a lock cycle.
 pub trait VictimPull {
-    /// Remove and return a cold dirty frame whose page satisfies `filter`
-    /// (page id and pageLSN), or `None` if none is available cheaply. The
+    /// Remove and return a cold dirty frame whose page id passes `wants`
+    /// and whose pageLSN is strictly below `lsn_below` (`None`: any LSN), or
+    /// `None` if none is available cheaply. `wants` is asked first and needs
+    /// nothing but the id, so a frame it rejects costs no map lookup and no
+    /// latch; the LSN bound is tested under the frame's page latch. The
     /// frame leaves the DRAM buffer for good: the caller owns its fate.
     /// Returns `(page, dirty, fdirty)`.
     fn pull(
         &mut self,
-        filter: &dyn Fn(PageId, face_pagestore::Lsn) -> bool,
+        wants: &dyn Fn(PageId) -> bool,
+        lsn_below: Option<Lsn>,
     ) -> Option<(Page, bool, bool)>;
 }
 
@@ -136,7 +140,8 @@ pub struct NoVictims;
 impl VictimPull for NoVictims {
     fn pull(
         &mut self,
-        _filter: &dyn Fn(PageId, face_pagestore::Lsn) -> bool,
+        _wants: &dyn Fn(PageId) -> bool,
+        _lsn_below: Option<Lsn>,
     ) -> Option<(Page, bool, bool)> {
         None
     }

@@ -39,6 +39,15 @@
 //! fetch path shares it, only publish (under the cache shard lock) and
 //! retire (destage completion) take it exclusively.
 //!
+//! ## One copy, one checksum per crossing
+//!
+//! A page that leaves DRAM is copied once, into the frame `stage` builds,
+//! and a dirty one is checksummed there. The pending group, the flash store's
+//! batch write, the wash table, the destage queue and the disk write all
+//! share that `Arc<Page>`; `persist_staged_page` writes it as it is (after
+//! verifying the stamp). Coming back up, a store copies into the buffer the
+//! pool handed down (`Page::clone_from`), never into a fresh one.
+//!
 //! Lock order (outer → inner): buffer shard (structural mutex → mapping →
 //! page latch) → cache shard directory → wash table → destage queue → WAL.
 //! **No device I/O happens under a cache shard lock**: group writes and
@@ -52,7 +61,6 @@
 //! [`FaceTier::write_back_with`] still runs under the evicting shard's
 //! structural mutex.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use face_analysis::classes::WASH_TABLE;
@@ -67,7 +75,7 @@ use face_cache::{
     PendingGroupWrite, ShardedFlashCache, StagedPage, StripedIoLog,
 };
 use face_pagestore::{
-    backoff_sleep, DeviceError, DeviceResult, Lsn, Page, PageId, PageStore, StoreError,
+    backoff_sleep, DeviceError, DeviceResult, IdHashMap, Lsn, Page, PageId, PageStore, StoreError,
 };
 use face_wal::WalWriter;
 
@@ -123,14 +131,32 @@ impl TierStatCounters {
 /// Pages whose destage disk write is queued or in flight, readable until the
 /// write lands. Keyed by page id; the LSN disambiguates versions so a
 /// completed older write never evicts a newer queued one.
-type WashTable = OrderedRwLock<HashMap<PageId, StagedPage>>;
+type WashTable = OrderedRwLock<IdHashMap<PageId, StagedPage>>;
+
+/// A page leaving DRAM becomes a staged page. `page` is the one private copy
+/// of its trip down the hierarchy (the evicted frame's clone, or a frame a
+/// GSC pull took out of the pool), and a dirty one is checksummed here and
+/// nowhere later (see the `face_pagestore::page` module docs): every hop
+/// below — pending group, flash slot, wash table, destage queue, disk —
+/// shares or moves these bytes. A clean page keeps the checksum it was read
+/// with; it is never written to disk.
+fn stage(mut page: Page, dirty: bool, fdirty: bool) -> StagedPage {
+    if dirty {
+        page.update_checksum();
+    }
+    StagedPage::with_data(page, dirty, fdirty)
+}
 
 /// The one place a staged page's bytes reach the disk — shared by the
 /// synchronous path ([`FaceTier::write_staged_to_disk`]) and the destage
 /// workers, so the write protocol (checksum, store write, accounting,
 /// wash-table retirement) cannot diverge between the two arms the perf gate
-/// compares. The physical `DiskWrite` I/O event is *not* recorded here: the
-/// policy already charged it when it dequeued the page.
+/// compares. The shared frame is written as it is: it was checksummed when
+/// it was staged. That is verified, not assumed — a frame that does not
+/// verify (one built without `stage`) is copied and stamped first, so an
+/// unverifiable page never reaches the store. The physical `DiskWrite` I/O
+/// event is *not* recorded here: the policy already charged it when it
+/// dequeued the page.
 fn persist_staged_page(
     disk: &dyn PageStore,
     stats: &TierStatCounters,
@@ -143,9 +169,13 @@ fn persist_staged_page(
         // the stale disk copy until a newer version or WAL redo heals it.
         return Ok(());
     };
-    let mut copy = data.as_ref().clone();
-    copy.update_checksum();
-    disk.write_page(copy.id(), &copy)?;
+    if data.verify_checksum() {
+        disk.write_page(data.id(), data)?;
+    } else {
+        let mut stamped = data.as_ref().clone();
+        stamped.update_checksum();
+        disk.write_page(stamped.id(), &stamped)?;
+    }
     stats.disk_writes.inc();
     // The disk now holds this version: retire the wash-table entry unless a
     // newer version of the page was queued meanwhile.
@@ -309,7 +339,7 @@ impl FaceTier {
             wal: None,
             stats: Arc::new(TierStatCounters::default()),
             destager: None,
-            washing: Arc::new(OrderedRwLock::new(WASH_TABLE, HashMap::new())),
+            washing: Arc::new(OrderedRwLock::new(WASH_TABLE, IdHashMap::default())),
             degrade: None,
         }
     }
@@ -810,12 +840,11 @@ impl PageSupplier for GscSupplier<'_> {
     fn next_dirty_page(&mut self) -> Option<StagedPage> {
         let cache = self.cache;
         let shard = self.target_shard;
-        let durable = self.durable_lsn;
         let (page, dirty, fdirty) = self
             .victims
-            .pull(&|id, lsn| cache.shard_of(id) == shard && durable.is_none_or(|d| lsn < d))?;
+            .pull(&|id| cache.shard_of(id) == shard, self.durable_lsn)?;
         self.stats.gsc_pulls.inc();
-        Some(StagedPage::with_data(page, dirty, fdirty))
+        Some(stage(page, dirty, fdirty))
     }
 }
 
@@ -871,7 +900,7 @@ impl FaceTier {
                             // rescued bytes (already persisted WAL-guarded).
                             if let Some(s) = evacuee.filter(|s| s.page == id) {
                                 if let Some(data) = &s.data {
-                                    *buf = data.as_ref().clone();
+                                    buf.clone_from(data);
                                     self.stats.flash_fetches.inc();
                                     return Ok(Some(FetchOutcome {
                                         source: FetchSource::FlashCache,
@@ -928,7 +957,7 @@ impl LowerTier for FaceTier {
                 .map(|s| (s.data.as_ref().map(Arc::clone), s.dirty, s.lsn));
             match washed {
                 Some((Some(frame), _, _)) => {
-                    *buf = frame.as_ref().clone();
+                    buf.clone_from(&frame);
                     self.stats.disk_fetches.inc();
                     self.stats.wash_table_hits.inc();
                     return Ok(FetchOutcome {
@@ -1047,7 +1076,7 @@ impl LowerTier for FaceTier {
                 // later fetch could resurrect a stale version (a coherence
                 // hazard for the on-entry, write-through TAC baseline).
                 if reason == WriteBackReason::Checkpoint && !cache.persists_dirty_pages() {
-                    let staged = StagedPage::with_data(page.clone(), dirty, fdirty);
+                    let staged = stage(page.clone(), dirty, fdirty);
                     let mut io = IoLog::new();
                     let refreshed = cache.insert_with_sink(
                         staged,
@@ -1081,7 +1110,7 @@ impl LowerTier for FaceTier {
 
                 let persists = cache.persists_dirty_pages();
                 let shard = cache.shard_of(page.id());
-                let staged = StagedPage::with_data(page.clone(), dirty, fdirty);
+                let staged = stage(page.clone(), dirty, fdirty);
                 let mut io = IoLog::new();
                 let inserted = if reason == WriteBackReason::Eviction && persists {
                     // Offer the GSC supplier; non-GSC policies ignore it.
@@ -1275,6 +1304,28 @@ mod tests {
             }
         }
         assert!(staged_to_disk >= 2);
+    }
+
+    #[test]
+    fn an_unstamped_staged_page_still_reaches_the_disk_verifying() {
+        let (tier, disk) = tier(CachePolicyKind::Face, 8);
+        let ids: Vec<PageId> = (0..2).map(|_| tier.allocate(0).unwrap()).collect();
+        // One frame staged the tier's way, one built by hand with the
+        // checksum never computed.
+        let stamped = stage(dirty_page(ids[0], b"stamped"), true, true);
+        let unstamped = StagedPage::with_data(dirty_page(ids[1], b"by hand"), true, true);
+        assert!(stamped.data.as_ref().unwrap().verify_checksum());
+        assert!(!unstamped.data.as_ref().unwrap().verify_checksum());
+        tier.write_staged_to_disk(&[stamped, unstamped.clone()])
+            .unwrap();
+        assert_eq!(tier.stats().disk_writes, 2);
+        let mut buf = Page::zeroed();
+        disk.read_page(ids[0], &mut buf).unwrap();
+        assert_eq!(buf.read_body(0, 7), b"stamped");
+        disk.read_page(ids[1], &mut buf).unwrap();
+        assert_eq!(buf.read_body(0, 7), b"by hand");
+        // The shared frame itself was left alone.
+        assert!(!unstamped.data.unwrap().verify_checksum());
     }
 
     #[test]

@@ -149,6 +149,54 @@ fn concurrent_engine_has_no_lockdep_violations() {
     );
 }
 
+/// A `Page` is created and dropped wherever the engine happens to be — a
+/// flash read's result dies under the cache shard, a retired wash entry under
+/// the wash table, a store's old slot under its own lock — and both can reach
+/// for the shared free list of page buffers. Its lock class ranks innermost,
+/// so doing that under any of those guards is in order.
+#[test]
+fn pages_are_created_and_dropped_under_engine_locks_in_order() {
+    use face_analysis::classes::{CACHE_SHARD, FLASH_SLOTS, WASH_TABLE};
+    use face_analysis::{OrderedMutex, OrderedRwLock};
+    use face_pagestore::page::THREAD_CACHE_BUFFERS;
+    use face_pagestore::Page;
+
+    // A fresh thread starts with an empty buffer cache: its first page
+    // refills from the shared list, and dropping more pages than the cache
+    // holds spills back to it — both under all three guards.
+    thread::spawn(|| {
+        let shard = OrderedRwLock::new(CACHE_SHARD, ());
+        let wash = OrderedRwLock::new(WASH_TABLE, ());
+        let slots = OrderedMutex::new(FLASH_SLOTS, ());
+        let _shard = shard.write();
+        let _wash = wash.write();
+        let _slots = slots.lock();
+        let pages: Vec<Page> = (0..2 * THREAD_CACHE_BUFFERS + 1)
+            .map(|_| Page::zeroed())
+            .collect();
+        drop(pages);
+    })
+    .join()
+    .unwrap();
+    if face_analysis::enabled() {
+        assert!(
+            witness::edges()
+                .iter()
+                .any(|(from, to)| from.name() == "flash_slots" && to.name() == "page_buffers"),
+            "the free list's lock was never taken under the guards"
+        );
+    }
+    assert_eq!(
+        (
+            witness::order_violation_count(),
+            witness::io_violation_count()
+        ),
+        (0, 0),
+        "lockdep violations recorded:\n{}",
+        witness::reports().join("\n")
+    );
+}
+
 /// A disk read parked mid-flight (a one-second latency spike on the first
 /// read after arming) holds the loading frame's page latch and nothing else
 /// of the buffer pool: with a single buffer shard, an update of a resident

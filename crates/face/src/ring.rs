@@ -49,10 +49,10 @@
 //! page goes, and what happens to the victims of a dequeue.
 //! [`crate::mvfifo`] and [`crate::s3fifo`] are the two in the tree.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use face_pagestore::{DeviceResult, Lsn, Page, PageId};
+use face_pagestore::{DeviceResult, IdHashMap, Lsn, Page, PageId};
 
 use crate::destage::{PendingGroupWrite, PendingSlotWrite};
 use crate::io::IoLog;
@@ -232,7 +232,7 @@ pub struct GroupRing<P> {
     slots: Vec<Option<SlotMeta>>,
     pub(crate) regions: Vec<Region>,
     /// Latest valid version of each cached page.
-    pub(crate) dir: HashMap<PageId, usize>,
+    pub(crate) dir: IdHashMap<PageId, usize>,
     /// Slots assigned but whose physical batch write has not happened yet,
     /// with their data when the store carries data. Shared by all regions:
     /// their entries seal under one journal group.
@@ -242,7 +242,7 @@ pub struct GroupRing<P> {
     /// `slot -> (epoch, frame)` for the in-flight groups, so fetches of
     /// versions whose batch write has not completed are served from RAM —
     /// the foreground never waits for a specific group write to finish.
-    inflight_data: HashMap<usize, (u64, Arc<Page>)>,
+    inflight_data: IdHashMap<usize, (u64, Arc<Page>)>,
     generations: SlotGenerations,
     /// Slots removed from the replacement rotation after repeated device
     /// failures ([`FlashCache::quarantine_slot`]). RAM-only by design: the
@@ -300,10 +300,10 @@ impl<P: RingPolicy> GroupRing<P> {
             store,
             slots: vec![None; capacity],
             regions,
-            dir: HashMap::new(),
+            dir: IdHashMap::default(),
             pending: Vec::new(),
             inflight: BTreeMap::new(),
-            inflight_data: HashMap::new(),
+            inflight_data: IdHashMap::default(),
             generations: SlotGenerations::new(capacity),
             quarantined: HashSet::new(),
             write_fallout: Vec::new(),
@@ -1612,7 +1612,7 @@ pub(crate) mod tests {
             let mut io = IoLog::new();
             // Every version ever enqueued, and the latest version per page.
             let mut enqueued: HashSet<(PageId, Lsn)> = HashSet::new();
-            let mut latest: HashMap<PageId, Lsn> = HashMap::new();
+            let mut latest: IdHashMap<PageId, Lsn> = IdHashMap::default();
             let crash_at = crash_at % (ops.len() + 1);
             let mut max_lsn = 0u64;
             for (i, (op, page, dirty)) in ops.iter().take(crash_at).enumerate() {

@@ -114,8 +114,13 @@ pub trait FlashStore: Send + Sync {
 /// This doubles as the "durable" flash device in crash-simulation tests: a
 /// crash drops the DRAM buffer and the in-memory metadata directory but keeps
 /// the `MemFlashStore` contents, exactly like a real non-volatile SSD.
+///
+/// A slot keeps its buffer once written: programming it again **overwrites
+/// the stored bytes in place**, so the slot lock covers one 4 KiB copy per
+/// page and no allocation. A batch — [`FlashStore::write_batch`] and
+/// [`FlashStore::read_batch`] — takes the lock once for all of its pages.
 pub struct MemFlashStore {
-    slots: OrderedRwLock<Vec<Option<Box<Page>>>>,
+    slots: OrderedRwLock<Vec<Option<Page>>>,
     written: Counter,
 }
 
@@ -142,18 +147,25 @@ impl FlashStore for MemFlashStore {
     }
 
     fn write_slot(&self, slot: usize, page: &Page) -> DeviceResult<()> {
-        self.written.inc();
+        self.write_batch(&[(slot, page)])
+    }
+
+    fn write_batch(&self, writes: &[(usize, &Page)]) -> DeviceResult<()> {
+        self.written.add(writes.len() as u64);
         let mut slots = self.slots.write();
         let len = slots.len();
-        slots[slot % len] = Some(Box::new(page.clone()));
+        for &(slot, page) in writes {
+            match &mut slots[slot % len] {
+                Some(stored) => stored.clone_from(page),
+                empty => *empty = Some(page.clone()),
+            }
+        }
         Ok(())
     }
 
     fn read_slot(&self, slot: usize) -> DeviceResult<Option<Page>> {
         let slots = self.slots.read();
-        Ok(slots
-            .get(slot % slots.len().max(1))
-            .and_then(|s| s.as_deref().cloned()))
+        Ok(slots.get(slot % slots.len().max(1)).cloned().flatten())
     }
 
     fn read_batch(&self, slots: &[usize]) -> DeviceResult<Vec<Option<Page>>> {
@@ -161,7 +173,7 @@ impl FlashStore for MemFlashStore {
         let len = stored.len().max(1);
         Ok(slots
             .iter()
-            .map(|slot| stored.get(slot % len).and_then(|s| s.as_deref().cloned()))
+            .map(|slot| stored.get(slot % len).cloned().flatten())
             .collect())
     }
 
@@ -588,6 +600,71 @@ mod tests {
         assert!(store.read_slot(2).unwrap().is_none());
     }
 
+    fn marked(page_no: u32, marker: u8) -> Page {
+        let mut p = Page::new(PageId::new(0, page_no));
+        p.write_body(0, &[marker; 32]);
+        p
+    }
+
+    #[test]
+    fn overwriting_a_slot_in_place_reads_back_the_new_bytes() {
+        let store = MemFlashStore::new(4);
+        for marker in 1..=3u8 {
+            let mut page = marked(marker as u32, marker);
+            store.write_slot(2, &page).unwrap();
+            // The caller's page is only read from.
+            page.write_body(0, &[0xFF; 32]);
+            assert_eq!(store.occupied(), 1);
+            let out = store.read_slot(2).unwrap().unwrap();
+            assert_eq!(out.id(), PageId::new(0, marker as u32));
+            assert_eq!(out.read_body(0, 32), [marker; 32]);
+        }
+        assert_eq!(store.pages_written(), 3);
+    }
+
+    #[test]
+    fn write_batch_equals_the_same_write_slot_sequence() {
+        let pages: Vec<Page> = (0..6).map(|i| marked(i, i as u8 + 1)).collect();
+        // Slots beyond the capacity wrap, and slot 1 is written twice: the
+        // later write wins in both stores.
+        let slots = [3usize, 4, 5, 1, 9, 2];
+        let batch: Vec<(usize, &Page)> = slots.iter().copied().zip(&pages).collect();
+
+        let batched = MemFlashStore::new(4);
+        batched.write_batch(&batch).unwrap();
+        let serial = MemFlashStore::new(4);
+        for (slot, page) in &batch {
+            serial.write_slot(*slot, page).unwrap();
+        }
+        assert_eq!(batched.pages_written(), 6);
+        assert_eq!(serial.pages_written(), 6);
+        assert_eq!(batched.occupied(), serial.occupied());
+        for slot in 0..4 {
+            let (a, b) = (
+                batched.read_slot(slot).unwrap(),
+                serial.read_slot(slot).unwrap(),
+            );
+            assert_eq!(
+                a.as_ref().map(|p| p.as_bytes()),
+                b.as_ref().map(|p| p.as_bytes()),
+                "slot {slot}"
+            );
+        }
+        assert_eq!(
+            batched.read_slot(1).unwrap().unwrap().id(),
+            PageId::new(0, 4)
+        );
+        assert_eq!(
+            batched.read_batch(&[5, 0]).unwrap()[0]
+                .as_ref()
+                .unwrap()
+                .id(),
+            PageId::new(0, 4)
+        );
+        batched.write_batch(&[]).unwrap();
+        assert_eq!(batched.pages_written(), 6);
+    }
+
     #[test]
     fn header_store_remembers_headers_only() {
         let store = HeaderFlashStore::new(16);
@@ -723,8 +800,12 @@ mod tests {
         // however many pages it carries.
         assert_eq!(plan.ops_observed(), 1);
         assert_eq!(inner.occupied(), 3, "first half persisted");
-        assert!(inner.read_slot(2).unwrap().is_some());
+        for slot in 0..3 {
+            let landed = inner.read_slot(slot).unwrap().unwrap();
+            assert_eq!(landed.id(), PageId::new(0, slot as u32));
+        }
         assert!(inner.read_slot(3).unwrap().is_none());
+        assert_eq!(inner.pages_written(), 3);
 
         // A torn single-page write persists nothing.
         let plan = Arc::new(FaultPlan::new(1).fail_nth(1).mode(FaultMode::TornWrite));

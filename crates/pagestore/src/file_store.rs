@@ -82,9 +82,7 @@ impl PageStore for FilePageStore {
         }
         self.with_file(id.file, |f| {
             f.seek(SeekFrom::Start(id.byte_offset()))?;
-            let mut bytes = [0u8; PAGE_SIZE];
-            f.read_exact(&mut bytes)?;
-            *buf = Page::from_bytes(bytes);
+            f.read_exact(buf.as_bytes_mut())?;
             Ok(())
         })?;
         validate_read(id, buf)

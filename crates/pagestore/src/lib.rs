@@ -24,6 +24,7 @@ pub mod device;
 pub mod fault;
 pub mod file_store;
 pub mod hooks;
+pub mod idhash;
 pub mod mem_store;
 pub mod page;
 pub mod store;
@@ -34,6 +35,7 @@ pub use device::{DeviceError, DeviceErrorKind, DeviceOp, DeviceResult, DeviceSco
 pub use fault::{FaultAction, FaultMode, FaultPlan};
 pub use file_store::FilePageStore;
 pub use hooks::{backoff_sleep, DeviceHooks, HookOp, InstrumentedPageStore};
+pub use idhash::IdHashMap;
 pub use mem_store::InMemoryPageStore;
 pub use page::{stripe_of, Lsn, Page, PageId, PAGE_BODY_SIZE, PAGE_HEADER_SIZE, PAGE_SIZE};
 pub use store::{PageStore, StoreError, StoreResult};

@@ -1,17 +1,26 @@
 //! An in-memory page store, used by unit tests and by simulation-mode engines
 //! where page *contents* still matter but real files would be wasteful.
+//!
+//! A stored page keeps one buffer from its first write on: a later
+//! `write_page` of the same id **overwrites those bytes in place** under the
+//! store's write lock, and `read_page` copies them into the caller's buffer
+//! under the read lock. Neither allocates, so the store-wide lock is held for
+//! one 4 KiB copy and nothing else; the checksum is verified on the caller's
+//! copy after the lock is released.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use face_analysis::classes::PAGE_STORE;
 use face_analysis::OrderedRwLock;
 
+use crate::idhash::IdHashMap;
 use crate::page::{Page, PageId};
 use crate::store::{validate_read, PageStore, StoreError, StoreResult};
 
 #[derive(Default)]
 struct Inner {
-    pages: HashMap<PageId, Box<Page>>,
+    pages: IdHashMap<PageId, Page>,
     /// Highest allocated page number per file, +1.
     file_sizes: HashMap<u32, u64>,
 }
@@ -58,15 +67,15 @@ impl PageStore for InMemoryPageStore {
                 return Err(StoreError::PageNotFound(id));
             }
             match g.pages.get(&id) {
-                Some(p) => *buf = (**p).clone(),
+                Some(p) => buf.clone_from(p),
                 None => {
                     // Allocated but never written: zero-filled.
-                    *buf = Page::zeroed();
+                    buf.as_bytes_mut().fill(0);
                     return Ok(());
                 }
             }
         }
-        // Checksumming the private copy needs no lock.
+        // Checksumming the caller's copy needs no lock.
         validate_read(id, buf)
     }
 
@@ -79,7 +88,12 @@ impl PageStore for InMemoryPageStore {
             // write without allocating first.
             *size = id.page_no as u64 + 1;
         }
-        g.pages.insert(id, Box::new(page.clone()));
+        match g.pages.entry(id) {
+            Entry::Occupied(stored) => stored.into_mut().clone_from(page),
+            Entry::Vacant(slot) => {
+                slot.insert(page.clone());
+            }
+        }
         Ok(())
     }
 
@@ -169,6 +183,30 @@ mod tests {
         store.write_page(id, &page).unwrap();
         assert_eq!(store.num_pages(0), 100);
         assert_eq!(store.materialized_pages(), 1);
+    }
+
+    #[test]
+    fn overwriting_a_page_in_place_reads_back_the_new_bytes() {
+        let store = InMemoryPageStore::new();
+        let id = store.allocate(0).unwrap();
+        let other = store.allocate(0).unwrap();
+        let mut out = Page::zeroed();
+        for round in 0..3u8 {
+            let mut page = Page::new(id);
+            page.write_body(0, &[round; 64]);
+            page.set_lsn(Lsn(round as u64 + 1));
+            page.update_checksum();
+            store.write_page(id, &page).unwrap();
+            // The caller's page is only read from.
+            page.write_body(0, &[0xFF; 64]);
+            assert_eq!(store.materialized_pages(), 1);
+            store.read_page(id, &mut out).unwrap();
+            assert_eq!(out.read_body(0, 64), [round; 64]);
+            assert_eq!(out.lsn(), Lsn(round as u64 + 1));
+            // A read target is fully overwritten, also by an unwritten page.
+            store.read_page(other, &mut out).unwrap();
+            assert!(out.as_bytes().iter().all(|&b| b == 0));
+        }
     }
 
     #[test]

@@ -1,13 +1,49 @@
 //! Fixed-size pages with a self-describing header.
 //!
+//! ## The checksum
+//!
 //! The header checksum is [`crate::crc32`] over the page with the checksum
-//! field counted as zero. Builds before this one stored a byte-serial FNV-1a
-//! there, so a `FilePageStore` directory they wrote does not verify under
-//! this build (every read reports a checksum mismatch); there is no
-//! migration, as for the WAL's record-tag change before it.
+//! field counted as zero. (Builds before PR 15 stored a byte-serial FNV-1a
+//! there; a `FilePageStore` directory they wrote does not verify, and there
+//! is no migration.) Nothing keeps it current while a page is being edited:
+//! a DRAM frame's checksum is stale from its first update on. It is stamped
+//! ([`Page::update_checksum`]) **once per trip down the hierarchy, on the
+//! private copy made when the page leaves DRAM** — the buffer pool's
+//! eviction or checkpoint hands the tier a `&Page`, the tier copies it into
+//! the frame it stages and stamps that copy. Every later hop (pending group,
+//! flash slot, wash table, destage queue, disk) moves or shares those same
+//! bytes, so the stamp is still right when they reach a page store, and a
+//! store verifies it ([`crate::store::validate_read`]) on every read.
+//!
+//! ## Who owns a buffer
+//!
+//! A `Page` owns one 4 KiB heap buffer for its whole life and hands it back
+//! when it drops — not to the allocator but to a **bounded free list**, from
+//! which the next [`Page::new`], [`Page::zeroed`], [`Page::from_bytes`] or
+//! `clone` takes it. Pages are created and dropped at every crossing of the
+//! DRAM boundary (a miss's placeholder, an eviction's staged copy, a flash
+//! read's result), often on different threads (a client stages, a destager
+//! drops), and going to the allocator each time cost more than the copy.
+//!
+//! The list has two levels. Each thread keeps up to
+//! [`THREAD_CACHE_BUFFERS`] buffers to itself and touches no lock while it
+//! has some (or room for some). An empty cache refills from, and a full one
+//! spills to, one shared list of at most [`SHARED_BUFFERS`] buffers
+//! (2 MiB) behind a lock of class `page_buffers` — the innermost class, since
+//! a `Page` can be dropped under any other lock. Whatever does not fit is
+//! freed, a thread's cache is freed when the thread exits, and an empty list
+//! falls back to the allocator, so the list bounds what is *retained* and
+//! never what can be allocated. A recycled buffer holds its previous
+//! contents until its new owner overwrites them: `new`/`zeroed` zero it,
+//! `from_bytes`/`clone` copy over all of it.
 
+use std::cell::RefCell;
 use std::fmt;
+use std::mem::ManuallyDrop;
+use std::sync::LazyLock;
 
+use face_analysis::classes::PAGE_BUFFERS;
+use face_analysis::OrderedMutex;
 use serde::{Deserialize, Serialize};
 
 use crate::crc::crc32_fold;
@@ -127,42 +163,101 @@ impl fmt::Display for PageId {
 /// patterns well). Callers that stripe at a coarser granularity (e.g. TAC's
 /// temperature extents) pre-divide the key before routing.
 pub fn stripe_of(key: u64, stripes: usize) -> usize {
-    let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let h = key.wrapping_mul(crate::idhash::GOLDEN);
     ((h >> 32) as usize) % stripes.max(1)
+}
+
+type Buffer = Box<[u8; PAGE_SIZE]>;
+
+/// Buffers a thread keeps to itself before it touches the shared list.
+pub const THREAD_CACHE_BUFFERS: usize = 32;
+
+/// Bound on the shared free list: 512 buffers, 2 MiB.
+pub const SHARED_BUFFERS: usize = 512;
+
+/// Buffers moved per refill or spill, so the shared lock is taken once per
+/// this many pages and not once per page.
+const TRANSFER_BUFFERS: usize = THREAD_CACHE_BUFFERS / 2;
+
+static SHARED_FREE: LazyLock<OrderedMutex<Vec<Buffer>>> =
+    LazyLock::new(|| OrderedMutex::new(PAGE_BUFFERS, Vec::with_capacity(SHARED_BUFFERS)));
+
+thread_local! {
+    /// Dropped with the thread, which frees what it holds.
+    static THREAD_FREE: RefCell<Vec<Buffer>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A recycled buffer with stale contents, if the free list has one.
+fn recycled_buffer() -> Option<Buffer> {
+    THREAD_FREE
+        .try_with(|cache| {
+            let mut cache = cache.borrow_mut();
+            if cache.is_empty() {
+                let mut shared = SHARED_FREE.lock();
+                let keep = shared.len().saturating_sub(TRANSFER_BUFFERS);
+                cache.extend(shared.drain(keep..));
+            }
+            cache.pop()
+        })
+        // A thread that is already tearing its locals down allocates.
+        .ok()
+        .flatten()
+}
+
+/// Hand a buffer to the free list, or free it when the list is full (or this
+/// thread's cache is already gone).
+fn recycle_buffer(buffer: Buffer) {
+    let _ = THREAD_FREE.try_with(|cache| {
+        let mut cache = cache.borrow_mut();
+        if cache.len() >= THREAD_CACHE_BUFFERS {
+            let spill = cache.len() - TRANSFER_BUFFERS;
+            let mut shared = SHARED_FREE.lock();
+            let room = SHARED_BUFFERS.saturating_sub(shared.len());
+            // What the shared list has no room for is freed with the drain.
+            shared.extend(cache.drain(spill..).take(room));
+        }
+        cache.push(buffer);
+    });
 }
 
 /// A 4 KiB page: header plus body.
 ///
 /// `Page` is a plain byte buffer with typed accessors, so it can be written
-/// to and read from storage without any serialisation step.
-#[derive(Clone)]
+/// to and read from storage without any serialisation step. Its buffer comes
+/// from, and returns to, the free list of the module docs.
 pub struct Page {
-    bytes: Box<[u8; PAGE_SIZE]>,
+    /// Always present; `ManuallyDrop` only so `drop` can move it out.
+    bytes: ManuallyDrop<Buffer>,
 }
 
 impl Page {
+    /// A page over a buffer whose every byte the caller is about to write.
+    fn for_overwrite() -> Self {
+        let buffer = recycled_buffer().unwrap_or_else(|| Box::new([0u8; PAGE_SIZE]));
+        Self {
+            bytes: ManuallyDrop::new(buffer),
+        }
+    }
+
     /// A zeroed page with a valid header for `id`.
     pub fn new(id: PageId) -> Self {
-        let mut p = Self {
-            bytes: Box::new([0u8; PAGE_SIZE]),
-        };
-        p.write_u32(OFF_MAGIC, MAGIC);
+        let mut p = Self::zeroed();
         p.set_id(id);
         p
     }
 
     /// An entirely zeroed page (no valid header). Used as a read target.
     pub fn zeroed() -> Self {
-        Self {
-            bytes: Box::new([0u8; PAGE_SIZE]),
-        }
+        let mut p = Self::for_overwrite();
+        p.bytes.fill(0);
+        p
     }
 
     /// Build a page from raw bytes (e.g. read from a file).
     pub fn from_bytes(bytes: [u8; PAGE_SIZE]) -> Self {
-        Self {
-            bytes: Box::new(bytes),
-        }
+        let mut p = Self::for_overwrite();
+        **p.bytes = bytes;
+        p
     }
 
     /// The raw bytes of the page.
@@ -248,7 +343,9 @@ impl Page {
         &self.bytes[start..start + len]
     }
 
-    /// Compute and store the checksum. Call just before writing to storage.
+    /// Compute and store the checksum. Call on the private copy made when
+    /// the page leaves DRAM (see the module docs), or just before writing a
+    /// page built by hand to storage.
     pub fn update_checksum(&mut self) {
         let sum = self.compute_checksum();
         self.write_u32(OFF_CHECKSUM, sum);
@@ -280,6 +377,29 @@ impl Page {
 
     fn write_u64(&mut self, off: usize, v: u64) {
         self.bytes[off..off + 8].copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+impl Clone for Page {
+    fn clone(&self) -> Self {
+        let mut p = Self::for_overwrite();
+        p.clone_from(self);
+        p
+    }
+
+    /// Copy `source`'s bytes into this page's own buffer: no buffer changes
+    /// hands. The way to fill a caller's read target from a stored page.
+    fn clone_from(&mut self, source: &Self) {
+        self.bytes.copy_from_slice(source.bytes.as_slice());
+    }
+}
+
+impl Drop for Page {
+    fn drop(&mut self) {
+        // SAFETY: `drop` runs at most once and nothing touches `self.bytes`
+        // after it, so the buffer is moved out exactly once and never used
+        // through `self` again.
+        recycle_buffer(unsafe { ManuallyDrop::take(&mut self.bytes) });
     }
 }
 
@@ -429,5 +549,97 @@ mod tests {
         p.write_body(0, &body);
         assert_eq!(p.id(), PageId::new(9, 9));
         assert!(p.is_formatted());
+    }
+
+    /// The checksum of one fixed page, recorded at the commit before the
+    /// carry-less-multiply CRC path existed: a page file written then still
+    /// verifies now.
+    #[test]
+    fn checksum_of_a_fixed_page_is_the_recorded_literal() {
+        let mut p = Page::new(PageId::new(7, 42));
+        p.set_lsn(Lsn(0x0123_4567_89AB));
+        p.set_flags(0x5A);
+        let body: Vec<u8> = (0..PAGE_BODY_SIZE as u32)
+            .map(|i| (i * 31 + 7) as u8)
+            .collect();
+        p.write_body(0, &body);
+        p.update_checksum();
+        assert_eq!(p.read_u32(OFF_CHECKSUM), 0x732E_BE5C);
+        assert_eq!(
+            p.as_bytes()[..PAGE_HEADER_SIZE],
+            [
+                78, 202, 206, 250, 7, 0, 0, 0, 42, 0, 0, 0, 171, 137, 103, 69, 35, 1, 0, 0, 92,
+                190, 46, 115, 90, 0, 0, 0, 0, 0, 0, 0
+            ]
+        );
+        assert!(p.verify_checksum());
+    }
+
+    fn dirty_page() -> Page {
+        let mut p = Page::zeroed();
+        p.as_bytes_mut().fill(0xEE);
+        p
+    }
+
+    fn shared_free_len() -> usize {
+        SHARED_FREE.lock().len()
+    }
+
+    #[test]
+    fn a_recycled_buffer_comes_back_zeroed() {
+        drop(dirty_page());
+        let z = Page::zeroed();
+        assert!(z.as_bytes().iter().all(|&b| b == 0));
+        drop(dirty_page());
+        let n = Page::new(PageId::new(3, 9));
+        assert_eq!(n.id(), PageId::new(3, 9));
+        assert!(n.as_bytes()[OFF_LSN..].iter().all(|&b| b == 0));
+        // And the copying constructors overwrite every byte.
+        drop(dirty_page());
+        let mut src = Page::new(PageId::new(1, 1));
+        src.write_body(0, b"copied");
+        assert_eq!(src.clone().as_bytes(), src.as_bytes());
+        drop(dirty_page());
+        assert_eq!(Page::from_bytes(*src.as_bytes()).as_bytes(), src.as_bytes());
+        let mut target = dirty_page();
+        target.clone_from(&src);
+        assert_eq!(target.as_bytes(), src.as_bytes());
+    }
+
+    #[test]
+    fn the_free_list_is_bounded() {
+        let pages: Vec<Page> = (0..10_000).map(|_| dirty_page()).collect();
+        drop(pages);
+        assert!(shared_free_len() <= SHARED_BUFFERS);
+        let cached = THREAD_FREE.with(|c| c.borrow().len());
+        assert!(cached <= THREAD_CACHE_BUFFERS, "{cached} buffers cached");
+    }
+
+    /// The client → destager flow: one thread allocates, another drops, and
+    /// both exit with buffers still in their caches.
+    #[test]
+    fn pages_cross_threads_and_threads_exit_with_cached_buffers() {
+        let (tx, rx) = std::sync::mpsc::channel::<Page>();
+        let consumer = std::thread::spawn(move || {
+            let mut seen = 0usize;
+            for page in rx {
+                assert!(page.as_bytes().iter().all(|&b| b == 0xEE));
+                seen += 1;
+            }
+            assert!(THREAD_FREE.with(|c| !c.borrow().is_empty()));
+            seen
+        });
+        let producer = std::thread::spawn(move || {
+            for _ in 0..5_000 {
+                tx.send(dirty_page()).unwrap();
+            }
+            // A few dropped here too, so this thread also exits with a cache.
+            drop((0..8).map(|_| dirty_page()).collect::<Vec<_>>());
+        });
+        producer.join().unwrap();
+        assert_eq!(consumer.join().unwrap(), 5_000);
+        assert!(shared_free_len() <= SHARED_BUFFERS);
+        // The list still serves pages after both threads are gone.
+        assert!(Page::zeroed().as_bytes().iter().all(|&b| b == 0));
     }
 }

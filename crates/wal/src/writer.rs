@@ -24,9 +24,21 @@ struct WriterStats {
     piggybacked_forces: u64,
 }
 
+/// Largest tail buffer kept for reuse after a flush. A burst can grow the
+/// tail past this; such a buffer is freed when its flush completes and the
+/// tail regrows from empty, so one burst does not pin its high-water mark.
+const MAX_RETAINED_TAIL: usize = 1 << 20;
+
 struct WriterInner {
     /// Frames appended but not yet written to storage.
     pending: Vec<u8>,
+    /// The other tail buffer: empty, with the capacity an earlier flush left
+    /// it. A flush leader swaps it in for `pending` and hands the written
+    /// buffer back here, so in steady state the two alternate and appends
+    /// never grow a tail from nothing. Holds no capacity until the first
+    /// flush, after a failed one, and after one that outgrew
+    /// [`MAX_RETAINED_TAIL`].
+    spare: Vec<u8>,
     /// LSN that will be assigned to the next record.
     next_lsn: Lsn,
     /// All records with LSN below this are durable in storage.
@@ -46,8 +58,10 @@ struct WriterInner {
 /// to stable storage before the commit is acknowledged.
 ///
 /// Group commit is leader-based: `force` steals the pending buffer under the
-/// short append lock, then performs the physical write under a separate flush
-/// lock so that *appends keep flowing while the device is busy*. Committers
+/// short append lock (swapping the retained spare buffer in, so the tail
+/// keeps its capacity from flush to flush), then performs the physical write
+/// under a separate flush lock so that *appends keep flowing while the device
+/// is busy*. Committers
 /// arriving mid-flush block on the flush lock; when they get in, either a
 /// leader's write already covered their LSN (their force is a no-op — one
 /// physical flush acknowledged many commits) or they become the next leader
@@ -73,6 +87,7 @@ impl WalWriter {
                 WAL_APPEND,
                 WriterInner {
                     pending: Vec::new(),
+                    spare: Vec::new(),
                     next_lsn: end,
                     durable_lsn: end,
                     poisoned: false,
@@ -147,7 +162,7 @@ impl WalWriter {
         // while the device works, which is where group commit's batching
         // comes from.
         let _leader = self.flush_lock.lock();
-        let (buf, end) = {
+        let (mut buf, end) = {
             let mut inner = self.inner.lock();
             if inner.poisoned {
                 return Err(WalError::Poisoned);
@@ -157,8 +172,10 @@ impl WalWriter {
                 return Ok(false);
             }
             // Steal the whole pending tail: everything appended so far rides
-            // in this leader's single physical write.
-            (std::mem::take(&mut inner.pending), inner.next_lsn)
+            // in this leader's single physical write. The spare (empty, and
+            // ours alone while we hold the flush lock) becomes the new tail.
+            let spare = std::mem::take(&mut inner.spare);
+            (std::mem::replace(&mut inner.pending, spare), inner.next_lsn)
         };
         let wrote = self.storage.append(&buf).and_then(|_| self.storage.sync());
         let mut inner = self.inner.lock();
@@ -176,6 +193,11 @@ impl WalWriter {
         inner.durable_lsn = end;
         inner.stats.forces += 1;
         inner.stats.bytes_flushed += buf.len() as u64;
+        // The written buffer is the next flush's spare.
+        if buf.capacity() <= MAX_RETAINED_TAIL {
+            buf.clear();
+            inner.spare = buf;
+        }
         Ok(true)
     }
 
@@ -378,6 +400,8 @@ mod tests {
         // and every later force fails fast instead of acknowledging commits
         // whose bytes are in limbo — even after the device "recovers".
         assert_eq!(w.durable_lsn(), durable_before);
+        // The bytes in limbo are not handed back as the next tail's spare.
+        assert_eq!(w.inner.lock().spare.capacity(), 0);
         storage.fail.store(false, Ordering::Relaxed);
         assert!(matches!(
             w.append_and_force(&LogRecord::Commit { txn: TxnId(3) }),
@@ -389,6 +413,103 @@ mod tests {
         let mut reader = crate::reader::LogReader::new(w.storage());
         let records = reader.read_to_end().unwrap();
         assert_eq!(records.len(), 2);
+    }
+
+    fn update(txn: u64, image: usize) -> LogRecord {
+        LogRecord::Update {
+            txn: TxnId(txn),
+            page: face_pagestore::PageId::new(1, txn as u32),
+            offset: 0,
+            data: vec![txn as u8; image],
+            before: vec![!(txn as u8); image],
+            prev_lsn: Lsn::ZERO,
+        }
+    }
+
+    #[test]
+    fn the_tail_and_its_spare_alternate_across_forces() {
+        let w = writer();
+        let mut expected = Lsn::ZERO;
+        for round in 0..1_000u64 {
+            for record in [
+                LogRecord::Begin { txn: TxnId(round) },
+                update(round, 128),
+                LogRecord::Commit { txn: TxnId(round) },
+            ] {
+                // LSNs stay contiguous: each record starts where the last ended.
+                assert_eq!(w.append(&record), expected);
+                expected = w.next_lsn();
+            }
+            assert!(w.force_all().unwrap());
+            let inner = w.inner.lock();
+            assert!(inner.pending.is_empty() && inner.spare.is_empty());
+            assert_eq!(inner.durable_lsn, expected);
+            if round >= 1 {
+                // From the second flush on both buffers carry capacity: the
+                // next tail does not grow from nothing.
+                assert!(inner.pending.capacity() > 0 && inner.spare.capacity() > 0);
+            }
+        }
+        assert_eq!(w.storage().len().unwrap(), expected.0);
+        let mut reader = crate::reader::LogReader::new(w.storage());
+        assert_eq!(reader.read_to_end().unwrap().len(), 3_000);
+    }
+
+    #[test]
+    fn a_tail_grown_past_the_cap_is_not_retained() {
+        let w = writer();
+        w.append(&update(1, 64));
+        w.force_all().unwrap();
+        w.append(&update(2, 64));
+        w.force_all().unwrap();
+        assert!(w.inner.lock().spare.capacity() > 0);
+        // One burst larger than the cap...
+        for i in 0..20 {
+            w.append(&update(i, 40_000));
+        }
+        assert!(w.inner.lock().pending.capacity() > MAX_RETAINED_TAIL);
+        w.force_all().unwrap();
+        // ...is written, then freed; the small buffer it displaced is the tail.
+        let inner = w.inner.lock();
+        assert_eq!(inner.spare.capacity(), 0);
+        assert!(inner.pending.is_empty() && inner.pending.capacity() <= MAX_RETAINED_TAIL);
+        assert_eq!(inner.durable_lsn, inner.next_lsn);
+    }
+
+    /// One framed `Update`, byte for byte as the commit before the
+    /// carry-less-multiply CRC path wrote it, and the frame header of an
+    /// engine-sized one whose payload is long enough to take that path: a
+    /// log written then still opens now.
+    #[test]
+    fn framed_update_records_are_the_recorded_literals() {
+        let small = LogRecord::Update {
+            txn: TxnId(9),
+            page: face_pagestore::PageId::new(3, 17),
+            offset: 64,
+            data: (0..8u8).map(|i| 0xA0 + i).collect(),
+            before: (0..8u8).map(|i| 0x10 + i).collect(),
+            prev_lsn: Lsn(4242),
+        };
+        assert_eq!(
+            frame(&small),
+            [
+                53, 0, 0, 0, 223, 254, 8, 43, 2, 9, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 3, 0, 0, 0,
+                64, 0, 0, 0, 8, 0, 0, 0, 160, 161, 162, 163, 164, 165, 166, 167, 8, 0, 0, 0, 16,
+                17, 18, 19, 20, 21, 22, 23, 146, 16, 0, 0, 0, 0, 0, 0
+            ]
+        );
+        let big = LogRecord::Update {
+            txn: TxnId(0x0102_0304_0506),
+            page: face_pagestore::PageId::new(5, 70_000),
+            offset: 1024,
+            data: (0..128u32).map(|i| (i * 7 + 3) as u8).collect(),
+            before: (0..128u32).map(|i| (i * 13 + 1) as u8).collect(),
+            prev_lsn: Lsn(987_654_321),
+        };
+        let framed = frame(&big);
+        assert_eq!(framed.len(), 301);
+        assert!(framed.len() - FRAME_HEADER_SIZE as usize >= face_pagestore::crc::CLMUL_MIN_LEN);
+        assert_eq!(framed[..8], [37, 1, 0, 0, 76, 141, 57, 77]);
     }
 
     #[test]
