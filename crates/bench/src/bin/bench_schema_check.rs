@@ -31,6 +31,7 @@ fn required_fields(file_name: &str) -> &'static [&'static str] {
             "flash_pages_written",
             "flash_bytes_written",
             "flash_writes_per_txn",
+            "wal_bytes_per_txn",
             "p50_us",
             "p95_us",
             "p99_us",

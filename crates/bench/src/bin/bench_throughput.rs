@@ -8,13 +8,21 @@
 //! * 4 threads fail to beat 1 thread in the async arm (the engine stopped
 //!   scaling), or
 //! * async destage loses to sync destage at 4 threads (the pipeline costs
-//!   more than it hides).
+//!   more than it hides), or
+//! * the 4-thread async arm logs more than [`MAX_WAL_BYTES_PER_TXN`] per
+//!   TPC-C transaction (update records carry more than the byte ranges that
+//!   changed).
 //!
 //! Scale knobs: `FACE_CONC_WAREHOUSES`, `FACE_CONC_WARMUP_TXNS`,
 //! `FACE_CONC_MEASURE_TXNS` (shared with `fig4_concurrent`).
 
 use face_bench::experiments::{run_bench_throughput, ConcurrentScale};
 use face_bench::{print_table, write_json_at};
+
+/// Ceiling on log bytes per committed TPC-C transaction. With update
+/// records trimmed to the changed byte range the mix logs ≈ 700–800 B per
+/// transaction; whole-slot images logged ≈ 4,100.
+const MAX_WAL_BYTES_PER_TXN: f64 = 1_200.0;
 
 fn main() {
     let scale = ConcurrentScale::from_env();
@@ -29,6 +37,7 @@ fn main() {
             "tpm",
             "groups",
             "stalls",
+            "WAL B/txn",
         ],
         &rows
             .iter()
@@ -41,6 +50,7 @@ fn main() {
                     format!("{:.0}", r.tpm),
                     format!("{}", r.destage_groups_completed),
                     format!("{}", r.destage_backpressure_stalls),
+                    format!("{:.0}", r.wal_bytes_per_txn),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -79,6 +89,19 @@ fn main() {
             failed |= !pass;
         }
         _ => println!("[SKIP] async-vs-sync verdict needs both 4-thread rows"),
+    }
+    match cell("async", 4) {
+        Some(four) => {
+            let pass = four.wal_bytes_per_txn <= MAX_WAL_BYTES_PER_TXN;
+            println!(
+                "[{}] 4-thread async logs {:.0} B per transaction (ceiling {:.0})",
+                if pass { "PASS" } else { "FAIL" },
+                four.wal_bytes_per_txn,
+                MAX_WAL_BYTES_PER_TXN
+            );
+            failed |= !pass;
+        }
+        None => println!("[SKIP] log-volume verdict needs the 4-thread async row"),
     }
     if failed {
         std::process::exit(1);

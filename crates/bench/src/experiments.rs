@@ -610,6 +610,9 @@ pub struct ThroughputBenchRow {
     /// Flash page writes per committed transaction — the write-economy
     /// figure of merit.
     pub flash_writes_per_txn: f64,
+    /// Log bytes made durable per committed transaction (framed records:
+    /// Begin, the updates' changed byte ranges both ways, Commit).
+    pub wal_bytes_per_txn: f64,
     /// Median per-transaction commit latency, µs.
     pub p50_us: f64,
     /// 95th-percentile commit latency, µs.
@@ -660,6 +663,7 @@ pub fn run_bench_throughput(
             );
             let stats_before = db.destage_stats().unwrap_or_default();
             let flash_before = db.flash_pages_written();
+            let wal_before = db.wal_durable_lsn();
             let started = std::time::Instant::now();
             let report = face_tpcc::run_concurrent(
                 &db,
@@ -670,6 +674,7 @@ pub fn run_bench_throughput(
                     seed: 1_000,
                 },
             );
+            let wal_bytes = db.wal_durable_lsn().0 - wal_before.0;
             // Fairness: the async arm's queued writes are part of the same
             // physical work the sync arm paid inline.
             db.drain_destage().expect("pipeline drain");
@@ -682,6 +687,13 @@ pub fn run_bench_throughput(
                 committed as f64 / wall
             } else {
                 0.0
+            };
+            let per_txn = |count: u64| {
+                if committed > 0 {
+                    count as f64 / committed as f64
+                } else {
+                    0.0
+                }
             };
             out.push(ThroughputBenchRow {
                 threads,
@@ -696,11 +708,8 @@ pub fn run_bench_throughput(
                     - stats_before.backpressure_stalls,
                 flash_pages_written: flash_pages,
                 flash_bytes_written: flash_pages * face_pagestore::PAGE_SIZE as u64,
-                flash_writes_per_txn: if committed > 0 {
-                    flash_pages as f64 / committed as f64
-                } else {
-                    0.0
-                },
+                flash_writes_per_txn: per_txn(flash_pages),
+                wal_bytes_per_txn: per_txn(wal_bytes),
                 p50_us: latency.p50_us,
                 p95_us: latency.p95_us,
                 p99_us: latency.p99_us,
@@ -1966,6 +1975,10 @@ mod tests {
         // touched it.
         assert!(async_.destage_groups_completed > 0);
         assert_eq!(sync.destage_groups_completed, 0);
+        // Same transactions, same log: the destage arm does not change what
+        // a commit makes durable.
+        assert!(sync.wal_bytes_per_txn > 0.0);
+        assert_eq!(sync.wal_bytes_per_txn, async_.wal_bytes_per_txn);
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!   [`EngineError::TransactionBusy`] rather than interleaving with the
 //!   chain-head read / WAL append / new-head store and breaking the
 //!   `prev_lsn` chain that rollback walks;
-//! * WAL appends serialise on the writer's short append mutex, and commits
-//!   amortise the log force through leader-based group commit
-//!   ([`face_wal::WalWriter`]);
+//! * WAL appends serialise on the writer's short append mutex — taken to
+//!   copy an already framed record onto the tail, not to build it, and not
+//!   at all to ask whether an LSN is durable — and commits amortise the log
+//!   force through leader-based group commit ([`face_wal::WalWriter`]);
 //! * counters are atomics.
 //!
 //! Lock order (outer to inner): txn stripe → buffer-pool shard → page latch
@@ -52,7 +53,7 @@ use face_cache::{
     FlashStore, InstrumentedFlashStore, MemFlashStore, ShardedFlashCache,
 };
 use face_pagestore::{
-    DeviceHooks, FilePageStore, InMemoryPageStore, InstrumentedPageStore, PageId, PageStore,
+    DeviceHooks, FilePageStore, InMemoryPageStore, InstrumentedPageStore, Page, PageId, PageStore,
 };
 use face_wal::{
     recovery::build_recovery_plan, ActiveTxn, CheckpointData, FileLogStorage, InMemoryLogStorage,
@@ -62,7 +63,7 @@ use face_wal::{
 use crate::config::{EngineConfig, StorageBackend};
 use crate::error::{EngineError, EngineResult};
 use crate::latency::DeviceLatency;
-use crate::table::{self, PutOutcome, VALUE_CAPACITY};
+use crate::table::{self, PutOutcome, SlotDiff, VALUE_CAPACITY};
 use crate::tier::{FaceTier, TierStats};
 
 /// File id of the key-value table within the page store.
@@ -543,7 +544,7 @@ impl Database {
                     prev_lsn,
                     ..
                 } => {
-                    self.compensate(txn, page, offset, before, prev_lsn)?;
+                    self.compensate(txn, page, offset, &before, prev_lsn)?;
                     undone += 1;
                     next = prev_lsn;
                 }
@@ -569,19 +570,14 @@ impl Database {
         txn: TxnId,
         page: PageId,
         offset: u32,
-        before: Vec<u8>,
+        before: &[u8],
         undo_next_lsn: Lsn,
     ) -> EngineResult<()> {
-        let off = offset as usize;
         self.pool.update_with(page, |p| {
-            p.write_body(off, &before);
-            let lsn = self.wal.append(&LogRecord::Clr {
-                txn,
-                page,
-                offset,
-                data: before,
-                undo_next_lsn,
-            });
+            p.write_body(offset as usize, before);
+            let lsn = self
+                .wal
+                .append_clr(txn, page, offset, before, undo_next_lsn);
             if lsn > p.lsn() {
                 p.set_lsn(lsn);
             }
@@ -607,31 +603,44 @@ impl Database {
         let prev_lsn = claim.head;
         // Apply the change and append its log record under the page latch:
         // with concurrent writers, redo correctness needs the log order of a
-        // page's records to match the order the page absorbed them.
+        // page's records to match the order the page absorbed them. The
+        // record carries the byte range that changed, both ways — empty when
+        // the put stored what was already there, and still one record.
         let write = self.pool.update_with(page_id, |p| {
-            let (outcome, undo) = table::put_with_undo(p, key, value);
-            let write = match outcome {
-                PutOutcome::Inserted(w) | PutOutcome::Updated(w) => w,
+            let diff = match table::put_with_undo(p, key, value) {
+                PutOutcome::Inserted(d) | PutOutcome::Updated(d) => d,
                 PutOutcome::PageFull => return Err(EngineError::TableFull(key)),
             };
-            let before = undo.expect("pre-image present whenever a slot was written");
-            let lsn = self.wal.append(&LogRecord::Update {
-                txn,
-                page: page_id,
-                offset: write.offset as u32,
-                data: write.bytes,
-                before,
-                prev_lsn,
-            });
-            if lsn > p.lsn() {
-                p.set_lsn(lsn);
-            }
-            Ok(lsn)
+            Ok(self.log_update(p, page_id, txn, &diff, prev_lsn))
         })?;
         claim.head = write?;
         drop(claim);
         self.stats.puts.inc();
         Ok(())
+    }
+
+    /// Log what a table write changed in `page` (latched by the caller) and
+    /// stamp the page with the record's LSN, which is returned.
+    fn log_update(
+        &self,
+        page: &mut Page,
+        page_id: PageId,
+        txn: TxnId,
+        diff: &SlotDiff,
+        prev_lsn: Lsn,
+    ) -> Lsn {
+        let lsn = self.wal.append_update(
+            txn,
+            page_id,
+            diff.offset() as u32,
+            diff.after(),
+            diff.before(),
+            prev_lsn,
+        );
+        if lsn > page.lsn() {
+            page.set_lsn(lsn);
+        }
+        lsn
     }
 
     /// Read the value stored under `key`.
@@ -650,19 +659,8 @@ impl Database {
         let page_id = self.bucket_of(key);
         let prev_lsn = claim.head;
         let write = self.pool.update_with(page_id, |p| {
-            let (write, undo) = table::delete_with_undo(p, key)?;
-            let lsn = self.wal.append(&LogRecord::Update {
-                txn,
-                page: page_id,
-                offset: write.offset as u32,
-                data: write.bytes,
-                before: undo,
-                prev_lsn,
-            });
-            if lsn > p.lsn() {
-                p.set_lsn(lsn);
-            }
-            Some(lsn)
+            let diff = table::delete_with_undo(p, key)?;
+            Some(self.log_update(p, page_id, txn, &diff, prev_lsn))
         })?;
         let Some(lsn) = write else {
             return Ok(false);
@@ -861,10 +859,8 @@ impl Database {
                 report.redo_skipped += 1;
                 continue;
             }
-            let offset = update.offset as usize;
-            let data = update.data.clone();
-            self.pool.update(update.page, update.lsn, move |p| {
-                p.write_body(offset, &data)
+            self.pool.update(update.page, update.lsn, |p| {
+                p.write_body(update.offset as usize, &update.data)
             })?;
             report.redo_applied += 1;
             if update.clr {
@@ -885,7 +881,7 @@ impl Database {
                 undo.txn,
                 undo.page,
                 undo.offset,
-                undo.before.clone(),
+                &undo.before,
                 undo.undo_next_lsn,
             )?;
             report.undo.updates_undone += 1;
@@ -1019,6 +1015,9 @@ impl Database {
         self.pool.lower().heal_cache().map_err(EngineError::from)
     }
 }
+
+#[cfg(test)]
+mod diff_tests;
 
 #[cfg(test)]
 mod tests {

@@ -390,8 +390,9 @@ impl FaceTier {
     /// Write-ahead guard: make every log record up to and including `lsn`
     /// durable before the caller persists a page carrying that pageLSN.
     /// Almost always a no-op under a committing workload (group commit keeps
-    /// the durable horizon ahead of evicted pages); when it does lead a
-    /// flush, that flush is counted in [`TierStats::wal_guard_forces`].
+    /// the durable horizon ahead of evicted pages) — and then one atomic
+    /// load, no WAL lock; when it does lead a flush, that flush is counted
+    /// in [`TierStats::wal_guard_forces`].
     fn ensure_wal_durable(&self, lsn: Lsn) -> TierResult<()> {
         let Some(wal) = self.wal.as_ref() else {
             return Ok(());

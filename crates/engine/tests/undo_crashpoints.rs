@@ -28,13 +28,31 @@ fn arb_value() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(any::<u8>(), 1..12)
 }
 
+/// What the loser writes over a key: a fresh value, or the value the key
+/// holds with only its first or only its last byte XORed — update records
+/// whose images are a single byte, or (XOR with zero) no byte at all.
+#[derive(Debug, Clone)]
+enum LoserValue {
+    Fresh(Vec<u8>),
+    FirstByte(u8),
+    LastByte(u8),
+}
+
+fn arb_loser_value() -> impl Strategy<Value = LoserValue> {
+    prop_oneof![
+        arb_value().prop_map(LoserValue::Fresh),
+        any::<u8>().prop_map(LoserValue::FirstByte),
+        any::<u8>().prop_map(LoserValue::LastByte),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn no_loser_byte_survives_any_crash_point(
         committed in prop::collection::vec((0..40u64, arb_value()), 1..20),
-        loser_puts in prop::collection::vec((0..60u64, arb_value()), 1..16),
+        loser_puts in prop::collection::vec((0..60u64, arb_loser_value()), 1..16),
         loser_deletes in prop::collection::vec(0..40u64, 0..4),
         checkpoint_after in any::<bool>(),
         commit_after in any::<bool>(),
@@ -54,8 +72,25 @@ proptest! {
 
         // The loser: overwrites committed keys, inserts fresh ones, deletes.
         let loser = db.begin();
+        let mut loser_view = expected.clone();
         for (k, v) in &loser_puts {
-            let _ = db.put(loser, *k, v);
+            let held = loser_view.get(k).cloned().unwrap_or_else(|| vec![0]);
+            let value = match v {
+                LoserValue::Fresh(fresh) => fresh.clone(),
+                LoserValue::FirstByte(x) => {
+                    let mut value = held;
+                    value[0] ^= x;
+                    value
+                }
+                LoserValue::LastByte(x) => {
+                    let mut value = held;
+                    *value.last_mut().unwrap() ^= x;
+                    value
+                }
+            };
+            if db.put(loser, *k, &value).is_ok() {
+                loser_view.insert(*k, value);
+            }
         }
         for k in &loser_deletes {
             let _ = db.delete(loser, *k);

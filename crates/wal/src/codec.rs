@@ -25,6 +25,14 @@ impl ByteWriter {
         }
     }
 
+    /// An empty writer that keeps `buf`'s allocation: `buf` is cleared, its
+    /// capacity reused (the log writer hands its per-thread scratch buffer
+    /// through here once per record).
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Self { buf }
+    }
+
     /// Append a `u8`.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

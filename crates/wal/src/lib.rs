@@ -9,13 +9,17 @@
 //!
 //! This crate provides the substrate that makes that meaningful:
 //!
-//! * [`LogRecord`] — begin / update (after-image **and** before-image, with
-//!   a per-transaction `prev_lsn` backward chain) / commit / abort /
+//! * [`LogRecord`] — begin / update (after-image **and** before-image of
+//!   the byte range that changed, possibly empty, with a per-transaction
+//!   `prev_lsn` backward chain) / commit / abort /
 //!   compensation ([`LogRecord::Clr`], carrying `undo_next_lsn`) /
 //!   checkpoint records (redo LSN, transaction table, transaction-id fence)
 //!   with a compact binary encoding.
 //! * [`WalWriter`] — an append buffer that assigns LSNs and forces the tail to
-//!   a [`LogStorage`] on commit (group commit).
+//!   a [`LogStorage`] on commit (group commit). Records are framed off the
+//!   append lock in a per-thread buffer, from an owned [`LogRecord`] or from
+//!   borrowed images, and the durable horizon is an atomic: asking whether
+//!   an LSN is durable takes no lock.
 //! * [`LogReader`] — chunked sequential scan of the log from any LSN.
 //! * [`recovery`] — the analysis → redo → undo pipeline: analysis starts at
 //!   the last durable checkpoint (found through the storage's restart

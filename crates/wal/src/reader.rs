@@ -11,9 +11,13 @@ use face_pagestore::crc32;
 
 /// Bytes a sequential scan asks the storage for at a time.
 const SCAN_CHUNK: usize = 64 * 1024;
-/// Bytes a single-record read asks for: a frame header plus the engine's
-/// largest usual record (an update with two 128-byte images).
-const POINT_CHUNK: usize = 512;
+/// Bytes a single-record read asks for first: the engine's usual update —
+/// an 8-byte frame header, 37 bytes of fixed fields and two images of the
+/// byte range that changed, a handful of bytes each — fits with room to
+/// spare. A record that does not (an insert into an empty slot logs the
+/// whole 128-byte slot both ways, 301 bytes framed) costs one more read of
+/// exactly its frame.
+const POINT_CHUNK: usize = 128;
 
 /// Reads records back from a [`LogStorage`], starting at any LSN that is a
 /// record boundary.
@@ -281,6 +285,35 @@ mod tests {
         assert!(LogReader::record_at(storage, w.next_lsn())
             .unwrap()
             .is_none());
+    }
+
+    /// Point reads of updates with zero-length images, of ones that end one
+    /// byte inside and one byte outside the first fetch, and of a full-slot
+    /// one: each comes back whole, wherever it sits among the others.
+    #[test]
+    fn point_reads_cover_empty_images_and_both_sides_of_the_first_fetch() {
+        let storage: Arc<dyn LogStorage> = Arc::new(InMemoryLogStorage::new());
+        let w = WalWriter::new(Arc::clone(&storage)).unwrap();
+        // A framed update is 45 bytes plus its two images.
+        let fits = (POINT_CHUNK - 45) / 2;
+        let mut written = Vec::new();
+        for (i, len) in [0, 1, fits, fits + 1, 128, 0, fits + 1, 0]
+            .into_iter()
+            .enumerate()
+        {
+            let rec = big_update(i as u64 + 1, len);
+            written.push((w.append(&rec), rec));
+        }
+        w.force_all().unwrap();
+        assert_eq!(written[1].0 .0 - written[0].0 .0, 45);
+        for (lsn, rec) in &written {
+            let got = LogReader::record_at(Arc::clone(&storage), *lsn)
+                .unwrap()
+                .unwrap();
+            assert_eq!(&got.record, rec);
+        }
+        let mut r = LogReader::new(storage);
+        assert_eq!(r.read_to_end().unwrap().len(), written.len());
     }
 
     #[test]

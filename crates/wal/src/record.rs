@@ -74,7 +74,12 @@ pub enum LogRecord {
     /// A physiological update carrying both images: `data` is the
     /// after-image of the bytes at `offset` within the body of page `page`
     /// (applied by redo), `before` the before-image (applied by undo when
-    /// the transaction turns out to be a loser). `prev_lsn` chains the
+    /// the transaction turns out to be a loser). `data`/`before` are images
+    /// of the changed byte range, possibly empty: the engine logs the
+    /// smallest range outside which the two page versions agree, and an
+    /// update that changed no byte still logs one record (with two
+    /// zero-length images) so the transaction's chain and the page LSN
+    /// advance as for any other update. `prev_lsn` chains the
     /// transaction's undoable records backwards, ARIES-style, so rollback
     /// can walk from the newest update to the oldest without scanning.
     Update {
@@ -84,9 +89,9 @@ pub enum LogRecord {
         page: PageId,
         /// Byte offset within the page body.
         offset: u32,
-        /// After-image bytes.
+        /// After-image of the changed range (possibly empty).
         data: Vec<u8>,
-        /// Before-image bytes (what undo restores).
+        /// Before-image of the same range (what undo restores).
         before: Vec<u8>,
         /// LSN of this transaction's previous undoable record
         /// ([`Lsn::ZERO`] for its first update — updates never sit at log
@@ -111,7 +116,8 @@ pub enum LogRecord {
     /// themselves undone — and `undo_next_lsn` points at the next record of
     /// the same transaction still needing undo ([`Lsn::ZERO`] once the
     /// rollback is complete), so undo work is never repeated across
-    /// crashes.
+    /// crashes. `data` is the image of the changed byte range, possibly
+    /// empty, exactly as in the update it compensates.
     Clr {
         /// The transaction being rolled back.
         txn: TxnId,
@@ -137,6 +143,47 @@ const TAG_CLR: u8 = 6;
 /// Tag 5 was the checkpoint record that listed bare transaction ids; a log
 /// holding one is rejected as an unknown tag instead of being misread.
 const TAG_CHECKPOINT: u8 = 7;
+
+/// Append the payload of a [`LogRecord::Update`] with these fields to `w`.
+/// The images are borrowed, so the engine's write path logs an update
+/// straight from the page and its stack pre-image without building the
+/// owned record; [`LogRecord::encode_into`] encodes its `Update` through
+/// here, so there is one encoding.
+pub fn encode_update(
+    w: &mut ByteWriter,
+    txn: TxnId,
+    page: PageId,
+    offset: u32,
+    data: &[u8],
+    before: &[u8],
+    prev_lsn: Lsn,
+) {
+    w.put_u8(TAG_UPDATE);
+    w.put_u64(txn.0);
+    w.put_u64(page.to_u64());
+    w.put_u32(offset);
+    w.put_bytes(data);
+    w.put_bytes(before);
+    w.put_u64(prev_lsn.0);
+}
+
+/// Append the payload of a [`LogRecord::Clr`] with these fields to `w`; the
+/// borrowed counterpart of the owned encoding, as [`encode_update`].
+pub fn encode_clr(
+    w: &mut ByteWriter,
+    txn: TxnId,
+    page: PageId,
+    offset: u32,
+    data: &[u8],
+    undo_next_lsn: Lsn,
+) {
+    w.put_u8(TAG_CLR);
+    w.put_u64(txn.0);
+    w.put_u64(page.to_u64());
+    w.put_u32(offset);
+    w.put_bytes(data);
+    w.put_u64(undo_next_lsn.0);
+}
 
 impl LogRecord {
     /// The transaction this record belongs to, if any.
@@ -178,15 +225,7 @@ impl LogRecord {
                 data,
                 before,
                 prev_lsn,
-            } => {
-                w.put_u8(TAG_UPDATE);
-                w.put_u64(txn.0);
-                w.put_u64(page.to_u64());
-                w.put_u32(*offset);
-                w.put_bytes(data);
-                w.put_bytes(before);
-                w.put_u64(prev_lsn.0);
-            }
+            } => encode_update(w, *txn, *page, *offset, data, before, *prev_lsn),
             LogRecord::Commit { txn } => {
                 w.put_u8(TAG_COMMIT);
                 w.put_u64(txn.0);
@@ -201,14 +240,7 @@ impl LogRecord {
                 offset,
                 data,
                 undo_next_lsn,
-            } => {
-                w.put_u8(TAG_CLR);
-                w.put_u64(txn.0);
-                w.put_u64(page.to_u64());
-                w.put_u32(*offset);
-                w.put_bytes(data);
-                w.put_u64(undo_next_lsn.0);
-            }
+            } => encode_clr(w, *txn, *page, *offset, data, *undo_next_lsn),
             LogRecord::Checkpoint(data) => {
                 w.put_u8(TAG_CHECKPOINT);
                 w.put_u64(data.redo_lsn.0);
@@ -353,6 +385,52 @@ mod tests {
             next_txn: TxnId(4),
         }));
         roundtrip(LogRecord::Checkpoint(CheckpointData::default()));
+    }
+
+    /// An update that changed no byte is still a record: zero-length images
+    /// at a real offset with a real chain pointer decode to themselves, and
+    /// the borrowed encoders write the bytes the owned records do.
+    #[test]
+    fn zero_length_images_round_trip_and_borrowed_encoding_matches_owned() {
+        for image in [&[][..], &[7u8][..], &[0xEE; 128][..]] {
+            let before: Vec<u8> = image.iter().map(|b| !b).collect();
+            let mut w = ByteWriter::new();
+            encode_update(
+                &mut w,
+                TxnId(42),
+                PageId::new(1, 9),
+                3_968,
+                image,
+                &before,
+                Lsn(5_150),
+            );
+            let update = LogRecord::Update {
+                txn: TxnId(42),
+                page: PageId::new(1, 9),
+                offset: 3_968,
+                data: image.to_vec(),
+                before,
+                prev_lsn: Lsn(5_150),
+            };
+            assert_eq!(w.into_vec(), update.encode());
+            roundtrip(update);
+
+            let clr = LogRecord::Clr {
+                txn: TxnId(42),
+                page: PageId::new(1, 9),
+                offset: 3_968,
+                data: image.to_vec(),
+                undo_next_lsn: Lsn(77),
+            };
+            let mut w = ByteWriter::new();
+            encode_clr(&mut w, TxnId(42), PageId::new(1, 9), 3_968, image, Lsn(77));
+            assert_eq!(w.into_vec(), clr.encode());
+            roundtrip(clr);
+        }
+        // 37 fixed payload bytes: what a zero-length update costs the log.
+        let mut w = ByteWriter::new();
+        encode_update(&mut w, TxnId(1), PageId::new(1, 1), 0, &[], &[], Lsn(1));
+        assert_eq!(w.len(), 37);
     }
 
     #[test]

@@ -1,13 +1,34 @@
 //! The log writer: LSN assignment, a group-commit buffer and forced flushes.
+//!
+//! What runs where:
+//!
+//! * **Off every lock** — a record is encoded, checksummed and framed into a
+//!   per-thread scratch buffer ([`WalWriter::append`] for an owned
+//!   [`LogRecord`], [`WalWriter::append_update`] / [`WalWriter::append_clr`]
+//!   for images borrowed from a page, all three through the same routine, so
+//!   the bytes are the same). No heap allocation per record.
+//! * **Under the append mutex (`wal_append`)** — copying that frame onto the
+//!   pending tail and advancing `next_lsn`; the flush leader's steal of the
+//!   tail and, after its write, the hand-back of the spare buffer with the
+//!   flush counters; `next_lsn()`, the statistics getters and
+//!   `discard_unflushed`. Nothing else.
+//! * **On two atomics** — the durable horizon and the poisoned flag. Only a
+//!   flush leader (holding the flush lock) stores them, after its storage
+//!   write and sync returned; everybody reads them without a lock:
+//!   [`WalWriter::durable_lsn`], and [`WalWriter::force`] for an LSN that is
+//!   already durable, which is what the write-ahead guard in front of every
+//!   dirty eviction and stage-out calls.
 
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use face_analysis::classes::{WAL_APPEND, WAL_FLUSH};
 use face_analysis::OrderedMutex;
-use face_pagestore::Lsn;
+use face_pagestore::{Lsn, PageId};
 
 use crate::codec::ByteWriter;
-use crate::record::{CheckpointData, LogRecord};
+use crate::record::{encode_clr, encode_update, CheckpointData, LogRecord, TxnId};
 use crate::storage::{LogStorage, WalError, WalResult};
 use face_pagestore::crc32;
 
@@ -19,15 +40,29 @@ struct WriterStats {
     records_appended: u64,
     forces: u64,
     bytes_flushed: u64,
-    /// Commit-path forces that found their LSN already durable — a
-    /// preceding leader's flush covered them (group commit piggy-backing).
-    piggybacked_forces: u64,
 }
 
 /// Largest tail buffer kept for reuse after a flush. A burst can grow the
 /// tail past this; such a buffer is freed when its flush completes and the
 /// tail regrows from empty, so one burst does not pin its high-water mark.
 const MAX_RETAINED_TAIL: usize = 1 << 20;
+
+/// What a thread's frame scratch buffer starts with: the engine's usual
+/// update (8 bytes of frame header, 37 of fixed fields, two images of the
+/// few bytes that changed) with room to spare. A full-slot insert (301
+/// bytes framed) grows it once and it stays grown.
+const FRAME_SCRATCH: usize = 128;
+
+/// Largest scratch buffer a thread keeps between records; one huge record (a
+/// checkpoint listing thousands of transactions) does not stay pinned to
+/// the thread that wrote it.
+const MAX_RETAINED_SCRATCH: usize = 64 * 1024;
+
+thread_local! {
+    /// The appending thread's frame scratch buffer, empty while a frame is
+    /// being built in it.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
 
 struct WriterInner {
     /// Frames appended but not yet written to storage.
@@ -41,13 +76,6 @@ struct WriterInner {
     spare: Vec<u8>,
     /// LSN that will be assigned to the next record.
     next_lsn: Lsn,
-    /// All records with LSN below this are durable in storage.
-    durable_lsn: Lsn,
-    /// A physical flush failed: the bytes it stole may or may not have
-    /// reached storage, so no later flush can be allowed to write at what
-    /// would now be a desynchronised offset — and no committer may be told
-    /// its record is durable. Every subsequent force fails fast.
-    poisoned: bool,
     stats: WriterStats,
 }
 
@@ -72,6 +100,22 @@ pub struct WalWriter {
     /// Serialises physical flushes; held across storage I/O, never while
     /// holding `inner`. Lock order: `flush_lock` → `inner`.
     flush_lock: OrderedMutex<()>,
+    /// All records with LSN below this are durable in storage. Stored
+    /// (`Release`) only by a flush leader, after its `append` + `sync`
+    /// returned `Ok`; an `Acquire` load that sees a value therefore sees
+    /// those bytes in storage — what lets a reader persist a page on the
+    /// strength of it.
+    durable_lsn: AtomicU64,
+    /// A physical flush failed: the bytes it stole may or may not have
+    /// reached storage, so no later flush can be allowed to write at what
+    /// would now be a desynchronised offset — and no committer may be told
+    /// its record is durable. Every subsequent force fails fast. Stored
+    /// (`Release`) by the failing leader, never cleared.
+    poisoned: AtomicBool,
+    /// Commit-path forces that found their LSN already durable — a
+    /// preceding leader's flush covered them (group commit piggy-backing).
+    /// A statistic: `Relaxed`.
+    piggybacked_forces: AtomicU64,
 }
 
 impl WalWriter {
@@ -89,27 +133,67 @@ impl WalWriter {
                     pending: Vec::new(),
                     spare: Vec::new(),
                     next_lsn: end,
-                    durable_lsn: end,
-                    poisoned: false,
                     stats: WriterStats::default(),
                 },
             ),
             flush_lock: OrderedMutex::new(WAL_FLUSH, ()),
+            durable_lsn: AtomicU64::new(end.0),
+            poisoned: AtomicBool::new(false),
+            piggybacked_forces: AtomicU64::new(0),
         })
     }
 
     /// Append a record to the in-memory log tail; returns its LSN.
     /// The record is *not* durable until a subsequent [`WalWriter::force`].
     pub fn append(&self, record: &LogRecord) -> Lsn {
-        // Encode, checksum and frame before taking the append lock: callers
-        // hold a page latch here, and every other appender queues behind it.
-        let frame = frame(record);
-        let mut inner = self.inner.lock();
-        let lsn = inner.next_lsn;
-        inner.pending.extend_from_slice(&frame);
-        inner.next_lsn = lsn.advance(frame.len() as u64);
-        inner.stats.records_appended += 1;
-        lsn
+        self.append_frame(|w| record.encode_into(w)).0
+    }
+
+    /// Append a [`LogRecord::Update`] whose images are borrowed — `after`
+    /// from the page just written, `before` from the caller's stack — and
+    /// return its LSN. The log receives exactly the bytes
+    /// [`WalWriter::append`] writes for the owned record with these fields.
+    pub fn append_update(
+        &self,
+        txn: TxnId,
+        page: PageId,
+        offset: u32,
+        after: &[u8],
+        before: &[u8],
+        prev_lsn: Lsn,
+    ) -> Lsn {
+        self.append_frame(|w| encode_update(w, txn, page, offset, after, before, prev_lsn))
+            .0
+    }
+
+    /// Append a [`LogRecord::Clr`] whose compensation image is borrowed (from
+    /// the update record being undone); the counterpart of
+    /// [`WalWriter::append_update`].
+    pub fn append_clr(
+        &self,
+        txn: TxnId,
+        page: PageId,
+        offset: u32,
+        data: &[u8],
+        undo_next_lsn: Lsn,
+    ) -> Lsn {
+        self.append_frame(|w| encode_clr(w, txn, page, offset, data, undo_next_lsn))
+            .0
+    }
+
+    /// Frame what `encode` writes and put it on the tail. Returns the
+    /// record's LSN and the LSN one past it. Encoding, checksum and framing
+    /// happen before the append lock is taken: callers hold a page latch
+    /// here, and every other appender queues behind that lock.
+    fn append_frame(&self, encode: impl FnOnce(&mut ByteWriter)) -> (Lsn, Lsn) {
+        with_frame(encode, |frame| {
+            let mut inner = self.inner.lock();
+            let lsn = inner.next_lsn;
+            inner.pending.extend_from_slice(frame);
+            inner.next_lsn = lsn.advance(frame.len() as u64);
+            inner.stats.records_appended += 1;
+            (lsn, inner.next_lsn)
+        })
     }
 
     /// Append a checkpoint record, force the log through it, and only then
@@ -128,47 +212,51 @@ impl WalWriter {
     /// another leader's flush already covered this record, the commit is
     /// counted as piggy-backed ([`WalWriter::piggybacked_forces`]).
     pub fn append_and_force(&self, record: &LogRecord) -> WalResult<Lsn> {
-        let lsn = self.append(record);
-        let led_flush = self.force(self.next_lsn())?;
-        if !led_flush {
-            self.inner.lock().stats.piggybacked_forces += 1;
+        let (lsn, end) = self.append_frame(|w| record.encode_into(w));
+        if !self.force(end)? {
+            self.piggybacked_forces.fetch_add(1, Ordering::Relaxed);
         }
         Ok(lsn)
     }
 
+    /// Whether every record below `upto` is durable, from the two atomics
+    /// alone; `Err` once a flush has failed, whatever `upto` is.
+    fn is_durable(&self, upto: Lsn) -> WalResult<bool> {
+        if self.poisoned.load(Ordering::Acquire) {
+            return Err(WalError::Poisoned);
+        }
+        Ok(upto.0 <= self.durable_lsn.load(Ordering::Acquire))
+    }
+
     /// Force the log so that every record with LSN strictly below `upto` is
-    /// durable. Forcing an already-durable LSN is a no-op.
+    /// durable. Forcing an already-durable LSN is a no-op that takes no
+    /// lock.
     ///
     /// Returns `true` if a physical write was performed (the caller may want
     /// to charge a simulated log-device I/O only in that case). `false` means
     /// the LSN was already durable — under concurrency, usually because this
     /// committer piggy-backed on another leader's flush.
     pub fn force(&self, upto: Lsn) -> WalResult<bool> {
-        // Cheap pre-check without the flush lock: a force of an
-        // already-durable LSN must not queue behind a slow device. (An empty
-        // `pending` alone proves nothing here — the bytes may be riding in a
-        // leader's in-flight write, which only `durable_lsn` reflects.)
-        {
-            let inner = self.inner.lock();
-            if inner.poisoned {
-                return Err(WalError::Poisoned);
-            }
-            if upto <= inner.durable_lsn {
-                return Ok(false);
-            }
+        // A force of an already-durable LSN must not queue behind a slow
+        // device, nor behind the appenders. (An empty `pending` alone would
+        // prove nothing here — the bytes may be riding in a leader's
+        // in-flight write, which only the durable horizon reflects.)
+        if self.is_durable(upto)? {
+            return Ok(false);
         }
         // Become (or wait for) the flush leader. Holding `flush_lock` across
         // the storage I/O — but *not* `inner` — is what lets appends continue
         // while the device works, which is where group commit's batching
-        // comes from.
+        // comes from. Only leaders store the two atomics, so from here on
+        // this thread reads them exactly.
         let _leader = self.flush_lock.lock();
+        if self.is_durable(upto)? {
+            // A preceding leader's flush covered this LSN while we waited.
+            return Ok(false);
+        }
         let (mut buf, end) = {
             let mut inner = self.inner.lock();
-            if inner.poisoned {
-                return Err(WalError::Poisoned);
-            }
-            if upto <= inner.durable_lsn || inner.pending.is_empty() {
-                // A preceding leader's flush covered this LSN while we waited.
+            if inner.pending.is_empty() {
                 return Ok(false);
             }
             // Steal the whole pending tail: everything appended so far rides
@@ -177,20 +265,19 @@ impl WalWriter {
             let spare = std::mem::take(&mut inner.spare);
             (std::mem::replace(&mut inner.pending, spare), inner.next_lsn)
         };
-        let wrote = self.storage.append(&buf).and_then(|_| self.storage.sync());
-        let mut inner = self.inner.lock();
-        if let Err(e) = wrote {
+        if let Err(e) = self.storage.append(&buf).and_then(|_| self.storage.sync()) {
             // The stolen bytes are in limbo (the append may have partially
             // reached storage). Poison the writer: followers waiting on this
             // batch — and everyone after them — get an error instead of a
             // false durability acknowledgement, and no later leader writes at
             // a desynchronised offset.
-            inner.poisoned = true;
+            self.poisoned.store(true, Ordering::Release);
             return Err(e);
         }
         // `end` was `next_lsn` at steal time; appends that raced in since are
         // still in `pending` and not yet durable.
-        inner.durable_lsn = end;
+        self.durable_lsn.store(end.0, Ordering::Release);
+        let mut inner = self.inner.lock();
         inner.stats.forces += 1;
         inner.stats.bytes_flushed += buf.len() as u64;
         // The written buffer is the next flush's spare.
@@ -216,7 +303,7 @@ impl WalWriter {
         let mut inner = self.inner.lock();
         let dropped = inner.pending.len() as u64;
         inner.pending.clear();
-        inner.next_lsn = inner.durable_lsn;
+        inner.next_lsn = self.durable_lsn();
         dropped
     }
 
@@ -226,9 +313,9 @@ impl WalWriter {
         self.inner.lock().next_lsn
     }
 
-    /// All records below this LSN are durable.
+    /// All records below this LSN are durable. Takes no lock.
     pub fn durable_lsn(&self) -> Lsn {
-        self.inner.lock().durable_lsn
+        Lsn(self.durable_lsn.load(Ordering::Acquire))
     }
 
     /// Number of records appended since creation.
@@ -249,7 +336,7 @@ impl WalWriter {
     /// [`WalWriter::force`] no-ops on already-durable LSNs are not counted —
     /// they amortise nothing.)
     pub fn piggybacked_forces(&self) -> u64 {
-        self.inner.lock().stats.piggybacked_forces
+        self.piggybacked_forces.load(Ordering::Relaxed)
     }
 
     /// Total bytes flushed to storage.
@@ -263,25 +350,38 @@ impl WalWriter {
     }
 }
 
-/// `[u32 len][u32 crc][payload]` for `record`.
-fn frame(record: &LogRecord) -> Vec<u8> {
-    // Room for the engine's usual update (two 128-byte images, ~300 bytes
-    // framed) without regrowing; the buffer only lives until it is copied
-    // into the pending tail.
-    let mut w = ByteWriter::with_capacity(512);
+/// Build the frame `[u32 len][u32 crc][payload]` around the payload `encode`
+/// writes, in this thread's scratch buffer, and hand it to `then`.
+fn with_frame<R>(encode: impl FnOnce(&mut ByteWriter), then: impl FnOnce(&[u8]) -> R) -> R {
+    // `try_with`: a record appended while the thread's locals are being torn
+    // down just frames into a fresh buffer.
+    let mut buf = SCRATCH.try_with(Cell::take).unwrap_or_default();
+    if buf.capacity() == 0 {
+        buf.reserve(FRAME_SCRATCH);
+    }
+    let mut w = ByteWriter::reusing(buf);
     w.put_u64(0); // the header, filled in below
-    record.encode_into(&mut w);
+    encode(&mut w);
     let mut frame = w.into_vec();
     let (header, payload) = frame.split_at_mut(FRAME_HEADER_SIZE as usize);
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    frame
+    let result = then(&frame);
+    if frame.capacity() <= MAX_RETAINED_SCRATCH {
+        let _ = SCRATCH.try_with(|scratch| scratch.set(frame));
+    }
+    result
+}
+
+/// The framed bytes of `record`, as the log receives them.
+#[cfg(test)]
+fn frame(record: &LogRecord) -> Vec<u8> {
+    with_frame(|w| record.encode_into(w), <[u8]>::to_vec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TxnId;
     use crate::storage::InMemoryLogStorage;
 
     fn writer() -> WalWriter {
@@ -348,36 +448,35 @@ mod tests {
         assert!(w.durable_lsn() > commit_lsn);
     }
 
+    /// Storage whose appends can be switched to fail.
+    struct FlakyStorage {
+        inner: InMemoryLogStorage,
+        fail: AtomicBool,
+    }
+
+    impl LogStorage for FlakyStorage {
+        fn append(&self, data: &[u8]) -> WalResult<u64> {
+            if self.fail.load(Ordering::Relaxed) {
+                return Err(WalError::Io(std::io::Error::other("device gone")));
+            }
+            self.inner.append(data)
+        }
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> WalResult<usize> {
+            self.inner.read_at(offset, buf)
+        }
+        fn len(&self) -> WalResult<u64> {
+            self.inner.len()
+        }
+        fn sync(&self) -> WalResult<()> {
+            self.inner.sync()
+        }
+        fn truncate(&self, len: u64) -> WalResult<()> {
+            self.inner.truncate(len)
+        }
+    }
+
     #[test]
     fn failed_flush_poisons_the_writer_instead_of_lying() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        /// Storage whose appends can be switched to fail.
-        struct FlakyStorage {
-            inner: InMemoryLogStorage,
-            fail: AtomicBool,
-        }
-        impl LogStorage for FlakyStorage {
-            fn append(&self, data: &[u8]) -> WalResult<u64> {
-                if self.fail.load(Ordering::Relaxed) {
-                    return Err(WalError::Io(std::io::Error::other("device gone")));
-                }
-                self.inner.append(data)
-            }
-            fn read_at(&self, offset: u64, buf: &mut [u8]) -> WalResult<usize> {
-                self.inner.read_at(offset, buf)
-            }
-            fn len(&self) -> WalResult<u64> {
-                self.inner.len()
-            }
-            fn sync(&self) -> WalResult<()> {
-                self.inner.sync()
-            }
-            fn truncate(&self, len: u64) -> WalResult<()> {
-                self.inner.truncate(len)
-            }
-        }
-
         let storage = Arc::new(FlakyStorage {
             inner: InMemoryLogStorage::new(),
             fail: AtomicBool::new(false),
@@ -441,9 +540,9 @@ mod tests {
                 expected = w.next_lsn();
             }
             assert!(w.force_all().unwrap());
+            assert_eq!(w.durable_lsn(), expected);
             let inner = w.inner.lock();
             assert!(inner.pending.is_empty() && inner.spare.is_empty());
-            assert_eq!(inner.durable_lsn, expected);
             if round >= 1 {
                 // From the second flush on both buffers carry capacity: the
                 // next tail does not grow from nothing.
@@ -473,7 +572,7 @@ mod tests {
         let inner = w.inner.lock();
         assert_eq!(inner.spare.capacity(), 0);
         assert!(inner.pending.is_empty() && inner.pending.capacity() <= MAX_RETAINED_TAIL);
-        assert_eq!(inner.durable_lsn, inner.next_lsn);
+        assert_eq!(w.durable_lsn(), inner.next_lsn);
     }
 
     /// One framed `Update`, byte for byte as the commit before the
@@ -510,6 +609,211 @@ mod tests {
         assert_eq!(framed.len(), 301);
         assert!(framed.len() - FRAME_HEADER_SIZE as usize >= face_pagestore::crc::CLMUL_MIN_LEN);
         assert_eq!(framed[..8], [37, 1, 0, 0, 76, 141, 57, 77]);
+    }
+
+    /// The borrowed appends put on the log exactly the frame the owned
+    /// record frames to — for full-slot, few-byte and zero-length images.
+    #[test]
+    fn borrowed_appends_write_the_bytes_frame_writes_for_the_owned_record() {
+        let w = writer();
+        let mut expected = Vec::new();
+        let page = PageId::new(1, 4_000);
+        for (i, len) in [128usize, 3, 0, 1, 117].into_iter().enumerate() {
+            let txn = TxnId(70 + i as u64);
+            let after: Vec<u8> = (0..len).map(|b| (b * 5 + i) as u8).collect();
+            let before: Vec<u8> = after.iter().map(|b| b ^ 0x3C).collect();
+            let (offset, prev) = (128 * i as u32 + 11, Lsn(9_000 + i as u64));
+            let lsn = w.append_update(txn, page, offset, &after, &before, prev);
+            assert_eq!(lsn.0, expected.len() as u64);
+            expected.extend(frame(&LogRecord::Update {
+                txn,
+                page,
+                offset,
+                data: after.clone(),
+                before: before.clone(),
+                prev_lsn: prev,
+            }));
+            let lsn = w.append_clr(txn, page, offset, &before, prev);
+            assert_eq!(lsn.0, expected.len() as u64);
+            expected.extend(frame(&LogRecord::Clr {
+                txn,
+                page,
+                offset,
+                data: before,
+                undo_next_lsn: prev,
+            }));
+        }
+        assert_eq!(w.records_appended(), 10);
+        w.force_all().unwrap();
+        let mut logged = vec![0u8; expected.len()];
+        assert_eq!(w.storage().read_at(0, &mut logged).unwrap(), logged.len());
+        assert_eq!(logged, expected);
+        assert_eq!(w.storage().len().unwrap(), expected.len() as u64);
+    }
+
+    /// A record larger than the retained scratch bound frames correctly and
+    /// the next small record still does.
+    #[test]
+    fn an_oversized_record_does_not_disturb_the_scratch_buffer() {
+        let huge = update(1, MAX_RETAINED_SCRATCH);
+        let small = update(2, 2);
+        let (first, big, again) = (frame(&small), frame(&huge), frame(&small));
+        assert_eq!(first, again);
+        assert_eq!(big.len(), 45 + 2 * MAX_RETAINED_SCRATCH);
+        let payload = &big[FRAME_HEADER_SIZE as usize..];
+        assert_eq!(LogRecord::decode(payload).unwrap(), huge);
+    }
+
+    /// Run `f` on a second thread and fail, instead of hanging, if it has
+    /// not returned after ten seconds.
+    fn returns_promptly<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the call waited for the append lock")
+    }
+
+    /// With the append mutex held by someone else, the durable horizon can
+    /// still be read and an already-durable LSN still forced: neither path
+    /// takes `wal_append` (nor the flush lock). This is every call the
+    /// write-ahead guard makes while group commit keeps the horizon ahead
+    /// of the pages being evicted.
+    #[test]
+    fn durable_reads_and_durable_forces_take_no_append_lock() {
+        let w = Arc::new(writer());
+        w.append(&LogRecord::Begin { txn: TxnId(1) });
+        w.append_and_force(&LogRecord::Commit { txn: TxnId(1) })
+            .unwrap();
+        let durable = w.durable_lsn();
+        // Not yet durable, and left that way.
+        w.append(&LogRecord::Begin { txn: TxnId(2) });
+
+        let flush_lock = w.flush_lock.lock();
+        let append_lock = w.inner.lock();
+        let w2 = Arc::clone(&w);
+        assert_eq!(returns_promptly(move || w2.durable_lsn()), durable);
+        for upto in [Lsn(1), Lsn(durable.0 - 1), durable] {
+            let w2 = Arc::clone(&w);
+            let led = returns_promptly(move || w2.force(upto));
+            assert!(!led.unwrap(), "a durable LSN needs no write");
+        }
+        drop(append_lock);
+        drop(flush_lock);
+        // The locks were only borrowed: the writer still flushes.
+        assert!(w.force_all().unwrap());
+        assert!(w.durable_lsn() > durable);
+    }
+
+    /// Four appenders and two forcers against one writer, each sampling the
+    /// atomics after every call it makes: the published horizon never passes
+    /// what storage holds and never moves backwards. Then the device fails,
+    /// and from the failed flush on every force errors — the lock-free fast
+    /// path included, for durable and not-yet-durable LSNs alike — while
+    /// the horizon stays where it was.
+    #[test]
+    fn the_durable_mirror_trails_storage_never_retreats_and_poison_sticks() {
+        use std::sync::Barrier;
+
+        let storage = Arc::new(FlakyStorage {
+            inner: InMemoryLogStorage::new(),
+            fail: AtomicBool::new(false),
+        });
+        let w = Arc::new(WalWriter::new(Arc::clone(&storage) as Arc<dyn LogStorage>).unwrap());
+        let (appenders, forcers, per_appender) = (4u64, 2, 400u64);
+        // One sample: horizon first, storage second. Storage only grows, so
+        // a horizon ahead of this reading was ahead when it was published.
+        let sample = |last: &mut Lsn| {
+            let durable = w.durable_lsn();
+            let stored = storage.len().unwrap();
+            assert!(durable.0 <= stored, "durable {durable:?} > stored {stored}");
+            assert!(
+                durable >= *last,
+                "durable went from {last:?} to {durable:?}"
+            );
+            *last = durable;
+        };
+        let appending = AtomicU64::new(appenders);
+        // Everybody starts together, so appends and forces overlap.
+        let start = Barrier::new(appenders as usize + forcers);
+        std::thread::scope(|s| {
+            for t in 0..appenders {
+                let (w, start, sample, appending) = (&w, &start, &sample, &appending);
+                s.spawn(move || {
+                    let mut last = Lsn::ZERO;
+                    start.wait();
+                    for i in 0..per_appender {
+                        let txn = TxnId(t * 10_000 + i);
+                        let image = [i as u8; 3];
+                        w.append(&LogRecord::Begin { txn });
+                        let lsn = w.append_update(
+                            txn,
+                            PageId::new(1, t as u32),
+                            i as u32,
+                            &image[..(i % 4) as usize],
+                            &image[..(i % 4) as usize],
+                            Lsn::ZERO,
+                        );
+                        sample(&mut last);
+                        // Every tenth transaction commits through the
+                        // writer; the rest ride in the forcers' flushes.
+                        if i % 10 == 0 {
+                            let end = w.append_and_force(&LogRecord::Commit { txn }).unwrap();
+                            assert!(w.durable_lsn() > end && end > lsn);
+                            sample(&mut last);
+                        }
+                    }
+                    appending.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            for _ in 0..forcers {
+                let (w, start, sample, appending) = (&w, &start, &sample, &appending);
+                s.spawn(move || {
+                    let mut last = Lsn::ZERO;
+                    start.wait();
+                    while appending.load(Ordering::SeqCst) > 0 {
+                        // The write-ahead guard's call: force through some
+                        // LSN seen on a page, usually durable already.
+                        let upto = w.next_lsn();
+                        w.force(upto).unwrap();
+                        assert!(w.durable_lsn() >= upto);
+                        assert!(!w.force(upto).unwrap());
+                        sample(&mut last);
+                    }
+                });
+            }
+        });
+        w.force_all().unwrap();
+        assert_eq!(w.durable_lsn(), w.next_lsn());
+        assert_eq!(storage.len().unwrap(), w.next_lsn().0);
+        let mut reader = crate::reader::LogReader::new(w.storage());
+        assert_eq!(
+            reader.read_to_end().unwrap().len() as u64,
+            w.records_appended()
+        );
+
+        // The device dies under a flush.
+        let durable = w.durable_lsn();
+        let pending = w.append(&LogRecord::Begin { txn: TxnId(1) });
+        storage.fail.store(true, Ordering::Relaxed);
+        assert!(matches!(w.force_all(), Err(WalError::Io(_))));
+        storage.fail.store(false, Ordering::Relaxed);
+        assert_eq!(w.durable_lsn(), durable);
+        std::thread::scope(|s| {
+            for _ in 0..forcers {
+                s.spawn(|| {
+                    for upto in [Lsn(1), durable, pending.advance(1), w.next_lsn()] {
+                        assert!(matches!(w.force(upto), Err(WalError::Poisoned)));
+                    }
+                    let commit = LogRecord::Commit { txn: TxnId(1) };
+                    assert!(matches!(
+                        w.append_and_force(&commit),
+                        Err(WalError::Poisoned)
+                    ));
+                });
+            }
+        });
+        assert_eq!(w.durable_lsn(), durable);
+        assert_eq!(storage.len().unwrap(), durable.0);
     }
 
     #[test]
