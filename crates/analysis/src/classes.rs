@@ -124,13 +124,6 @@ pub const CLASSES: &[LockClassSpec] = &[
         doc: "page-store internals: segment file handles or in-memory frames (`face_pagestore`) — device-internal",
     },
     LockClassSpec {
-        name: "io_stripe",
-        rank: 130,
-        nestable: false,
-        forbids_io: false,
-        doc: "striped I/O accounting log (`face_cache::io`) — leaf",
-    },
-    LockClassSpec {
         name: "diag",
         rank: 140,
         nestable: false,
@@ -220,14 +213,13 @@ pub const WAL_APPEND: LockClassId = LockClassId(9);
 pub const WAL_STORAGE: LockClassId = LockClassId(10);
 pub const FLASH_SLOTS: LockClassId = LockClassId(11);
 pub const PAGE_STORE: LockClassId = LockClassId(12);
-pub const IO_STRIPE: LockClassId = LockClassId(13);
-pub const DIAG: LockClassId = LockClassId(14);
-pub const PAGE_BUFFERS: LockClassId = LockClassId(15);
-pub const SCRATCH_A: LockClassId = LockClassId(16);
-pub const SCRATCH_B: LockClassId = LockClassId(17);
-pub const SCRATCH_C: LockClassId = LockClassId(18);
-pub const SCRATCH_OUTER: LockClassId = LockClassId(19);
-pub const SCRATCH_INNER: LockClassId = LockClassId(20);
+pub const DIAG: LockClassId = LockClassId(13);
+pub const PAGE_BUFFERS: LockClassId = LockClassId(14);
+pub const SCRATCH_A: LockClassId = LockClassId(15);
+pub const SCRATCH_B: LockClassId = LockClassId(16);
+pub const SCRATCH_C: LockClassId = LockClassId(17);
+pub const SCRATCH_OUTER: LockClassId = LockClassId(18);
+pub const SCRATCH_INNER: LockClassId = LockClassId(19);
 
 /// Number of registered classes, scratch included.
 pub const NUM_CLASSES: usize = CLASSES.len();
@@ -282,7 +274,6 @@ mod tests {
             (WAL_STORAGE, "wal_storage"),
             (FLASH_SLOTS, "flash_slots"),
             (PAGE_STORE, "page_store"),
-            (IO_STRIPE, "io_stripe"),
             (DIAG, "diag"),
             (PAGE_BUFFERS, "page_buffers"),
             (SCRATCH_A, "scratch_a"),

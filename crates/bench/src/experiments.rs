@@ -586,8 +586,9 @@ fn concurrent_engine_config(scale: &ConcurrentScale) -> face_engine::EngineConfi
 pub struct ThroughputBenchRow {
     /// Worker threads driving the shared engine.
     pub threads: usize,
-    /// "async" (background destager) or "sync" (foreground applies group
-    /// writes and stage-out disk writes itself, still off the shard locks).
+    /// "async" (background destager threads) or "sync" (the destager runs
+    /// the same group-write and stage-out jobs on the foreground thread,
+    /// still off the shard locks).
     pub destage: String,
     /// Destager worker threads (0 for the sync arm).
     pub destage_threads: usize,

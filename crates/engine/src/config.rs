@@ -63,10 +63,12 @@ pub struct EngineConfig {
     /// speed.
     pub device_latency: Option<DeviceLatency>,
     /// Background destager threads performing the flash group writes and the
-    /// dequeued-dirty-page disk destages (FaCE policies only). `0` disables
-    /// the pool: the foreground applies group writes itself — still outside
-    /// any cache shard lock — and writes stage-outs to disk synchronously
-    /// (the "sync destage" baseline).
+    /// dequeued-dirty-page disk destages. `0` selects the destager's inline
+    /// driver (the "sync destage" baseline): the same jobs run to their end
+    /// on the thread whose write-back produced them — still outside any
+    /// cache shard lock — a final disk-write error fails that write-back
+    /// instead of the next drain, and [`crate::Database::destage_stats`]
+    /// reports `None`, there being no pipeline.
     pub destage_threads: usize,
     /// Bound on queued jobs per destager worker; a foreground thread
     /// enqueueing into a full queue blocks (backpressure) without holding
@@ -171,8 +173,8 @@ impl EngineConfig {
         self
     }
 
-    /// Set the number of background destager threads (`0` = synchronous
-    /// destaging, still off the shard locks).
+    /// Set the number of background destager threads (`0` = the same jobs
+    /// on the foreground thread, still off the shard locks).
     pub fn destage_threads(mut self, threads: usize) -> Self {
         self.destage_threads = threads;
         self

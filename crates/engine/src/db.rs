@@ -49,8 +49,8 @@ use face_analysis::classes::{DIAG, TXN_STRIPE};
 use face_analysis::OrderedMutex;
 use face_buffer::BufferPool;
 use face_cache::{
-    CachePolicyKind, CacheRecoveryInfo, CacheStats, Counter, DegradeController, DegradeStats,
-    FlashStore, InstrumentedFlashStore, MemFlashStore, ShardedFlashCache,
+    CachePolicyKind, CacheRecoveryInfo, CacheStats, Counter, DegradeStats, FlashStore,
+    InstrumentedFlashStore, MemFlashStore, ShardedFlashCache,
 };
 use face_pagestore::{
     DeviceHooks, FilePageStore, InMemoryPageStore, InstrumentedPageStore, Page, PageId, PageStore,
@@ -323,11 +323,6 @@ impl Database {
         // The read-side counterpart: flash fetches pin under the shard lock
         // and read the device off-lock (every policy supports the protocol).
         cache_config.lock_light_reads = config.lock_light_reads;
-        // One degrade controller shared by the cache (error classification,
-        // quarantine strikes), the tier (trip/evacuation/heal) and the
-        // destager (retry accounting) — active whenever a cache exists.
-        let degrade = (config.cache_policy != CachePolicyKind::None)
-            .then(|| Arc::new(DegradeController::new(config.degrade)));
         let cache = ShardedFlashCache::build(
             config.cache_policy,
             cache_config,
@@ -351,25 +346,24 @@ impl Database {
                     },
                 )
             },
-        )
-        .map(|cache| match &degrade {
-            Some(ctrl) => cache.with_degrade(Arc::clone(ctrl)),
-            None => cache,
-        });
+        );
         let wal = Arc::new(WalWriter::new(Arc::clone(&log_storage))?);
         // The tier carries the write-ahead guard: no dirty page reaches the
         // flash cache or the disk before its log records are durable, so a
-        // recovered flash directory never outruns the durable log.
-        let mut tier = FaceTier::new(Arc::clone(&disk), cache).with_wal(Arc::clone(&wal));
-        if let Some(ctrl) = &degrade {
-            // Must precede `with_destager`: the destager captures the
-            // controller for its retry/abort bookkeeping.
-            tier = tier.with_degrade(Arc::clone(ctrl));
-        }
-        let tier = tier.with_destager(face_cache::DestageConfig {
-            threads: config.destage_threads,
-            queue_depth: config.destage_queue_depth,
-        });
+        // recovered flash directory never outruns the durable log. With a
+        // cache it also builds the one degrade controller the cache (error
+        // classification, quarantine strikes), the tier (trip, evacuation,
+        // heal) and the destager (retry accounting) share.
+        let tier = FaceTier::new(
+            Arc::clone(&disk),
+            cache,
+            Arc::clone(&wal),
+            config.degrade,
+            face_cache::DestageConfig {
+                threads: config.destage_threads,
+                queue_depth: config.destage_queue_depth,
+            },
+        );
         let pool = BufferPool::with_shards(config.buffer_frames, config.buffer_shards, tier)
             .lock_light_reads(config.lock_light_reads);
 
@@ -1009,9 +1003,6 @@ impl Database {
     /// Call after replacing or re-trusting the flash device. A no-op
     /// without a cache.
     pub fn heal_flash(&self) -> EngineResult<usize> {
-        if self.pool.lower().degrade().is_none() {
-            return Ok(0);
-        }
         self.pool.lower().heal_cache().map_err(EngineError::from)
     }
 }

@@ -9,21 +9,25 @@
 //!
 //! The tier is called concurrently by every shard of the buffer pool, so all
 //! of its state is interior-mutable: the flash cache is the lock-striped
-//! [`ShardedFlashCache`], activity counters are atomics, and the shared I/O
-//! event log is itself lock-striped by calling thread
-//! ([`face_cache::StripedIoLog`] — the old single mutex was a serialization
-//! point on the hot path).
+//! [`ShardedFlashCache`] and activity counters are atomics. The tier keeps
+//! no I/O event log: the cache's operations describe their physical I/O into
+//! a scratch [`IoLog`] that is dropped (the trace simulator, `crate::sim`, is
+//! the consumer of those events), and what the functional engine did is in
+//! [`TierStats`], the cache's and the stores' own counters.
 //!
 //! ## The destage pipeline
 //!
-//! With FaCE policies, the tier owns a [`Destager`]: a foreground
-//! `write_back` only mutates the cache directory and *enqueues* the group's
-//! flash batch write and the dequeued-dirty-page disk writes; background
-//! workers perform them. Pages queued for a disk destage remain readable
-//! through the tier's wash table (`washing`) until their write completes, so
-//! a fetch can never observe the stale disk version of a page whose
-//! write-out is still in flight. The write-ahead guard runs **before**
-//! anything enters the pipeline.
+//! A tier with a flash cache owns a [`Destager`], and the destager alone
+//! decides what happens to a filled group and to a stage-out: a foreground
+//! `write_back` only mutates the cache directory and hands the group's flash
+//! batch write and the dequeued-dirty-page disk writes over. With destage
+//! threads, background workers perform them; with none (the sync A/B
+//! baseline) the destager runs the same job body on the calling thread
+//! before the hand-over returns. Pages handed over for a disk destage remain
+//! readable through the tier's wash table (`washing`) until their write
+//! completes, so a fetch can never observe the stale disk version of a page
+//! whose write-out is still in flight. The write-ahead guard runs **before**
+//! anything is handed over, in both drivers.
 //!
 //! ## The lock-light read path
 //!
@@ -70,12 +74,12 @@ use face_buffer::{
     WriteBackReason,
 };
 use face_cache::{
-    BreakerState, CacheRecoveryInfo, Counter, DegradeAction, DegradeController, DegradeStats,
-    DestageConfig, DestageJob, DestageSink, DestageStats, Destager, IoLog, PageSupplier,
-    PendingGroupWrite, ShardedFlashCache, StagedPage, StripedIoLog,
+    BreakerState, CacheRecoveryInfo, Counter, DegradeAction, DegradeConfig, DegradeController,
+    DegradeStats, DestageConfig, DestageJob, DestageSink, DestageStats, Destager, IoLog,
+    PageSupplier, PendingGroupWrite, ShardedFlashCache, StagedPage,
 };
 use face_pagestore::{
-    backoff_sleep, DeviceError, DeviceResult, IdHashMap, Lsn, Page, PageId, PageStore, StoreError,
+    DeviceError, DeviceResult, IdHashMap, Lsn, Page, PageId, PageStore, StoreError, StoreResult,
 };
 use face_wal::WalWriter;
 
@@ -147,35 +151,38 @@ fn stage(mut page: Page, dirty: bool, fdirty: bool) -> StagedPage {
     StagedPage::with_data(page, dirty, fdirty)
 }
 
+/// Write `page` to `disk` under a checksum that verifies. A page whose stamp
+/// already does — every frame `stage` built — is written as it is, with no
+/// copy; one whose stamp does not (a pool frame carries the checksum of its
+/// last read, a hand-built one none) is copied and stamped first, so an
+/// unverifiable page never reaches the store.
+fn write_verifying(disk: &dyn PageStore, page: &Page) -> StoreResult<()> {
+    if page.verify_checksum() {
+        return disk.write_page(page.id(), page);
+    }
+    let mut stamped = page.clone();
+    stamped.update_checksum();
+    disk.write_page(stamped.id(), &stamped)
+}
+
 /// The one place a staged page's bytes reach the disk — shared by the
-/// synchronous path ([`FaceTier::write_staged_to_disk`]) and the destage
-/// workers, so the write protocol (checksum, store write, accounting,
-/// wash-table retirement) cannot diverge between the two arms the perf gate
-/// compares. The shared frame is written as it is: it was checksummed when
-/// it was staged. That is verified, not assumed — a frame that does not
-/// verify (one built without `stage`) is copied and stamped first, so an
-/// unverifiable page never reaches the store. The physical `DiskWrite` I/O
-/// event is *not* recorded here: the policy already charged it when it
-/// dequeued the page.
+/// tier's own write-outs ([`FaceTier::write_staged_to_disk`]) and the
+/// destager's jobs, so the write protocol (checksum, store write, accounting,
+/// wash-table retirement) is stated once. The shared frame was checksummed
+/// when it was staged; [`write_verifying`] checks that rather than assume it.
 fn persist_staged_page(
     disk: &dyn PageStore,
     stats: &TierStatCounters,
     washing: &WashTable,
     s: &StagedPage,
-) -> face_pagestore::StoreResult<()> {
+) -> StoreResult<()> {
     let Some(data) = &s.data else {
         // A wound marker (dirty page whose flash bytes were lost): nothing
         // to write, and the wash-table entry must *stay* so fetches refuse
         // the stale disk copy until a newer version or WAL redo heals it.
         return Ok(());
     };
-    if data.verify_checksum() {
-        disk.write_page(data.id(), data)?;
-    } else {
-        let mut stamped = data.as_ref().clone();
-        stamped.update_checksum();
-        disk.write_page(stamped.id(), &stamped)?;
-    }
+    write_verifying(disk, data)?;
     stats.disk_writes.inc();
     // The disk now holds this version: retire the wash-table entry unless a
     // newer version of the page was queued meanwhile.
@@ -211,10 +218,6 @@ fn publish_to_wash(washing: &WashTable, staged: &[StagedPage]) {
     }
 }
 
-/// Lift a disk-store failure into the typed device-error vocabulary the
-/// degraded-mode machinery speaks. Fault-injecting stores already report
-/// typed errors; anything else (I/O error, closed store) is a permanent
-/// whole-device condition.
 /// The typed error served for a *wounded* page: its newest committed version
 /// was dirty on a flash slot whose bytes are gone, so serving the stale disk
 /// copy would let a later write-back stamp it with a newer pageLSN and make
@@ -231,6 +234,10 @@ fn lost_page_error(page: PageId, lsn: Lsn) -> TierError {
     ))
 }
 
+/// Lift a disk-store failure into the typed device-error vocabulary the
+/// degraded-mode machinery speaks. Fault-injecting stores already report
+/// typed errors; anything else (I/O error, closed store) is a permanent
+/// whole-device condition.
 fn disk_write_error(page: PageId, e: StoreError) -> DeviceError {
     match e {
         StoreError::Device(d) => d,
@@ -241,150 +248,142 @@ fn disk_write_error(page: PageId, e: StoreError) -> DeviceError {
     }
 }
 
-/// The destager's view of the tier: flash stores + cache front for group
-/// writes, the disk store + wash table for destage writes, shared I/O and
-/// stats for accounting.
+/// The destager's view of the tier: the cache front for group writes, the
+/// disk store + wash table for destage writes, the tier's counters for
+/// accounting.
 struct DestageTarget {
     cache: Arc<ShardedFlashCache>,
     disk: Arc<dyn PageStore>,
-    io: Arc<StripedIoLog>,
+    wal: Arc<WalWriter>,
     stats: Arc<TierStatCounters>,
     washing: Arc<WashTable>,
-    degrade: Option<Arc<DegradeController>>,
+    degrade: Arc<DegradeController>,
 }
 
 impl DestageSink for DestageTarget {
-    fn apply_group(&self, write: &PendingGroupWrite, io: &mut IoLog) -> DeviceResult<()> {
+    fn apply_group(&self, write: &PendingGroupWrite) -> DeviceResult<()> {
         // `sync`/checkpoint may have applied-and-sealed this group inline
         // while the job sat in the queue (`drain` is best-effort when
         // producers race it): don't write — and charge — the batch twice.
         if !self.cache.group_write_pending(write.shard, write.epoch) {
             return Ok(());
         }
-        self.cache.apply_group_write(write, io)
+        self.cache.apply_group_write(write, &mut IoLog::new())
     }
 
-    fn complete_group(&self, shard: usize, epoch: u64, io: &mut IoLog) {
-        self.cache.complete_group(shard, epoch, io);
+    fn complete_group(&self, shard: usize, epoch: u64) {
+        self.cache.complete_group(shard, epoch, &mut IoLog::new());
     }
 
-    fn abort_group(&self, shard: usize, epoch: u64, io: &mut IoLog) -> Vec<StagedPage> {
-        self.cache.abort_group(shard, epoch, io, &mut |out| {
-            publish_to_wash(&self.washing, out)
-        })
+    fn abort_group(&self, shard: usize, epoch: u64) -> Vec<StagedPage> {
+        self.cache
+            .abort_group(shard, epoch, &mut IoLog::new(), &mut |out| {
+                publish_to_wash(&self.washing, out)
+            })
     }
 
-    fn quarantine_slot(&self, shard: usize, slot: usize, io: &mut IoLog) -> Vec<StagedPage> {
+    fn quarantine_slot(&self, shard: usize, slot: usize) -> Vec<StagedPage> {
         let out = self
             .cache
-            .quarantine_slot(shard, slot, io, &mut |s| publish_to_wash(&self.washing, s));
+            .quarantine_slot(shard, slot, &mut IoLog::new(), &mut |s| {
+                publish_to_wash(&self.washing, s)
+            });
         if out.dirty_unread {
-            if let Some(c) = &self.degrade {
-                c.note_dirty_unread(1);
-            }
+            self.degrade.note_dirty_unread(1);
         }
         out.evacuee.into_iter().collect()
     }
 
-    fn write_pages_to_disk(
-        &self,
-        pages: &[StagedPage],
-        _io: &mut IoLog,
-    ) -> Result<(), DeviceError> {
+    fn write_pages_to_disk(&self, pages: &[StagedPage]) -> Result<(), DeviceError> {
         for s in pages {
+            // A job never forces the log, and never has to: a stage-out
+            // passed the write-ahead guard before it was handed over, and
+            // the fail-over pages of an aborted group or a condemned slot
+            // entered a persisting cache behind it.
+            debug_assert!(
+                s.lsn == Lsn::ZERO || s.lsn < self.wal.durable_lsn(),
+                "page {} (lsn {}) reached a destage write ahead of the log",
+                s.page,
+                s.lsn.0
+            );
             persist_staged_page(&*self.disk, &self.stats, &self.washing, s)
                 .map_err(|e| disk_write_error(s.page, e))?;
         }
         Ok(())
     }
+}
 
-    fn publish_io(&self, io: IoLog) {
-        self.io.merge(io);
-    }
+/// What a tier has only beside a flash cache: the cache, the degraded-mode
+/// brain that decides retry budgets, slot quarantine and breaker trips for
+/// every final device error the cache, the tier or the destager observes,
+/// and the destager that owns filled groups and stage-outs.
+struct FlashSide {
+    cache: Arc<ShardedFlashCache>,
+    degrade: Arc<DegradeController>,
+    destager: Destager,
 }
 
 /// The lower tier used by [`crate::Database`]: an optional flash cache backed
 /// by the disk store. Safe for concurrent callers.
 pub struct FaceTier {
-    cache: Option<Arc<ShardedFlashCache>>,
+    flash: Option<FlashSide>,
     disk: Arc<dyn PageStore>,
-    io: Arc<StripedIoLog>,
-    /// The engine's log writer, when attached: the tier observes the
-    /// write-ahead rule for every dirty page it persists — to flash as much
-    /// as to disk, because a page in the flash cache *is* part of the
-    /// persistent database (paper §4). Forcing here sits at the innermost
-    /// position of the documented lock order (buffer shard → cache shard →
-    /// destage queue → WAL), so no new ordering is introduced.
-    wal: Option<Arc<WalWriter>>,
+    /// The engine's log writer: the tier observes the write-ahead rule for
+    /// every dirty page it persists — to flash as much as to disk, because a
+    /// page in the flash cache *is* part of the persistent database (paper
+    /// §4). Forcing here sits at the innermost position of the documented
+    /// lock order (buffer shard → cache shard → destage queue → WAL), so no
+    /// new ordering is introduced.
+    wal: Arc<WalWriter>,
     stats: Arc<TierStatCounters>,
-    /// The background destage pool (FaCE policies with `destage_threads > 0`).
-    destager: Option<Destager>,
     /// See [`WashTable`]. Shared with the destage sink; empty without a
-    /// destager.
+    /// cache.
     washing: Arc<WashTable>,
-    /// The degraded-mode brain, when fault tolerance is enabled: decides
-    /// retry budgets, slot quarantine and breaker trips for every final
-    /// device error the tier (or its destager) observes. Without one,
-    /// device errors surface directly as [`TierError::Device`].
-    degrade: Option<Arc<DegradeController>>,
 }
 
 impl FaceTier {
-    /// Build a tier over `disk` with an optional (sharded) flash cache.
-    pub fn new(disk: Arc<dyn PageStore>, cache: Option<ShardedFlashCache>) -> Self {
+    /// Build a tier over `disk` with an optional (sharded) flash cache,
+    /// observing the write-ahead rule against `wal`. With a cache the tier
+    /// builds the degrade controller the cache front, the tier and the
+    /// destager share, and the destager itself: `destage.threads` workers,
+    /// or with `0` the inline driver. Callers should have enabled
+    /// [`face_cache::CacheConfig::defer_group_writes`] on a FaCE-family
+    /// cache so group writes actually reach the destager (stage-out disk
+    /// writes use it either way).
+    pub fn new(
+        disk: Arc<dyn PageStore>,
+        cache: Option<ShardedFlashCache>,
+        wal: Arc<WalWriter>,
+        degrade: DegradeConfig,
+        destage: DestageConfig,
+    ) -> Self {
+        let stats = Arc::new(TierStatCounters::default());
+        let washing = Arc::new(OrderedRwLock::new(WASH_TABLE, IdHashMap::default()));
+        let flash = cache.map(|cache| {
+            let degrade = Arc::new(DegradeController::new(degrade));
+            let cache = Arc::new(cache.with_degrade(Arc::clone(&degrade)));
+            let target = DestageTarget {
+                cache: Arc::clone(&cache),
+                disk: Arc::clone(&disk),
+                wal: Arc::clone(&wal),
+                stats: Arc::clone(&stats),
+                washing: Arc::clone(&washing),
+                degrade: Arc::clone(&degrade),
+            };
+            let destager = Destager::new(destage, Arc::new(target), Arc::clone(&degrade));
+            FlashSide {
+                cache,
+                degrade,
+                destager,
+            }
+        });
         Self {
-            cache: cache.map(Arc::new),
+            flash,
             disk,
-            io: Arc::new(StripedIoLog::default()),
-            wal: None,
-            stats: Arc::new(TierStatCounters::default()),
-            destager: None,
-            washing: Arc::new(OrderedRwLock::new(WASH_TABLE, IdHashMap::default())),
-            degrade: None,
+            wal,
+            stats,
+            washing,
         }
-    }
-
-    /// Attach the log writer whose durability this tier must respect before
-    /// persisting dirty pages (the write-ahead guard).
-    pub fn with_wal(mut self, wal: Arc<WalWriter>) -> Self {
-        self.wal = Some(wal);
-        self
-    }
-
-    /// Attach the degraded-mode controller (shared with the cache front and,
-    /// via [`FaceTier::with_destager`], the destage workers — call this
-    /// *before* `with_destager` so the workers inherit it).
-    pub fn with_degrade(mut self, controller: Arc<DegradeController>) -> Self {
-        self.degrade = Some(controller);
-        self
-    }
-
-    /// Spawn the background destage pool. A no-op without a cache; callers
-    /// should also have enabled
-    /// [`face_cache::CacheConfig::defer_group_writes`] on the cache so group
-    /// writes actually reach the pipeline (stage-out disk writes use it
-    /// either way).
-    pub fn with_destager(mut self, config: DestageConfig) -> Self {
-        let Some(cache) = self.cache.as_ref() else {
-            return self;
-        };
-        if config.threads == 0 {
-            return self;
-        }
-        let target = DestageTarget {
-            cache: Arc::clone(cache),
-            disk: Arc::clone(&self.disk),
-            io: Arc::clone(&self.io),
-            stats: Arc::clone(&self.stats),
-            washing: Arc::clone(&self.washing),
-            degrade: self.degrade.clone(),
-        };
-        self.destager = Some(Destager::new(
-            config,
-            Arc::new(target),
-            self.degrade.clone(),
-        ));
-        self
     }
 
     /// Write-ahead guard: make every log record up to and including `lsn`
@@ -394,13 +393,10 @@ impl FaceTier {
     /// load, no WAL lock; when it does lead a flush, that flush is counted
     /// in [`TierStats::wal_guard_forces`].
     fn ensure_wal_durable(&self, lsn: Lsn) -> TierResult<()> {
-        let Some(wal) = self.wal.as_ref() else {
-            return Ok(());
-        };
         if lsn == Lsn::ZERO {
             return Ok(());
         }
-        match wal.force(Lsn(lsn.0 + 1)) {
+        match self.wal.force(Lsn(lsn.0 + 1)) {
             Ok(led_flush) => {
                 if led_flush {
                     self.stats.wal_guard_forces.inc();
@@ -416,12 +412,12 @@ impl FaceTier {
 
     /// Whether a flash cache is configured.
     pub fn has_cache(&self) -> bool {
-        self.cache.is_some()
+        self.flash.is_some()
     }
 
     /// The flash cache, if configured.
     pub fn cache(&self) -> Option<&ShardedFlashCache> {
-        self.cache.as_deref()
+        self.flash.as_ref().map(|f| &*f.cache)
     }
 
     /// The disk store.
@@ -434,34 +430,34 @@ impl FaceTier {
         self.stats.snapshot()
     }
 
-    /// Destage pipeline counters (queued vs completed), if a destager runs.
+    /// Destage pipeline counters (queued vs completed), if background
+    /// workers run. `None` without a cache and under the inline driver,
+    /// which has no pipeline: its work is done when the write-back returns.
     pub fn destage_stats(&self) -> Option<DestageStats> {
-        self.destager.as_ref().map(|d| d.stats())
-    }
-
-    /// The degraded-mode controller, if fault tolerance is enabled.
-    pub fn degrade(&self) -> Option<&Arc<DegradeController>> {
-        self.degrade.as_ref()
+        let destager = &self.flash.as_ref()?.destager;
+        (destager.threads() > 0).then(|| destager.stats())
     }
 
     /// Snapshot of the degraded-mode counters and breaker state.
     pub fn degrade_stats(&self) -> Option<DegradeStats> {
-        self.degrade.as_ref().map(|c| c.snapshot())
+        self.flash.as_ref().map(|f| f.degrade.snapshot())
     }
 
     /// Record a *final* device error (retries exhausted) with the controller
     /// and carry out its verdict: nothing, a slot quarantine, or the breaker
-    /// trip. Without a controller the caller surfaces the error instead.
-    fn handle_device_error(&self, shard: usize, err: &DeviceError) -> TierResult<()> {
-        let Some(controller) = self.degrade.as_ref() else {
-            return Ok(());
-        };
-        match controller.note_error(shard, err) {
+    /// trip.
+    fn handle_device_error(
+        &self,
+        flash: &FlashSide,
+        shard: usize,
+        err: &DeviceError,
+    ) -> TierResult<()> {
+        match flash.degrade.note_error(shard, err) {
             DegradeAction::Continue => Ok(()),
             DegradeAction::Quarantine { shard, slot } => {
-                self.quarantine_slot(shard, slot).map(|_| ())
+                self.quarantine_slot(flash, shard, slot).map(|_| ())
             }
-            DegradeAction::Trip => self.maybe_claim_trip(),
+            DegradeAction::Trip => self.maybe_claim_trip(flash),
         }
     }
 
@@ -469,29 +465,28 @@ impl FaceTier {
     /// (if its bytes were recoverable) is published to the wash table under
     /// the shard lock and then persisted to disk WAL-guarded; it is also
     /// returned so a fetch that triggered the quarantine can serve it.
-    fn quarantine_slot(&self, shard: usize, slot: usize) -> TierResult<Option<StagedPage>> {
-        let Some(cache) = self.cache.as_ref() else {
-            return Ok(None);
-        };
-        let mut io = IoLog::new();
-        let out =
-            cache.quarantine_slot(shard, slot, &mut io, &mut |s| self.publish_to_wash_table(s));
-        self.merge_io(io);
-        if let Some(controller) = self.degrade.as_ref() {
-            if out.quarantined {
-                controller.note_quarantined();
-            }
-            if out.dirty_unread {
-                controller.note_dirty_unread(1);
-            }
+    fn quarantine_slot(
+        &self,
+        flash: &FlashSide,
+        shard: usize,
+        slot: usize,
+    ) -> TierResult<Option<StagedPage>> {
+        let out = flash
+            .cache
+            .quarantine_slot(shard, slot, &mut IoLog::new(), &mut |s| {
+                self.publish_to_wash_table(s)
+            });
+        if out.quarantined {
+            flash.degrade.note_quarantined();
+        }
+        if out.dirty_unread {
+            flash.degrade.note_dirty_unread(1);
         }
         // A data-less evacuee is a wound marker: already wash-published via
         // the sink above; nothing to persist and nothing evacuated.
         if let Some(evacuee) = out.evacuee.as_ref().filter(|s| s.data.is_some()) {
             self.write_staged_to_disk(std::slice::from_ref(evacuee))?;
-            if let Some(controller) = self.degrade.as_ref() {
-                controller.note_evacuated(1);
-            }
+            flash.degrade.note_evacuated(1);
         }
         Ok(out.evacuee)
     }
@@ -501,19 +496,15 @@ impl FaceTier {
     /// (WAL-guarded, wash-published), then flip the breaker to `Tripped` so
     /// fetches and inserts bypass the flash tier. Exactly one caller wins
     /// the claim; the rest return immediately.
-    fn maybe_claim_trip(&self) -> TierResult<()> {
-        let (Some(cache), Some(controller)) = (self.cache.as_ref(), self.degrade.as_ref()) else {
-            return Ok(());
-        };
+    fn maybe_claim_trip(&self, flash: &FlashSide) -> TierResult<()> {
+        let controller = &flash.degrade;
         if controller.state() != BreakerState::TripRequested || !controller.begin_evacuation() {
             return Ok(());
         }
         // The device is failing — a pipeline drain error here is just more
         // of the same evidence and must not abort the evacuation.
-        let _ = self.drain_destage();
-        let mut io = IoLog::new();
-        let ev = cache.evacuate_dirty(&mut io);
-        self.merge_io(io);
+        let _ = flash.destager.drain();
+        let ev = flash.cache.evacuate_dirty(&mut IoLog::new());
         controller.note_dirty_unread(ev.unread_dirty);
         // Wound markers (data-less) among the pages stay wash-published so
         // stale disk serves are refused; only data-carrying pages persist.
@@ -542,18 +533,14 @@ impl FaceTier {
     /// Re-enable a tripped (or merely suspect) flash tier: evacuate whatever
     /// dirty pages remain, wipe the cache cold, and re-close the breaker —
     /// forgiving quarantine tallies (the policies were rebuilt, so their
-    /// tombstones are gone too). Returns the number of pages evacuated.
+    /// tombstones are gone too). Returns the number of pages evacuated; a
+    /// no-op without a cache.
     pub fn heal_cache(&self) -> TierResult<usize> {
         let n = self.reset_cache_cold()?;
-        if let Some(controller) = self.degrade.as_ref() {
-            controller.heal();
+        if let Some(flash) = self.flash.as_ref() {
+            flash.degrade.heal();
         }
         Ok(n)
-    }
-
-    /// Whether a background destage pool is running.
-    pub fn has_destager(&self) -> bool {
-        self.destager.is_some()
     }
 
     /// Wait until every queued destage job has completed, surfacing any
@@ -561,10 +548,10 @@ impl FaceTier {
     /// shutdown call this before touching cache metadata; ordinary
     /// operations never do.
     pub fn drain_destage(&self) -> TierResult<()> {
-        if let Some(destager) = self.destager.as_ref() {
-            destager.drain().map_err(TierError::Device)?;
+        match self.flash.as_ref() {
+            Some(flash) => flash.destager.drain().map_err(TierError::Device),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Crash semantics for the pipeline: queued jobs are dropped (their
@@ -572,84 +559,10 @@ impl FaceTier {
     /// invalidated — a worker mid-write finishes the device operation but
     /// the group is never sealed. The wash table is volatile and dies too.
     pub fn crash_destage(&self) {
-        if let Some(destager) = self.destager.as_ref() {
-            destager.abort_pending();
+        if let Some(flash) = self.flash.as_ref() {
+            flash.destager.abort_pending();
         }
         self.washing.write().clear();
-    }
-
-    /// Drain the accumulated I/O event log (simulation drivers charge device
-    /// time from it; functional callers may simply discard it). Only
-    /// *completed* I/O appears here — queued destage work is visible in
-    /// [`FaceTier::destage_stats`] until its workers perform it.
-    pub fn drain_io(&self) -> Vec<face_cache::FlashIoEvent> {
-        self.io.drain()
-    }
-
-    fn merge_io(&self, local: IoLog) {
-        self.io.merge(local);
-    }
-
-    /// Route a filled group's batch write: onto the pipeline when a destager
-    /// runs, else applied inline right here — in both cases strictly after
-    /// every cache lock was released. The inline arm mirrors the destager's
-    /// recovery policy: bounded retry for transient errors, then abort the
-    /// group (slots freed, journal records dropped) and fail its dirty pages
-    /// over to disk.
-    fn dispatch_group_write(
-        &self,
-        cache: &ShardedFlashCache,
-        write: PendingGroupWrite,
-    ) -> TierResult<()> {
-        match self.destager.as_ref() {
-            Some(destager) => {
-                destager.enqueue(DestageJob::Group(write));
-                Ok(())
-            }
-            None => {
-                let max_retries = self
-                    .degrade
-                    .as_ref()
-                    .map(|c| c.config().max_retries)
-                    .unwrap_or_else(|| face_cache::DegradeConfig::default().max_retries);
-                let mut io = IoLog::new();
-                let mut attempt: u32 = 0;
-                let result = loop {
-                    match cache.apply_group_write(&write, &mut io) {
-                        Ok(()) => {
-                            cache.complete_group(write.shard, write.epoch, &mut io);
-                            break Ok(());
-                        }
-                        Err(e) if e.is_transient() && attempt < max_retries => {
-                            attempt += 1;
-                            if let Some(c) = &self.degrade {
-                                c.note_retry();
-                            }
-                            backoff_sleep(attempt);
-                        }
-                        Err(e) => break Err(e),
-                    }
-                };
-                let fallout = match &result {
-                    Ok(()) => Vec::new(),
-                    Err(_) => cache.abort_group(write.shard, write.epoch, &mut io, &mut |out| {
-                        publish_to_wash(&self.washing, out)
-                    }),
-                };
-                self.merge_io(io);
-                match result {
-                    Ok(()) => Ok(()),
-                    Err(e) => {
-                        self.write_staged_to_disk(&fallout)?;
-                        if self.degrade.is_some() {
-                            self.handle_device_error(write.shard, &e)
-                        } else {
-                            Err(TierError::Device(e))
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Publish stage-outs into the wash table. Invoked **under the cache
@@ -661,30 +574,36 @@ impl FaceTier {
         publish_to_wash(&self.washing, staged);
     }
 
-    /// Route dequeued dirty pages to disk (already published to the wash
-    /// table under the shard lock). The write-ahead guard runs here —
-    /// *before* anything enters the pipeline — so queued pages always have
-    /// durable log records (for FaCE stage-outs it is a no-op: the guard
-    /// already ran when the page entered the persisting cache).
-    fn dispatch_staged_out(&self, shard: usize, staged: Vec<StagedPage>) -> TierResult<()> {
+    /// Hand dequeued dirty pages (already published to the wash table under
+    /// the shard lock) to the destager for their disk write. The write-ahead
+    /// guard runs here — *before* the hand-over, whichever driver takes it —
+    /// so a destage job always finds durable log records (for FaCE
+    /// stage-outs it is a no-op: the guard already ran when the page entered
+    /// the persisting cache).
+    fn dispatch_staged_out(
+        &self,
+        flash: &FlashSide,
+        shard: usize,
+        staged: Vec<StagedPage>,
+    ) -> TierResult<()> {
         if staged.is_empty() {
             return Ok(());
         }
-        match self.destager.as_ref() {
-            Some(destager) => {
-                for s in &staged {
-                    self.ensure_wal_durable(s.lsn)?;
-                }
-                destager.enqueue(DestageJob::Disk {
-                    shard,
-                    pages: staged,
-                });
-                Ok(())
-            }
-            None => self.write_staged_to_disk(&staged),
+        for s in &staged {
+            self.ensure_wal_durable(s.lsn)?;
         }
+        flash
+            .destager
+            .enqueue(DestageJob::Disk {
+                shard,
+                pages: staged,
+            })
+            .map_err(TierError::Device)
     }
 
+    /// The tier's own synchronous write-outs (evacuation, fallout rescue,
+    /// checkpoint drains): WAL-guarded, each page through
+    /// [`persist_staged_page`].
     fn write_staged_to_disk(&self, staged: &[StagedPage]) -> TierResult<()> {
         for s in staged {
             self.ensure_wal_durable(s.lsn)?;
@@ -695,13 +614,11 @@ impl FaceTier {
 
     fn write_page_to_disk(&self, page: &Page) -> TierResult<()> {
         self.ensure_wal_durable(page.lsn())?;
-        let mut copy = page.clone();
-        copy.update_checksum();
-        self.disk.write_page(copy.id(), &copy)?;
+        write_verifying(&*self.disk, page)?;
         self.stats.disk_writes.inc();
         // The disk now holds this version: any wound at or below its LSN is
         // healed (the lost flash version is superseded).
-        self.clear_wound(copy.id(), copy.lsn());
+        self.clear_wound(page.id(), page.lsn());
         Ok(())
     }
 
@@ -723,17 +640,15 @@ impl FaceTier {
     /// the persistent database (LC) and write them to disk. Drains the
     /// destage pipeline first so the cache's sync sees no in-flight groups.
     pub fn checkpoint_cache(&self) -> TierResult<usize> {
-        let Some(cache) = self.cache.as_ref() else {
+        let Some(flash) = self.flash.as_ref() else {
             return Ok(0);
         };
-        self.drain_destage()?;
+        let cache = &*flash.cache;
+        flash.destager.drain().map_err(TierError::Device)?;
         let mut io = IoLog::new();
-        let synced = cache.sync(&mut io);
-        let drained = match synced {
-            Ok(()) => cache.drain_dirty_for_checkpoint(&mut io),
-            Err(e) => Err(e),
-        };
-        self.merge_io(io);
+        let drained = cache
+            .sync(&mut io)
+            .and_then(|()| cache.drain_dirty_for_checkpoint(&mut io));
         // Failed flash writes leave their dirty pages in the cache's fallout
         // buffer: rescue them to disk before deciding the checkpoint failed.
         self.rescue_write_fallout(cache)?;
@@ -757,7 +672,7 @@ impl FaceTier {
                 Ok(n)
             }
             Err(e) => {
-                self.handle_device_error(0, &e)?;
+                self.handle_device_error(flash, 0, &e)?;
                 Err(TierError::Device(e))
             }
         }
@@ -772,17 +687,16 @@ impl FaceTier {
     /// reports; returns the default (nothing survived) report when no cache
     /// is configured.
     pub fn recover_cache(&self, durable_lsn: Lsn) -> CacheRecoveryInfo {
-        let Some(cache) = self.cache.as_ref() else {
+        let Some(flash) = self.flash.as_ref() else {
             return CacheRecoveryInfo::default();
         };
         // Let in-flight workers finish their (discarded) device operations
         // before rebuilding metadata — a real restart begins after the dust
         // settles on the devices. Queued jobs were dropped at crash time.
-        let _ = self.drain_destage();
-        let mut io = IoLog::new();
-        let info = cache.crash_and_recover(durable_lsn, &mut io);
-        self.merge_io(io);
-        info
+        let _ = flash.destager.drain();
+        flash
+            .cache
+            .crash_and_recover(durable_lsn, &mut IoLog::new())
     }
 
     /// Restart support, cold variant: **evacuate** every dirty valid flash
@@ -793,30 +707,20 @@ impl FaceTier {
     /// warm-restart experiments compare against. Returns the number of pages
     /// evacuated; a no-op without a cache.
     pub fn reset_cache_cold(&self) -> TierResult<usize> {
-        let Some(cache) = self.cache.as_ref() else {
+        let Some(flash) = self.flash.as_ref() else {
             return Ok(0);
         };
         // Absorb (do not surface) pipeline errors here: evacuation is the
         // response to a failing device, and the sweep below is the recovery.
-        if self.degrade.is_some() {
-            let _ = self.drain_destage();
-        } else {
-            self.drain_destage()?;
-        }
-        let mut io = IoLog::new();
-        let evacuated = cache.evacuate_dirty(&mut io);
-        self.merge_io(io);
-        if evacuated.unread_dirty > 0 {
-            if let Some(controller) = self.degrade.as_ref() {
-                controller.note_dirty_unread(evacuated.unread_dirty);
-            }
-        }
+        let _ = flash.destager.drain();
+        let evacuated = flash.cache.evacuate_dirty(&mut IoLog::new());
+        flash.degrade.note_dirty_unread(evacuated.unread_dirty);
         // Wound markers (data-less) among the pages must outlive the wipe:
         // publish them so fetches keep refusing the stale disk copies.
         publish_to_wash(&self.washing, &evacuated.pages);
         let n = evacuated.pages.iter().filter(|s| s.data.is_some()).count();
         self.write_staged_to_disk(&evacuated.pages)?;
-        cache.reset_cold();
+        flash.cache.reset_cold();
         Ok(n)
     }
 }
@@ -833,7 +737,7 @@ struct GscSupplier<'a> {
     victims: &'a mut dyn VictimPull,
     cache: &'a ShardedFlashCache,
     target_shard: usize,
-    durable_lsn: Option<Lsn>,
+    durable_lsn: Lsn,
     stats: &'a TierStatCounters,
 }
 
@@ -843,7 +747,7 @@ impl PageSupplier for GscSupplier<'_> {
         let shard = self.target_shard;
         let (page, dirty, fdirty) = self
             .victims
-            .pull(&|id| cache.shard_of(id) == shard, self.durable_lsn)?;
+            .pull(&|id| cache.shard_of(id) == shard, Some(self.durable_lsn))?;
         self.stats.gsc_pulls.inc();
         Some(stage(page, dirty, fdirty))
     }
@@ -859,19 +763,16 @@ impl FaceTier {
     /// `Continue` re-attempts the fetch (bounded: strikes accumulate toward
     /// quarantine or trip), `Quarantine` condemns the slot (a rescued dirty
     /// evacuee serves the fetch directly; otherwise the disk copy is current
-    /// again), `Trip` evacuates and flips to disk-only. Without a
-    /// controller the error surfaces as [`TierError::Device`].
+    /// again), `Trip` evacuates and flips to disk-only.
     fn fetch_from_cache(
         &self,
-        cache: &ShardedFlashCache,
+        flash: &FlashSide,
         id: PageId,
         buf: &mut Page,
     ) -> TierResult<Option<FetchOutcome>> {
+        let cache = &*flash.cache;
         loop {
-            let mut io = IoLog::new();
-            let fetched = cache.fetch(id, &mut io);
-            self.merge_io(io);
-            match fetched {
+            match cache.fetch(id, &mut IoLog::new()) {
                 Ok(None) => return Ok(None),
                 Ok(Some(hit)) => {
                     self.stats.flash_fetches.inc();
@@ -889,123 +790,107 @@ impl FaceTier {
                         dirty: hit.dirty,
                     }));
                 }
-                Err(e) => {
-                    let Some(controller) = self.degrade.as_ref() else {
-                        return Err(TierError::Device(e));
-                    };
-                    match controller.note_error(cache.shard_of(id), &e) {
-                        DegradeAction::Continue => continue,
-                        DegradeAction::Quarantine { shard, slot } => {
-                            let evacuee = self.quarantine_slot(shard, slot)?;
-                            // The failing slot held our page: serve the
-                            // rescued bytes (already persisted WAL-guarded).
-                            if let Some(s) = evacuee.filter(|s| s.page == id) {
-                                if let Some(data) = &s.data {
-                                    buf.clone_from(data);
-                                    self.stats.flash_fetches.inc();
-                                    return Ok(Some(FetchOutcome {
-                                        source: FetchSource::FlashCache,
-                                        dirty: s.dirty,
-                                    }));
-                                }
-                                if s.dirty {
-                                    // The dirty resident's bytes are gone:
-                                    // the page is wounded (wash-published by
-                                    // the quarantine) — refuse the stale
-                                    // disk copy.
-                                    return Err(lost_page_error(id, s.lsn));
-                                }
+                Err(e) => match flash.degrade.note_error(cache.shard_of(id), &e) {
+                    DegradeAction::Continue => continue,
+                    DegradeAction::Quarantine { shard, slot } => {
+                        let evacuee = self.quarantine_slot(flash, shard, slot)?;
+                        // The failing slot held our page: serve the
+                        // rescued bytes (already persisted WAL-guarded).
+                        if let Some(s) = evacuee.filter(|s| s.page == id) {
+                            if let Some(data) = &s.data {
+                                buf.clone_from(data);
+                                self.stats.flash_fetches.inc();
+                                return Ok(Some(FetchOutcome {
+                                    source: FetchSource::FlashCache,
+                                    dirty: s.dirty,
+                                }));
                             }
-                            // Clean (or vanished) resident: the disk copy is
-                            // current — fall through to it.
-                            return Ok(None);
+                            if s.dirty {
+                                // The dirty resident's bytes are gone: the
+                                // page is wounded (wash-published by the
+                                // quarantine) — refuse the stale disk copy.
+                                return Err(lost_page_error(id, s.lsn));
+                            }
                         }
-                        DegradeAction::Trip => {
-                            self.maybe_claim_trip()?;
-                            return Ok(None);
-                        }
+                        // Clean (or vanished) resident: the disk copy is
+                        // current — fall through to it.
+                        return Ok(None);
                     }
-                }
+                    DegradeAction::Trip => {
+                        self.maybe_claim_trip(flash)?;
+                        return Ok(None);
+                    }
+                },
             }
         }
+    }
+
+    /// Serve `id` from the disk store.
+    fn fetch_from_disk(&self, id: PageId, buf: &mut Page) -> TierResult<FetchOutcome> {
+        self.disk.read_page(id, buf)?;
+        self.stats.disk_fetches.inc();
+        Ok(FetchOutcome {
+            source: FetchSource::Disk,
+            dirty: false,
+        })
     }
 }
 
 impl LowerTier for FaceTier {
     fn fetch(&self, id: PageId, buf: &mut Page) -> TierResult<FetchOutcome> {
-        if self.degrade.is_some() {
-            self.maybe_claim_trip()?;
-        }
-        if let Some(cache) = self.cache.as_ref() {
-            let bypass = self.degrade.as_ref().is_some_and(|c| c.bypass_fetches());
-            if bypass {
-                if let Some(controller) = self.degrade.as_ref() {
-                    controller.note_bypassed_fetch();
-                }
-            } else if let Some(outcome) = self.fetch_from_cache(cache, id, buf)? {
-                return Ok(outcome);
-            }
+        let Some(flash) = self.flash.as_ref() else {
+            return self.fetch_from_disk(id, buf);
+        };
+        self.maybe_claim_trip(flash)?;
+        if flash.degrade.bypass_fetches() {
+            flash.degrade.note_bypassed_fetch();
+        } else if let Some(outcome) = self.fetch_from_cache(flash, id, buf)? {
+            return Ok(outcome);
         }
         // A page whose stage-out disk write is queued or in flight must be
         // served from the wash table: the disk still holds the older
-        // version. (The synchronous path publishes and retires within one
+        // version. (The inline driver publishes and retires within one
         // write-back too, so concurrent fetches need the table either way.)
-        if self.cache.is_some() {
-            let washed = self
-                .washing
-                .read()
-                .get(&id)
-                .map(|s| (s.data.as_ref().map(Arc::clone), s.dirty, s.lsn));
-            match washed {
-                Some((Some(frame), _, _)) => {
-                    buf.clone_from(&frame);
-                    self.stats.disk_fetches.inc();
-                    self.stats.wash_table_hits.inc();
-                    return Ok(FetchOutcome {
-                        source: FetchSource::Disk,
-                        dirty: false,
-                    });
-                }
-                // A wound marker: the page's newest committed version died
-                // with a flash slot. Refuse the stale disk copy (see
-                // `lost_page_error`) rather than serve it.
-                Some((None, true, lsn)) => return Err(lost_page_error(id, lsn)),
-                _ => {}
+        let washed = self
+            .washing
+            .read()
+            .get(&id)
+            .map(|s| (s.data.as_ref().map(Arc::clone), s.dirty, s.lsn));
+        match washed {
+            Some((Some(frame), _, _)) => {
+                buf.clone_from(&frame);
+                self.stats.disk_fetches.inc();
+                self.stats.wash_table_hits.inc();
+                return Ok(FetchOutcome {
+                    source: FetchSource::Disk,
+                    dirty: false,
+                });
             }
+            // A wound marker: the page's newest committed version died
+            // with a flash slot. Refuse the stale disk copy (see
+            // `lost_page_error`) rather than serve it.
+            Some((None, true, lsn)) => return Err(lost_page_error(id, lsn)),
+            _ => {}
         }
-        self.disk.read_page(id, buf)?;
-        self.stats.disk_fetches.inc();
-        let bypass_admission = self
-            .degrade
-            .as_ref()
-            .is_some_and(|c| c.state() == BreakerState::Tripped);
-        if let (Some(cache), false) = (self.cache.as_ref(), bypass_admission) {
+        let outcome = self.fetch_from_disk(id, buf)?;
+        if flash.degrade.state() != BreakerState::Tripped {
             // On-entry policies (TAC) may admit the page now. The page is
             // clean on disk, so an admission device error is absorbable: the
             // controller records it and the fetch still succeeds.
-            let mut io = IoLog::new();
-            let admitted = cache.on_fetched_from_disk(id, &mut io);
-            self.merge_io(io);
-            match admitted {
-                Ok(outcome) => {
-                    if outcome.cached {
+            let cache = &*flash.cache;
+            match cache.on_fetched_from_disk(id, &mut IoLog::new()) {
+                Ok(admitted) => {
+                    if admitted.cached {
                         self.stats.cache_inserts.inc();
                     }
                 }
                 Err(e) => {
                     self.rescue_write_fallout(cache)?;
-                    if self.degrade.is_some() {
-                        self.handle_device_error(cache.shard_of(id), &e)?;
-                    } else {
-                        return Err(TierError::Device(e));
-                    }
+                    self.handle_device_error(flash, cache.shard_of(id), &e)?;
                 }
             }
         }
-        Ok(FetchOutcome {
-            source: FetchSource::Disk,
-            dirty: false,
-        })
+        Ok(outcome)
     }
 
     fn write_back(
@@ -1026,156 +911,128 @@ impl LowerTier for FaceTier {
         reason: WriteBackReason,
         victims: &mut dyn VictimPull,
     ) -> TierResult<WriteBackOutcome> {
-        if self.degrade.is_some() {
-            self.maybe_claim_trip()?;
-        }
+        /// The page went to the disk store, or needed no write at all.
+        const ON_DISK: WriteBackOutcome = WriteBackOutcome {
+            in_flash: false,
+            on_disk: true,
+        };
+        let Some(flash) = self.flash.as_ref() else {
+            // No flash cache: dirty pages go straight to disk.
+            if dirty {
+                self.write_page_to_disk(page)?;
+            }
+            return Ok(ON_DISK);
+        };
+        self.maybe_claim_trip(flash)?;
         // Disk-only degraded mode: the flash tier is bypassed outright.
         // (Earlier breaker states — TripRequested, Evacuating — still route
         // inserts *through* the failing cache with error absorption: fetches
         // still serve from flash then, and bypassing an insert would let a
         // stale resident copy win a later fetch.)
-        let tripped = self
-            .degrade
-            .as_ref()
-            .is_some_and(|c| c.state() == BreakerState::Tripped);
-        if tripped && self.cache.is_some() {
-            if let Some(controller) = self.degrade.as_ref() {
-                controller.note_bypassed_insert();
+        if flash.degrade.state() == BreakerState::Tripped {
+            flash.degrade.note_bypassed_insert();
+            if dirty {
+                self.write_page_to_disk(page)?;
+            }
+            return Ok(ON_DISK);
+        }
+        let cache = &*flash.cache;
+        let persists = cache.persists_dirty_pages();
+        let shard = cache.shard_of(page.id());
+        // Write-ahead guard: a dirty page entering a persisting cache
+        // (FaCE) joins the persistent database right there, so its
+        // log records must be durable first — same rule as a disk
+        // write. Non-persisting caches (LC/TAC) hit the guard on the
+        // disk-write paths below instead.
+        if dirty && persists {
+            self.ensure_wal_durable(page.lsn())?;
+        }
+        // FaCE checkpoints flush dirty pages to the flash cache; LC and
+        // TAC cannot treat the flash copy as persistent, so checkpoint
+        // writes must reach the disk. The page is still passed through
+        // the cache so that any cached copy is refreshed — otherwise a
+        // later fetch could resurrect a stale version (a coherence
+        // hazard for the on-entry, write-through TAC baseline).
+        if reason == WriteBackReason::Checkpoint && !persists {
+            let refreshed = cache.insert_with_sink(
+                stage(page.clone(), dirty, fdirty),
+                &mut face_cache::NoSupplier,
+                &mut IoLog::new(),
+                &mut |out| self.publish_to_wash_table(out),
+            );
+            match refreshed {
+                Ok(outcome) => self.write_staged_to_disk(&outcome.staged_out)?,
+                Err(e) => {
+                    // The refresh failed but the policy dropped the
+                    // stale resident, so coherence holds; the disk
+                    // write below persists the page either way.
+                    self.rescue_write_fallout(cache)?;
+                    self.handle_device_error(flash, shard, &e)?;
+                }
             }
             if dirty {
                 self.write_page_to_disk(page)?;
             }
-            return Ok(WriteBackOutcome {
-                in_flash: false,
-                on_disk: true,
-            });
+            return Ok(ON_DISK);
         }
-        match self.cache.as_ref() {
-            None => {
-                // No flash cache: dirty pages go straight to disk.
-                if dirty {
-                    self.write_page_to_disk(page)?;
-                }
-                Ok(WriteBackOutcome {
-                    in_flash: false,
-                    on_disk: true,
-                })
-            }
-            Some(cache) => {
-                // Write-ahead guard: a dirty page entering a persisting cache
-                // (FaCE) joins the persistent database right there, so its
-                // log records must be durable first — same rule as a disk
-                // write. Non-persisting caches (LC/TAC) hit the guard on the
-                // disk-write paths below instead.
-                if dirty && cache.persists_dirty_pages() {
-                    self.ensure_wal_durable(page.lsn())?;
-                }
-                // FaCE checkpoints flush dirty pages to the flash cache; LC and
-                // TAC cannot treat the flash copy as persistent, so checkpoint
-                // writes must reach the disk. The page is still passed through
-                // the cache so that any cached copy is refreshed — otherwise a
-                // later fetch could resurrect a stale version (a coherence
-                // hazard for the on-entry, write-through TAC baseline).
-                if reason == WriteBackReason::Checkpoint && !cache.persists_dirty_pages() {
-                    let staged = stage(page.clone(), dirty, fdirty);
-                    let mut io = IoLog::new();
-                    let refreshed = cache.insert_with_sink(
-                        staged,
-                        &mut face_cache::NoSupplier,
-                        &mut io,
-                        &mut |out| self.publish_to_wash_table(out),
-                    );
-                    self.merge_io(io);
-                    match refreshed {
-                        Ok(outcome) => self.write_staged_to_disk(&outcome.staged_out)?,
-                        Err(e) => {
-                            // The refresh failed but the policy dropped the
-                            // stale resident, so coherence holds; the disk
-                            // write below persists the page either way.
-                            self.rescue_write_fallout(cache)?;
-                            if self.degrade.is_some() {
-                                self.handle_device_error(cache.shard_of(page.id()), &e)?;
-                            } else {
-                                return Err(TierError::Device(e));
-                            }
-                        }
-                    }
-                    if dirty {
-                        self.write_page_to_disk(page)?;
-                    }
-                    return Ok(WriteBackOutcome {
-                        in_flash: false,
-                        on_disk: true,
-                    });
-                }
 
-                let persists = cache.persists_dirty_pages();
-                let shard = cache.shard_of(page.id());
-                let staged = stage(page.clone(), dirty, fdirty);
-                let mut io = IoLog::new();
-                let inserted = if reason == WriteBackReason::Eviction && persists {
-                    // Offer the GSC supplier; non-GSC policies ignore it.
-                    let mut supplier = GscSupplier {
-                        victims,
-                        cache,
-                        target_shard: shard,
-                        durable_lsn: self.wal.as_ref().map(|w| w.durable_lsn()),
-                        stats: &self.stats,
-                    };
-                    cache.insert_with_sink(staged, &mut supplier, &mut io, &mut |out| {
-                        self.publish_to_wash_table(out)
-                    })
-                } else {
-                    cache.insert_with_sink(
-                        staged,
-                        &mut face_cache::NoSupplier,
-                        &mut io,
-                        &mut |out| self.publish_to_wash_table(out),
-                    )
-                };
-                self.merge_io(io);
-                let outcome = match inserted {
-                    Ok(outcome) => outcome,
-                    Err(e) => {
-                        // The policy rolled the failed write back and parked
-                        // every dirty page it displaced (including this one,
-                        // if dirty) in its fallout buffer — rescue them to
-                        // disk WAL-guarded, then let the controller decide
-                        // whether the slot or the whole device is condemned.
-                        self.rescue_write_fallout(cache)?;
-                        if self.degrade.is_some() {
-                            self.handle_device_error(shard, &e)?;
-                        } else {
-                            return Err(TierError::Device(e));
-                        }
-                        return Ok(WriteBackOutcome {
-                            in_flash: false,
-                            on_disk: true,
-                        });
-                    }
-                };
-                if outcome.cached {
-                    self.stats.cache_inserts.inc();
-                    // Under a persisting policy the flash copy joins the
-                    // persistent database, so it supersedes any wound this
-                    // page carries (the lost version is at or below it).
-                    if dirty && persists {
-                        self.clear_wound(page.id(), page.lsn());
-                    }
-                }
-                if outcome.wrote_through_to_disk && dirty {
-                    self.write_page_to_disk(page)?;
-                }
-                self.dispatch_staged_out(shard, outcome.staged_out)?;
-                if let Some(write) = outcome.pending_group {
-                    self.dispatch_group_write(cache, write)?;
-                }
-                Ok(WriteBackOutcome {
-                    in_flash: outcome.cached && persists,
-                    on_disk: outcome.wrote_through_to_disk,
-                })
+        let staged = stage(page.clone(), dirty, fdirty);
+        let mut io = IoLog::new();
+        let inserted = if reason == WriteBackReason::Eviction && persists {
+            // Offer the GSC supplier; non-GSC policies ignore it.
+            let mut supplier = GscSupplier {
+                victims,
+                cache,
+                target_shard: shard,
+                durable_lsn: self.wal.durable_lsn(),
+                stats: &self.stats,
+            };
+            cache.insert_with_sink(staged, &mut supplier, &mut io, &mut |out| {
+                self.publish_to_wash_table(out)
+            })
+        } else {
+            cache.insert_with_sink(staged, &mut face_cache::NoSupplier, &mut io, &mut |out| {
+                self.publish_to_wash_table(out)
+            })
+        };
+        let outcome = match inserted {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                // The policy rolled the failed write back and parked
+                // every dirty page it displaced (including this one,
+                // if dirty) in its fallout buffer — rescue them to
+                // disk WAL-guarded, then let the controller decide
+                // whether the slot or the whole device is condemned.
+                self.rescue_write_fallout(cache)?;
+                self.handle_device_error(flash, shard, &e)?;
+                return Ok(ON_DISK);
+            }
+        };
+        if outcome.cached {
+            self.stats.cache_inserts.inc();
+            // Under a persisting policy the flash copy joins the
+            // persistent database, so it supersedes any wound this
+            // page carries (the lost version is at or below it).
+            if dirty && persists {
+                self.clear_wound(page.id(), page.lsn());
             }
         }
+        if outcome.wrote_through_to_disk && dirty {
+            self.write_page_to_disk(page)?;
+        }
+        // Stage-outs and the filled group are the destager's from here —
+        // strictly after every cache lock was released, in both drivers.
+        self.dispatch_staged_out(flash, shard, outcome.staged_out)?;
+        if let Some(write) = outcome.pending_group {
+            flash
+                .destager
+                .enqueue(DestageJob::Group(write))
+                .map_err(TierError::Device)?;
+        }
+        Ok(WriteBackOutcome {
+            in_flash: outcome.cached && persists,
+            on_disk: outcome.wrote_through_to_disk,
+        })
     }
 
     fn allocate(&self, file: u32) -> TierResult<PageId> {
@@ -1183,22 +1040,16 @@ impl LowerTier for FaceTier {
     }
 
     fn sync(&self) -> TierResult<()> {
-        self.drain_destage()?;
-        if let Some(cache) = self.cache.as_ref() {
-            let mut io = IoLog::new();
-            let synced = cache.sync(&mut io);
-            self.merge_io(io);
+        if let Some(flash) = self.flash.as_ref() {
+            flash.destager.drain().map_err(TierError::Device)?;
+            let synced = flash.cache.sync(&mut IoLog::new());
             // Shards whose flush failed rolled their pages back into the
             // fallout buffer; once those reach disk, durability holds even
-            // though the flash write did not — so with a degrade controller
-            // the error is recorded and absorbed, not surfaced.
-            self.rescue_write_fallout(cache)?;
+            // though the flash write did not — so the error is recorded
+            // with the degrade controller and absorbed, not surfaced.
+            self.rescue_write_fallout(&flash.cache)?;
             if let Err(e) = synced {
-                if self.degrade.is_some() {
-                    self.handle_device_error(0, &e)?;
-                } else {
-                    return Err(TierError::Device(e));
-                }
+                self.handle_device_error(flash, 0, &e)?;
             }
         }
         self.disk.sync()?;
@@ -1212,6 +1063,30 @@ mod tests {
     use face_buffer::LowerTier;
     use face_cache::{CacheConfig, CachePolicyKind, FlashStore, MemFlashStore};
     use face_pagestore::{InMemoryPageStore, Lsn};
+    use face_wal::{InMemoryLogStorage, LogRecord, TxnId};
+
+    /// A log with one `Begin` record in it, as in the engine: `Lsn(1)`, the
+    /// pageLSN [`dirty_page`] stamps, then lies inside the log, so the
+    /// write-ahead guard has something to make durable for it.
+    fn wal() -> Arc<WalWriter> {
+        let wal = WalWriter::new(Arc::new(InMemoryLogStorage::new())).unwrap();
+        wal.append(&LogRecord::Begin { txn: TxnId(1) });
+        Arc::new(wal)
+    }
+
+    /// A tier over `disk` and `cache` with a fresh log, default degrade
+    /// thresholds and `destage_threads` workers (0: the inline driver).
+    fn tier_over(
+        disk: Arc<dyn PageStore>,
+        cache: Option<ShardedFlashCache>,
+        destage_threads: usize,
+    ) -> FaceTier {
+        let destage = DestageConfig {
+            threads: destage_threads,
+            queue_depth: 256,
+        };
+        FaceTier::new(disk, cache, wal(), DegradeConfig::default(), destage)
+    }
 
     fn tier(policy: CachePolicyKind, capacity: usize) -> (FaceTier, Arc<InMemoryPageStore>) {
         let disk = Arc::new(InMemoryPageStore::new());
@@ -1225,10 +1100,42 @@ mod tests {
         let cache = ShardedFlashCache::build(policy, cfg, 2, |cap| {
             Arc::new(MemFlashStore::new(cap)) as Arc<dyn FlashStore>
         });
-        (
-            FaceTier::new(disk.clone() as Arc<dyn PageStore>, cache),
-            disk,
-        )
+        (tier_over(disk.clone(), cache, 0), disk)
+    }
+
+    /// An in-memory disk that shows `on_write` every page it is handed,
+    /// before storing it.
+    struct SpyDisk<F> {
+        inner: InMemoryPageStore,
+        on_write: F,
+    }
+
+    impl<F: Fn(&Page) + Send + Sync> SpyDisk<F> {
+        fn new(on_write: F) -> Self {
+            Self {
+                inner: InMemoryPageStore::new(),
+                on_write,
+            }
+        }
+    }
+
+    impl<F: Fn(&Page) + Send + Sync> PageStore for SpyDisk<F> {
+        fn read_page(&self, id: PageId, buf: &mut Page) -> StoreResult<()> {
+            self.inner.read_page(id, buf)
+        }
+        fn write_page(&self, id: PageId, page: &Page) -> StoreResult<()> {
+            (self.on_write)(page);
+            self.inner.write_page(id, page)
+        }
+        fn allocate(&self, file: u32) -> StoreResult<PageId> {
+            self.inner.allocate(file)
+        }
+        fn num_pages(&self, file: u32) -> u64 {
+            self.inner.num_pages(file)
+        }
+        fn sync(&self) -> StoreResult<()> {
+            self.inner.sync()
+        }
     }
 
     fn dirty_page(id: PageId, marker: &[u8]) -> Page {
@@ -1266,9 +1173,10 @@ mod tests {
     #[test]
     fn no_cache_tier_writes_disk_directly() {
         let disk = Arc::new(InMemoryPageStore::new());
-        let tier = FaceTier::new(disk.clone() as Arc<dyn PageStore>, None);
+        let tier = tier_over(disk.clone(), None, 2);
         assert!(!tier.has_cache());
         assert!(tier.cache().is_none());
+        assert!(tier.destage_stats().is_none() && tier.degrade_stats().is_none());
         assert_eq!(tier.checkpoint_cache().unwrap(), 0);
         assert!(!tier.recover_cache(Lsn(u64::MAX)).survived);
         assert_eq!(tier.reset_cache_cold().unwrap(), 0);
@@ -1327,6 +1235,45 @@ mod tests {
         assert_eq!(buf.read_body(0, 7), b"by hand");
         // The shared frame itself was left alone.
         assert!(!unstamped.data.unwrap().verify_checksum());
+    }
+
+    #[test]
+    fn a_stamped_page_reaches_the_disk_with_no_copy() {
+        // Where the bytes of each page the disk was handed live.
+        fn addr(page: &Page) -> usize {
+            page.as_bytes().as_ptr() as usize
+        }
+        let handed = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let disk = {
+            let handed = Arc::clone(&handed);
+            Arc::new(SpyDisk::new(move |p: &Page| {
+                assert!(p.verify_checksum(), "an unverifiable page reached the disk");
+                handed.lock().unwrap().push(addr(p));
+            }))
+        };
+        let tier = tier_over(disk, None, 0);
+        let ids: Vec<PageId> = (0..3).map(|_| tier.allocate(0).unwrap()).collect();
+        // Both routes to the disk — a staged frame, and a page written back
+        // past the cache — write a page whose stamp verifies from where it is.
+        let staged = stage(dirty_page(ids[0], b"staged"), true, true);
+        tier.write_staged_to_disk(std::slice::from_ref(&staged))
+            .unwrap();
+        let mut stamped = dirty_page(ids[1], b"stamped");
+        stamped.update_checksum();
+        tier.write_back(&stamped, true, true, WriteBackReason::Eviction)
+            .unwrap();
+        // A pool frame's stamp is as old as its last read: copied, stamped.
+        let frame = dirty_page(ids[2], b"pool frame");
+        tier.write_back(&frame, true, true, WriteBackReason::Eviction)
+            .unwrap();
+        let handed = handed.lock().unwrap();
+        assert_eq!(
+            handed[..2],
+            [addr(staged.data.as_ref().unwrap()), addr(&stamped)]
+        );
+        assert_eq!(handed.len(), 3);
+        assert_ne!(handed[2], addr(&frame));
+        assert_eq!(tier.stats().disk_writes, 3);
     }
 
     #[test]
@@ -1406,21 +1353,7 @@ mod tests {
     }
 
     #[test]
-    fn io_log_drains() {
-        let (tier, _) = tier(CachePolicyKind::Face, 8);
-        let id = tier.allocate(0).unwrap();
-        let page = dirty_page(id, b"x");
-        tier.write_back(&page, true, true, WriteBackReason::Eviction)
-            .unwrap();
-        let events = tier.drain_io();
-        assert!(!events.is_empty());
-        assert!(tier.drain_io().is_empty());
-        tier.sync().unwrap();
-    }
-
-    #[test]
     fn wal_guard_forces_log_before_persisting_dirty_pages() {
-        use face_wal::{InMemoryLogStorage, LogRecord, LogStorage, TxnId, WalWriter};
         let disk = Arc::new(InMemoryPageStore::new());
         let cfg = CacheConfig {
             capacity_pages: 16,
@@ -1430,14 +1363,19 @@ mod tests {
         let cache = ShardedFlashCache::build(CachePolicyKind::FaceGsc, cfg, 1, |cap| {
             Arc::new(MemFlashStore::new(cap)) as Arc<dyn FlashStore>
         });
-        let storage: Arc<dyn LogStorage> = Arc::new(InMemoryLogStorage::new());
-        let wal = Arc::new(WalWriter::new(Arc::clone(&storage)).unwrap());
-        let tier = FaceTier::new(disk as Arc<dyn PageStore>, cache).with_wal(Arc::clone(&wal));
+        // The log opens with a Begin record, as in the engine: updates never
+        // sit at log offset zero (`Lsn::ZERO` is the "never logged" page
+        // sentinel).
+        let wal = wal();
+        let tier = FaceTier::new(
+            disk,
+            cache,
+            Arc::clone(&wal),
+            DegradeConfig::default(),
+            DestageConfig::default(),
+        );
 
         let id = tier.allocate(0).unwrap();
-        // A Begin record first, as in the engine: updates never sit at log
-        // offset zero (`Lsn::ZERO` is the "never logged" page sentinel).
-        wal.append(&LogRecord::Begin { txn: TxnId(1) });
         let lsn = wal.append(&LogRecord::Update {
             txn: TxnId(1),
             page: id,
@@ -1478,12 +1416,7 @@ mod tests {
         let cache = ShardedFlashCache::build(CachePolicyKind::FaceGr, cfg, 1, |cap| {
             Arc::new(MemFlashStore::new(cap)) as Arc<dyn FlashStore>
         });
-        let tier =
-            FaceTier::new(disk.clone() as Arc<dyn PageStore>, cache).with_destager(DestageConfig {
-                threads: 1,
-                queue_depth: 64,
-            });
-        assert!(tier.has_destager());
+        let tier = tier_over(disk.clone(), cache, 1);
         let ids: Vec<PageId> = (0..10).map(|_| tier.allocate(0).unwrap()).collect();
         for (i, id) in ids.iter().enumerate() {
             let page = dirty_page(*id, format!("v{i}").as_bytes());
@@ -1523,29 +1456,11 @@ mod tests {
     fn foreground_write_back_does_not_pay_for_destage_disk_io() {
         use std::time::{Duration, Instant};
 
-        /// A disk whose page writes cost 25 ms — foreground write-backs must
-        /// not pay it once the destager owns stage-outs.
-        struct SlowDisk(Arc<InMemoryPageStore>);
-        impl PageStore for SlowDisk {
-            fn read_page(&self, id: PageId, buf: &mut Page) -> face_pagestore::StoreResult<()> {
-                self.0.read_page(id, buf)
-            }
-            fn write_page(&self, id: PageId, page: &Page) -> face_pagestore::StoreResult<()> {
-                std::thread::sleep(Duration::from_millis(25));
-                self.0.write_page(id, page)
-            }
-            fn allocate(&self, file: u32) -> face_pagestore::StoreResult<PageId> {
-                self.0.allocate(file)
-            }
-            fn num_pages(&self, file: u32) -> u64 {
-                self.0.num_pages(file)
-            }
-            fn sync(&self) -> face_pagestore::StoreResult<()> {
-                self.0.sync()
-            }
-        }
-
-        let disk = Arc::new(SlowDisk(Arc::new(InMemoryPageStore::new())));
+        // A disk whose page writes cost 25 ms — foreground write-backs must
+        // not pay it once the destager owns stage-outs.
+        let disk = Arc::new(SpyDisk::new(|_| {
+            std::thread::sleep(Duration::from_millis(25))
+        }));
         let cfg = CacheConfig {
             capacity_pages: 4,
             group_size: 2,
@@ -1555,10 +1470,7 @@ mod tests {
         let cache = ShardedFlashCache::build(CachePolicyKind::FaceGr, cfg, 1, |cap| {
             Arc::new(MemFlashStore::new(cap)) as Arc<dyn FlashStore>
         });
-        let tier = FaceTier::new(disk as Arc<dyn PageStore>, cache).with_destager(DestageConfig {
-            threads: 2,
-            queue_depth: 256,
-        });
+        let tier = tier_over(disk, cache, 2);
         let ids: Vec<PageId> = (0..12).map(|_| tier.allocate(0).unwrap()).collect();
         // Warm the cache to capacity so later write-backs force stage-outs.
         for id in &ids[..4] {
@@ -1640,7 +1552,7 @@ mod tests {
         let cache = ShardedFlashCache::build(CachePolicyKind::FaceGr, cfg, 1, move |_| {
             Arc::clone(&store_for_build) as Arc<dyn FlashStore>
         });
-        let tier = Arc::new(FaceTier::new(disk as Arc<dyn PageStore>, cache));
+        let tier = Arc::new(tier_over(disk, cache, 0));
         let ids: Vec<PageId> = (0..8).map(|_| tier.allocate(0).unwrap()).collect();
         for (i, id) in ids.iter().enumerate() {
             tier.write_back(

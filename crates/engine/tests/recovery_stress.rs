@@ -17,6 +17,10 @@
 //! * recovery itself survives a seeded crash-anywhere schedule: restarts
 //!   crashed mid-redo and mid-undo (persisted loser pages included)
 //!   converge to the committed state with no loser byte visible.
+//!
+//! Every scenario that does not need a destage *queue* to park work in runs
+//! under both destage drivers: the inline one (`destage_threads(0)`) and the
+//! default worker pool.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,7 +31,17 @@ use face_engine::{Database, DeviceLatency, EngineConfig};
 
 const THREADS: u64 = 8;
 
-fn stress_db() -> Arc<Database> {
+/// Run `scenario` under the inline destage driver and under the default
+/// worker pool.
+fn under_both_drivers(scenario: fn(usize)) {
+    for destage_threads in [0, EngineConfig::in_memory().destage_threads] {
+        // Shown with a failure's captured output: which driver it was.
+        println!("destage_threads({destage_threads})");
+        scenario(destage_threads);
+    }
+}
+
+fn stress_db(destage_threads: usize) -> Arc<Database> {
     Arc::new(
         Database::open(
             EngineConfig::in_memory()
@@ -35,7 +49,8 @@ fn stress_db() -> Arc<Database> {
                 .buffer_shards(16)
                 .table_buckets(2048)
                 .flash_cache(CachePolicyKind::FaceGsc, 8192)
-                .cache_shards(8),
+                .cache_shards(8)
+                .destage_threads(destage_threads),
         )
         .unwrap(),
     )
@@ -63,12 +78,16 @@ fn assert_flash_below_durable(db: &Database) {
 
 #[test]
 fn crash_mid_group_commit_loop_recovers_warm_every_iteration() {
+    under_both_drivers(crash_mid_group_commit_loop);
+}
+
+fn crash_mid_group_commit_loop(destage_threads: usize) {
     // N iterations of: concurrent group-commit load (small DRAM buffer, so
     // plenty of pages cross into the flash cache) -> crash -> warm restart.
     // Each iteration must recover persistent cache metadata, serve redo
     // mostly from flash once the cache is populated, keep every committed
     // key, and never resurrect a flash page beyond the durable log.
-    let db = stress_db();
+    let db = stress_db(destage_threads);
     let keys_per_thread = 60u64;
     let iterations = 6u64;
     for iter in 0..iterations {
@@ -132,6 +151,10 @@ fn crash_mid_group_commit_loop_recovers_warm_every_iteration() {
 
 #[test]
 fn crash_discards_the_volatile_wal_tail() {
+    under_both_drivers(crash_discards_the_wal_tail);
+}
+
+fn crash_discards_the_wal_tail(destage_threads: usize) {
     // A slow log device so the in-flight tail is observable: appends whose
     // force never completed must vanish with the crash, and LSN assignment
     // must rewind to the durable end.
@@ -143,6 +166,7 @@ fn crash_discards_the_volatile_wal_tail() {
                 .buffer_frames(256)
                 .table_buckets(512)
                 .flash_cache(CachePolicyKind::FaceGsc, 2048)
+                .destage_threads(destage_threads)
                 .device_latency(DeviceLatency {
                     log_sync: Duration::from_millis(1),
                     ..DeviceLatency::zero()
@@ -344,6 +368,10 @@ fn pipeline_backpressure_blocks_foreground_without_losing_data() {
 
 #[test]
 fn crash_mid_undo_loop_converges_with_persisted_losers() {
+    under_both_drivers(crash_mid_undo_loop);
+}
+
+fn crash_mid_undo_loop(destage_threads: usize) {
     // The crash-anywhere loop over restart *undo*: concurrent committed
     // load, then a wave of loser transactions whose pages are pushed into
     // the flash cache by a checkpoint (so redo alone could never remove
@@ -352,7 +380,7 @@ fn crash_mid_undo_loop_converges_with_persisted_losers() {
     // later ones — until it completes. Every attempt must leave a state the
     // next one converges from: committed keys intact, no loser byte
     // visible, and the reconciliation invariant holding throughout.
-    let db = stress_db();
+    let db = stress_db(destage_threads);
     let keys_per_thread = 48u64;
     for iter in 0..4u64 {
         std::thread::scope(|s| {
@@ -438,7 +466,11 @@ fn crash_mid_undo_loop_converges_with_persisted_losers() {
 
 #[test]
 fn cold_restart_loses_the_cache_but_not_the_data() {
-    let db = stress_db();
+    under_both_drivers(cold_restart);
+}
+
+fn cold_restart(destage_threads: usize) {
+    let db = stress_db(destage_threads);
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let db = Arc::clone(&db);
@@ -481,8 +513,11 @@ fn cold_restart_loses_the_cache_but_not_the_data() {
 /// `history` committed transactions, then a fixed epilogue: two losers, a
 /// checkpoint, a few committed transactions and one more loser, a crash, and
 /// the restart whose report is returned with the database.
-fn restart_after_history(history: u64) -> (Arc<Database>, face_engine::RecoveryReport) {
-    let db = stress_db();
+fn restart_after_history(
+    history: u64,
+    destage_threads: usize,
+) -> (Arc<Database>, face_engine::RecoveryReport) {
+    let db = stress_db(destage_threads);
     for t in 0..history {
         let txn = db.begin();
         for i in 0..4 {
@@ -514,8 +549,12 @@ fn restart_after_history(history: u64) -> (Arc<Database>, face_engine::RecoveryR
 
 #[test]
 fn restart_reads_the_log_since_the_checkpoint_not_the_history() {
-    let (short_db, short) = restart_after_history(30);
-    let (long_db, long) = restart_after_history(300);
+    under_both_drivers(restart_reads_the_log_since_the_checkpoint);
+}
+
+fn restart_reads_the_log_since_the_checkpoint(destage_threads: usize) {
+    let (short_db, short) = restart_after_history(30, destage_threads);
+    let (long_db, long) = restart_after_history(300, destage_threads);
     // Ten times the committed history ahead of the same epilogue: the two
     // restarts decode the same records, do the same redo and undo...
     assert_eq!(long.records_scanned, short.records_scanned);

@@ -36,6 +36,16 @@
 //! reference the slots; the bounded tail scan re-admits them only under the
 //! WAL reconciliation rules).
 //!
+//! ## Drivers
+//!
+//! What a job does — `execute` — is written once and has two drivers.
+//! With [`DestageConfig::threads`] ≥ 1 the worker threads call it on what
+//! they pop from their queues. With `threads: 0` (the engine's sync A/B
+//! baseline) there is no queue and no worker: [`Destager::enqueue`] calls it
+//! on the enqueuing thread and returns when the job is done. Retry, abort,
+//! fail-over and the seal-after-write order are therefore the same protocol
+//! in both; only who pays the device time differs.
+//!
 //! ## Backpressure
 //!
 //! Each worker owns a bounded queue ([`DestageConfig::queue_depth`] jobs).
@@ -53,7 +63,7 @@ use face_analysis::classes::{DESTAGE_QUEUE, DIAG};
 use face_analysis::{OrderedCondvar, OrderedMutex};
 use face_pagestore::{backoff_sleep, DeviceError, DeviceResult, Lsn, PageId};
 
-use crate::degrade::{DegradeAction, DegradeConfig, DegradeController};
+use crate::degrade::{DegradeAction, DegradeController};
 use crate::io::IoLog;
 use crate::meta::JournalEntry;
 use crate::store::FlashStore;
@@ -124,8 +134,8 @@ impl PendingGroupWrite {
 /// Configuration of a [`Destager`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DestageConfig {
-    /// Worker threads. Must be at least 1 (a zero-thread "destager" is no
-    /// destager — callers apply writes inline instead).
+    /// Worker threads. `0` selects the inline driver: [`Destager::enqueue`]
+    /// runs the job on the calling thread before it returns.
     pub threads: usize,
     /// Maximum queued jobs per worker before enqueue blocks (backpressure).
     pub queue_depth: usize,
@@ -166,36 +176,34 @@ impl DestageJob {
 }
 
 /// Where the destager sends its work. Implemented by the engine tier, which
-/// knows the flash stores, the cache front for group completion, the disk
-/// store and the shared I/O accounting.
+/// knows the flash stores, the cache front for group completion and the disk
+/// store.
 pub trait DestageSink: Send + Sync {
     /// Apply a group's physical flash batch write (no cache lock held).
-    fn apply_group(&self, write: &PendingGroupWrite, io: &mut IoLog) -> DeviceResult<()>;
+    fn apply_group(&self, write: &PendingGroupWrite) -> DeviceResult<()>;
     /// Seal the group's journal records now that its data is on flash
     /// (briefly takes the shard lock).
-    fn complete_group(&self, shard: usize, epoch: u64, io: &mut IoLog);
+    fn complete_group(&self, shard: usize, epoch: u64);
     /// Abandon a group whose batch write failed for good: drop its journal
     /// records, free its slots and return the dirty pages that now need
     /// disk failover (each still WAL-covered). Default: nothing to abort.
-    fn abort_group(&self, shard: usize, epoch: u64, io: &mut IoLog) -> Vec<StagedPage> {
-        let _ = (shard, epoch, io);
+    fn abort_group(&self, shard: usize, epoch: u64) -> Vec<StagedPage> {
+        let _ = (shard, epoch);
         Vec::new()
     }
     /// Take a condemned slot out of rotation, returning the dirty evacuee
     /// (if any) that needs disk failover. Default: nothing to quarantine.
-    fn quarantine_slot(&self, shard: usize, slot: usize, io: &mut IoLog) -> Vec<StagedPage> {
-        let _ = (shard, slot, io);
+    fn quarantine_slot(&self, shard: usize, slot: usize) -> Vec<StagedPage> {
+        let _ = (shard, slot);
         Vec::new()
     }
     /// Write dequeued dirty pages to the disk array.
-    fn write_pages_to_disk(&self, pages: &[StagedPage], io: &mut IoLog) -> Result<(), DeviceError>;
-    /// Merge a worker's local I/O log into the shared accounting.
-    fn publish_io(&self, io: IoLog);
+    fn write_pages_to_disk(&self, pages: &[StagedPage]) -> Result<(), DeviceError>;
 }
 
 /// Counters describing pipeline activity — the queued-versus-completed split
 /// the accounting contract promises (a queued write is *not yet* physical
-/// I/O; only completion moves it into the I/O log and the completed tallies).
+/// I/O; only completion moves it into the completed tallies).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DestageStats {
     /// Group writes accepted into the pipeline.
@@ -290,14 +298,14 @@ struct Shared {
     generation: AtomicU64,
     shutdown: AtomicBool,
     last_error: OrderedMutex<Option<DeviceError>>,
-    /// Degraded-mode brain; absent in direct policy tests. Retry budget
-    /// falls back to [`DegradeConfig::default`] without one.
-    controller: Option<Arc<DegradeController>>,
-    max_retries: u32,
+    /// Degraded-mode brain: hears every final group-write error and sets the
+    /// retry budget.
+    controller: Arc<DegradeController>,
 }
 
 /// A fixed pool of background destager threads with bounded per-worker
-/// queues, shard-affine routing and crash-abort support. See the module docs
+/// queues, shard-affine routing and crash-abort support — or, with zero
+/// threads, the same jobs run on the enqueuing thread. See the module docs
 /// for the ordering and durability contract.
 pub struct Destager {
     shared: Arc<Shared>,
@@ -305,19 +313,15 @@ pub struct Destager {
 }
 
 impl Destager {
-    /// Spawn `config.threads` workers draining into `sink`. Pass a
-    /// [`DegradeController`] to report final device errors (and take its
-    /// retry budget); without one a default budget still bounds retries.
+    /// Spawn `config.threads` workers draining into `sink` (none for the
+    /// inline driver). Final group-write errors are reported to
+    /// `controller`, whose configuration also bounds the retries.
     pub fn new(
         config: DestageConfig,
         sink: Arc<dyn DestageSink>,
-        controller: Option<Arc<DegradeController>>,
+        controller: Arc<DegradeController>,
     ) -> Self {
-        let threads = config.threads.max(1);
-        let max_retries = controller
-            .as_ref()
-            .map(|c| c.config().max_retries)
-            .unwrap_or_else(|| DegradeConfig::default().max_retries);
+        let threads = config.threads;
         let shared = Arc::new(Shared {
             queues: (0..threads)
                 .map(|_| WorkerQueue {
@@ -339,7 +343,6 @@ impl Destager {
             shutdown: AtomicBool::new(false),
             last_error: OrderedMutex::new(DIAG, None),
             controller,
-            max_retries,
         });
         let workers = (0..threads)
             .map(|i| {
@@ -355,14 +358,17 @@ impl Destager {
         Self { shared, workers }
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads (0: jobs run inside [`Destager::enqueue`]).
     pub fn threads(&self) -> usize {
         self.workers.len()
     }
 
-    /// Enqueue a job, blocking (without any cache lock) while the target
-    /// worker's queue is full.
-    pub fn enqueue(&self, job: DestageJob) {
+    /// Hand a job over. With workers: queue it, blocking (without any cache
+    /// lock) while the target worker's queue is full; always `Ok` — a write
+    /// error surfaces at the next [`Destager::drain`]. Without: run it here,
+    /// and return the write error nothing could absorb to the caller whose
+    /// write-back caused it.
+    pub fn enqueue(&self, job: DestageJob) -> Result<(), DeviceError> {
         match &job {
             DestageJob::Group(_) => self.shared.stats.groups_enqueued.inc(),
             DestageJob::Disk { pages, .. } => {
@@ -373,6 +379,9 @@ impl Destager {
             }
         }
         let generation = self.shared.generation.load(Ordering::Acquire);
+        if self.shared.queues.is_empty() {
+            return execute(&self.shared, generation, job);
+        }
         let queue = &self.shared.queues[job.shard() % self.shared.queues.len()];
         let mut state = queue.state.lock();
         // One logical stall per blocking enqueue, however many wakeups the
@@ -391,6 +400,7 @@ impl Destager {
         state.jobs.push_back((generation, job));
         drop(state);
         queue.work_ready.notify_one();
+        Ok(())
     }
 
     /// Wait until every queue is empty and every worker idle, then surface
@@ -464,7 +474,9 @@ fn worker_loop(shared: &Shared, index: usize) {
                 state = queue.work_ready.wait(state);
             }
         };
-        execute(shared, generation, job);
+        if let Err(e) = execute(shared, generation, job) {
+            *shared.last_error.lock() = Some(e);
+        }
         let mut state = queue.state.lock();
         state.busy = false;
         drop(state);
@@ -473,49 +485,45 @@ fn worker_loop(shared: &Shared, index: usize) {
     }
 }
 
-fn execute(shared: &Shared, generation: u64, job: DestageJob) {
-    let mut io = IoLog::new();
+/// Run one job to its end on the calling thread — a worker, or under the
+/// inline driver the thread that enqueued it. `Err` is a disk write-out that
+/// failed for good with nothing below it to absorb the pages: a worker parks
+/// it for the next [`Destager::drain`], the inline driver returns it.
+fn execute(shared: &Shared, generation: u64, job: DestageJob) -> Result<(), DeviceError> {
     let current = |s: &Shared| s.generation.load(Ordering::Acquire) == generation;
     match job {
         DestageJob::Group(write) => {
             if !current(shared) {
                 shared.stats.groups_dropped.inc();
-                return;
+                return Ok(());
             }
             let mut attempt: u32 = 0;
             loop {
-                match shared.sink.apply_group(&write, &mut io) {
+                match shared.sink.apply_group(&write) {
                     Ok(()) => {
                         // Crash point: the batch hit the device but the crash
                         // raced the seal — the journal must never reference it.
                         if current(shared) {
-                            shared
-                                .sink
-                                .complete_group(write.shard, write.epoch, &mut io);
+                            shared.sink.complete_group(write.shard, write.epoch);
                             shared.stats.groups_completed.inc();
-                            shared.sink.publish_io(io);
                         } else {
                             shared.stats.groups_dropped.inc();
                         }
-                        return;
+                        return Ok(());
                     }
                     Err(e) => {
                         if e.is_transient()
-                            && attempt < shared.max_retries
+                            && attempt < shared.controller.config().max_retries
                             && current(shared)
                             && !shared.shutdown.load(Ordering::Acquire)
                         {
                             attempt += 1;
                             shared.stats.retries.inc();
-                            if let Some(c) = &shared.controller {
-                                c.note_retry();
-                            }
+                            shared.controller.note_retry();
                             backoff_sleep(attempt);
                             continue;
                         }
-                        fail_group(shared, &write, &e, &mut io);
-                        shared.sink.publish_io(io);
-                        return;
+                        return fail_group(shared, &write, &e);
                     }
                 }
             }
@@ -523,7 +531,7 @@ fn execute(shared: &Shared, generation: u64, job: DestageJob) {
         DestageJob::Disk { pages, .. } => {
             if !current(shared) {
                 shared.stats.disk_pages_dropped.add(pages.len() as u64);
-                return;
+                return Ok(());
             }
             // Disk is the backstop, not the breaker's subject: transient
             // failures are retried here but never reported to the degrade
@@ -531,15 +539,14 @@ fn execute(shared: &Shared, generation: u64, job: DestageJob) {
             // disk to fail over to; recovery's WAL redo is the last resort).
             let mut attempt: u32 = 0;
             loop {
-                match shared.sink.write_pages_to_disk(&pages, &mut io) {
+                match shared.sink.write_pages_to_disk(&pages) {
                     Ok(()) => {
                         shared.stats.disk_pages_completed.add(pages.len() as u64);
-                        shared.sink.publish_io(io);
-                        return;
+                        return Ok(());
                     }
                     Err(e) => {
                         if e.is_transient()
-                            && attempt < shared.max_retries
+                            && attempt < shared.controller.config().max_retries
                             && !shared.shutdown.load(Ordering::Acquire)
                         {
                             attempt += 1;
@@ -549,8 +556,7 @@ fn execute(shared: &Shared, generation: u64, job: DestageJob) {
                         }
                         shared.stats.note_final_error(&e);
                         shared.stats.disk_pages_dropped.add(pages.len() as u64);
-                        *shared.last_error.lock() = Some(e);
-                        return;
+                        return Err(e);
                     }
                 }
             }
@@ -562,42 +568,53 @@ fn execute(shared: &Shared, generation: u64, job: DestageJob) {
 /// drop with it, its slots free up), fail its dirty pages over to disk, and
 /// let the degrade controller decide whether the offending slot leaves the
 /// rotation or the breaker trips.
-fn fail_group(shared: &Shared, write: &PendingGroupWrite, err: &DeviceError, io: &mut IoLog) {
+fn fail_group(
+    shared: &Shared,
+    write: &PendingGroupWrite,
+    err: &DeviceError,
+) -> Result<(), DeviceError> {
     shared.stats.note_final_error(err);
     shared.stats.groups_aborted.inc();
-    let mut fallout = shared.sink.abort_group(write.shard, write.epoch, io);
-    if let Some(controller) = &shared.controller {
-        if let DegradeAction::Quarantine { shard, slot } = controller.note_error(write.shard, err) {
-            let evacuees = shared.sink.quarantine_slot(shard, slot, io);
-            controller.note_quarantined();
-            controller.note_evacuated(evacuees.len() as u64);
-            fallout.extend(evacuees);
-        }
-        // `DegradeAction::Trip` already moved the breaker to TripRequested
-        // inside note_error; the next foreground operation claims the
-        // evacuation (workers have no WAL access). `Continue` needs nothing.
+    let mut fallout = shared.sink.abort_group(write.shard, write.epoch);
+    let controller = &shared.controller;
+    if let DegradeAction::Quarantine { shard, slot } = controller.note_error(write.shard, err) {
+        let evacuees = shared.sink.quarantine_slot(shard, slot);
+        controller.note_quarantined();
+        controller.note_evacuated(evacuees.len() as u64);
+        fallout.extend(evacuees);
     }
+    // `DegradeAction::Trip` already moved the breaker to TripRequested
+    // inside note_error; the next foreground operation claims the
+    // evacuation (a job never forces the log). `Continue` needs nothing.
+    //
     // A successfully absorbed abort (slots freed, dirty pages safe on disk)
-    // is visible in the abort/error counters, not as a drain() error — only
-    // a failover that itself failed leaves data in jeopardy.
+    // is visible in the abort/error counters, not as an error — only a
+    // failover that itself failed leaves data in jeopardy.
     if !fallout.is_empty() {
-        match shared.sink.write_pages_to_disk(&fallout, io) {
+        match shared.sink.write_pages_to_disk(&fallout) {
             Ok(()) => shared.stats.disk_pages_completed.add(fallout.len() as u64),
             Err(e) => {
                 shared.stats.disk_pages_dropped.add(fallout.len() as u64);
-                *shared.last_error.lock() = Some(e);
+                return Err(e);
             }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::thread::ThreadId;
     use std::time::Duration;
 
     use face_pagestore::DeviceOp;
+
+    use crate::degrade::DegradeConfig;
+
+    /// Both drivers: the inline one and a worker pool.
+    const DRIVERS: [usize; 2] = [0, 2];
 
     #[derive(Default)]
     struct RecordingSink {
@@ -614,10 +631,22 @@ mod tests {
         fail_group_permanent: AtomicBool,
         /// Pages abort_group hands back for disk failover.
         abort_fallout: usize,
+        /// The thread of every sink call, in call order.
+        callers: std::sync::Mutex<Vec<ThreadId>>,
+    }
+
+    impl RecordingSink {
+        fn called(&self) {
+            self.callers
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+        }
     }
 
     impl DestageSink for RecordingSink {
-        fn apply_group(&self, _write: &PendingGroupWrite, _io: &mut IoLog) -> DeviceResult<()> {
+        fn apply_group(&self, _write: &PendingGroupWrite) -> DeviceResult<()> {
+            self.called();
             if let Some(d) = self.delay {
                 std::thread::sleep(d);
             }
@@ -634,24 +663,24 @@ mod tests {
             self.groups.fetch_add(1, Ordering::SeqCst);
             Ok(())
         }
-        fn complete_group(&self, _shard: usize, _epoch: u64, _io: &mut IoLog) {
+        fn complete_group(&self, _shard: usize, _epoch: u64) {
+            self.called();
             self.completions.fetch_add(1, Ordering::SeqCst);
         }
-        fn abort_group(&self, _shard: usize, _epoch: u64, _io: &mut IoLog) -> Vec<StagedPage> {
+        fn abort_group(&self, _shard: usize, _epoch: u64) -> Vec<StagedPage> {
+            self.called();
             self.aborts.fetch_add(1, Ordering::SeqCst);
             (0..self.abort_fallout)
                 .map(|i| StagedPage::meta_only(PageId::new(0, i as u32), Lsn(1), true, false))
                 .collect()
         }
-        fn quarantine_slot(&self, _shard: usize, _slot: usize, _io: &mut IoLog) -> Vec<StagedPage> {
+        fn quarantine_slot(&self, _shard: usize, _slot: usize) -> Vec<StagedPage> {
+            self.called();
             self.quarantines.fetch_add(1, Ordering::SeqCst);
             Vec::new()
         }
-        fn write_pages_to_disk(
-            &self,
-            pages: &[StagedPage],
-            _io: &mut IoLog,
-        ) -> Result<(), DeviceError> {
+        fn write_pages_to_disk(&self, pages: &[StagedPage]) -> Result<(), DeviceError> {
+            self.called();
             if self.fail_disk.load(Ordering::SeqCst) {
                 return Err(DeviceError::permanent_device(
                     DeviceOp::Write,
@@ -661,7 +690,22 @@ mod tests {
             self.disk_pages.fetch_add(pages.len(), Ordering::SeqCst);
             Ok(())
         }
-        fn publish_io(&self, _io: IoLog) {}
+    }
+
+    fn destager(
+        threads: usize,
+        queue_depth: usize,
+        sink: &Arc<RecordingSink>,
+        controller: &Arc<DegradeController>,
+    ) -> Destager {
+        Destager::new(
+            DestageConfig {
+                threads,
+                queue_depth,
+            },
+            Arc::clone(sink) as Arc<dyn DestageSink>,
+            Arc::clone(controller),
+        )
     }
 
     fn group(shard: usize, epoch: u64) -> PendingGroupWrite {
@@ -678,37 +722,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn drains_groups_and_disk_jobs() {
-        let sink = Arc::new(RecordingSink::default());
-        let d = Destager::new(
-            DestageConfig {
-                threads: 2,
-                queue_depth: 4,
-            },
-            Arc::clone(&sink) as Arc<dyn DestageSink>,
-            None,
-        );
-        for e in 0..10 {
-            d.enqueue(DestageJob::Group(group(e as usize % 3, e)));
-        }
-        d.enqueue(DestageJob::Disk {
-            shard: 1,
+    fn disk_job(shard: usize, page_no: u32) -> DestageJob {
+        DestageJob::Disk {
+            shard,
             pages: vec![StagedPage::meta_only(
-                PageId::new(0, 9),
+                PageId::new(0, page_no),
                 Lsn(1),
                 true,
                 false,
             )],
+        }
+    }
+
+    #[test]
+    fn drains_groups_and_disk_jobs() {
+        for threads in DRIVERS {
+            let sink = Arc::new(RecordingSink::default());
+            let d = destager(threads, 4, &sink, &Arc::default());
+            assert_eq!(d.threads(), threads);
+            for e in 0..10 {
+                d.enqueue(DestageJob::Group(group(e as usize % 3, e)))
+                    .unwrap();
+            }
+            d.enqueue(disk_job(1, 9)).unwrap();
+            d.drain().unwrap();
+            assert_eq!(sink.groups.load(Ordering::SeqCst), 10);
+            assert_eq!(sink.completions.load(Ordering::SeqCst), 10);
+            assert_eq!(sink.disk_pages.load(Ordering::SeqCst), 1);
+            let stats = d.stats();
+            assert_eq!(stats.groups_enqueued, 10);
+            assert_eq!(stats.groups_completed, 10);
+            assert_eq!(stats.disk_pages_completed, 1);
+        }
+    }
+
+    #[test]
+    fn with_zero_workers_a_job_is_done_on_the_caller_when_enqueue_returns() {
+        let sink = Arc::new(RecordingSink {
+            fail_group_permanent: AtomicBool::new(true),
+            abort_fallout: 2,
+            ..RecordingSink::default()
         });
-        d.drain().unwrap();
-        assert_eq!(sink.groups.load(Ordering::SeqCst), 10);
-        assert_eq!(sink.completions.load(Ordering::SeqCst), 10);
-        assert_eq!(sink.disk_pages.load(Ordering::SeqCst), 1);
+        let controller = Arc::new(DegradeController::default());
+        let d = destager(0, 4, &sink, &controller);
+        // A group that fails for good walks every sink method but the seal …
+        d.enqueue(DestageJob::Group(group(0, 1))).unwrap();
+        assert_eq!(sink.aborts.load(Ordering::SeqCst), 1);
+        assert_eq!(sink.quarantines.load(Ordering::SeqCst), 1);
+        assert_eq!(sink.disk_pages.load(Ordering::SeqCst), 2, "failed over");
+        // … a healthy one seals, and a stage-out is written: all before
+        // `enqueue` returned, with no drain.
+        sink.fail_group_permanent.store(false, Ordering::SeqCst);
+        d.enqueue(DestageJob::Group(group(0, 2))).unwrap();
+        d.enqueue(disk_job(0, 9)).unwrap();
+        assert_eq!(sink.completions.load(Ordering::SeqCst), 1);
+        assert_eq!(sink.disk_pages.load(Ordering::SeqCst), 3);
         let stats = d.stats();
-        assert_eq!(stats.groups_enqueued, 10);
-        assert_eq!(stats.groups_completed, 10);
-        assert_eq!(stats.disk_pages_completed, 1);
+        assert_eq!((stats.groups_enqueued, stats.groups_completed), (2, 1));
+        assert_eq!(stats.groups_aborted, 1);
+        let callers = sink.callers.lock().unwrap();
+        assert_eq!(callers.len(), 7);
+        let me = std::thread::current().id();
+        assert!(
+            callers.iter().all(|&t| t == me),
+            "a sink call left the caller"
+        );
     }
 
     #[test]
@@ -717,16 +795,9 @@ mod tests {
             delay: Some(Duration::from_millis(2)),
             ..RecordingSink::default()
         });
-        let d = Destager::new(
-            DestageConfig {
-                threads: 1,
-                queue_depth: 2,
-            },
-            Arc::clone(&sink) as Arc<dyn DestageSink>,
-            None,
-        );
+        let d = destager(1, 2, &sink, &Arc::default());
         for e in 0..8 {
-            d.enqueue(DestageJob::Group(group(0, e)));
+            d.enqueue(DestageJob::Group(group(0, e))).unwrap();
         }
         d.drain().unwrap();
         assert_eq!(sink.completions.load(Ordering::SeqCst), 8);
@@ -742,16 +813,9 @@ mod tests {
             delay: Some(Duration::from_millis(20)),
             ..RecordingSink::default()
         });
-        let d = Destager::new(
-            DestageConfig {
-                threads: 1,
-                queue_depth: 16,
-            },
-            Arc::clone(&sink) as Arc<dyn DestageSink>,
-            None,
-        );
+        let d = destager(1, 16, &sink, &Arc::default());
         for e in 0..5 {
-            d.enqueue(DestageJob::Group(group(0, e)));
+            d.enqueue(DestageJob::Group(group(0, e))).unwrap();
         }
         // Give the worker time to start job 0, then crash.
         std::thread::sleep(Duration::from_millis(5));
@@ -765,121 +829,99 @@ mod tests {
         assert_eq!(stats.groups_dropped, 5);
         assert_eq!(sink.completions.load(Ordering::SeqCst), 0);
         // The pipeline still accepts and completes post-crash work.
-        d.enqueue(DestageJob::Group(group(0, 99)));
+        d.enqueue(DestageJob::Group(group(0, 99))).unwrap();
         d.drain().unwrap();
         assert_eq!(d.stats().groups_completed, 1);
     }
 
     #[test]
     fn disk_write_failure_surfaces_on_drain_once() {
-        let sink = Arc::new(RecordingSink::default());
-        sink.fail_disk.store(true, Ordering::SeqCst);
-        let d = Destager::new(
-            DestageConfig::default(),
-            Arc::clone(&sink) as Arc<dyn DestageSink>,
-            None,
-        );
-        d.enqueue(DestageJob::Disk {
-            shard: 0,
-            pages: vec![StagedPage::meta_only(
-                PageId::new(0, 1),
-                Lsn(1),
-                true,
-                false,
-            )],
-        });
-        let err = d.drain().unwrap_err();
-        assert!(err.to_string().contains("injected"), "{err}");
-        assert!(d.drain().is_ok(), "error reported exactly once");
-        assert_eq!(d.stats().disk_pages_dropped, 1);
-        assert_eq!(d.stats().permanent_errors, 1);
+        for threads in DRIVERS {
+            let sink = Arc::new(RecordingSink::default());
+            sink.fail_disk.store(true, Ordering::SeqCst);
+            let d = destager(threads, 64, &sink, &Arc::default());
+            // Workers park the error for the drain; the inline driver hands
+            // it straight back. Either way it is reported exactly once.
+            let enqueued = d.enqueue(disk_job(0, 1));
+            assert_eq!(enqueued.is_err(), threads == 0);
+            let err = enqueued.and(d.drain()).unwrap_err();
+            assert!(err.to_string().contains("injected"), "{err}");
+            assert!(d.drain().is_ok(), "error reported exactly once");
+            assert_eq!(d.stats().disk_pages_dropped, 1);
+            assert_eq!(d.stats().permanent_errors, 1);
+        }
     }
 
     #[test]
     fn transient_group_failure_is_retried_until_it_succeeds() {
-        let sink = Arc::new(RecordingSink {
-            fail_group_transient: AtomicUsize::new(2),
-            ..RecordingSink::default()
-        });
-        let d = Destager::new(
-            DestageConfig {
-                threads: 1,
-                queue_depth: 4,
-            },
-            Arc::clone(&sink) as Arc<dyn DestageSink>,
-            None,
-        );
-        d.enqueue(DestageJob::Group(group(0, 1)));
-        d.drain().unwrap();
-        let stats = d.stats();
-        assert_eq!(stats.groups_completed, 1, "third attempt succeeds");
-        assert_eq!(stats.retries, 2);
-        assert_eq!(stats.groups_aborted, 0);
-        assert_eq!(sink.completions.load(Ordering::SeqCst), 1);
+        for threads in DRIVERS {
+            let sink = Arc::new(RecordingSink {
+                fail_group_transient: AtomicUsize::new(2),
+                ..RecordingSink::default()
+            });
+            let d = destager(threads, 4, &sink, &Arc::default());
+            d.enqueue(DestageJob::Group(group(0, 1))).unwrap();
+            d.drain().unwrap();
+            let stats = d.stats();
+            assert_eq!(stats.groups_completed, 1, "third attempt succeeds");
+            assert_eq!(stats.retries, 2);
+            assert_eq!(stats.groups_aborted, 0);
+            assert_eq!(sink.completions.load(Ordering::SeqCst), 1);
+        }
     }
 
     #[test]
     fn permanent_group_failure_aborts_quarantines_and_fails_over() {
-        let sink = Arc::new(RecordingSink {
-            fail_group_permanent: AtomicBool::new(true),
-            abort_fallout: 3,
-            ..RecordingSink::default()
-        });
-        let controller = Arc::new(DegradeController::default());
-        let d = Destager::new(
-            DestageConfig {
-                threads: 1,
-                queue_depth: 4,
-            },
-            Arc::clone(&sink) as Arc<dyn DestageSink>,
-            Some(Arc::clone(&controller)),
-        );
-        d.enqueue(DestageJob::Group(group(0, 1)));
-        // A permanent error never retries and the failover absorbed the
-        // dirty pages, so the drain is clean.
-        d.drain().unwrap();
-        let stats = d.stats();
-        assert_eq!(stats.groups_aborted, 1);
-        assert_eq!(stats.permanent_errors, 1);
-        assert_eq!(stats.retries, 0);
-        assert_eq!(stats.groups_completed, 0);
-        assert_eq!(stats.disk_pages_completed, 3, "fallout failed over");
-        assert_eq!(sink.aborts.load(Ordering::SeqCst), 1);
-        assert_eq!(
-            sink.quarantines.load(Ordering::SeqCst),
-            1,
-            "permanent slot error condemns the slot on first strike"
-        );
-        assert_eq!(controller.snapshot().quarantined_slots, 1);
+        for threads in DRIVERS {
+            let sink = Arc::new(RecordingSink {
+                fail_group_permanent: AtomicBool::new(true),
+                abort_fallout: 3,
+                ..RecordingSink::default()
+            });
+            let controller = Arc::new(DegradeController::default());
+            let d = destager(threads, 4, &sink, &controller);
+            // A permanent error never retries and the failover absorbed the
+            // dirty pages, so neither the enqueue nor the drain reports it.
+            d.enqueue(DestageJob::Group(group(0, 1))).unwrap();
+            d.drain().unwrap();
+            let stats = d.stats();
+            assert_eq!(stats.groups_aborted, 1);
+            assert_eq!(stats.permanent_errors, 1);
+            assert_eq!(stats.retries, 0);
+            assert_eq!(stats.groups_completed, 0);
+            assert_eq!(stats.disk_pages_completed, 3, "fallout failed over");
+            assert_eq!(sink.aborts.load(Ordering::SeqCst), 1);
+            assert_eq!(
+                sink.quarantines.load(Ordering::SeqCst),
+                1,
+                "permanent slot error condemns the slot on first strike"
+            );
+            assert_eq!(controller.snapshot().quarantined_slots, 1);
+        }
     }
 
     #[test]
     fn transient_group_failure_that_exhausts_retries_aborts() {
-        let sink = Arc::new(RecordingSink {
-            fail_group_transient: AtomicUsize::new(usize::MAX),
-            ..RecordingSink::default()
-        });
-        let controller = Arc::new(DegradeController::new(DegradeConfig {
-            max_retries: 2,
-            slot_failure_threshold: 100,
-            trip_threshold: 100,
-        }));
-        let d = Destager::new(
-            DestageConfig {
-                threads: 1,
-                queue_depth: 4,
-            },
-            Arc::clone(&sink) as Arc<dyn DestageSink>,
-            Some(Arc::clone(&controller)),
-        );
-        d.enqueue(DestageJob::Group(group(0, 1)));
-        d.drain().unwrap();
-        let stats = d.stats();
-        assert_eq!(stats.retries, 2, "budget from the controller config");
-        assert_eq!(stats.transient_errors, 1);
-        assert_eq!(stats.groups_aborted, 1);
-        assert_eq!(sink.aborts.load(Ordering::SeqCst), 1);
-        assert_eq!(controller.snapshot().transient_errors, 1);
+        for threads in DRIVERS {
+            let sink = Arc::new(RecordingSink {
+                fail_group_transient: AtomicUsize::new(usize::MAX),
+                ..RecordingSink::default()
+            });
+            let controller = Arc::new(DegradeController::new(DegradeConfig {
+                max_retries: 2,
+                slot_failure_threshold: 100,
+                trip_threshold: 100,
+            }));
+            let d = destager(threads, 4, &sink, &controller);
+            d.enqueue(DestageJob::Group(group(0, 1))).unwrap();
+            d.drain().unwrap();
+            let stats = d.stats();
+            assert_eq!(stats.retries, 2, "budget from the controller config");
+            assert_eq!(stats.transient_errors, 1);
+            assert_eq!(stats.groups_aborted, 1);
+            assert_eq!(sink.aborts.load(Ordering::SeqCst), 1);
+            assert_eq!(controller.snapshot().transient_errors, 1);
+        }
     }
 
     #[test]
@@ -888,19 +930,14 @@ mod tests {
             seen: OrderedMutex<Vec<u64>>,
         }
         impl DestageSink for OrderSink {
-            fn apply_group(&self, write: &PendingGroupWrite, _io: &mut IoLog) -> DeviceResult<()> {
+            fn apply_group(&self, write: &PendingGroupWrite) -> DeviceResult<()> {
                 self.seen.lock().push(write.epoch);
                 Ok(())
             }
-            fn complete_group(&self, _s: usize, _e: u64, _io: &mut IoLog) {}
-            fn write_pages_to_disk(
-                &self,
-                _p: &[StagedPage],
-                _io: &mut IoLog,
-            ) -> Result<(), DeviceError> {
+            fn complete_group(&self, _s: usize, _e: u64) {}
+            fn write_pages_to_disk(&self, _p: &[StagedPage]) -> Result<(), DeviceError> {
                 Ok(())
             }
-            fn publish_io(&self, _io: IoLog) {}
         }
         let sink = Arc::new(OrderSink {
             seen: OrderedMutex::new(DIAG, Vec::new()),
@@ -911,10 +948,11 @@ mod tests {
                 queue_depth: 64,
             },
             Arc::clone(&sink) as Arc<dyn DestageSink>,
-            None,
+            Arc::default(),
         );
         for e in 0..50 {
-            d.enqueue(DestageJob::Group(group(4, e))); // one shard -> one worker
+            // one shard -> one worker
+            d.enqueue(DestageJob::Group(group(4, e))).unwrap();
         }
         d.drain().unwrap();
         let seen = sink.seen.lock();

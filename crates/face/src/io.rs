@@ -1,9 +1,11 @@
 //! Physical I/O event log.
 //!
-//! Every cache operation appends the physical I/O it causes to an [`IoLog`].
-//! The functional engine mostly ignores the log (its stores already moved the
-//! bytes); the simulation driver replays each event against the calibrated
-//! devices of `face-iosim` to charge virtual time. Keeping the description of
+//! Every cache operation appends the physical I/O it causes to the [`IoLog`]
+//! its caller passes. The functional engine keeps none (its stores already
+//! moved the bytes, and its counters live in the stores and the tier): it
+//! passes a scratch log and drops it. The simulation driver replays each
+//! event against the calibrated devices of `face-iosim` to charge virtual
+//! time. Keeping the description of
 //! *what I/O a policy causes* inside the policy is what makes the comparison
 //! between FaCE, LC and TAC meaningful: the policies differ precisely in the
 //! amount and the pattern (random vs sequential) of flash and disk I/O.
@@ -204,71 +206,6 @@ impl IoLog {
     }
 }
 
-/// A lock-striped shared I/O event log.
-///
-/// The engine tier used to funnel every operation's local [`IoLog`] through
-/// one global mutex — a serialization point on the hottest path once many
-/// threads insert and destage concurrently. Merges now hash the calling
-/// thread over `N` independent stripes; [`StripedIoLog::drain`] collects all
-/// stripes. Event order is preserved *within* a thread's stream but not
-/// across threads — which is all the simulation drivers (the only ordered
-/// consumers) ever relied on, since concurrent operations were never ordered
-/// to begin with.
-#[derive(Debug)]
-pub struct StripedIoLog {
-    stripes: Vec<face_analysis::OrderedMutex<IoLog>>,
-}
-
-impl StripedIoLog {
-    /// A log striped `n` ways (clamped to at least 1).
-    pub fn new(n: usize) -> Self {
-        Self {
-            stripes: (0..n.max(1))
-                .map(|_| {
-                    face_analysis::OrderedMutex::new(
-                        face_analysis::classes::IO_STRIPE,
-                        IoLog::new(),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    fn stripe(&self) -> &face_analysis::OrderedMutex<IoLog> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        std::thread::current().id().hash(&mut h);
-        &self.stripes[(h.finish() as usize) % self.stripes.len()]
-    }
-
-    /// Merge a per-operation local log into the calling thread's stripe.
-    pub fn merge(&self, local: IoLog) {
-        if !local.is_empty() {
-            self.stripe().lock().merge(local);
-        }
-    }
-
-    /// Remove and return every recorded event across all stripes.
-    pub fn drain(&self) -> Vec<FlashIoEvent> {
-        let mut out = Vec::new();
-        for stripe in &self.stripes {
-            out.append(&mut stripe.lock().drain());
-        }
-        out
-    }
-
-    /// Whether every stripe is empty.
-    pub fn is_empty(&self) -> bool {
-        self.stripes.iter().all(|s| s.lock().is_empty())
-    }
-}
-
-impl Default for StripedIoLog {
-    fn default() -> Self {
-        Self::new(8)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,29 +262,5 @@ mod tests {
         log.flash_read_rand(1);
         log.clear();
         assert!(log.is_empty());
-    }
-
-    #[test]
-    fn striped_log_merges_and_drains_across_threads() {
-        let striped = std::sync::Arc::new(StripedIoLog::new(4));
-        assert!(striped.is_empty());
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let striped = std::sync::Arc::clone(&striped);
-                s.spawn(move || {
-                    for _ in 0..10 {
-                        let mut local = IoLog::new();
-                        local.flash_write_seq(2);
-                        striped.merge(local);
-                        striped.merge(IoLog::new()); // empty merge is free
-                    }
-                });
-            }
-        });
-        assert!(!striped.is_empty());
-        let events = striped.drain();
-        assert_eq!(events.len(), 8 * 10);
-        assert!(striped.is_empty());
-        assert!(striped.drain().is_empty());
     }
 }

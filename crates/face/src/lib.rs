@@ -68,7 +68,7 @@ pub use destage::{
     DestageConfig, DestageJob, DestageSink, DestageStats, Destager, PendingGroupWrite,
     PendingSlotWrite,
 };
-pub use io::{FlashIoEvent, IoLog, StripedIoLog};
+pub use io::{FlashIoEvent, IoLog};
 pub use lc::LcCache;
 pub use meta::{CacheCheckpoint, JournalEntry, JournalStats, MetaJournal, RecoveredJournal};
 pub use mvfifo::MvFifoCache;
