@@ -1,10 +1,12 @@
 //! The experiment runners behind every table and figure of the paper.
 
-use face_cache::{CacheConfig, CachePolicyKind};
+use face_cache::cost_model::{paper_reference_model, AccessMix};
+use face_cache::{CacheConfig, CachePolicyKind, CacheStats};
 use face_engine::sim::{SimConfig, SimEngine, SimRecoveryReport};
 use face_iosim::DeviceProfile;
 use face_tpcc::{TpccConfig, TpccWorkload, TransactionKind};
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 /// The paper's machine ratios that every experiment preserves:
 /// a 200 MB DRAM buffer against a ~50 GB database.
@@ -19,25 +21,8 @@ pub const PAPER_DB_GB: f64 = 50.0;
 /// runs; only the *relative* checkpoint intervals of Table 6 depend on it.
 pub const TXNS_PER_SIM_SECOND: u64 = 40;
 
-/// Read a `u64` scale knob from the environment, falling back to `default`
-/// when unset or unparsable (shared by every `*Scale::from_env`).
-pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Read an `f64` scale knob from the environment (e.g. the zipfian theta),
-/// falling back to `default` when unset or unparsable.
-pub(crate) fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Scale knobs, read once from the environment.
+/// The trace simulator's scale: `Default` is what `face-bench` runs,
+/// [`ExperimentScale::tiny`] what the harness's own tests run.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ExperimentScale {
     /// TPC-C warehouses.
@@ -62,17 +47,6 @@ impl Default for ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Read the scale from `FACE_*` environment variables, falling back to
-    /// the defaults.
-    pub fn from_env() -> Self {
-        Self {
-            warehouses: env_u64("FACE_WAREHOUSES", 10) as u32,
-            warmup_txns: env_u64("FACE_WARMUP_TXNS", 4_000),
-            measure_txns: env_u64("FACE_MEASURE_TXNS", 8_000),
-            clients: env_u64("FACE_CLIENTS", 50) as usize,
-        }
-    }
-
     /// A tiny scale for unit tests of the harness itself.
     pub fn tiny() -> Self {
         Self {
@@ -214,26 +188,36 @@ pub fn sim_config(scale: &ExperimentScale, setup: &SystemSetup) -> (SimConfig, T
     (config, workload)
 }
 
-/// Run the TPC-C workload against one system setup and collect the paper's
-/// metrics.
-pub fn run_tpcc(scale: &ExperimentScale, setup: &SystemSetup) -> RunResult {
-    let (config, mut workload) = sim_config(scale, setup);
-    let mut engine = SimEngine::new(config);
-
+/// Warm `engine` up, start measuring, and run the measured transactions,
+/// with a checkpoint every quarter of them if `checkpoints` is set.
+fn warm_and_measure(
+    engine: &mut SimEngine,
+    workload: &mut TpccWorkload,
+    scale: &ExperimentScale,
+    checkpoints: bool,
+) {
     for _ in 0..scale.warmup_txns {
         let txn = workload.next_transaction();
         engine.run_transaction(&txn.accesses, txn.kind == TransactionKind::NewOrder);
     }
     engine.start_measurement();
-    // Periodic checkpoints during measurement, as a real system would take.
     let checkpoint_every = (scale.measure_txns / 4).max(1);
     for i in 0..scale.measure_txns {
         let txn = workload.next_transaction();
         engine.run_transaction(&txn.accesses, txn.kind == TransactionKind::NewOrder);
-        if i > 0 && i % checkpoint_every == 0 {
+        if checkpoints && i > 0 && i % checkpoint_every == 0 {
             engine.checkpoint();
         }
     }
+}
+
+/// Run the TPC-C workload against one system setup and collect the paper's
+/// metrics.
+pub fn run_tpcc(scale: &ExperimentScale, setup: &SystemSetup) -> RunResult {
+    let (config, mut workload) = sim_config(scale, setup);
+    let mut engine = SimEngine::new(config);
+    // Periodic checkpoints during measurement, as a real system would take.
+    warm_and_measure(&mut engine, &mut workload, scale, true);
 
     let cache_stats = engine.cache_stats();
     let buffer = engine.buffer_stats();
@@ -311,6 +295,43 @@ pub fn run_fig4(scale: &ExperimentScale, flash_profile: DeviceProfile) -> Vec<Ru
         }
     }
     out
+}
+
+/// Ablation (§3.3): FaCE+GSC at a 12 % cache across group sizes (scan
+/// depths); group size 1 is exactly base FaCE. Rows are
+/// `(group size, tpmC, cache statistics)`.
+pub fn run_gsc_depth_ablation(scale: &ExperimentScale) -> Vec<(usize, f64, CacheStats)> {
+    [1usize, 16, 32, 64, 128]
+        .into_iter()
+        .map(|group_size| {
+            let (mut config, mut workload) = sim_config(scale, &SystemSetup::face_gsc(0.12));
+            config.cache_config.group_size = group_size;
+            config.cache_config.second_chance = group_size > 1;
+            let mut engine = SimEngine::new(config);
+            warm_and_measure(&mut engine, &mut workload, scale, false);
+            let stats = engine.cache_stats().expect("FaCE+GSC has a cache");
+            (group_size, engine.tpmc(), stats)
+        })
+        .collect()
+}
+
+/// The §2.2 cost analysis: break-even flash size and cost ratio versus a
+/// DRAM increment, per access mix. Rows are
+/// `(mix, DRAM increment δ, break-even flash θ, cost ratio)`.
+pub fn run_costmodel_breakeven() -> Vec<(String, f64, f64, f64)> {
+    let mut rows = Vec::new();
+    for (label, mix) in [
+        ("read-only", AccessMix::ReadOnly),
+        ("write-only", AccessMix::WriteOnly),
+        ("50/50 mix", AccessMix::Mixed),
+    ] {
+        let model = paper_reference_model(mix);
+        for delta in [0.25, 0.5, 1.0, 2.0] {
+            let theta = model.break_even_theta(delta);
+            rows.push((label.to_string(), delta, theta, model.cost_ratio(delta)));
+        }
+    }
+    rows
 }
 
 /// One row of the Table 5 comparison.
@@ -477,12 +498,7 @@ pub fn run_fig6(scale: &ExperimentScale) -> Vec<Fig6Point> {
     points
 }
 
-// ---------------------------------------------------------------------------
-// Figure 4 (concurrent): aggregate throughput of the *functional* engine
-// under real client threads.
-// ---------------------------------------------------------------------------
-
-/// Scale knobs for the concurrent throughput sweep.
+/// The concurrent TPC-C scale of the functional-engine throughput gate.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ConcurrentScale {
     /// TPC-C warehouses (also the maximum thread count).
@@ -507,16 +523,6 @@ impl Default for ConcurrentScale {
 }
 
 impl ConcurrentScale {
-    /// Read the scale from `FACE_CONC_*` environment variables.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            warehouses: env_u64("FACE_CONC_WAREHOUSES", d.warehouses as u64) as u32,
-            warmup_txns: env_u64("FACE_CONC_WARMUP_TXNS", d.warmup_txns),
-            measure_txns: env_u64("FACE_CONC_MEASURE_TXNS", d.measure_txns),
-        }
-    }
-
     /// A tiny scale for unit tests of the harness itself.
     pub fn tiny() -> Self {
         Self {
@@ -525,36 +531,6 @@ impl ConcurrentScale {
             measure_txns: 160,
         }
     }
-}
-
-/// One row of the concurrent sweep (one thread count).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ConcurrentRunResult {
-    /// Worker threads driving the shared engine.
-    pub threads: usize,
-    /// Committed transactions in the measured window.
-    pub committed: u64,
-    /// Committed NewOrder transactions.
-    pub new_orders: u64,
-    /// Measured wall-clock seconds.
-    pub wall_secs: f64,
-    /// Aggregate committed transactions per second.
-    pub tps: f64,
-    /// Aggregate committed NewOrders per minute (tpmC).
-    pub tpmc: f64,
-    /// `tps` relative to the 1-thread row.
-    pub speedup_vs_one: f64,
-    /// Physical log flushes during the measured window.
-    pub wal_forces: u64,
-    /// Commits that piggy-backed on another leader's flush (group commit).
-    pub wal_piggybacked: u64,
-    /// Physical log flushes led by the tier's write-ahead guard during the
-    /// measured window (dirty evictions outrunning the durable horizon).
-    pub wal_guard_forces: u64,
-    /// DRAM buffer hit ratio over the whole run.
-    pub dram_hit_ratio: f64,
-    /// Flash cache hit ratio over DRAM misses.
-    pub flash_hit_ratio: f64,
 }
 
 fn concurrent_engine_config(scale: &ConcurrentScale) -> face_engine::EngineConfig {
@@ -582,7 +558,7 @@ fn concurrent_engine_config(scale: &ConcurrentScale) -> face_engine::EngineConfi
 // ---------------------------------------------------------------------------
 
 /// One row of the destage-on/off throughput matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ThroughputBenchRow {
     /// Worker threads driving the shared engine.
     pub threads: usize,
@@ -721,13 +697,51 @@ pub fn run_bench_throughput(
     out
 }
 
+/// The CI gate over [`run_bench_throughput`] rows: 4 async threads must beat
+/// 1, async destage must not lose to sync at 4 threads, and the 4-thread
+/// async arm must log at most `max_wal_bytes_per_txn` per transaction.
+/// Returns the failures (empty means the gate passes).
+pub fn evaluate_bench_throughput(
+    rows: &[ThroughputBenchRow],
+    max_wal_bytes_per_txn: f64,
+) -> Vec<String> {
+    let cell = |destage: &str, threads: usize| {
+        rows.iter()
+            .find(|r| r.destage == destage && r.threads == threads)
+    };
+    let (Some(one), Some(four), Some(sync)) = (cell("async", 1), cell("async", 4), cell("sync", 4))
+    else {
+        return vec!["missing row (need async 1- and 4-thread, sync 4-thread)".to_string()];
+    };
+    let mut failures = Vec::new();
+    if four.tpm <= one.tpm {
+        failures.push(format!(
+            "async 4-thread {:.0} tpm does not beat 1-thread {:.0} tpm",
+            four.tpm, one.tpm
+        ));
+    }
+    if four.tpm < sync.tpm {
+        failures.push(format!(
+            "4-thread async {:.0} tpm loses to sync {:.0} tpm",
+            four.tpm, sync.tpm
+        ));
+    }
+    if four.wal_bytes_per_txn > max_wal_bytes_per_txn {
+        failures.push(format!(
+            "4-thread async logs {:.0} B per transaction (ceiling {max_wal_bytes_per_txn:.0})",
+            four.wal_bytes_per_txn
+        ));
+    }
+    failures
+}
+
 // ---------------------------------------------------------------------------
 // BENCH_read: the read-path perf-trajectory matrix — read-heavy (90/10)
 // throughput with the lock-light read path on versus the exclusive-lock
 // baseline.
 // ---------------------------------------------------------------------------
 
-/// Scale knobs for the read-heavy sweep (`FACE_READ_*`).
+/// The scale of the read-heavy sweep.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ReadScale {
     /// Keys pre-loaded into the table (≈ the hot working set in pages).
@@ -752,17 +766,6 @@ impl Default for ReadScale {
 }
 
 impl ReadScale {
-    /// Read the scale from `FACE_READ_*` environment variables.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            keys: env_u64("FACE_READ_KEYS", d.keys),
-            warmup_ops: env_u64("FACE_READ_WARMUP_OPS", d.warmup_ops),
-            measure_ops: env_u64("FACE_READ_MEASURE_OPS", d.measure_ops),
-            read_pct: env_u64("FACE_READ_PCT", d.read_pct as u64).min(100) as u32,
-        }
-    }
-
     /// A tiny scale for unit tests of the harness itself.
     pub fn tiny() -> Self {
         Self {
@@ -775,7 +778,7 @@ impl ReadScale {
 }
 
 /// One row of the lock-light/exclusive read-throughput matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ReadBenchRow {
     /// Worker threads driving the shared engine.
     pub threads: usize,
@@ -907,13 +910,47 @@ pub fn run_bench_read_throughput(scale: &ReadScale, thread_counts: &[usize]) -> 
     out
 }
 
+/// The CI gate over [`run_bench_read_throughput`] rows: 4 lock-light threads
+/// must beat 1 by at least `min_speedup`, and lock-light must not lose to
+/// exclusive at 4 threads. Returns the failures (empty means the gate
+/// passes).
+pub fn evaluate_bench_read(rows: &[ReadBenchRow], min_speedup: f64) -> Vec<String> {
+    let cell =
+        |mode: &str, threads: usize| rows.iter().find(|r| r.mode == mode && r.threads == threads);
+    let (Some(one), Some(four), Some(excl)) = (
+        cell("lock-light", 1),
+        cell("lock-light", 4),
+        cell("exclusive", 4),
+    ) else {
+        return vec![
+            "missing row (need lock-light 1- and 4-thread, exclusive 4-thread)".to_string(),
+        ];
+    };
+    let mut failures = Vec::new();
+    let speedup = four.ops_per_sec / one.ops_per_sec.max(f64::MIN_POSITIVE);
+    if speedup < min_speedup {
+        failures.push(format!(
+            "lock-light 4-thread {:.0} ops/s vs 1-thread {:.0} ops/s is {speedup:.2}x, \
+             need {min_speedup}x",
+            four.ops_per_sec, one.ops_per_sec
+        ));
+    }
+    if four.ops_per_sec < excl.ops_per_sec {
+        failures.push(format!(
+            "4-thread lock-light {:.0} ops/s loses to exclusive {:.0} ops/s",
+            four.ops_per_sec, excl.ops_per_sec
+        ));
+    }
+    failures
+}
+
 // ---------------------------------------------------------------------------
 // BENCH_flash_economy: the write-economy gate — flash bytes written per
 // committed transaction under a skewed mix, admission-filtered policies
 // versus the unfiltered FaCE baseline.
 // ---------------------------------------------------------------------------
 
-/// Scale knobs for the flash write-economy bench (`FACE_ECON_*`).
+/// The scale of the flash write-economy bench.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct EconomyScale {
     /// Keys pre-loaded into the table.
@@ -947,20 +984,6 @@ impl Default for EconomyScale {
 }
 
 impl EconomyScale {
-    /// Read the scale from `FACE_ECON_*` environment variables.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            keys: env_u64("FACE_ECON_KEYS", d.keys),
-            warmup_ops: env_u64("FACE_ECON_WARMUP_OPS", d.warmup_ops),
-            measure_ops: env_u64("FACE_ECON_MEASURE_OPS", d.measure_ops),
-            read_pct: env_u64("FACE_ECON_READ_PCT", d.read_pct as u64).min(100) as u32,
-            hot_key_pct: env_u64("FACE_ECON_HOT_KEY_PCT", d.hot_key_pct as u64).min(100) as u32,
-            hot_op_pct: env_u64("FACE_ECON_HOT_OP_PCT", d.hot_op_pct as u64).min(100) as u32,
-            threads: env_u64("FACE_ECON_THREADS", d.threads as u64).max(1) as usize,
-        }
-    }
-
     /// A tiny scale for unit tests of the harness itself.
     pub fn tiny() -> Self {
         Self {
@@ -976,7 +999,7 @@ impl EconomyScale {
 }
 
 /// One arm of the write-economy comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EconomyBenchRow {
     /// Cache policy label ("face-gsc", "s3-fifo", ...).
     pub policy: String,
@@ -1146,7 +1169,7 @@ pub fn evaluate_flash_economy(rows: &[EconomyBenchRow], hit_ratio_tolerance: f64
 // disk-only baseline engine that never had a flash tier.
 // ---------------------------------------------------------------------------
 
-/// Scale knobs for the degraded-mode bench (`FACE_DEGRADE_*`).
+/// The scale of the degraded-mode bench.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct DegradeScale {
     /// TPC-C warehouses (also the maximum thread count).
@@ -1171,17 +1194,6 @@ impl Default for DegradeScale {
 }
 
 impl DegradeScale {
-    /// Read the scale from `FACE_DEGRADE_*` environment variables.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            warehouses: env_u64("FACE_DEGRADE_WAREHOUSES", d.warehouses as u64) as u32,
-            warmup_txns: env_u64("FACE_DEGRADE_WARMUP_TXNS", d.warmup_txns),
-            measure_txns: env_u64("FACE_DEGRADE_MEASURE_TXNS", d.measure_txns),
-            threads: env_u64("FACE_DEGRADE_THREADS", d.threads as u64).max(1) as usize,
-        }
-    }
-
     /// A tiny scale for unit tests of the harness itself.
     pub fn tiny() -> Self {
         Self {
@@ -1194,7 +1206,7 @@ impl DegradeScale {
 }
 
 /// One phase of the degraded-mode trajectory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DegradeBenchRow {
     /// "disk-only" (no flash tier configured), "healthy" (flash tier up),
     /// "tripped" (breaker open, disk-only degraded mode) or "healed"
@@ -1449,93 +1461,12 @@ pub fn evaluate_bench_degrade(
     failures
 }
 
-/// Sweep thread counts over the functional engine on the default simulated
-/// devices (real, scaled service times — see `face_engine::latency`). Each
-/// thread count gets a fresh engine, its own warm-up, and the same total
-/// transaction budget, so rows differ only in concurrency.
-pub fn run_fig4_concurrent(
-    scale: &ConcurrentScale,
-    thread_counts: &[usize],
-) -> Vec<ConcurrentRunResult> {
-    use std::sync::Arc;
-    let mut out: Vec<ConcurrentRunResult> = Vec::new();
-    let mut ran = std::collections::BTreeSet::new();
-    for &requested in thread_counts {
-        let threads = requested.clamp(1, scale.warehouses as usize);
-        if threads != requested {
-            eprintln!(
-                "fig4_concurrent: clamping {requested} threads to {threads} \
-                 ({} warehouses — raise FACE_CONC_WAREHOUSES for wider sweeps)",
-                scale.warehouses
-            );
-        }
-        if !ran.insert(threads) {
-            // Don't emit duplicate rows when clamping collapses the sweep.
-            continue;
-        }
-        let db = Arc::new(
-            face_engine::Database::open(concurrent_engine_config(scale))
-                .expect("in-memory open cannot fail"),
-        );
-        let warm = face_tpcc::DriverConfig {
-            threads,
-            txns_per_thread: (scale.warmup_txns as usize / threads).max(1),
-            warehouses: scale.warehouses,
-            seed: 1,
-        };
-        face_tpcc::run_concurrent(&db, &warm);
-
-        let forces_before = db.wal_forces();
-        let piggy_before = db.wal_piggybacked_forces();
-        let guard_before = db.tier_stats().wal_guard_forces;
-        let measure = face_tpcc::DriverConfig {
-            threads,
-            txns_per_thread: (scale.measure_txns as usize / threads).max(1),
-            warehouses: scale.warehouses,
-            seed: 1_000,
-        };
-        let report = face_tpcc::run_concurrent(&db, &measure);
-
-        let buffer = db.buffer_stats();
-        out.push(ConcurrentRunResult {
-            threads,
-            committed: report.committed(),
-            new_orders: report.new_orders(),
-            wall_secs: report.wall.as_secs_f64(),
-            tps: report.tps(),
-            tpmc: report.tpmc(),
-            speedup_vs_one: 0.0, // filled in once the baseline row is known
-            wal_forces: db.wal_forces() - forces_before,
-            wal_piggybacked: db.wal_piggybacked_forces() - piggy_before,
-            wal_guard_forces: db.tier_stats().wal_guard_forces - guard_before,
-            dram_hit_ratio: buffer.hit_ratio(),
-            flash_hit_ratio: buffer.flash_hit_ratio(),
-        });
-    }
-    // Baseline is the 1-thread row as the field promises; if the sweep did
-    // not include one, fall back to the lowest thread count present.
-    let baseline = out
-        .iter()
-        .find(|r| r.threads == 1)
-        .or_else(|| out.iter().min_by_key(|r| r.threads))
-        .map(|r| r.tps)
-        .unwrap_or(0.0);
-    for row in &mut out {
-        row.speedup_vs_one = if baseline > 0.0 {
-            row.tps / baseline
-        } else {
-            0.0
-        };
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Figure 6 / Table 6 (functional): warm-vs-cold crash recovery of the real
 // engine — durable flash cache metadata, reconciled restart, throughput ramp.
 // ---------------------------------------------------------------------------
 
-/// Scale knobs for the functional recovery experiments.
+/// The scale of the functional recovery experiments.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct RecoveryScale {
     /// TPC-C warehouses (also the maximum thread count).
@@ -1578,28 +1509,21 @@ pub const LONG_HISTORY_FACTOR: usize = 10;
 /// on a fresh database; an arm's `restart_secs` is the median over them.
 pub const WARM_RESTART_RUNS: usize = 3;
 
-impl RecoveryScale {
-    /// Read the scale from `FACE_REC_*` environment variables.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            // At least one warehouse: threads are clamped to the warehouse
-            // count, and `clamp(1, 0)` would panic before any useful error.
-            warehouses: (env_u64("FACE_REC_WAREHOUSES", d.warehouses as u64) as u32).max(1),
-            threads: (env_u64("FACE_REC_THREADS", d.threads as u64) as usize).max(1),
-            load_txns_per_thread: env_u64("FACE_REC_LOAD_TXNS", d.load_txns_per_thread as u64)
-                as usize,
-            post_ckpt_txns_per_thread: env_u64(
-                "FACE_REC_POST_TXNS",
-                d.post_ckpt_txns_per_thread as u64,
-            ) as usize,
-            windows: (env_u64("FACE_REC_WINDOWS", d.windows as u64) as usize).max(1),
-            window_txns_per_thread: env_u64("FACE_REC_WINDOW_TXNS", d.window_txns_per_thread as u64)
-                as usize,
-            loser_txns: env_u64("FACE_REC_LOSER_TXNS", d.loser_txns as u64) as usize,
-        }
-    }
+/// Largest regression of the warm/cold restart-time ratio the Figure 6 gate
+/// allows against the committed `BENCH_recovery.json`.
+pub const RATIO_REGRESSION_BOUND: f64 = 0.25;
 
+/// Ratio under which a regression never fails the Figure 6 gate: a warm
+/// restart takes a small fraction of a cold one, so jitter on the tiny
+/// numerator can exceed 25 % without meaning anything. The regression only
+/// matters once warm restart has lost its order-of-magnitude advantage.
+pub const RATIO_ABSOLUTE_GUARD: f64 = 0.1;
+
+/// Largest excess of the long-history warm restart over the short-history
+/// one: restart cost follows the last checkpoint, not the length of the log.
+pub const LONG_HISTORY_BOUND: f64 = 0.25;
+
+impl RecoveryScale {
     /// A tiny scale for unit tests of the harness itself.
     pub fn tiny() -> Self {
         Self {
@@ -1822,6 +1746,89 @@ pub fn run_fig6_functional(scale: &RecoveryScale) -> Vec<RampArmReport> {
         .collect()
 }
 
+/// The arms every Figure 6 run, fresh or committed, must hold.
+const RAMP_ARMS: [&str; 3] = ["warm", "cold", "warm_long_history"];
+
+/// The CI gate over [`run_fig6_functional`] arms: the warm restart's first
+/// window must out-ramp the cold one's, the warm/cold restart-time ratio
+/// must not regress past [`RATIO_REGRESSION_BOUND`] against the `committed`
+/// run's (the parsed `BENCH_recovery.json`, when there is one; never below
+/// [`RATIO_ABSOLUTE_GUARD`]), and the long-history warm restart must stay
+/// within [`LONG_HISTORY_BOUND`] of the warm one. A committed run that
+/// lacks an arm or a warm/cold ratio fails: it would turn the regression
+/// check off. Returns the failures (empty means the gate passes).
+pub fn evaluate_fig6_ramp(arms: &[RampArmReport], committed: Option<&Value>) -> Vec<String> {
+    let mut failures = Vec::new();
+    let committed_ratio = match committed.map(committed_restart_ratio).transpose() {
+        Ok(ratio) => ratio,
+        Err(e) => {
+            failures.push(e);
+            None
+        }
+    };
+    let arm = |mode: &str| {
+        arms.iter()
+            .find(|a| a.mode == mode && !a.windows.is_empty())
+    };
+    let [Some(warm), Some(cold), Some(long)] = RAMP_ARMS.map(arm) else {
+        failures.push(format!("missing arm (need {RAMP_ARMS:?} with windows)"));
+        return failures;
+    };
+    let (w0, c0) = (warm.windows[0].tpm, cold.windows[0].tpm);
+    if w0 <= c0 {
+        failures.push(format!(
+            "warm first window {w0:.0} tpm does not beat cold {c0:.0} tpm"
+        ));
+    }
+    if cold.restart_secs <= 0.0 {
+        failures.push("cold restart took no time: no warm/cold ratio".to_string());
+    } else if let Some(committed) = committed_ratio {
+        let ratio = warm.restart_secs / cold.restart_secs;
+        let bound = (committed * (1.0 + RATIO_REGRESSION_BOUND)).max(RATIO_ABSOLUTE_GUARD);
+        if ratio > bound {
+            failures.push(format!(
+                "warm/cold restart-time ratio {ratio:.3} above {bound:.3} \
+                 (committed {committed:.3} + {:.0}%, or the {RATIO_ABSOLUTE_GUARD} guard)",
+                RATIO_REGRESSION_BOUND * 100.0
+            ));
+        }
+    }
+    let bound = warm.restart_secs * (1.0 + LONG_HISTORY_BOUND);
+    if long.restart_secs > bound {
+        failures.push(format!(
+            "warm restart behind the long history: median {:.3}s over {:?}, above {bound:.3}s \
+             (warm {:.3}s over {:?} + {:.0}%)",
+            long.restart_secs,
+            long.restart_secs_runs,
+            warm.restart_secs,
+            warm.restart_secs_runs,
+            LONG_HISTORY_BOUND * 100.0
+        ));
+    }
+    failures
+}
+
+/// The warm/cold restart-time ratio of a committed Figure 6 run, which must
+/// hold a restart time for every arm of [`RAMP_ARMS`].
+fn committed_restart_ratio(committed: &Value) -> Result<f64, String> {
+    let secs = |mode: &str| {
+        committed
+            .as_array()
+            .into_iter()
+            .flatten()
+            .find(|arm| arm.get("mode").and_then(Value::as_str) == Some(mode))
+            .and_then(|arm| arm.get("restart_secs")?.as_f64())
+            .ok_or_else(|| format!("the committed run has no `{mode}` arm with a restart time"))
+    };
+    let [warm, cold, long] = RAMP_ARMS.map(secs);
+    let (warm, cold, _) = (warm?, cold?, long?);
+    if cold > 0.0 {
+        Ok(warm / cold)
+    } else {
+        Err("the committed cold restart took no time: no warm/cold ratio".to_string())
+    }
+}
+
 /// One row of the functional Table 6 restart-time sweep.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FunctionalRecoveryRow {
@@ -1882,15 +1889,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_from_env_has_sane_defaults() {
-        let s = ExperimentScale::from_env();
-        assert!(s.warehouses >= 1);
-        assert!(s.measure_txns > 0);
-        let tiny = ExperimentScale::tiny();
-        assert!(tiny.warmup_txns < s.warmup_txns || s.warmup_txns < 4000);
-    }
-
-    #[test]
     fn single_run_produces_consistent_metrics() {
         let scale = ExperimentScale::tiny();
         let r = run_tpcc(&scale, &SystemSetup::face_gsc(0.10));
@@ -1931,43 +1929,30 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_sweep_scales_with_threads() {
-        // The acceptance bar for the concurrent engine: on the default
-        // simulated devices, 4 threads must out-run 1 thread in aggregate
-        // tx/s — real threads over the shared `Database`, real (scaled)
-        // device service times hiding behind concurrency.
-        let rows = run_fig4_concurrent(&ConcurrentScale::tiny(), &[1, 4]);
-        assert_eq!(rows.len(), 2);
-        let one = &rows[0];
-        let four = &rows[1];
-        assert_eq!(one.threads, 1);
-        assert_eq!(four.threads, 4);
-        assert!(one.tps > 0.0);
-        assert!(
-            four.tps > one.tps,
-            "4 threads ({:.0} tx/s) must beat 1 thread ({:.0} tx/s)",
-            four.tps,
-            one.tps
-        );
-        assert!(four.speedup_vs_one > 1.0);
-        // Every physical flush was led by a committer or by the tier's
-        // write-ahead guard, and every commit either led a flush or
-        // piggy-backed on one. (Whether any piggy-backing happens at this
-        // tiny, miss-dominated scale is timing dependent; the engine's
-        // concurrent_stress test pins it down under a commit-heavy load.)
-        assert_eq!(
-            four.wal_forces + four.wal_piggybacked,
-            four.committed + four.wal_guard_forces
-        );
-        assert_eq!(one.committed, four.committed, "same total work");
+    fn lc_runs_with_checkpoints_are_reproducible() {
+        // LC drains its dirty pages to disk at every checkpoint; the drain
+        // order sets the simulated seek times, so it must not depend on
+        // hash-map iteration order.
+        let run = || {
+            let setup = SystemSetup::face_gsc(0.08).with_policy(CachePolicyKind::Lc);
+            let (config, mut workload) = sim_config(&ExperimentScale::tiny(), &setup);
+            let mut engine = SimEngine::new(config);
+            warm_and_measure(&mut engine, &mut workload, &ExperimentScale::tiny(), true);
+            (format!("{:?}", engine.counters()), engine.tpmc())
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
-    fn bench_throughput_produces_both_destage_arms() {
-        let rows = run_bench_throughput(&ConcurrentScale::tiny(), &[1]);
-        assert_eq!(rows.len(), 2);
-        let sync = rows.iter().find(|r| r.destage == "sync").unwrap();
-        let async_ = rows.iter().find(|r| r.destage == "async").unwrap();
+    fn bench_throughput_arms_scale_with_threads() {
+        let rows = run_bench_throughput(&ConcurrentScale::tiny(), &[1, 4]);
+        assert_eq!(rows.len(), 4);
+        let cell = |destage: &str, threads: usize| {
+            rows.iter()
+                .find(|r| r.destage == destage && r.threads == threads)
+                .unwrap()
+        };
+        let (sync, async_) = (cell("sync", 1), cell("async", 1));
         assert_eq!(sync.destage_threads, 0);
         assert_eq!(async_.destage_threads, 2);
         assert_eq!(sync.committed, async_.committed, "same measured budget");
@@ -1980,6 +1965,19 @@ mod tests {
         // a commit makes durable.
         assert!(sync.wal_bytes_per_txn > 0.0);
         assert_eq!(sync.wal_bytes_per_txn, async_.wal_bytes_per_txn);
+        // Real threads over the shared `Database`, real (scaled) device
+        // service times hiding behind concurrency: 4 threads out-run 1 on
+        // the same total work. (The flush identity — every commit led or
+        // piggy-backed on a flush — is pinned by the engine's
+        // `concurrent_stress` test.)
+        let four = cell("async", 4);
+        assert_eq!(four.committed, async_.committed, "same total work");
+        assert!(
+            four.tps > async_.tps,
+            "4 threads ({:.0} tx/s) must beat 1 thread ({:.0} tx/s)",
+            four.tps,
+            async_.tps
+        );
     }
 
     #[test]
@@ -2131,5 +2129,144 @@ mod tests {
                 h.restart_secs
             );
         }
+    }
+
+    /// Assert that `failures` is exactly one failure mentioning `needle`.
+    fn one_failure(failures: Vec<String>, needle: &str) {
+        assert!(
+            failures.len() == 1 && failures[0].contains(needle),
+            "expected one `{needle}` failure, got {failures:?}"
+        );
+    }
+
+    fn throughput_rows() -> Vec<ThroughputBenchRow> {
+        let row = |destage: &str, threads, tpm| ThroughputBenchRow {
+            destage: destage.to_string(),
+            threads,
+            tpm,
+            wal_bytes_per_txn: 800.0,
+            ..Default::default()
+        };
+        vec![
+            row("async", 1, 1_000.0),
+            row("async", 4, 3_000.0),
+            row("sync", 4, 2_500.0),
+        ]
+    }
+
+    #[test]
+    fn throughput_gate_fails_each_condition_alone() {
+        let gate = |edit: fn(&mut Vec<ThroughputBenchRow>)| {
+            let mut rows = throughput_rows();
+            edit(&mut rows);
+            evaluate_bench_throughput(&rows, 1_200.0)
+        };
+        assert!(gate(|_| {}).is_empty());
+        one_failure(gate(|r| r[0].tpm = 4_000.0), "does not beat 1-thread");
+        one_failure(gate(|r| r[2].tpm = 3_500.0), "loses to sync");
+        one_failure(
+            gate(|r| r[1].wal_bytes_per_txn = 1_300.0),
+            "B per transaction",
+        );
+        one_failure(gate(|r| drop(r.remove(2))), "missing row");
+    }
+
+    fn read_rows() -> Vec<ReadBenchRow> {
+        let row = |mode: &str, threads, ops_per_sec| ReadBenchRow {
+            mode: mode.to_string(),
+            threads,
+            ops_per_sec,
+            ..Default::default()
+        };
+        vec![
+            row("lock-light", 1, 1_000.0),
+            row("lock-light", 4, 2_500.0),
+            row("exclusive", 4, 1_500.0),
+        ]
+    }
+
+    #[test]
+    fn read_gate_fails_each_condition_alone() {
+        let gate = |edit: fn(&mut Vec<ReadBenchRow>)| {
+            let mut rows = read_rows();
+            edit(&mut rows);
+            evaluate_bench_read(&rows, 2.0)
+        };
+        assert!(gate(|_| {}).is_empty());
+        one_failure(gate(|r| r[1].ops_per_sec = 1_900.0), "need 2x");
+        one_failure(gate(|r| r[2].ops_per_sec = 3_000.0), "loses to exclusive");
+        one_failure(gate(|r| drop(r.remove(0))), "missing row");
+    }
+
+    /// Warm 0.01 s, cold 0.2 s (ratio 0.05), long history 0.011 s; warm's
+    /// first window out-ramps cold's.
+    fn ramp_arms() -> Vec<RampArmReport> {
+        let arm = |mode: &str, restart_secs, tpm| RampArmReport {
+            mode: mode.to_string(),
+            restart_secs,
+            windows: vec![RampWindowRow {
+                tpm,
+                ..Default::default()
+            }],
+            ..Default::default()
+        };
+        vec![
+            arm("warm", 0.01, 900.0),
+            arm("cold", 0.2, 300.0),
+            arm("warm_long_history", 0.011, 900.0),
+        ]
+    }
+
+    /// [`ramp_arms`] as a committed `BENCH_recovery.json` parses (ratio
+    /// 0.05), after `edit`.
+    fn committed_ramp(edit: fn(&mut Vec<RampArmReport>)) -> Value {
+        let mut arms = ramp_arms();
+        edit(&mut arms);
+        serde_json::from_str(&serde_json::to_string(&arms).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn ramp_gate_fails_each_condition_alone() {
+        let base = committed_ramp(|_| {});
+        let gate = |edit: fn(&mut Vec<RampArmReport>), committed: Option<&Value>| {
+            let mut arms = ramp_arms();
+            edit(&mut arms);
+            evaluate_fig6_ramp(&arms, committed)
+        };
+        assert!(gate(|_| {}, Some(&base)).is_empty());
+        one_failure(
+            gate(|a| a[0].windows[0].tpm = 200.0, Some(&base)),
+            "first window",
+        );
+        // Ratio 0.15: past the committed 0.05 + 25 % and past the guard.
+        one_failure(gate(|a| a[0].restart_secs = 0.03, Some(&base)), "ratio");
+        // Ratio 0.09: past the committed 0.05 + 25 %, but under the guard.
+        assert!(gate(|a| a[0].restart_secs = 0.018, Some(&base)).is_empty());
+        // Without a committed run there is nothing to regress against.
+        assert!(gate(|a| a[0].restart_secs = 0.03, None).is_empty());
+        one_failure(
+            gate(|a| a[2].restart_secs = 0.02, Some(&base)),
+            "long history",
+        );
+        one_failure(gate(|a| drop(a.remove(2)), Some(&base)), "missing arm");
+    }
+
+    /// A committed run the gate cannot take a ratio from fails the gate
+    /// instead of turning the ratio check off.
+    #[test]
+    fn ramp_gate_fails_a_committed_run_without_every_arm() {
+        let gate = |committed: Value| evaluate_fig6_ramp(&ramp_arms(), Some(&committed));
+        one_failure(gate(committed_ramp(|a| drop(a.remove(0)))), "`warm`");
+        one_failure(gate(committed_ramp(|a| drop(a.remove(1)))), "`cold`");
+        one_failure(
+            gate(committed_ramp(|a| drop(a.remove(2)))),
+            "`warm_long_history`",
+        );
+        one_failure(
+            gate(committed_ramp(|a| a[1].restart_secs = 0.0)),
+            "took no time",
+        );
+        // A file that does not parse reaches the gate as `null`.
+        one_failure(gate(Value::Null), "`warm`");
     }
 }

@@ -1,38 +1,26 @@
 //! # face-bench — experiment harness for the FaCE reproduction
 //!
-//! One function per table/figure of the paper's evaluation (§5), each driving
-//! the trace-driven simulation (`face-engine::sim`) with the TPC-C workload
-//! (`face-tpcc`) on the calibrated devices (`face-iosim`). The `src/bin/`
-//! binaries are thin wrappers that print the paper-style rows and write JSON
-//! results; `benches/` contains Criterion micro-benchmarks of the core data
-//! structures.
+//! One function per table/figure of the paper's evaluation (§5): the trace
+//! simulator (`face-engine::sim`) replays the TPC-C workload (`face-tpcc`)
+//! on the calibrated devices (`face-iosim`), and the functional-engine gates
+//! drive the real `Database` on simulated devices. [`suites::SUITES`] names
+//! every experiment, the files it writes and its gate; the `face-bench`
+//! binary runs them (`cargo run --release -p face-bench -- <suite>...`),
+//! prints their rows with [`report::print_rows`] and exits non-zero when a
+//! gate fails.
 //!
-//! Experiments run at a reduced scale by default so the whole suite finishes
-//! in minutes; every size *ratio* the paper's results depend on
-//! (DRAM : flash : database, group size, client count) is preserved. Set the
-//! environment variables below for larger runs:
-//!
-//! | Variable | Meaning | Default |
-//! |---|---|---|
-//! | `FACE_WAREHOUSES` | TPC-C scale factor | 10 |
-//! | `FACE_WARMUP_TXNS` | transactions before measurement | 4000 |
-//! | `FACE_MEASURE_TXNS` | measured transactions | 8000 |
-//! | `FACE_CLIENTS` | closed client population | 50 |
-//!
-//! The functional-engine gates read their own prefixes — `FACE_CONC_*`
-//! ([`experiments`]), `FACE_READ_*`, `FACE_ECON_*`, `FACE_REC_*` and
-//! `FACE_TAIL_*` ([`tail::TailScale::from_env`]) — all collected in one
-//! table in `EXPERIMENTS.md`. The four `bench_*` gate binaries write
-//! committed `BENCH_*.json` files at the repo root; [`tail`] documents the
-//! windowed-p99 methodology behind `BENCH_tail.json`.
+//! Experiments run at one fixed, reduced scale so the whole set finishes in
+//! minutes; every size *ratio* the paper's results depend on
+//! (DRAM : flash : database, group size, client count) is preserved. Each
+//! scale's `Default` is what the binary runs and its `tiny()` what the
+//! harness's tests run. The `bench_*` and `fig6_ramp_functional` suites
+//! write the committed `BENCH_*.json` files at the repo root; [`tail`]
+//! documents the windowed-p99 methodology behind `BENCH_tail.json`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
 pub mod report;
+pub mod suites;
 pub mod tail;
-
-pub use experiments::{ExperimentScale, RunResult};
-pub use report::{print_table, write_json, write_json_at};
-pub use tail::{evaluate_tail, run_bench_tail, TailBenchRow, TailBounds, TailScale};

@@ -1,76 +1,107 @@
-//! Small helpers for printing paper-style tables and persisting JSON results.
+//! The one table printer: any suite's JSON rows as a fixed-width table.
 
-use std::path::Path;
+use serde_json::Value;
 
-use serde::Serialize;
-
-/// Print a fixed-width table: a header row followed by data rows.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+/// Print a JSON array of rows as a table under `title`: one line per row,
+/// one column per scalar leaf. Nested objects become `outer.inner` columns
+/// (a row that is itself an array, like a tuple, is keyed by index), arrays
+/// of scalars are joined with spaces and arrays of objects show their
+/// length. Text and boolean columns come first; the rest are in name order.
+pub fn print_rows(title: &str, json: &str) {
     println!("\n== {title} ==");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+    let Ok(Value::Array(rows)) = serde_json::from_str(json) else {
+        return println!("(not a JSON array of rows)");
+    };
+    let rows: Vec<Vec<Leaf>> = rows.iter().map(|r| flatten(r, "")).collect();
+    let mut columns: Vec<(&str, bool)> = Vec::new();
+    for (path, _, label) in rows.iter().flatten() {
+        if !columns.iter().any(|(c, _)| c == path) {
+            columns.push((path, *label));
         }
     }
-    let fmt_row = |cells: &[String]| {
-        cells
+    columns.sort_by_key(|(_, label)| !label);
+    let header: Vec<String> = columns.iter().map(|(c, _)| c.to_string()).collect();
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| {
+            let text = |c: &str| row.iter().find(|(p, ..)| p == c).map(|(_, t, _)| t.clone());
+            header.iter().map(|c| text(c).unwrap_or_default()).collect()
+        })
+        .collect();
+    let widths: Vec<usize> = (0..header.len())
+        .map(|i| {
+            cells
+                .iter()
+                .map(|r| r[i].len())
+                .fold(header[i].len(), usize::max)
+        })
+        .collect();
+    let line = |cells: &[String]| {
+        let padded: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(c, w)| format!("{c:>w$}"))
+            .collect();
+        println!("{}", padded.join("  "));
+    };
+    line(&header);
+    println!("{}", "-".repeat(widths.iter().map(|w| w + 2).sum()));
+    for row in &cells {
+        line(row);
+    }
+}
+
+/// A scalar leaf of a row: its dotted path, its cell text, and whether it
+/// labels the row (a string or a boolean) rather than measuring it.
+type Leaf = (String, String, bool);
+
+/// The leaves of `value`, keyed by their path under `prefix`.
+fn flatten(value: &Value, prefix: &str) -> Vec<Leaf> {
+    let path = |key: String| match prefix {
+        "" => key,
+        _ => format!("{prefix}.{key}"),
+    };
+    let children: Vec<(String, &Value)> = match value {
+        Value::Object(fields) => fields.iter().map(|(k, v)| (path(k.clone()), v)).collect(),
+        Value::Array(items) if prefix.is_empty() => items
             .iter()
             .enumerate()
-            .map(|(i, c)| format!("{:>width$}", c, width = widths.get(i).copied().unwrap_or(8)))
-            .collect::<Vec<_>>()
-            .join("  ")
+            .map(|(i, v)| (i.to_string(), v))
+            .collect(),
+        Value::Array(items) => {
+            let text = if items
+                .iter()
+                .any(|v| matches!(v, Value::Object(_) | Value::Array(_)))
+            {
+                format!("[{}]", items.len())
+            } else {
+                items.iter().map(cell).collect::<Vec<_>>().join(" ")
+            };
+            return vec![(prefix.to_string(), text, false)];
+        }
+        scalar => {
+            let label = matches!(scalar, Value::String(_) | Value::Bool(_));
+            return vec![(prefix.to_string(), cell(scalar), label)];
+        }
     };
-    println!(
-        "{}",
-        fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
-    );
-    for row in rows {
-        println!("{}", fmt_row(row));
-    }
+    children
+        .into_iter()
+        .flat_map(|(k, v)| flatten(v, &k))
+        .collect()
 }
 
-/// Serialise `value` as pretty JSON under `results/<name>.json` (relative to
-/// the workspace root when run via cargo). Errors are reported but not fatal:
-/// the printed table is the primary output.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: could not create results/: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("(results written to {})", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialise {name}: {e}"),
-    }
-}
-
-/// Serialise `value` as pretty JSON at an explicit path (the perf-trajectory
-/// files like `BENCH_throughput.json` live at the repo root, outside the
-/// gitignored `results/`, so future PRs can diff them).
-pub fn write_json_at<T: Serialize>(path: &Path, value: &T) {
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("(results written to {})", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialise {}: {e}", path.display()),
+/// One table cell: whole numbers as integers, fractions to about four
+/// significant digits.
+fn cell(value: &Value) -> String {
+    match value {
+        Value::Null => "-".to_string(),
+        Value::Bool(b) => b.to_string(),
+        Value::String(s) => s.clone(),
+        Value::Number(n) if n.fract() == 0.0 => format!("{n:.0}"),
+        Value::Number(n) if n.abs() >= 100.0 => format!("{n:.1}"),
+        Value::Number(n) if n.abs() >= 1.0 => format!("{n:.2}"),
+        Value::Number(n) => format!("{n:.4}"),
+        nested => format!("{nested:?}"),
     }
 }
 
@@ -79,30 +110,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn print_table_does_not_panic_on_ragged_rows() {
-        print_table(
-            "demo",
-            &["a", "b"],
-            &[
-                vec!["1".to_string(), "2".to_string()],
-                vec![
-                    "long-cell".to_string(),
-                    "x".to_string(),
-                    "extra".to_string(),
-                ],
-            ],
+    fn rows_flatten_into_dotted_scalar_columns() {
+        let row = serde_json::from_str(
+            r#"{"mode": "warm", "recovery": {"losers": 3, "share": 0.5},
+                "runs": [0.25, 1.0], "windows": [{"tpm": 9}]}"#,
+        )
+        .unwrap();
+        let cells: Vec<(String, String)> = flatten(&row, "")
+            .into_iter()
+            .map(|(path, text, _)| (path, text))
+            .collect();
+        let expect = [
+            ("mode", "warm"),
+            ("recovery.losers", "3"),
+            ("recovery.share", "0.5000"),
+            ("runs", "0.2500 1"),
+            ("windows", "[1]"),
+        ];
+        assert_eq!(
+            cells,
+            expect.map(|(k, v)| (k.to_string(), v.to_string())).to_vec()
         );
     }
 
     #[test]
-    fn write_json_accepts_serialisable_values() {
-        // Uses the real results/ directory; harmless and exercised rarely.
-        write_json("unit_test_output", &vec![1, 2, 3]);
-        let path = std::path::Path::new("results/unit_test_output.json");
-        if path.exists() {
-            let content = std::fs::read_to_string(path).unwrap();
-            assert!(content.contains('1'));
-            let _ = std::fs::remove_file(path);
-        }
+    fn tuple_rows_are_keyed_by_index_and_ragged_rows_print() {
+        let tuple = serde_json::from_str(r#"["read-only", 0.25, {"hits": 4}]"#).unwrap();
+        let keys: Vec<String> = flatten(&tuple, "").into_iter().map(|(k, ..)| k).collect();
+        assert_eq!(keys, ["0", "1", "2.hits"]);
+        print_rows("demo", r#"[{"a": 1}, {"b": "x", "a": 1234.5678}, 7]"#);
+        print_rows("broken", "[");
     }
 }

@@ -48,9 +48,7 @@ use face_cache::CachePolicyKind;
 use face_tpcc::{TailConfig, TailScan};
 use face_workload::{Arrival, MixConfig, ScanPlan};
 
-use crate::experiments::{env_f64, env_u64};
-
-/// Scale knobs for the tail-latency bench (`FACE_TAIL_*`).
+/// The scale of the tail-latency bench.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct TailScale {
     /// Keys pre-loaded into the table (the zipfian active set; loading
@@ -108,25 +106,6 @@ impl Default for TailScale {
 }
 
 impl TailScale {
-    /// Read the scale from `FACE_TAIL_*` environment variables.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        Self {
-            keys: env_u64("FACE_TAIL_KEYS", d.keys),
-            theta: env_f64("FACE_TAIL_THETA", d.theta).clamp(0.0, 0.999),
-            rmw_pct: env_u64("FACE_TAIL_RMW_PCT", d.rmw_pct as u64).min(100) as u32,
-            ops_per_txn: env_u64("FACE_TAIL_OPS_PER_TXN", d.ops_per_txn as u64).max(1) as u32,
-            threads: env_u64("FACE_TAIL_THREADS", d.threads as u64).max(1) as usize,
-            warmup_ms: env_u64("FACE_TAIL_WARMUP_MS", d.warmup_ms),
-            measure_ms: env_u64("FACE_TAIL_MEASURE_MS", d.measure_ms).max(100),
-            window_ms: env_u64("FACE_TAIL_WINDOW_MS", d.window_ms).max(10),
-            scan_margin_pct: env_u64("FACE_TAIL_SCAN_MARGIN_PCT", d.scan_margin_pct),
-            gap_us: env_u64("FACE_TAIL_GAP_US", d.gap_us),
-            burst_gap_us: env_u64("FACE_TAIL_BURST_GAP_US", d.burst_gap_us),
-            scan_attempts: env_u64("FACE_TAIL_SCAN_ATTEMPTS", d.scan_attempts as u64).max(1) as u32,
-        }
-    }
-
     /// A tiny scale for unit tests of the harness itself.
     pub fn tiny() -> Self {
         Self {
@@ -187,7 +166,7 @@ pub struct TailWindowRow {
 }
 
 /// One arm of the tail-latency matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TailBenchRow {
     /// Cache policy label ("face-gsc", "s3-fifo").
     pub policy: String,
@@ -326,13 +305,6 @@ fn run_tail_arm(
     seed: u64,
 ) -> TailBenchRow {
     let threads = scale.threads.clamp(1, scale.keys.max(1) as usize);
-    if threads != scale.threads {
-        eprintln!(
-            "bench_tail_latency: clamping {} threads to {threads} \
-             ({} keys — raise FACE_TAIL_KEYS for wider sweeps)",
-            scale.threads, scale.keys
-        );
-    }
     let db = Arc::new(
         face_engine::Database::open(tail_engine_config(scale, policy, ghost))
             .expect("in-memory open cannot fail"),

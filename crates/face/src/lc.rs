@@ -386,11 +386,14 @@ impl FlashCache for LcCache {
     }
 
     fn drain_dirty_for_checkpoint(&mut self, io: &mut IoLog) -> DeviceResult<Vec<StagedPage>> {
+        // Coldest first, in victim order: walking the hash map instead would
+        // change the disk write order (and the simulated seek times) from
+        // run to run.
         let dirty_pages: Vec<PageId> = self
-            .map
+            .victim_order
             .iter()
-            .filter(|(_, m)| m.dirty)
-            .map(|(p, _)| *p)
+            .map(|&(_, _, p)| p)
+            .filter(|p| self.map[p].dirty)
             .collect();
         let mut out: Vec<StagedPage> = Vec::with_capacity(dirty_pages.len());
         for page in dirty_pages {

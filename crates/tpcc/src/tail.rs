@@ -106,8 +106,7 @@ pub struct TailReport {
     /// `(first, last)` inclusive — present for single-burst arrivals.
     pub burst_windows: Option<(usize, usize)>,
     /// Transactions that committed after the nominal run end and were
-    /// clamped into the last window (logged by the bench gate, like
-    /// `fig4_concurrent` logs clamped thread counts).
+    /// clamped into the last window (logged by the bench gate).
     pub clamped_txns: u64,
     /// Wall time from first spawn to last join.
     pub wall: Duration,

@@ -12,7 +12,7 @@
 //! at `2^-SUB_BITS` (~3 % for `SUB_BITS = 5`) across the full `u64` range.
 //! Percentiles report the *inclusive upper bound* of the bucket they land in,
 //! which keeps reported quantiles monotone (p50 ≤ p95 ≤ p99 ≤ p999) by
-//! construction — the property `bench_schema_check` asserts on committed
+//! construction — the property the `face-bench schema` suite asserts on committed
 //! benchmark JSON.
 
 /// Sub-bucket resolution: each octave is split into `2^SUB_BITS` buckets.

@@ -1,7 +1,7 @@
 //! Qualitative checks of the paper's headline claims on the simulated
 //! testbed, at a deliberately small scale so they run in an ordinary
 //! `cargo test`. The full-scale numbers live in EXPERIMENTS.md and are
-//! produced by the `face-bench` binaries.
+//! produced by the `face-bench` suites.
 
 use face_bench::experiments::{run_tpcc, ExperimentScale, SystemSetup};
 use face_cache::CachePolicyKind;
