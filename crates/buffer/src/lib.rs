@@ -14,7 +14,8 @@
 //! The crate provides:
 //! * [`LruList`] — the recency list used for DRAM replacement (the paper uses
 //!   PostgreSQL's buffer replacement; LRU is the reference policy its
-//!   analysis assumes).
+//!   analysis assumes), and the FIFO queues of the pool's lock-light
+//!   S3-FIFO replacement.
 //! * [`BufferPool`] — a data-carrying pool over any [`LowerTier`], used by the
 //!   functional engine, the examples and the recovery tests.
 //! * [`BufferSim`] — a metadata-only twin of the pool (same replacement and

@@ -11,12 +11,28 @@
 //!   evictions and updates serialize here.
 //!
 //! With [`BufferPool::lock_light_reads`] enabled, a read **hit** is a shared
-//! map lookup, a shared page latch and an atomic reference-bit touch — no
-//! exclusive lock anywhere. Replacement switches from strict LRU to a
-//! second-chance sweep over those reference bits (a clock approximation of
-//! LRU, as in the paper's host system). Without the flag every lookup takes
-//! the structural mutex and maintains exact LRU order, which several tests
-//! pin down.
+//! map lookup, a shared page latch and one relaxed store to the frame's
+//! access frequency — no exclusive lock anywhere. Replacement switches from
+//! strict LRU to per-shard **S3-FIFO** (Yang et al., SOSP 2023) with its
+//! published constants:
+//!
+//! * a newcomer enters a small FIFO of 10 % of the shard's frames (at least
+//!   one). At its tail, a frame hit at least twice since it arrived moves to
+//!   the main FIFO; any other frame is evicted and its id is remembered in a
+//!   ghost list (ids only, at most the shard's capacity);
+//! * a miss on a remembered id enters the main FIFO directly;
+//! * at the main FIFO's tail, a frame with a non-zero frequency is
+//!   reinserted at the head with one count less, and a frame at zero is
+//!   evicted;
+//! * the frequency is two bits, saturating at 3.
+//!
+//! So a page touched once leaves first and never displaces one that is
+//! being re-read. The sweep never waits for a page latch: a candidate whose
+//! latch is busy (a frame still loading, or one being read this instant) is
+//! rotated, and the sweep moves on to the other queue. Only when every
+//! resident frame is busy does it wait, as the exact-LRU evictor always
+//! does. Without the flag every lookup takes the structural mutex and
+//! maintains exact LRU order, which several tests pin down.
 //!
 //! The structural mutex covers lookups, replacement and the eviction
 //! write-back; it is **never held across a lower-tier fetch** and never
@@ -43,7 +59,7 @@
 //! the pool except through that pull, so `shard → tier-internals` stays
 //! acyclic.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use face_analysis::classes::{BUFFER_MAP, BUFFER_STRUCTURAL, PAGE_LATCH};
@@ -54,9 +70,9 @@ use crate::flags::{AtomicFrameFlags, FrameFlags};
 use crate::lru::LruList;
 use crate::tier::{FetchSource, LowerTier, TierResult, VictimPull, WriteBackReason};
 
-/// How many LRU-tail frames a shard is probed for when the lower tier pulls
-/// extra dirty victims (Group Second Chance batch top-up). Bounds the time
-/// spent under an opportunistically `try_lock`ed shard.
+/// How many of a shard's next eviction candidates are probed when the lower
+/// tier pulls extra dirty victims (Group Second Chance batch top-up). Bounds
+/// the time spent under an opportunistically `try_lock`ed shard.
 const VICTIM_PROBE_DEPTH: usize = 8;
 
 /// Default shard count for pools that do not specify one.
@@ -86,8 +102,9 @@ pub struct BufferStats {
     /// lookup. Lookups hold no lock across the latch wait, so every hit
     /// revalidates.
     pub read_retries: u64,
-    /// Eviction candidates spared by the second-chance sweep because their
-    /// reference bit was set (lock-light mode only).
+    /// Eviction candidates S3-FIFO kept because they had been hit: frames
+    /// promoted from the small queue to the main queue, plus main-queue
+    /// frames reinserted with one count less (lock-light mode only).
     pub ref_rescues: u64,
 }
 
@@ -165,35 +182,114 @@ struct FrameCell {
     /// consistent with apply order).
     page: OrderedRwLock<Page>,
     flags: AtomicFrameFlags,
-    /// Reference bit for the second-chance sweep: set by hits, cleared (one
-    /// rescue each) by the evictor.
-    referenced: AtomicBool,
+    /// S3-FIFO access frequency, `0..=MAX_FREQ` (lock-light mode only):
+    /// raised by hits with a plain relaxed store — two racing hits may count
+    /// once, and neither takes a lock — and spent by the evictor.
+    freq: AtomicU8,
     /// Flipped by the evictor under the page latch; an optimistic reader
     /// that sees it set lost the race and retries its lookup.
     evicted: AtomicBool,
 }
+
+/// Where a frame's access frequency saturates (two bits).
+const MAX_FREQ: u8 = 3;
 
 impl FrameCell {
     fn new(page: Page, flags: FrameFlags) -> Self {
         Self {
             page: OrderedRwLock::new(PAGE_LATCH, page),
             flags: AtomicFrameFlags::new(flags),
-            referenced: AtomicBool::new(false),
+            freq: AtomicU8::new(0),
             evicted: AtomicBool::new(false),
         }
     }
+
+    fn freq(&self) -> u8 {
+        self.freq.load(Ordering::Relaxed)
+    }
+
+    /// Whether nobody holds the page latch right now: a probe that never
+    /// waits (a frame still loading holds it exclusively).
+    fn latch_free(&self) -> bool {
+        self.page.try_write().is_some()
+    }
 }
 
-/// Replacement state of one shard, behind the structural mutex.
+/// A shard's id-to-frame mapping.
+type FrameMap = IdHashMap<PageId, Arc<FrameCell>>;
+
+/// Replacement state of one shard, behind the structural mutex. Exclusive
+/// mode keeps every frame in `main`, in exact LRU order; lock-light mode
+/// runs S3-FIFO over all three lists (see the module docs).
 struct ShardCore {
-    lru: LruList<PageId>,
+    /// S3-FIFO's small FIFO of newcomers (empty in exclusive mode).
+    small: LruList<PageId>,
+    /// S3-FIFO's main FIFO, or the exact LRU list in exclusive mode.
+    main: LruList<PageId>,
+    /// Ids S3-FIFO recently evicted from `small`, without their pages (empty
+    /// in exclusive mode).
+    ghost: LruList<PageId>,
+}
+
+impl ShardCore {
+    fn with_capacity(capacity: usize) -> Self {
+        Self {
+            small: LruList::with_capacity(capacity / 10 + 1),
+            main: LruList::with_capacity(capacity),
+            ghost: LruList::with_capacity(capacity),
+        }
+    }
+
+    /// Queue a newly mapped frame: into `main` in exclusive mode or when
+    /// S3-FIFO remembers the id, into `small` otherwise.
+    fn admit(&mut self, id: PageId, s3fifo: bool) {
+        if !s3fifo || self.ghost.remove(&id) {
+            self.main.insert_mru(id);
+        } else {
+            self.small.insert_mru(id);
+        }
+    }
+
+    /// Unqueue a frame that leaves the pool. Returns whether it was in
+    /// `small`.
+    fn remove(&mut self, id: &PageId) -> bool {
+        let in_small = self.small.remove(id);
+        if !in_small {
+            self.main.remove(id);
+        }
+        in_small
+    }
+
+    /// Remember an id evicted from `small`, forgetting the oldest beyond the
+    /// shard's `capacity`.
+    fn remember(&mut self, id: PageId, capacity: usize) {
+        if self.ghost.len() >= capacity {
+            self.ghost.pop_lru();
+        }
+        self.ghost.insert_mru(id);
+    }
+
+    /// Resident ids, the next eviction candidates first.
+    fn coldest_first(&self) -> impl Iterator<Item = &PageId> {
+        self.small
+            .iter_lru_to_mru()
+            .chain(self.main.iter_lru_to_mru())
+    }
+
+    fn clear(&mut self) {
+        self.small.clear();
+        self.main.clear();
+        self.ghost.clear();
+    }
 }
 
 /// One lock-striped slice of the pool.
 struct Shard {
     capacity: usize,
+    /// S3-FIFO's target for the small queue: 10 % of `capacity`, at least 1.
+    small_capacity: usize,
     /// The read-optimized mapping; see the module docs for the lock order.
-    map: OrderedRwLock<IdHashMap<PageId, Arc<FrameCell>>>,
+    map: OrderedRwLock<FrameMap>,
     core: OrderedMutex<ShardCore>,
 }
 
@@ -236,16 +332,12 @@ impl<L: LowerTier> BufferPool<L> {
                 let cap = base + usize::from(i < rem);
                 Shard {
                     capacity: cap,
+                    small_capacity: (cap / 10).max(1),
                     map: OrderedRwLock::new(
                         BUFFER_MAP,
                         IdHashMap::with_capacity_and_hasher(cap, Default::default()),
                     ),
-                    core: OrderedMutex::new(
-                        BUFFER_STRUCTURAL,
-                        ShardCore {
-                            lru: LruList::with_capacity(cap),
-                        },
-                    ),
+                    core: OrderedMutex::new(BUFFER_STRUCTURAL, ShardCore::with_capacity(cap)),
                 }
             })
             .collect();
@@ -260,10 +352,10 @@ impl<L: LowerTier> BufferPool<L> {
     }
 
     /// Builder-style switch for the lock-light read path: hits become a
-    /// shared map lookup + shared page latch + atomic reference-bit touch,
-    /// and replacement becomes a second-chance sweep over those bits. Off
-    /// (the default), every access takes the structural mutex and maintains
-    /// exact LRU order.
+    /// shared map lookup + shared page latch + one relaxed store to the
+    /// frame's access frequency, and replacement becomes S3-FIFO over those
+    /// frequencies (see the module docs). Off (the default), every access
+    /// takes the structural mutex and maintains exact LRU order.
     pub fn lock_light_reads(mut self, on: bool) -> Self {
         self.lock_light = on;
         self
@@ -340,8 +432,8 @@ impl<L: LowerTier> BufferPool<L> {
     /// passes a shared reference to `f`.
     ///
     /// `f` runs under the page latch only. In lock-light mode a hit takes no
-    /// exclusive lock at all (shared mapping lock, shared latch, reference
-    /// bit); otherwise the lookup goes through the shard's structural mutex,
+    /// exclusive lock at all (shared mapping lock, shared latch, frequency
+    /// store); otherwise the lookup goes through the shard's structural mutex,
     /// which is released before the latch is taken.
     pub fn read<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> TierResult<R> {
         self.stats.accesses.inc();
@@ -442,7 +534,7 @@ impl<L: LowerTier> BufferPool<L> {
             .map
             .write()
             .insert(id, Arc::new(FrameCell::new(Page::new(id), flags)));
-        core.lru.insert_mru(id);
+        core.admit(id, self.lock_light);
         self.resident.inc();
         Ok(id)
     }
@@ -454,7 +546,8 @@ impl<L: LowerTier> BufferPool<L> {
     /// With one shard this is the exact global LRU victim; with several it is
     /// the LRU victim of the most loaded stripe — the hook Group Second
     /// Chance uses to "pull pages from the LRU tail of the DRAM buffer"
-    /// (paper §3.3) only needs *a* cold dirty page, not *the* coldest.
+    /// (paper §3.3) only needs *a* cold dirty page, not *the* coldest. In
+    /// lock-light mode the victim is S3-FIFO's.
     pub fn evict_lru_frame(&self) -> TierResult<Option<PageId>> {
         let fullest = self
             .shards
@@ -467,14 +560,21 @@ impl<L: LowerTier> BufferPool<L> {
         self.evict_from(fullest, &mut core)
     }
 
-    /// Opportunistically remove one cold dirty frame whose id passes `wants`
-    /// and whose pageLSN is below `lsn_below` (see [`VictimPull::pull`]) from
-    /// a shard other than `exclude`, probing each shard's LRU tail at most
-    /// [`VICTIM_PROBE_DEPTH`] deep. Only `try_lock` is used on the
-    /// structural mutex, so this can run while the caller holds other locks
-    /// (it never blocks on a buffer shard); shards currently contended are
-    /// simply skipped. Returns the frame's page and flags; the frame leaves
-    /// the pool.
+    /// Opportunistically remove one cold frame whose flash copy is stale
+    /// (`fdirty`), whose id passes `wants` and whose pageLSN is below
+    /// `lsn_below` (see [`VictimPull::pull`]) from a shard other than
+    /// `exclude`, probing each shard's next eviction candidates at most
+    /// [`VICTIM_PROBE_DEPTH`] deep. Cold means never hit since it arrived
+    /// or since the evictor last spent its frequency: a frame that is being
+    /// re-read stays, whatever its position. A frame only `dirty` (newer
+    /// than disk, but its flash copy is current) stays too: the cache would
+    /// skip it as a duplicate, so pulling it would only cost a DRAM miss.
+    ///
+    /// Only `try_lock` is used on the structural mutex, so this can run
+    /// while the caller holds other locks (it never blocks on a buffer
+    /// shard); shards currently contended are simply skipped. Returns the
+    /// frame's page and flags; the frame leaves the pool, and a frame pulled
+    /// from S3-FIFO's small queue is remembered as if evicted from it.
     fn pull_dirty_victim(
         &self,
         exclude: usize,
@@ -498,8 +598,7 @@ impl<L: LowerTier> BufferPool<L> {
             };
             let candidate = {
                 let map = shard.map.read();
-                core.lru
-                    .iter_lru_to_mru()
+                core.coldest_first()
                     .take(VICTIM_PROBE_DEPTH)
                     .copied()
                     .find(|id| {
@@ -510,7 +609,8 @@ impl<L: LowerTier> BufferPool<L> {
                         // would be waiting under the caller's cache shard lock.
                         wants(*id)
                             && map.get(id).is_some_and(|c| {
-                                c.flags.load().dirty
+                                c.freq() == 0
+                                    && c.flags.load().fdirty
                                     && c.page
                                         .try_read()
                                         .is_some_and(|p| lsn_below.is_none_or(|b| p.lsn() < b))
@@ -523,7 +623,9 @@ impl<L: LowerTier> BufferPool<L> {
                     .write()
                     .remove(&id)
                     .expect("candidate is resident");
-                core.lru.remove(&id);
+                if core.remove(&id) {
+                    core.remember(id, shard.capacity);
+                }
                 let page = cell.page.write();
                 cell.evicted.store(true, Ordering::Release);
                 self.resident.sub(1);
@@ -596,25 +698,20 @@ impl<L: LowerTier> BufferPool<L> {
                 cell.evicted.store(true, Ordering::Release);
             }
             map.clear();
-            core.lru.clear();
+            core.clear();
         }
         self.resident.set(0);
     }
 
     /// The resident pages from least- to most-recently used within each
     /// shard, concatenated in shard order (for inspection and tests; exact
-    /// global order only with one shard and the exclusive read path).
+    /// global order only with one shard and the exclusive read path). In
+    /// lock-light mode each shard lists its small queue, then its main
+    /// queue, each from tail to head.
     pub fn resident_lru_order(&self) -> Vec<PageId> {
         self.shards
             .iter()
-            .flat_map(|s| {
-                s.core
-                    .lock()
-                    .lru
-                    .iter_lru_to_mru()
-                    .copied()
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|s| s.core.lock().coldest_first().copied().collect::<Vec<_>>())
             .collect()
     }
 
@@ -631,7 +728,7 @@ impl<L: LowerTier> BufferPool<L> {
             return None;
         }
         if !self.lock_light {
-            core.lru.touch(&id);
+            core.main.touch(&id);
         }
         Some(cell)
     }
@@ -640,7 +737,10 @@ impl<L: LowerTier> BufferPool<L> {
     fn note_hit(&self, cell: &FrameCell) {
         self.stats.hits.inc();
         if self.lock_light {
-            cell.referenced.store(true, Ordering::Relaxed);
+            let freq = cell.freq();
+            if freq < MAX_FREQ {
+                cell.freq.store(freq + 1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -671,7 +771,7 @@ impl<L: LowerTier> BufferPool<L> {
             map.insert(id, Arc::clone(&cell));
             cell.page.write()
         };
-        core.lru.insert_mru(id);
+        core.admit(id, self.lock_light);
         self.resident.inc();
         drop(core);
         let outcome = match self.lower.fetch(id, &mut page) {
@@ -701,7 +801,7 @@ impl<L: LowerTier> BufferPool<L> {
         Ok(run(&cell, &mut page))
     }
 
-    /// Take `cell` out of the map, the LRU list and the resident count — if
+    /// Take `cell` out of the map, its queue and the resident count — if
     /// it is still the frame mapped for `id`. An evictor may have unmapped it
     /// already, and a later miss may have mapped a new frame under the same
     /// id; neither may be disturbed.
@@ -709,7 +809,7 @@ impl<L: LowerTier> BufferPool<L> {
         let mut map = shard.map.write();
         if map.get(&id).is_some_and(|mapped| Arc::ptr_eq(mapped, cell)) {
             map.remove(&id);
-            core.lru.remove(&id);
+            core.remove(&id);
             self.resident.sub(1);
         }
     }
@@ -723,39 +823,24 @@ impl<L: LowerTier> BufferPool<L> {
 
     fn evict_from(&self, sidx: usize, core: &mut ShardCore) -> TierResult<Option<PageId>> {
         let shard = &self.shards[sidx];
-        // Pick the victim. In lock-light mode the LRU tail is only an
-        // admission order, so sweep it with second chances for frames whose
-        // reference bit readers set; bound the sweep to one full rotation so
-        // hammered shards still make progress.
-        let mut sweep = core.lru.len();
-        let victim = loop {
-            let Some(candidate) = core.lru.pop_lru() else {
+        let (victim, cell) = {
+            let mut map = shard.map.write();
+            let victim = if self.lock_light {
+                self.s3fifo_victim(shard, core, &map)
+            } else {
+                core.main.pop_lru()
+            };
+            let Some(victim) = victim else {
                 return Ok(None);
             };
-            if self.lock_light && sweep > 0 {
-                let referenced = shard
-                    .map
-                    .read()
-                    .get(&candidate)
-                    .is_some_and(|c| c.referenced.swap(false, Ordering::Relaxed));
-                if referenced {
-                    core.lru.insert_mru(candidate);
-                    self.stats.ref_rescues.inc();
-                    sweep -= 1;
-                    continue;
-                }
-            }
-            break candidate;
+            let cell = map.remove(&victim).expect("queues and map in sync");
+            (victim, cell)
         };
-        let cell = shard
-            .map
-            .write()
-            .remove(&victim)
-            .expect("lru and map in sync");
         // The exclusive latch waits out in-flight accesses — a frame still
         // loading included, so what is written back below is what its fetch
-        // brought in. `evicted` then turns away everyone who already holds
-        // the cell.
+        // brought in. (S3-FIFO picked a frame whose latch was free, unless
+        // every frame of the shard was busy.) `evicted` then turns away
+        // everyone who already holds the cell.
         let page = cell.page.write();
         self.resident.sub(1);
         if cell.evicted.swap(true, Ordering::AcqRel) {
@@ -784,6 +869,74 @@ impl<L: LowerTier> BufferPool<L> {
         )?;
         Ok(Some(victim))
     }
+
+    /// S3-FIFO's next victim in `shard`, taken off its queue: from the small
+    /// queue while it holds its share of the frames (or the main queue is
+    /// empty), from the main queue otherwise, and from the other queue when
+    /// the first finds only busy frames. If every frame is busy, the small
+    /// queue's tail (else the main queue's) is returned anyway and the
+    /// caller waits for its latch.
+    fn s3fifo_victim(&self, shard: &Shard, core: &mut ShardCore, map: &FrameMap) -> Option<PageId> {
+        let victim = if core.small.len() >= shard.small_capacity || core.main.is_empty() {
+            self.sweep_small(shard, core, map)
+                .or_else(|| self.sweep_main(core, map))
+        } else {
+            self.sweep_main(core, map)
+                .or_else(|| self.sweep_small(shard, core, map))
+        };
+        victim.or_else(|| core.small.pop_lru().or_else(|| core.main.pop_lru()))
+    }
+
+    /// Evict from S3-FIFO's small queue. Its tail moves to the main queue if
+    /// it was hit at least twice since it arrived; otherwise it is the victim
+    /// and its id goes to the ghost list. A tail whose latch is busy is
+    /// rotated to the head; `None` once every frame left in the queue has
+    /// been found busy (or the queue is empty).
+    fn sweep_small(&self, shard: &Shard, core: &mut ShardCore, map: &FrameMap) -> Option<PageId> {
+        let mut busy = 0;
+        while busy < core.small.len() {
+            let id = core.small.pop_lru()?;
+            let cell = &map[&id];
+            if cell.freq() > 1 {
+                core.main.insert_mru(id);
+                self.stats.ref_rescues.inc();
+            } else if cell.latch_free() {
+                core.remember(id, shard.capacity);
+                return Some(id);
+            } else {
+                core.small.insert_mru(id);
+                busy += 1;
+            }
+        }
+        None
+    }
+
+    /// Evict from S3-FIFO's main queue. A tail with a non-zero frequency is
+    /// reinserted at the head with one count less; the first at zero is the
+    /// victim. Busy tails rotate as in [`BufferPool::sweep_small`].
+    /// Reinsertions stop after `MAX_FREQ + 1` passes' worth, so readers that
+    /// keep hitting every frame cannot stall the evictor.
+    fn sweep_main(&self, core: &mut ShardCore, map: &FrameMap) -> Option<PageId> {
+        let mut busy = 0;
+        let mut reinsertions = (usize::from(MAX_FREQ) + 1) * core.main.len();
+        while busy < core.main.len() {
+            let id = core.main.pop_lru()?;
+            let cell = &map[&id];
+            let freq = cell.freq();
+            if freq > 0 && reinsertions > 0 {
+                cell.freq.store(freq - 1, Ordering::Relaxed);
+                core.main.insert_mru(id);
+                reinsertions -= 1;
+                self.stats.ref_rescues.inc();
+            } else if cell.latch_free() {
+                return Some(id);
+            } else {
+                core.main.insert_mru(id);
+                busy += 1;
+            }
+        }
+        None
+    }
 }
 
 /// The pool's [`VictimPull`] implementation handed to the lower tier during
@@ -806,7 +959,7 @@ impl<L: LowerTier> VictimPull for PoolVictims<'_, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tier::DirectDiskTier;
+    use crate::tier::{DirectDiskTier, WriteBackOutcome};
     use face_pagestore::{InMemoryPageStore, PageStore};
     use std::sync::Arc;
 
@@ -1041,19 +1194,112 @@ mod tests {
     }
 
     #[test]
-    fn second_chance_spares_referenced_frames() {
-        // Capacity 2, one shard, lock-light: hits do not reorder the LRU
-        // list, but the reference bit must rescue the hot page from
-        // eviction (the clock sweep standing in for recency).
-        let (pool, _) = lock_light_pool(2, 1);
+    fn the_small_queue_promotes_a_page_hit_twice_and_evicts_a_page_hit_once() {
+        // Capacity 3, one shard, lock-light: a small queue of one frame, so
+        // every newcomer is judged at its tail. `a` and `b` arrived before
+        // `c`; `a` was hit twice, `b` once, `c` not at all.
+        let (pool, _) = lock_light_pool(3, 1);
         let a = pool.allocate_page(0).unwrap();
         let b = pool.allocate_page(0).unwrap();
-        pool.read(a, |_| ()).unwrap(); // sets a's reference bit
         let c = pool.allocate_page(0).unwrap();
-        assert!(pool.contains(a), "referenced frame was evicted");
-        assert!(!pool.contains(b), "unreferenced frame should have gone");
-        assert!(pool.contains(c));
-        assert!(pool.stats().ref_rescues > 0);
+        pool.read(a, |_| ()).unwrap();
+        pool.read(a, |_| ()).unwrap();
+        pool.read(b, |_| ()).unwrap();
+        let d = pool.allocate_page(0).unwrap();
+        // `a` moved to the main queue; `b`, next at the tail, left.
+        assert!(!pool.contains(b), "a page hit once should have gone");
+        assert_eq!(pool.resident_lru_order(), [c, d, a]);
+        let stats = pool.stats();
+        assert_eq!((stats.evictions, stats.ref_rescues), (1, 1));
+    }
+
+    #[test]
+    fn a_page_touched_once_cannot_evict_a_page_hit_twice() {
+        // Ten frames, one shard: nine pages hit twice, then a stream of
+        // twenty pages touched once (allocation is their only access).
+        let (pool, _) = lock_light_pool(10, 1);
+        let hot: Vec<PageId> = (0..9).map(|_| pool.allocate_page(0).unwrap()).collect();
+        for id in &hot {
+            pool.read(*id, |_| ()).unwrap();
+            pool.read(*id, |_| ()).unwrap();
+        }
+        let cold: Vec<PageId> = (0..21).map(|_| pool.allocate_page(0).unwrap()).collect();
+        // The first eviction promoted the nine hot pages and took the cold
+        // page behind them; every later one took the previous cold page.
+        for id in &hot {
+            assert!(pool.contains(*id), "hot page {id} was evicted");
+        }
+        assert_eq!(pool.resident_lru_order()[0], cold[20]);
+        let stats = pool.stats();
+        assert_eq!(stats.hits, 18);
+        assert_eq!(stats.misses, 0);
+        assert_eq!(stats.evictions, 20);
+        assert_eq!(stats.ref_rescues, 9);
+    }
+
+    #[test]
+    fn a_ghost_hit_re_enters_the_main_queue() {
+        let (pool, _) = lock_light_pool(10, 1);
+        let pages: Vec<PageId> = (0..11).map(|_| pool.allocate_page(0).unwrap()).collect();
+        // The eleventh allocation evicted the first page, touched once, and
+        // remembered its id.
+        assert!(!pool.contains(pages[0]));
+        // A miss on a remembered id skips the small queue.
+        pool.read(pages[0], |_| ()).unwrap();
+        assert_eq!(pool.resident_lru_order().last(), Some(&pages[0]));
+        // So a stream of one-touch pages, which only ever cycles the small
+        // queue, passes it by although it is never hit again.
+        for _ in 0..30 {
+            pool.allocate_page(0).unwrap();
+        }
+        assert!(pool.contains(pages[0]), "the ghost hit was evicted");
+        let stats = pool.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 0));
+        assert_eq!(stats.evictions, 1 + 1 + 30);
+        assert_eq!(stats.ref_rescues, 0);
+    }
+
+    #[test]
+    fn hits_and_misses_account_for_every_access_under_concurrent_load() {
+        const THREADS: u64 = 4;
+        const OPS: u64 = 2_000;
+        let (pool, _) = lock_light_pool(16, 4);
+        let ids: Vec<PageId> = (0..64).map(|_| pool.allocate_page(0).unwrap()).collect();
+        let allocated_and_resident = pool.len() as u64;
+        pool.reset_stats();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (pool, ids) = (&pool, &ids);
+                s.spawn(move || {
+                    // A skewed stream: half the accesses go to eight pages.
+                    let mut x = t + 1;
+                    for i in 0..OPS {
+                        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        let pick = (x >> 33) as usize;
+                        let idx = if i % 2 == 0 {
+                            pick % 8
+                        } else {
+                            pick % ids.len()
+                        };
+                        // Each thread updates only pages it owns.
+                        if idx as u64 % THREADS == t && i % 5 == 0 {
+                            pool.update(ids[idx], Lsn(i + 1), |_| ()).unwrap();
+                        } else {
+                            pool.read(ids[idx], |_| ()).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        let stats = pool.stats();
+        assert_eq!(stats.accesses, THREADS * OPS);
+        assert_eq!(stats.hits + stats.misses, stats.accesses);
+        // Every miss mapped a frame and every eviction unmapped one.
+        assert_eq!(
+            pool.len() as u64,
+            allocated_and_resident + stats.misses - stats.evictions
+        );
+        assert!(stats.hits > 0 && stats.misses > 0);
     }
 
     #[test]
@@ -1143,57 +1389,72 @@ mod tests {
         assert_eq!(stats.accesses, 8 * 50 * 32 + 32);
     }
 
+    /// A tier that pulls every victim it is offered when it absorbs an
+    /// eviction, recording each with its flags. A checkpoint leaves the copy
+    /// in "flash" only, as FaCE does: the frame stays dirty, not fdirty.
+    struct PullingTier {
+        inner: DirectDiskTier,
+        pulled: std::sync::Mutex<Vec<(PageId, bool, bool)>>,
+    }
+
+    impl PullingTier {
+        fn new(store: &Arc<InMemoryPageStore>) -> Self {
+            Self {
+                inner: DirectDiskTier::new(store.clone() as Arc<dyn PageStore>),
+                pulled: Default::default(),
+            }
+        }
+
+        fn pulled(&self) -> Vec<(PageId, bool, bool)> {
+            self.pulled.lock().unwrap().clone()
+        }
+    }
+
+    impl LowerTier for PullingTier {
+        fn fetch(&self, id: PageId, buf: &mut Page) -> TierResult<crate::tier::FetchOutcome> {
+            self.inner.fetch(id, buf)
+        }
+        fn write_back(
+            &self,
+            page: &Page,
+            dirty: bool,
+            fdirty: bool,
+            reason: WriteBackReason,
+        ) -> TierResult<WriteBackOutcome> {
+            if reason == WriteBackReason::Checkpoint {
+                return Ok(WriteBackOutcome {
+                    in_flash: true,
+                    on_disk: false,
+                });
+            }
+            self.inner.write_back(page, dirty, fdirty, reason)
+        }
+        fn write_back_with(
+            &self,
+            page: &Page,
+            dirty: bool,
+            fdirty: bool,
+            reason: WriteBackReason,
+            victims: &mut dyn VictimPull,
+        ) -> TierResult<WriteBackOutcome> {
+            while let Some((extra, d, f)) = victims.pull(&|_| true, None) {
+                self.pulled.lock().unwrap().push((extra.id(), d, f));
+                self.inner.write_back(&extra, d, f, reason)?;
+            }
+            self.inner.write_back(page, dirty, fdirty, reason)
+        }
+        fn allocate(&self, file: u32) -> TierResult<PageId> {
+            self.inner.allocate(file)
+        }
+        fn sync(&self) -> TierResult<()> {
+            self.inner.sync()
+        }
+    }
+
     #[test]
     fn eviction_offers_dirty_victims_from_other_shards() {
-        use crate::tier::{LowerTier, VictimPull, WriteBackOutcome};
-        use std::sync::Mutex as StdMutex;
-
-        /// A tier that pulls every dirty victim it is offered, recording them.
-        struct PullingTier {
-            inner: DirectDiskTier,
-            pulled: StdMutex<Vec<PageId>>,
-        }
-        impl LowerTier for PullingTier {
-            fn fetch(&self, id: PageId, buf: &mut Page) -> TierResult<crate::tier::FetchOutcome> {
-                self.inner.fetch(id, buf)
-            }
-            fn write_back(
-                &self,
-                page: &Page,
-                dirty: bool,
-                fdirty: bool,
-                reason: WriteBackReason,
-            ) -> TierResult<WriteBackOutcome> {
-                self.inner.write_back(page, dirty, fdirty, reason)
-            }
-            fn write_back_with(
-                &self,
-                page: &Page,
-                dirty: bool,
-                fdirty: bool,
-                reason: WriteBackReason,
-                victims: &mut dyn VictimPull,
-            ) -> TierResult<WriteBackOutcome> {
-                while let Some((extra, d, f)) = victims.pull(&|_| true, None) {
-                    self.pulled.lock().unwrap().push(extra.id());
-                    self.inner.write_back(&extra, d, f, reason)?;
-                }
-                self.inner.write_back(page, dirty, fdirty, reason)
-            }
-            fn allocate(&self, file: u32) -> TierResult<PageId> {
-                self.inner.allocate(file)
-            }
-            fn sync(&self) -> TierResult<()> {
-                self.inner.sync()
-            }
-        }
-
         let store = Arc::new(InMemoryPageStore::new());
-        let tier = PullingTier {
-            inner: DirectDiskTier::new(store.clone() as Arc<dyn PageStore>),
-            pulled: StdMutex::new(Vec::new()),
-        };
-        let pool = BufferPool::with_shards(8, 4, tier);
+        let pool = BufferPool::with_shards(8, 4, PullingTier::new(&store));
         // Fill the pool with dirty pages, then overflow it: the eviction
         // offers cold dirty frames from the other shards to the tier.
         let ids: Vec<PageId> = (0..8).map(|_| pool.allocate_page(0).unwrap()).collect();
@@ -1203,16 +1464,75 @@ mod tests {
         for _ in 0..4 {
             pool.allocate_page(0).unwrap();
         }
-        let pulled = pool.lower().pulled.lock().unwrap().clone();
+        let pulled = pool.lower().pulled();
         assert!(!pulled.is_empty(), "no victims were pulled across shards");
         // Pulled frames really left the pool, and their data reached disk.
-        for id in &pulled {
+        for (id, _, _) in &pulled {
             assert!(!pool.contains(*id));
             let mut buf = Page::zeroed();
             store.read_page(*id, &mut buf).unwrap();
             assert!(buf.is_formatted(), "pulled dirty page lost");
         }
         assert!(pool.len() <= pool.capacity());
+    }
+
+    #[test]
+    fn a_pull_never_takes_a_frame_whose_flash_copy_is_current() {
+        for lock_light in [false, true] {
+            let store = Arc::new(InMemoryPageStore::new());
+            // Five pages of shard 0 and four of each other shard, on disk.
+            let mut by_shard: Vec<Vec<PageId>> = vec![Vec::new(); 4];
+            while by_shard
+                .iter()
+                .enumerate()
+                .any(|(i, s)| s.len() < 4 + usize::from(i == 0))
+            {
+                let id = store.allocate(0).unwrap();
+                by_shard[id.stripe_of(4)].push(id);
+            }
+            let pool = BufferPool::with_shards(16, 4, PullingTier::new(&store))
+                .lock_light_reads(lock_light);
+            let update = |id: PageId| pool.update(id, Lsn(1), |p| p.write_body(0, b"d")).unwrap();
+            // Per shard: a page whose flash copy is current (a checkpoint
+            // put it there: dirty, not fdirty) ...
+            by_shard.iter().for_each(|s| update(s[0]));
+            pool.flush_all_dirty().unwrap();
+            // ... one read and then updated (a hit) ...
+            for s in &by_shard {
+                pool.read(s[1], |_| ()).unwrap();
+                update(s[1]);
+            }
+            // ... and two loaded by an update (a miss), never hit since.
+            by_shard
+                .iter()
+                .for_each(|s| s[2..4].iter().for_each(|id| update(*id)));
+            assert_eq!(pool.resident_by_shard(), [4, 4, 4, 4]);
+            assert!(pool.lower().pulled().is_empty());
+
+            // A miss in shard 0 evicts there and offers the tier every frame
+            // of the other shards.
+            pool.read(by_shard[0][4], |_| ()).unwrap();
+            let pulled = pool.lower().pulled();
+            assert!(pulled.iter().all(|&(_, dirty, fdirty)| dirty && fdirty));
+            let mut got: Vec<PageId> = pulled.iter().map(|&(id, _, _)| id).collect();
+            got.sort();
+            // Exact LRU has no frequencies: every fdirty frame is cold enough.
+            // S3-FIFO leaves the frame that was hit.
+            let first = if lock_light { 2 } else { 1 };
+            let mut expected: Vec<PageId> = by_shard[1..]
+                .iter()
+                .flat_map(|s| s[first..4].iter().copied())
+                .collect();
+            expected.sort();
+            assert_eq!(got, expected, "lock-light {lock_light}");
+            for s in &by_shard[1..] {
+                assert!(
+                    pool.contains(s[0]),
+                    "a frame with a current flash copy left"
+                );
+            }
+            assert_eq!(pool.stats().evictions, 1 + expected.len() as u64);
+        }
     }
 
     /// The miss protocol: the fetch runs under the loading frame's latch, not
@@ -1383,6 +1703,41 @@ mod tests {
                 assert!(pool.len() <= pool.capacity());
                 assert_eq!(pool.len(), pool.resident_by_shard()[0]);
             }
+        }
+
+        #[test]
+        fn a_loading_frame_next_in_the_small_queue_is_skipped_not_waited_on() {
+            // Four frames: pages 8–11 resident, each hit three times; pages
+            // 4–7 in the ghost list, 0–3 forgotten.
+            let (pool, _, ids) = gated_pool(4, 12, true);
+            let (pool, tier) = (&pool, pool.lower());
+            for id in &ids[8..] {
+                first_byte(pool, *id).unwrap();
+                first_byte(pool, *id).unwrap();
+            }
+            pool.reset_stats();
+            tier.hold(ids[0]);
+            std::thread::scope(|s| {
+                // The miss promotes pages 8–11 to the main queue, spends their
+                // frequencies (twelve reinsertions) and evicts page 8; page 0
+                // is then alone in the small queue, loading.
+                let loader = s.spawn(|| first_byte(pool, ids[0]));
+                tier.wait_parked();
+                // This miss finds the small queue at its share and page 0 at
+                // its tail, busy: it rotates it and evicts page 9 instead.
+                let other = finishes(s, || first_byte(pool, ids[1]).unwrap());
+                tier.release();
+                assert_eq!(other, Some(1), "the evictor waited for the loading frame");
+                assert_eq!(loader.join().unwrap().unwrap(), 0);
+            });
+            assert_eq!(
+                pool.resident_lru_order(),
+                [ids[0], ids[1], ids[10], ids[11]]
+            );
+            let stats = pool.stats();
+            assert_eq!((stats.misses, stats.evictions), (2, 2));
+            assert_eq!(stats.ref_rescues, 4 + 12);
+            assert_eq!(tier.fetches(ids[0]), 1);
         }
 
         #[test]

@@ -75,8 +75,10 @@ pub struct EngineConfig {
     /// any cache lock.
     pub destage_queue_depth: usize,
     /// Lock-light read path (default **on**): buffer-pool read hits take
-    /// only shared locks plus an atomic reference-bit touch (replacement
-    /// becomes a second-chance sweep), and flash-cache fetches pin the
+    /// only shared locks plus one relaxed store to the frame's access
+    /// frequency (replacement becomes S3-FIFO over those frequencies, so a
+    /// page touched once leaves before a re-read one), and flash-cache
+    /// fetches pin the
     /// version under the shard lock, drop it, read the device **off-lock**
     /// and revalidate against the slot generation. Turn off for the
     /// exclusive-lock A/B baseline (`bench_read_throughput` compares both).

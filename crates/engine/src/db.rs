@@ -47,7 +47,7 @@ use std::sync::Arc;
 
 use face_analysis::classes::{DIAG, TXN_STRIPE};
 use face_analysis::OrderedMutex;
-use face_buffer::BufferPool;
+use face_buffer::{BufferPool, FetchSource};
 use face_cache::{
     CachePolicyKind, CacheRecoveryInfo, CacheStats, Counter, DegradeStats, FlashStore,
     InstrumentedFlashStore, MemFlashStore, ShardedFlashCache,
@@ -217,6 +217,12 @@ pub struct RecoveryReport {
     /// Redo updates skipped because the page already contained them
     /// (pageLSN at or above the record's LSN).
     pub redo_skipped: u64,
+    /// Redo records whose page copy is not the version its pageLSN names: a
+    /// copy carrying another page's id, or, for a record the pageLSN says is
+    /// not applied yet, one without the record's before-image. Always 0 on a
+    /// correct restart; in debug and test builds the first one fails the
+    /// restart with [`EngineError::RedoBaseMismatch`].
+    pub redo_base_mismatches: u64,
     /// Redo page fetches served by the flash cache.
     pub pages_from_flash: u64,
     /// Redo page fetches served by the disk.
@@ -846,19 +852,54 @@ impl Database {
         report.undo.losers_found = analysis.losers.len() as u64;
         report.undo.clrs_skipped = undo_plan.already_compensated;
         let before = self.pool.stats();
+        // The tier each page's current copy was read from, for a mismatch
+        // report: the pool is empty when redo starts, so every page redo
+        // touches is loaded here.
+        let mut sources: HashMap<PageId, FetchSource> = HashMap::new();
         for update in &redo.updates {
             self.consume_restart_budget()?;
-            let current_lsn = self.pool.read(update.page, |p| p.lsn())?;
-            if current_lsn >= update.lsn {
-                report.redo_skipped += 1;
-                continue;
+            let loads = self.pool.stats();
+            let (page_lsn, found) = self.pool.read(update.page, |p| (p.lsn(), p.id()))?;
+            let now = self.pool.stats();
+            if now.misses > loads.misses {
+                let source = if now.flash_hits > loads.flash_hits {
+                    FetchSource::FlashCache
+                } else {
+                    FetchSource::Disk
+                };
+                sources.insert(update.page, source);
             }
-            self.pool.update(update.page, update.lsn, |p| {
-                p.write_body(update.offset as usize, &update.data)
-            })?;
-            report.redo_applied += 1;
-            if update.clr {
-                report.undo.clrs_replayed += 1;
+            // Redo repeats history: the copy must be this page, and if it has
+            // not seen this record it must hold exactly what the record says
+            // it replaced (a CLR carries no before-image, and checks nothing).
+            let mut base_matches = found == update.page;
+            let offset = update.offset as usize;
+            if page_lsn >= update.lsn {
+                report.redo_skipped += 1;
+            } else {
+                base_matches &= self.pool.update(update.page, update.lsn, |p| {
+                    let matches = p.read_body(offset, update.before.len()) == update.before;
+                    p.write_body(offset, &update.data);
+                    matches
+                })?;
+                report.redo_applied += 1;
+                if update.clr {
+                    report.undo.clrs_replayed += 1;
+                }
+            }
+            if !base_matches {
+                report.redo_base_mismatches += 1;
+                if cfg!(any(test, debug_assertions)) {
+                    self.crash();
+                    return Err(EngineError::RedoBaseMismatch {
+                        page: update.page,
+                        found,
+                        slot: offset / table::SLOT_SIZE,
+                        page_lsn,
+                        record_lsn: update.lsn,
+                        source: sources[&update.page],
+                    });
+                }
             }
         }
         let after_redo = self.pool.stats();
@@ -1516,6 +1557,109 @@ mod tests {
         for k in 0..60u64 {
             assert!(db.get(k).unwrap().is_some());
         }
+    }
+
+    /// Two commits of key 7 and of a key on another page, each followed by
+    /// `between`, then a third commit of both that only the log holds.
+    /// Returns the database and the other page.
+    fn three_commits_of_two_pages(
+        config: EngineConfig,
+        mut between: impl FnMut(&Database),
+    ) -> (Database, PageId) {
+        let db = Database::open(config).unwrap();
+        let other = (0..).find(|k| db.bucket_of(*k) != db.bucket_of(7)).unwrap();
+        for value in [&b"first"[..], b"second", b"third"] {
+            let txn = db.begin();
+            db.put(txn, 7, value).unwrap();
+            db.put(txn, other, value).unwrap();
+            db.commit(txn).unwrap();
+            if value != b"third" {
+                between(&db);
+            }
+        }
+        let other = db.bucket_of(other);
+        (db, other)
+    }
+
+    /// What a failed restart reported: (page named, page found, its LSN,
+    /// the record's LSN, the tier).
+    fn redo_mismatch(db: &Database) -> (PageId, PageId, Lsn, Lsn, FetchSource) {
+        db.crash();
+        match db.restart() {
+            Err(EngineError::RedoBaseMismatch {
+                page,
+                found,
+                page_lsn,
+                record_lsn,
+                source,
+                ..
+            }) => {
+                assert!(db.get(7).is_err(), "the failed restart leaves it crashed");
+                (page, found, page_lsn, record_lsn, source)
+            }
+            other => panic!("restart gave {other:?}"),
+        }
+    }
+
+    #[test]
+    fn redo_names_a_stale_base_page() {
+        // No flash cache: checkpoints write the disk. Keep the first
+        // checkpoint's copy of key 7's page and put it back after the second.
+        let mut old = Page::zeroed();
+        let (db, _) = three_commits_of_two_pages(
+            EngineConfig::in_memory()
+                .buffer_frames(8)
+                .table_buckets(32)
+                .no_flash_cache(),
+            |db| {
+                db.checkpoint().unwrap();
+                if !old.is_formatted() {
+                    db.disk.read_page(db.bucket_of(7), &mut old).unwrap();
+                }
+            },
+        );
+        db.disk.write_page(db.bucket_of(7), &old).unwrap();
+        let (page, found, page_lsn, record_lsn, source) = redo_mismatch(&db);
+        assert_eq!((page, found), (db.bucket_of(7), db.bucket_of(7)));
+        assert_eq!(page_lsn, old.lsn());
+        assert!(page_lsn < record_lsn);
+        assert_eq!(source, FetchSource::Disk);
+    }
+
+    #[test]
+    fn redo_names_a_foreign_base_page() {
+        // A checkpoint puts both pages in flash; then the flash slot of key
+        // 7's page is overwritten with the other page's copy.
+        let (db, other) = three_commits_of_two_pages(
+            EngineConfig::in_memory()
+                .buffer_frames(8)
+                .table_buckets(32)
+                .destage_threads(0)
+                .flash_cache(CachePolicyKind::FaceGsc, 64),
+            |db| {
+                db.checkpoint().unwrap();
+            },
+        );
+        let target = db.bucket_of(7);
+        let newest = |id: PageId| {
+            db.flash_stores()
+                .iter()
+                .enumerate()
+                .flat_map(|(s, store)| (0..store.capacity()).map(move |slot| (s, slot)))
+                .filter_map(|(s, slot)| {
+                    let (page, lsn) = db.flash_stores()[s].slot_header(slot)?;
+                    (page == id).then_some((lsn, s, slot))
+                })
+                .max()
+                .expect("the checkpoint put the page in flash")
+        };
+        let (_, s, slot) = newest(target);
+        let (_, os, oslot) = newest(other);
+        let copy = db.flash_stores()[os].read_slot(oslot).unwrap().unwrap();
+        db.flash_stores()[s].write_slot(slot, &copy).unwrap();
+        let (page, found, _, _, source) = redo_mismatch(&db);
+        assert_eq!((page, found), (target, other));
+        assert_eq!(source, FetchSource::FlashCache);
     }
 
     #[test]

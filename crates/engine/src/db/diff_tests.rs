@@ -422,8 +422,25 @@ fn a_rollback_cut_short_is_finished_by_restart_byte_for_byte() {
     commit_base(&db);
     let before = bodies(&db);
     let txn = doomed_writes(&db);
-    // Far more pages than frames: the rollback has to read pages back in,
-    // and the first such read fails.
+    // The rollback walks the transaction's pages newest first. The newest is
+    // read last before the fault is armed, so under any replacement policy
+    // it is resident and its compensation succeeds; the transaction touched
+    // more pages than there are frames, so a later compensation has to read
+    // a page back in, and that read fails.
+    let pages: Vec<PageId> = LogReader::new(Arc::clone(&db.log_storage))
+        .read_to_end()
+        .unwrap()
+        .into_iter()
+        .filter_map(|r| match r.record {
+            LogRecord::Update { txn: t, page, .. } if t == txn => Some(page),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        pages.iter().collect::<HashSet<_>>().len() > 4,
+        "fewer pages than frames"
+    );
+    db.pool.read(*pages.last().unwrap(), |_| ()).unwrap();
     plan.arm();
     assert!(db.abort(txn).is_err(), "the rollback should hit the fault");
     assert_eq!(plan.faults_injected(), 1);

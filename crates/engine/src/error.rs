@@ -1,7 +1,7 @@
 //! Engine-level errors.
 
-use face_buffer::TierError;
-use face_pagestore::StoreError;
+use face_buffer::{FetchSource, TierError};
+use face_pagestore::{Lsn, PageId, StoreError};
 use face_wal::WalError;
 
 /// Anything that can go wrong inside the engine.
@@ -42,6 +42,28 @@ pub enum EngineError {
     TableFull(u64),
     /// The engine is in a crashed state and must be restarted first.
     Crashed,
+    /// Restart redo read a copy of a page that is not the version its
+    /// pageLSN names: a copy carrying another page's id, or one whose
+    /// pageLSN says an update record is not applied yet while the record's
+    /// byte range does not hold the record's before-image. Redo repeats
+    /// history, so either way the tier served a wrong (stale) copy. Debug
+    /// and test builds fail the restart with this error (the database is
+    /// left crashed); release builds count the mismatch in
+    /// [`crate::RecoveryReport::redo_base_mismatches`] and carry on.
+    RedoBaseMismatch {
+        /// The page the record names.
+        page: PageId,
+        /// The page id the copy carries in its header.
+        found: PageId,
+        /// The table slot where the record's byte range starts.
+        slot: usize,
+        /// The page's LSN as redo found it.
+        page_lsn: Lsn,
+        /// The LSN of the record being redone.
+        record_lsn: Lsn,
+        /// The tier the page was read from.
+        source: FetchSource,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -71,6 +93,31 @@ impl std::fmt::Display for EngineError {
                 write!(f, "no free slot for key {k} (hash bucket exhausted)")
             }
             EngineError::Crashed => write!(f, "engine has crashed; call restart() first"),
+            EngineError::RedoBaseMismatch {
+                page,
+                found,
+                slot,
+                page_lsn,
+                record_lsn,
+                source,
+            } => {
+                let tier = match source {
+                    FetchSource::FlashCache => "flash",
+                    FetchSource::Disk => "disk",
+                };
+                write!(f, "redo base mismatch on page {page} slot {slot}: ")?;
+                if found != page {
+                    write!(
+                        f,
+                        "the copy read from {tier} is page {found} at {page_lsn} (redoing the record at {record_lsn})"
+                    )
+                } else {
+                    write!(
+                        f,
+                        "the copy read from {tier} is at {page_lsn}, below the record's {record_lsn}, but does not hold the record's before-image"
+                    )
+                }
+            }
         }
     }
 }
@@ -120,6 +167,30 @@ mod tests {
         assert!(format!("{}", EngineError::ValueTooLarge { len: 10, max: 5 }).contains("10"));
         assert!(format!("{}", EngineError::TableFull(3)).contains('3'));
         assert!(format!("{}", EngineError::Crashed).contains("restart"));
+        let stale = EngineError::RedoBaseMismatch {
+            page: PageId::new(1, 5),
+            found: PageId::new(1, 5),
+            slot: 3,
+            page_lsn: Lsn(40),
+            record_lsn: Lsn(90),
+            source: FetchSource::FlashCache,
+        };
+        let shown = format!("{stale}");
+        for part in ["1:5", "slot 3", "lsn:40", "lsn:90", "flash", "before-image"] {
+            assert!(shown.contains(part), "{shown}");
+        }
+        let foreign = EngineError::RedoBaseMismatch {
+            page: PageId::new(1, 5),
+            found: PageId::new(1, 6),
+            slot: 0,
+            page_lsn: Lsn(40),
+            record_lsn: Lsn(90),
+            source: FetchSource::Disk,
+        };
+        let shown = format!("{foreign}");
+        for part in ["page 1:5", "is page 1:6", "disk"] {
+            assert!(shown.contains(part), "{shown}");
+        }
         let from_store: EngineError = StoreError::Closed.into();
         assert!(matches!(from_store, EngineError::Store(_)));
         let from_tier: EngineError = TierError::Cache("x".into()).into();

@@ -79,6 +79,10 @@ pub struct RedoUpdate {
     pub offset: u32,
     /// After-image bytes (for a CLR: the compensated update's before-image).
     pub data: Vec<u8>,
+    /// Before-image of the same range: what the page must hold there when
+    /// its pageLSN says the record is not applied yet. Empty for a CLR,
+    /// whose record carries no before-image.
+    pub before: Vec<u8>,
     /// Whether this redo item repeats a compensation record. CLRs are
     /// redo-only: repeating them repairs persisted loser pages without
     /// re-running undo.
@@ -384,6 +388,7 @@ pub fn build_recovery_plan(
                             page,
                             offset,
                             data,
+                            before,
                             clr: false,
                         });
                     }
@@ -423,6 +428,7 @@ pub fn build_recovery_plan(
                     page,
                     offset,
                     data,
+                    before: Vec::new(),
                     clr: true,
                 });
             }
