@@ -45,8 +45,11 @@ pub struct EngineConfig {
     pub backend: StorageBackend,
     /// DRAM buffer pool capacity in page frames.
     pub buffer_frames: usize,
-    /// Which flash-cache policy to run ([`CachePolicyKind::None`] disables
-    /// the cache entirely).
+    /// Which flash-cache policy to run: FaCE, FaCE+GR, FaCE+GSC or S3-FIFO
+    /// ([`CachePolicyKind::None`] disables the cache entirely). LC and TAC
+    /// run only in the trace simulator ([`crate::sim::SimEngine`]);
+    /// [`crate::Database::open`] rejects them with
+    /// [`crate::EngineError::SimulatorOnlyPolicy`].
     pub cache_policy: CachePolicyKind,
     /// Flash cache parameters (capacity, group size, ...).
     pub cache_config: CacheConfig,
@@ -244,10 +247,10 @@ mod tests {
     fn builders_compose() {
         let cfg = EngineConfig::in_memory()
             .buffer_frames(32)
-            .flash_cache(CachePolicyKind::Lc, 64)
+            .flash_cache(CachePolicyKind::S3Fifo, 64)
             .table_buckets(10);
         assert_eq!(cfg.buffer_frames, 32);
-        assert_eq!(cfg.cache_policy, CachePolicyKind::Lc);
+        assert_eq!(cfg.cache_policy, CachePolicyKind::S3Fifo);
         assert_eq!(cfg.cache_config.capacity_pages, 64);
         assert_eq!(cfg.table_buckets, 10);
         assert_eq!(cfg.backend, StorageBackend::InMemory);

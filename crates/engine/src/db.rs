@@ -277,6 +277,12 @@ impl Database {
     /// already contains work (a file-backed database being reopened), redo is
     /// run before the database becomes available.
     pub fn open(config: EngineConfig) -> EngineResult<Self> {
+        if matches!(
+            config.cache_policy,
+            CachePolicyKind::Lc | CachePolicyKind::Tac
+        ) {
+            return Err(EngineError::SimulatorOnlyPolicy(config.cache_policy));
+        }
         let (disk, log_storage): (Arc<dyn PageStore>, Arc<dyn LogStorage>) = match &config.backend {
             StorageBackend::InMemory => (
                 Arc::new(InMemoryPageStore::new()),
@@ -311,23 +317,12 @@ impl Database {
                 ..DeviceHooks::default()
             },
         );
-        // FaCE's group writes run through the asynchronous destage pipeline:
-        // the policy hands filled groups back instead of writing them under
-        // the shard lock. (LC/TAC have no group writes; the flag is inert
-        // for them.)
+        // Group writes run through the asynchronous destage pipeline: the
+        // policy hands filled groups back instead of writing them under the
+        // shard lock. The read-side counterpart: flash fetches pin under the
+        // shard lock and read the device off-lock.
         let mut cache_config = config.cache_config.clone();
-        let face_family = matches!(
-            config.cache_policy,
-            CachePolicyKind::Face
-                | CachePolicyKind::FaceGr
-                | CachePolicyKind::FaceGsc
-                | CachePolicyKind::S3Fifo
-        );
-        if face_family {
-            cache_config.defer_group_writes = true;
-        }
-        // The read-side counterpart: flash fetches pin under the shard lock
-        // and read the device off-lock (every policy supports the protocol).
+        cache_config.defer_group_writes = true;
         cache_config.lock_light_reads = config.lock_light_reads;
         let cache = ShardedFlashCache::build(
             config.cache_policy,
@@ -338,16 +333,15 @@ impl Database {
                     Some(factory) => (factory.0)(shard_capacity),
                     None => Arc::new(MemFlashStore::new(shard_capacity)),
                 };
-                // FaCE's contract is that foreground paths never touch flash
-                // under the shard lock; LC/TAC stage synchronously by design,
-                // so only the FaCE-family policies get the detector.
+                // Foreground paths never touch flash under the shard lock,
+                // and the detector checks that for every policy.
                 InstrumentedFlashStore::wrap(
                     store,
                     DeviceHooks {
                         read: latency.flash_read,
                         write: latency.flash_write,
                         faults: config.flash_faults.clone(),
-                        check: check && face_family,
+                        check,
                         ..DeviceHooks::default()
                     },
                 )
@@ -675,9 +669,9 @@ impl Database {
     // Checkpointing, crash and restart
     // ------------------------------------------------------------------
 
-    /// Take a (fuzzy) checkpoint. With FaCE enabled, dirty DRAM pages are
-    /// flushed to the flash cache (sequential flash writes); without it (or
-    /// under LC/TAC) they go to disk. The checkpoint record — redo LSN,
+    /// Take a (fuzzy) checkpoint. With a flash cache, dirty DRAM pages are
+    /// flushed to it (sequential flash writes); without one they go to disk.
+    /// The checkpoint record — redo LSN,
     /// transaction table, transaction-id fence — is forced to the log and
     /// its LSN then stored as the log's restart anchor, so the next restart
     /// reads the log from here rather than from LSN 0. Operations may keep
@@ -687,7 +681,8 @@ impl Database {
         self.check_not_crashed()?;
         let redo_lsn = self.wal.next_lsn();
         let flushed = self.pool.flush_all_dirty()?;
-        // Policies that cannot keep dirty pages in flash drain them to disk.
+        // Seal the flushed pages' groups and write the cache's own metadata
+        // checkpoint, so they are durable in flash.
         self.pool.lower().checkpoint_cache()?;
         // The table and the id fence are read after `redo_lsn` was taken: a
         // transaction missing from the table either ended before this point
@@ -1663,23 +1658,13 @@ mod tests {
     }
 
     #[test]
-    fn lc_and_tac_lose_their_cache_on_crash() {
+    fn open_rejects_the_simulator_only_baselines() {
         for policy in [CachePolicyKind::Lc, CachePolicyKind::Tac] {
-            let db = small_db(policy);
-            let txn = db.begin();
-            for k in 0..100u64 {
-                db.put(txn, k, b"cached").unwrap();
-            }
-            db.commit(txn).unwrap();
-            db.crash();
-            let report = db.restart().unwrap();
-            // Neither LC nor TAC can restore its cache from flash: the cache
-            // restarts cold. (Redo may still repopulate it as it runs, so
-            // flash hits during redo are possible but not required.)
-            assert!(!report.cache_recovery.survived, "{policy}");
-            assert_eq!(report.cache_recovery.entries_restored, 0, "{policy}");
-            for k in 0..100u64 {
-                assert!(db.get(k).unwrap().is_some(), "{policy}: key {k} lost");
+            let config = EngineConfig::in_memory().flash_cache(policy, 128);
+            match Database::open(config) {
+                Err(EngineError::SimulatorOnlyPolicy(p)) => assert_eq!(p, policy),
+                Err(e) => panic!("{policy}: wrong error {e}"),
+                Ok(_) => panic!("{policy}: opened a simulator-only policy"),
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Engine-level errors.
 
 use face_buffer::{FetchSource, TierError};
+use face_cache::CachePolicyKind;
 use face_pagestore::{Lsn, PageId, StoreError};
 use face_wal::WalError;
 
@@ -42,6 +43,10 @@ pub enum EngineError {
     TableFull(u64),
     /// The engine is in a crashed state and must be restarted first.
     Crashed,
+    /// The configured cache policy is one of the paper's baselines (LC,
+    /// TAC), which only the trace simulator (`crate::sim::SimEngine`) runs.
+    /// The functional engine hosts FaCE, FaCE+GR, FaCE+GSC and S3-FIFO.
+    SimulatorOnlyPolicy(CachePolicyKind),
     /// Restart redo read a copy of a page that is not the version its
     /// pageLSN names: a copy carrying another page's id, or one whose
     /// pageLSN says an update record is not applied yet while the record's
@@ -93,6 +98,11 @@ impl std::fmt::Display for EngineError {
                 write!(f, "no free slot for key {k} (hash bucket exhausted)")
             }
             EngineError::Crashed => write!(f, "engine has crashed; call restart() first"),
+            EngineError::SimulatorOnlyPolicy(policy) => write!(
+                f,
+                "cache policy {policy} runs only in the trace simulator (sim::SimEngine); \
+                 the engine hosts FaCE, FaCE+GR, FaCE+GSC and S3-FIFO"
+            ),
             EngineError::RedoBaseMismatch {
                 page,
                 found,
@@ -167,6 +177,8 @@ mod tests {
         assert!(format!("{}", EngineError::ValueTooLarge { len: 10, max: 5 }).contains("10"));
         assert!(format!("{}", EngineError::TableFull(3)).contains('3'));
         assert!(format!("{}", EngineError::Crashed).contains("restart"));
+        let baseline = format!("{}", EngineError::SimulatorOnlyPolicy(CachePolicyKind::Lc));
+        assert!(baseline.contains("LC") && baseline.contains("SimEngine"));
         let stale = EngineError::RedoBaseMismatch {
             page: PageId::new(1, 5),
             found: PageId::new(1, 5),

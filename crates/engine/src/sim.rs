@@ -259,14 +259,11 @@ impl SimEngine {
                         .evict_lru_dirty()
                         .map(|e| StagedPage::meta_only(e.page, Lsn::ZERO, e.dirty, e.fdirty))
                 };
-                let outcome = cache
+                // Every disk write the policy decides on (stage-outs, TAC's
+                // write-through) is a `DiskWrite` event in the log.
+                cache
                     .insert(staged, &mut supplier, &mut self.io_log)
                     .expect("simulated flash (null store) never fails");
-                if outcome.wrote_through_to_disk {
-                    // TAC: the write-through disk write is already in the log
-                    // as a DiskWrite event? No — TAC records it. Nothing more
-                    // to do here.
-                }
                 self.charge_io(t)
             }
             None => {

@@ -94,7 +94,7 @@ pub struct TierStats {
     /// disk write had not completed yet; serving the disk copy would have
     /// been stale).
     pub wash_table_hits: u64,
-    /// Pages written to disk (stage-outs, write-through and no-cache writes).
+    /// Pages written to disk (stage-outs, fail-overs and no-cache writes).
     pub disk_writes: u64,
     /// Pages handed to the flash cache.
     pub cache_inserts: u64,
@@ -347,9 +347,9 @@ impl FaceTier {
     /// builds the degrade controller the cache front, the tier and the
     /// destager share, and the destager itself: `destage.threads` workers,
     /// or with `0` the inline driver. Callers should have enabled
-    /// [`face_cache::CacheConfig::defer_group_writes`] on a FaCE-family
-    /// cache so group writes actually reach the destager (stage-out disk
-    /// writes use it either way).
+    /// [`face_cache::CacheConfig::defer_group_writes`] on the cache so group
+    /// writes actually reach the destager (stage-out disk writes use it
+    /// either way).
     pub fn new(
         disk: Arc<dyn PageStore>,
         cache: Option<ShardedFlashCache>,
@@ -577,9 +577,8 @@ impl FaceTier {
     /// Hand dequeued dirty pages (already published to the wash table under
     /// the shard lock) to the destager for their disk write. The write-ahead
     /// guard runs here — *before* the hand-over, whichever driver takes it —
-    /// so a destage job always finds durable log records (for FaCE
-    /// stage-outs it is a no-op: the guard already ran when the page entered
-    /// the persisting cache).
+    /// so a destage job always finds durable log records (normally a no-op:
+    /// the guard already ran when the page entered the cache).
     fn dispatch_staged_out(
         &self,
         flash: &FlashSide,
@@ -601,8 +600,8 @@ impl FaceTier {
             .map_err(TierError::Device)
     }
 
-    /// The tier's own synchronous write-outs (evacuation, fallout rescue,
-    /// checkpoint drains): WAL-guarded, each page through
+    /// The tier's own synchronous write-outs (evacuation, fallout rescue):
+    /// WAL-guarded, each page through
     /// [`persist_staged_page`].
     fn write_staged_to_disk(&self, staged: &[StagedPage]) -> TierResult<()> {
         for s in staged {
@@ -623,7 +622,7 @@ impl FaceTier {
     }
 
     /// Heal a wound marker once a version at or above the lost one has been
-    /// placed durably (flash under a persisting policy, or disk). Data-ful
+    /// placed durably (in flash, or on disk). Data-ful
     /// wash entries are untouched — their retirement belongs to
     /// `persist_staged_page`.
     fn clear_wound(&self, id: PageId, lsn: Lsn) {
@@ -636,46 +635,37 @@ impl FaceTier {
         }
     }
 
-    /// Checkpoint support: ask the cache for dirty pages that are not part of
-    /// the persistent database (LC) and write them to disk. Drains the
-    /// destage pipeline first so the cache's sync sees no in-flight groups.
-    pub fn checkpoint_cache(&self) -> TierResult<usize> {
+    /// Checkpoint support: seal the cache's pending groups and write its
+    /// metadata checkpoint, so the pages the checkpoint flushed into flash
+    /// are durable there. Drains the destage pipeline first so the cache's
+    /// sync sees no in-flight groups.
+    pub fn checkpoint_cache(&self) -> TierResult<()> {
         let Some(flash) = self.flash.as_ref() else {
-            return Ok(0);
+            return Ok(());
         };
         let cache = &*flash.cache;
         flash.destager.drain().map_err(TierError::Device)?;
-        let mut io = IoLog::new();
-        let drained = cache
-            .sync(&mut io)
-            .and_then(|()| cache.drain_dirty_for_checkpoint(&mut io));
+        let synced = cache.sync(&mut IoLog::new());
         // Failed flash writes leave their dirty pages in the cache's fallout
         // buffer: rescue them to disk before deciding the checkpoint failed.
         self.rescue_write_fallout(cache)?;
-        match drained {
-            Ok(drained) => {
-                let n = drained.len();
-                self.write_staged_to_disk(&drained)?;
-                // A wound marker means a committed version exists only in the
-                // WAL (its flash copy died unread). A checkpoint taken now
-                // would let the log truncate past the records that can still
-                // rebuild it — refuse until the wound heals or a restart's
-                // redo repairs the disk copy.
-                if let Some(w) = self
-                    .washing
-                    .read()
-                    .values()
-                    .find(|s| s.data.is_none() && s.dirty)
-                {
-                    return Err(lost_page_error(w.page, w.lsn));
-                }
-                Ok(n)
-            }
-            Err(e) => {
-                self.handle_device_error(flash, 0, &e)?;
-                Err(TierError::Device(e))
-            }
+        if let Err(e) = synced {
+            self.handle_device_error(flash, 0, &e)?;
+            return Err(TierError::Device(e));
         }
+        // A wound marker means a committed version exists only in the WAL
+        // (its flash copy died unread). A checkpoint taken now would let the
+        // log truncate past the records that can still rebuild it — refuse
+        // until the wound heals or a restart's redo repairs the disk copy.
+        if let Some(w) = self
+            .washing
+            .read()
+            .values()
+            .find(|s| s.data.is_none() && s.dirty)
+        {
+            return Err(lost_page_error(w.page, w.lsn));
+        }
+        Ok(())
     }
 
     /// Restart support: crash and recover the flash cache from its persistent
@@ -872,25 +862,7 @@ impl LowerTier for FaceTier {
             Some((None, true, lsn)) => return Err(lost_page_error(id, lsn)),
             _ => {}
         }
-        let outcome = self.fetch_from_disk(id, buf)?;
-        if flash.degrade.state() != BreakerState::Tripped {
-            // On-entry policies (TAC) may admit the page now. The page is
-            // clean on disk, so an admission device error is absorbable: the
-            // controller records it and the fetch still succeeds.
-            let cache = &*flash.cache;
-            match cache.on_fetched_from_disk(id, &mut IoLog::new()) {
-                Ok(admitted) => {
-                    if admitted.cached {
-                        self.stats.cache_inserts.inc();
-                    }
-                }
-                Err(e) => {
-                    self.rescue_write_fallout(cache)?;
-                    self.handle_device_error(flash, cache.shard_of(id), &e)?;
-                }
-            }
-        }
-        Ok(outcome)
+        self.fetch_from_disk(id, buf)
     }
 
     fn write_back(
@@ -937,48 +909,17 @@ impl LowerTier for FaceTier {
             return Ok(ON_DISK);
         }
         let cache = &*flash.cache;
-        let persists = cache.persists_dirty_pages();
         let shard = cache.shard_of(page.id());
-        // Write-ahead guard: a dirty page entering a persisting cache
-        // (FaCE) joins the persistent database right there, so its
-        // log records must be durable first — same rule as a disk
-        // write. Non-persisting caches (LC/TAC) hit the guard on the
-        // disk-write paths below instead.
-        if dirty && persists {
+        // Write-ahead guard: a dirty page entering the flash cache joins the
+        // persistent database right there (checkpoints flush into flash
+        // too), so its log records must be durable first — same rule as a
+        // disk write.
+        if dirty {
             self.ensure_wal_durable(page.lsn())?;
         }
-        // FaCE checkpoints flush dirty pages to the flash cache; LC and
-        // TAC cannot treat the flash copy as persistent, so checkpoint
-        // writes must reach the disk. The page is still passed through
-        // the cache so that any cached copy is refreshed — otherwise a
-        // later fetch could resurrect a stale version (a coherence
-        // hazard for the on-entry, write-through TAC baseline).
-        if reason == WriteBackReason::Checkpoint && !persists {
-            let refreshed = cache.insert_with_sink(
-                stage(page.clone(), dirty, fdirty),
-                &mut face_cache::NoSupplier,
-                &mut IoLog::new(),
-                &mut |out| self.publish_to_wash_table(out),
-            );
-            match refreshed {
-                Ok(outcome) => self.write_staged_to_disk(&outcome.staged_out)?,
-                Err(e) => {
-                    // The refresh failed but the policy dropped the
-                    // stale resident, so coherence holds; the disk
-                    // write below persists the page either way.
-                    self.rescue_write_fallout(cache)?;
-                    self.handle_device_error(flash, shard, &e)?;
-                }
-            }
-            if dirty {
-                self.write_page_to_disk(page)?;
-            }
-            return Ok(ON_DISK);
-        }
-
         let staged = stage(page.clone(), dirty, fdirty);
         let mut io = IoLog::new();
-        let inserted = if reason == WriteBackReason::Eviction && persists {
+        let inserted = if reason == WriteBackReason::Eviction {
             // Offer the GSC supplier; non-GSC policies ignore it.
             let mut supplier = GscSupplier {
                 victims,
@@ -1010,15 +951,12 @@ impl LowerTier for FaceTier {
         };
         if outcome.cached {
             self.stats.cache_inserts.inc();
-            // Under a persisting policy the flash copy joins the
-            // persistent database, so it supersedes any wound this
-            // page carries (the lost version is at or below it).
-            if dirty && persists {
+            // The flash copy joins the persistent database, so it
+            // supersedes any wound this page carries (the lost version is
+            // at or below it).
+            if dirty {
                 self.clear_wound(page.id(), page.lsn());
             }
-        }
-        if outcome.wrote_through_to_disk && dirty {
-            self.write_page_to_disk(page)?;
         }
         // Stage-outs and the filled group are the destager's from here —
         // strictly after every cache lock was released, in both drivers.
@@ -1030,8 +968,8 @@ impl LowerTier for FaceTier {
                 .map_err(TierError::Device)?;
         }
         Ok(WriteBackOutcome {
-            in_flash: outcome.cached && persists,
-            on_disk: outcome.wrote_through_to_disk,
+            in_flash: outcome.cached,
+            on_disk: false,
         })
     }
 
@@ -1093,8 +1031,6 @@ mod tests {
         let cfg = CacheConfig {
             capacity_pages: capacity,
             group_size: 4,
-            // Keep LC's background cleaner out of these focused tests.
-            lc_dirty_threshold: 2.0,
             ..CacheConfig::default()
         };
         let cache = ShardedFlashCache::build(policy, cfg, 2, |cap| {
@@ -1177,7 +1113,7 @@ mod tests {
         assert!(!tier.has_cache());
         assert!(tier.cache().is_none());
         assert!(tier.destage_stats().is_none() && tier.degrade_stats().is_none());
-        assert_eq!(tier.checkpoint_cache().unwrap(), 0);
+        tier.checkpoint_cache().unwrap();
         assert!(!tier.recover_cache(Lsn(u64::MAX)).survived);
         assert_eq!(tier.reset_cache_cold().unwrap(), 0);
         let id = tier.allocate(0).unwrap();
@@ -1277,79 +1213,17 @@ mod tests {
     }
 
     #[test]
-    fn tac_write_through_hits_disk_and_counts() {
-        let (tier, disk) = tier(CachePolicyKind::Tac, 64);
-        let id = tier.allocate(0).unwrap();
-        let page = dirty_page(id, b"wt");
-        let out = tier
-            .write_back(&page, true, true, WriteBackReason::Eviction)
-            .unwrap();
-        assert!(out.on_disk);
-        assert!(!out.in_flash);
-        let mut buf = Page::zeroed();
-        disk.read_page(id, &mut buf).unwrap();
-        assert_eq!(buf.read_body(0, 2), b"wt");
-    }
-
-    #[test]
-    fn lc_checkpoint_write_back_goes_to_disk() {
-        let (tier, disk) = tier(CachePolicyKind::Lc, 64);
+    fn checkpoint_write_back_stays_in_flash() {
+        let (tier, disk) = tier(CachePolicyKind::FaceGsc, 64);
         let id = tier.allocate(0).unwrap();
         let page = dirty_page(id, b"ckpt");
         let out = tier
-            .write_back(&page, true, true, WriteBackReason::Checkpoint)
-            .unwrap();
-        assert!(out.on_disk);
-        let mut buf = Page::zeroed();
-        disk.read_page(id, &mut buf).unwrap();
-        assert_eq!(buf.read_body(0, 4), b"ckpt");
-
-        // FaCE checkpoints, by contrast, stay in flash.
-        let (face_tier, face_disk) = super::tests::tier(CachePolicyKind::FaceGsc, 64);
-        let id = face_tier.allocate(0).unwrap();
-        let page = dirty_page(id, b"ckpt");
-        let out = face_tier
             .write_back(&page, true, true, WriteBackReason::Checkpoint)
             .unwrap();
         assert!(out.in_flash && !out.on_disk);
         let mut buf = Page::zeroed();
-        face_disk.read_page(id, &mut buf).unwrap();
-        assert!(!buf.is_formatted());
-    }
-
-    #[test]
-    fn on_entry_notification_reaches_tac() {
-        let (tier, disk) = tier(CachePolicyKind::Tac, 64);
-        let id = tier.allocate(0).unwrap();
-        // Put something on disk so fetches succeed.
-        let mut page = Page::new(id);
-        page.update_checksum();
-        disk.write_page(id, &page).unwrap();
-        // Two fetches warm the extent; the second admits the page.
-        let mut buf = Page::zeroed();
-        tier.fetch(id, &mut buf).unwrap();
-        tier.fetch(id, &mut buf).unwrap();
-        assert!(tier.cache().unwrap().contains(id));
-    }
-
-    #[test]
-    fn checkpoint_cache_drains_lc_dirty_pages() {
-        let (tier, disk) = tier(CachePolicyKind::Lc, 64);
-        let id = tier.allocate(0).unwrap();
-        let page = dirty_page(id, b"lazy");
-        tier.write_back(&page, true, true, WriteBackReason::Eviction)
-            .unwrap();
-        // Nothing on disk yet (write-back).
-        let mut buf = Page::zeroed();
         disk.read_page(id, &mut buf).unwrap();
         assert!(!buf.is_formatted());
-        let drained = tier.checkpoint_cache().unwrap();
-        assert_eq!(drained, 1);
-        disk.read_page(id, &mut buf).unwrap();
-        assert_eq!(buf.read_body(0, 4), b"lazy");
-        // FaCE has nothing to drain.
-        let (face_tier, _) = super::tests::tier(CachePolicyKind::FaceGsc, 64);
-        assert_eq!(face_tier.checkpoint_cache().unwrap(), 0);
     }
 
     #[test]

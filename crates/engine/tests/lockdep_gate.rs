@@ -69,19 +69,7 @@ fn hammer(db: &Arc<Database>) {
     }
 }
 
-fn scenario(policy: CachePolicyKind, lock_light: bool) {
-    let config = EngineConfig::in_memory()
-        .buffer_frames(32)
-        .flash_cache(policy, 128)
-        .cache_shards(2)
-        .buffer_shards(2)
-        .destage_threads(2)
-        .lock_light_reads(lock_light);
-    let db = Arc::new(Database::open(config).unwrap());
-    hammer(&db);
-}
-
-fn scenario_ghosted(policy: CachePolicyKind, lock_light: bool) {
+fn scenario(policy: CachePolicyKind, lock_light: bool, ghost_admission: bool) {
     let mut config = EngineConfig::in_memory()
         .buffer_frames(32)
         .flash_cache(policy, 128)
@@ -89,7 +77,7 @@ fn scenario_ghosted(policy: CachePolicyKind, lock_light: bool) {
         .buffer_shards(2)
         .destage_threads(2)
         .lock_light_reads(lock_light);
-    config.cache_config.ghost_admission = true;
+    config.cache_config.ghost_admission = ghost_admission;
     let db = Arc::new(Database::open(config).unwrap());
     hammer(&db);
 }
@@ -108,7 +96,7 @@ fn concurrent_engine_has_no_lockdep_violations() {
         CachePolicyKind::S3Fifo,
     ] {
         for lock_light in [false, true] {
-            scenario(policy, lock_light);
+            scenario(policy, lock_light, false);
         }
     }
     // The I/O detector is wired into the device stack: the checkpoint's
@@ -119,13 +107,8 @@ fn concurrent_engine_has_no_lockdep_violations() {
         witness::exempted_io_ops() > 0,
         "no device op reached the I/O-under-lock detector — is the check hooked in?"
     );
-    // The synchronous baselines exercise the allow-scoped under-lock paths.
-    scenario(CachePolicyKind::Lc, false);
-    scenario(CachePolicyKind::Tac, false);
-    // The ghost-admission filter nests its stripe inside the shard lock —
-    // cover it over both the GSC write path and TAC's on-entry path.
-    scenario_ghosted(CachePolicyKind::FaceGsc, true);
-    scenario_ghosted(CachePolicyKind::Tac, false);
+    // The ghost-admission filter nests its stripe inside the shard lock.
+    scenario(CachePolicyKind::FaceGsc, true, true);
 
     if let Ok(path) = std::env::var("LOCKDEP_DOT") {
         if !path.is_empty() {

@@ -12,8 +12,8 @@
 //! Two consumers share the [`GhostQueue`] core:
 //!
 //! * [`SharedGhost`] — a lock-striped filter applied by
-//!   [`crate::ShardedFlashCache`] in front of the legacy policies (mvFIFO
-//!   family, LC, TAC) when [`crate::CacheConfig::ghost_admission`] is set.
+//!   [`crate::ShardedFlashCache`] in front of the mvFIFO family when
+//!   [`crate::CacheConfig::ghost_admission`] is set.
 //!   Its stripes rank `ghost_admission` in the lock order: strictly inside
 //!   the cache shard, device I/O forbidden while held.
 //! * [`crate::s3fifo::S3FifoCache`] — owns a `GhostQueue` outright (under its

@@ -1,10 +1,11 @@
-//! A sharded, concurrency-safe front for the flash-cache policies.
+//! A sharded, concurrency-safe front for the ring policies (FaCE, FaCE+GR,
+//! FaCE+GSC, S3-FIFO) — the flash cache of the functional engine. The LC
+//! and TAC baselines run only in the trace simulator.
 //!
-//! The policy implementations ([`crate::mvfifo`], [`crate::lc`],
-//! [`crate::tac`]) are deliberately single-threaded: their directories are
-//! intricate (a circular multi-version queue, an LRU-2 victim order, a
-//! temperature map) and the paper's algorithms are specified sequentially.
-//! [`ShardedFlashCache`] makes them safe for concurrent callers the same way
+//! A [`crate::RingCache`] is deliberately single-threaded: its directory is
+//! intricate (circular multi-version queues, a pending batch, in-flight
+//! groups) and the paper's algorithms are specified sequentially.
+//! [`ShardedFlashCache`] makes it safe for concurrent callers the same way
 //! the paper's host system (PostgreSQL) partitions its buffer table: the
 //! page-id space is hashed over `N` independent shards, each a full policy
 //! instance over its own slice of the flash device, each behind its own
@@ -27,7 +28,8 @@ use crate::admission::SharedGhost;
 use crate::degrade::{DegradeConfig, DegradeController};
 use crate::destage::PendingGroupWrite;
 use crate::io::IoLog;
-use crate::policy::{build_cache, CachePolicyKind, FlashCache, NoSupplier, PageSupplier};
+use crate::policy::{build_ring, CachePolicyKind, NoSupplier, PageSupplier};
+use crate::ring::RingCache;
 use crate::store::FlashStore;
 use crate::types::{
     CacheConfig, CacheRecoveryInfo, CacheStats, Evacuation, FlashFetch, InsertOutcome,
@@ -35,8 +37,8 @@ use crate::types::{
 };
 use crate::StagedPage;
 
-/// A lock-striped set of independent policy instances, routable by page id,
-/// exposing the whole [`FlashCache`] surface through `&self`.
+/// A lock-striped set of independent ring-policy instances, routable by page
+/// id, exposing the whole [`RingCache`] surface through `&self`.
 ///
 /// Each shard sits behind an `RwLock`: mutating operations take the write
 /// lock, while pure lookups ([`ShardedFlashCache::contains`], the validate
@@ -48,7 +50,7 @@ use crate::StagedPage;
 /// stalls the other threads hashing to the shard (the read-side counterpart
 /// of the deferred group writes).
 pub struct ShardedFlashCache {
-    shards: Vec<OrderedRwLock<Box<dyn FlashCache>>>,
+    shards: Vec<OrderedRwLock<Box<dyn RingCache>>>,
     stores: Vec<Arc<dyn FlashStore>>,
     /// Per-shard occupancy mirrors, refreshed after every mutating shard
     /// operation, so [`ShardedFlashCache::len`] never sweeps the shard locks
@@ -61,14 +63,10 @@ pub struct ShardedFlashCache {
     configs: Vec<CacheConfig>,
     kind: CachePolicyKind,
     capacity: usize,
-    /// TAC routes by extent so per-extent temperature is not diluted across
-    /// shards; every other policy routes by page.
-    route_granularity: u64,
     /// Mirror of [`CacheConfig::lock_light_reads`].
     lock_light: bool,
-    persists: bool,
     name: &'static str,
-    /// Ghost-queue admission filter in front of the legacy policies
+    /// Ghost-queue admission filter in front of the mvFIFO family
     /// ([`CacheConfig::ghost_admission`]): a clean first-touch page is
     /// recorded here instead of earning a flash write. `None` when the flag
     /// is off and for S3-FIFO, whose ghost queue is integral to the policy.
@@ -82,9 +80,9 @@ pub struct ShardedFlashCache {
     /// retries and counts them. Error *classification* (quarantine, breaker)
     /// stays with the owner, which sees the errors this type propagates.
     degrade: Option<Arc<DegradeController>>,
-    /// Dirty pages rescued from failed shard operations (insert, sync,
-    /// checkpoint drain), already published to the caller's stage-out sink
-    /// where one was in scope. The owner drains this via
+    /// Dirty pages rescued from failed shard operations (insert, sync),
+    /// already published to the caller's stage-out sink where one was in
+    /// scope. The owner drains this via
     /// [`ShardedFlashCache::take_write_fallout`] after an error and persists
     /// the pages to disk WAL-guarded. `DIAG` class: taken briefly, never
     /// around I/O, after the shard lock is released.
@@ -95,10 +93,12 @@ impl ShardedFlashCache {
     /// Build `shards` independent caches of `kind`, splitting
     /// `config.capacity_pages` between them. `store_factory` is called once
     /// per shard with that shard's slot capacity (the functional engine hands
-    /// out one [`crate::MemFlashStore`] per shard; the simulation would use
-    /// header-only stores).
+    /// out one [`crate::MemFlashStore`] per shard).
     ///
     /// Returns `None` for [`CachePolicyKind::None`].
+    ///
+    /// # Panics
+    /// Panics for LC and TAC, which are not ring policies ([`build_ring`]).
     pub fn build(
         kind: CachePolicyKind,
         config: CacheConfig,
@@ -132,14 +132,13 @@ impl ShardedFlashCache {
                 ..config.clone()
             };
             let store = store_factory(shard_capacity);
-            let cache = build_cache(kind, shard_config.clone(), Arc::clone(&store))
+            let cache = build_ring(kind, shard_config.clone(), Arc::clone(&store))
                 .expect("kind is not None");
             name = cache.policy_name();
             stores.push(store);
             configs.push(shard_config);
             built.push(OrderedRwLock::new(CACHE_SHARD, cache));
         }
-        let persists = built[0].read().persists_dirty_pages();
         // One filter for the whole cache, not per shard: a page's first touch
         // and its comeback must meet even though insert order is arbitrary.
         let ghost = (config.ghost_admission && kind != CachePolicyKind::S3Fifo)
@@ -156,13 +155,7 @@ impl ShardedFlashCache {
             configs,
             kind,
             capacity,
-            route_granularity: if kind == CachePolicyKind::Tac {
-                config.tac_extent_pages.max(1) as u64
-            } else {
-                1
-            },
             lock_light: config.lock_light_reads,
-            persists,
             name,
         })
     }
@@ -185,7 +178,7 @@ impl ShardedFlashCache {
 
     /// Refresh a shard's occupancy mirror from the policy, while its lock is
     /// still held by the caller.
-    fn note_len(&self, shard: usize, cache: &dyn FlashCache) {
+    fn note_len(&self, shard: usize, cache: &dyn RingCache) {
         self.occupancy[shard].set(cache.len() as u64);
     }
 
@@ -195,7 +188,7 @@ impl ShardedFlashCache {
     /// [`ShardedFlashCache::take_write_fallout`].
     fn rescue_fallout(
         &self,
-        cache: &mut dyn FlashCache,
+        cache: &mut dyn RingCache,
         staged_out_sink: &mut dyn FnMut(&[StagedPage]),
     ) -> Vec<StagedPage> {
         let fallout = cache.take_write_fallout();
@@ -233,12 +226,6 @@ impl ShardedFlashCache {
         self.name
     }
 
-    /// Whether dirty pages staged into this cache count as persistent
-    /// database content (FaCE yes, LC/TAC no).
-    pub fn persists_dirty_pages(&self) -> bool {
-        self.persists
-    }
-
     /// Total capacity in page slots across all shards.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -248,7 +235,7 @@ impl ShardedFlashCache {
     /// shard — the GSC pull-from-DRAM supplier must only feed a shard pages
     /// that belong to it, and destage jobs route by shard.
     pub fn shard_of(&self, page: PageId) -> usize {
-        face_pagestore::stripe_of(page.to_u64() / self.route_granularity, self.shards.len())
+        face_pagestore::stripe_of(page.to_u64(), self.shards.len())
     }
 
     /// Whether a valid copy of `page` is cached. Takes only the shard's
@@ -258,13 +245,13 @@ impl ShardedFlashCache {
         self.shards[self.shard_of(page)].read().contains(page)
     }
 
-    /// Look up `page` on a DRAM miss (see [`FlashCache::fetch`]).
+    /// Look up `page` on a DRAM miss (see [`crate::FlashCache::fetch`]).
     ///
     /// With [`CacheConfig::lock_light_reads`] set this is the lock-light
     /// protocol: pin the version under a short shard write lock
-    /// ([`FlashCache::fetch_pin`]), drop the lock, perform the flash device
+    /// ([`RingCache::fetch_pin`]), drop the lock, perform the flash device
     /// read **off-lock**, then revalidate the slot's generation under a read
-    /// lock ([`FlashCache::fetch_validate`]). Losing the race to an eviction
+    /// lock ([`RingCache::fetch_validate`]). Losing the race to an eviction
     /// or slot reuse discards the read and retries the lookup from scratch
     /// ([`CacheStats::fetch_retries`]); versions still in a deferred group
     /// are served from their shared RAM frames with no device read at all.
@@ -341,7 +328,7 @@ impl ShardedFlashCache {
     }
 
     /// Hand a page leaving the DRAM buffer to its shard (see
-    /// [`FlashCache::insert`]) with no GSC supplier.
+    /// [`crate::FlashCache::insert`]) with no GSC supplier.
     pub fn insert(&self, staged: StagedPage, io: &mut IoLog) -> DeviceResult<InsertOutcome> {
         self.insert_with(staged, &mut NoSupplier, io)
     }
@@ -456,44 +443,11 @@ impl ShardedFlashCache {
 
     /// Seal a deferred group's journal records now that its batch write is
     /// on flash (briefly takes the shard lock; see
-    /// [`FlashCache::complete_group`]).
+    /// [`RingCache::complete_group`]).
     pub fn complete_group(&self, shard: usize, epoch: u64, io: &mut IoLog) {
         self.shards[shard % self.shards.len()]
             .write()
             .complete_group(epoch, io);
-    }
-
-    /// Notification that `page` was fetched from disk (see
-    /// [`FlashCache::on_fetched_from_disk`]).
-    pub fn on_fetched_from_disk(
-        &self,
-        page: PageId,
-        io: &mut IoLog,
-    ) -> DeviceResult<InsertOutcome> {
-        let shard = self.shard_of(page);
-        let mut guard = self.shards[shard].write();
-        if let Some(ghost) = &self.ghost {
-            // On-entry caching (TAC) admits pages read from disk — always
-            // clean, so the same first-touch filter applies in front of the
-            // policy's own temperature check. For the eviction-time policies
-            // (FaCE family, LC) this notification is a no-op and must NOT
-            // touch the ghost: their admission point is the buffer-pool
-            // write-back (`insert_with_sink`), and recording the fetch here
-            // would make a page's own later eviction look like a ghost
-            // re-reference — one logical touch counted as two, admitting
-            // every one-touch scan page the filter exists to reject.
-            if self.kind == CachePolicyKind::Tac && !guard.contains(page) {
-                if ghost.admit_or_record(page) {
-                    self.admission_ghost_hits.inc();
-                } else {
-                    self.admission_filtered.inc();
-                    return Ok(InsertOutcome::default());
-                }
-            }
-        }
-        let outcome = guard.on_fetched_from_disk(page, io);
-        self.note_len(shard, &**guard);
-        outcome
     }
 
     /// Flush buffered batches and metadata on every shard.
@@ -525,31 +479,8 @@ impl ShardedFlashCache {
         }
     }
 
-    /// Drain dirty pages for a checkpoint from every shard (LC).
-    ///
-    /// On a shard error the pages already drained from *earlier* shards —
-    /// whose dirty flags are cleared — are parked in the fallout buffer
-    /// ([`ShardedFlashCache::take_write_fallout`]) instead of being lost
-    /// with the dropped return value.
-    pub fn drain_dirty_for_checkpoint(&self, io: &mut IoLog) -> DeviceResult<Vec<StagedPage>> {
-        let _allow = witness::allow_device_io("cache: LC checkpoint drain reads slots");
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            match shard.write().drain_dirty_for_checkpoint(io) {
-                Ok(drained) => out.extend(drained),
-                Err(e) => {
-                    if !out.is_empty() {
-                        self.fallout.lock().extend(out);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Evacuate every dirty valid page from every shard (see
-    /// [`FlashCache::evacuate_dirty`]): the caller must write them to disk
+    /// [`RingCache::evacuate_dirty`]): the caller must write them to disk
     /// before wiping the cache with [`ShardedFlashCache::reset_cold`].
     /// Includes any parked write-fallout. `unread_dirty` counts dirty pages
     /// whose slots could not be read — their committed updates are
@@ -567,7 +498,7 @@ impl ShardedFlashCache {
         merged
     }
 
-    /// Quarantine one slot of one shard (see [`FlashCache::quarantine_slot`]):
+    /// Quarantine one slot of one shard (see [`RingCache::quarantine_slot`]):
     /// the slot leaves rotation, a clean resident is dropped, a dirty
     /// resident is evacuated. The evacuee (if any) is published to
     /// `staged_out_sink` **before the shard lock is released** — same
@@ -594,7 +525,7 @@ impl ShardedFlashCache {
     }
 
     /// Abort a deferred group whose batch write failed (see
-    /// [`FlashCache::abort_group`]): the group's slots become reclaimable
+    /// [`RingCache::abort_group`]): the group's slots become reclaimable
     /// holes, its journal records die unsealed, and its dirty pages come
     /// back for disk failover. Like
     /// [`ShardedFlashCache::quarantine_slot`], the returned pages are
@@ -617,7 +548,7 @@ impl ShardedFlashCache {
     }
 
     /// Crash and recover every shard, merging the per-shard reports.
-    /// `survived` is true only if every shard's metadata survived (FaCE).
+    /// `survived` is true only if every shard's metadata survived.
     /// Each shard reconciles its recovered directory against `durable_lsn`
     /// (the durable end of the WAL): versions newer than it are discarded.
     /// Callers without a WAL pass `Lsn(u64::MAX)`.
@@ -656,8 +587,8 @@ impl ShardedFlashCache {
         {
             let mut guard = shard.write();
             store.clear();
-            *guard = build_cache(self.kind, config.clone(), Arc::clone(store))
-                .expect("kind is not None");
+            *guard =
+                build_ring(self.kind, config.clone(), Arc::clone(store)).expect("kind is not None");
             self.note_len(i, &**guard);
         }
         if let Some(ghost) = &self.ghost {
@@ -742,9 +673,8 @@ mod tests {
             capacity_pages: capacity,
             group_size: 4,
             meta_checkpoint_interval_groups: 1_000_000,
-            lc_dirty_threshold: 2.0,
             // The whole suite runs through the lock-light read path (the
-            // policy-level tests in mvfifo/lc/tac keep covering the classic
+            // policy-level tests in mvfifo/s3fifo keep covering the classic
             // read-under-lock fetch).
             lock_light_reads: true,
             ..CacheConfig::default()
@@ -781,7 +711,6 @@ mod tests {
         let total: usize = c.stores().iter().map(|s| s.capacity()).sum();
         assert_eq!(total, 130);
         assert_eq!(c.policy_name(), "FaCE+GSC");
-        assert!(c.persists_dirty_pages());
         assert_eq!(c.kind(), CachePolicyKind::FaceGsc);
     }
 
@@ -864,17 +793,6 @@ mod tests {
         for n in 0..40u32 {
             assert!(c.contains(PageId::new(0, n)), "page {n} lost");
         }
-
-        // LC loses everything on every shard.
-        let lc = sharded(CachePolicyKind::Lc, 64, 4);
-        let mut io = IoLog::new();
-        for n in 0..10u32 {
-            lc.insert(data_page(n), &mut io).unwrap();
-        }
-        let info = lc.crash_and_recover(Lsn(u64::MAX), &mut io);
-        assert!(!info.survived);
-        assert_eq!(info.entries_restored, 0);
-        assert!(lc.is_empty());
     }
 
     #[test]
@@ -1242,50 +1160,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_fetch_notification_does_not_spend_the_ghost_touch() {
-        // A disk fetch followed by the same page's clean buffer eviction is
-        // ONE logical touch for an eviction-time policy. If the fetch
-        // notification recorded into the ghost, the eviction would read as a
-        // re-reference and every one-touch scan page would be admitted —
-        // exactly what the filter exists to prevent.
-        let c = ghosted(CachePolicyKind::FaceGsc, 256, 4);
-        let mut io = IoLog::new();
-        for n in 0..8u32 {
-            let page = PageId::new(0, n);
-            assert!(!c.on_fetched_from_disk(page, &mut io).unwrap().cached);
-            let out = c.insert(clean_page(n), &mut io).unwrap();
-            assert!(
-                !out.cached,
-                "fetch + first eviction must still count as a first touch"
-            );
-            assert!(!c.contains(page));
-        }
-        assert_eq!(c.stats().admission_filtered, 8);
-        assert_eq!(c.stats().admission_ghost_hits, 0);
-
-        // The genuine comeback (second eviction) still earns the write.
-        let out = c.insert(clean_page(0), &mut io).unwrap();
-        assert!(out.cached, "second eviction is a real re-reference");
-    }
-
-    #[test]
-    fn ghost_admission_gates_tac_disk_fetches() {
-        let c = ghosted(CachePolicyKind::Tac, 64, 1);
-        let mut io = IoLog::new();
-        let page = PageId::new(0, 0);
-        // The filters compose: odd touches are ghosted (each pass-through
-        // consumes the ghost entry), even touches reach TAC and heat the
-        // extent — so with TAC's threshold of two the fourth touch caches.
-        assert!(!c.on_fetched_from_disk(page, &mut io).unwrap().cached); // ghosted
-        assert!(!c.on_fetched_from_disk(page, &mut io).unwrap().cached); // TAC heat 1
-        assert!(!c.on_fetched_from_disk(page, &mut io).unwrap().cached); // ghosted
-        let out = c.on_fetched_from_disk(page, &mut io).unwrap(); // TAC heat 2
-        assert!(out.cached, "heat accumulated after ghost admission");
-        assert_eq!(c.stats().admission_filtered, 2);
-        assert_eq!(c.stats().admission_ghost_hits, 2);
-    }
-
-    #[test]
     fn s3fifo_shards_round_trip_and_recover() {
         let config = CacheConfig {
             capacity_pages: 256,
@@ -1299,7 +1173,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(c.policy_name(), "S3-FIFO");
-        assert!(c.persists_dirty_pages());
         let mut io = IoLog::new();
         for n in 0..64u32 {
             assert!(
@@ -1330,30 +1203,5 @@ mod tests {
         for n in 0..64u32 {
             assert!(c.contains(PageId::new(0, n)), "page {n} lost in crash");
         }
-    }
-
-    #[test]
-    fn tac_routes_by_extent_so_temperature_accumulates() {
-        let c = sharded(CachePolicyKind::Tac, 64, 4);
-        let mut io = IoLog::new();
-        // Two different pages of the same extent must land on the same shard
-        // for the second access to cross the admission temperature.
-        let a = PageId::new(0, 0);
-        let b = PageId::new(0, 1);
-        c.on_fetched_from_disk(a, &mut io).unwrap();
-        let out = c.on_fetched_from_disk(b, &mut io).unwrap();
-        assert!(out.cached, "extent heat must not be diluted across shards");
-        assert!(!c.persists_dirty_pages());
-    }
-
-    #[test]
-    fn lc_checkpoint_drains_across_shards() {
-        let c = sharded(CachePolicyKind::Lc, 64, 4);
-        let mut io = IoLog::new();
-        for n in 0..20u32 {
-            c.insert(data_page(n), &mut io).unwrap();
-        }
-        let drained = c.drain_dirty_for_checkpoint(&mut io).unwrap();
-        assert_eq!(drained.len(), 20);
     }
 }

@@ -16,7 +16,7 @@
 //!   disk (or the same flash slot) out of order — a page always routes to
 //!   the same shard, and a shard always routes to the same worker.
 //! * A group's journal records are sealed (made crash-durable) by
-//!   [`crate::policy::FlashCache::complete_group`] strictly **after** its
+//!   [`crate::RingCache::complete_group`] strictly **after** its
 //!   batch write is applied, preserving PR 3's invariant that metadata never
 //!   outlives data it describes. Between enqueue and completion the records
 //!   are RAM-resident inside the policy and die with a crash — exactly like

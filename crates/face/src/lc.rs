@@ -13,7 +13,7 @@
 //! part of the persistent database, checkpoints must write them to disk
 //! ([`FlashCache::drain_dirty_for_checkpoint`]).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use face_pagestore::{DeviceResult, Lsn, PageId};
@@ -22,8 +22,8 @@ use crate::io::IoLog;
 use crate::policy::{FlashCache, PageSupplier};
 use crate::store::FlashStore;
 use crate::types::{
-    CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, Evacuation, FetchPin,
-    FlashFetch, InsertOutcome, QuarantineOutcome, SlotGenerations, StagedPage,
+    CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, FlashFetch, InsertOutcome,
+    StagedPage,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -48,20 +48,6 @@ pub struct LcCache {
     free_slots: Vec<usize>,
     clock: u64,
     dirty_count: usize,
-    /// Per-slot version counters for the lock-light fetch protocol. LC
-    /// overwrites slots **in place**, so the counter bumps on every slot
-    /// write (admission and refresh), not only on reuse: an off-lock reader
-    /// racing an in-place overwrite must discard its read and retry.
-    generations: SlotGenerations,
-    /// Slots removed from rotation after repeated device failures. RAM-only:
-    /// a restart clears the set and retries the slots fresh (persistent
-    /// faults simply re-quarantine). A quarantined slot never re-enters
-    /// `free_slots`, so LC's usable capacity shrinks by one per entry.
-    quarantined: HashSet<usize>,
-    /// Dirty pages diverted to disk when an inline flash write failed. The
-    /// concurrent wrapper drains this via [`FlashCache::take_write_fallout`]
-    /// and routes the pages to the disk store WAL-guarded.
-    write_fallout: Vec<StagedPage>,
     stats: CacheStatCounters,
 }
 
@@ -74,7 +60,6 @@ impl LcCache {
             "flash store smaller than configured capacity"
         );
         let free_slots = (0..config.capacity_pages).rev().collect();
-        let generations = SlotGenerations::new(config.capacity_pages);
         Self {
             config,
             store,
@@ -83,15 +68,8 @@ impl LcCache {
             free_slots,
             clock: 0,
             dirty_count: 0,
-            generations,
-            quarantined: HashSet::new(),
-            write_fallout: Vec::new(),
             stats: CacheStatCounters::default(),
         }
-    }
-
-    fn bump_generation(&mut self, slot: usize) {
-        self.generations.bump(slot);
     }
 
     /// Current fraction of cached pages that are dirty.
@@ -127,7 +105,6 @@ impl LcCache {
         if meta.dirty {
             self.dirty_count -= 1;
         }
-        self.bump_generation(meta.slot);
         self.free_slots.push(meta.slot);
         Some(meta)
     }
@@ -167,28 +144,14 @@ impl LcCache {
         }
     }
 
-    /// Route a dirty page whose flash write failed to the disk side: charge
-    /// the disk write and park the page in the write-fallout buffer for the
-    /// caller to drain ([`FlashCache::take_write_fallout`]) and persist
-    /// WAL-guarded.
-    fn divert_to_fallout(&mut self, staged: StagedPage, io: &mut IoLog) {
-        io.disk_write(staged.page);
-        self.stats.staged_out_to_disk.inc();
-        self.write_fallout.push(StagedPage {
-            dirty: true,
-            fdirty: false,
-            ..staged
-        });
-    }
-
     /// The background lazy cleaner: once the dirty fraction exceeds the
     /// threshold, flush the coldest dirty pages to disk until the target
-    /// fraction is reached. Returns the cleaned pages so the engine can write
-    /// them to the disk store in data-carrying mode.
-    fn lazy_clean(&mut self, io: &mut IoLog) -> Vec<StagedPage> {
+    /// fraction is reached. Returns the cleaned pages so the caller can write
+    /// them to disk.
+    fn lazy_clean(&mut self, io: &mut IoLog) -> DeviceResult<Vec<StagedPage>> {
         let mut cleaned = Vec::new();
         if self.dirty_fraction() <= self.config.lc_dirty_threshold {
-            return cleaned;
+            return Ok(cleaned);
         }
         let target = (self.config.lc_clean_target * self.map.len() as f64).floor() as usize;
         // Coldest-first order is exactly the victim order.
@@ -205,13 +168,7 @@ impl LcCache {
             }
             let (slot, lsn) = (meta.slot, meta.lsn);
             io.flash_read_rand(1);
-            // The cleaner is best-effort background work: a page whose slot
-            // cannot be read is simply skipped and stays dirty — the
-            // checkpoint drain (or a later retry) will surface the error,
-            // and the degrade controller quarantines the slot on repeats.
-            let Ok(frame) = self.store.read_slot(slot) else {
-                continue;
-            };
+            let frame = self.store.read_slot(slot)?;
             let meta = self.map.get_mut(&page).expect("still cached");
             meta.dirty = false;
             self.dirty_count -= 1;
@@ -225,19 +182,11 @@ impl LcCache {
                 data: frame.map(Arc::new),
             });
         }
-        cleaned
+        Ok(cleaned)
     }
 }
 
 impl FlashCache for LcCache {
-    fn policy_name(&self) -> &'static str {
-        "LC"
-    }
-
-    fn contains(&self, page: PageId) -> bool {
-        self.map.contains_key(&page)
-    }
-
     fn fetch(&mut self, page: PageId, io: &mut IoLog) -> DeviceResult<Option<FlashFetch>> {
         self.stats.lookups.inc();
         let Some(meta) = self.map.get(&page).copied() else {
@@ -251,32 +200,6 @@ impl FlashCache for LcCache {
             dirty: meta.dirty,
             lsn: meta.lsn,
         }))
-    }
-
-    fn fetch_pin(&mut self, page: PageId, retry: bool, io: &mut IoLog) -> Option<FetchPin> {
-        if retry {
-            self.stats.fetch_retries.inc();
-        } else {
-            self.stats.lookups.inc();
-        }
-        let meta = *self.map.get(&page)?;
-        if !retry {
-            self.stats.hits.inc();
-        }
-        self.bump(page);
-        io.flash_read_rand(1);
-        Some(FetchPin {
-            slot: meta.slot,
-            lsn: meta.lsn,
-            dirty: meta.dirty,
-            generation: self.generations.current(meta.slot),
-            frame: None,
-            data_expected: true,
-        })
-    }
-
-    fn fetch_validate(&self, slot: usize, generation: u64) -> bool {
-        self.generations.check(slot, generation)
     }
 
     fn insert(
@@ -297,7 +220,6 @@ impl FlashCache for LcCache {
         if let Some(meta) = self.map.get_mut(&staged.page) {
             // Single-copy design: overwrite the existing copy in place.
             let became_dirty = staged.dirty && !meta.dirty;
-            let was_dirty = meta.dirty;
             meta.dirty |= staged.dirty;
             meta.lsn = staged.lsn;
             if became_dirty {
@@ -305,19 +227,8 @@ impl FlashCache for LcCache {
             }
             let slot = meta.slot;
             io.flash_write_rand(1);
-            self.bump_generation(slot);
             if let Some(data) = &staged.data {
-                if let Err(e) = self.store.write_slot(slot, data) {
-                    // The in-place overwrite may have torn the only flash
-                    // copy, so the entry cannot stay cached. Drop it, free
-                    // the slot (the degrade controller quarantines it on
-                    // repeats), and divert the freshest version to disk.
-                    self.remove_entry(staged.page);
-                    if was_dirty || staged.dirty {
-                        self.divert_to_fallout(staged, io);
-                    }
-                    return Err(e);
-                }
+                self.store.write_slot(slot, data)?;
             }
             self.bump(staged.page);
             self.stats.cached_inserts.inc();
@@ -328,29 +239,10 @@ impl FlashCache for LcCache {
                     outcome.staged_out.push(out);
                 }
             }
-            let Some(slot) = self.free_slots.pop() else {
-                // Every slot is quarantined: serve the page through to disk
-                // instead of caching it.
-                outcome.cached = false;
-                if staged.dirty {
-                    io.disk_write(staged.page);
-                    self.stats.staged_out_to_disk.inc();
-                    outcome.staged_out.push(staged);
-                }
-                return Ok(outcome);
-            };
+            let slot = self.free_slots.pop().expect("a full cache has a victim");
             io.flash_write_rand(1);
-            self.bump_generation(slot);
             if let Some(data) = &staged.data {
-                if let Err(e) = self.store.write_slot(slot, data) {
-                    // Nothing was mapped yet: return the slot to rotation
-                    // and divert the page to disk if it carried updates.
-                    self.free_slots.push(slot);
-                    if staged.dirty {
-                        self.divert_to_fallout(staged, io);
-                    }
-                    return Err(e);
-                }
+                self.store.write_slot(slot, data)?;
             }
             let now = self.tick();
             self.map.insert(
@@ -371,18 +263,13 @@ impl FlashCache for LcCache {
         }
 
         // Background lazy cleaning.
-        let cleaned = self.lazy_clean(io);
-        outcome.staged_out.extend(cleaned);
+        outcome.staged_out.extend(self.lazy_clean(io)?);
         Ok(outcome)
     }
 
     fn sync(&mut self, _io: &mut IoLog) -> DeviceResult<()> {
         // LC has no buffered batch; nothing to do.
         Ok(())
-    }
-
-    fn take_write_fallout(&mut self) -> Vec<StagedPage> {
-        std::mem::take(&mut self.write_fallout)
     }
 
     fn drain_dirty_for_checkpoint(&mut self, io: &mut IoLog) -> DeviceResult<Vec<StagedPage>> {
@@ -400,20 +287,7 @@ impl FlashCache for LcCache {
             let meta = self.map.get(&page).expect("still cached");
             let (slot, lsn) = (meta.slot, meta.lsn);
             io.flash_read_rand(1);
-            let frame = match self.store.read_slot(slot) {
-                Ok(f) => f,
-                Err(e) => {
-                    // Re-dirty the pages already drained this call: the
-                    // caller drops `out` on error, and a cleared flag would
-                    // let a retried checkpoint treat them as safe to skip.
-                    for undone in out {
-                        let meta = self.map.get_mut(&undone.page).expect("still cached");
-                        meta.dirty = true;
-                        self.dirty_count += 1;
-                    }
-                    return Err(e);
-                }
-            };
+            let frame = self.store.read_slot(slot)?;
             let meta = self.map.get_mut(&page).expect("still cached");
             meta.dirty = false;
             self.dirty_count -= 1;
@@ -429,105 +303,6 @@ impl FlashCache for LcCache {
         Ok(out)
     }
 
-    fn evacuate_dirty(&mut self, io: &mut IoLog) -> Evacuation {
-        // Like the checkpoint drain, but without clearing the dirty flags:
-        // the caller's disk writes may fail, and a cleared flag would let a
-        // retry treat the page as safe to drop (see the trait contract).
-        let mut ev = Evacuation::default();
-        ev.pages.append(&mut self.write_fallout);
-        for (page, meta) in &self.map {
-            if !meta.dirty {
-                continue;
-            }
-            io.flash_read_rand(1);
-            let frame = match self.store.read_slot(meta.slot) {
-                Ok(f) => f,
-                Err(_) if self.store.carries_data() => {
-                    // The only copy of this dirty page is unreadable; emit a
-                    // data-less marker so the caller can block stale disk
-                    // serves of it until WAL redo rebuilds the page.
-                    ev.unread_dirty += 1;
-                    ev.pages.push(StagedPage {
-                        page: *page,
-                        lsn: meta.lsn,
-                        dirty: true,
-                        fdirty: false,
-                        data: None,
-                    });
-                    continue;
-                }
-                Err(_) => None,
-            };
-            io.disk_write(*page);
-            ev.pages.push(StagedPage {
-                page: *page,
-                lsn: meta.lsn,
-                dirty: true,
-                fdirty: false,
-                data: frame.map(Arc::new),
-            });
-        }
-        ev
-    }
-
-    fn quarantine_slot(&mut self, slot: usize, io: &mut IoLog) -> QuarantineOutcome {
-        let mut out = QuarantineOutcome::default();
-        if slot >= self.config.capacity_pages || !self.quarantined.insert(slot) {
-            return out;
-        }
-        out.quarantined = true;
-        self.bump_generation(slot);
-        // Whether free or occupied, the slot leaves rotation for good (until
-        // a restart or a heal clears the RAM-only tombstone set).
-        self.free_slots.retain(|&s| s != slot);
-        let Some((&page, &meta)) = self.map.iter().find(|(_, m)| m.slot == slot) else {
-            return out;
-        };
-        // Remove the resident without returning its slot to the free list.
-        self.map.remove(&page);
-        self.victim_order
-            .remove(&(meta.penultimate, meta.last, page));
-        if meta.dirty {
-            self.dirty_count -= 1;
-        }
-        out.removed = Some(page);
-        if !meta.dirty {
-            // A clean resident is simply dropped; the next fetch misses to
-            // disk, which still has the authoritative copy.
-            return out;
-        }
-        // Dirty resident: LC keeps the only copy on the (failing) flash
-        // slot. Try to read it back one last time.
-        io.flash_read_rand(1);
-        let frame = match self.store.read_slot(slot) {
-            Ok(f) => f,
-            Err(_) if self.store.carries_data() => {
-                // Bytes lost: hand back a data-less evacuee so the caller
-                // can block stale disk serves until WAL redo rebuilds it.
-                out.dirty_unread = true;
-                out.evacuee = Some(StagedPage {
-                    page,
-                    lsn: meta.lsn,
-                    dirty: true,
-                    fdirty: false,
-                    data: None,
-                });
-                return out;
-            }
-            Err(_) => None,
-        };
-        io.disk_write(page);
-        self.stats.staged_out_to_disk.inc();
-        out.evacuee = Some(StagedPage {
-            page,
-            lsn: meta.lsn,
-            dirty: true,
-            fdirty: false,
-            data: frame.map(Arc::new),
-        });
-        out
-    }
-
     fn persists_dirty_pages(&self) -> bool {
         false
     }
@@ -535,14 +310,10 @@ impl FlashCache for LcCache {
     fn crash_and_recover(&mut self, _durable_lsn: Lsn, _io: &mut IoLog) -> CacheRecoveryInfo {
         // LC keeps no persistent metadata: after a crash the flash-resident
         // copies are unreachable and the cache restarts cold (paper §4.1).
-        // Quarantine tombstones are RAM-only and clear with the restart —
-        // persistently bad slots get re-quarantined by fresh failures.
         self.map.clear();
         self.victim_order.clear();
         self.free_slots = (0..self.config.capacity_pages).rev().collect();
         self.dirty_count = 0;
-        self.quarantined.clear();
-        self.write_fallout.clear();
         CacheRecoveryInfo::default()
     }
 
@@ -552,14 +323,6 @@ impl FlashCache for LcCache {
 
     fn reset_stats(&self) {
         self.stats.reset();
-    }
-
-    fn capacity(&self) -> usize {
-        self.config.capacity_pages
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
     }
 }
 
@@ -594,7 +357,7 @@ mod tests {
         c.insert(staged(1, false), &mut NoSupplier, &mut io)
             .unwrap();
         c.insert(staged(1, true), &mut NoSupplier, &mut io).unwrap();
-        assert_eq!(c.len(), 1, "LC keeps one copy per page");
+        assert_eq!(c.map.len(), 1, "LC keeps one copy per page");
         // Both writes are random flash writes.
         assert_eq!(io.flash_pages_written_random(), 2);
         assert!((c.dirty_fraction() - 1.0).abs() < 1e-9);
@@ -627,10 +390,10 @@ mod tests {
         c.fetch(pid(1), &mut io).unwrap().unwrap();
         c.insert(staged(4, false), &mut NoSupplier, &mut io)
             .unwrap();
-        assert!(c.contains(pid(1)));
-        assert!(!c.contains(pid(2)));
-        assert!(c.contains(pid(3)));
-        assert!(c.contains(pid(4)));
+        assert!(c.map.contains_key(&pid(1)));
+        assert!(!c.map.contains_key(&pid(2)));
+        assert!(c.map.contains_key(&pid(3)));
+        assert!(c.map.contains_key(&pid(4)));
     }
 
     #[test]
@@ -683,7 +446,7 @@ mod tests {
         assert!(c.stats().lazily_cleaned > 0);
         assert!(io.disk_writes() > 0);
         // Cleaned pages stay cached (clean), so the cache still contains them.
-        assert_eq!(c.len(), 8);
+        assert_eq!(c.map.len(), 8);
     }
 
     #[test]
@@ -716,6 +479,6 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(io.flash_pages_written(), io.flash_pages_written_random());
-        assert!(c.len() <= c.capacity());
+        assert!(c.map.len() <= c.config.capacity_pages);
     }
 }

@@ -22,11 +22,14 @@
 //! journal recovery live there once, and [`mvfifo`] and [`s3fifo`] only decide
 //! where a page goes and which victims survive a dequeue.
 //!
-//! All policies implement the [`FlashCache`] trait, record the physical I/O
-//! they cause in an [`IoLog`] (so the simulation driver can charge calibrated
-//! device times), and optionally carry real page data through a [`FlashStore`]
-//! (so the functional engine, the recovery tests and the examples move real
-//! bytes).
+//! All six policies implement the [`FlashCache`] trait — the surface the
+//! trace simulator drives — and record the physical I/O they cause in an
+//! [`IoLog`] (so the simulation driver can charge calibrated device times).
+//! Only the four ring policies implement [`RingCache`], the contract of the
+//! functional engine ([`ShardedFlashCache`]: lock-light fetches, deferred
+//! group writes, quarantine, evacuation), and carry real page data through a
+//! [`FlashStore`]; LC and TAC are the paper's baselines and run in the
+//! simulator only.
 //!
 //! ## Recovery
 //!
@@ -72,8 +75,8 @@ pub use io::{FlashIoEvent, IoLog};
 pub use lc::LcCache;
 pub use meta::{CacheCheckpoint, JournalEntry, JournalStats, MetaJournal, RecoveredJournal};
 pub use mvfifo::MvFifoCache;
-pub use policy::{build_cache, CachePolicyKind, FlashCache, NoSupplier, PageSupplier};
-pub use ring::GroupRing;
+pub use policy::{build_cache, build_ring, CachePolicyKind, FlashCache, NoSupplier, PageSupplier};
+pub use ring::{GroupRing, RingCache};
 pub use s3fifo::S3FifoCache;
 pub use store::{
     FlashStore, GateFlashStore, HeaderFlashStore, InstrumentedFlashStore, MemFlashStore,

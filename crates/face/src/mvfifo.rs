@@ -110,6 +110,7 @@ mod tests {
 
     use super::*;
     use crate::policy::{FlashCache, NoSupplier};
+    use crate::ring::RingCache;
     use crate::store::{FlashStore, MemFlashStore, NullFlashStore};
 
     fn pid(n: u32) -> PageId {

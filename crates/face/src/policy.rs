@@ -1,5 +1,6 @@
-//! The [`FlashCache`] trait implemented by every caching policy, and a
-//! factory for building a policy by name.
+//! The [`FlashCache`] trait implemented by every caching policy, and the
+//! factories that build a policy by name: [`build_cache`] for the trace
+//! simulator, [`build_ring`] for the functional engine.
 
 use std::sync::Arc;
 
@@ -8,12 +9,12 @@ use face_pagestore::{DeviceResult, PageId};
 use crate::io::IoLog;
 use crate::lc::LcCache;
 use crate::mvfifo::MvFifoCache;
+use crate::ring::RingCache;
 use crate::s3fifo::S3FifoCache;
 use crate::store::FlashStore;
 use crate::tac::TacCache;
 use crate::types::{
-    CacheConfig, CacheRecoveryInfo, CacheStats, Evacuation, FetchPin, FlashFetch, InsertOutcome,
-    QuarantineOutcome, StagedPage,
+    CacheConfig, CacheRecoveryInfo, CacheStats, FlashFetch, InsertOutcome, StagedPage,
 };
 
 /// Supplies additional dirty pages from the DRAM buffer's LRU tail so Group
@@ -46,67 +47,38 @@ where
 }
 
 /// A second-level cache on a flash device, sitting between the DRAM buffer
-/// pool and the disk array.
+/// pool and the disk array, as the engine's trace simulator
+/// (`face_engine::sim`) drives it: every policy of the paper's comparison,
+/// LC and TAC included, implements exactly this. The functional engine's
+/// contract (lock-light fetches, deferred group writes, the fault paths) is
+/// the [`crate::RingCache`] subtrait, which only the ring policies carry.
 ///
 /// `Sync` is required because [`crate::ShardedFlashCache`] exposes the
 /// `&self` surface (lookups, validation, stats) through shared `RwLock` read
 /// guards — implementations keep their mutable state behind `&mut self` and
 /// their counters atomic, so this is free.
 pub trait FlashCache: Send + Sync {
-    /// Human-readable policy name (used in reports).
-    fn policy_name(&self) -> &'static str;
-
-    /// Whether a valid copy of `page` is cached.
-    fn contains(&self, page: PageId) -> bool;
-
     /// Look up `page` on a DRAM miss. On a hit the cached copy is returned
     /// (with data when the backing store carries data) and the physical flash
     /// read is recorded in `io`. `Err` means the device failed the read —
-    /// distinct from `Ok(None)`, a plain miss.
-    ///
-    /// This is the classic **read-under-lock** path: the device read runs
-    /// inside the call, so a caller serializing on a shard mutex holds it
-    /// across the read. The lock-light alternative is the
-    /// [`FlashCache::fetch_pin`] / [`FlashCache::fetch_validate`] pair.
+    /// distinct from `Ok(None)`, a plain miss. The device read runs inside
+    /// the call.
     fn fetch(&mut self, page: PageId, io: &mut IoLog) -> DeviceResult<Option<FlashFetch>>;
-
-    /// First half of the lock-light fetch: resolve `page` to its slot, mark
-    /// it referenced, charge the flash read in `io`, and return a
-    /// [`FetchPin`] carrying the slot's generation — **without touching the
-    /// device**. The caller drops the shard lock, performs the read, and
-    /// revalidates with [`FlashCache::fetch_validate`].
-    ///
-    /// `retry` is true when this lookup repeats after a failed validation:
-    /// the retry is counted in [`CacheStats::fetch_retries`] instead of
-    /// being double-counted as a fresh lookup/hit. (A pinned hit whose
-    /// retry then misses stays counted as a hit — the version existed at
-    /// pin time; the race is visible in the retry counter.)
-    fn fetch_pin(&mut self, page: PageId, retry: bool, io: &mut IoLog) -> Option<FetchPin>;
-
-    /// Second half of the lock-light fetch: whether `slot` still holds the
-    /// version pinned at `generation`. `false` means the slot was evicted or
-    /// reused while the caller read the device off-lock — the bytes may
-    /// belong to a different version (or page) and must be discarded.
-    fn fetch_validate(&self, slot: usize, generation: u64) -> bool;
 
     /// Hand a page leaving the DRAM buffer (eviction or checkpoint flush) to
     /// the cache. `supplier` lets Group Second Chance pull extra dirty pages
     /// from the DRAM LRU tail; pass [`NoSupplier`] when that must not happen
     /// (e.g. during checkpoints).
     ///
-    /// With [`crate::types::CacheConfig::defer_group_writes`] set, a filled
-    /// replacement group comes back in
+    /// With [`crate::types::CacheConfig::defer_group_writes`] set, a ring
+    /// policy hands a filled replacement group back in
     /// [`InsertOutcome::pending_group`](crate::types::InsertOutcome) instead
-    /// of being written here: the caller applies the batch off-lock
-    /// ([`crate::destage::PendingGroupWrite::apply`]) and then calls
-    /// [`FlashCache::complete_group`].
+    /// of writing it here (see [`crate::RingCache::complete_group`]).
     ///
-    /// An `Err` means an inline device write failed. The policy has rolled
-    /// the affected entries back out of its directory (their journal records
-    /// never seal); dirty pages of the failed batch are waiting in
-    /// [`FlashCache::take_write_fallout`] — the caller must drain them and
-    /// write them to disk (WAL-guarded), treating the inserted page as not
-    /// cached.
+    /// An `Err` means an inline device write failed. A ring policy then
+    /// parks the dirty pages it had to un-cache in
+    /// [`crate::RingCache::take_write_fallout`]; LC and TAC, which only the
+    /// simulator runs over stores that never fail, simply propagate it.
     fn insert(
         &mut self,
         staged: StagedPage,
@@ -114,32 +86,8 @@ pub trait FlashCache: Send + Sync {
         io: &mut IoLog,
     ) -> DeviceResult<InsertOutcome>;
 
-    /// Dirty pages rolled back from failed inline flash writes, awaiting
-    /// disk failover. Populated when [`FlashCache::insert`],
-    /// [`FlashCache::on_fetched_from_disk`] or [`FlashCache::sync`] return a
-    /// device error; the caller drains this immediately (under the same
-    /// lock) and routes the pages through its stage-out-to-disk path.
-    fn take_write_fallout(&mut self) -> Vec<StagedPage> {
-        Vec::new()
-    }
-
-    /// Report that a deferred group's physical batch write finished: the
-    /// group's journal records may now seal (become crash-durable) — never
-    /// before, preserving the data-with-metadata coupling of §4.3. A no-op
-    /// for policies without deferred writes and for unknown epochs
-    /// (idempotent: sync may have sealed the group inline already).
-    fn complete_group(&mut self, _epoch: u64, _io: &mut IoLog) {}
-
-    /// Whether the deferred group `epoch` still owes its physical batch
-    /// write (formed, not yet applied inline or completed). `false` for
-    /// policies without deferred writes and for sealed/unknown epochs.
-    fn group_write_pending(&self, _epoch: u64) -> bool {
-        false
-    }
-
     /// Notification that `page` was fetched from *disk* into the DRAM buffer.
-    /// Only on-entry policies (TAC) react to this. A device error follows
-    /// the [`FlashCache::insert`] contract (rollback + write fallout).
+    /// Only on-entry policies (TAC) react to this.
     fn on_fetched_from_disk(
         &mut self,
         _page: PageId,
@@ -149,79 +97,33 @@ pub trait FlashCache: Send + Sync {
     }
 
     /// Flush any buffered page batch and metadata to flash (called by
-    /// checkpoints and before clean shutdown). On a device error the
-    /// unflushable group is rolled back (see [`FlashCache::insert`]); drain
-    /// [`FlashCache::take_write_fallout`] for its dirty pages.
+    /// checkpoints and before clean shutdown).
     fn sync(&mut self, io: &mut IoLog) -> DeviceResult<()>;
 
     /// Checkpoint support for policies whose cached dirty pages are *not*
     /// part of the persistent database (LC): return every dirty cached page
     /// (with data when available) so the caller can write them to disk, and
-    /// mark them clean. FaCE and TAC return nothing. A device error aborts
-    /// the drain (the checkpoint fails and can be retried).
+    /// mark them clean. The ring policies and TAC return nothing.
     fn drain_dirty_for_checkpoint(&mut self, _io: &mut IoLog) -> DeviceResult<Vec<StagedPage>> {
         Ok(Vec::new())
     }
 
-    /// Evacuation support: return **every** dirty valid cached page (with
-    /// data when available) so the caller can write them to disk before
-    /// wiping or replacing the cache device. For FaCE this is mandatory
-    /// before a cache wipe — dirty flash pages are part of the persistent
-    /// database and exist nowhere else. Unlike the checkpoint drain, dirty
-    /// flags are **left set**: the caller's disk writes may still fail, and
-    /// clearing early would let a retried evacuation (or a later eviction)
-    /// drop the only copy. A successful evacuation is followed by a wipe,
-    /// which retires the flags; repeated calls are idempotent. Policies that
-    /// never hold dirty pages (TAC) return nothing.
-    ///
-    /// Best-effort by design: evacuation runs precisely when the device is
-    /// suspect, so an unreadable dirty page is *counted*
-    /// ([`Evacuation::unread_dirty`]) rather than aborting the evacuation —
-    /// those pages are recovered from WAL redo instead of flash.
-    fn evacuate_dirty(&mut self, io: &mut IoLog) -> Evacuation {
-        let _ = io;
-        Evacuation::default()
-    }
-
-    /// Take `slot` out of the replacement rotation permanently (until the
-    /// cache is rebuilt cold) and invalidate its resident version: the
-    /// degraded-mode response to a slot that keeps failing. A clean resident
-    /// is simply dropped (re-fetched from disk on next miss); a dirty
-    /// resident comes back in [`QuarantineOutcome::evacuee`] for a
-    /// WAL-guarded disk write — its bytes are pulled from RAM when the
-    /// group is still in flight, else read from the device (the caller
-    /// wraps the call in an acknowledged-I/O scope; quarantine is a rare
-    /// failure-path event). The flash store is *not* trimmed: if the bytes
-    /// are still readable after a crash, recovery may legitimately use them.
-    fn quarantine_slot(&mut self, _slot: usize, _io: &mut IoLog) -> QuarantineOutcome {
-        QuarantineOutcome::default()
-    }
-
-    /// Abort a deferred group whose physical batch write failed
-    /// permanently: drop its directory entries and journal records (they
-    /// never seal — exactly the crash contract: data and metadata are lost
-    /// together) and return the group's dirty pages (bytes from the
-    /// in-flight RAM copy) for disk failover. Idempotent for unknown
-    /// epochs. A no-op for policies without deferred writes.
-    fn abort_group(&mut self, _epoch: u64, _io: &mut IoLog) -> Vec<StagedPage> {
-        Vec::new()
-    }
-
     /// Whether dirty pages staged in this cache are part of the persistent
-    /// database (true for FaCE: checkpoints may flush to flash and recovery
-    /// may read from flash; false for LC/TAC which must checkpoint to disk).
+    /// database (true for the ring policies: checkpoints may flush to flash
+    /// and recovery may read from flash; false for LC/TAC, which must
+    /// checkpoint to disk).
     fn persists_dirty_pages(&self) -> bool;
 
     /// Simulate a crash followed by restart-time cache recovery. Volatile
     /// (RAM-resident) cache metadata is lost; whatever the policy keeps
-    /// persistently in flash is restored. FaCE rebuilds its directory from
-    /// the cache checkpoint plus the sealed journal groups, reconciled
-    /// against the WAL: any version whose pageLSN exceeds `durable_lsn` (the
-    /// durable end of the log) is discarded, because its log records are
-    /// lost and serving it would diverge from redo. LC and TAC lose
-    /// everything (the paper's §4.1 point: without persistent metadata the
-    /// flash copies become inaccessible). Callers without a WAL pass
-    /// `Lsn(u64::MAX)` to disable reconciliation.
+    /// persistently in flash is restored. The ring policies rebuild their
+    /// directory from the cache checkpoint plus the sealed journal groups,
+    /// reconciled against the WAL: any version whose pageLSN exceeds
+    /// `durable_lsn` (the durable end of the log) is discarded, because its
+    /// log records are lost and serving it would diverge from redo. LC and
+    /// TAC lose everything (the paper's §4.1 point: without persistent
+    /// metadata the flash copies become inaccessible). Callers without a WAL
+    /// pass `Lsn(u64::MAX)` to disable reconciliation.
     fn crash_and_recover(
         &mut self,
         durable_lsn: face_pagestore::Lsn,
@@ -233,17 +135,6 @@ pub trait FlashCache: Send + Sync {
 
     /// Reset activity counters (after warm-up).
     fn reset_stats(&self);
-
-    /// Capacity in page slots.
-    fn capacity(&self) -> usize;
-
-    /// Occupied page slots (including invalidated old versions for mvFIFO).
-    fn len(&self) -> usize;
-
-    /// Whether the cache currently holds nothing.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Which caching policy to run. `None` disables the flash cache entirely
@@ -299,15 +190,37 @@ impl std::fmt::Display for CachePolicyKind {
     }
 }
 
-/// Build a flash cache of the given kind over `store`.
-/// Returns `None` for [`CachePolicyKind::None`].
+/// Build a flash cache of the given kind over `store`, for the trace
+/// simulator. Returns `None` for [`CachePolicyKind::None`].
 pub fn build_cache(
     kind: CachePolicyKind,
     config: CacheConfig,
     store: Arc<dyn FlashStore>,
 ) -> Option<Box<dyn FlashCache>> {
     match kind {
+        CachePolicyKind::Lc => Some(Box::new(LcCache::new(config, store))),
+        CachePolicyKind::Tac => Some(Box::new(TacCache::new(config, store))),
+        _ => build_ring(kind, config, store).map(|ring| ring as Box<dyn FlashCache>),
+    }
+}
+
+/// Build a ring policy (FaCE, FaCE+GR, FaCE+GSC or S3-FIFO) over `store`:
+/// the policies the functional engine hosts. Returns `None` for
+/// [`CachePolicyKind::None`].
+///
+/// # Panics
+/// Panics for LC and TAC, which only the trace simulator runs
+/// ([`build_cache`]).
+pub fn build_ring(
+    kind: CachePolicyKind,
+    config: CacheConfig,
+    store: Arc<dyn FlashStore>,
+) -> Option<Box<dyn RingCache>> {
+    match kind {
         CachePolicyKind::None => None,
+        CachePolicyKind::Lc | CachePolicyKind::Tac => {
+            panic!("{kind} is a trace-simulator baseline, not a ring policy")
+        }
         CachePolicyKind::Face => {
             let cfg = CacheConfig {
                 group_size: 1,
@@ -331,8 +244,6 @@ pub fn build_cache(
             Some(Box::new(MvFifoCache::new(cfg, store)))
         }
         CachePolicyKind::S3Fifo => Some(Box::new(S3FifoCache::new(config, store))),
-        CachePolicyKind::Lc => Some(Box::new(LcCache::new(config, store))),
-        CachePolicyKind::Tac => Some(Box::new(TacCache::new(config, store))),
     }
 }
 
@@ -355,33 +266,42 @@ mod tests {
             capacity_pages: 128,
             ..CacheConfig::default()
         };
-        assert!(build_cache(
-            CachePolicyKind::None,
-            cfg.clone(),
-            Arc::new(NullFlashStore::new(128))
-        )
-        .is_none());
+        let store = || Arc::new(NullFlashStore::new(128));
+        assert!(build_cache(CachePolicyKind::None, cfg.clone(), store()).is_none());
+        assert!(build_ring(CachePolicyKind::None, cfg.clone(), store()).is_none());
         for kind in CachePolicyKind::CACHING {
-            let cache = build_cache(kind, cfg.clone(), Arc::new(NullFlashStore::new(128)))
-                .expect("caching policy");
-            assert_eq!(cache.capacity(), 128);
-            assert!(cache.is_empty());
+            assert!(build_cache(kind, cfg.clone(), store()).is_some(), "{kind}");
+        }
+        for kind in &CachePolicyKind::CACHING[..4] {
+            let ring = build_ring(*kind, cfg.clone(), store()).expect("ring policy");
+            assert_eq!(ring.capacity(), 128);
+            assert!(ring.is_empty());
         }
         // Base FaCE forces group_size to 1.
-        let face = build_cache(
+        let face = build_ring(
             CachePolicyKind::Face,
             cfg.clone().group_size(64),
             Arc::new(NullFlashStore::new(128)),
         )
         .unwrap();
         assert_eq!(face.policy_name(), "FaCE");
-        let gsc = build_cache(
+        let gsc = build_ring(
             CachePolicyKind::FaceGsc,
             cfg,
             Arc::new(NullFlashStore::new(128)),
         )
         .unwrap();
         assert_eq!(gsc.policy_name(), "FaCE+GSC");
+    }
+
+    #[test]
+    #[should_panic(expected = "trace-simulator baseline")]
+    fn ring_factory_refuses_the_baselines() {
+        build_ring(
+            CachePolicyKind::Tac,
+            CacheConfig::default(),
+            Arc::new(NullFlashStore::new(8)),
+        );
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //!   occupant (enqueue, dequeue, rollback, abort, quarantine) bumps the
 //!   slot's generation, which is what lets a lock-light reader detect that
 //!   the bytes it read off-lock no longer belong to the version it pinned
-//!   ([`FlashCache::fetch_pin`] / [`FlashCache::fetch_validate`]).
+//!   ([`RingCache::fetch_pin`] / [`RingCache::fetch_validate`]).
 //! * **The pending batch.** Enqueues collect in RAM until `group_size` of
 //!   them exist, then go out as one batch write: inline
 //!   (`flush_pending`), or, with [`CacheConfig::defer_group_writes`],
 //!   handed back to the caller as a [`PendingGroupWrite`] whose frames stay
 //!   readable from the in-flight table until the caller reports the write
-//!   done ([`FlashCache::complete_group`]).
+//!   done ([`RingCache::complete_group`]).
 //! * **The metadata journal.** Each enqueue appends a record to the
 //!   [`MetaJournal`]'s current group. **A journal group seals strictly after
 //!   its batch write, and groups seal in epoch order** (§4.3): a crash or a
@@ -48,6 +48,11 @@
 //! A policy ([`RingPolicy`]) supplies the region layout, where an inserted
 //! page goes, and what happens to the victims of a dequeue.
 //! [`crate::mvfifo`] and [`crate::s3fifo`] are the two in the tree.
+//!
+//! [`RingCache`] is the contract the functional engine holds a cache to:
+//! the simulator's [`FlashCache`] plus the lock-light fetch, the deferred
+//! group hand-back and the fault paths above. [`GroupRing`] is its one
+//! implementation; the LC and TAC baselines implement [`FlashCache`] only.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -142,7 +147,7 @@ impl SlotMeta {
 /// A group formed under [`CacheConfig::defer_group_writes`]: the directory
 /// already references its slots, but the physical batch write is owed by the
 /// caller (the destage pipeline). Its journal records are RAM-resident until
-/// [`FlashCache::complete_group`] seals them — a crash before then loses
+/// [`RingCache::complete_group`] seals them — a crash before then loses
 /// data and metadata together, the §4.3 invariant.
 struct InflightGroup {
     write: PendingGroupWrite,
@@ -245,7 +250,7 @@ pub struct GroupRing<P> {
     inflight_data: IdHashMap<usize, (u64, Arc<Page>)>,
     generations: SlotGenerations,
     /// Slots removed from the replacement rotation after repeated device
-    /// failures ([`FlashCache::quarantine_slot`]). RAM-only by design: the
+    /// failures ([`RingCache::quarantine_slot`]). RAM-only by design: the
     /// flash bytes are not trimmed, so a post-crash recovery may still use
     /// them if they turn out readable; a slot that keeps failing is simply
     /// re-quarantined. Inside a queue window a quarantined slot is a hole
@@ -253,7 +258,7 @@ pub struct GroupRing<P> {
     /// without a page (`absorb_quarantined_rear`).
     quarantined: HashSet<usize>,
     /// Dirty pages rolled back from failed inline flash writes, awaiting the
-    /// caller's disk failover ([`FlashCache::take_write_fallout`]).
+    /// caller's disk failover ([`RingCache::take_write_fallout`]).
     write_fallout: Vec<StagedPage>,
     journal: MetaJournal,
     pub(crate) stats: CacheStatCounters,
@@ -394,7 +399,7 @@ impl<P: RingPolicy> GroupRing<P> {
     /// restart replays no journal at all. Independent of database
     /// checkpointing, as in the paper. On a device error the unflushable
     /// group has been rolled back (dirty pages wait in
-    /// [`FlashCache::take_write_fallout`]) and no snapshot is written.
+    /// [`RingCache::take_write_fallout`]) and no snapshot is written.
     pub fn checkpoint_metadata(&mut self, io: &mut IoLog) -> DeviceResult<()> {
         self.flush_all_groups_inline(io)?;
         // The flush may just have installed a cadence checkpoint (or a
@@ -840,7 +845,7 @@ impl<P: RingPolicy> GroupRing<P> {
     /// mode): the directory keeps referencing the slots, the frames move into
     /// the in-flight table so fetches and dequeues still see them, and the
     /// group's journal records leave the current buffer but stay volatile
-    /// until [`FlashCache::complete_group`]. No I/O happens here — that is
+    /// until [`RingCache::complete_group`]. No I/O happens here — that is
     /// the point.
     fn form_pending_group(&mut self) -> Option<PendingGroupWrite> {
         if self.pending.is_empty() {
@@ -902,7 +907,7 @@ impl<P: RingPolicy> GroupRing<P> {
     /// Engine callers drain the destage pipeline before reaching these paths,
     /// so the in-flight table is normally empty here; applying a group twice
     /// is idempotent at the device (same bytes, same slots) and
-    /// [`FlashCache::complete_group`] ignores epochs already sealed.
+    /// [`RingCache::complete_group`] ignores epochs already sealed.
     ///
     /// A failed group write aborts exactly that group and returns the error;
     /// already-sealed groups and the remaining ones are unaffected.
@@ -1120,15 +1125,103 @@ impl<P: RingPolicy> GroupRing<P> {
     }
 }
 
+/// The production cache contract: what [`crate::ShardedFlashCache`] and the
+/// engine's tier need beyond the trace simulator's [`FlashCache`].
+/// Implemented once, for [`GroupRing`], so both ring policies sit behind one
+/// `Box<dyn RingCache>` per shard.
+pub trait RingCache: FlashCache {
+    /// Human-readable policy name (used in reports).
+    fn policy_name(&self) -> &'static str;
+
+    /// Whether a valid copy of `page` is cached.
+    fn contains(&self, page: PageId) -> bool;
+
+    /// Capacity in page slots.
+    fn capacity(&self) -> usize;
+
+    /// Occupied page slots, invalidated old versions and quarantine holes
+    /// included.
+    fn len(&self) -> usize;
+
+    /// Whether the cache currently holds nothing.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// First half of the lock-light fetch: resolve `page` to its slot, mark
+    /// it referenced, charge the flash read in `io`, and return a
+    /// [`FetchPin`] carrying the slot's generation — **without touching the
+    /// device**. The caller drops the shard lock, performs the read, and
+    /// revalidates with [`RingCache::fetch_validate`].
+    ///
+    /// `retry` is true when this lookup repeats after a failed validation:
+    /// the retry is counted in [`CacheStats::fetch_retries`] instead of
+    /// being double-counted as a fresh lookup/hit. (A pinned hit whose
+    /// retry then misses stays counted as a hit — the version existed at
+    /// pin time; the race is visible in the retry counter.)
+    fn fetch_pin(&mut self, page: PageId, retry: bool, io: &mut IoLog) -> Option<FetchPin>;
+
+    /// Second half of the lock-light fetch: whether `slot` still holds the
+    /// version pinned at `generation`. `false` means the slot was evicted or
+    /// reused while the caller read the device off-lock — the bytes may
+    /// belong to a different version (or page) and must be discarded.
+    fn fetch_validate(&self, slot: usize, generation: u64) -> bool;
+
+    /// Dirty pages rolled back from failed inline flash writes, awaiting
+    /// disk failover. Populated when [`FlashCache::insert`] or
+    /// [`FlashCache::sync`] return a device error; the caller drains this
+    /// immediately (under the same lock) and routes the pages through its
+    /// stage-out-to-disk path.
+    fn take_write_fallout(&mut self) -> Vec<StagedPage>;
+
+    /// Report that a deferred group's physical batch write finished: the
+    /// group's journal records may now seal (become crash-durable) — never
+    /// before, preserving the data-with-metadata coupling of §4.3. A no-op
+    /// for unknown epochs (idempotent: sync may have sealed the group
+    /// inline already).
+    fn complete_group(&mut self, epoch: u64, io: &mut IoLog);
+
+    /// Whether the deferred group `epoch` still owes its physical batch
+    /// write (formed, not yet applied inline or completed). `false` for
+    /// sealed and unknown epochs.
+    fn group_write_pending(&self, epoch: u64) -> bool;
+
+    /// Abort a deferred group whose physical batch write failed
+    /// permanently: drop its directory entries and journal records (they
+    /// never seal — exactly the crash contract: data and metadata are lost
+    /// together) and return the group's dirty pages (bytes from the
+    /// in-flight RAM copy) for disk failover. Idempotent for unknown epochs.
+    fn abort_group(&mut self, epoch: u64, io: &mut IoLog) -> Vec<StagedPage>;
+
+    /// Take `slot` out of the replacement rotation permanently (until the
+    /// cache is rebuilt cold) and invalidate its resident version: the
+    /// degraded-mode response to a slot that keeps failing. A clean resident
+    /// is simply dropped (re-fetched from disk on next miss); a dirty
+    /// resident comes back in [`QuarantineOutcome::evacuee`] for a
+    /// WAL-guarded disk write — its bytes are pulled from RAM when the
+    /// group is still in flight, else read from the device (the caller
+    /// wraps the call in an acknowledged-I/O scope; quarantine is a rare
+    /// failure-path event). The flash store is *not* trimmed: if the bytes
+    /// are still readable after a crash, recovery may legitimately use them.
+    fn quarantine_slot(&mut self, slot: usize, io: &mut IoLog) -> QuarantineOutcome;
+
+    /// Evacuation support: return **every** dirty valid cached page (with
+    /// data when available) so the caller can write them to disk before
+    /// wiping or replacing the cache device — dirty flash pages are part of
+    /// the persistent database and exist nowhere else. Dirty flags are
+    /// **left set**: the caller's disk writes may still fail, and clearing
+    /// early would let a retried evacuation (or a later eviction) drop the
+    /// only copy. A successful evacuation is followed by a wipe, which
+    /// retires the flags; repeated calls are idempotent.
+    ///
+    /// Best-effort by design: evacuation runs precisely when the device is
+    /// suspect, so an unreadable dirty page is *counted*
+    /// ([`Evacuation::unread_dirty`]) rather than aborting the evacuation —
+    /// those pages are recovered from WAL redo instead of flash.
+    fn evacuate_dirty(&mut self, io: &mut IoLog) -> Evacuation;
+}
+
 impl<P: RingPolicy> FlashCache for GroupRing<P> {
-    fn policy_name(&self) -> &'static str {
-        P::name(&self.config)
-    }
-
-    fn contains(&self, page: PageId) -> bool {
-        self.dir.contains_key(&page)
-    }
-
     fn fetch(&mut self, page: PageId, io: &mut IoLog) -> DeviceResult<Option<FlashFetch>> {
         let Some((slot, lsn, dirty)) = self.reference(page, false, io) else {
             return Ok(None);
@@ -1144,34 +1237,6 @@ impl<P: RingPolicy> FlashCache for GroupRing<P> {
             dirty,
             lsn,
         }))
-    }
-
-    fn fetch_pin(&mut self, page: PageId, retry: bool, io: &mut IoLog) -> Option<FetchPin> {
-        let (slot, lsn, dirty) = self.reference(page, retry, io)?;
-        // A version whose batch write has not reached the device is served
-        // from its shared RAM frame — the store may still hold the slot's
-        // previous occupant, so an off-lock device read would be wrong, not
-        // merely stale. The frame is immutable and `Arc`-shared: it outlives
-        // any eviction or destage completing mid-read.
-        let (frame, data_expected) = match self.ram_frame(slot) {
-            Some(frame) => {
-                let expected = frame.is_some();
-                (frame, expected)
-            }
-            None => (None, true),
-        };
-        Some(FetchPin {
-            slot,
-            lsn,
-            dirty,
-            generation: self.generations.current(slot),
-            frame,
-            data_expected,
-        })
-    }
-
-    fn fetch_validate(&self, slot: usize, generation: u64) -> bool {
-        self.generations.check(slot, generation)
     }
 
     fn insert(
@@ -1207,6 +1272,91 @@ impl<P: RingPolicy> FlashCache for GroupRing<P> {
         Ok(outcome)
     }
 
+    fn sync(&mut self, io: &mut IoLog) -> DeviceResult<()> {
+        // Flush the pending batch (sealing its journal group) and snapshot
+        // the directory, so a clean shutdown restarts with zero replay.
+        self.checkpoint_metadata(io)
+    }
+
+    fn persists_dirty_pages(&self) -> bool {
+        true
+    }
+
+    fn crash_and_recover(&mut self, durable_lsn: Lsn, io: &mut IoLog) -> CacheRecoveryInfo {
+        // RAM-resident state (directory, slot metadata, pending batch, the
+        // journal's unsealed group, the policy's own state) is lost; the
+        // flash store contents, the cache checkpoint and the sealed journal
+        // groups survive and the cache is rebuilt from them, reconciled
+        // against `durable_lsn`.
+        let mut survivor = self.journal.clone();
+        survivor.crash();
+        let config = self.config.clone();
+        let store = Arc::clone(&self.store);
+        let stats = self.stats.snapshot();
+        let (mut rebuilt, info) = Self::recover(config, store, &survivor, durable_lsn, io);
+        rebuilt.stats = CacheStatCounters::from(stats);
+        *self = rebuilt;
+        info
+    }
+
+    fn stats(&self) -> CacheStats {
+        self.stats.snapshot()
+    }
+
+    fn reset_stats(&self) {
+        self.stats.reset();
+    }
+}
+
+impl<P: RingPolicy> RingCache for GroupRing<P> {
+    fn policy_name(&self) -> &'static str {
+        P::name(&self.config)
+    }
+
+    fn contains(&self, page: PageId) -> bool {
+        self.dir.contains_key(&page)
+    }
+
+    fn capacity(&self) -> usize {
+        self.config.capacity_pages
+    }
+
+    fn len(&self) -> usize {
+        self.regions.iter().map(|r| r.size).sum()
+    }
+
+    fn fetch_pin(&mut self, page: PageId, retry: bool, io: &mut IoLog) -> Option<FetchPin> {
+        let (slot, lsn, dirty) = self.reference(page, retry, io)?;
+        // A version whose batch write has not reached the device is served
+        // from its shared RAM frame — the store may still hold the slot's
+        // previous occupant, so an off-lock device read would be wrong, not
+        // merely stale. The frame is immutable and `Arc`-shared: it outlives
+        // any eviction or destage completing mid-read.
+        let (frame, data_expected) = match self.ram_frame(slot) {
+            Some(frame) => {
+                let expected = frame.is_some();
+                (frame, expected)
+            }
+            None => (None, true),
+        };
+        Some(FetchPin {
+            slot,
+            lsn,
+            dirty,
+            generation: self.generations.current(slot),
+            frame,
+            data_expected,
+        })
+    }
+
+    fn fetch_validate(&self, slot: usize, generation: u64) -> bool {
+        self.generations.check(slot, generation)
+    }
+
+    fn take_write_fallout(&mut self) -> Vec<StagedPage> {
+        std::mem::take(&mut self.write_fallout)
+    }
+
     fn group_write_pending(&self, epoch: u64) -> bool {
         self.inflight.get(&epoch).is_some_and(|g| !g.completed)
     }
@@ -1235,14 +1385,75 @@ impl<P: RingPolicy> FlashCache for GroupRing<P> {
         self.maybe_cadence_checkpoint(io);
     }
 
-    fn sync(&mut self, io: &mut IoLog) -> DeviceResult<()> {
-        // Flush the pending batch (sealing its journal group) and snapshot
-        // the directory, so a clean shutdown restarts with zero replay.
-        self.checkpoint_metadata(io)
+    fn abort_group(&mut self, epoch: u64, io: &mut IoLog) -> Vec<StagedPage> {
+        let Some(group) = self.inflight.remove(&epoch) else {
+            return Vec::new();
+        };
+        self.release_inflight_frames(&group.write);
+        let mut out = Vec::new();
+        for w in group.write.pages {
+            let occupant_matches = self.slots[w.slot]
+                .as_ref()
+                .is_some_and(|m| m.epoch == epoch && m.page == w.page);
+            if !occupant_matches {
+                // Already dequeued, or the slot was reused by a later
+                // version — nothing of this group remains there.
+                continue;
+            }
+            let meta = self.vacate(w.slot).expect("occupant just observed");
+            if meta.valid && meta.dirty {
+                Self::serve_through(&self.stats, meta.disk_bound(w.data), &mut out, io);
+            }
+        }
+        // The group's journal records drop with `group`: they never seal,
+        // so data and metadata are lost together — the crash contract.
+        out
     }
 
-    fn take_write_fallout(&mut self) -> Vec<StagedPage> {
-        std::mem::take(&mut self.write_fallout)
+    fn quarantine_slot(&mut self, slot: usize, io: &mut IoLog) -> QuarantineOutcome {
+        let mut out = QuarantineOutcome::default();
+        if slot >= self.config.capacity_pages || !self.quarantined.insert(slot) {
+            return out;
+        }
+        out.quarantined = true;
+        // Pull the slot out of the not-yet-written pending batch; its
+        // journal record goes with it, so data and metadata leave together.
+        let pending = self.take_pending(slot).and_then(|frame| {
+            self.journal.remove_current_records_for_slot(slot as u32);
+            frame
+        });
+        let inflight = self.inflight_data.get(&slot).map(|(_, f)| Arc::clone(f));
+        let Some(meta) = self.vacate(slot).filter(|m| m.valid) else {
+            return out;
+        };
+        out.removed = Some(meta.page);
+        if !meta.dirty {
+            // Clean resident: simply dropped, re-fetched from disk on the
+            // next miss.
+            return out;
+        }
+        // Dirty resident: its bytes must reach the disk. RAM copies first;
+        // the device only as a last resort — the slot is being quarantined
+        // because it fails, so an unreadable dirty resident is counted and
+        // recovered through WAL redo instead.
+        let data = match pending.or(inflight) {
+            Some(frame) => Some(frame),
+            None if self.store.carries_data() => match self.store.read_slot(slot) {
+                Ok(Some(p)) => Some(Arc::new(p)),
+                Ok(None) | Err(_) => {
+                    // Bytes lost: hand back a data-less evacuee so the
+                    // caller can block stale disk serves of this page until
+                    // WAL redo rebuilds it.
+                    out.dirty_unread = true;
+                    out.evacuee = Some(meta.disk_bound(None));
+                    return out;
+                }
+            },
+            None => None,
+        };
+        io.disk_write(meta.page);
+        out.evacuee = Some(meta.disk_bound(data));
+        out
     }
 
     fn evacuate_dirty(&mut self, io: &mut IoLog) -> Evacuation {
@@ -1293,114 +1504,6 @@ impl<P: RingPolicy> FlashCache for GroupRing<P> {
             io.flash_read_seq(read);
         }
         ev
-    }
-
-    fn quarantine_slot(&mut self, slot: usize, io: &mut IoLog) -> QuarantineOutcome {
-        let mut out = QuarantineOutcome::default();
-        if slot >= self.config.capacity_pages || !self.quarantined.insert(slot) {
-            return out;
-        }
-        out.quarantined = true;
-        // Pull the slot out of the not-yet-written pending batch; its
-        // journal record goes with it, so data and metadata leave together.
-        let pending = self.take_pending(slot).and_then(|frame| {
-            self.journal.remove_current_records_for_slot(slot as u32);
-            frame
-        });
-        let inflight = self.inflight_data.get(&slot).map(|(_, f)| Arc::clone(f));
-        let Some(meta) = self.vacate(slot).filter(|m| m.valid) else {
-            return out;
-        };
-        out.removed = Some(meta.page);
-        if !meta.dirty {
-            // Clean resident: simply dropped, re-fetched from disk on the
-            // next miss.
-            return out;
-        }
-        // Dirty resident: its bytes must reach the disk. RAM copies first;
-        // the device only as a last resort — the slot is being quarantined
-        // because it fails, so an unreadable dirty resident is counted and
-        // recovered through WAL redo instead.
-        let data = match pending.or(inflight) {
-            Some(frame) => Some(frame),
-            None if self.store.carries_data() => match self.store.read_slot(slot) {
-                Ok(Some(p)) => Some(Arc::new(p)),
-                Ok(None) | Err(_) => {
-                    // Bytes lost: hand back a data-less evacuee so the
-                    // caller can block stale disk serves of this page until
-                    // WAL redo rebuilds it.
-                    out.dirty_unread = true;
-                    out.evacuee = Some(meta.disk_bound(None));
-                    return out;
-                }
-            },
-            None => None,
-        };
-        io.disk_write(meta.page);
-        out.evacuee = Some(meta.disk_bound(data));
-        out
-    }
-
-    fn abort_group(&mut self, epoch: u64, io: &mut IoLog) -> Vec<StagedPage> {
-        let Some(group) = self.inflight.remove(&epoch) else {
-            return Vec::new();
-        };
-        self.release_inflight_frames(&group.write);
-        let mut out = Vec::new();
-        for w in group.write.pages {
-            let occupant_matches = self.slots[w.slot]
-                .as_ref()
-                .is_some_and(|m| m.epoch == epoch && m.page == w.page);
-            if !occupant_matches {
-                // Already dequeued, or the slot was reused by a later
-                // version — nothing of this group remains there.
-                continue;
-            }
-            let meta = self.vacate(w.slot).expect("occupant just observed");
-            if meta.valid && meta.dirty {
-                Self::serve_through(&self.stats, meta.disk_bound(w.data), &mut out, io);
-            }
-        }
-        // The group's journal records drop with `group`: they never seal,
-        // so data and metadata are lost together — the crash contract.
-        out
-    }
-
-    fn persists_dirty_pages(&self) -> bool {
-        true
-    }
-
-    fn crash_and_recover(&mut self, durable_lsn: Lsn, io: &mut IoLog) -> CacheRecoveryInfo {
-        // RAM-resident state (directory, slot metadata, pending batch, the
-        // journal's unsealed group, the policy's own state) is lost; the
-        // flash store contents, the cache checkpoint and the sealed journal
-        // groups survive and the cache is rebuilt from them, reconciled
-        // against `durable_lsn`.
-        let mut survivor = self.journal.clone();
-        survivor.crash();
-        let config = self.config.clone();
-        let store = Arc::clone(&self.store);
-        let stats = self.stats.snapshot();
-        let (mut rebuilt, info) = Self::recover(config, store, &survivor, durable_lsn, io);
-        rebuilt.stats = CacheStatCounters::from(stats);
-        *self = rebuilt;
-        info
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    fn capacity(&self) -> usize {
-        self.config.capacity_pages
-    }
-
-    fn len(&self) -> usize {
-        self.regions.iter().map(|r| r.size).sum()
     }
 }
 

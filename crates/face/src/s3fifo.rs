@@ -27,8 +27,8 @@
 //! ```
 //! use std::sync::Arc;
 //! use face_cache::{
-//!     CacheConfig, FlashCache, FlashStore, IoLog, MemFlashStore, NoSupplier, S3FifoCache,
-//!     StagedPage,
+//!     CacheConfig, FlashCache, FlashStore, IoLog, MemFlashStore, NoSupplier, RingCache,
+//!     S3FifoCache, StagedPage,
 //! };
 //! use face_pagestore::{Page, PageId};
 //!
@@ -53,8 +53,8 @@ use face_pagestore::DeviceResult;
 
 use crate::admission::GhostQueue;
 use crate::io::IoLog;
-use crate::policy::{FlashCache, PageSupplier};
-use crate::ring::{GroupRing, RingPolicy};
+use crate::policy::PageSupplier;
+use crate::ring::{GroupRing, RingCache, RingPolicy};
 use crate::types::{CacheConfig, InsertOutcome, StagedPage};
 
 /// The S3-FIFO flash cache: small/main/ghost decisions over the shared ring.
@@ -181,7 +181,7 @@ mod tests {
     use face_pagestore::{Lsn, Page, PageId};
 
     use super::*;
-    use crate::policy::NoSupplier;
+    use crate::policy::{FlashCache, NoSupplier};
     use crate::ring::{pack_pointers, unpack_pointers};
     use crate::store::{FlashStore, MemFlashStore};
 

@@ -14,7 +14,7 @@
 //!   additional random flash writes (invalidate + validate) per admission or
 //!   replacement (paper §4.1).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use face_pagestore::{DeviceResult, Lsn, PageId};
@@ -23,8 +23,8 @@ use crate::io::IoLog;
 use crate::policy::{FlashCache, PageSupplier};
 use crate::store::FlashStore;
 use crate::types::{
-    CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, FetchPin, FlashFetch,
-    InsertOutcome, QuarantineOutcome, SlotGenerations, StagedPage,
+    CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, FlashFetch, InsertOutcome,
+    StagedPage,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -48,19 +48,6 @@ pub struct TacCache {
     extent_heat: HashMap<u64, u32>,
     free_slots: Vec<usize>,
     clock: u64,
-    /// Per-slot version counters for the lock-light fetch protocol. TAC
-    /// writes slots in place (admission and write-through refresh), so the
-    /// counter bumps on every slot write as well as on eviction.
-    generations: SlotGenerations,
-    /// Slots removed from rotation after repeated device failures. RAM-only
-    /// tombstones (cleared by restart); a quarantined slot never re-enters
-    /// `free_slots`. TAC copies are never dirty, so quarantine never needs
-    /// an evacuation — the disk always has the authoritative copy.
-    quarantined: HashSet<usize>,
-    /// Dirty write-through pages whose flash refresh failed. The insert
-    /// returns an error in that case, losing its outcome, so the page rides
-    /// here for the caller to drain and persist WAL-guarded.
-    write_fallout: Vec<StagedPage>,
     stats: CacheStatCounters,
 }
 
@@ -74,7 +61,6 @@ impl TacCache {
         );
         assert!(config.tac_extent_pages > 0, "extent must hold pages");
         let free_slots = (0..config.capacity_pages).rev().collect();
-        let generations = SlotGenerations::new(config.capacity_pages);
         Self {
             config,
             store,
@@ -82,15 +68,8 @@ impl TacCache {
             extent_heat: HashMap::new(),
             free_slots,
             clock: 0,
-            generations,
-            quarantined: HashSet::new(),
-            write_fallout: Vec::new(),
             stats: CacheStatCounters::default(),
         }
-    }
-
-    fn bump_generation(&mut self, slot: usize) {
-        self.generations.bump(slot);
     }
 
     fn extent_of(&self, page: PageId) -> u64 {
@@ -126,7 +105,6 @@ impl TacCache {
         };
         if let Some(victim) = victim {
             let meta = self.map.remove(&victim).expect("victim cached");
-            self.bump_generation(meta.slot);
             self.free_slots.push(meta.slot);
             self.stats.staged_out.inc();
             self.charge_metadata_update(io);
@@ -143,23 +121,13 @@ impl TacCache {
         if self.free_slots.is_empty() {
             self.evict_victim(io);
         }
-        let Some(slot) = self.free_slots.pop() else {
-            return Ok(());
-        };
+        let slot = self.free_slots.pop().expect("a full cache has a victim");
         io.flash_write_rand(1);
         self.charge_metadata_update(io);
-        self.bump_generation(slot);
-        let has_data = if let Some(d) = data {
-            if let Err(e) = self.store.write_slot(slot, d) {
-                // Nothing was mapped yet and the page is clean on disk:
-                // return the slot to rotation and surface the error.
-                self.free_slots.push(slot);
-                return Err(e);
-            }
-            true
-        } else {
-            false
-        };
+        if let Some(d) = data {
+            self.store.write_slot(slot, d)?;
+        }
+        let has_data = data.is_some();
         self.clock += 1;
         self.map.insert(
             page,
@@ -176,14 +144,6 @@ impl TacCache {
 }
 
 impl FlashCache for TacCache {
-    fn policy_name(&self) -> &'static str {
-        "TAC"
-    }
-
-    fn contains(&self, page: PageId) -> bool {
-        self.map.contains_key(&page)
-    }
-
     fn fetch(&mut self, page: PageId, io: &mut IoLog) -> DeviceResult<Option<FlashFetch>> {
         self.stats.lookups.inc();
         self.warm_up(page);
@@ -207,38 +167,6 @@ impl FlashCache for TacCache {
         }))
     }
 
-    fn fetch_pin(&mut self, page: PageId, retry: bool, io: &mut IoLog) -> Option<FetchPin> {
-        if retry {
-            self.stats.fetch_retries.inc();
-        } else {
-            self.stats.lookups.inc();
-            self.warm_up(page);
-        }
-        let meta = self.map.get_mut(&page)?;
-        self.clock += 1;
-        meta.last_access = self.clock;
-        let meta = *meta;
-        if !retry {
-            self.stats.hits.inc();
-        }
-        io.flash_read_rand(1);
-        Some(FetchPin {
-            slot: meta.slot,
-            // Write-through: the cached copy is never newer than disk.
-            dirty: false,
-            lsn: meta.lsn,
-            generation: self.generations.current(meta.slot),
-            frame: None,
-            // Metadata-only admissions (on-entry, before any data write)
-            // have nothing on the device for this page.
-            data_expected: meta.has_data,
-        })
-    }
-
-    fn fetch_validate(&self, slot: usize, generation: u64) -> bool {
-        self.generations.check(slot, generation)
-    }
-
     fn insert(
         &mut self,
         staged: StagedPage,
@@ -255,7 +183,6 @@ impl FlashCache for TacCache {
             // reduces the disk write traffic (counted as a stage-out so the
             // write-reduction metric reflects that).
             io.disk_write(staged.page);
-            outcome.wrote_through_to_disk = true;
             self.stats.staged_out_to_disk.inc();
             // And, if a flash copy exists, it is refreshed in place.
             if let Some(meta) = self.map.get_mut(&staged.page) {
@@ -266,23 +193,8 @@ impl FlashCache for TacCache {
                 let slot = meta.slot;
                 io.flash_write_rand(1);
                 self.charge_metadata_update(io);
-                self.bump_generation(slot);
                 if let Some(d) = &staged.data {
-                    if let Err(e) = self.store.write_slot(slot, d) {
-                        // The in-place refresh may have torn the flash copy;
-                        // drop the (clean) entry — disk stays authoritative.
-                        // Returning an error loses the write-through outcome,
-                        // so the page rides the fallout buffer to disk.
-                        let meta = self.map.remove(&staged.page).expect("still cached");
-                        self.bump_generation(meta.slot);
-                        self.free_slots.push(meta.slot);
-                        self.write_fallout.push(StagedPage {
-                            dirty: true,
-                            fdirty: false,
-                            ..staged
-                        });
-                        return Err(e);
-                    }
+                    self.store.write_slot(slot, d)?;
                 }
                 outcome.cached = true;
                 self.stats.cached_inserts.inc();
@@ -318,27 +230,6 @@ impl FlashCache for TacCache {
         Ok(())
     }
 
-    fn take_write_fallout(&mut self) -> Vec<StagedPage> {
-        std::mem::take(&mut self.write_fallout)
-    }
-
-    fn quarantine_slot(&mut self, slot: usize, _io: &mut IoLog) -> QuarantineOutcome {
-        let mut out = QuarantineOutcome::default();
-        if slot >= self.config.capacity_pages || !self.quarantined.insert(slot) {
-            return out;
-        }
-        out.quarantined = true;
-        self.bump_generation(slot);
-        self.free_slots.retain(|&s| s != slot);
-        if let Some((&page, _)) = self.map.iter().find(|(_, m)| m.slot == slot) {
-            // TAC copies are never dirty, so dropping the resident is safe:
-            // the next fetch misses to disk, which has the current version.
-            self.map.remove(&page);
-            out.removed = Some(page);
-        }
-        out
-    }
-
     fn persists_dirty_pages(&self) -> bool {
         // Nothing in the cache is ever dirty, so checkpoints need no extra
         // work — but the cache also never absorbs a disk write.
@@ -354,9 +245,6 @@ impl FlashCache for TacCache {
         self.map.clear();
         self.extent_heat.clear();
         self.free_slots = (0..self.config.capacity_pages).rev().collect();
-        // Quarantine tombstones are RAM-only and clear with the restart.
-        self.quarantined.clear();
-        self.write_fallout.clear();
         CacheRecoveryInfo::default()
     }
 
@@ -366,14 +254,6 @@ impl FlashCache for TacCache {
 
     fn reset_stats(&self) {
         self.stats.reset();
-    }
-
-    fn capacity(&self) -> usize {
-        self.config.capacity_pages
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
     }
 }
 
@@ -417,11 +297,11 @@ mod tests {
         // First disk fetch of a cold extent: not admitted.
         let o = c.on_fetched_from_disk(pid(1), &mut io).unwrap();
         assert!(!o.cached);
-        assert!(!c.contains(pid(1)));
+        assert!(!c.map.contains_key(&pid(1)));
         // Second access to the same extent crosses the admission temperature.
         let o = c.on_fetched_from_disk(pid(1), &mut io).unwrap();
         assert!(o.cached);
-        assert!(c.contains(pid(1)));
+        assert!(c.map.contains_key(&pid(1)));
         // Admission cost: page write + 2 metadata writes, all random.
         assert_eq!(io.flash_pages_written_random(), 3);
     }
@@ -441,8 +321,8 @@ mod tests {
                 &mut io,
             )
             .unwrap();
-        assert!(out.wrote_through_to_disk);
-        assert_eq!(io.disk_writes(), 1);
+        assert_eq!(io.disk_writes(), 1, "written through");
+        assert!(out.cached);
         // The flash copy was refreshed too (random write + metadata).
         assert!(io.flash_pages_written_random() >= 1);
         // Cached copies are never dirty.
@@ -460,9 +340,10 @@ mod tests {
                 &mut io,
             )
             .unwrap();
-        assert!(out.wrote_through_to_disk);
+        assert_eq!(io.disk_writes(), 1, "written through");
+        assert_eq!(c.stats().staged_out_to_disk, 1);
         assert!(!out.cached);
-        assert!(!c.contains(pid(9)));
+        assert!(!c.map.contains_key(&pid(9)));
         // Clean exit of an uncached page does nothing at all.
         let out = c
             .insert(
@@ -482,18 +363,18 @@ mod tests {
         for _ in 0..5 {
             c.on_fetched_from_disk(pid(0), &mut io).unwrap();
         }
-        assert!(c.contains(pid(0)));
+        assert!(c.map.contains_key(&pid(0)));
         // Page 8 (extent 2) just warm enough to admit.
         c.on_fetched_from_disk(pid(8), &mut io).unwrap();
         c.on_fetched_from_disk(pid(8), &mut io).unwrap();
-        assert!(c.contains(pid(8)));
+        assert!(c.map.contains_key(&pid(8)));
         // Page 16 (extent 4) warms up and needs a slot: the cold page 8 goes,
         // the hot page 0 stays.
         c.on_fetched_from_disk(pid(16), &mut io).unwrap();
         c.on_fetched_from_disk(pid(16), &mut io).unwrap();
-        assert!(c.contains(pid(0)));
-        assert!(!c.contains(pid(8)));
-        assert!(c.contains(pid(16)));
+        assert!(c.map.contains_key(&pid(0)));
+        assert!(!c.map.contains_key(&pid(8)));
+        assert!(c.map.contains_key(&pid(16)));
         assert_eq!(c.stats().staged_out, 1);
     }
 
@@ -506,7 +387,7 @@ mod tests {
             c.on_fetched_from_disk(pid(p), &mut io).unwrap();
         }
         assert_eq!(io.disk_writes(), 0);
-        assert!(c.len() <= c.capacity());
+        assert!(c.map.len() <= c.config.capacity_pages);
         assert!(!c.persists_dirty_pages());
         assert!(c.drain_dirty_for_checkpoint(&mut io).unwrap().is_empty());
     }

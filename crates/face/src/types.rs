@@ -68,13 +68,13 @@ impl StagedPage {
 
 /// A cached version pinned under the shard lock for an off-lock flash read —
 /// the first half of the lock-light fetch protocol
-/// ([`crate::policy::FlashCache::fetch_pin`]).
+/// ([`crate::RingCache::fetch_pin`]).
 ///
 /// The pin is *optimistic*: nothing prevents the slot from being evicted or
 /// reused after the lock is dropped. `generation` is the slot's version
 /// counter at pin time; the caller performs the device read with no lock
 /// held and then revalidates with
-/// [`crate::policy::FlashCache::fetch_validate`] — a mismatch means the
+/// [`crate::RingCache::fetch_validate`] — a mismatch means the
 /// bytes read may belong to a different version (or page) and must be
 /// discarded and the lookup retried.
 #[derive(Debug, Clone)]
@@ -97,11 +97,10 @@ pub struct FetchPin {
     pub data_expected: bool,
 }
 
-/// Per-slot version counters backing the lock-light fetch protocol, shared
-/// by every policy: [`SlotGenerations::bump`] whenever a slot's occupant (or
-/// its bytes, for in-place-overwrite policies) changes, and
+/// Per-slot version counters backing the ring's lock-light fetch protocol:
+/// [`SlotGenerations::bump`] whenever a slot's occupant changes, and
 /// [`SlotGenerations::check`] to validate a pin after an off-lock device
-/// read. One type so the validation rule cannot drift between policies.
+/// read.
 #[derive(Debug)]
 pub struct SlotGenerations(Vec<u64>);
 
@@ -143,8 +142,6 @@ pub struct FlashFetch {
 pub struct InsertOutcome {
     /// The page was admitted to the flash cache (metadata now references it).
     pub cached: bool,
-    /// The inserted page itself was written through to disk (TAC).
-    pub wrote_through_to_disk: bool,
     /// Dirty pages staged *out* of the flash cache to disk as a consequence
     /// of this insert. In data-carrying mode each carries its contents; the
     /// caller must write them to the disk store.
@@ -153,11 +150,11 @@ pub struct InsertOutcome {
     /// group is *returned* here instead of being written under the caller's
     /// lock. The caller must perform the physical batch write
     /// ([`PendingGroupWrite::apply`]) outside any cache lock and then seal
-    /// its metadata ([`crate::policy::FlashCache::complete_group`]).
+    /// its metadata ([`crate::RingCache::complete_group`]).
     pub pending_group: Option<PendingGroupWrite>,
 }
 
-/// What [`crate::policy::FlashCache::evacuate_dirty`] salvaged. Best-effort
+/// What [`crate::RingCache::evacuate_dirty`] salvaged. Best-effort
 /// by contract: evacuation runs when the device is suspect, so unreadable
 /// dirty pages are counted instead of failing the sweep.
 #[derive(Debug, Default)]
@@ -173,7 +170,7 @@ pub struct Evacuation {
     pub unread_dirty: u64,
 }
 
-/// What [`crate::policy::FlashCache::quarantine_slot`] displaced.
+/// What [`crate::RingCache::quarantine_slot`] displaced.
 #[derive(Debug, Default)]
 pub struct QuarantineOutcome {
     /// Whether the slot was newly quarantined by this call (false when it
@@ -273,19 +270,19 @@ pub struct CacheConfig {
     pub defer_group_writes: bool,
     /// When set, [`crate::ShardedFlashCache::fetch`] uses the lock-light
     /// read path: the version is pinned under the shard lock
-    /// ([`crate::policy::FlashCache::fetch_pin`]), the lock is dropped, the
+    /// ([`crate::RingCache::fetch_pin`]), the lock is dropped, the
     /// flash device read runs **off-lock**, and the result is validated
     /// against the slot's generation counter
-    /// ([`crate::policy::FlashCache::fetch_validate`]) — a lost eviction
+    /// ([`crate::RingCache::fetch_validate`]) — a lost eviction
     /// race retries ([`CacheStats::fetch_retries`]). Off by default: the
     /// trace-driven simulator and single-threaded callers keep the
     /// read-under-lock contract (the engine turns it on).
     pub lock_light_reads: bool,
-    /// Ghost-queue admission filtering for the legacy policies (mvFIFO
-    /// family, LC, TAC), applied by [`crate::ShardedFlashCache`]: a **clean**
-    /// page's first touch is recorded only in a RAM-resident ghost directory
-    /// and is *not* admitted (no flash write); only a re-reference while the
-    /// ghost entry is live earns the flash write. Dirty pages are always
+    /// Ghost-queue admission filtering for the mvFIFO family, applied by
+    /// [`crate::ShardedFlashCache`]: a **clean** page's first touch is
+    /// recorded only in a RAM-resident ghost directory and is *not* admitted
+    /// (no flash write); only a re-reference while the ghost entry is live
+    /// earns the flash write. Dirty pages are always
     /// admitted — rejecting them would forfeit the write absorption FaCE is
     /// built on. [`crate::CachePolicyKind::S3Fifo`] ignores this flag: its ghost
     /// queue is an integral part of the policy and always on.
@@ -711,7 +708,6 @@ mod tests {
     fn insert_outcome_default_is_empty() {
         let o = InsertOutcome::default();
         assert!(!o.cached);
-        assert!(!o.wrote_through_to_disk);
         assert!(o.staged_out.is_empty());
     }
 }

@@ -2,7 +2,7 @@
 //! S3-FIFO).
 //!
 //! One seeded single-threaded trace per policy and write mode drives the
-//! cache through `build_cache` over a `MemFlashStore` and compares every
+//! cache through `build_ring` over a `MemFlashStore` and compares every
 //! counter the policy exposes against literals recorded on the commit
 //! *before* the two policies were moved onto the shared `GroupRing` core.
 //! The trace has no destage threads and iterates no hash map, so the numbers
@@ -19,8 +19,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use face_cache::{
-    build_cache, CacheConfig, CachePolicyKind, CacheRecoveryInfo, CacheStats, FlashCache,
-    FlashIoEvent, FlashStore, IoLog, MemFlashStore, PendingGroupWrite, StagedPage,
+    build_ring, CacheConfig, CachePolicyKind, CacheRecoveryInfo, CacheStats, FlashIoEvent,
+    FlashStore, IoLog, MemFlashStore, PendingGroupWrite, RingCache, StagedPage,
 };
 use face_pagestore::{Lsn, Page, PageId};
 
@@ -124,7 +124,7 @@ struct Observed {
 /// The sorted set of valid versions, read through the trait: every page of
 /// the key space the cache contains is fetched for its LSN and dirty flag.
 /// Perturbs `lookups`, `hits` and reference bits, identically on every run.
-fn valid_versions(cache: &mut dyn FlashCache) -> (usize, u64) {
+fn valid_versions(cache: &mut dyn RingCache) -> (usize, u64) {
     let mut io = IoLog::new();
     let mut set = Vec::new();
     for n in 0..PAGES {
@@ -153,7 +153,7 @@ fn valid_versions(cache: &mut dyn FlashCache) -> (usize, u64) {
 /// device order the destage pipeline guarantees), then report their
 /// completions youngest first, so seals have to wait for older epochs.
 fn destage(
-    cache: &mut dyn FlashCache,
+    cache: &mut dyn RingCache,
     store: &MemFlashStore,
     queue: &mut VecDeque<PendingGroupWrite>,
     take: usize,
@@ -184,7 +184,7 @@ fn run(kind: CachePolicyKind, defer: bool) -> Observed {
         defer_group_writes: defer,
         ..CacheConfig::default()
     };
-    let mut cache = build_cache(kind, config, Arc::clone(&store) as Arc<dyn FlashStore>)
+    let mut cache = build_ring(kind, config, Arc::clone(&store) as Arc<dyn FlashStore>)
         .expect("a caching policy");
     let cache = cache.as_mut();
 
@@ -222,7 +222,7 @@ fn run(kind: CachePolicyKind, defer: bool) -> Observed {
         pins_lost: 0,
     };
 
-    let mut insert = |cache: &mut dyn FlashCache,
+    let mut insert = |cache: &mut dyn RingCache,
                       queue: &mut VecDeque<PendingGroupWrite>,
                       out: &mut Observed,
                       io: &mut IoLog,

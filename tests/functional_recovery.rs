@@ -25,8 +25,7 @@ fn every_policy_preserves_committed_data_across_a_crash() {
         CachePolicyKind::FaceGsc,
         CachePolicyKind::FaceGr,
         CachePolicyKind::Face,
-        CachePolicyKind::Lc,
-        CachePolicyKind::Tac,
+        CachePolicyKind::S3Fifo,
         CachePolicyKind::None,
     ] {
         let db = db_with(policy, 16, 512);
