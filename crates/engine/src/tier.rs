@@ -501,16 +501,8 @@ impl FaceTier {
         if controller.state() != BreakerState::TripRequested || !controller.begin_evacuation() {
             return Ok(());
         }
-        // The device is failing — a pipeline drain error here is just more
-        // of the same evidence and must not abort the evacuation.
-        let _ = flash.destager.drain();
-        let ev = flash.cache.evacuate_dirty(&mut IoLog::new());
-        controller.note_dirty_unread(ev.unread_dirty);
-        // Wound markers (data-less) among the pages stay wash-published so
-        // stale disk serves are refused; only data-carrying pages persist.
-        publish_to_wash(&self.washing, &ev.pages);
-        let persisted = self.write_staged_to_disk(&ev.pages);
-        controller.note_evacuated(ev.pages.iter().filter(|s| s.data.is_some()).count() as u64);
+        let (evacuated, persisted) = self.evacuate_to_disk(flash);
+        controller.note_evacuated(evacuated as u64);
         // Complete the trip even if the disk also failed: the evacuated
         // pages stay readable through the wash table, and a wedged
         // `Evacuating` state would keep routing traffic at the bad device.
@@ -518,8 +510,25 @@ impl FaceTier {
         persisted
     }
 
-    /// Drain dirty pages the cache parked after failed writes (rolled back
-    /// from the directory; the only remaining copies) and persist them to
+    /// The first half of a breaker trip and of a cold reset: drain the
+    /// pipeline, evacuate every dirty flash page, wash-publish them all and
+    /// persist those with bytes, WAL-guarded. Returns how many carried
+    /// bytes, and the disk write's result.
+    fn evacuate_to_disk(&self, flash: &FlashSide) -> (usize, TierResult<()>) {
+        // The device is failing: a drain error is more of the same evidence
+        // and must not abort the evacuation, which is the recovery.
+        let _ = flash.destager.drain();
+        let ev = flash.cache.evacuate_dirty(&mut IoLog::new());
+        flash.degrade.note_dirty_unread(ev.unread_dirty);
+        // Wound markers (data-less) stay published, past a wipe too, so
+        // fetches keep refusing the stale disk copies.
+        publish_to_wash(&self.washing, &ev.pages);
+        let evacuated = ev.pages.iter().filter(|s| s.data.is_some()).count();
+        (evacuated, self.write_staged_to_disk(&ev.pages))
+    }
+
+    /// Drain dirty pages the cache parked after failed writes (dropped from
+    /// the directory; the only remaining copies) and persist them to
     /// disk WAL-guarded, wash-published while in flight.
     fn rescue_write_fallout(&self, cache: &ShardedFlashCache) -> TierResult<()> {
         let fallout = cache.take_write_fallout();
@@ -528,6 +537,20 @@ impl FaceTier {
         }
         publish_to_wash(&self.washing, &fallout);
         self.write_staged_to_disk(&fallout)
+    }
+
+    /// Drain the pipeline, flush every shard's pending batch and metadata,
+    /// rescue a failed group's dirty pages to disk and report the failure to
+    /// the degrade controller. The inner result is the flash flush's, for
+    /// the caller to surface or absorb.
+    fn sync_cache(&self, flash: &FlashSide) -> TierResult<DeviceResult<()>> {
+        flash.destager.drain().map_err(TierError::Device)?;
+        let synced = flash.cache.sync(&mut IoLog::new());
+        self.rescue_write_fallout(&flash.cache)?;
+        if let Err(e) = &synced {
+            self.handle_device_error(flash, 0, e)?;
+        }
+        Ok(synced)
     }
 
     /// Re-enable a tripped (or merely suspect) flash tier: evacuate whatever
@@ -643,16 +666,7 @@ impl FaceTier {
         let Some(flash) = self.flash.as_ref() else {
             return Ok(());
         };
-        let cache = &*flash.cache;
-        flash.destager.drain().map_err(TierError::Device)?;
-        let synced = cache.sync(&mut IoLog::new());
-        // Failed flash writes leave their dirty pages in the cache's fallout
-        // buffer: rescue them to disk before deciding the checkpoint failed.
-        self.rescue_write_fallout(cache)?;
-        if let Err(e) = synced {
-            self.handle_device_error(flash, 0, &e)?;
-            return Err(TierError::Device(e));
-        }
+        self.sync_cache(flash)?.map_err(TierError::Device)?;
         // A wound marker means a committed version exists only in the WAL
         // (its flash copy died unread). A checkpoint taken now would let the
         // log truncate past the records that can still rebuild it — refuse
@@ -700,18 +714,10 @@ impl FaceTier {
         let Some(flash) = self.flash.as_ref() else {
             return Ok(0);
         };
-        // Absorb (do not surface) pipeline errors here: evacuation is the
-        // response to a failing device, and the sweep below is the recovery.
-        let _ = flash.destager.drain();
-        let evacuated = flash.cache.evacuate_dirty(&mut IoLog::new());
-        flash.degrade.note_dirty_unread(evacuated.unread_dirty);
-        // Wound markers (data-less) among the pages must outlive the wipe:
-        // publish them so fetches keep refusing the stale disk copies.
-        publish_to_wash(&self.washing, &evacuated.pages);
-        let n = evacuated.pages.iter().filter(|s| s.data.is_some()).count();
-        self.write_staged_to_disk(&evacuated.pages)?;
+        let (evacuated, persisted) = self.evacuate_to_disk(flash);
+        persisted?;
         flash.cache.reset_cold();
-        Ok(n)
+        Ok(evacuated)
     }
 }
 
@@ -979,16 +985,10 @@ impl LowerTier for FaceTier {
 
     fn sync(&self) -> TierResult<()> {
         if let Some(flash) = self.flash.as_ref() {
-            flash.destager.drain().map_err(TierError::Device)?;
-            let synced = flash.cache.sync(&mut IoLog::new());
-            // Shards whose flush failed rolled their pages back into the
-            // fallout buffer; once those reach disk, durability holds even
-            // though the flash write did not — so the error is recorded
-            // with the degrade controller and absorbed, not surfaced.
-            self.rescue_write_fallout(&flash.cache)?;
-            if let Err(e) = synced {
-                self.handle_device_error(flash, 0, &e)?;
-            }
+            // A failed flush's pages reached disk through the fallout rescue,
+            // so durability holds though the flash write did not: the error
+            // is absorbed once the degrade controller has heard it.
+            let _absorbed = self.sync_cache(flash)?;
         }
         self.disk.sync()?;
         Ok(())

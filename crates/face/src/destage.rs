@@ -19,8 +19,8 @@
 //!   [`crate::RingCache::complete_group`] strictly **after** its
 //!   batch write is applied, preserving PR 3's invariant that metadata never
 //!   outlives data it describes. Between enqueue and completion the records
-//!   are RAM-resident inside the policy and die with a crash — exactly like
-//!   the unsealed current group always has.
+//!   are RAM-resident in the ring's in-flight table and die with a crash,
+//!   together with the group's data.
 //! * The write-ahead guard runs in the foreground **before** a page enters
 //!   the pipeline, so every queued page already has durable log records.
 //!
@@ -65,7 +65,6 @@ use face_pagestore::{backoff_sleep, DeviceError, DeviceResult, Lsn, PageId};
 
 use crate::degrade::{DegradeAction, DegradeController};
 use crate::io::IoLog;
-use crate::meta::JournalEntry;
 use crate::store::FlashStore;
 use crate::types::{Counter, StagedPage};
 
@@ -83,9 +82,10 @@ pub struct PendingSlotWrite {
     pub data: Option<Arc<face_pagestore::Page>>,
 }
 
-/// A filled replacement group whose physical batch write was deferred by
-/// [`crate::types::CacheConfig::defer_group_writes`]. Produced under the
-/// shard lock (directory mutation only); applied and completed off-lock.
+/// A formed replacement group: the slots its physical batch write must fill.
+/// Produced under the shard lock (directory mutation only); handed back to
+/// the caller under [`crate::types::CacheConfig::defer_group_writes`] and
+/// then applied and completed off-lock.
 #[derive(Debug, Clone)]
 pub struct PendingGroupWrite {
     /// The cache shard that formed the group (stamped by
@@ -95,9 +95,6 @@ pub struct PendingGroupWrite {
     pub epoch: u64,
     /// The slots to write, in rear-assignment (queue) order.
     pub pages: Vec<PendingSlotWrite>,
-    /// The group's journal records (diagnostic copy — the policy retains the
-    /// authoritative ones in its in-flight table until the seal).
-    pub meta_records: Vec<JournalEntry>,
 }
 
 impl PendingGroupWrite {
@@ -718,7 +715,6 @@ mod tests {
                 lsn: Lsn(epoch),
                 data: None,
             }],
-            meta_records: Vec::new(),
         }
     }
 

@@ -34,9 +34,9 @@
 //! ## Recovery
 //!
 //! [`meta::MetaJournal`] implements the paper's §4 mapping-metadata
-//! persistence for the functional engine: every enqueue appends a compact
-//! journal record (page id, slot, pageLSN, dirty bit, group epoch) that is
-//! flushed *with its group's batch write*, and a periodic
+//! persistence for the functional engine: every slot a group writes gets a
+//! compact journal record (page id, slot, pageLSN, dirty bit, group epoch)
+//! that is flushed *with the group's batch write*, and a periodic
 //! [`meta::CacheCheckpoint`] snapshots the directory so restart replays a
 //! bounded amount of journal. Recovery reconciles the rebuilt directory
 //! against the WAL's durable end: versions newer than the durable log are

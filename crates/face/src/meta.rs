@@ -1,15 +1,18 @@
 //! The per-shard mapping-metadata journal and cache checkpoint (paper §4.3).
 //!
-//! Every page version enqueued into the flash cache gets a compact
+//! Every page version a group writes to flash gets a compact
 //! [`JournalEntry`] — page id, flash slot, pageLSN, dirty bit and the **group
-//! epoch** of the batch that carries it. Entries are buffered in RAM and
-//! flushed *with their group*: when mvFIFO writes a batch of data pages as one
-//! sequential flash I/O, the batch's metadata records ride along as a small
-//! sequential append ([`MetaJournal::seal_group`]). A crash therefore loses
-//! metadata and data together — a sealed group is fully recoverable, an
-//! unsealed group is fully gone — which is exactly the paper's invariant that
-//! the in-flash directory never references pages whose bytes did not reach
-//! flash.
+//! epoch** of the batch that carries it. The ring derives a group's entries
+//! from its slots when the group forms and hands them over *after* the
+//! group's batch write: the metadata records ride along as a small sequential
+//! append ([`MetaJournal::seal_group`]). A crash therefore loses metadata and
+//! data together — a sealed group is fully recoverable, an unsealed group is
+//! fully gone — which is exactly the paper's invariant that the in-flash
+//! directory never references pages whose bytes did not reach flash.
+//!
+//! The journal holds only what a crash keeps: the sealed groups, the latest
+//! checkpoint, the durable queue pointers and the epoch counter. Nothing in
+//! it is volatile, so a crash is simply a clone of it.
 //!
 //! A [`CacheCheckpoint`] bounds how much journal a restart must replay: every
 //! `checkpoint_interval_groups` sealed groups, the cache snapshots its live
@@ -20,10 +23,10 @@
 //! segment log that only ever grows.
 //!
 //! Reconciliation against the WAL happens one level up
-//! ([`crate::mvfifo::MvFifoCache::recover`]): a journaled version whose
-//! pageLSN exceeds the durable log end must be discarded (its log records are
-//! lost, so serving it would diverge from redo), while dirty versions at or
-//! below it substitute for disk reads during redo.
+//! ([`crate::ring::GroupRing::recover`]): a journaled version whose pageLSN
+//! exceeds the durable log end must be discarded (its log records are lost,
+//! so serving it would diverge from redo), while dirty versions at or below
+//! it substitute for disk reads during redo.
 
 use face_pagestore::{Lsn, PageId};
 use serde::{Deserialize, Serialize};
@@ -103,8 +106,6 @@ impl CacheCheckpoint {
 /// Activity counters of the journal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JournalStats {
-    /// Entries appended (one per enqueue).
-    pub entries_appended: u64,
     /// Groups sealed (metadata flushed with a batch write).
     pub groups_sealed: u64,
     /// Cache checkpoints written.
@@ -133,21 +134,17 @@ pub struct RecoveredJournal {
     pub journal_records_replayed: u64,
 }
 
-/// The mapping-metadata journal of one cache shard: a RAM-resident current
-/// group (lost at crash), the sealed groups since the last checkpoint and the
-/// most recent [`CacheCheckpoint`] (both "flash-resident": they survive
-/// [`MetaJournal::crash`]).
+/// The mapping-metadata journal of one cache shard: the sealed groups since
+/// the last checkpoint and the most recent [`CacheCheckpoint`], both
+/// "flash-resident" — everything here survives a crash.
 #[derive(Debug, Clone)]
 pub struct MetaJournal {
     checkpoint_interval_groups: usize,
-    /// Entries of the group currently being assembled. RAM-resident: lost at
-    /// a crash, together with the group's pending data pages.
-    current: Vec<JournalEntry>,
     /// Sealed groups newer than the checkpoint, oldest first.
     sealed: Vec<Vec<JournalEntry>>,
     /// The most recent directory snapshot.
     checkpoint: Option<CacheCheckpoint>,
-    /// Epoch the current group will carry when sealed.
+    /// Epoch the next group to form will carry.
     next_epoch: u64,
     /// Queue pointers as of the last seal or checkpoint. Like the paper's
     /// directory header, pointer updates ride along with metadata writes and
@@ -163,7 +160,6 @@ impl MetaJournal {
     pub fn new(checkpoint_interval_groups: usize) -> Self {
         Self {
             checkpoint_interval_groups: checkpoint_interval_groups.max(1),
-            current: Vec::new(),
             sealed: Vec::new(),
             checkpoint: None,
             next_epoch: 1,
@@ -178,14 +174,9 @@ impl MetaJournal {
         self.stats
     }
 
-    /// The epoch the next sealed group will carry.
+    /// The epoch of the group now collecting: the next one to form.
     pub fn current_epoch(&self) -> u64 {
         self.next_epoch
-    }
-
-    /// Entries buffered in the RAM-resident current group.
-    pub fn unsealed_entries(&self) -> usize {
-        self.current.len()
     }
 
     /// Sealed groups not yet folded into a checkpoint — what recovery must
@@ -204,82 +195,22 @@ impl MetaJournal {
         self.checkpoint_interval_groups
     }
 
-    /// Record a page version entering the cache. The entry stays RAM-resident
-    /// until [`MetaJournal::seal_group`] flushes it with the group's batch
-    /// write.
-    pub fn append(&mut self, slot: u32, page: PageId, lsn: Lsn, dirty: bool) {
-        self.current.push(JournalEntry {
-            epoch: self.next_epoch,
-            slot,
-            page,
-            lsn,
-            dirty,
-        });
-        self.stats.entries_appended += 1;
-    }
-
-    /// Seal the current group: its entries become durable together with the
-    /// group's data pages (one small sequential append charged to `io`), and
-    /// the queue pointers `front`/`size` are persisted alongside. A no-op
-    /// apart from the pointer update when no entries are buffered.
-    pub fn seal_group(&mut self, front: u64, size: u64, io: &mut IoLog) {
-        self.durable_front = front;
-        self.durable_size = size;
-        if self.current.is_empty() {
-            return;
-        }
-        let group = std::mem::take(&mut self.current);
+    /// A group forms: hand out its epoch and advance the counter, so the
+    /// versions enqueued from now on belong to the next group. Nothing
+    /// becomes durable here; the group's entries wait in the caller until
+    /// [`MetaJournal::seal_group`].
+    pub fn begin_group(&mut self) -> u64 {
         self.next_epoch += 1;
-        self.seal_entries(group, io);
+        self.next_epoch - 1
     }
 
-    /// Drop the RAM-resident current group without sealing it — the
-    /// response to an inline batch write that failed on the device. The
-    /// effect is exactly a crash landing between the appends and the seal:
-    /// the group's data and metadata are lost *together*, so the directory
-    /// invariant (no sealed metadata for unwritten bytes) holds. Returns
-    /// how many entries were discarded.
-    pub fn abort_current_group(&mut self) -> usize {
-        let n = self.current.len();
-        self.current.clear();
-        n
-    }
-
-    /// Drop the current group's record(s) for one slot without touching the
-    /// rest of the group — used when a single pending slot is quarantined
-    /// before its batch write: the slot's data never reaches the device, so
-    /// its metadata must not seal either. Returns how many records were
-    /// removed.
-    pub fn remove_current_records_for_slot(&mut self, slot: u32) -> usize {
-        let before = self.current.len();
-        self.current.retain(|e| e.slot != slot);
-        before - self.current.len()
-    }
-
-    /// Detach the current group for a *deferred* batch write: its entries
-    /// leave the journal's current buffer (they stay RAM-resident in the
-    /// caller — still lost by a crash, exactly like the current group) and
-    /// the epoch counter advances so subsequent appends open the next group.
-    /// Nothing becomes durable here; the caller seals the detached entries
-    /// with [`MetaJournal::seal_detached_group`] once the group's data pages
-    /// have physically reached flash. Returns the detached group's epoch and
-    /// entries; `None` when the current group is empty.
-    pub fn begin_deferred_group(&mut self) -> Option<(u64, Vec<JournalEntry>)> {
-        if self.current.is_empty() {
-            return None;
-        }
-        let epoch = self.next_epoch;
-        self.next_epoch += 1;
-        Some((epoch, std::mem::take(&mut self.current)))
-    }
-
-    /// Seal a group detached by [`MetaJournal::begin_deferred_group`], now
-    /// that its batch write completed: the entries become durable (the small
-    /// sequential append charged to `io`) together with the current queue
-    /// pointers. Callers must seal detached groups in epoch order — the
-    /// destage pipeline's per-shard FIFO guarantees it, and the policy's
-    /// completion ordering enforces it.
-    pub fn seal_detached_group(
+    /// Seal a group whose batch write completed: its `entries` become
+    /// durable (one small sequential append charged to `io`) together with
+    /// the queue pointers `front`/`size`. Only the pointers move when
+    /// `entries` is empty. Callers seal groups in epoch order — the destage
+    /// pipeline's per-shard FIFO guarantees it, and the ring's completion
+    /// ordering enforces it.
+    pub fn seal_group(
         &mut self,
         entries: Vec<JournalEntry>,
         front: u64,
@@ -296,16 +227,11 @@ impl MetaJournal {
                 .last()
                 .and_then(|g| g.first())
                 .is_none_or(|prev| prev.epoch < entries[0].epoch),
-            "detached groups must seal in epoch order"
+            "groups must seal in epoch order"
         );
-        self.seal_entries(entries, io);
-    }
-
-    fn seal_entries(&mut self, group: Vec<JournalEntry>, io: &mut IoLog) {
-        let bytes = group.len() * JOURNAL_ENTRY_BYTES;
-        let pages = bytes.div_ceil(face_pagestore::PAGE_SIZE).max(1) as u32;
-        io.flash_write_seq(pages);
-        self.sealed.push(group);
+        let bytes = entries.len() * JOURNAL_ENTRY_BYTES;
+        io.flash_write_seq(bytes.div_ceil(face_pagestore::PAGE_SIZE).max(1) as u32);
+        self.sealed.push(entries);
         self.stats.groups_sealed += 1;
         self.stats.bytes_flushed += bytes as u64;
     }
@@ -345,12 +271,6 @@ impl MetaJournal {
         self.durable_front = front;
         self.durable_size = size;
         self.checkpoint = Some(ckpt);
-    }
-
-    /// Simulate a crash: the RAM-resident current group is lost; the sealed
-    /// groups, the checkpoint and the durable pointers survive.
-    pub fn crash(&mut self) {
-        self.current.clear();
     }
 
     /// Durable replay length in entries: what a restart reads beyond loading
@@ -425,18 +345,30 @@ mod tests {
         assert_eq!(JournalEntry::from_bytes(&bytes[..16]), None);
     }
 
+    /// Form a group of versions `n` (slot `n`, page `n`, pageLSN `n`) under
+    /// the epoch the journal hands out, as the ring does when a batch leaves
+    /// its pending buffer.
+    fn form(j: &mut MetaJournal, versions: impl IntoIterator<Item = u32>) -> Vec<JournalEntry> {
+        let epoch = j.begin_group();
+        versions
+            .into_iter()
+            .map(|n| JournalEntry {
+                epoch,
+                ..entry(n, n, n as u64, true)
+            })
+            .collect()
+    }
+
     #[test]
     fn entries_ride_with_their_group_epoch() {
         let mut j = MetaJournal::new(4);
         let mut io = IoLog::new();
-        j.append(0, PageId::new(0, 1), Lsn(1), true);
-        j.append(1, PageId::new(0, 2), Lsn(2), true);
-        assert_eq!(j.unsealed_entries(), 2);
+        let group = form(&mut j, [1, 2]);
+        assert_eq!(j.current_epoch(), 2, "the next group gets the next epoch");
         assert_eq!(j.sealed_groups(), 0);
-        assert!(io.is_empty());
+        assert!(io.is_empty(), "forming a group writes nothing");
 
-        j.seal_group(0, 2, &mut io);
-        assert_eq!(j.unsealed_entries(), 0);
+        j.seal_group(group, 0, 2, &mut io);
         assert_eq!(j.sealed_groups(), 1);
         // The seal is one small sequential flash write.
         assert_eq!(io.flash_pages_written(), 1);
@@ -446,20 +378,20 @@ mod tests {
 
         // Both entries carry the epoch of the group that sealed them.
         let rec = j.recover(&mut IoLog::new());
+        assert_eq!(rec.entries.len(), 2);
         assert!(rec.entries.iter().all(|e| e.epoch == 1));
-        assert_eq!(j.current_epoch(), 2);
     }
 
     #[test]
     fn crash_loses_only_the_unsealed_group() {
         let mut j = MetaJournal::new(4);
         let mut io = IoLog::new();
-        j.append(0, PageId::new(0, 1), Lsn(1), true);
-        j.seal_group(0, 1, &mut io);
-        j.append(1, PageId::new(0, 2), Lsn(2), true);
-        j.crash();
-        assert_eq!(j.unsealed_entries(), 0);
-        let rec = j.recover(&mut io);
+        let sealed = form(&mut j, [1]);
+        j.seal_group(sealed, 0, 1, &mut io);
+        // Formed, its batch write never completed: the crash takes it.
+        let _unsealed = form(&mut j, [2]);
+        let survivor = j.clone();
+        let rec = survivor.recover(&mut io);
         assert_eq!(rec.entries.len(), 1);
         assert_eq!(rec.entries[0].page, PageId::new(0, 1));
         assert_eq!((rec.front, rec.size), (0, 1));
@@ -469,18 +401,18 @@ mod tests {
     fn pointers_persist_at_seal_time_only() {
         let mut j = MetaJournal::new(4);
         let mut io = IoLog::new();
-        j.append(0, PageId::new(0, 1), Lsn(1), false);
-        j.seal_group(3, 9, &mut io);
-        // A later pointer move without a seal is volatile...
-        j.append(1, PageId::new(0, 2), Lsn(2), false);
-        j.crash();
-        let rec = j.recover(&mut io);
+        let group = form(&mut j, [1]);
+        j.seal_group(group, 3, 9, &mut io);
+        // A later group that never seals moves no durable pointer...
+        let _unsealed = form(&mut j, [2]);
+        let rec = j.clone().recover(&mut io);
         assert_eq!((rec.front, rec.size), (3, 9));
         // ...but an empty seal still persists pointers (dequeue-only
         // progress recorded by the next batch boundary).
-        j.seal_group(5, 7, &mut io);
+        j.seal_group(Vec::new(), 5, 7, &mut io);
         let rec = j.recover(&mut io);
         assert_eq!((rec.front, rec.size), (5, 7));
+        assert_eq!(j.sealed_groups(), 1, "an empty seal adds no group");
     }
 
     #[test]
@@ -488,15 +420,8 @@ mod tests {
         let mut j = MetaJournal::new(2);
         let mut io = IoLog::new();
         for g in 0..2u32 {
-            for i in 0..3u32 {
-                j.append(
-                    g * 3 + i,
-                    PageId::new(0, g * 3 + i),
-                    Lsn((g * 3 + i) as u64),
-                    true,
-                );
-            }
-            j.seal_group(0, ((g + 1) * 3) as u64, &mut io);
+            let group = form(&mut j, g * 3..g * 3 + 3);
+            j.seal_group(group, 0, ((g + 1) * 3) as u64, &mut io);
         }
         assert!(j.checkpoint_due());
         assert_eq!(j.replay_entries(), 6);
@@ -517,8 +442,8 @@ mod tests {
         assert_eq!(rec.entries.len(), 4);
 
         // Groups sealed after the checkpoint replay on top of it.
-        j.append(9, PageId::new(0, 9), Lsn(9), true);
-        j.seal_group(1, 7, &mut io);
+        let group = form(&mut j, [9]);
+        j.seal_group(group, 1, 7, &mut io);
         let rec = j.recover(&mut IoLog::new());
         assert_eq!(rec.journal_records_replayed, 1);
         assert_eq!(rec.entries.len(), 5);
@@ -531,10 +456,8 @@ mod tests {
     fn recovery_io_is_sequential_reads_only() {
         let mut j = MetaJournal::new(2);
         let mut io = IoLog::new();
-        for i in 0..5u32 {
-            j.append(i, PageId::new(0, i), Lsn(i as u64), false);
-        }
-        j.seal_group(0, 5, &mut io);
+        let group = form(&mut j, 0..5);
+        j.seal_group(group, 0, 5, &mut io);
         j.install_checkpoint(0, 5, vec![entry(0, 0, 0, false)], &mut io);
         let mut rio = IoLog::new();
         j.recover(&mut rio);

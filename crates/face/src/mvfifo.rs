@@ -408,7 +408,7 @@ mod tests {
         }
         // 5 < group of 16: nothing written yet.
         assert_eq!(io.flash_pages_written(), 0);
-        assert_eq!(c.journal().unsealed_entries(), 5);
+        assert_eq!(c.pending_len(), 5);
         let mut io = IoLog::new();
         c.sync(&mut io).unwrap();
         // Pending batch (5 pages) + its journal group seal (1 page) + the
@@ -416,7 +416,7 @@ mod tests {
         assert_eq!(io.flash_pages_written(), 7);
         // All writes sequential.
         assert_eq!(io.flash_pages_written_random(), 0);
-        assert_eq!(c.journal().unsealed_entries(), 0);
+        assert_eq!(c.pending_len(), 0);
         // A clean shutdown restarts with zero journal replay.
         assert_eq!(c.journal().replay_entries(), 0);
         assert!(c.journal().checkpoint().is_some());
@@ -470,10 +470,9 @@ mod tests {
         assert_eq!(c.journal().stats().checkpoints_written, 2);
         assert_eq!(c.journal().replay_entries(), 4);
 
-        // Crash: the unsealed journal tail is lost, flash contents, the
-        // checkpoint and the sealed groups survive.
-        let mut survivor = c.journal().clone();
-        survivor.crash();
+        // Crash: flash contents, the checkpoint and the sealed groups — all
+        // the journal holds — survive.
+        let survivor = c.journal().clone();
 
         let mut recovery_io = IoLog::new();
         let (recovered, info) = MvFifoCache::recover(
@@ -531,8 +530,7 @@ mod tests {
         )
         .unwrap();
 
-        let mut survivor = c.journal().clone();
-        survivor.crash();
+        let survivor = c.journal().clone();
         let (mut recovered, _) = MvFifoCache::recover(
             cfg.clone(),
             Arc::clone(&store) as Arc<dyn FlashStore>,
@@ -615,8 +613,7 @@ mod tests {
         )
         .unwrap();
 
-        let mut survivor = c.journal().clone();
-        survivor.crash();
+        let survivor = c.journal().clone();
         let (mut rec, info) = MvFifoCache::recover(
             cfg,
             store as Arc<dyn FlashStore>,
@@ -698,8 +695,7 @@ mod tests {
             .unwrap();
         }
         let pre = c.valid_versions();
-        let mut survivor = c.journal().clone();
-        survivor.crash();
+        let survivor = c.journal().clone();
         let (mut rec, _) = MvFifoCache::recover(
             cfg,
             store as Arc<dyn FlashStore>,

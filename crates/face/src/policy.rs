@@ -75,8 +75,10 @@ pub trait FlashCache: Send + Sync {
     /// [`InsertOutcome::pending_group`](crate::types::InsertOutcome) instead
     /// of writing it here (see [`crate::RingCache::complete_group`]).
     ///
-    /// An `Err` means an inline device write failed. A ring policy then
-    /// parks the dirty pages it had to un-cache in
+    /// An `Err` means a device operation inside the call failed: a victim
+    /// read, or the batch write of a group the policy applied itself. A ring
+    /// policy then aborts what it could not finish and parks the dirty pages
+    /// it had to un-cache in
     /// [`crate::RingCache::take_write_fallout`]; LC and TAC, which only the
     /// simulator runs over stores that never fail, simply propagate it.
     fn insert(

@@ -17,30 +17,34 @@
 //!   slot's generation, which is what lets a lock-light reader detect that
 //!   the bytes it read off-lock no longer belong to the version it pinned
 //!   ([`RingCache::fetch_pin`] / [`RingCache::fetch_validate`]).
-//! * **The pending batch.** Enqueues collect in RAM until `group_size` of
-//!   them exist, then go out as one batch write: inline
-//!   (`flush_pending`), or, with [`CacheConfig::defer_group_writes`],
-//!   handed back to the caller as a [`PendingGroupWrite`] whose frames stay
-//!   readable from the in-flight table until the caller reports the write
-//!   done ([`RingCache::complete_group`]).
-//! * **The metadata journal.** Each enqueue appends a record to the
-//!   [`MetaJournal`]'s current group. **A journal group seals strictly after
-//!   its batch write, and groups seal in epoch order** (§4.3): a crash or a
-//!   failed write in between loses the data and its metadata *together*, so
-//!   recovery never finds metadata for bytes that were not written. For the
-//!   same reason a cadence checkpoint snapshots only the durable prefix of
-//!   the directory — entries whose group has sealed. Both regions share the
-//!   one journal; their queue pointers pack into the journal's `front`/`size`
-//!   pair (`pack_pointers`).
+//! * **One group lifecycle.** Enqueues collect in the pending batch until
+//!   `group_size` of them exist. Every batch then leaves it the same way:
+//!   it *forms* a group (`form_pending_group`), whose frames stay readable
+//!   from the in-flight table, and the group is applied — one batch write —
+//!   and then completed ([`RingCache::complete_group`]) or, if the write
+//!   failed, aborted ([`RingCache::abort_group`]).
+//!   [`CacheConfig::defer_group_writes`] decides only *who* applies it: the
+//!   caller, handed a [`PendingGroupWrite`], or the ring itself before the
+//!   call returns (`apply_group_inline`).
+//! * **The metadata journal.** A group's records are derived from its slots
+//!   when it forms, so a slot dequeued while still pending leaves no record
+//!   behind. **A journal group seals strictly after its batch write, and
+//!   groups seal in epoch order** (§4.3): a crash or a failed write in
+//!   between loses the data and its metadata *together*, so recovery never
+//!   finds metadata for bytes that were not written. For the same reason a
+//!   cadence checkpoint snapshots only the durable prefix of the directory —
+//!   entries whose group has sealed. The [`MetaJournal`] itself holds only
+//!   that durable state. Both regions share the one journal; their queue
+//!   pointers pack into the journal's `front`/`size` pair (`pack_pointers`).
 //! * **Dequeue mechanics.** A group dequeue first collects, read-only, the
 //!   bytes of every victim that needs them — RAM frames where the write is
 //!   still pending or in flight, and **one batch read**
 //!   ([`FlashStore::read_batch`]) for all the rest; a device error therefore
 //!   aborts with no mutation at all. Which victims survive is the policy's
 //!   call.
-//! * **Failure handling.** Rollback of a failed inline batch, abort of a
-//!   failed deferred group, the write-fallout buffer the caller drains to
-//!   disk, slot quarantine, and dirty evacuation before a cache wipe.
+//! * **Failure handling.** Abort of a group whose batch write failed, the
+//!   write-fallout buffer the caller drains to disk after an inline
+//!   failure, slot quarantine, and dirty evacuation before a cache wipe.
 //! * **Recovery.** The directory is rebuilt from the cache checkpoint plus
 //!   the sealed groups and reconciled against the WAL: versions above the
 //!   durable LSN are discarded ([`GroupRing::recover`]).
@@ -144,15 +148,18 @@ impl SlotMeta {
     }
 }
 
-/// A group formed under [`CacheConfig::defer_group_writes`]: the directory
-/// already references its slots, but the physical batch write is owed by the
-/// caller (the destage pipeline). Its journal records are RAM-resident until
-/// [`RingCache::complete_group`] seals them — a crash before then loses
-/// data and metadata together, the §4.3 invariant.
+/// A formed group: the directory already references its slots, but the
+/// physical batch write is still owed — by the caller (the destage
+/// pipeline) under [`CacheConfig::defer_group_writes`], else by the ring
+/// before the call that formed it returns.
 struct InflightGroup {
     write: PendingGroupWrite,
-    /// The caller reported the physical write done; the group seals once
-    /// every older in-flight group has sealed too.
+    /// The group's journal records, RAM-resident until
+    /// [`RingCache::complete_group`] seals them — a crash before then loses
+    /// data and metadata together, the §4.3 invariant.
+    records: Vec<JournalEntry>,
+    /// The physical write is done; the group seals once every older
+    /// in-flight group has sealed too.
     completed: bool,
 }
 
@@ -238,11 +245,12 @@ pub struct GroupRing<P> {
     pub(crate) regions: Vec<Region>,
     /// Latest valid version of each cached page.
     pub(crate) dir: IdHashMap<PageId, usize>,
-    /// Slots assigned but whose physical batch write has not happened yet,
-    /// with their data when the store carries data. Shared by all regions:
-    /// their entries seal under one journal group.
+    /// Slots assigned to the group now collecting, with their data when the
+    /// store carries data. Shared by all regions: their entries seal under
+    /// one journal group.
     pending: Vec<(usize, Option<Arc<Page>>)>,
-    /// Deferred groups awaiting their physical batch write, by epoch.
+    /// Formed groups awaiting their physical batch write or their seal, by
+    /// epoch.
     inflight: BTreeMap<u64, InflightGroup>,
     /// `slot -> (epoch, frame)` for the in-flight groups, so fetches of
     /// versions whose batch write has not completed are served from RAM —
@@ -257,8 +265,9 @@ pub struct GroupRing<P> {
     /// (`slots[s]` stays `None`); at the rear it is absorbed into the window
     /// without a page (`absorb_quarantined_rear`).
     quarantined: HashSet<usize>,
-    /// Dirty pages rolled back from failed inline flash writes, awaiting the
-    /// caller's disk failover ([`RingCache::take_write_fallout`]).
+    /// Dirty pages un-cached by a failed call — an aborted inline group or a
+    /// failed dequeue — awaiting the caller's disk failover
+    /// ([`RingCache::take_write_fallout`]).
     write_fallout: Vec<StagedPage>,
     journal: MetaJournal,
     pub(crate) stats: CacheStatCounters,
@@ -365,15 +374,15 @@ impl<P: RingPolicy> GroupRing<P> {
     }
 
     /// Snapshot only the **durable** part of the directory: entries whose
-    /// group has sealed. With deferred group writes, a cadence checkpoint can
-    /// fire while newer groups are still in flight (or buffering); their
+    /// group has sealed. A cadence checkpoint can fire while newer groups are
+    /// still in flight (or collecting in the pending batch); their
     /// bytes have not reached flash, so a snapshot referencing them would let
     /// a crash resurrect metadata for pages that were never written — the
     /// exact §4.3 violation the group-seal coupling exists to prevent.
     fn durable_directory_snapshot(&self) -> Vec<JournalEntry> {
         // Seals are contiguous in epoch order, so everything strictly below
-        // the oldest unsealed epoch (oldest in-flight group, else the
-        // still-buffering current group) is durable.
+        // the oldest unsealed epoch (oldest in-flight group, else the group
+        // still collecting) is durable.
         let oldest_unsealed = self
             .inflight
             .keys()
@@ -397,8 +406,8 @@ impl<P: RingPolicy> GroupRing<P> {
     /// Force a flash-cache checkpoint: flush the pending batch (sealing its
     /// journal group) and persist a directory snapshot, so a subsequent
     /// restart replays no journal at all. Independent of database
-    /// checkpointing, as in the paper. On a device error the unflushable
-    /// group has been rolled back (dirty pages wait in
+    /// checkpointing, as in the paper. On a device error the unwritable
+    /// group has been aborted (dirty pages wait in
     /// [`RingCache::take_write_fallout`]) and no snapshot is written.
     pub fn checkpoint_metadata(&mut self, io: &mut IoLog) -> DeviceResult<()> {
         self.flush_all_groups_inline(io)?;
@@ -461,7 +470,7 @@ impl<P: RingPolicy> GroupRing<P> {
 
     /// The RAM-resident frame for `slot`, when its batch write has not
     /// reached the device yet: `Some(frame)` for a slot in the not-yet-formed
-    /// pending batch or an in-flight deferred group (the inner option is
+    /// pending batch or an in-flight group (the inner option is
     /// `None` for metadata-only staged pages), `None` when the slot's bytes
     /// live on the flash store.
     fn ram_frame(&self, slot: usize) -> Option<Option<Arc<Page>>> {
@@ -491,10 +500,9 @@ impl<P: RingPolicy> GroupRing<P> {
         Some(meta)
     }
 
-    /// Assign `region`'s rear slot to a page version and record its metadata
-    /// entry in the journal's current group. The physical write — data pages
-    /// and the group's metadata records together — is deferred to the
-    /// pending batch.
+    /// Assign `region`'s rear slot to a page version under the epoch of the
+    /// group now collecting. The physical write — data pages and the group's
+    /// metadata records together — waits in the pending batch.
     fn enqueue_assign(&mut self, region: usize, staged: &StagedPage) {
         debug_assert!(self.free(region) > 0, "enqueue without free slot");
         let slot = self.regions[region].rear();
@@ -513,8 +521,6 @@ impl<P: RingPolicy> GroupRing<P> {
             epoch: self.journal.current_epoch(),
         });
         self.dir.insert(staged.page, slot);
-        self.journal
-            .append(slot as u32, staged.page, staged.lsn, staged.dirty);
         self.pending.push((slot, staged.data.clone()));
     }
 
@@ -735,8 +741,10 @@ impl<P: RingPolicy> GroupRing<P> {
             let Some(meta) = self.vacate(slot) else {
                 continue;
             };
-            // If this slot's write is still pending, take its data out of the
-            // pending batch so it is neither lost nor written later. A slot
+            // If this slot's write is still pending, take it out of the
+            // pending batch: its bytes are never written and, since a
+            // group's records derive from its slots, no record of it ever
+            // seals. A slot
             // whose write is *in flight* keeps its queued write (the frames
             // are shared and a later re-enqueue of the slot lands in a later
             // group, which the per-shard FIFO destage order applies after).
@@ -785,81 +793,26 @@ impl<P: RingPolicy> GroupRing<P> {
         }
     }
 
-    /// Physically write the pending batch — one batch-sized sequential flash
-    /// write; a batch spanning two regions appends at each one's rear — and
-    /// seal the batch's journal group, after the writes, per §4.3. Once enough groups have sealed, a
-    /// cache checkpoint snapshots the directory and prunes the journal. This
-    /// is the **inline** path; with [`CacheConfig::defer_group_writes`] the
-    /// batch is instead handed back via `form_pending_group`.
-    fn flush_pending(&mut self, io: &mut IoLog) -> DeviceResult<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        for i in 0..self.pending.len() {
-            let (slot, frame) = &self.pending[i];
-            if let (true, Some(page)) = (self.store.carries_data(), frame) {
-                if let Err(e) = self.store.write_slot(*slot, page) {
-                    // A prefix of the batch may have persisted; its journal
-                    // group never seals, so those bytes are invisible to
-                    // recovery — exactly what a crash between the writes and
-                    // the seal would leave.
-                    self.rollback_pending(io);
-                    return Err(e);
-                }
-            }
-            // Header-only stores learn which page now occupies the slot, so
-            // a recovery scan of page headers works in simulation mode too.
-            if let Some(meta) = &self.slots[*slot] {
-                self.store.note_slot_header(*slot, meta.page, meta.lsn);
-            }
-        }
-        io.flash_write_seq(self.pending.len() as u32);
-        self.pending.clear();
-        let (front, size) = self.packed_pointers();
-        self.journal.seal_group(front, size, io);
-        self.maybe_cadence_checkpoint(io);
-        Ok(())
-    }
-
-    /// Inline-write failure: un-admit every entry of the pending batch. The
-    /// batch's journal records are dropped with it — data and metadata are
-    /// lost together, exactly as a crash between the appends and the seal
-    /// would lose them (§4.3). Versions the batch invalidated are *not*
-    /// revalidated (their contents are stale); dirty rolled-back pages move
-    /// to the write-fallout buffer for the caller's disk failover. The
-    /// slots stay inside the queue window as holes and are reclaimed when
-    /// they circulate to the front.
-    fn rollback_pending(&mut self, io: &mut IoLog) {
-        for (slot, frame) in std::mem::take(&mut self.pending) {
-            if let Some(meta) = self.vacate(slot) {
-                if meta.valid && meta.dirty {
-                    let page = meta.disk_bound(frame);
-                    Self::serve_through(&self.stats, page, &mut self.write_fallout, io);
-                }
-            }
-        }
-        self.journal.abort_current_group();
-    }
-
-    /// Detach the filled pending batch as a [`PendingGroupWrite`] (deferred
-    /// mode): the directory keeps referencing the slots, the frames move into
-    /// the in-flight table so fetches and dequeues still see them, and the
-    /// group's journal records leave the current buffer but stay volatile
-    /// until [`RingCache::complete_group`]. No I/O happens here — that is
-    /// the point.
+    /// Form a group from the pending batch: the directory keeps referencing
+    /// the slots, the frames move into the in-flight table so fetches and
+    /// dequeues still see them, and the group's journal records — one per
+    /// slot the batch will write — wait in the in-flight table until
+    /// [`RingCache::complete_group`] seals them. No I/O happens here: the
+    /// batch write is the caller's under
+    /// [`CacheConfig::defer_group_writes`], else `apply_group_inline`'s.
     fn form_pending_group(&mut self) -> Option<PendingGroupWrite> {
         if self.pending.is_empty() {
             return None;
         }
-        let (epoch, meta_records) = self
-            .journal
-            .begin_deferred_group()
-            .expect("pending slots imply unsealed journal entries");
+        let epoch = self.journal.begin_group();
         let mut pages = Vec::with_capacity(self.pending.len());
+        let mut records = Vec::with_capacity(self.pending.len());
         for (slot, data) in std::mem::take(&mut self.pending) {
             let meta = self.slots[slot]
                 .as_ref()
                 .expect("pending slot has metadata");
+            debug_assert_eq!(meta.epoch, epoch, "pending slot of another group");
+            records.push(meta.journal_entry(slot));
             if let Some(frame) = &data {
                 self.inflight_data.insert(slot, (epoch, Arc::clone(frame)));
             }
@@ -874,12 +827,12 @@ impl<P: RingPolicy> GroupRing<P> {
             shard: 0,
             epoch,
             pages,
-            meta_records,
         };
         self.inflight.insert(
             epoch,
             InflightGroup {
                 write: write.clone(),
+                records,
                 completed: false,
             },
         );
@@ -887,7 +840,10 @@ impl<P: RingPolicy> GroupRing<P> {
     }
 
     /// Apply one group's batch write inline and seal it; on a device error
-    /// abort it, its dirty pages joining the write-fallout buffer.
+    /// abort it, its dirty pages joining the write-fallout buffer. A prefix
+    /// of the batch may have persisted, but its records never seal, so those
+    /// bytes are invisible to recovery — exactly what a crash between the
+    /// write and the seal would leave.
     fn apply_group_inline(
         &mut self,
         write: &PendingGroupWrite,
@@ -903,10 +859,10 @@ impl<P: RingPolicy> GroupRing<P> {
     }
 
     /// Inline fallback for sync/checkpoint/evacuation paths: apply and seal
-    /// every in-flight group (oldest first), then flush the current batch.
-    /// Engine callers drain the destage pipeline before reaching these paths,
-    /// so the in-flight table is normally empty here; applying a group twice
-    /// is idempotent at the device (same bytes, same slots) and
+    /// every in-flight group (oldest first), then form and apply the pending
+    /// batch. Engine callers drain the destage pipeline before reaching these
+    /// paths, so the in-flight table is normally empty here; applying a group
+    /// twice is idempotent at the device (same bytes, same slots) and
     /// [`RingCache::complete_group`] ignores epochs already sealed.
     ///
     /// A failed group write aborts exactly that group and returns the error;
@@ -921,9 +877,6 @@ impl<P: RingPolicy> GroupRing<P> {
                 }
                 _ => self.complete_group(epoch, io),
             }
-        }
-        if !self.config.defer_group_writes {
-            return self.flush_pending(io);
         }
         match self.form_pending_group() {
             Some(write) => self.apply_group_inline(&write, io),
@@ -1167,8 +1120,8 @@ pub trait RingCache: FlashCache {
     /// belong to a different version (or page) and must be discarded.
     fn fetch_validate(&self, slot: usize, generation: u64) -> bool;
 
-    /// Dirty pages rolled back from failed inline flash writes, awaiting
-    /// disk failover. Populated when [`FlashCache::insert`] or
+    /// Dirty pages un-cached by a failed inline group write or a failed
+    /// dequeue, awaiting disk failover. Populated when [`FlashCache::insert`] or
     /// [`FlashCache::sync`] return a device error; the caller drains this
     /// immediately (under the same lock) and routes the pages through its
     /// stage-out-to-disk path.
@@ -1251,21 +1204,22 @@ impl<P: RingPolicy> FlashCache for GroupRing<P> {
             ..Default::default()
         };
         let mut done = P::place(self, staged, supplier, &mut outcome, io);
-        // Write the batch once it reaches the group size. In deferred mode
-        // the filled group is handed back instead: the caller owns the
-        // physical write, and this insert performed no device I/O at all.
+        // A batch that reached the group size forms a group. In deferred
+        // mode it is handed back: the caller owns the physical write, and
+        // this insert performed no device I/O at all.
         if done.is_ok() && self.pending.len() >= self.config.group_size {
-            if self.config.defer_group_writes {
-                outcome.pending_group = self.form_pending_group();
-            } else {
-                done = self.flush_pending(io);
+            if let Some(write) = self.form_pending_group() {
+                if self.config.defer_group_writes {
+                    outcome.pending_group = Some(write);
+                } else {
+                    done = self.apply_group_inline(&write, io);
+                }
             }
         }
         if let Err(e) = done {
-            // The page (or the whole batch) was rolled back into the fallout
-            // buffer. Pages already dequeued by this call join it — `Err`
-            // carries no outcome, and the caller must still write them to
-            // disk.
+            // The page (or the whole group) went to the fallout buffer.
+            // Pages already dequeued by this call join it — `Err` carries no
+            // outcome, and the caller must still write them to disk.
             self.write_fallout.append(&mut outcome.staged_out);
             return Err(e);
         }
@@ -1284,16 +1238,14 @@ impl<P: RingPolicy> FlashCache for GroupRing<P> {
 
     fn crash_and_recover(&mut self, durable_lsn: Lsn, io: &mut IoLog) -> CacheRecoveryInfo {
         // RAM-resident state (directory, slot metadata, pending batch, the
-        // journal's unsealed group, the policy's own state) is lost; the
-        // flash store contents, the cache checkpoint and the sealed journal
-        // groups survive and the cache is rebuilt from them, reconciled
+        // in-flight groups and their records, the policy's own state) is
+        // lost; the flash store contents and the journal — only durable
+        // state — survive and the cache is rebuilt from them, reconciled
         // against `durable_lsn`.
-        let mut survivor = self.journal.clone();
-        survivor.crash();
         let config = self.config.clone();
         let store = Arc::clone(&self.store);
         let stats = self.stats.snapshot();
-        let (mut rebuilt, info) = Self::recover(config, store, &survivor, durable_lsn, io);
+        let (mut rebuilt, info) = Self::recover(config, store, &self.journal, durable_lsn, io);
         rebuilt.stats = CacheStatCounters::from(stats);
         *self = rebuilt;
         info
@@ -1379,8 +1331,7 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
             let group = entry.remove();
             self.release_inflight_frames(&group.write);
             let (front, size) = self.packed_pointers();
-            self.journal
-                .seal_detached_group(group.write.meta_records, front, size, io);
+            self.journal.seal_group(group.records, front, size, io);
         }
         self.maybe_cadence_checkpoint(io);
     }
@@ -1416,12 +1367,9 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
             return out;
         }
         out.quarantined = true;
-        // Pull the slot out of the not-yet-written pending batch; its
-        // journal record goes with it, so data and metadata leave together.
-        let pending = self.take_pending(slot).and_then(|frame| {
-            self.journal.remove_current_records_for_slot(slot as u32);
-            frame
-        });
+        // Pull the slot out of the not-yet-written pending batch: its record
+        // is never derived, so data and metadata leave together.
+        let pending = self.take_pending(slot).flatten();
         let inflight = self.inflight_data.get(&slot).map(|(_, f)| Arc::clone(f));
         let Some(meta) = self.vacate(slot).filter(|m| m.valid) else {
             return out;
@@ -1509,7 +1457,7 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use face_pagestore::{DeviceError, DeviceHooks, DeviceOp, FaultPlan};
+    use face_pagestore::{DeviceError, DeviceHooks, DeviceOp, FaultMode, FaultPlan};
 
     use super::*;
     use crate::mvfifo::MvFifo;
@@ -1634,6 +1582,37 @@ pub(crate) mod tests {
         }
         case::<MvFifo>();
         case::<S3Fifo>();
+    }
+
+    #[test]
+    fn a_seal_records_only_the_slots_its_batch_wrote() {
+        // S3-FIFO's small region gets 2 of the 20 slots, so a group of 4
+        // never fills there: every second dirty first touch dequeues both
+        // pending slots before their bytes were ever written.
+        let (mut c, store) = mem_cache::<S3Fifo>(meta_cfg(20, 4, false));
+        let mut io = IoLog::new();
+        for n in 0..12u32 {
+            c.insert(staged(n, n as u64 + 1, true), &mut NoSupplier, &mut io)
+                .unwrap();
+        }
+        assert_eq!(c.region_sizes(), (2, 0));
+        assert_eq!(c.stats().staged_out_to_disk, 10, "ten pending victims");
+        assert_eq!(store.occupied(), 0, "no batch reached the device yet");
+
+        c.flush_all_groups_inline(&mut io).unwrap();
+        assert_eq!(store.occupied(), 2, "the one batch wrote two slots");
+        assert_eq!(c.journal().sealed_groups(), 1);
+        let sealed = c.journal().recover(&mut IoLog::new()).entries;
+        let pages: Vec<u32> = sealed.iter().map(|e| e.page.page_no).collect();
+        assert_eq!(
+            pages,
+            [10, 11],
+            "one record per written slot, not per insert"
+        );
+        for e in &sealed {
+            let written = store.read_slot(e.slot as usize).unwrap();
+            assert_eq!(written.map(|p| p.id()), Some(e.page), "slot {}", e.slot);
+        }
     }
 
     mod properties {
@@ -1842,9 +1821,8 @@ pub(crate) mod tests {
                 assert_eq!(store.occupied(), 0, "no bytes reached the store");
                 let write = pending.expect("fourth insert fills the group");
                 assert_eq!(write.pages.len(), 4);
-                assert_eq!(write.meta_records.len(), 4);
-                assert_eq!(c.journal().unsealed_entries(), 0, "records detached");
-                assert_eq!(c.journal().sealed_groups(), 0, "but not yet durable");
+                assert!(c.group_write_pending(write.epoch));
+                assert_eq!(c.journal().sealed_groups(), 0, "not yet durable");
 
                 // Fetches of in-flight versions are served from the shared RAM
                 // frames — the foreground never waits for the batch write.
@@ -2117,17 +2095,23 @@ pub(crate) mod tests {
         #[test]
         fn rolled_back_batch_counts_its_dirty_pages_as_staged_out_to_disk() {
             fn case<P: RingPolicy>() {
-                // The fourth insert fills the group; its second slot write fails.
-                let plan = FaultPlan::new(1).writes_only().fail_nth(2).permanent();
-                let (mut c, _, last, io) = faulty_fifo::<P>(meta_cfg(4, 4, false), plan);
+                // The fourth insert fills the group, and the ring applies it
+                // itself: its one batch write persists two slots and fails.
+                let plan = FaultPlan::new(1)
+                    .writes_only()
+                    .fail_nth(1)
+                    .mode(FaultMode::TornWrite)
+                    .permanent();
+                let (mut c, plan, last, io) = faulty_fifo::<P>(meta_cfg(4, 4, false), plan);
                 assert!(last.is_err(), "the inline batch write failed");
+                assert_eq!(plan.faults_injected(), 1);
                 assert_eq!(c.take_write_fallout().len(), 4);
                 assert_eq!(c.stats().staged_out_to_disk, 4);
                 assert_eq!(io.disk_writes(), 4);
                 assert_eq!(io.flash_pages_written(), 0, "a failed batch is not charged");
                 assert!((0..4).all(|n| !c.contains(pid(n))));
                 assert_eq!(
-                    c.journal().unsealed_entries(),
+                    c.journal().sealed_groups(),
                     0,
                     "records dropped with the data"
                 );

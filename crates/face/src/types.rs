@@ -259,14 +259,15 @@ pub struct CacheConfig {
     /// groups, bounding restart metadata replay to
     /// `meta_checkpoint_interval_groups × group_size` journal records.
     pub meta_checkpoint_interval_groups: usize,
-    /// When set, a filled replacement group is handed back to the caller as a
-    /// [`PendingGroupWrite`] instead of being written inside
-    /// [`crate::policy::FlashCache::insert`]: the insert mutates only the
-    /// directory and bookkeeping, and the caller performs the flash batch
-    /// write off-lock (typically on a [`crate::destage::Destager`] thread)
-    /// before sealing the group's journal records. Off by default: the
-    /// trace-driven simulator and single-threaded callers keep the inline
-    /// write-under-call contract.
+    /// Who applies a formed replacement group. Every filled batch forms a
+    /// group the same way; when set, the group is handed back to the caller
+    /// as a [`PendingGroupWrite`], the insert mutates only the directory and
+    /// bookkeeping, and the caller performs the flash batch write off-lock
+    /// (typically on a [`crate::destage::Destager`] thread) before
+    /// [`crate::RingCache::complete_group`] seals its journal records. Off
+    /// by default: [`crate::policy::FlashCache::insert`] applies and seals
+    /// the group itself before it returns, the contract the trace-driven
+    /// simulator and single-threaded callers keep.
     pub defer_group_writes: bool,
     /// When set, [`crate::ShardedFlashCache::fetch`] uses the lock-light
     /// read path: the version is pinned under the shard lock
@@ -419,7 +420,7 @@ pub struct CacheStats {
     pub staged_out: u64,
     /// Pages the cache sent to disk: dirty valid victims of a dequeue, and —
     /// for every ring policy alike — dirty pages that left through a fault
-    /// path (a rolled-back inline batch, an aborted deferred group, an insert
+    /// path (an aborted group, applied inline or deferred, an insert
     /// displaced by a failed dequeue, a serve-through past a fully
     /// quarantined region). Those are handed to the caller's disk failover,
     /// so they do reach disk and are counted here.

@@ -11,8 +11,10 @@
 //! this gate: their destage threads make `flash_pages_written` and
 //! `admission_filtered` move by a few percent between identical runs.)
 //!
-//! The fault paths (`rollback_pending`, `abort_group`, failed evacuation
-//! reads) are not exercised here; `ring::tests` covers them.
+//! Both write modes run the ring's one group lifecycle; they differ only in
+//! who applies a formed group — the ring inside `insert`, or this trace's
+//! `destage`. The fault paths (`abort_group` in either mode, failed
+//! evacuation reads) are not exercised here; `ring::tests` covers them.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
