@@ -1033,8 +1033,11 @@ impl Database {
 
     /// Bring a tripped (or quarantining) flash cache back into service: the
     /// cache restarts cold — directory dropped, slots writable again — and
-    /// the breaker closes. Returns the number of dirty pages the reset had
-    /// to evacuate to disk (normally zero: the trip already evacuated).
+    /// the breaker closes. Returns the number of dirty pages the reset
+    /// evacuated to disk. After a trip these include every page the trip
+    /// evacuated: the trip leaves their dirty flags set, so the reset writes
+    /// them again, over any newer version written to disk meanwhile (a
+    /// known fault, ROADMAP item 2).
     ///
     /// Call after replacing or re-trusting the flash device. A no-op
     /// without a cache.

@@ -27,7 +27,10 @@
 //! readable through the tier's wash table (`washing`) until their write
 //! completes, so a fetch can never observe the stale disk version of a page
 //! whose write-out is still in flight. The write-ahead guard runs **before**
-//! anything is handed over, in both drivers.
+//! anything is handed over, in both drivers. Checkpoints and evacuations hand
+//! over the groups still owed (`flush_owed_groups`) the same way, so
+//! `destage::execute` is the one code path that writes a group: its retry,
+//! abort, quarantine and fail-over cover a checkpoint's write too.
 //!
 //! ## The lock-light read path
 //!
@@ -54,9 +57,10 @@
 //!
 //! Lock order (outer → inner): buffer shard (structural mutex → mapping →
 //! page latch) → cache shard directory → wash table → destage queue → WAL.
-//! **No device I/O happens under a cache shard lock**: group writes and
-//! destage disk writes run on destager threads (or, in sync-destage mode, on
-//! the foreground thread after every cache lock is released), and flash
+//! **No device I/O happens under a cache shard lock**: group writes
+//! (checkpoints' and evacuations' included) and destage disk writes run on
+//! destager threads (or, in sync-destage mode, on the calling thread after
+//! every cache lock is released), and flash
 //! fetch reads run between the pin and validate halves of the fetch with no
 //! lock held — one slow flash read never stalls the other threads hashing
 //! to that cache shard. [`FaceTier::fetch`] is called under the loading
@@ -262,9 +266,9 @@ struct DestageTarget {
 
 impl DestageSink for DestageTarget {
     fn apply_group(&self, write: &PendingGroupWrite) -> DeviceResult<()> {
-        // `sync`/checkpoint may have applied-and-sealed this group inline
-        // while the job sat in the queue (`drain` is best-effort when
-        // producers race it): don't write — and charge — the batch twice.
+        // A checkpoint or evacuation enqueues every owed group, a copy of
+        // one already queued here included: whoever applies second finds it
+        // sealed. Don't write — and charge — the batch twice.
         if !self.cache.group_write_pending(write.shard, write.epoch) {
             return Ok(());
         }
@@ -511,13 +515,15 @@ impl FaceTier {
     }
 
     /// The first half of a breaker trip and of a cold reset: drain the
-    /// pipeline, evacuate every dirty flash page, wash-publish them all and
-    /// persist those with bytes, WAL-guarded. Returns how many carried
-    /// bytes, and the disk write's result.
+    /// pipeline, write the owed groups, evacuate every dirty flash page,
+    /// wash-publish them all and persist those with bytes, WAL-guarded.
+    /// Returns how many carried bytes, and the disk write's result.
     fn evacuate_to_disk(&self, flash: &FlashSide) -> (usize, TierResult<()>) {
-        // The device is failing: a drain error is more of the same evidence
-        // and must not abort the evacuation, which is the recovery.
+        // The device is failing: a drain or group-write error is more of the
+        // same evidence and must not abort the evacuation, which is the
+        // recovery. A group that fails for good fails over to disk itself.
         let _ = flash.destager.drain();
+        let _ = self.flush_owed_groups(flash);
         let ev = flash.cache.evacuate_dirty(&mut IoLog::new());
         flash.degrade.note_dirty_unread(ev.unread_dirty);
         // Wound markers (data-less) stay published, past a wipe too, so
@@ -527,8 +533,8 @@ impl FaceTier {
         (evacuated, self.write_staged_to_disk(&ev.pages))
     }
 
-    /// Drain dirty pages the cache parked after failed writes (dropped from
-    /// the directory; the only remaining copies) and persist them to
+    /// Drain dirty pages the cache parked after a failed insert (dropped
+    /// from the directory; the only remaining copies) and persist them to
     /// disk WAL-guarded, wash-published while in flight.
     fn rescue_write_fallout(&self, cache: &ShardedFlashCache) -> TierResult<()> {
         let fallout = cache.take_write_fallout();
@@ -539,18 +545,27 @@ impl FaceTier {
         self.write_staged_to_disk(&fallout)
     }
 
-    /// Drain the pipeline, flush every shard's pending batch and metadata,
-    /// rescue a failed group's dirty pages to disk and report the failure to
-    /// the degrade controller. The inner result is the flash flush's, for
-    /// the caller to surface or absorb.
-    fn sync_cache(&self, flash: &FlashSide) -> TierResult<DeviceResult<()>> {
-        flash.destager.drain().map_err(TierError::Device)?;
-        let synced = flash.cache.sync(&mut IoLog::new());
-        self.rescue_write_fallout(&flash.cache)?;
-        if let Err(e) = &synced {
-            self.handle_device_error(flash, 0, e)?;
+    /// Hand every owed group to the destager, stamped with its shard, and
+    /// wait for them: a checkpoint's or an evacuation's group write is
+    /// retried, aborted, quarantined and failed over like any other.
+    fn flush_owed_groups(&self, flash: &FlashSide) -> TierResult<()> {
+        for write in flash.cache.owed_groups() {
+            flash
+                .destager
+                .enqueue(DestageJob::Group(write))
+                .map_err(TierError::Device)?;
         }
-        Ok(synced)
+        flash.destager.drain().map_err(TierError::Device)
+    }
+
+    /// Drain the pipeline, write every owed group and checkpoint the cache
+    /// metadata. A trip that a failed group write requested is claimed
+    /// before this returns.
+    fn sync_cache(&self, flash: &FlashSide) -> TierResult<()> {
+        flash.destager.drain().map_err(TierError::Device)?;
+        self.flush_owed_groups(flash)?;
+        flash.cache.checkpoint_metadata(&mut IoLog::new());
+        self.maybe_claim_trip(flash)
     }
 
     /// Re-enable a tripped (or merely suspect) flash tier: evacuate whatever
@@ -658,15 +673,15 @@ impl FaceTier {
         }
     }
 
-    /// Checkpoint support: seal the cache's pending groups and write its
-    /// metadata checkpoint, so the pages the checkpoint flushed into flash
-    /// are durable there. Drains the destage pipeline first so the cache's
-    /// sync sees no in-flight groups.
+    /// Checkpoint support: write the cache's owed groups through the
+    /// destager, then its metadata checkpoint, so the pages the checkpoint
+    /// flushed into flash are durable there (or, where a group write failed
+    /// for good, on disk).
     pub fn checkpoint_cache(&self) -> TierResult<()> {
         let Some(flash) = self.flash.as_ref() else {
             return Ok(());
         };
-        self.sync_cache(flash)?.map_err(TierError::Device)?;
+        self.sync_cache(flash)?;
         // A wound marker means a committed version exists only in the WAL
         // (its flash copy died unread). A checkpoint taken now would let the
         // log truncate past the records that can still rebuild it — refuse
@@ -985,10 +1000,7 @@ impl LowerTier for FaceTier {
 
     fn sync(&self) -> TierResult<()> {
         if let Some(flash) = self.flash.as_ref() {
-            // A failed flush's pages reached disk through the fallout rescue,
-            // so durability holds though the flash write did not: the error
-            // is absorbed once the degrade controller has heard it.
-            let _absorbed = self.sync_cache(flash)?;
+            self.sync_cache(flash)?;
         }
         self.disk.sync()?;
         Ok(())
@@ -1468,5 +1480,141 @@ mod tests {
         store.release_reads();
         let buf = bg.join().unwrap();
         assert_eq!(buf.read_body(0, 2), b"v1", "parked fetch served stale");
+    }
+
+    /// Both destage drivers: the inline one and a worker pool.
+    const DRIVERS: [usize; 2] = [0, 2];
+
+    #[test]
+    fn a_checkpoint_whose_flush_fails_on_shard_1_quarantines_shard_1s_slot() {
+        use face_cache::InstrumentedFlashStore;
+        use face_pagestore::{DeviceHooks, FaultPlan};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        for destage_threads in DRIVERS {
+            // Shard 1's device fails every write for good once armed.
+            let plan = Arc::new(
+                FaultPlan::new(5)
+                    .writes_only()
+                    .permanent()
+                    .probability(1.0)
+                    .armed_on_crash(),
+            );
+            let built = AtomicUsize::new(0);
+            let cfg = CacheConfig {
+                capacity_pages: 64,
+                group_size: 8,
+                defer_group_writes: true,
+                ..CacheConfig::default()
+            };
+            let cache = ShardedFlashCache::build(CachePolicyKind::FaceGsc, cfg, 2, |cap| {
+                let store = Arc::new(MemFlashStore::new(cap)) as Arc<dyn FlashStore>;
+                if built.fetch_add(1, Ordering::SeqCst) == 0 {
+                    return store;
+                }
+                let hooks = DeviceHooks {
+                    faults: Some(Arc::clone(&plan)),
+                    ..DeviceHooks::default()
+                };
+                InstrumentedFlashStore::wrap(store, hooks)
+            });
+            let tier = tier_over(Arc::new(InMemoryPageStore::new()), cache, destage_threads);
+            // A partial batch on each shard: the checkpoint owes both groups.
+            let ids: Vec<PageId> = (0..8).map(|_| tier.allocate(0).unwrap()).collect();
+            for (i, id) in ids.iter().enumerate() {
+                let page = dirty_page(*id, format!("v{i}").as_bytes());
+                tier.write_back(&page, true, true, WriteBackReason::Checkpoint)
+                    .unwrap();
+            }
+            let cache = tier.cache().unwrap();
+            let (on_0, on_1): (Vec<PageId>, Vec<PageId>) =
+                ids.iter().copied().partition(|id| cache.shard_of(*id) == 0);
+            assert!(!on_0.is_empty() && !on_1.is_empty(), "pages on both shards");
+
+            plan.arm();
+            tier.checkpoint_cache().unwrap();
+            let stats = tier.degrade_stats().unwrap();
+            assert_eq!(stats.quarantined_slots, 1, "driver {destage_threads}");
+            assert!(
+                on_0.iter().all(|id| cache.contains(*id)),
+                "driver {destage_threads}: a healthy shard-0 slot was quarantined"
+            );
+            // Shard 1's group was aborted and its pages failed over to disk.
+            assert!(on_1.iter().all(|id| !cache.contains(*id)));
+            for (i, id) in ids.iter().enumerate() {
+                let mut buf = Page::zeroed();
+                tier.fetch(*id, &mut buf).unwrap();
+                assert_eq!(buf.read_body(0, 2), format!("v{i}").as_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_group_write_holds_no_cache_shard_lock() {
+        use face_cache::GateFlashStore;
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        for destage_threads in DRIVERS {
+            let store = Arc::new(GateFlashStore::new(64));
+            store.release();
+            let cfg = CacheConfig {
+                capacity_pages: 64,
+                group_size: 8,
+                defer_group_writes: true,
+                lock_light_reads: true,
+                ..CacheConfig::default()
+            };
+            let gate = Arc::clone(&store);
+            let cache = ShardedFlashCache::build(CachePolicyKind::FaceGr, cfg, 1, move |_| {
+                Arc::clone(&gate) as Arc<dyn FlashStore>
+            });
+            let tier = Arc::new(tier_over(
+                Arc::new(InMemoryPageStore::new()),
+                cache,
+                destage_threads,
+            ));
+            let ids: Vec<PageId> = (0..3).map(|_| tier.allocate(0).unwrap()).collect();
+            // Two pages of an eight-page group: the checkpoint owes it.
+            for id in &ids[..2] {
+                let page = dirty_page(*id, b"ck");
+                tier.write_back(&page, true, true, WriteBackReason::Checkpoint)
+                    .unwrap();
+            }
+            let calls = store.write_calls();
+            store.hold_writes();
+            let checkpoint = {
+                let tier = Arc::clone(&tier);
+                std::thread::spawn(move || tier.checkpoint_cache())
+            };
+            while store.write_calls() == calls {
+                std::thread::yield_now();
+            }
+            // The group write is parked at the gate. A write-back and a fetch
+            // on the same (only) shard must not wait for it.
+            let (done, finished) = mpsc::channel();
+            let foreground = {
+                let tier = Arc::clone(&tier);
+                let (fresh, parked) = (ids[2], ids[0]);
+                std::thread::spawn(move || {
+                    let page = dirty_page(fresh, b"fg");
+                    tier.write_back(&page, true, true, WriteBackReason::Eviction)
+                        .unwrap();
+                    let mut buf = Page::zeroed();
+                    tier.fetch(parked, &mut buf).unwrap();
+                    done.send(buf.read_body(0, 2).to_vec()).unwrap();
+                })
+            };
+            let served = finished.recv_timeout(Duration::from_millis(250));
+            store.release();
+            foreground.join().unwrap();
+            checkpoint.join().unwrap().unwrap();
+            assert_eq!(
+                served.ok().as_deref(),
+                Some(&b"ck"[..]),
+                "destage_threads({destage_threads}): a write-back and a fetch \
+                 waited behind the checkpoint's group write"
+            );
+        }
     }
 }

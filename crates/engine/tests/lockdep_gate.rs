@@ -99,10 +99,11 @@ fn concurrent_engine_has_no_lockdep_violations() {
             scenario(policy, lock_light, false);
         }
     }
-    // The I/O detector is wired into the device stack: the checkpoint's
-    // inline `sync` performs acknowledged flash I/O under the shard lock, so
-    // a stack that dropped `check_device_op` would tally nothing here (and
-    // pass the zero-violations assertion below vacuously).
+    // The I/O detector is wired into the device stack: the `lock_light
+    // (false)` scenarios' flash fetches read the device under the shard lock
+    // (the classic fetch's acknowledged scope), so a stack that dropped
+    // `check_device_op` would tally nothing here (and pass the
+    // zero-violations assertion below vacuously).
     assert!(
         witness::exempted_io_ops() > 0,
         "no device op reached the I/O-under-lock detector — is the check hooked in?"

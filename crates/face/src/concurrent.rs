@@ -80,9 +80,8 @@ pub struct ShardedFlashCache {
     /// retries and counts them. Error *classification* (quarantine, breaker)
     /// stays with the owner, which sees the errors this type propagates.
     degrade: Option<Arc<DegradeController>>,
-    /// Dirty pages rescued from failed shard operations (insert, sync),
-    /// already published to the caller's stage-out sink where one was in
-    /// scope. The owner drains this via
+    /// Dirty pages a failed insert un-cached, already published to the
+    /// caller's stage-out sink. The owner drains this via
     /// [`ShardedFlashCache::take_write_fallout`] after an error and persists
     /// the pages to disk WAL-guarded. `DIAG` class: taken briefly, never
     /// around I/O, after the shard lock is released.
@@ -180,22 +179,6 @@ impl ShardedFlashCache {
     /// still held by the caller.
     fn note_len(&self, shard: usize, cache: &dyn RingCache) {
         self.occupancy[shard].set(cache.len() as u64);
-    }
-
-    /// Drain a shard's policy-level write-fallout buffer (with the shard
-    /// lock still held), publish the pages to `staged_out_sink`, and park
-    /// them in the cache-level fallout buffer for
-    /// [`ShardedFlashCache::take_write_fallout`].
-    fn rescue_fallout(
-        &self,
-        cache: &mut dyn RingCache,
-        staged_out_sink: &mut dyn FnMut(&[StagedPage]),
-    ) -> Vec<StagedPage> {
-        let fallout = cache.take_write_fallout();
-        if !fallout.is_empty() {
-            staged_out_sink(&fallout);
-        }
-        fallout
     }
 
     /// Dirty pages rescued from failed shard operations since the last call.
@@ -400,12 +383,13 @@ impl ShardedFlashCache {
                 // dirty page it had to un-cache in its fallout buffer.
                 // Publish them to the wash sink *before* releasing the lock
                 // (same race as regular stage-outs), then hand them up.
-                let fallout = self.rescue_fallout(&mut **guard, staged_out_sink);
+                let fallout = guard.take_write_fallout();
+                if !fallout.is_empty() {
+                    staged_out_sink(&fallout);
+                }
                 self.note_len(shard, &**guard);
                 drop(guard);
-                if !fallout.is_empty() {
-                    self.fallout.lock().extend(fallout);
-                }
+                self.fallout.lock().extend(fallout);
                 return Err(e);
             }
         };
@@ -429,12 +413,11 @@ impl ShardedFlashCache {
         write.apply(&*self.stores[write.shard % self.stores.len()], io)
     }
 
-    /// Whether a deferred group's physical write is still owed (formed but
-    /// neither applied-and-sealed inline by `sync` nor completed by the
-    /// pipeline). Destage workers consult this before applying, so a group
-    /// that `sync`/checkpoint already flushed inline — `drain` is
-    /// best-effort when producers race it — is not written (and charged)
-    /// twice.
+    /// Whether a group's physical write is still owed (formed, neither
+    /// completed nor aborted). The destager consults this before applying,
+    /// so a group handed over twice — by the insert that formed it and
+    /// again by [`ShardedFlashCache::owed_groups`] — is not written (and
+    /// charged) twice.
     pub fn group_write_pending(&self, shard: usize, epoch: u64) -> bool {
         self.shards[shard % self.shards.len()]
             .read()
@@ -450,32 +433,26 @@ impl ShardedFlashCache {
             .complete_group(epoch, io);
     }
 
-    /// Flush buffered batches and metadata on every shard.
-    ///
-    /// Every shard is attempted even after one fails (a checkpoint wants
-    /// whatever durability it can get); the first error is returned. Dirty
-    /// pages a failing shard had to un-cache wait in
-    /// [`ShardedFlashCache::take_write_fallout`].
-    pub fn sync(&self, io: &mut IoLog) -> DeviceResult<()> {
-        // Checkpoint/shutdown path: pending group writes and metadata are
-        // flushed inline, under the shard lock, by design (durability over
-        // latency here).
-        let _allow = witness::allow_device_io("cache: sync flushes groups inline");
-        let mut first_err = None;
-        for shard in &self.shards {
-            let mut guard = shard.write();
-            if let Err(e) = guard.sync(io) {
-                let fallout = self.rescue_fallout(&mut **guard, &mut |_| {});
-                drop(guard);
-                if !fallout.is_empty() {
-                    self.fallout.lock().extend(fallout);
-                }
-                first_err.get_or_insert(e);
+    /// Form every shard's pending batch into a group and return every group
+    /// whose batch write is still owed, stamped with its shard, oldest first
+    /// within a shard (see [`RingCache::owed_groups`]). Each shard lock is
+    /// held only to collect them; no device I/O.
+    pub fn owed_groups(&self) -> Vec<PendingGroupWrite> {
+        let mut owed = Vec::new();
+        for (shard, cache) in self.shards.iter().enumerate() {
+            for mut write in cache.write().owed_groups() {
+                write.shard = shard;
+                owed.push(write);
             }
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
+        owed
+    }
+
+    /// Write every shard's metadata checkpoint (see
+    /// [`RingCache::checkpoint_metadata`]); write the owed groups first.
+    pub fn checkpoint_metadata(&self, io: &mut IoLog) {
+        for shard in &self.shards {
+            shard.write().checkpoint_metadata(io);
         }
     }
 
@@ -692,6 +669,16 @@ mod tests {
         StagedPage::with_data(p, true, true)
     }
 
+    /// A checkpoint on the caller's thread: apply and seal every owed group,
+    /// then write the metadata checkpoints.
+    fn sync(c: &ShardedFlashCache, io: &mut IoLog) {
+        for write in c.owed_groups() {
+            c.apply_group_write(&write, io).unwrap();
+            c.complete_group(write.shard, write.epoch, io);
+        }
+        c.checkpoint_metadata(io);
+    }
+
     #[test]
     fn none_policy_builds_nothing() {
         assert!(ShardedFlashCache::build(
@@ -783,7 +770,7 @@ mod tests {
         for n in 0..40u32 {
             c.insert(data_page(n), &mut io).unwrap();
         }
-        c.sync(&mut io).unwrap();
+        sync(&c, &mut io);
         let info = c.crash_and_recover(Lsn(u64::MAX), &mut io);
         assert!(info.survived);
         assert_eq!(info.entries_restored, 40);
@@ -802,7 +789,7 @@ mod tests {
         for n in 0..40u32 {
             c.insert(data_page(n), &mut io).unwrap(); // page n carries Lsn(n + 1)
         }
-        c.sync(&mut io).unwrap();
+        sync(&c, &mut io);
         // Only LSNs <= 20 are durable in the WAL: the newer half of the cache
         // must be discarded at recovery, the older half stays warm.
         let info = c.crash_and_recover(Lsn(20), &mut io);
@@ -825,7 +812,7 @@ mod tests {
         for n in 0..32u32 {
             c.insert(data_page(n), &mut io).unwrap();
         }
-        c.sync(&mut io).unwrap();
+        sync(&c, &mut io);
         assert!(!c.is_empty());
         c.reset_cold();
         assert!(c.is_empty());
@@ -1128,7 +1115,7 @@ mod tests {
             assert!(!out.cached, "clean first touch must be filtered");
             assert!(!c.contains(PageId::new(0, n)));
         }
-        c.sync(&mut io).unwrap();
+        sync(&c, &mut io);
         assert_eq!(c.flash_pages_written(), 0, "one-touch pages cost nothing");
         let stats = c.stats();
         assert_eq!(stats.admission_filtered, 32);
@@ -1141,7 +1128,7 @@ mod tests {
             assert!(out.cached, "ghost re-reference must be admitted");
             assert!(c.contains(PageId::new(0, n)));
         }
-        c.sync(&mut io).unwrap();
+        sync(&c, &mut io);
         assert!(c.flash_pages_written() >= 32);
         assert_eq!(c.stats().admission_ghost_hits, 32);
     }
@@ -1196,7 +1183,7 @@ mod tests {
                 .expect("cached");
             assert_eq!(hit.data.unwrap().read_body(0, 4), &n.to_le_bytes());
         }
-        c.sync(&mut io).unwrap();
+        sync(&c, &mut io);
         assert!(c.flash_pages_written() > 0);
         let info = c.crash_and_recover(Lsn(u64::MAX), &mut io);
         assert!(info.survived, "S3-FIFO metadata persists like FaCE's");

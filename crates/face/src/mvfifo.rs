@@ -600,7 +600,7 @@ mod tests {
             &mut io,
         )
         .unwrap();
-        c.checkpoint_metadata(&mut io).unwrap(); // snapshot: slot0->A, slot1->B
+        c.checkpoint_metadata(&mut io); // snapshot: slot0->A, slot1->B
 
         // C evicts A (slot 0 reused) and seals with lsn 50.
         let mut newer = Page::new(pid(3));

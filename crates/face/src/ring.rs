@@ -25,7 +25,10 @@
 //!   failed, aborted ([`RingCache::abort_group`]).
 //!   [`CacheConfig::defer_group_writes`] decides only *who* applies it: the
 //!   caller, handed a [`PendingGroupWrite`], or the ring itself before the
-//!   call returns (`apply_group_inline`).
+//!   call returns (`apply_group_inline`). What is still owed when a
+//!   checkpoint comes — the pending batch and every unwritten in-flight
+//!   group — is handed out by [`RingCache::owed_groups`]; only
+//!   [`FlashCache::sync`] applies it inline.
 //! * **The metadata journal.** A group's records are derived from its slots
 //!   when it forms, so a slot dequeued while still pending leaves no record
 //!   behind. **A journal group seals strictly after its batch write, and
@@ -403,37 +406,9 @@ impl<P: RingPolicy> GroupRing<P> {
         (pack(|r| r.front), pack(|r| r.size))
     }
 
-    /// Force a flash-cache checkpoint: flush the pending batch (sealing its
-    /// journal group) and persist a directory snapshot, so a subsequent
-    /// restart replays no journal at all. Independent of database
-    /// checkpointing, as in the paper. On a device error the unwritable
-    /// group has been aborted (dirty pages wait in
-    /// [`RingCache::take_write_fallout`]) and no snapshot is written.
-    pub fn checkpoint_metadata(&mut self, io: &mut IoLog) -> DeviceResult<()> {
-        self.flush_all_groups_inline(io)?;
-        // The flush may just have installed a cadence checkpoint (or a
-        // previous call already left the journal fully folded): skip the
-        // second, identical snapshot write in that case.
-        let pointers = self.packed_pointers();
-        let already_folded = self.journal.replay_entries() == 0
-            && self.journal.checkpoint().map(|c| (c.front, c.size)) == Some(pointers);
-        if !already_folded {
-            self.install_checkpoint(self.durable_directory_snapshot(), io);
-            self.stats.metadata_flushes.inc();
-        }
-        Ok(())
-    }
-
     fn install_checkpoint(&mut self, snapshot: Vec<JournalEntry>, io: &mut IoLog) {
         let (front, size) = self.packed_pointers();
         self.journal.install_checkpoint(front, size, snapshot, io);
-    }
-
-    fn maybe_cadence_checkpoint(&mut self, io: &mut IoLog) {
-        if self.journal.checkpoint_due() {
-            self.install_checkpoint(self.durable_directory_snapshot(), io);
-            self.stats.metadata_flushes.inc();
-        }
     }
 
     /// Free slots of `region`.
@@ -799,7 +774,8 @@ impl<P: RingPolicy> GroupRing<P> {
     /// slot the batch will write — wait in the in-flight table until
     /// [`RingCache::complete_group`] seals them. No I/O happens here: the
     /// batch write is the caller's under
-    /// [`CacheConfig::defer_group_writes`], else `apply_group_inline`'s.
+    /// [`CacheConfig::defer_group_writes`] or after
+    /// [`RingCache::owed_groups`], else `apply_group_inline`'s.
     fn form_pending_group(&mut self) -> Option<PendingGroupWrite> {
         if self.pending.is_empty() {
             return None;
@@ -858,29 +834,23 @@ impl<P: RingPolicy> GroupRing<P> {
         Ok(())
     }
 
-    /// Inline fallback for sync/checkpoint/evacuation paths: apply and seal
-    /// every in-flight group (oldest first), then form and apply the pending
-    /// batch. Engine callers drain the destage pipeline before reaching these
-    /// paths, so the in-flight table is normally empty here; applying a group
-    /// twice is idempotent at the device (same bytes, same slots) and
-    /// [`RingCache::complete_group`] ignores epochs already sealed.
-    ///
-    /// A failed group write aborts exactly that group and returns the error;
-    /// already-sealed groups and the remaining ones are unaffected.
-    fn flush_all_groups_inline(&mut self, io: &mut IoLog) -> DeviceResult<()> {
-        let epochs: Vec<u64> = self.inflight.keys().copied().collect();
-        for epoch in epochs {
-            match self.inflight.get(&epoch) {
-                Some(g) if !g.completed => {
-                    let write = g.write.clone();
-                    self.apply_group_inline(&write, io)?;
-                }
-                _ => self.complete_group(epoch, io),
+    /// Seal the completed groups at the head of the in-flight table, so
+    /// groups seal in epoch order even if completions race (they do not
+    /// under the per-shard FIFO destage routing; this is the ring's own
+    /// guarantee), then take a cadence checkpoint if one is due.
+    fn seal_completed_prefix(&mut self, io: &mut IoLog) {
+        while let Some(entry) = self.inflight.first_entry() {
+            if !entry.get().completed {
+                break;
             }
+            let group = entry.remove();
+            self.release_inflight_frames(&group.write);
+            let (front, size) = self.packed_pointers();
+            self.journal.seal_group(group.records, front, size, io);
         }
-        match self.form_pending_group() {
-            Some(write) => self.apply_group_inline(&write, io),
-            None => Ok(()),
+        if self.journal.checkpoint_due() {
+            self.install_checkpoint(self.durable_directory_snapshot(), io);
+            self.stats.metadata_flushes.inc();
         }
     }
 
@@ -1120,24 +1090,37 @@ pub trait RingCache: FlashCache {
     /// belong to a different version (or page) and must be discarded.
     fn fetch_validate(&self, slot: usize, generation: u64) -> bool;
 
-    /// Dirty pages un-cached by a failed inline group write or a failed
-    /// dequeue, awaiting disk failover. Populated when [`FlashCache::insert`] or
+    /// Dirty pages un-cached by a failed call — a dequeue whose victim read
+    /// failed, or a group write the ring applied itself — awaiting disk
+    /// failover. Populated when [`FlashCache::insert`] or
     /// [`FlashCache::sync`] return a device error; the caller drains this
     /// immediately (under the same lock) and routes the pages through its
     /// stage-out-to-disk path.
     fn take_write_fallout(&mut self) -> Vec<StagedPage>;
 
-    /// Report that a deferred group's physical batch write finished: the
-    /// group's journal records may now seal (become crash-durable) — never
-    /// before, preserving the data-with-metadata coupling of §4.3. A no-op
-    /// for unknown epochs (idempotent: sync may have sealed the group
-    /// inline already).
+    /// Report that a group's physical batch write finished: the group's
+    /// journal records may now seal (become crash-durable) — never before,
+    /// preserving the data-with-metadata coupling of §4.3. A no-op for
+    /// unknown epochs (idempotent: a copy of the group handed out by
+    /// [`RingCache::owed_groups`] may have been applied and sealed first).
     fn complete_group(&mut self, epoch: u64, io: &mut IoLog);
 
-    /// Whether the deferred group `epoch` still owes its physical batch
-    /// write (formed, not yet applied inline or completed). `false` for
-    /// sealed and unknown epochs.
+    /// Whether the group `epoch` still owes its physical batch write
+    /// (formed, neither completed nor aborted). `false` for sealed and
+    /// unknown epochs.
     fn group_write_pending(&self, epoch: u64) -> bool;
+
+    /// Form the pending batch into a group and return every group whose
+    /// batch write is still owed, oldest first. A group already handed to a
+    /// destager comes back as a copy: whoever applies it second finds it no
+    /// longer pending ([`RingCache::group_write_pending`]). No I/O.
+    fn owed_groups(&mut self) -> Vec<PendingGroupWrite>;
+
+    /// Write a flash-cache checkpoint: the durable directory (sealed groups
+    /// only) and the queue pointers, so a restart replays no journal. Write
+    /// the owed groups first ([`RingCache::owed_groups`]), or their pages
+    /// miss it. The journal bills its write to `io`; no device I/O.
+    fn checkpoint_metadata(&mut self, io: &mut IoLog);
 
     /// Abort a deferred group whose physical batch write failed
     /// permanently: drop its directory entries and journal records (they
@@ -1161,7 +1144,9 @@ pub trait RingCache: FlashCache {
     /// Evacuation support: return **every** dirty valid cached page (with
     /// data when available) so the caller can write them to disk before
     /// wiping or replacing the cache device — dirty flash pages are part of
-    /// the persistent database and exist nowhere else. Dirty flags are
+    /// the persistent database and exist nowhere else. A version whose
+    /// group write is still owed carries its RAM frame; the engine writes
+    /// the owed groups first ([`RingCache::owed_groups`]). Dirty flags are
     /// **left set**: the caller's disk writes may still fail, and clearing
     /// early would let a retried evacuation (or a later eviction) drop the
     /// only copy. A successful evacuation is followed by a wipe, which
@@ -1227,9 +1212,15 @@ impl<P: RingPolicy> FlashCache for GroupRing<P> {
     }
 
     fn sync(&mut self, io: &mut IoLog) -> DeviceResult<()> {
-        // Flush the pending batch (sealing its journal group) and snapshot
-        // the directory, so a clean shutdown restarts with zero replay.
-        self.checkpoint_metadata(io)
+        // Apply and seal every owed group, then snapshot the directory, so a
+        // clean shutdown restarts with zero replay. A failed write aborts
+        // its group (dirty pages to the write fallout) and skips the
+        // snapshot.
+        for write in self.owed_groups() {
+            self.apply_group_inline(&write, io)?;
+        }
+        self.checkpoint_metadata(io);
+        Ok(())
     }
 
     fn persists_dirty_pages(&self) -> bool {
@@ -1315,25 +1306,34 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
 
     fn complete_group(&mut self, epoch: u64, io: &mut IoLog) {
         let Some(group) = self.inflight.get_mut(&epoch) else {
-            // Unknown epoch: already sealed inline (sync raced the pipeline)
-            // or dropped by a crash. Idempotent by design.
+            // Unknown epoch: another copy of the group was applied and
+            // sealed first, or a crash dropped it. Idempotent by design.
             return;
         };
         group.completed = true;
-        // Seal contiguously from the oldest in-flight epoch so journal groups
-        // become durable in epoch order even if completions raced (they do
-        // not under the per-shard FIFO destage routing; this is the ring's
-        // own guarantee).
-        while let Some(entry) = self.inflight.first_entry() {
-            if !entry.get().completed {
-                break;
-            }
-            let group = entry.remove();
-            self.release_inflight_frames(&group.write);
-            let (front, size) = self.packed_pointers();
-            self.journal.seal_group(group.records, front, size, io);
+        self.seal_completed_prefix(io);
+    }
+
+    fn owed_groups(&mut self) -> Vec<PendingGroupWrite> {
+        self.form_pending_group();
+        self.inflight
+            .values()
+            .filter(|g| !g.completed)
+            .map(|g| g.write.clone())
+            .collect()
+    }
+
+    fn checkpoint_metadata(&mut self, io: &mut IoLog) {
+        // A cadence checkpoint at the last seal (or a previous call) may
+        // have folded the journal at these pointers already: skip the
+        // second, identical snapshot write then.
+        let pointers = self.packed_pointers();
+        let already_folded = self.journal.replay_entries() == 0
+            && self.journal.checkpoint().map(|c| (c.front, c.size)) == Some(pointers);
+        if !already_folded {
+            self.install_checkpoint(self.durable_directory_snapshot(), io);
+            self.stats.metadata_flushes.inc();
         }
-        self.maybe_cadence_checkpoint(io);
     }
 
     fn abort_group(&mut self, epoch: u64, io: &mut IoLog) -> Vec<StagedPage> {
@@ -1358,6 +1358,8 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
         }
         // The group's journal records drop with `group`: they never seal,
         // so data and metadata are lost together — the crash contract.
+        // Younger groups that completed meanwhile no longer wait for it.
+        self.seal_completed_prefix(io);
         out
     }
 
@@ -1374,7 +1376,6 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
         let Some(meta) = self.vacate(slot).filter(|m| m.valid) else {
             return out;
         };
-        out.removed = Some(meta.page);
         if !meta.dirty {
             // Clean resident: simply dropped, re-fetched from disk on the
             // next miss.
@@ -1415,21 +1416,20 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
         // the flags anyway; a repeated call is idempotent, merely re-listing
         // the same pages.
         //
-        // Best-effort under a failing device: each inline-flush error aborts
-        // exactly one group, whose dirty pages join the output from their
-        // RAM copies, so the loop below terminates; residents whose bytes
-        // the device refuses to return are counted in `unread_dirty` and
-        // left to WAL redo.
+        // Best-effort under a failing device: residents whose bytes the
+        // device refuses to return are counted in `unread_dirty` and left to
+        // WAL redo.
         let mut ev = Evacuation::default();
-        while self.flush_all_groups_inline(io).is_err() {}
-        ev.pages.append(&mut self.write_fallout);
         let mut read = 0u32;
         for slot in self.window_slots() {
             let Some(meta) = self.slots[slot].as_ref().filter(|m| m.valid && m.dirty) else {
                 continue;
             };
-            let data = if self.store.carries_data() {
-                match self.store.read_slot(slot) {
+            // A version whose group write is still owed lives in RAM only:
+            // its slot may hold a previous occupant.
+            let data = match self.ram_frame(slot) {
+                Some(frame) => frame,
+                None if self.store.carries_data() => match self.store.read_slot(slot) {
                     Ok(Some(p)) => Some(Arc::new(p)),
                     Ok(None) | Err(_) => {
                         // Bytes lost with the failing slot: emit a data-less
@@ -1440,9 +1440,8 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
                         ev.pages.push(meta.disk_bound(None));
                         continue;
                     }
-                }
-            } else {
-                None
+                },
+                None => None,
             };
             read += 1;
             io.disk_write(meta.page);
@@ -1599,7 +1598,9 @@ pub(crate) mod tests {
         assert_eq!(c.stats().staged_out_to_disk, 10, "ten pending victims");
         assert_eq!(store.occupied(), 0, "no batch reached the device yet");
 
-        c.flush_all_groups_inline(&mut io).unwrap();
+        for write in c.owed_groups() {
+            c.apply_group_inline(&write, &mut io).unwrap();
+        }
         assert_eq!(store.occupied(), 2, "the one batch wrote two slots");
         assert_eq!(c.journal().sealed_groups(), 1);
         let sealed = c.journal().recover(&mut IoLog::new()).entries;

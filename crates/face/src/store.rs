@@ -360,6 +360,13 @@ impl GateFlashStore {
         self.writes.hold();
     }
 
+    /// How many write calls (a [`FlashStore::write_batch`] is one call) have
+    /// arrived at the write gate. With the gate held, tests poll this to know
+    /// a writer is parked.
+    pub fn write_calls(&self) -> u64 {
+        self.writes.arrivals.get()
+    }
+
     /// Close the read gate: subsequent slot reads park until
     /// [`GateFlashStore::release_reads`].
     pub fn hold_reads(&self) {

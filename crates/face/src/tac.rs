@@ -27,6 +27,11 @@ use crate::types::{
     StagedPage,
 };
 
+/// Pages per temperature extent.
+const EXTENT_PAGES: u64 = 32;
+/// Minimum extent temperature (accesses) for admission.
+const ADMISSION_TEMPERATURE: u32 = 2;
+
 #[derive(Debug, Clone, Copy)]
 struct TacMeta {
     slot: usize,
@@ -43,7 +48,7 @@ pub struct TacCache {
     config: CacheConfig,
     store: Arc<dyn FlashStore>,
     map: HashMap<PageId, TacMeta>,
-    /// Access counts per extent (extent = `tac_extent_pages` consecutive
+    /// Access counts per extent (extent = [`EXTENT_PAGES`] consecutive
     /// pages of a file), the "temperature".
     extent_heat: HashMap<u64, u32>,
     free_slots: Vec<usize>,
@@ -59,7 +64,6 @@ impl TacCache {
             store.capacity() >= config.capacity_pages,
             "flash store smaller than configured capacity"
         );
-        assert!(config.tac_extent_pages > 0, "extent must hold pages");
         let free_slots = (0..config.capacity_pages).rev().collect();
         Self {
             config,
@@ -73,7 +77,7 @@ impl TacCache {
     }
 
     fn extent_of(&self, page: PageId) -> u64 {
-        page.to_u64() / self.config.tac_extent_pages as u64
+        page.to_u64() / EXTENT_PAGES
     }
 
     fn heat_of(&self, page: PageId) -> u32 {
@@ -219,7 +223,7 @@ impl FlashCache for TacCache {
             return Ok(outcome);
         }
         // Admit only pages from sufficiently warm extents.
-        if self.heat_of(page) >= self.config.tac_admission_temperature {
+        if self.heat_of(page) >= ADMISSION_TEMPERATURE {
             self.admit(page, Lsn::ZERO, None, io)?;
             outcome.cached = true;
         }
@@ -283,8 +287,6 @@ mod tests {
     fn cache(capacity: usize) -> TacCache {
         let cfg = CacheConfig {
             capacity_pages: capacity,
-            tac_extent_pages: 4,
-            tac_admission_temperature: 2,
             ..CacheConfig::default()
         };
         TacCache::new(cfg, Arc::new(NullFlashStore::new(capacity)))
@@ -364,17 +366,17 @@ mod tests {
             c.on_fetched_from_disk(pid(0), &mut io).unwrap();
         }
         assert!(c.map.contains_key(&pid(0)));
-        // Page 8 (extent 2) just warm enough to admit.
-        c.on_fetched_from_disk(pid(8), &mut io).unwrap();
-        c.on_fetched_from_disk(pid(8), &mut io).unwrap();
-        assert!(c.map.contains_key(&pid(8)));
-        // Page 16 (extent 4) warms up and needs a slot: the cold page 8 goes,
-        // the hot page 0 stays.
-        c.on_fetched_from_disk(pid(16), &mut io).unwrap();
-        c.on_fetched_from_disk(pid(16), &mut io).unwrap();
+        // Page 64 (extent 2) just warm enough to admit.
+        c.on_fetched_from_disk(pid(64), &mut io).unwrap();
+        c.on_fetched_from_disk(pid(64), &mut io).unwrap();
+        assert!(c.map.contains_key(&pid(64)));
+        // Page 128 (extent 4) warms up and needs a slot: the cold page 64
+        // goes, the hot page 0 stays.
+        c.on_fetched_from_disk(pid(128), &mut io).unwrap();
+        c.on_fetched_from_disk(pid(128), &mut io).unwrap();
         assert!(c.map.contains_key(&pid(0)));
-        assert!(!c.map.contains_key(&pid(8)));
-        assert!(c.map.contains_key(&pid(16)));
+        assert!(!c.map.contains_key(&pid(64)));
+        assert!(c.map.contains_key(&pid(128)));
         assert_eq!(c.stats().staged_out, 1);
     }
 
@@ -382,7 +384,7 @@ mod tests {
     fn eviction_never_writes_disk() {
         let mut c = cache(2);
         let mut io = IoLog::new();
-        for p in [0u32, 4, 8, 12, 16, 20] {
+        for p in [0u32, 32, 64, 96, 128, 160] {
             c.on_fetched_from_disk(pid(p), &mut io).unwrap();
             c.on_fetched_from_disk(pid(p), &mut io).unwrap();
         }

@@ -176,8 +176,6 @@ pub struct QuarantineOutcome {
     /// Whether the slot was newly quarantined by this call (false when it
     /// was already quarantined or out of range).
     pub quarantined: bool,
-    /// The valid resident version dropped from the directory, if any.
-    pub removed: Option<PageId>,
     /// A *dirty* displaced resident. With bytes (`data: Some`) the caller
     /// writes it to disk under the WAL guard; with `data: None` (see
     /// `dirty_unread`) it is a wound marker the caller publishes so stale
@@ -246,14 +244,6 @@ pub struct CacheConfig {
     pub group_size: usize,
     /// Enable second chance for referenced pages (GSC).
     pub second_chance: bool,
-    /// LC only: fraction of dirty pages that triggers the lazy cleaner.
-    pub lc_dirty_threshold: f64,
-    /// LC only: fraction the cleaner reduces the dirty share to.
-    pub lc_clean_target: f64,
-    /// TAC only: pages per temperature extent.
-    pub tac_extent_pages: usize,
-    /// TAC only: minimum extent temperature (accesses) for admission.
-    pub tac_admission_temperature: u32,
     /// Cache-checkpoint cadence of the mapping-metadata journal: a
     /// [`crate::meta::CacheCheckpoint`] is written every this many sealed
     /// groups, bounding restart metadata replay to
@@ -305,10 +295,6 @@ impl Default for CacheConfig {
             capacity_pages: 64 * 1024, // 256 MB at 4 KiB/page
             group_size: 64,
             second_chance: false,
-            lc_dirty_threshold: 0.75,
-            lc_clean_target: 0.6,
-            tac_extent_pages: 32,
-            tac_admission_temperature: 2,
             meta_checkpoint_interval_groups: 8,
             defer_group_writes: false,
             lock_light_reads: false,
