@@ -18,19 +18,23 @@
 //! ## The destage pipeline
 //!
 //! A tier with a flash cache owns a [`Destager`], and the destager alone
-//! decides what happens to a filled group and to a stage-out: a foreground
-//! `write_back` only mutates the cache directory and hands the group's flash
-//! batch write and the dequeued-dirty-page disk writes over. With destage
-//! threads, background workers perform them; with none (the sync A/B
-//! baseline) the destager runs the same job body on the calling thread
-//! before the hand-over returns. Pages handed over for a disk destage remain
-//! readable through the tier's wash table (`washing`) until their write
-//! completes, so a fetch can never observe the stale disk version of a page
-//! whose write-out is still in flight. The write-ahead guard runs **before**
-//! anything is handed over, in both drivers. Checkpoints and evacuations hand
-//! over the groups still owed (`flush_owed_groups`) the same way, so
-//! `destage::execute` is the one code path that writes a group: its retry,
-//! abort, quarantine and fail-over cover a checkpoint's write too.
+//! writes what the tier sends down: a foreground `write_back` only mutates
+//! the cache directory and hands the group's flash batch write and the
+//! dequeued-dirty-page disk writes over. With destage threads, background
+//! workers perform them; with none (the sync A/B baseline) the destager runs
+//! the same job body on the calling thread before the hand-over returns.
+//! Pages handed over for a disk destage remain readable through the tier's
+//! wash table (`washing`) until their write completes, so a fetch can never
+//! observe the stale disk version of a page whose write-out is still in
+//! flight. The write-ahead guard runs **before** anything is handed over, in
+//! both drivers. Checkpoints and evacuations hand over the groups still owed
+//! (`flush_owed_groups`) the same way, so `destage::execute` is the one code
+//! path that writes a group: its retry, abort, quarantine and fail-over cover
+//! a checkpoint's write too. And every staged page bound for the disk — a
+//! stage-out, a failed insert's fallout, a quarantine evacuee, a trip's or a
+//! cold reset's evacuation — goes through `dispatch_staged_out` onto its
+//! shard's queue: one shard's disk writes land in hand-over order, so an
+//! older version of a page can never overwrite a newer one.
 //!
 //! ## The lock-light read path
 //!
@@ -58,12 +62,14 @@
 //! Lock order (outer → inner): buffer shard (structural mutex → mapping →
 //! page latch) → cache shard directory → wash table → destage queue → WAL.
 //! **No device I/O happens under a cache shard lock**: group writes
-//! (checkpoints' and evacuations' included) and destage disk writes run on
-//! destager threads (or, in sync-destage mode, on the calling thread after
-//! every cache lock is released), and flash
-//! fetch reads run between the pin and validate halves of the fetch with no
-//! lock held — one slow flash read never stalls the other threads hashing
-//! to that cache shard. [`FaceTier::fetch`] is called under the loading
+//! (checkpoints' and evacuations' included) and every disk write of a
+//! staged page run on destager threads (or, in sync-destage mode, on the
+//! calling thread after every cache lock is released). A fetch hands a
+//! quarantine's evacuee over under its page latch and a write-back its
+//! fallout under the structural mutex, both of which rank above the destage
+//! queue. Flash fetch reads run between the pin and validate halves of the
+//! fetch with no lock held — one slow flash read never stalls the other
+//! threads hashing to that cache shard. [`FaceTier::fetch`] is called under the loading
 //! frame's page latch only (the buffer pool releases its structural mutex
 //! first), so a slow fetch delays accesses to that page and nobody else;
 //! [`FaceTier::write_back_with`] still runs under the evicting shard's
@@ -79,8 +85,8 @@ use face_buffer::{
 };
 use face_cache::{
     BreakerState, CacheRecoveryInfo, Counter, DegradeAction, DegradeConfig, DegradeController,
-    DegradeStats, DestageConfig, DestageJob, DestageSink, DestageStats, Destager, IoLog,
-    PageSupplier, PendingGroupWrite, ShardedFlashCache, StagedPage,
+    DegradeStats, DestageConfig, DestageJob, DestageSink, DestageStats, Destager, InsertFailure,
+    IoLog, PageSupplier, PendingGroupWrite, ShardedFlashCache, StagedPage,
 };
 use face_pagestore::{
     DeviceError, DeviceResult, IdHashMap, Lsn, Page, PageId, PageStore, StoreError, StoreResult,
@@ -169,10 +175,10 @@ fn write_verifying(disk: &dyn PageStore, page: &Page) -> StoreResult<()> {
     disk.write_page(stamped.id(), &stamped)
 }
 
-/// The one place a staged page's bytes reach the disk — shared by the
-/// tier's own write-outs ([`FaceTier::write_staged_to_disk`]) and the
-/// destager's jobs, so the write protocol (checksum, store write, accounting,
-/// wash-table retirement) is stated once. The shared frame was checksummed
+/// The one place a staged page's bytes reach the disk, called only from the
+/// destager's jobs ([`DestageTarget::write_pages_to_disk`]), so the write
+/// protocol (checksum, store write, accounting, wash-table retirement) is
+/// stated once. The shared frame was checksummed
 /// when it was staged; [`write_verifying`] checks that rather than assume it.
 fn persist_staged_page(
     disk: &dyn PageStore,
@@ -197,9 +203,11 @@ fn persist_staged_page(
     Ok(())
 }
 
-/// Publish staged pages into the wash table (see
-/// [`FaceTier::publish_to_wash_table`] for the atomicity contract). A free
-/// function because both the tier and the destage sink need it.
+/// Publish staged pages into the wash table. Stage-outs are published
+/// **under the cache shard lock** (the sink of
+/// [`ShardedFlashCache::insert_with_sink`]), so the entry appears atomically
+/// with the page's removal from the directory — a concurrent fetch can never
+/// miss both and serve the stale disk version. Short map work only.
 fn publish_to_wash(washing: &WashTable, staged: &[StagedPage]) {
     let mut washing = washing.write();
     for s in staged {
@@ -252,6 +260,33 @@ fn disk_write_error(page: PageId, e: StoreError) -> DeviceError {
     }
 }
 
+/// Take a condemned slot out of rotation: the one quarantine the tier and
+/// the destage sink share. The displaced dirty resident is wash-published
+/// under the shard lock and returned for the caller to hand to the disk. A
+/// slot counts once, when this call condemned it; an evacuee counts as
+/// evacuated only with bytes, and as unread without.
+fn quarantine(
+    cache: &ShardedFlashCache,
+    washing: &WashTable,
+    degrade: &DegradeController,
+    shard: usize,
+    slot: usize,
+) -> Option<StagedPage> {
+    let out = cache.quarantine_slot(shard, slot, &mut IoLog::new(), &mut |s| {
+        publish_to_wash(washing, s)
+    });
+    if out.quarantined {
+        degrade.note_quarantined();
+    }
+    if out.dirty_unread {
+        degrade.note_dirty_unread(1);
+    }
+    if out.evacuee.as_ref().is_some_and(|s| s.data.is_some()) {
+        degrade.note_evacuated(1);
+    }
+    out.evacuee
+}
+
 /// The destager's view of the tier: the cache front for group writes, the
 /// disk store + wash table for destage writes, the tier's counters for
 /// accounting.
@@ -286,24 +321,16 @@ impl DestageSink for DestageTarget {
             })
     }
 
-    fn quarantine_slot(&self, shard: usize, slot: usize) -> Vec<StagedPage> {
-        let out = self
-            .cache
-            .quarantine_slot(shard, slot, &mut IoLog::new(), &mut |s| {
-                publish_to_wash(&self.washing, s)
-            });
-        if out.dirty_unread {
-            self.degrade.note_dirty_unread(1);
-        }
-        out.evacuee.into_iter().collect()
+    fn quarantine_slot(&self, shard: usize, slot: usize) -> Option<StagedPage> {
+        quarantine(&self.cache, &self.washing, &self.degrade, shard, slot)
     }
 
     fn write_pages_to_disk(&self, pages: &[StagedPage]) -> Result<(), DeviceError> {
         for s in pages {
-            // A job never forces the log, and never has to: a stage-out
-            // passed the write-ahead guard before it was handed over, and
-            // the fail-over pages of an aborted group or a condemned slot
-            // entered a persisting cache behind it.
+            // A job never forces the log, and never has to: the tier's
+            // hand-over ran the write-ahead guard, and the fail-over pages of
+            // an aborted group or of a slot a job condemned entered a
+            // persisting cache behind it.
             debug_assert!(
                 s.lsn == Lsn::ZERO || s.lsn < self.wal.durable_lsn(),
                 "page {} (lsn {}) reached a destage write ahead of the log",
@@ -447,52 +474,24 @@ impl FaceTier {
         self.flash.as_ref().map(|f| f.degrade.snapshot())
     }
 
-    /// Record a *final* device error (retries exhausted) with the controller
-    /// and carry out its verdict: nothing, a slot quarantine, or the breaker
-    /// trip.
-    fn handle_device_error(
+    /// Carry out the degrade controller's verdict on a *final* device error
+    /// (retries exhausted): nothing, a slot quarantine, or the breaker trip.
+    /// A quarantine's evacuee goes to its shard's disk queue and is also
+    /// returned, so a fetch that condemned the slot can serve it.
+    fn carry_out(
         &self,
         flash: &FlashSide,
-        shard: usize,
-        err: &DeviceError,
-    ) -> TierResult<()> {
-        match flash.degrade.note_error(shard, err) {
-            DegradeAction::Continue => Ok(()),
-            DegradeAction::Quarantine { shard, slot } => {
-                self.quarantine_slot(flash, shard, slot).map(|_| ())
-            }
-            DegradeAction::Trip => self.maybe_claim_trip(flash),
-        }
-    }
-
-    /// Take a condemned slot out of rotation. The displaced dirty resident
-    /// (if its bytes were recoverable) is published to the wash table under
-    /// the shard lock and then persisted to disk WAL-guarded; it is also
-    /// returned so a fetch that triggered the quarantine can serve it.
-    fn quarantine_slot(
-        &self,
-        flash: &FlashSide,
-        shard: usize,
-        slot: usize,
+        action: DegradeAction,
     ) -> TierResult<Option<StagedPage>> {
-        let out = flash
-            .cache
-            .quarantine_slot(shard, slot, &mut IoLog::new(), &mut |s| {
-                self.publish_to_wash_table(s)
-            });
-        if out.quarantined {
-            flash.degrade.note_quarantined();
+        match action {
+            DegradeAction::Continue => Ok(None),
+            DegradeAction::Quarantine { shard, slot } => {
+                let evacuee = quarantine(&flash.cache, &self.washing, &flash.degrade, shard, slot);
+                self.dispatch_staged_out(flash, shard, evacuee.iter().cloned().collect())?;
+                Ok(evacuee)
+            }
+            DegradeAction::Trip => self.maybe_claim_trip(flash).map(|()| None),
         }
-        if out.dirty_unread {
-            flash.degrade.note_dirty_unread(1);
-        }
-        // A data-less evacuee is a wound marker: already wash-published via
-        // the sink above; nothing to persist and nothing evacuated.
-        if let Some(evacuee) = out.evacuee.as_ref().filter(|s| s.data.is_some()) {
-            self.write_staged_to_disk(std::slice::from_ref(evacuee))?;
-            flash.degrade.note_evacuated(1);
-        }
-        Ok(out.evacuee)
     }
 
     /// Claim and run the breaker's trip transition if one is requested:
@@ -516,33 +515,28 @@ impl FaceTier {
 
     /// The first half of a breaker trip and of a cold reset: drain the
     /// pipeline, write the owed groups, evacuate every dirty flash page,
-    /// wash-publish them all and persist those with bytes, WAL-guarded.
-    /// Returns how many carried bytes, and the disk write's result.
+    /// wash-publish them all, hand each shard's share to its disk queue and
+    /// drain again, so every evacuee is on disk when this returns. Returns
+    /// how many carried bytes, and the disk writes' result.
     fn evacuate_to_disk(&self, flash: &FlashSide) -> (usize, TierResult<()>) {
         // The device is failing: a drain or group-write error is more of the
         // same evidence and must not abort the evacuation, which is the
         // recovery. A group that fails for good fails over to disk itself.
         let _ = flash.destager.drain();
         let _ = self.flush_owed_groups(flash);
-        let ev = flash.cache.evacuate_dirty(&mut IoLog::new());
-        flash.degrade.note_dirty_unread(ev.unread_dirty);
-        // Wound markers (data-less) stay published, past a wipe too, so
-        // fetches keep refusing the stale disk copies.
-        publish_to_wash(&self.washing, &ev.pages);
-        let evacuated = ev.pages.iter().filter(|s| s.data.is_some()).count();
-        (evacuated, self.write_staged_to_disk(&ev.pages))
-    }
-
-    /// Drain dirty pages the cache parked after a failed insert (dropped
-    /// from the directory; the only remaining copies) and persist them to
-    /// disk WAL-guarded, wash-published while in flight.
-    fn rescue_write_fallout(&self, cache: &ShardedFlashCache) -> TierResult<()> {
-        let fallout = cache.take_write_fallout();
-        if fallout.is_empty() {
-            return Ok(());
+        let mut evacuated = 0;
+        let mut handed = Ok(());
+        let evacuations = flash.cache.evacuate_dirty(&mut IoLog::new());
+        for (shard, ev) in evacuations.into_iter().enumerate() {
+            flash.degrade.note_dirty_unread(ev.unread_dirty);
+            // Wound markers (data-less) stay published, past a wipe too, so
+            // fetches keep refusing the stale disk copies.
+            publish_to_wash(&self.washing, &ev.pages);
+            evacuated += ev.pages.iter().filter(|s| s.data.is_some()).count();
+            handed = handed.and(self.dispatch_staged_out(flash, shard, ev.pages));
         }
-        publish_to_wash(&self.washing, &fallout);
-        self.write_staged_to_disk(&fallout)
+        let drained = flash.destager.drain().map_err(TierError::Device);
+        (evacuated, handed.and(drained))
     }
 
     /// Hand every owed group to the destager, stamped with its shard, and
@@ -603,20 +597,13 @@ impl FaceTier {
         self.washing.write().clear();
     }
 
-    /// Publish stage-outs into the wash table. Invoked **under the cache
-    /// shard lock** (via [`ShardedFlashCache::insert_with_sink`]) so the
-    /// entry appears atomically with the page's removal from the directory —
-    /// a concurrent fetch can therefore never miss both and serve the stale
-    /// disk version. Short map work only; the wash mutex is a leaf lock.
-    fn publish_to_wash_table(&self, staged: &[StagedPage]) {
-        publish_to_wash(&self.washing, staged);
-    }
-
-    /// Hand dequeued dirty pages (already published to the wash table under
-    /// the shard lock) to the destager for their disk write. The write-ahead
-    /// guard runs here — *before* the hand-over, whichever driver takes it —
-    /// so a destage job always finds durable log records (normally a no-op:
-    /// the guard already ran when the page entered the cache).
+    /// Hand staged pages bound for the disk, already wash-published, to
+    /// `shard`'s destage queue — the one way the tier's staged pages reach
+    /// the disk (stage-outs, a failed insert's fallout, quarantine evacuees,
+    /// evacuations), so one shard's disk writes land in hand-over order. The
+    /// write-ahead guard runs here — *before* the hand-over, whichever driver
+    /// takes it — so a destage job always finds durable log records (normally
+    /// a no-op: the guard already ran when the page entered the cache).
     fn dispatch_staged_out(
         &self,
         flash: &FlashSide,
@@ -636,17 +623,6 @@ impl FaceTier {
                 pages: staged,
             })
             .map_err(TierError::Device)
-    }
-
-    /// The tier's own synchronous write-outs (evacuation, fallout rescue):
-    /// WAL-guarded, each page through
-    /// [`persist_staged_page`].
-    fn write_staged_to_disk(&self, staged: &[StagedPage]) -> TierResult<()> {
-        for s in staged {
-            self.ensure_wal_durable(s.lsn)?;
-            persist_staged_page(&*self.disk, &self.stats, &self.washing, s)?;
-        }
-        Ok(())
     }
 
     fn write_page_to_disk(&self, page: &Page) -> TierResult<()> {
@@ -801,37 +777,34 @@ impl FaceTier {
                         dirty: hit.dirty,
                     }));
                 }
-                Err(e) => match flash.degrade.note_error(cache.shard_of(id), &e) {
-                    DegradeAction::Continue => continue,
-                    DegradeAction::Quarantine { shard, slot } => {
-                        let evacuee = self.quarantine_slot(flash, shard, slot)?;
-                        // The failing slot held our page: serve the
-                        // rescued bytes (already persisted WAL-guarded).
-                        if let Some(s) = evacuee.filter(|s| s.page == id) {
-                            if let Some(data) = &s.data {
-                                buf.clone_from(data);
-                                self.stats.flash_fetches.inc();
-                                return Ok(Some(FetchOutcome {
-                                    source: FetchSource::FlashCache,
-                                    dirty: s.dirty,
-                                }));
-                            }
-                            if s.dirty {
-                                // The dirty resident's bytes are gone: the
-                                // page is wounded (wash-published by the
-                                // quarantine) — refuse the stale disk copy.
-                                return Err(lost_page_error(id, s.lsn));
-                            }
+                Err(e) => {
+                    let action = flash.degrade.note_error(cache.shard_of(id), &e);
+                    if action == DegradeAction::Continue {
+                        continue;
+                    }
+                    // A quarantine of the slot that held our page rescued
+                    // it: serve its bytes (wash-published, and queued for
+                    // their disk write).
+                    if let Some(s) = self.carry_out(flash, action)?.filter(|s| s.page == id) {
+                        if let Some(data) = &s.data {
+                            buf.clone_from(data);
+                            self.stats.flash_fetches.inc();
+                            return Ok(Some(FetchOutcome {
+                                source: FetchSource::FlashCache,
+                                dirty: s.dirty,
+                            }));
                         }
-                        // Clean (or vanished) resident: the disk copy is
-                        // current — fall through to it.
-                        return Ok(None);
+                        if s.dirty {
+                            // The dirty resident's bytes are gone: the page
+                            // is wounded (wash-published by the quarantine)
+                            // — refuse the stale disk copy.
+                            return Err(lost_page_error(id, s.lsn));
+                        }
                     }
-                    DegradeAction::Trip => {
-                        self.maybe_claim_trip(flash)?;
-                        return Ok(None);
-                    }
-                },
+                    // A clean (or vanished) resident, or a trip: the disk
+                    // copy or the wash table is current — fall through.
+                    return Ok(None);
+                }
             }
         }
     }
@@ -950,23 +923,24 @@ impl LowerTier for FaceTier {
                 stats: &self.stats,
             };
             cache.insert_with_sink(staged, &mut supplier, &mut io, &mut |out| {
-                self.publish_to_wash_table(out)
+                publish_to_wash(&self.washing, out)
             })
         } else {
             cache.insert_with_sink(staged, &mut face_cache::NoSupplier, &mut io, &mut |out| {
-                self.publish_to_wash_table(out)
+                publish_to_wash(&self.washing, out)
             })
         };
         let outcome = match inserted {
             Ok(outcome) => outcome,
-            Err(e) => {
-                // The policy rolled the failed write back and parked
-                // every dirty page it displaced (including this one,
-                // if dirty) in its fallout buffer — rescue them to
-                // disk WAL-guarded, then let the controller decide
-                // whether the slot or the whole device is condemned.
-                self.rescue_write_fallout(cache)?;
-                self.handle_device_error(flash, shard, &e)?;
+            Err(InsertFailure { error, fallout }) => {
+                // The policy rolled the failed write back and un-cached
+                // every dirty page it displaced (this one too, if dirty):
+                // they go down like any stage-out, then the controller
+                // decides whether the slot or the whole device is condemned
+                // — whatever the hand-over returned.
+                let fell_out = self.dispatch_staged_out(flash, shard, fallout);
+                let verdict = self.carry_out(flash, flash.degrade.note_error(shard, &error));
+                fell_out.and(verdict)?;
                 return Ok(ON_DISK);
             }
         };
@@ -980,14 +954,18 @@ impl LowerTier for FaceTier {
             }
         }
         // Stage-outs and the filled group are the destager's from here —
-        // strictly after every cache lock was released, in both drivers.
-        self.dispatch_staged_out(flash, shard, outcome.staged_out)?;
-        if let Some(write) = outcome.pending_group {
+        // strictly after every cache lock was released, in both drivers. The
+        // group goes over even if the stage-outs' hand-over failed: a formed
+        // group nobody enqueues stays owed, and every later group of its
+        // shard completes but cannot seal behind it.
+        let staged_out = self.dispatch_staged_out(flash, shard, outcome.staged_out);
+        let group = outcome.pending_group.map_or(Ok(()), |write| {
             flash
                 .destager
                 .enqueue(DestageJob::Group(write))
-                .map_err(TierError::Device)?;
-        }
+                .map_err(TierError::Device)
+        });
+        staged_out.and(group)?;
         Ok(WriteBackOutcome {
             in_flash: outcome.cached,
             on_disk: false,
@@ -1173,8 +1151,11 @@ mod tests {
         let unstamped = StagedPage::with_data(dirty_page(ids[1], b"by hand"), true, true);
         assert!(stamped.data.as_ref().unwrap().verify_checksum());
         assert!(!unstamped.data.as_ref().unwrap().verify_checksum());
-        tier.write_staged_to_disk(&[stamped, unstamped.clone()])
-            .unwrap();
+        let flash = tier.flash.as_ref().unwrap();
+        for s in [stamped, unstamped.clone()] {
+            let shard = flash.cache.shard_of(s.page);
+            tier.dispatch_staged_out(flash, shard, vec![s]).unwrap();
+        }
         assert_eq!(tier.stats().disk_writes, 2);
         let mut buf = Page::zeroed();
         disk.read_page(ids[0], &mut buf).unwrap();
@@ -1199,13 +1180,25 @@ mod tests {
                 handed.lock().unwrap().push(addr(p));
             }))
         };
-        let tier = tier_over(disk, None, 0);
+        let cfg = CacheConfig {
+            capacity_pages: 8,
+            group_size: 4,
+            ..CacheConfig::default()
+        };
+        let cache = ShardedFlashCache::build(CachePolicyKind::Face, cfg, 1, |cap| {
+            Arc::new(MemFlashStore::new(cap)) as Arc<dyn FlashStore>
+        });
+        let tier = tier_over(disk, cache, 0);
         let ids: Vec<PageId> = (0..3).map(|_| tier.allocate(0).unwrap()).collect();
-        // Both routes to the disk — a staged frame, and a page written back
-        // past the cache — write a page whose stamp verifies from where it is.
+        // Both routes to the disk — a staged frame handed to the destager,
+        // and a page written back past the (tripped) cache — write a page
+        // whose stamp verifies from where it is.
         let staged = stage(dirty_page(ids[0], b"staged"), true, true);
-        tier.write_staged_to_disk(std::slice::from_ref(&staged))
+        let flash = tier.flash.as_ref().unwrap();
+        tier.dispatch_staged_out(flash, 0, vec![staged.clone()])
             .unwrap();
+        flash.degrade.request_trip();
+        tier.maybe_claim_trip(flash).unwrap();
         let mut stamped = dirty_page(ids[1], b"stamped");
         stamped.update_checksum();
         tier.write_back(&stamped, true, true, WriteBackReason::Eviction)
@@ -1614,6 +1607,222 @@ mod tests {
                 Some(&b"ck"[..]),
                 "destage_threads({destage_threads}): a write-back and a fetch \
                  waited behind the checkpoint's group write"
+            );
+        }
+    }
+
+    /// A one-shard FaCE cache of `capacity` slots and groups of `group_size`
+    /// over flash stores `store` builds.
+    fn one_shard_face(
+        capacity: usize,
+        group_size: usize,
+        store: impl Fn(usize) -> Arc<dyn FlashStore>,
+    ) -> Option<ShardedFlashCache> {
+        let cfg = CacheConfig {
+            capacity_pages: capacity,
+            group_size,
+            defer_group_writes: true,
+            ..CacheConfig::default()
+        };
+        ShardedFlashCache::build(CachePolicyKind::Face, cfg, 1, store)
+    }
+
+    /// A fresh in-memory flash store behind a view that fails as `plan` says.
+    fn faulty_flash(capacity: usize, plan: &Arc<face_pagestore::FaultPlan>) -> Arc<dyn FlashStore> {
+        let hooks = face_pagestore::DeviceHooks {
+            faults: Some(Arc::clone(plan)),
+            ..face_pagestore::DeviceHooks::default()
+        };
+        face_cache::InstrumentedFlashStore::wrap(Arc::new(MemFlashStore::new(capacity)), hooks)
+    }
+
+    #[test]
+    fn a_failed_inserts_fallout_lands_after_an_older_queued_stage_out() {
+        use face_pagestore::FaultPlan;
+        use std::sync::{Condvar, Mutex};
+
+        // With no worker the parked write below would park the test itself.
+        for destage_threads in [1, 2] {
+            // Flash reads fail for good once armed.
+            let plan = Arc::new(
+                FaultPlan::new(9)
+                    .reads_only()
+                    .permanent()
+                    .probability(1.0)
+                    .armed_on_crash(),
+            );
+            let cache = one_shard_face(4, 2, |cap| faulty_flash(cap, &plan));
+            // The disk parks every write of a version whose body starts `v1`
+            // until the gate opens.
+            let gate = Arc::new((Mutex::new(false), Condvar::new()));
+            let disk = {
+                let gate = Arc::clone(&gate);
+                Arc::new(SpyDisk::new(move |p: &Page| {
+                    if p.read_body(0, 2) == b"v1" {
+                        let (open, opened) = &*gate;
+                        let mut open = open.lock().unwrap();
+                        while !*open {
+                            open = opened.wait(open).unwrap();
+                        }
+                    }
+                }))
+            };
+            let tier = tier_over(disk, cache, destage_threads);
+            let write = |id: PageId, body: &[u8], lsn: u64| {
+                let mut page = dirty_page(id, body);
+                page.set_lsn(Lsn(lsn));
+                tier.write_back(&page, true, true, WriteBackReason::Eviction)
+            };
+            let ids: Vec<PageId> = (0..6).map(|_| tier.allocate(0).unwrap()).collect();
+            let a = ids[0];
+            // A v1, B, C and D fill the ring: two groups, written and sealed.
+            write(a, b"v1", 1).unwrap();
+            for id in &ids[1..4] {
+                write(*id, b"xx", 1).unwrap();
+            }
+            tier.drain_destage().unwrap();
+            // E and F dequeue A v1 and B: A v1's disk write parks.
+            for id in &ids[4..6] {
+                write(*id, b"xx", 1).unwrap();
+            }
+            // A v2's insert must dequeue C and D, whose bytes are on the
+            // now-failing device: the insert fails and A v2 falls out.
+            plan.arm();
+            write(a, b"v2", 2).unwrap();
+            {
+                let (open, opened) = &*gate;
+                *open.lock().unwrap() = true;
+                opened.notify_all();
+            }
+            tier.drain_destage().unwrap();
+            let mut buf = Page::zeroed();
+            tier.fetch(a, &mut buf).unwrap();
+            assert_eq!(
+                buf.read_body(0, 2),
+                b"v2",
+                "destage_threads({destage_threads}): v1 landed on the disk after v2"
+            );
+        }
+    }
+
+    #[test]
+    fn a_group_formed_by_a_write_back_whose_stage_out_failed_is_still_written() {
+        use face_pagestore::{DeviceHooks, FaultPlan, InstrumentedPageStore};
+
+        // The disk fails one write for good once armed.
+        let plan = Arc::new(
+            FaultPlan::new(3)
+                .writes_only()
+                .permanent()
+                .probability(1.0)
+                .max_faults(1)
+                .armed_on_crash(),
+        );
+        let hooks = DeviceHooks {
+            faults: Some(Arc::clone(&plan)),
+            ..DeviceHooks::default()
+        };
+        let disk = InstrumentedPageStore::wrap(Arc::new(InMemoryPageStore::new()), hooks);
+        let cache = one_shard_face(5, 2, |cap| {
+            Arc::new(MemFlashStore::new(cap)) as Arc<dyn FlashStore>
+        });
+        let tier = tier_over(disk, cache, 0);
+        let write = |id: PageId| {
+            tier.write_back(
+                &dirty_page(id, b"pg"),
+                true,
+                true,
+                WriteBackReason::Eviction,
+            )
+        };
+        let ids: Vec<PageId> = (0..8).map(|_| tier.allocate(0).unwrap()).collect();
+        // A to D: two sealed groups; E waits in the pending batch.
+        for id in &ids[..5] {
+            write(*id).unwrap();
+        }
+        // F stages A and B out and forms the group {E, F}; A's disk write
+        // fails for good.
+        plan.arm();
+        assert!(write(ids[5]).is_err(), "the failed stage-out surfaces");
+        // G and H form and write the next group.
+        for id in &ids[6..] {
+            write(*id).unwrap();
+        }
+        let owed = tier.cache().unwrap().owed_groups();
+        assert!(
+            owed.is_empty(),
+            "a group nobody wrote is still owed: {owed:?}"
+        );
+    }
+
+    #[test]
+    fn a_slot_condemned_twice_counts_once_and_an_unread_evacuee_is_not_evacuated() {
+        use face_pagestore::{DeviceOp, FaultPlan};
+
+        for destage_threads in DRIVERS {
+            // Flash reads and writes fail for good once armed.
+            let plan = Arc::new(
+                FaultPlan::new(11)
+                    .permanent()
+                    .probability(1.0)
+                    .armed_on_crash(),
+            );
+            let cache = one_shard_face(8, 2, |cap| faulty_flash(cap, &plan));
+            let tier = tier_over(Arc::new(InMemoryPageStore::new()), cache, destage_threads);
+            let flash = tier.flash.as_ref().unwrap();
+            let ids: Vec<PageId> = (0..4).map(|_| tier.allocate(0).unwrap()).collect();
+            // A and B: a group written and sealed, its bytes on the device.
+            for id in &ids[..2] {
+                tier.write_back(
+                    &dirty_page(*id, b"ab"),
+                    true,
+                    true,
+                    WriteBackReason::Eviction,
+                )
+                .unwrap();
+            }
+            tier.drain_destage().unwrap();
+            // C and D: a group formed but not yet written.
+            let mut io = IoLog::new();
+            let mut insert = |id| {
+                let staged = stage(dirty_page(id, b"cd"), true, true);
+                flash.cache.insert(staged, &mut io).unwrap().pending_group
+            };
+            let write = [ids[2], ids[3]]
+                .into_iter()
+                .filter_map(&mut insert)
+                .next()
+                .expect("C forms a group");
+            plan.arm();
+            // The tier condemns C's slot and hands C to the disk ...
+            let slot = write.pages[0].slot;
+            let err = DeviceError::permanent_slot(DeviceOp::Read, slot, "condemned");
+            let evacuee = tier
+                .carry_out(flash, flash.degrade.note_error(0, &err))
+                .unwrap();
+            assert_eq!(evacuee.map(|s| s.page), Some(ids[2]));
+            // ... and then the group's batch write fails on the same slot.
+            flash.destager.enqueue(DestageJob::Group(write)).unwrap();
+            tier.drain_destage().unwrap();
+            let stats = tier.degrade_stats().unwrap();
+            assert_eq!(
+                (stats.quarantined_slots, stats.evacuated_pages),
+                (1, 1),
+                "driver {destage_threads}"
+            );
+            // A's bytes are on the failing device only: condemning its slot
+            // leaves a wound, unread and not evacuated.
+            let mut buf = Page::zeroed();
+            assert!(tier.fetch(ids[0], &mut buf).is_err());
+            let stats = tier.degrade_stats().unwrap();
+            assert_eq!(
+                (
+                    stats.quarantined_slots,
+                    stats.evacuated_pages,
+                    stats.dirty_pages_unread
+                ),
+                (2, 1, 1),
+                "driver {destage_threads}"
             );
         }
     }

@@ -20,8 +20,8 @@
 
 use std::sync::Arc;
 
-use face_analysis::classes::{CACHE_SHARD, DIAG};
-use face_analysis::{witness, OrderedMutex, OrderedRwLock};
+use face_analysis::classes::CACHE_SHARD;
+use face_analysis::{witness, OrderedRwLock};
 use face_pagestore::{backoff_sleep, Counter, DeviceResult, Lsn, PageId};
 
 use crate::admission::SharedGhost;
@@ -32,8 +32,8 @@ use crate::policy::{build_ring, CachePolicyKind, NoSupplier, PageSupplier};
 use crate::ring::RingCache;
 use crate::store::FlashStore;
 use crate::types::{
-    CacheConfig, CacheRecoveryInfo, CacheStats, Evacuation, FlashFetch, InsertOutcome,
-    QuarantineOutcome,
+    CacheConfig, CacheRecoveryInfo, CacheStats, Evacuation, FlashFetch, InsertFailure,
+    InsertOutcome, QuarantineOutcome,
 };
 use crate::StagedPage;
 
@@ -80,12 +80,6 @@ pub struct ShardedFlashCache {
     /// retries and counts them. Error *classification* (quarantine, breaker)
     /// stays with the owner, which sees the errors this type propagates.
     degrade: Option<Arc<DegradeController>>,
-    /// Dirty pages a failed insert un-cached, already published to the
-    /// caller's stage-out sink. The owner drains this via
-    /// [`ShardedFlashCache::take_write_fallout`] after an error and persists
-    /// the pages to disk WAL-guarded. `DIAG` class: taken briefly, never
-    /// around I/O, after the shard lock is released.
-    fallout: OrderedMutex<Vec<StagedPage>>,
 }
 
 impl ShardedFlashCache {
@@ -147,7 +141,6 @@ impl ShardedFlashCache {
             admission_filtered: Counter::default(),
             admission_ghost_hits: Counter::default(),
             degrade: None,
-            fallout: OrderedMutex::new(DIAG, Vec::new()),
             occupancy: (0..built.len()).map(|_| Counter::default()).collect(),
             shards: built,
             stores,
@@ -179,14 +172,6 @@ impl ShardedFlashCache {
     /// still held by the caller.
     fn note_len(&self, shard: usize, cache: &dyn RingCache) {
         self.occupancy[shard].set(cache.len() as u64);
-    }
-
-    /// Dirty pages rescued from failed shard operations since the last call.
-    /// After any method here returns a device error, the owner must drain
-    /// this and persist the pages to disk (WAL-guarded) — they are no longer
-    /// reachable through the cache directory.
-    pub fn take_write_fallout(&self) -> Vec<StagedPage> {
-        std::mem::take(&mut *self.fallout.lock())
     }
 
     /// Number of shards.
@@ -311,9 +296,13 @@ impl ShardedFlashCache {
     }
 
     /// Hand a page leaving the DRAM buffer to its shard (see
-    /// [`crate::FlashCache::insert`]) with no GSC supplier.
-    pub fn insert(&self, staged: StagedPage, io: &mut IoLog) -> DeviceResult<InsertOutcome> {
-        self.insert_with(staged, &mut NoSupplier, io)
+    /// [`crate::FlashCache::insert`]) with no GSC supplier and no sink.
+    pub fn insert(
+        &self,
+        staged: StagedPage,
+        io: &mut IoLog,
+    ) -> Result<InsertOutcome, InsertFailure> {
+        self.insert_with_sink(staged, &mut NoSupplier, io, &mut |_| {})
     }
 
     /// Hand a page to its shard with a Group Second Chance supplier. The
@@ -330,29 +319,22 @@ impl ShardedFlashCache {
     /// ([`ShardedFlashCache::apply_group_write`]) and then seal it
     /// ([`ShardedFlashCache::complete_group`]) — typically by enqueueing it
     /// on a [`crate::destage::Destager`].
-    pub fn insert_with(
-        &self,
-        staged: StagedPage,
-        supplier: &mut dyn PageSupplier,
-        io: &mut IoLog,
-    ) -> DeviceResult<InsertOutcome> {
-        self.insert_with_sink(staged, supplier, io, &mut |_| {})
-    }
-
-    /// Like [`ShardedFlashCache::insert_with`], additionally invoking
-    /// `staged_out_sink` on the dequeued pages **before the shard lock is
+    ///
+    /// `staged_out_sink` sees the dequeued pages **before the shard lock is
     /// released**. The tier uses this to publish stage-outs into its wash
     /// table atomically with their removal from the directory — otherwise a
     /// concurrent fetch could miss both the cache (entry already gone) and
     /// the wash table (entry not yet published) and serve the stale disk
-    /// version. The sink must be short and must not take cache locks.
+    /// version. The sink must be short and must not take cache locks. A
+    /// failed insert hands the dirty pages it un-cached to the sink the same
+    /// way and returns them in [`InsertFailure::fallout`].
     pub fn insert_with_sink(
         &self,
         staged: StagedPage,
         supplier: &mut dyn PageSupplier,
         io: &mut IoLog,
         staged_out_sink: &mut dyn FnMut(&[StagedPage]),
-    ) -> DeviceResult<InsertOutcome> {
+    ) -> Result<InsertOutcome, InsertFailure> {
         let shard = self.shard_of(staged.page);
         let mut guard = self.shards[shard].write();
         if let Some(ghost) = &self.ghost {
@@ -378,19 +360,17 @@ impl ShardedFlashCache {
         }
         let mut outcome = match guard.insert(staged, supplier, io) {
             Ok(outcome) => outcome,
-            Err(e) => {
+            Err(error) => {
                 // The policy rolled its directory back and parked every
                 // dirty page it had to un-cache in its fallout buffer.
-                // Publish them to the wash sink *before* releasing the lock
-                // (same race as regular stage-outs), then hand them up.
+                // Publish them to the sink *before* releasing the lock (same
+                // race as regular stage-outs), then hand them up.
                 let fallout = guard.take_write_fallout();
                 if !fallout.is_empty() {
                     staged_out_sink(&fallout);
                 }
                 self.note_len(shard, &**guard);
-                drop(guard);
-                self.fallout.lock().extend(fallout);
-                return Err(e);
+                return Err(InsertFailure { error, fallout });
             }
         };
         if !outcome.staged_out.is_empty() {
@@ -457,22 +437,18 @@ impl ShardedFlashCache {
     }
 
     /// Evacuate every dirty valid page from every shard (see
-    /// [`RingCache::evacuate_dirty`]): the caller must write them to disk
-    /// before wiping the cache with [`ShardedFlashCache::reset_cold`].
-    /// Includes any parked write-fallout. `unread_dirty` counts dirty pages
-    /// whose slots could not be read — their committed updates are
+    /// [`RingCache::evacuate_dirty`]), one evacuation per shard, indexed by
+    /// shard: the caller must write them to disk before wiping the cache
+    /// with [`ShardedFlashCache::reset_cold`]. `unread_dirty` counts dirty
+    /// pages whose slots could not be read — their committed updates are
     /// recoverable only through WAL redo.
-    pub fn evacuate_dirty(&self, io: &mut IoLog) -> Evacuation {
+    pub fn evacuate_dirty(&self, io: &mut IoLog) -> Vec<Evacuation> {
         // Admin/quiesced operation: reads every dirty slot under the lock.
         let _allow = witness::allow_device_io("cache: quiesced dirty evacuation");
-        let mut merged = Evacuation::default();
-        merged.pages.append(&mut self.fallout.lock());
-        for shard in &self.shards {
-            let mut ev = shard.write().evacuate_dirty(io);
-            merged.pages.append(&mut ev.pages);
-            merged.unread_dirty += ev.unread_dirty;
-        }
-        merged
+        self.shards
+            .iter()
+            .map(|shard| shard.write().evacuate_dirty(io))
+            .collect()
     }
 
     /// Quarantine one slot of one shard (see [`RingCache::quarantine_slot`]):
@@ -480,7 +456,7 @@ impl ShardedFlashCache {
     /// resident is evacuated. The evacuee (if any) is published to
     /// `staged_out_sink` **before the shard lock is released** — same
     /// atomicity contract as [`ShardedFlashCache::insert_with_sink`] — and
-    /// also returned for the caller to persist to disk WAL-guarded.
+    /// also returned for the caller to hand to its disk writer.
     pub fn quarantine_slot(
         &self,
         shard: usize,
@@ -533,9 +509,6 @@ impl ShardedFlashCache {
         // Restart path: the world is quiesced, metadata scans and slot reads
         // run under the shard lock by construction.
         let _allow = witness::allow_device_io("cache: quiesced crash-and-recover");
-        // Parked fallout is RAM-resident and dies with the crash; the WAL
-        // re-covers the committed updates those pages carried.
-        self.fallout.lock().clear();
         let mut merged = CacheRecoveryInfo {
             survived: true,
             ..CacheRecoveryInfo::default()
@@ -571,7 +544,6 @@ impl ShardedFlashCache {
         if let Some(ghost) = &self.ghost {
             ghost.clear();
         }
-        self.fallout.lock().clear();
     }
 
     /// Merged activity counters across shards.
@@ -850,7 +822,7 @@ mod tests {
             next += 1;
             Some(s)
         };
-        c.insert_with(data_page(100), &mut supplier, &mut io)
+        c.insert_with_sink(data_page(100), &mut supplier, &mut io, &mut |_| {})
             .unwrap();
         assert!(c.stats().pulled_from_dram > 0, "supplier was consulted");
         assert_eq!(c.shard_of(PageId::new(0, 200)), 0);

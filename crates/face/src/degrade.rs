@@ -27,9 +27,11 @@
 //! Evacuating ──dirty pages on disk──▶ Tripped ──heal_flash()──▶ Closed
 //! ```
 //!
-//! `TripRequested`/`Evacuating` still *serve* flash fetches (the data is
-//! intact until evacuated) but stop admitting new pages; `Tripped` bypasses
-//! the flash tier entirely. Every transition and counter is observable
+//! `TripRequested`/`Evacuating` still serve flash fetches (the data is intact
+//! until evacuated) and still admit new pages: the tier routes every insert
+//! through the cache until the breaker reads `Tripped`, because a bypassed
+//! insert would leave an older resident copy to win a later fetch. `Tripped`
+//! bypasses the flash tier entirely. Every transition and counter is observable
 //! through [`DegradeStats`].
 
 use std::collections::HashMap;
@@ -46,10 +48,10 @@ pub enum BreakerState {
     /// Healthy: the flash tier admits and serves pages.
     Closed,
     /// Failures passed the threshold; the next foreground operation will
-    /// claim the evacuation. Inserts already bypass, fetches still serve.
+    /// claim the evacuation. Fetches and inserts still go through flash.
     TripRequested,
     /// A thread is evacuating dirty flash pages to disk (WAL-guarded).
-    /// Inserts bypass, fetches still serve.
+    /// Fetches and inserts still go through flash.
     Evacuating,
     /// Disk-only degraded mode: inserts are no-ops, fetches miss to disk.
     Tripped,
@@ -157,7 +159,7 @@ pub struct DegradeStats {
     pub trips: u64,
     /// `heal_flash()` completions.
     pub heals: u64,
-    /// Inserts bypassed because the breaker was not closed.
+    /// Inserts bypassed because the breaker was tripped.
     pub bypassed_inserts: u64,
     /// Fetches bypassed straight to disk because the breaker was tripped.
     pub bypassed_fetches: u64,
@@ -217,11 +219,6 @@ impl DegradeController {
     /// Current breaker state.
     pub fn state(&self) -> BreakerState {
         BreakerState::from_u8(self.state.load(Ordering::SeqCst))
-    }
-
-    /// Whether new pages should stop entering flash (any non-closed state).
-    pub fn bypass_inserts(&self) -> bool {
-        self.state() != BreakerState::Closed
     }
 
     /// Whether fetches should skip flash entirely (fully tripped only —
@@ -427,10 +424,6 @@ mod tests {
         let e = DeviceError::permanent_device(DeviceOp::Write, "controller gone");
         assert_eq!(c.note_error(0, &e), DegradeAction::Trip);
         assert_eq!(c.state(), BreakerState::TripRequested);
-        assert!(
-            c.bypass_inserts(),
-            "inserts stop as soon as a trip is requested"
-        );
         assert!(!c.bypass_fetches(), "fetches keep serving until evacuated");
     }
 
@@ -462,7 +455,6 @@ mod tests {
 
         c.heal();
         assert_eq!(c.state(), BreakerState::Closed);
-        assert!(!c.bypass_inserts());
         assert_eq!(c.snapshot().heals, 1);
         assert_eq!(c.snapshot().breaker, "closed");
     }

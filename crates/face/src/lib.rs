@@ -85,5 +85,5 @@ pub use store::{
 pub use tac::TacCache;
 pub use types::{
     CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, Counter, Evacuation, FetchPin,
-    FlashFetch, InsertOutcome, QuarantineOutcome, StagedPage,
+    FlashFetch, InsertFailure, InsertOutcome, QuarantineOutcome, StagedPage,
 };

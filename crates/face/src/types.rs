@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 pub use face_pagestore::Counter;
-use face_pagestore::{Lsn, Page, PageId};
+use face_pagestore::{DeviceError, Lsn, Page, PageId};
 use serde::{Deserialize, Serialize};
 
 use crate::destage::PendingGroupWrite;
@@ -152,6 +152,18 @@ pub struct InsertOutcome {
     /// ([`PendingGroupWrite::apply`]) outside any cache lock and then seal
     /// its metadata ([`crate::RingCache::complete_group`]).
     pub pending_group: Option<PendingGroupWrite>,
+}
+
+/// A failed [`crate::ShardedFlashCache::insert`]: the device error, and the
+/// dirty pages the insert un-cached (the page itself, if dirty, and any it
+/// had already dequeued). They were published to the caller's stage-out
+/// sink under the shard lock; the caller must write them to disk.
+#[derive(Debug)]
+pub struct InsertFailure {
+    /// The final device error.
+    pub error: DeviceError,
+    /// The dirty pages that now need a disk write.
+    pub fallout: Vec<StagedPage>,
 }
 
 /// What [`crate::RingCache::evacuate_dirty`] salvaged. Best-effort
