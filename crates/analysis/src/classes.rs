@@ -58,7 +58,7 @@ pub const CLASSES: &[LockClassSpec] = &[
         rank: 40,
         nestable: true,
         forbids_io: false,
-        doc: "per-frame page latch (`face_buffer::pool`); held exclusively across a miss's lower-tier fetch; the GSC donor probe latches candidate frames while the evicted victim's latch is held, with the donor shard pinned by `try_lock`",
+        doc: "per-frame page latch (`face_buffer::pool`); held exclusively across a miss's lower-tier fetch, and a prefetch's window of them across one batched fetch; the GSC donor probe latches candidate frames while the evicted victim's latch is held, with the donor shard pinned by `try_lock`",
     },
     LockClassSpec {
         name: "cache_shard",

@@ -158,6 +158,17 @@ pub trait LowerTier: Send + Sync {
     /// present.
     fn fetch(&self, id: PageId, buf: &mut Page) -> TierResult<FetchOutcome>;
 
+    /// Fetch several pages at once, `ids[i]` into `bufs[i]`, with one result
+    /// per page in the same order — what [`LowerTier::fetch`] would have
+    /// returned for it. A tier whose device rewards batched reads overrides
+    /// this; the default fetches page by page.
+    fn fetch_batch(&self, ids: &[PageId], bufs: &mut [&mut Page]) -> Vec<TierResult<FetchOutcome>> {
+        ids.iter()
+            .zip(bufs.iter_mut())
+            .map(|(&id, buf)| self.fetch(id, buf))
+            .collect()
+    }
+
     /// Accept a page leaving the DRAM buffer (eviction) or being flushed by a
     /// checkpoint. `dirty` / `fdirty` are the DRAM frame's flags.
     fn write_back(

@@ -849,10 +849,12 @@ impl Database {
         let before = self.pool.stats();
         // The tier each page's current copy was read from, for a mismatch
         // report: the pool is empty when redo starts, so every page redo
-        // touches is loaded here.
+        // touches is loaded here — read ahead, or on a miss.
         let mut sources: HashMap<PageId, FetchSource> = HashMap::new();
+        let mut ahead = ReadAhead::new(redo.updates.iter().map(|u| u.page));
         for update in &redo.updates {
             self.consume_restart_budget()?;
+            sources.extend(ahead.before(&self.pool, update.page)?);
             let loads = self.pool.stats();
             let (page_lsn, found) = self.pool.read(update.page, |p| (p.lsn(), p.id()))?;
             let now = self.pool.stats();
@@ -905,8 +907,10 @@ impl Database {
         // through the normal tier (WAL-ahead guard, wash table, wounded-page
         // rules all apply) and logs a CLR, so a crash here never repeats
         // completed undo work on the next attempt.
+        let mut ahead = ReadAhead::new(undo_plan.updates.iter().map(|u| u.page));
         for undo in &undo_plan.updates {
             self.consume_restart_budget()?;
+            ahead.before(&self.pool, undo.page)?;
             self.compensate(
                 undo.txn,
                 undo.page,
@@ -1043,6 +1047,53 @@ impl Database {
     /// without a cache.
     pub fn heal_flash(&self) -> EngineResult<usize> {
         self.pool.lower().heal_cache().map_err(EngineError::from)
+    }
+}
+
+/// A restart pass's pages, read ahead of the pass in first-touch order with
+/// [`BufferPool::prefetch`]: one window at a time, as many pages as the pool
+/// holds, so each window costs one flash read call per cache shard instead
+/// of one per page.
+struct ReadAhead {
+    order: Vec<PageId>,
+    first_touch: HashMap<PageId, usize>,
+    /// How many pages of `order` have been read ahead.
+    read: usize,
+}
+
+impl ReadAhead {
+    fn new(pages: impl Iterator<Item = PageId>) -> Self {
+        let mut order = Vec::new();
+        let mut first_touch = HashMap::new();
+        for page in pages {
+            first_touch.entry(page).or_insert_with(|| {
+                order.push(page);
+                order.len() - 1
+            });
+        }
+        Self {
+            order,
+            first_touch,
+            read: 0,
+        }
+    }
+
+    /// Before the pass touches `page`: if its window has not been read yet
+    /// — `page` is then the first page of it — read the window. Returns the
+    /// pages loaded and where each copy came from. Without a flash cache
+    /// there is nothing to batch: the disk serves page by page, and a window
+    /// would only evict pages the pass comes back to.
+    fn before(
+        &mut self,
+        pool: &BufferPool<FaceTier>,
+        page: PageId,
+    ) -> EngineResult<Vec<(PageId, FetchSource)>> {
+        if !pool.lower().has_cache() || self.first_touch[&page] < self.read {
+            return Ok(Vec::new());
+        }
+        let (taken, loaded) = pool.prefetch(&self.order[self.read..])?;
+        self.read += taken;
+        Ok(loaded)
     }
 }
 

@@ -50,6 +50,21 @@
 //! fetch path shares it, only publish (under the cache shard lock) and
 //! retire (destage completion) take it exclusively.
 //!
+//! ## The batched read path
+//!
+//! A warm restart reads its pages ahead of redo and undo, a window at a
+//! time ([`face_buffer::BufferPool::prefetch`]), through
+//! [`FaceTier::fetch_batch`]. While the breaker is closed, the window goes
+//! to [`ShardedFlashCache::fetch_batch`]: each cache shard pins all of its
+//! versions under one lock, then reads them off-lock with one
+//! `FlashStore::read_batch`, sorted by slot, and validates each pin as the
+//! single fetch does. Every answer is then served exactly as
+//! [`FaceTier::fetch`] serves one: a device error goes to the degrade
+//! controller (a re-attempt it allows is a single-page fetch), and a page
+//! the cache does not hold goes to the wash table and the disk. A breaker
+//! that is not closed sends the whole window down the single-page path,
+//! which claims a requested trip or bypasses a tripped cache.
+//!
 //! ## One copy, one checksum per crossing
 //!
 //! A page that leaves DRAM is copied once, into the frame `stage` builds,
@@ -71,7 +86,8 @@
 //! fetch with no lock held — one slow flash read never stalls the other
 //! threads hashing to that cache shard. [`FaceTier::fetch`] is called under the loading
 //! frame's page latch only (the buffer pool releases its structural mutex
-//! first), so a slow fetch delays accesses to that page and nobody else;
+//! first), so a slow fetch delays accesses to that page and nobody else —
+//! [`FaceTier::fetch_batch`] under the latches of its window's frames;
 //! [`FaceTier::write_back_with`] still runs under the evicting shard's
 //! structural mutex.
 
@@ -85,8 +101,8 @@ use face_buffer::{
 };
 use face_cache::{
     BreakerState, CacheRecoveryInfo, Counter, DegradeAction, DegradeConfig, DegradeController,
-    DegradeStats, DestageConfig, DestageJob, DestageSink, DestageStats, Destager, InsertFailure,
-    IoLog, PageSupplier, PendingGroupWrite, ShardedFlashCache, StagedPage,
+    DegradeStats, DestageConfig, DestageJob, DestageSink, DestageStats, Destager, FlashFetch,
+    InsertFailure, IoLog, PageSupplier, PendingGroupWrite, ShardedFlashCache, StagedPage,
 };
 use face_pagestore::{
     DeviceError, DeviceResult, IdHashMap, Lsn, Page, PageId, PageStore, StoreError, StoreResult,
@@ -757,9 +773,23 @@ impl FaceTier {
         id: PageId,
         buf: &mut Page,
     ) -> TierResult<Option<FetchOutcome>> {
+        let looked_up = flash.cache.fetch(id, &mut IoLog::new());
+        self.serve_from_cache(flash, id, buf, looked_up)
+    }
+
+    /// [`FaceTier::fetch_from_cache`] from the cache's answer on: `looked_up`
+    /// is what the cache returned for `id`, on its own or in a batch. A
+    /// re-attempt the degrade controller allows is a single-page fetch.
+    fn serve_from_cache(
+        &self,
+        flash: &FlashSide,
+        id: PageId,
+        buf: &mut Page,
+        mut looked_up: DeviceResult<Option<FlashFetch>>,
+    ) -> TierResult<Option<FetchOutcome>> {
         let cache = &*flash.cache;
         loop {
-            match cache.fetch(id, &mut IoLog::new()) {
+            match looked_up {
                 Ok(None) => return Ok(None),
                 Ok(Some(hit)) => {
                     self.stats.flash_fetches.inc();
@@ -780,6 +810,7 @@ impl FaceTier {
                 Err(e) => {
                     let action = flash.degrade.note_error(cache.shard_of(id), &e);
                     if action == DegradeAction::Continue {
+                        looked_up = cache.fetch(id, &mut IoLog::new());
                         continue;
                     }
                     // A quarantine of the slot that held our page rescued
@@ -809,28 +840,8 @@ impl FaceTier {
         }
     }
 
-    /// Serve `id` from the disk store.
-    fn fetch_from_disk(&self, id: PageId, buf: &mut Page) -> TierResult<FetchOutcome> {
-        self.disk.read_page(id, buf)?;
-        self.stats.disk_fetches.inc();
-        Ok(FetchOutcome {
-            source: FetchSource::Disk,
-            dirty: false,
-        })
-    }
-}
-
-impl LowerTier for FaceTier {
-    fn fetch(&self, id: PageId, buf: &mut Page) -> TierResult<FetchOutcome> {
-        let Some(flash) = self.flash.as_ref() else {
-            return self.fetch_from_disk(id, buf);
-        };
-        self.maybe_claim_trip(flash)?;
-        if flash.degrade.bypass_fetches() {
-            flash.degrade.note_bypassed_fetch();
-        } else if let Some(outcome) = self.fetch_from_cache(flash, id, buf)? {
-            return Ok(outcome);
-        }
+    /// The rest of a fetch once the flash cache has no copy to serve.
+    fn fetch_below_cache(&self, id: PageId, buf: &mut Page) -> TierResult<FetchOutcome> {
         // A page whose stage-out disk write is queued or in flight must be
         // served from the wash table: the disk still holds the older
         // version. (The inline driver publishes and retires within one
@@ -857,6 +868,56 @@ impl LowerTier for FaceTier {
             _ => {}
         }
         self.fetch_from_disk(id, buf)
+    }
+
+    /// Serve `id` from the disk store.
+    fn fetch_from_disk(&self, id: PageId, buf: &mut Page) -> TierResult<FetchOutcome> {
+        self.disk.read_page(id, buf)?;
+        self.stats.disk_fetches.inc();
+        Ok(FetchOutcome {
+            source: FetchSource::Disk,
+            dirty: false,
+        })
+    }
+}
+
+impl LowerTier for FaceTier {
+    fn fetch(&self, id: PageId, buf: &mut Page) -> TierResult<FetchOutcome> {
+        let Some(flash) = self.flash.as_ref() else {
+            return self.fetch_from_disk(id, buf);
+        };
+        self.maybe_claim_trip(flash)?;
+        if flash.degrade.bypass_fetches() {
+            flash.degrade.note_bypassed_fetch();
+        } else if let Some(outcome) = self.fetch_from_cache(flash, id, buf)? {
+            return Ok(outcome);
+        }
+        self.fetch_below_cache(id, buf)
+    }
+
+    /// One flash read call per cache shard for the flash-resident pages
+    /// ([`ShardedFlashCache::fetch_batch`]); each answer is then served as
+    /// [`FaceTier::fetch`] serves it, and the pages the cache does not hold
+    /// go to the wash table and the disk one by one.
+    fn fetch_batch(&self, ids: &[PageId], bufs: &mut [&mut Page]) -> Vec<TierResult<FetchOutcome>> {
+        let pages = ids.iter().zip(bufs.iter_mut());
+        // Without a cache, or once a trip is requested, running or done, the
+        // single-page path claims the trip or bypasses the flash tier.
+        let Some(flash) =
+            (self.flash.as_ref()).filter(|flash| flash.degrade.state() == BreakerState::Closed)
+        else {
+            return pages.map(|(&id, buf)| self.fetch(id, buf)).collect();
+        };
+        let looked_up = flash.cache.fetch_batch(ids, &mut IoLog::new());
+        pages
+            .zip(looked_up)
+            .map(|((&id, buf), looked_up)| {
+                match self.serve_from_cache(flash, id, buf, looked_up)? {
+                    Some(outcome) => Ok(outcome),
+                    None => self.fetch_below_cache(id, buf),
+                }
+            })
+            .collect()
     }
 
     fn write_back(

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use face_analysis::classes::CACHE_SHARD;
 use face_analysis::{witness, OrderedRwLock};
-use face_pagestore::{backoff_sleep, Counter, DeviceResult, Lsn, PageId};
+use face_pagestore::{backoff_sleep, Counter, DeviceResult, Lsn, Page, PageId};
 
 use crate::admission::SharedGhost;
 use crate::degrade::{DegradeConfig, DegradeController};
@@ -32,7 +32,7 @@ use crate::policy::{build_ring, CachePolicyKind, NoSupplier, PageSupplier};
 use crate::ring::RingCache;
 use crate::store::FlashStore;
 use crate::types::{
-    CacheConfig, CacheRecoveryInfo, CacheStats, Evacuation, FlashFetch, InsertFailure,
+    CacheConfig, CacheRecoveryInfo, CacheStats, Evacuation, FetchPin, FlashFetch, InsertFailure,
     InsertOutcome, QuarantineOutcome,
 };
 use crate::StagedPage;
@@ -239,60 +239,166 @@ impl ShardedFlashCache {
             let _allow = witness::allow_device_io("cache: classic read-under-lock fetch");
             return self.shards[shard].write().fetch(page, io);
         }
-        let store = &self.stores[shard];
-        let mut retry = false;
+        self.fetch_from(shard, page, false, io)
+    }
+
+    /// Look up several pages on DRAM misses at once — a warm restart's
+    /// working set. Results come back in the order of `pages`, each what
+    /// [`ShardedFlashCache::fetch`] would have returned for it.
+    ///
+    /// Per shard, every requested version is pinned under **one** write lock
+    /// ([`RingCache::fetch_pin`], no I/O); the lock is dropped and the pins
+    /// that need the device are read with **one**
+    /// [`FlashStore::read_batch`], sorted by slot, then validated one by
+    /// one as `fetch` validates. RAM-resident frames and metadata-only hits
+    /// need no read. A page whose validation lost to an eviction or slot
+    /// reuse goes back to the single-page path as a retry; if the batch read
+    /// fails, each pinned page is read on its own, so an error names the
+    /// slot it belongs to and surfaces for that page alone. Without
+    /// [`CacheConfig::lock_light_reads`] this is one `fetch` per page.
+    pub fn fetch_batch(
+        &self,
+        pages: &[PageId],
+        io: &mut IoLog,
+    ) -> Vec<DeviceResult<Option<FlashFetch>>> {
+        if !self.lock_light {
+            return pages.iter().map(|&page| self.fetch(page, io)).collect();
+        }
+        let mut by_shard = vec![Vec::new(); self.shards.len()];
+        for (i, &page) in pages.iter().enumerate() {
+            by_shard[self.shard_of(page)].push(i);
+        }
+        let mut results: Vec<Option<DeviceResult<Option<FlashFetch>>>> =
+            pages.iter().map(|_| None).collect();
+        for (shard, wanted) in by_shard.into_iter().enumerate() {
+            if wanted.is_empty() {
+                continue;
+            }
+            let pins: Vec<(usize, Option<FetchPin>)> = {
+                let mut guard = self.shards[shard].write();
+                wanted
+                    .into_iter()
+                    .map(|i| (i, guard.fetch_pin(pages[i], false, io)))
+                    .collect()
+            };
+            let mut reads = Vec::with_capacity(pins.len());
+            for (i, pin) in pins {
+                match pin {
+                    None => results[i] = Some(Ok(None)),
+                    Some(pin) => match self.served_without_read(shard, &pin) {
+                        Some(hit) => results[i] = Some(Ok(Some(hit))),
+                        None => reads.push((i, pin)),
+                    },
+                }
+            }
+            if reads.is_empty() {
+                continue;
+            }
+            reads.sort_unstable_by_key(|(_, pin)| pin.slot);
+            let slots: Vec<usize> = reads.iter().map(|(_, pin)| pin.slot).collect();
+            // The flash device read, with no shard lock held.
+            match self.stores[shard].read_batch(&slots) {
+                Ok(data) => {
+                    for ((i, pin), data) in reads.into_iter().zip(data) {
+                        results[i] = Some(self.validated(shard, pages[i], &pin, data, io));
+                    }
+                }
+                Err(_) => {
+                    for (i, pin) in reads {
+                        results[i] = Some(
+                            self.read_pinned(shard, pin.slot)
+                                .and_then(|data| self.validated(shard, pages[i], &pin, data, io)),
+                        );
+                    }
+                }
+            }
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every page was answered"))
+            .collect()
+    }
+
+    /// The lock-light fetch of `page` from `shard`, from its pin on: pin
+    /// under a short write lock, read off-lock, validate, and on a lost race
+    /// discard the bytes and pin again as a retry.
+    fn fetch_from(
+        &self,
+        shard: usize,
+        page: PageId,
+        mut retry: bool,
+        io: &mut IoLog,
+    ) -> DeviceResult<Option<FlashFetch>> {
         loop {
             let Some(pin) = self.shards[shard].write().fetch_pin(page, retry, io) else {
                 return Ok(None);
             };
-            // RAM-resident frame (pending batch / in-flight group): immutable
-            // and Arc-shared, valid regardless of what happens to the slot.
-            if let Some(frame) = pin.frame {
-                return Ok(Some(FlashFetch {
-                    data: Some(frame.as_ref().clone()),
-                    dirty: pin.dirty,
-                    lsn: pin.lsn,
-                }));
+            if let Some(hit) = self.served_without_read(shard, &pin) {
+                return Ok(Some(hit));
             }
-            // Metadata-only hit: nothing to read, nothing to validate — the
-            // pinned metadata was consistent under the lock.
-            if !pin.data_expected || !store.carries_data() {
-                return Ok(Some(FlashFetch {
-                    data: None,
-                    dirty: pin.dirty,
-                    lsn: pin.lsn,
-                }));
-            }
-            // The flash device read, with **no shard lock held** — which is
-            // also why the transient-error backoff may sleep right here.
-            let mut attempt: u32 = 0;
-            let data = loop {
-                match store.read_slot(pin.slot) {
-                    Ok(d) => break d,
-                    Err(e) if e.is_transient() && attempt < self.max_retries() => {
-                        attempt += 1;
-                        if let Some(c) = &self.degrade {
-                            c.note_retry();
-                        }
-                        backoff_sleep(attempt);
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            if self.shards[shard]
-                .read()
-                .fetch_validate(pin.slot, pin.generation)
-            {
-                return Ok(Some(FlashFetch {
-                    data,
-                    dirty: pin.dirty,
-                    lsn: pin.lsn,
-                }));
+            let data = self.read_pinned(shard, pin.slot)?;
+            if self.still_valid(shard, &pin) {
+                return Ok(Some(served(&pin, data)));
             }
             // The slot was evicted or reused while we read: the bytes may
             // belong to a different version. Discard and retry.
             retry = true;
         }
+    }
+
+    /// A pinned version that needs no device read: a RAM-resident frame
+    /// (pending batch / in-flight group: immutable and Arc-shared, valid
+    /// regardless of what happens to the slot), or a metadata-only hit
+    /// (nothing to read, nothing to validate — the pinned metadata was
+    /// consistent under the lock).
+    fn served_without_read(&self, shard: usize, pin: &FetchPin) -> Option<FlashFetch> {
+        if let Some(frame) = &pin.frame {
+            return Some(served(pin, Some(frame.as_ref().clone())));
+        }
+        (!pin.data_expected || !self.stores[shard].carries_data()).then(|| served(pin, None))
+    }
+
+    /// Whether `pin`'s slot still holds the pinned version (the generation
+    /// check, under a read lock).
+    fn still_valid(&self, shard: usize, pin: &FetchPin) -> bool {
+        self.shards[shard]
+            .read()
+            .fetch_validate(pin.slot, pin.generation)
+    }
+
+    /// Read one pinned slot with no shard lock held — which is also why the
+    /// transient-error backoff may sleep right here.
+    fn read_pinned(&self, shard: usize, slot: usize) -> DeviceResult<Option<Page>> {
+        let mut attempt: u32 = 0;
+        loop {
+            match self.stores[shard].read_slot(slot) {
+                Ok(data) => return Ok(data),
+                Err(e) if e.is_transient() && attempt < self.max_retries() => {
+                    attempt += 1;
+                    if let Some(c) = &self.degrade {
+                        c.note_retry();
+                    }
+                    backoff_sleep(attempt);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Serve `data`, read off-lock for `pin`, if the pin is still valid;
+    /// otherwise fall back to the single-page path as a retry.
+    fn validated(
+        &self,
+        shard: usize,
+        page: PageId,
+        pin: &FetchPin,
+        data: Option<Page>,
+        io: &mut IoLog,
+    ) -> DeviceResult<Option<FlashFetch>> {
+        if self.still_valid(shard, pin) {
+            return Ok(Some(served(pin, data)));
+        }
+        self.fetch_from(shard, page, true, io)
     }
 
     /// Hand a page leaving the DRAM buffer to its shard (see
@@ -608,6 +714,15 @@ impl ShardedFlashCache {
     /// [`ShardedFlashCache::len`]).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// What a fetch returns for `pin`, carrying `data`.
+fn served(pin: &FetchPin, data: Option<Page>) -> FlashFetch {
+    FlashFetch {
+        data,
+        dirty: pin.dirty,
+        lsn: pin.lsn,
     }
 }
 
@@ -1005,6 +1120,140 @@ mod tests {
             c.stats().fetch_retries > 0,
             "the generation-validation retry path was not exercised"
         );
+    }
+
+    #[test]
+    fn fetch_batch_sends_a_page_that_lost_its_slot_back_to_the_single_path() {
+        // The set-up of the eviction race above, with a batch in the parked
+        // read: one shard, capacity = one group, clean pages throughout.
+        let config = CacheConfig {
+            capacity_pages: 4,
+            group_size: 4,
+            lock_light_reads: true,
+            meta_checkpoint_interval_groups: 1_000_000,
+            ..CacheConfig::default()
+        };
+        let store = Arc::new(GateFlashStore::new(4));
+        store.release();
+        let store_for_build = Arc::clone(&store);
+        let c = Arc::new(
+            ShardedFlashCache::build(CachePolicyKind::FaceGr, config, 1, move |_| {
+                Arc::clone(&store_for_build) as Arc<dyn FlashStore>
+            })
+            .unwrap(),
+        );
+        let clean = |n: u32, marker: u32| {
+            let mut p = Page::new(PageId::new(0, n));
+            p.set_lsn(Lsn(1));
+            p.write_body(0, &marker.to_le_bytes());
+            StagedPage::with_data(p, false, true)
+        };
+        let mut io = IoLog::new();
+        for n in 0..4u32 {
+            c.insert(clean(n, n), &mut io).unwrap();
+        }
+
+        store.hold_reads();
+        let bg = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                c.fetch_batch(&[PageId::new(0, 1), PageId::new(0, 2)], &mut IoLog::new())
+            })
+        };
+        while store.read_calls() == 0 {
+            std::thread::yield_now();
+        }
+        // While the batch is parked: the whole first group leaves and its
+        // slots are reused, page 1 coming back as a new version.
+        let mut io = IoLog::new();
+        for (n, marker) in [(10, 10), (11, 11), (12, 12), (1, 99)] {
+            c.insert(clean(n, marker), &mut io).unwrap();
+        }
+        assert!(!c.contains(PageId::new(0, 2)), "pinned version evicted");
+        store.release_reads();
+        let results = bg.join().unwrap();
+        let page_1 = results[0]
+            .as_ref()
+            .unwrap()
+            .as_ref()
+            .expect("page 1 is cached again");
+        let data = page_1.data.as_ref().expect("a data-carrying store");
+        assert_eq!(data.id(), PageId::new(0, 1), "no foreign bytes");
+        assert_eq!(
+            data.read_body(0, 4),
+            99u32.to_le_bytes(),
+            "the new version, not the stale one"
+        );
+        assert!(
+            results[1].as_ref().unwrap().is_none(),
+            "a page whose slot was reused must not serve the bytes read from it"
+        );
+        assert_eq!(
+            c.stats().fetch_retries,
+            2,
+            "both pages went back as retries"
+        );
+    }
+
+    #[test]
+    fn a_failed_batch_read_names_the_bad_slot_through_the_single_page_fallback() {
+        use crate::degrade::DegradeAction;
+
+        let config = CacheConfig {
+            capacity_pages: 8,
+            group_size: 4,
+            lock_light_reads: true,
+            meta_checkpoint_interval_groups: 1_000_000,
+            ..CacheConfig::default()
+        };
+        // Where page 5 lands, found on a plain store with the same history.
+        let probe = sharded_one(config.clone(), Arc::new(MemFlashStore::new(8)));
+        let bad = probe_slot(&probe, 5);
+        let store = Arc::new(crate::store::BadSlotStore {
+            inner: MemFlashStore::new(8),
+            bad,
+        });
+        let controller = Arc::new(DegradeController::new(DegradeConfig::default()));
+        let c = sharded_one(config, store).with_degrade(Arc::clone(&controller));
+
+        let pages = [1u32, 5, 6].map(|n| PageId::new(0, n));
+        let results = c.fetch_batch(&pages, &mut IoLog::new());
+        for (n, result) in [1u32, 6].into_iter().zip([&results[0], &results[2]]) {
+            let hit = result.as_ref().unwrap().as_ref().expect("cached");
+            assert_eq!(hit.data.as_ref().unwrap().read_body(0, 4), n.to_le_bytes());
+        }
+        let error = results[1].as_ref().expect_err("page 5's slot is bad");
+        assert_eq!(error.slot(), Some(bad), "the error names page 5's own slot");
+        assert_eq!(
+            controller.note_error(0, error),
+            DegradeAction::Quarantine {
+                shard: 0,
+                slot: bad
+            }
+        );
+    }
+
+    /// One shard over `store`, holding pages 0..8 (two written groups).
+    fn sharded_one(config: CacheConfig, store: Arc<dyn FlashStore>) -> ShardedFlashCache {
+        let c = ShardedFlashCache::build(CachePolicyKind::FaceGr, config, 1, move |_| {
+            Arc::clone(&store)
+        })
+        .unwrap();
+        let mut io = IoLog::new();
+        for n in 0..8u32 {
+            c.insert(data_page(n), &mut io).unwrap();
+        }
+        c
+    }
+
+    /// The slot holding `page_no`'s current version.
+    fn probe_slot(c: &ShardedFlashCache, page_no: u32) -> usize {
+        let store = &c.stores()[0];
+        (0..store.capacity())
+            .find(|&slot| {
+                store.slot_header(slot).map(|(id, _)| id) == Some(PageId::new(0, page_no))
+            })
+            .expect("page written to flash")
     }
 
     #[test]

@@ -914,6 +914,7 @@ impl<P: RingPolicy> GroupRing<P> {
         // Replay in journal order (checkpoint snapshot, then sealed groups
         // oldest-first): a later entry is the newer version and supersedes
         // earlier ones, for its page and for its slot alike.
+        cache.dir.reserve(recovered.entries.len());
         let mut doomed_slots: HashSet<usize> = HashSet::new();
         for e in &recovered.entries {
             let slot = e.slot as usize;
@@ -935,7 +936,10 @@ impl<P: RingPolicy> GroupRing<P> {
                 continue;
             }
             // A later entry re-occupying a doomed slot owns its bytes again.
-            doomed_slots.remove(&slot);
+            // (Nothing is doomed on a restart that discarded nothing.)
+            if !doomed_slots.is_empty() {
+                doomed_slots.remove(&slot);
+            }
             // A stale occupant of a reused slot loses its directory entry.
             if let Some(old) = &cache.slots[slot] {
                 if old.page != e.page && cache.dir.get(&old.page) == Some(&slot) {
@@ -1456,7 +1460,7 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use face_pagestore::{DeviceError, DeviceHooks, DeviceOp, FaultMode, FaultPlan};
+    use face_pagestore::{DeviceHooks, FaultMode, FaultPlan};
 
     use super::*;
     use crate::mvfifo::MvFifo;
@@ -2259,55 +2263,12 @@ pub(crate) mod tests {
             assert_eq!(store.read_calls() - calls, 1);
         }
 
-        /// A device with one unreadable slot. A batch read covering it fails
-        /// the way the instrumented view fails a batch: naming the batch's
-        /// first slot, not the bad one.
-        struct BadSlotStore {
-            inner: MemFlashStore,
-            bad: usize,
-        }
-
-        impl FlashStore for BadSlotStore {
-            fn capacity(&self) -> usize {
-                self.inner.capacity()
-            }
-            fn write_slot(&self, slot: usize, page: &Page) -> DeviceResult<()> {
-                self.inner.write_slot(slot, page)
-            }
-            fn read_slot(&self, slot: usize) -> DeviceResult<Option<Page>> {
-                if slot == self.bad {
-                    return Err(DeviceError::permanent_slot(
-                        DeviceOp::Read,
-                        slot,
-                        "worn out",
-                    ));
-                }
-                self.inner.read_slot(slot)
-            }
-            fn read_batch(&self, slots: &[usize]) -> DeviceResult<Vec<Option<Page>>> {
-                if slots.contains(&self.bad) {
-                    return Err(DeviceError::permanent_slot(
-                        DeviceOp::Read,
-                        slots[0],
-                        "batch covers a worn-out slot",
-                    ));
-                }
-                self.inner.read_batch(slots)
-            }
-            fn carries_data(&self) -> bool {
-                true
-            }
-            fn clear(&self) {
-                self.inner.clear();
-            }
-        }
-
         #[test]
         fn read_fault_on_one_victim_names_that_slot_and_mutates_nothing() {
             fn case<P: RingPolicy>() {
                 const BAD: usize = 2;
                 let mut c = full_of_written_dirty_pages::<P>(|capacity| {
-                    Arc::new(BadSlotStore {
+                    Arc::new(crate::store::BadSlotStore {
                         inner: MemFlashStore::new(capacity),
                         bad: BAD,
                     })

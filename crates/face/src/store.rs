@@ -177,6 +177,15 @@ impl FlashStore for MemFlashStore {
             .collect())
     }
 
+    /// Reads the header in place: recovery's tail scan probes a few dozen
+    /// slots per shard, and copying each 4 KiB body to look at its id and
+    /// LSN is the whole cost of the probe.
+    fn slot_header(&self, slot: usize) -> Option<(PageId, face_pagestore::Lsn)> {
+        let slots = self.slots.read();
+        let page = slots.get(slot % slots.len().max(1))?.as_ref()?;
+        Some((page.id(), page.lsn()))
+    }
+
     fn carries_data(&self) -> bool {
         true
     }
@@ -412,6 +421,13 @@ impl FlashStore for GateFlashStore {
         self.inner.read_batch(slots)
     }
 
+    /// A header probe is recovery's directory scan, not a data read: it
+    /// passes the read gate and is not counted in
+    /// [`GateFlashStore::read_calls`].
+    fn slot_header(&self, slot: usize) -> Option<(PageId, face_pagestore::Lsn)> {
+        self.inner.slot_header(slot)
+    }
+
     fn carries_data(&self) -> bool {
         true
     }
@@ -426,6 +442,56 @@ impl FlashStore for GateFlashStore {
 
     fn pages_written(&self) -> u64 {
         self.inner.pages_written()
+    }
+}
+
+/// A test instrument: a data store with one unreadable slot. Reading `bad`
+/// fails for good; a batch read covering it fails the way the instrumented
+/// view fails a batch, naming the batch's first slot, not the bad one.
+#[cfg(test)]
+pub(crate) struct BadSlotStore {
+    pub(crate) inner: MemFlashStore,
+    pub(crate) bad: usize,
+}
+
+#[cfg(test)]
+impl FlashStore for BadSlotStore {
+    fn capacity(&self) -> usize {
+        self.inner.capacity()
+    }
+
+    fn write_slot(&self, slot: usize, page: &Page) -> DeviceResult<()> {
+        self.inner.write_slot(slot, page)
+    }
+
+    fn read_slot(&self, slot: usize) -> DeviceResult<Option<Page>> {
+        if slot == self.bad {
+            return Err(face_pagestore::DeviceError::permanent_slot(
+                face_pagestore::DeviceOp::Read,
+                slot,
+                "worn out",
+            ));
+        }
+        self.inner.read_slot(slot)
+    }
+
+    fn read_batch(&self, slots: &[usize]) -> DeviceResult<Vec<Option<Page>>> {
+        if slots.contains(&self.bad) {
+            return Err(face_pagestore::DeviceError::permanent_slot(
+                face_pagestore::DeviceOp::Read,
+                slots[0],
+                "batch covers a worn-out slot",
+            ));
+        }
+        self.inner.read_batch(slots)
+    }
+
+    fn carries_data(&self) -> bool {
+        true
+    }
+
+    fn clear(&self) {
+        self.inner.clear();
     }
 }
 
@@ -593,6 +659,29 @@ mod tests {
 
         store.clear();
         assert_eq!(store.occupied(), 0);
+    }
+
+    #[test]
+    fn mem_store_headers_agree_with_the_stored_pages() {
+        let store = MemFlashStore::new(4);
+        for slot in 0..4u32 {
+            let mut page = Page::new(PageId::new(3, 10 + slot));
+            page.set_lsn(Lsn(100 + u64::from(slot)));
+            store.write_slot(slot as usize, &page).unwrap();
+        }
+        // Slot 6 wraps to slot 2, as `read_slot` does.
+        for slot in 0..8 {
+            let stored = store.read_slot(slot).unwrap().unwrap();
+            assert_eq!(
+                store.slot_header(slot),
+                Some((stored.id(), stored.lsn())),
+                "slot {slot}"
+            );
+        }
+        store.clear_slot(1);
+        assert!(store.read_slot(1).unwrap().is_none());
+        assert_eq!(store.slot_header(1), None, "a cleared slot has no header");
+        assert!(store.slot_header(2).is_some(), "its neighbours keep theirs");
     }
 
     #[test]
