@@ -21,8 +21,8 @@
 //!   deadlock-free by construction (the GSC donor probe under a pinning
 //!   `try_lock`); held-stack bookkeeping and the I/O detector stay active.
 //! - [`allow_device_io`] exempts a scope from the I/O-under-lock check for
-//!   the acknowledged under-lock device paths (classic exclusive fetch,
-//!   checkpoint sync, quiesced admin ops, the residual GSC dequeue read).
+//!   the acknowledged under-lock device paths (quiesced admin ops, a
+//!   quarantine's evacuation, the residual group-dequeue victim read).
 //!
 //! A violation increments a global counter and panics on the offending
 //! thread, unless a [`capture`] scope is active on that thread — the

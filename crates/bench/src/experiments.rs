@@ -737,8 +737,7 @@ pub fn evaluate_bench_throughput(
 
 // ---------------------------------------------------------------------------
 // BENCH_read: the read-path perf-trajectory matrix — read-heavy (90/10)
-// throughput with the lock-light read path on versus the exclusive-lock
-// baseline.
+// throughput of the lock-light read path across thread counts.
 // ---------------------------------------------------------------------------
 
 /// The scale of the read-heavy sweep.
@@ -777,14 +776,11 @@ impl ReadScale {
     }
 }
 
-/// One row of the lock-light/exclusive read-throughput matrix.
+/// One row of the read-throughput matrix.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ReadBenchRow {
     /// Worker threads driving the shared engine.
     pub threads: usize,
-    /// "lock-light" (off-lock flash fetches, optimistic buffer hits) or
-    /// "exclusive" (the old take-the-shard-mutex-for-everything baseline).
-    pub mode: String,
     /// Operations (gets + puts) in the measured window.
     pub ops: u64,
     /// Reads among them.
@@ -797,8 +793,7 @@ pub struct ReadBenchRow {
     pub dram_hit_ratio: f64,
     /// Flash-cache hit ratio over DRAM misses during the window.
     pub flash_hit_ratio: f64,
-    /// Lock-light cache fetches that lost the eviction race and retried
-    /// (0 in exclusive mode by construction).
+    /// Cache fetches that lost the eviction race and retried.
     pub cache_fetch_retries: u64,
     /// Optimistic buffer-pool read hits that caught an eviction and retried.
     pub buffer_read_retries: u64,
@@ -818,13 +813,12 @@ pub struct ReadBenchRow {
 
 /// The engine configuration behind the read bench: a DRAM buffer far smaller
 /// than the key working set (most reads miss to the flash cache) over
-/// simulated devices, so the exclusive arm really holds shard mutexes across
-/// ~20 µs flash reads — the serialization the lock-light path removes. Two
-/// cache shards (not fig4's eight) for the same reason `bench_throughput`
-/// shrinks its cache: at smoke scale the contention under test must actually
-/// occur, as it would on a production-sized shard at production thread
-/// counts.
-fn read_engine_config(lock_light: bool) -> face_engine::EngineConfig {
+/// simulated devices, so threads really wait ~20 µs on flash reads — which
+/// must not hold the shard locks other threads need. Two cache shards (not
+/// fig4's eight) for the same reason `bench_throughput` shrinks its cache:
+/// at smoke scale the contention under test must actually occur, as it would
+/// on a production-sized shard at production thread counts.
+fn read_engine_config() -> face_engine::EngineConfig {
     face_engine::EngineConfig::in_memory()
         .buffer_frames(256)
         .buffer_shards(8)
@@ -832,116 +826,94 @@ fn read_engine_config(lock_light: bool) -> face_engine::EngineConfig {
         .flash_cache(CachePolicyKind::FaceGsc, 16_384)
         .cache_shards(2)
         .simulated_devices()
-        .lock_light_reads(lock_light)
 }
 
-/// Run the read-heavy (90/10 by default) sweep with the lock-light read path
-/// on and off across `thread_counts`, producing the `BENCH_read.json`
-/// matrix. Each cell gets a fresh engine, a full table load, its own warm-up
-/// and the same measured operation budget.
+/// Run the read-heavy (90/10 by default) sweep across `thread_counts`,
+/// producing the `BENCH_read.json` matrix. Each cell gets a fresh engine, a
+/// full table load, its own warm-up and the same measured operation budget.
 pub fn run_bench_read_throughput(scale: &ReadScale, thread_counts: &[usize]) -> Vec<ReadBenchRow> {
     use std::sync::Arc;
     let mut out = Vec::new();
-    for &(label, lock_light) in &[("exclusive", false), ("lock-light", true)] {
-        for &threads in thread_counts {
-            let threads = threads.clamp(1, scale.keys.max(1) as usize);
-            let db = Arc::new(
-                face_engine::Database::open(read_engine_config(lock_light))
-                    .expect("in-memory open cannot fail"),
-            );
-            face_tpcc::load_read_heavy(&db, scale.keys);
-            let base = face_tpcc::ReadHeavyConfig {
-                threads,
-                ops_per_thread: (scale.warmup_ops as usize / threads).max(1),
-                keys: scale.keys,
-                read_pct: scale.read_pct,
-                ops_per_txn: 8,
-                seed: 7,
-            };
-            face_tpcc::run_read_heavy(&db, &base);
+    for &threads in thread_counts {
+        let threads = threads.clamp(1, scale.keys.max(1) as usize);
+        let db = Arc::new(
+            face_engine::Database::open(read_engine_config()).expect("in-memory open cannot fail"),
+        );
+        face_tpcc::load_read_heavy(&db, scale.keys);
+        let base = face_tpcc::ReadHeavyConfig {
+            threads,
+            ops_per_thread: (scale.warmup_ops as usize / threads).max(1),
+            keys: scale.keys,
+            read_pct: scale.read_pct,
+            ops_per_txn: 8,
+            seed: 7,
+        };
+        face_tpcc::run_read_heavy(&db, &base);
 
-            let buffer_before = db.buffer_stats();
-            let cache_before = db.cache_stats().unwrap_or_default();
-            let flash_before = db.flash_pages_written();
-            let report = face_tpcc::run_read_heavy(
-                &db,
-                &face_tpcc::ReadHeavyConfig {
-                    ops_per_thread: (scale.measure_ops as usize / threads).max(1),
-                    seed: 1_000,
-                    ..base
-                },
-            );
-            let buffer = db.buffer_stats();
-            let cache = db.cache_stats().unwrap_or_default();
-            let flash_pages = db.flash_pages_written() - flash_before;
-            let latency = report.latency_summary();
-            let wall = report.wall.as_secs_f64();
-            let ops = report.gets() + report.puts();
-            let misses = buffer.misses - buffer_before.misses;
-            let accesses = buffer.accesses - buffer_before.accesses;
-            out.push(ReadBenchRow {
-                threads,
-                mode: label.to_string(),
-                ops,
-                gets: report.gets(),
-                wall_secs: wall,
-                ops_per_sec: if wall > 0.0 { ops as f64 / wall } else { 0.0 },
-                dram_hit_ratio: if accesses > 0 {
-                    (buffer.hits - buffer_before.hits) as f64 / accesses as f64
-                } else {
-                    0.0
-                },
-                flash_hit_ratio: if misses > 0 {
-                    (buffer.flash_hits - buffer_before.flash_hits) as f64 / misses as f64
-                } else {
-                    0.0
-                },
-                cache_fetch_retries: cache.fetch_retries - cache_before.fetch_retries,
-                buffer_read_retries: buffer.read_retries - buffer_before.read_retries,
-                flash_pages_written: flash_pages,
-                flash_bytes_written: flash_pages * face_pagestore::PAGE_SIZE as u64,
-                p50_us: latency.p50_us,
-                p95_us: latency.p95_us,
-                p99_us: latency.p99_us,
-                p999_us: latency.p999_us,
-            });
-        }
+        let buffer_before = db.buffer_stats();
+        let cache_before = db.cache_stats().unwrap_or_default();
+        let flash_before = db.flash_pages_written();
+        let report = face_tpcc::run_read_heavy(
+            &db,
+            &face_tpcc::ReadHeavyConfig {
+                ops_per_thread: (scale.measure_ops as usize / threads).max(1),
+                seed: 1_000,
+                ..base
+            },
+        );
+        let buffer = db.buffer_stats();
+        let cache = db.cache_stats().unwrap_or_default();
+        let flash_pages = db.flash_pages_written() - flash_before;
+        let latency = report.latency_summary();
+        let wall = report.wall.as_secs_f64();
+        let ops = report.gets() + report.puts();
+        let misses = buffer.misses - buffer_before.misses;
+        let accesses = buffer.accesses - buffer_before.accesses;
+        out.push(ReadBenchRow {
+            threads,
+            ops,
+            gets: report.gets(),
+            wall_secs: wall,
+            ops_per_sec: if wall > 0.0 { ops as f64 / wall } else { 0.0 },
+            dram_hit_ratio: if accesses > 0 {
+                (buffer.hits - buffer_before.hits) as f64 / accesses as f64
+            } else {
+                0.0
+            },
+            flash_hit_ratio: if misses > 0 {
+                (buffer.flash_hits - buffer_before.flash_hits) as f64 / misses as f64
+            } else {
+                0.0
+            },
+            cache_fetch_retries: cache.fetch_retries - cache_before.fetch_retries,
+            buffer_read_retries: buffer.read_retries - buffer_before.read_retries,
+            flash_pages_written: flash_pages,
+            flash_bytes_written: flash_pages * face_pagestore::PAGE_SIZE as u64,
+            p50_us: latency.p50_us,
+            p95_us: latency.p95_us,
+            p99_us: latency.p99_us,
+            p999_us: latency.p999_us,
+        });
     }
     out
 }
 
-/// The CI gate over [`run_bench_read_throughput`] rows: 4 lock-light threads
-/// must beat 1 by at least `min_speedup`, and lock-light must not lose to
-/// exclusive at 4 threads. Returns the failures (empty means the gate
+/// The CI gate over [`run_bench_read_throughput`] rows: 4 threads must beat
+/// 1 by at least `min_speedup`. Returns the failures (empty means the gate
 /// passes).
 pub fn evaluate_bench_read(rows: &[ReadBenchRow], min_speedup: f64) -> Vec<String> {
-    let cell =
-        |mode: &str, threads: usize| rows.iter().find(|r| r.mode == mode && r.threads == threads);
-    let (Some(one), Some(four), Some(excl)) = (
-        cell("lock-light", 1),
-        cell("lock-light", 4),
-        cell("exclusive", 4),
-    ) else {
-        return vec![
-            "missing row (need lock-light 1- and 4-thread, exclusive 4-thread)".to_string(),
-        ];
+    let cell = |threads: usize| rows.iter().find(|r| r.threads == threads);
+    let (Some(one), Some(four)) = (cell(1), cell(4)) else {
+        return vec!["missing row (need 1- and 4-thread)".to_string()];
     };
-    let mut failures = Vec::new();
     let speedup = four.ops_per_sec / one.ops_per_sec.max(f64::MIN_POSITIVE);
     if speedup < min_speedup {
-        failures.push(format!(
-            "lock-light 4-thread {:.0} ops/s vs 1-thread {:.0} ops/s is {speedup:.2}x, \
-             need {min_speedup}x",
+        return vec![format!(
+            "4-thread {:.0} ops/s vs 1-thread {:.0} ops/s is {speedup:.2}x, need {min_speedup}x",
             four.ops_per_sec, one.ops_per_sec
-        ));
+        )];
     }
-    if four.ops_per_sec < excl.ops_per_sec {
-        failures.push(format!(
-            "4-thread lock-light {:.0} ops/s loses to exclusive {:.0} ops/s",
-            four.ops_per_sec, excl.ops_per_sec
-        ));
-    }
-    failures
+    Vec::new()
 }
 
 // ---------------------------------------------------------------------------
@@ -1996,22 +1968,19 @@ mod tests {
     }
 
     #[test]
-    fn bench_read_throughput_rows_cover_both_modes() {
-        let rows = run_bench_read_throughput(&ReadScale::tiny(), &[1]);
-        assert_eq!(rows.len(), 2);
-        let excl = rows.iter().find(|r| r.mode == "exclusive").unwrap();
-        let light = rows.iter().find(|r| r.mode == "lock-light").unwrap();
-        assert_eq!(excl.ops, light.ops, "same measured budget");
-        assert!(excl.ops_per_sec > 0.0 && light.ops_per_sec > 0.0);
-        // 90/10 mix: reads dominate in both arms.
-        assert!(excl.gets * 2 > excl.ops, "mix is not read-heavy");
-        // The working set exceeds the DRAM buffer and fits the flash cache,
-        // so the bench really measures the flash fetch path.
-        assert!(light.flash_hit_ratio > 0.5, "reads are not hitting flash");
-        assert_eq!(
-            excl.cache_fetch_retries, 0,
-            "exclusive mode cannot take the lock-light retry path"
-        );
+    fn bench_read_throughput_rows_cover_each_thread_count() {
+        let rows = run_bench_read_throughput(&ReadScale::tiny(), &[1, 2]);
+        let threads: Vec<usize> = rows.iter().map(|r| r.threads).collect();
+        assert_eq!(threads, [1, 2]);
+        assert_eq!(rows[0].ops, rows[1].ops, "same measured budget");
+        for row in &rows {
+            assert!(row.ops_per_sec > 0.0);
+            // 90/10 mix: reads dominate.
+            assert!(row.gets * 2 > row.ops, "mix is not read-heavy");
+            // The working set exceeds the DRAM buffer and fits the flash
+            // cache, so the bench really measures the flash fetch path.
+            assert!(row.flash_hit_ratio > 0.5, "reads are not hitting flash");
+        }
     }
 
     #[test]
@@ -2172,17 +2141,12 @@ mod tests {
     }
 
     fn read_rows() -> Vec<ReadBenchRow> {
-        let row = |mode: &str, threads, ops_per_sec| ReadBenchRow {
-            mode: mode.to_string(),
+        let row = |threads, ops_per_sec| ReadBenchRow {
             threads,
             ops_per_sec,
             ..Default::default()
         };
-        vec![
-            row("lock-light", 1, 1_000.0),
-            row("lock-light", 4, 2_500.0),
-            row("exclusive", 4, 1_500.0),
-        ]
+        vec![row(1, 1_000.0), row(4, 2_500.0)]
     }
 
     #[test]
@@ -2194,8 +2158,12 @@ mod tests {
         };
         assert!(gate(|_| {}).is_empty());
         one_failure(gate(|r| r[1].ops_per_sec = 1_900.0), "need 2x");
-        one_failure(gate(|r| r[2].ops_per_sec = 3_000.0), "loses to exclusive");
-        one_failure(gate(|r| drop(r.remove(0))), "missing row");
+        one_failure(
+            gate(|r| {
+                r.remove(0);
+            }),
+            "missing row",
+        );
     }
 
     /// Warm 0.01 s, cold 0.2 s (ratio 0.05), long history 0.011 s; warm's

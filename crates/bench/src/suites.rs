@@ -55,7 +55,7 @@ pub struct Outcome {
 /// ≈ 820 B, whole-slot images logged ≈ 4,100.
 const MAX_WAL_BYTES_PER_TXN: f64 = 1_200.0;
 
-/// `bench_read_throughput`: 4 lock-light threads must beat 1 by this factor.
+/// `bench_read_throughput`: 4 threads must beat 1 by this factor.
 const MIN_READ_SPEEDUP: f64 = 2.0;
 
 /// `bench_flash_economy`: the flash hit-ratio slack a filtered arm is

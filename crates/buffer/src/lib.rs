@@ -12,15 +12,16 @@
 //!    conditional/unconditional enqueue logic of mvFIFO (paper Algorithm 1).
 //!
 //! The crate provides:
-//! * [`LruList`] — the recency list used for DRAM replacement (the paper uses
-//!   PostgreSQL's buffer replacement; LRU is the reference policy its
-//!   analysis assumes), and the FIFO queues of the pool's lock-light
-//!   S3-FIFO replacement.
+//! * [`LruList`] — the recency list of the simulator's exact-LRU
+//!   replacement (the paper uses PostgreSQL's buffer replacement; LRU is the
+//!   reference policy its analysis assumes), and the FIFO queues of the
+//!   pool's S3-FIFO replacement.
 //! * [`BufferPool`] — a data-carrying pool over any [`LowerTier`], used by the
-//!   functional engine, the examples and the recovery tests.
-//! * [`BufferSim`] — a metadata-only twin of the pool (same replacement and
-//!   flag logic, no page bodies), used by the performance experiments where
-//!   the database is far larger than what is worth materialising.
+//!   functional engine, the examples and the recovery tests. Its reads are
+//!   lock-light and its replacement is S3-FIFO.
+//! * [`BufferSim`] — a metadata-only buffer (the pool's flag logic, exact
+//!   LRU replacement, no page bodies), used by the performance experiments
+//!   where the database is far larger than what is worth materialising.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -10,10 +10,9 @@
 //! * a **structural mutex** guarding the replacement order; misses,
 //!   evictions and updates serialize here.
 //!
-//! With [`BufferPool::lock_light_reads`] enabled, a read **hit** is a shared
-//! map lookup, a shared page latch and one relaxed store to the frame's
-//! access frequency — no exclusive lock anywhere. Replacement switches from
-//! strict LRU to per-shard **S3-FIFO** (Yang et al., SOSP 2023) with its
+//! A read **hit** is a shared map lookup, a shared page latch and one relaxed
+//! store to the frame's access frequency — no exclusive lock anywhere.
+//! Replacement is per-shard **S3-FIFO** (Yang et al., SOSP 2023) with its
 //! published constants:
 //!
 //! * a newcomer enters a small FIFO of 10 % of the shard's frames (at least
@@ -30,9 +29,7 @@
 //! being re-read. The sweep never waits for a page latch: a candidate whose
 //! latch is busy (a frame still loading, or one being read this instant) is
 //! rotated, and the sweep moves on to the other queue. Only when every
-//! resident frame is busy does it wait, as the exact-LRU evictor always
-//! does. Without the flag every lookup takes the structural mutex and
-//! maintains exact LRU order, which several tests pin down.
+//! resident frame is busy does it wait for one.
 //!
 //! The structural mutex covers lookups, replacement and the eviction
 //! write-back; it is **never held across a lower-tier fetch** and never
@@ -107,7 +104,7 @@ pub struct BufferStats {
     pub read_retries: u64,
     /// Eviction candidates S3-FIFO kept because they had been hit: frames
     /// promoted from the small queue to the main queue, plus main-queue
-    /// frames reinserted with one count less (lock-light mode only).
+    /// frames reinserted with one count less.
     pub ref_rescues: u64,
 }
 
@@ -178,14 +175,14 @@ impl AtomicBufferStats {
 }
 
 /// One resident frame: the page body behind its latch, plus the atomic
-/// per-frame state the lock-light read path touches without the shard lock.
+/// per-frame state a read hit touches without the shard lock.
 struct FrameCell {
     /// The page latch. Readers share it; updaters and the evictor hold it
     /// exclusively (WAL appends happen under it, keeping per-page log order
     /// consistent with apply order).
     page: OrderedRwLock<Page>,
     flags: AtomicFrameFlags,
-    /// S3-FIFO access frequency, `0..=MAX_FREQ` (lock-light mode only):
+    /// S3-FIFO access frequency, `0..=MAX_FREQ`:
     /// raised by hits with a plain relaxed store — two racing hits may count
     /// once, and neither takes a lock — and spent by the evictor.
     freq: AtomicU8,
@@ -221,16 +218,14 @@ impl FrameCell {
 /// A shard's id-to-frame mapping.
 type FrameMap = IdHashMap<PageId, Arc<FrameCell>>;
 
-/// Replacement state of one shard, behind the structural mutex. Exclusive
-/// mode keeps every frame in `main`, in exact LRU order; lock-light mode
-/// runs S3-FIFO over all three lists (see the module docs).
+/// Replacement state of one shard, behind the structural mutex: S3-FIFO's
+/// three lists (see the module docs).
 struct ShardCore {
-    /// S3-FIFO's small FIFO of newcomers (empty in exclusive mode).
+    /// The small FIFO of newcomers.
     small: LruList<PageId>,
-    /// S3-FIFO's main FIFO, or the exact LRU list in exclusive mode.
+    /// The main FIFO.
     main: LruList<PageId>,
-    /// Ids S3-FIFO recently evicted from `small`, without their pages (empty
-    /// in exclusive mode).
+    /// Ids recently evicted from `small`, without their pages.
     ghost: LruList<PageId>,
 }
 
@@ -243,10 +238,10 @@ impl ShardCore {
         }
     }
 
-    /// Queue a newly mapped frame: into `main` in exclusive mode or when
-    /// S3-FIFO remembers the id, into `small` otherwise.
-    fn admit(&mut self, id: PageId, s3fifo: bool) {
-        if !s3fifo || self.ghost.remove(&id) {
+    /// Queue a newly mapped frame: into `main` when the ghost list
+    /// remembers its id, into `small` otherwise.
+    fn admit(&mut self, id: PageId) {
+        if self.ghost.remove(&id) {
             self.main.insert_mru(id);
         } else {
             self.small.insert_mru(id);
@@ -310,7 +305,6 @@ pub struct BufferPool<L: LowerTier> {
     /// Resident-frame mirror, so [`BufferPool::len`] never sweeps the shard
     /// locks. Maintained at insert/evict; exact at quiesce.
     resident: Counter,
-    lock_light: bool,
 }
 
 impl<L: LowerTier> BufferPool<L> {
@@ -321,10 +315,9 @@ impl<L: LowerTier> BufferPool<L> {
     }
 
     /// A pool striped over exactly `shards` shards (clamped to `capacity` so
-    /// every shard owns at least one frame). `shards == 1` reproduces the
-    /// classic single-LRU pool, which some tests rely on for exact eviction
-    /// order. Reads take the exclusive structural path; see
-    /// [`BufferPool::lock_light_reads`].
+    /// every shard owns at least one frame). With `shards == 1` one S3-FIFO
+    /// orders the whole pool, which some tests rely on for exact eviction
+    /// order.
     pub fn with_shards(capacity: usize, shards: usize, lower: L) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         let shards = shards.clamp(1, capacity);
@@ -350,23 +343,24 @@ impl<L: LowerTier> BufferPool<L> {
             lower,
             stats: AtomicBufferStats::default(),
             resident: Counter::default(),
-            lock_light: false,
         }
     }
 
-    /// Builder-style switch for the lock-light read path: hits become a
-    /// shared map lookup + shared page latch + one relaxed store to the
-    /// frame's access frequency, and replacement becomes S3-FIFO over those
-    /// frequencies (see the module docs). Off (the default), every access
-    /// takes the structural mutex and maintains exact LRU order.
-    pub fn lock_light_reads(mut self, on: bool) -> Self {
-        self.lock_light = on;
+    /// Kept only so existing callers of the removed exclusive-lock read
+    /// path still build: reads are always lock-light and replacement is
+    /// always S3-FIFO, so the only accepted argument is `true`, and the
+    /// call changes nothing.
+    ///
+    /// # Panics
+    /// Panics if `on` is `false`: the exclusive-lock, exact-LRU mode it
+    /// selected was removed.
+    pub fn lock_light_reads(self, on: bool) -> Self {
+        assert!(
+            on,
+            "the exclusive-lock read path and exact-LRU replacement were removed; \
+             reads are always lock-light"
+        );
         self
-    }
-
-    /// Whether the lock-light read path is enabled.
-    pub fn is_lock_light(&self) -> bool {
-        self.lock_light
     }
 
     /// Pool capacity in frames (summed over shards).
@@ -434,17 +428,17 @@ impl<L: LowerTier> BufferPool<L> {
     /// Read access to a page: fetches it from the lower tier on a miss and
     /// passes a shared reference to `f`.
     ///
-    /// `f` runs under the page latch only. In lock-light mode a hit takes no
-    /// exclusive lock at all (shared mapping lock, shared latch, frequency
-    /// store); otherwise the lookup goes through the shard's structural mutex,
-    /// which is released before the latch is taken.
+    /// `f` runs under the page latch only. A hit takes no exclusive lock at
+    /// all (shared mapping lock, shared latch, frequency store); a miss, or a
+    /// lookup repeated after a lost race, goes through the shard's
+    /// structural mutex, which is released before the latch is taken.
     pub fn read<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> TierResult<R> {
         self.stats.accesses.inc();
         let sidx = self.shard_index(id);
         let shard = &self.shards[sidx];
         // After a lost race the lookup repeats under the structural mutex,
         // which is where a dead frame still in the map gets unlinked.
-        let mut optimistic = self.lock_light;
+        let mut optimistic = true;
         loop {
             let mapped = optimistic
                 .then(|| shard.map.read().get(&id).cloned())
@@ -537,20 +531,19 @@ impl<L: LowerTier> BufferPool<L> {
             .map
             .write()
             .insert(id, Arc::new(FrameCell::new(Page::new(id), flags)));
-        core.admit(id, self.lock_light);
+        core.admit(id);
         self.resident.inc();
         Ok(id)
     }
 
-    /// Evict the least-recently-used frame of the *fullest* shard, handing it
-    /// to the lower tier. Returns the evicted page id, or `None` if the pool
-    /// is empty.
+    /// Evict S3-FIFO's next victim in the *fullest* shard, handing it to the
+    /// lower tier. Returns the evicted page id, or `None` if the pool is
+    /// empty.
     ///
-    /// With one shard this is the exact global LRU victim; with several it is
-    /// the LRU victim of the most loaded stripe — the hook Group Second
-    /// Chance uses to "pull pages from the LRU tail of the DRAM buffer"
-    /// (paper §3.3) only needs *a* cold dirty page, not *the* coldest. In
-    /// lock-light mode the victim is S3-FIFO's.
+    /// With one shard this is the whole pool's next victim; with several it
+    /// is the most loaded stripe's — the hook Group Second Chance uses to
+    /// "pull pages from the LRU tail of the DRAM buffer" (paper §3.3) only
+    /// needs *a* cold dirty page, not *the* coldest.
     pub fn evict_lru_frame(&self) -> TierResult<Option<PageId>> {
         let fullest = self
             .shards
@@ -706,11 +699,11 @@ impl<L: LowerTier> BufferPool<L> {
         self.resident.set(0);
     }
 
-    /// The resident pages from least- to most-recently used within each
-    /// shard, concatenated in shard order (for inspection and tests; exact
-    /// global order only with one shard and the exclusive read path). In
-    /// lock-light mode each shard lists its small queue, then its main
-    /// queue, each from tail to head.
+    /// The resident pages, next eviction candidates first within each
+    /// shard, concatenated in shard order (for inspection and tests): each
+    /// shard lists its small queue, then its main queue, each from tail to
+    /// head. A hit moves no frame; it only raises the frame's frequency,
+    /// which the sweep spends when the frame reaches a tail.
     pub fn resident_lru_order(&self) -> Vec<PageId> {
         self.shards
             .iter()
@@ -719,9 +712,9 @@ impl<L: LowerTier> BufferPool<L> {
     }
 
     /// The frame mapped for `id`, looked up under the shard's structural
-    /// mutex (exact-LRU mode records the touch here). The caller releases
-    /// the mutex, latches the frame and checks `evicted` before using it: the
-    /// frame may be evicted, or still loading and then fail, in between.
+    /// mutex. The caller releases the mutex, latches the frame and checks
+    /// `evicted` before using it: the frame may be evicted, or still loading
+    /// and then fail, in between.
     fn lookup(&self, shard: &Shard, core: &mut ShardCore, id: PageId) -> Option<Arc<FrameCell>> {
         let cell = shard.map.read().get(&id).cloned()?;
         if cell.evicted.load(Ordering::Acquire) {
@@ -730,20 +723,15 @@ impl<L: LowerTier> BufferPool<L> {
             self.unlink(shard, core, id, &cell);
             return None;
         }
-        if !self.lock_light {
-            core.main.touch(&id);
-        }
         Some(cell)
     }
 
-    /// Count a hit on a latched, validated frame.
+    /// Count a hit on a latched, validated frame and raise its frequency.
     fn note_hit(&self, cell: &FrameCell) {
         self.stats.hits.inc();
-        if self.lock_light {
-            let freq = cell.freq();
-            if freq < MAX_FREQ {
-                cell.freq.store(freq + 1, Ordering::Relaxed);
-            }
+        let freq = cell.freq();
+        if freq < MAX_FREQ {
+            cell.freq.store(freq + 1, Ordering::Relaxed);
         }
     }
 
@@ -774,7 +762,7 @@ impl<L: LowerTier> BufferPool<L> {
             map.insert(id, Arc::clone(&cell));
             cell.page.write()
         };
-        core.admit(id, self.lock_light);
+        core.admit(id);
         self.resident.inc();
         drop(core);
         match self.lower.fetch(id, &mut page) {
@@ -897,7 +885,7 @@ impl<L: LowerTier> BufferPool<L> {
                     }
                     map.insert(*id, Arc::clone(cell));
                     loading.push((*id, &**cell, cell.page.write()));
-                    core.admit(*id, self.lock_light);
+                    core.admit(*id);
                     self.resident.inc();
                     self.stats.accesses.inc();
                     self.stats.misses.inc();
@@ -956,12 +944,7 @@ impl<L: LowerTier> BufferPool<L> {
         let shard = &self.shards[sidx];
         let (victim, cell) = {
             let mut map = shard.map.write();
-            let victim = if self.lock_light {
-                self.s3fifo_victim(shard, core, &map)
-            } else {
-                core.main.pop_lru()
-            };
-            let Some(victim) = victim else {
+            let Some(victim) = self.s3fifo_victim(shard, core, &map) else {
                 return Ok(None);
             };
             let cell = map.remove(&victim).expect("queues and map in sync");
@@ -969,7 +952,7 @@ impl<L: LowerTier> BufferPool<L> {
         };
         // The exclusive latch waits out in-flight accesses — a frame still
         // loading included, so what is written back below is what its fetch
-        // brought in. (S3-FIFO picked a frame whose latch was free, unless
+        // brought in. (The sweep picked a frame whose latch was free, unless
         // every frame of the shard was busy.) `evicted` then turns away
         // everyone who already holds the cell.
         let page = cell.page.write();
@@ -1094,7 +1077,7 @@ mod tests {
     use face_pagestore::{InMemoryPageStore, PageStore};
     use std::sync::Arc;
 
-    /// Single-shard pool: exact global LRU, as the original pool had.
+    /// Single-shard pool: one S3-FIFO orders every frame.
     fn pool(capacity: usize) -> (BufferPool<DirectDiskTier>, Arc<InMemoryPageStore>) {
         let store = Arc::new(InMemoryPageStore::new());
         let tier = DirectDiskTier::new(store.clone() as Arc<dyn PageStore>);
@@ -1108,18 +1091,6 @@ mod tests {
         let store = Arc::new(InMemoryPageStore::new());
         let tier = DirectDiskTier::new(store.clone() as Arc<dyn PageStore>);
         (BufferPool::with_shards(capacity, shards, tier), store)
-    }
-
-    fn lock_light_pool(
-        capacity: usize,
-        shards: usize,
-    ) -> (BufferPool<DirectDiskTier>, Arc<InMemoryPageStore>) {
-        let store = Arc::new(InMemoryPageStore::new());
-        let tier = DirectDiskTier::new(store.clone() as Arc<dyn PageStore>);
-        (
-            BufferPool::with_shards(capacity, shards, tier).lock_light_reads(true),
-            store,
-        )
     }
 
     #[test]
@@ -1198,13 +1169,16 @@ mod tests {
     }
 
     #[test]
-    fn lru_order_follows_access_recency() {
+    fn queue_order_is_arrival_order_and_a_hit_moves_no_frame() {
         let (pool, _) = pool(3);
         let a = pool.allocate_page(0).unwrap();
         let b = pool.allocate_page(0).unwrap();
         let c = pool.allocate_page(0).unwrap();
         pool.read(a, |_| ()).unwrap();
-        assert_eq!(pool.resident_lru_order(), vec![b, c, a]);
+        // The hit only raised `a`'s frequency: it is still the small
+        // queue's tail, the next frame the sweep judges.
+        assert_eq!(pool.resident_lru_order(), vec![a, b, c]);
+        assert_eq!(pool.stats().ref_rescues, 0);
     }
 
     #[test]
@@ -1246,9 +1220,14 @@ mod tests {
         let (pool, _) = pool(4);
         let a = pool.allocate_page(0).unwrap();
         let b = pool.allocate_page(0).unwrap();
-        assert_eq!(pool.evict_lru_frame().unwrap(), Some(a));
+        pool.read(a, |_| ()).unwrap();
+        pool.read(a, |_| ()).unwrap();
+        // `a`, hit twice, is promoted past `b`, the victim; then `a` goes
+        // once the main queue's sweep has spent its two counts.
         assert_eq!(pool.evict_lru_frame().unwrap(), Some(b));
+        assert_eq!(pool.evict_lru_frame().unwrap(), Some(a));
         assert_eq!(pool.evict_lru_frame().unwrap(), None);
+        assert_eq!(pool.stats().ref_rescues, 1 + 2);
     }
 
     #[test]
@@ -1285,7 +1264,7 @@ mod tests {
 
     #[test]
     fn resident_mirror_matches_shards_at_quiesce() {
-        let (pool, _) = lock_light_pool(64, 8);
+        let (pool, _) = sharded_pool(64, 8);
         let ids: Vec<PageId> = (0..48).map(|_| pool.allocate_page(0).unwrap()).collect();
         std::thread::scope(|s| {
             for t in 0..8usize {
@@ -1309,9 +1288,8 @@ mod tests {
     }
 
     #[test]
-    fn lock_light_hits_round_trip_and_count() {
-        let (pool, _) = lock_light_pool(8, 2);
-        assert!(pool.is_lock_light());
+    fn hits_round_trip_and_count() {
+        let (pool, _) = sharded_pool(8, 2);
         let id = pool.allocate_page(0).unwrap();
         pool.update(id, Lsn(3), |p| p.write_body(0, b"optimistic"))
             .unwrap();
@@ -1326,10 +1304,10 @@ mod tests {
 
     #[test]
     fn the_small_queue_promotes_a_page_hit_twice_and_evicts_a_page_hit_once() {
-        // Capacity 3, one shard, lock-light: a small queue of one frame, so
+        // Capacity 3, one shard: a small queue of one frame, so
         // every newcomer is judged at its tail. `a` and `b` arrived before
         // `c`; `a` was hit twice, `b` once, `c` not at all.
-        let (pool, _) = lock_light_pool(3, 1);
+        let (pool, _) = pool(3);
         let a = pool.allocate_page(0).unwrap();
         let b = pool.allocate_page(0).unwrap();
         let c = pool.allocate_page(0).unwrap();
@@ -1348,7 +1326,7 @@ mod tests {
     fn a_page_touched_once_cannot_evict_a_page_hit_twice() {
         // Ten frames, one shard: nine pages hit twice, then a stream of
         // twenty pages touched once (allocation is their only access).
-        let (pool, _) = lock_light_pool(10, 1);
+        let (pool, _) = pool(10);
         let hot: Vec<PageId> = (0..9).map(|_| pool.allocate_page(0).unwrap()).collect();
         for id in &hot {
             pool.read(*id, |_| ()).unwrap();
@@ -1370,7 +1348,7 @@ mod tests {
 
     #[test]
     fn a_ghost_hit_re_enters_the_main_queue() {
-        let (pool, _) = lock_light_pool(10, 1);
+        let (pool, _) = pool(10);
         let pages: Vec<PageId> = (0..11).map(|_| pool.allocate_page(0).unwrap()).collect();
         // The eleventh allocation evicted the first page, touched once, and
         // remembered its id.
@@ -1394,7 +1372,7 @@ mod tests {
     fn hits_and_misses_account_for_every_access_under_concurrent_load() {
         const THREADS: u64 = 4;
         const OPS: u64 = 2_000;
-        let (pool, _) = lock_light_pool(16, 4);
+        let (pool, _) = sharded_pool(16, 4);
         let ids: Vec<PageId> = (0..64).map(|_| pool.allocate_page(0).unwrap()).collect();
         let allocated_and_resident = pool.len() as u64;
         pool.reset_stats();
@@ -1434,90 +1412,47 @@ mod tests {
     }
 
     #[test]
-    fn lock_light_concurrent_reads_and_updates_do_not_lose_pages() {
-        use std::sync::Arc;
-        let store = Arc::new(InMemoryPageStore::new());
-        let tier = DirectDiskTier::new(store.clone() as Arc<dyn PageStore>);
-        let pool = Arc::new(BufferPool::with_shards(24, 4, tier).lock_light_reads(true));
-        // Fewer frames than pages: constant eviction under the readers.
-        let ids: Vec<PageId> = (0..32).map(|_| pool.allocate_page(0).unwrap()).collect();
-        std::thread::scope(|s| {
-            for t in 0..8usize {
-                let pool = Arc::clone(&pool);
-                let ids = ids.clone();
-                s.spawn(move || {
-                    for round in 0..50u64 {
-                        for (i, id) in ids.iter().enumerate() {
-                            if i % 8 == t {
-                                // Each thread owns a disjoint slice of pages.
-                                pool.update(*id, Lsn(round + 1), |p| {
-                                    p.write_body(0, &(t as u64 * 1000 + round).to_le_bytes())
-                                })
-                                .unwrap();
-                            } else {
-                                pool.read(*id, |p| p.lsn()).unwrap();
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        // Every owned page carries its owner's final round value.
-        for (i, id) in ids.iter().enumerate() {
-            let t = i % 8;
-            let val = pool
-                .read(*id, |p| {
-                    u64::from_le_bytes(p.read_body(0, 8).try_into().unwrap())
-                })
-                .unwrap();
-            assert_eq!(val, t as u64 * 1000 + 49, "page {i} lost an update");
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.accesses, 8 * 50 * 32 + 32);
-        assert_eq!(stats.hits + stats.misses, stats.accesses);
-    }
-
-    #[test]
     fn concurrent_reads_and_updates_do_not_lose_pages() {
-        use std::sync::Arc;
-        let store = Arc::new(InMemoryPageStore::new());
-        let tier = DirectDiskTier::new(store.clone() as Arc<dyn PageStore>);
-        let pool = Arc::new(BufferPool::with_shards(64, 8, tier));
-        // Pre-allocate pages single-threaded (allocation order is global).
-        let ids: Vec<PageId> = (0..32).map(|_| pool.allocate_page(0).unwrap()).collect();
-        std::thread::scope(|s| {
-            for t in 0..8usize {
-                let pool = Arc::clone(&pool);
-                let ids = ids.clone();
-                s.spawn(move || {
-                    for round in 0..50u64 {
-                        for (i, id) in ids.iter().enumerate() {
-                            if i % 8 == t {
-                                // Each thread owns a disjoint slice of pages.
-                                pool.update(*id, Lsn(round + 1), |p| {
-                                    p.write_body(0, &(t as u64 * 1000 + round).to_le_bytes())
-                                })
-                                .unwrap();
-                            } else {
-                                pool.read(*id, |p| p.lsn()).unwrap();
+        // Fewer frames than pages (constant eviction under the readers), and
+        // room for every page.
+        for (capacity, shards) in [(24, 4), (64, 8)] {
+            let (pool, _) = sharded_pool(capacity, shards);
+            // Pre-allocate pages single-threaded (allocation order is global).
+            let ids: Vec<PageId> = (0..32).map(|_| pool.allocate_page(0).unwrap()).collect();
+            std::thread::scope(|s| {
+                for t in 0..8usize {
+                    let (pool, ids) = (&pool, &ids);
+                    s.spawn(move || {
+                        for round in 0..50u64 {
+                            for (i, id) in ids.iter().enumerate() {
+                                if i % 8 == t {
+                                    // Each thread owns a disjoint slice of pages.
+                                    pool.update(*id, Lsn(round + 1), |p| {
+                                        p.write_body(0, &(t as u64 * 1000 + round).to_le_bytes())
+                                    })
+                                    .unwrap();
+                                } else {
+                                    pool.read(*id, |p| p.lsn()).unwrap();
+                                }
                             }
                         }
-                    }
-                });
+                    });
+                }
+            });
+            // Every owned page carries its owner's final round value.
+            for (i, id) in ids.iter().enumerate() {
+                let t = i % 8;
+                let val = pool
+                    .read(*id, |p| {
+                        u64::from_le_bytes(p.read_body(0, 8).try_into().unwrap())
+                    })
+                    .unwrap();
+                assert_eq!(val, t as u64 * 1000 + 49, "page {i} lost an update");
             }
-        });
-        // Every owned page carries its owner's final round value.
-        for (i, id) in ids.iter().enumerate() {
-            let t = i % 8;
-            let val = pool
-                .read(*id, |p| {
-                    u64::from_le_bytes(p.read_body(0, 8).try_into().unwrap())
-                })
-                .unwrap();
-            assert_eq!(val, t as u64 * 1000 + 49, "page {i} lost an update");
+            let stats = pool.stats();
+            assert_eq!(stats.accesses, 8 * 50 * 32 + 32);
+            assert_eq!(stats.hits + stats.misses, stats.accesses);
         }
-        let stats = pool.stats();
-        assert_eq!(stats.accesses, 8 * 50 * 32 + 32);
     }
 
     /// A tier that pulls every victim it is offered when it absorbs an
@@ -1609,61 +1544,56 @@ mod tests {
 
     #[test]
     fn a_pull_never_takes_a_frame_whose_flash_copy_is_current() {
-        for lock_light in [false, true] {
-            let store = Arc::new(InMemoryPageStore::new());
-            // Five pages of shard 0 and four of each other shard, on disk.
-            let mut by_shard: Vec<Vec<PageId>> = vec![Vec::new(); 4];
-            while by_shard
-                .iter()
-                .enumerate()
-                .any(|(i, s)| s.len() < 4 + usize::from(i == 0))
-            {
-                let id = store.allocate(0).unwrap();
-                by_shard[id.stripe_of(4)].push(id);
-            }
-            let pool = BufferPool::with_shards(16, 4, PullingTier::new(&store))
-                .lock_light_reads(lock_light);
-            let update = |id: PageId| pool.update(id, Lsn(1), |p| p.write_body(0, b"d")).unwrap();
-            // Per shard: a page whose flash copy is current (a checkpoint
-            // put it there: dirty, not fdirty) ...
-            by_shard.iter().for_each(|s| update(s[0]));
-            pool.flush_all_dirty().unwrap();
-            // ... one read and then updated (a hit) ...
-            for s in &by_shard {
-                pool.read(s[1], |_| ()).unwrap();
-                update(s[1]);
-            }
-            // ... and two loaded by an update (a miss), never hit since.
-            by_shard
-                .iter()
-                .for_each(|s| s[2..4].iter().for_each(|id| update(*id)));
-            assert_eq!(pool.resident_by_shard(), [4, 4, 4, 4]);
-            assert!(pool.lower().pulled().is_empty());
-
-            // A miss in shard 0 evicts there and offers the tier every frame
-            // of the other shards.
-            pool.read(by_shard[0][4], |_| ()).unwrap();
-            let pulled = pool.lower().pulled();
-            assert!(pulled.iter().all(|&(_, dirty, fdirty)| dirty && fdirty));
-            let mut got: Vec<PageId> = pulled.iter().map(|&(id, _, _)| id).collect();
-            got.sort();
-            // Exact LRU has no frequencies: every fdirty frame is cold enough.
-            // S3-FIFO leaves the frame that was hit.
-            let first = if lock_light { 2 } else { 1 };
-            let mut expected: Vec<PageId> = by_shard[1..]
-                .iter()
-                .flat_map(|s| s[first..4].iter().copied())
-                .collect();
-            expected.sort();
-            assert_eq!(got, expected, "lock-light {lock_light}");
-            for s in &by_shard[1..] {
-                assert!(
-                    pool.contains(s[0]),
-                    "a frame with a current flash copy left"
-                );
-            }
-            assert_eq!(pool.stats().evictions, 1 + expected.len() as u64);
+        let store = Arc::new(InMemoryPageStore::new());
+        // Five pages of shard 0 and four of each other shard, on disk.
+        let mut by_shard: Vec<Vec<PageId>> = vec![Vec::new(); 4];
+        while by_shard
+            .iter()
+            .enumerate()
+            .any(|(i, s)| s.len() < 4 + usize::from(i == 0))
+        {
+            let id = store.allocate(0).unwrap();
+            by_shard[id.stripe_of(4)].push(id);
         }
+        let pool = BufferPool::with_shards(16, 4, PullingTier::new(&store));
+        let update = |id: PageId| pool.update(id, Lsn(1), |p| p.write_body(0, b"d")).unwrap();
+        // Per shard: a page whose flash copy is current (a checkpoint put it
+        // there: dirty, not fdirty) ...
+        by_shard.iter().for_each(|s| update(s[0]));
+        pool.flush_all_dirty().unwrap();
+        // ... one read and then updated (a hit) ...
+        for s in &by_shard {
+            pool.read(s[1], |_| ()).unwrap();
+            update(s[1]);
+        }
+        // ... and two loaded by an update (a miss), never hit since.
+        by_shard
+            .iter()
+            .for_each(|s| s[2..4].iter().for_each(|id| update(*id)));
+        assert_eq!(pool.resident_by_shard(), [4, 4, 4, 4]);
+        assert!(pool.lower().pulled().is_empty());
+
+        // A miss in shard 0 evicts there and offers the tier every frame of
+        // the other shards: it takes only the two never hit since they
+        // loaded, and leaves the one that was hit.
+        pool.read(by_shard[0][4], |_| ()).unwrap();
+        let pulled = pool.lower().pulled();
+        assert!(pulled.iter().all(|&(_, dirty, fdirty)| dirty && fdirty));
+        let mut got: Vec<PageId> = pulled.iter().map(|&(id, _, _)| id).collect();
+        got.sort();
+        let mut expected: Vec<PageId> = by_shard[1..]
+            .iter()
+            .flat_map(|s| s[2..4].iter().copied())
+            .collect();
+        expected.sort();
+        assert_eq!(got, expected);
+        for s in &by_shard[1..] {
+            assert!(
+                pool.contains(s[0]) && pool.contains(s[1]),
+                "a frame with a current flash copy, or one that was hit, left"
+            );
+        }
+        assert_eq!(pool.stats().evictions, 1 + expected.len() as u64);
     }
 
     /// The miss protocol: the fetch runs under the loading frame's latch, not
@@ -1767,7 +1697,6 @@ mod tests {
         fn gated_pool(
             capacity: usize,
             pages: usize,
-            lock_light: bool,
         ) -> (BufferPool<GatedTier>, Arc<InMemoryPageStore>, Vec<PageId>) {
             let store = Arc::new(InMemoryPageStore::new());
             let tier = GatedTier {
@@ -1775,7 +1704,7 @@ mod tests {
                 state: StdMutex::default(),
                 cv: Condvar::new(),
             };
-            let pool = BufferPool::with_shards(capacity, 1, tier).lock_light_reads(lock_light);
+            let pool = BufferPool::with_shards(capacity, 1, tier);
             let ids: Vec<PageId> = (0..pages)
                 .map(|i| {
                     let id = pool.allocate_page(0).unwrap();
@@ -1806,41 +1735,39 @@ mod tests {
 
         #[test]
         fn parked_fetch_blocks_neither_a_hit_nor_a_miss_on_another_page() {
-            for lock_light in [false, true] {
-                let (pool, _, ids) = gated_pool(4, 8, lock_light);
-                let (pool, tier) = (&pool, pool.lower());
-                tier.hold(ids[0]);
-                std::thread::scope(|s| {
-                    let loader = s.spawn(|| first_byte(pool, ids[0]));
-                    tier.wait_parked();
-                    // ids[7] is resident, ids[1] is not; ids[2] takes an
-                    // update through the miss path.
-                    let others = finishes(s, || {
-                        (
-                            first_byte(pool, ids[7]).unwrap(),
-                            first_byte(pool, ids[1]).unwrap(),
-                            pool.update(ids[2], Lsn(100), |p| p.read_body(0, 1)[0])
-                                .unwrap(),
-                        )
-                    });
-                    tier.release();
-                    assert_eq!(
-                        others.expect("accesses to other pages waited for the parked fetch"),
-                        (7, 1, 2)
-                    );
-                    assert_eq!(loader.join().unwrap().unwrap(), 0);
+            let (pool, _, ids) = gated_pool(4, 8);
+            let (pool, tier) = (&pool, pool.lower());
+            tier.hold(ids[0]);
+            std::thread::scope(|s| {
+                let loader = s.spawn(|| first_byte(pool, ids[0]));
+                tier.wait_parked();
+                // ids[7] is resident, ids[1] is not; ids[2] takes an update
+                // through the miss path.
+                let others = finishes(s, || {
+                    (
+                        first_byte(pool, ids[7]).unwrap(),
+                        first_byte(pool, ids[1]).unwrap(),
+                        pool.update(ids[2], Lsn(100), |p| p.read_body(0, 1)[0])
+                            .unwrap(),
+                    )
                 });
-                assert_eq!(tier.fetches(ids[0]), 1);
-                assert!(pool.len() <= pool.capacity());
-                assert_eq!(pool.len(), pool.resident_by_shard()[0]);
-            }
+                tier.release();
+                assert_eq!(
+                    others.expect("accesses to other pages waited for the parked fetch"),
+                    (7, 1, 2)
+                );
+                assert_eq!(loader.join().unwrap().unwrap(), 0);
+            });
+            assert_eq!(tier.fetches(ids[0]), 1);
+            assert!(pool.len() <= pool.capacity());
+            assert_eq!(pool.len(), pool.resident_by_shard()[0]);
         }
 
         #[test]
         fn a_loading_frame_next_in_the_small_queue_is_skipped_not_waited_on() {
             // Four frames: pages 8–11 resident, each hit three times; pages
             // 4–7 in the ghost list, 0–3 forgotten.
-            let (pool, _, ids) = gated_pool(4, 12, true);
+            let (pool, _, ids) = gated_pool(4, 12);
             let (pool, tier) = (&pool, pool.lower());
             for id in &ids[8..] {
                 first_byte(pool, *id).unwrap();
@@ -1873,7 +1800,7 @@ mod tests {
 
         #[test]
         fn two_misses_on_one_page_share_one_fetch() {
-            let (pool, _, ids) = gated_pool(4, 8, false);
+            let (pool, _, ids) = gated_pool(4, 8);
             let (pool, tier) = (&pool, pool.lower());
             pool.reset_stats();
             tier.hold(ids[0]);
@@ -1905,7 +1832,7 @@ mod tests {
 
         #[test]
         fn failed_fetch_leaves_no_trace_of_the_placeholder() {
-            let (pool, _, ids) = gated_pool(4, 8, false);
+            let (pool, _, ids) = gated_pool(4, 8);
             let tier = pool.lower();
             tier.fail_next();
             assert!(first_byte(&pool, ids[0]).is_err());
@@ -1922,7 +1849,7 @@ mod tests {
 
         #[test]
         fn access_queued_on_a_failing_load_retries_and_never_sees_the_placeholder() {
-            let (pool, _, ids) = gated_pool(4, 8, false);
+            let (pool, _, ids) = gated_pool(4, 8);
             let (pool, tier) = (&pool, pool.lower());
             pool.reset_stats();
             tier.hold(ids[0]);
@@ -1947,7 +1874,7 @@ mod tests {
 
         #[test]
         fn evictor_waits_for_a_loading_frame_and_writes_back_what_it_loaded() {
-            let (pool, store, ids) = gated_pool(1, 3, false);
+            let (pool, store, ids) = gated_pool(1, 3);
             let (pool, tier) = (&pool, pool.lower());
             tier.hold(ids[0]);
             std::thread::scope(|s| {
@@ -2030,7 +1957,7 @@ mod tests {
             }
         }
 
-        /// A lock-light pool of 16 frames over 4 shards, and 24 pages on
+        /// A pool of 16 frames over 4 shards, and 24 pages on
         /// disk, each carrying its number.
         fn pool_over_disk(failing: Option<usize>) -> (BufferPool<BatchTier>, Vec<PageId>) {
             let store = Arc::new(InMemoryPageStore::new());
@@ -2049,7 +1976,7 @@ mod tests {
                 batches: StdMutex::default(),
                 failing: failing.map(|i| ids[i]),
             };
-            let pool = BufferPool::with_shards(16, 4, tier).lock_light_reads(true);
+            let pool = BufferPool::with_shards(16, 4, tier);
             (pool, ids)
         }
 

@@ -77,15 +77,6 @@ pub struct EngineConfig {
     /// enqueueing into a full queue blocks (backpressure) without holding
     /// any cache lock.
     pub destage_queue_depth: usize,
-    /// Lock-light read path (default **on**): buffer-pool read hits take
-    /// only shared locks plus one relaxed store to the frame's access
-    /// frequency (replacement becomes S3-FIFO over those frequencies, so a
-    /// page touched once leaves before a re-read one), and flash-cache
-    /// fetches pin the
-    /// version under the shard lock, drop it, read the device **off-lock**
-    /// and revalidate against the slot generation. Turn off for the
-    /// exclusive-lock A/B baseline (`bench_read_throughput` compares both).
-    pub lock_light_reads: bool,
     /// Optional per-shard flash store constructor (tests inject instrumented
     /// stores). `None` builds in-memory stores.
     pub flash_store_factory: Option<FlashStoreFactory>,
@@ -119,7 +110,6 @@ impl EngineConfig {
             device_latency: None,
             destage_threads: 2,
             destage_queue_depth: 64,
-            lock_light_reads: true,
             flash_store_factory: None,
             degrade: DegradeConfig::default(),
             flash_faults: None,
@@ -191,11 +181,20 @@ impl EngineConfig {
         self
     }
 
-    /// Toggle the lock-light read path (see
-    /// [`EngineConfig::lock_light_reads`]); `false` restores the
-    /// exclusive-lock baseline.
-    pub fn lock_light_reads(mut self, on: bool) -> Self {
-        self.lock_light_reads = on;
+    /// Kept only so existing callers of the removed exclusive-lock read
+    /// path still build. Reads are always lock-light: buffer-pool hits take
+    /// only shared locks (replacement is S3-FIFO), and flash-cache fetches
+    /// read the device off the shard lock and revalidate. The only accepted
+    /// argument is `true`, and the call changes nothing.
+    ///
+    /// # Panics
+    /// Panics if `on` is `false`: the exclusive-lock read path it selected
+    /// was removed.
+    pub fn lock_light_reads(self, on: bool) -> Self {
+        assert!(
+            on,
+            "the exclusive-lock read path was removed; reads are always lock-light"
+        );
         self
     }
 

@@ -319,11 +319,9 @@ impl Database {
         );
         // Group writes run through the asynchronous destage pipeline: the
         // policy hands filled groups back instead of writing them under the
-        // shard lock. The read-side counterpart: flash fetches pin under the
-        // shard lock and read the device off-lock.
+        // shard lock, as flash fetches read the device off-lock.
         let mut cache_config = config.cache_config.clone();
         cache_config.defer_group_writes = true;
-        cache_config.lock_light_reads = config.lock_light_reads;
         let cache = ShardedFlashCache::build(
             config.cache_policy,
             cache_config,
@@ -364,8 +362,7 @@ impl Database {
                 queue_depth: config.destage_queue_depth,
             },
         );
-        let pool = BufferPool::with_shards(config.buffer_frames, config.buffer_shards, tier)
-            .lock_light_reads(config.lock_light_reads);
+        let pool = BufferPool::with_shards(config.buffer_frames, config.buffer_shards, tier);
 
         let db = Self {
             config,

@@ -38,12 +38,11 @@
 //!
 //! ## The lock-light read path
 //!
-//! Fetches are the mirror image: with
-//! [`face_cache::CacheConfig::lock_light_reads`] (set by the engine's
-//! `lock_light_reads`, default on), [`ShardedFlashCache::fetch`] pins the
-//! version under a short cache-shard lock, **drops the lock, performs the
-//! flash device read off-lock**, and revalidates against the slot's
-//! generation (retrying if an eviction or slot reuse won the race).
+//! Fetches are the mirror image, and there is no other read path:
+//! [`ShardedFlashCache::fetch`] pins the version under a short cache-shard
+//! lock, **drops the lock, performs the flash device read off-lock**, and
+//! revalidates against the slot's generation (retrying if an eviction or
+//! slot reuse won the race).
 //! Versions still in a deferred group are served from their shared
 //! `Arc<Page>` RAM frames — a destage completing mid-read can never free a
 //! frame a reader holds. The wash table is a read-mostly `RwLock`: the
@@ -1483,7 +1482,6 @@ mod tests {
         let cfg = CacheConfig {
             capacity_pages: 64,
             group_size: 4,
-            lock_light_reads: true,
             ..CacheConfig::default()
         };
         let store = Arc::new(GateFlashStore::new(64));
@@ -1616,7 +1614,6 @@ mod tests {
                 capacity_pages: 64,
                 group_size: 8,
                 defer_group_writes: true,
-                lock_light_reads: true,
                 ..CacheConfig::default()
             };
             let gate = Arc::clone(&store);

@@ -69,14 +69,13 @@ fn hammer(db: &Arc<Database>) {
     }
 }
 
-fn scenario(policy: CachePolicyKind, lock_light: bool, ghost_admission: bool) {
+fn scenario(policy: CachePolicyKind, ghost_admission: bool) {
     let mut config = EngineConfig::in_memory()
         .buffer_frames(32)
         .flash_cache(policy, 128)
         .cache_shards(2)
         .buffer_shards(2)
-        .destage_threads(2)
-        .lock_light_reads(lock_light);
+        .destage_threads(2);
     config.cache_config.ghost_admission = ghost_admission;
     let db = Arc::new(Database::open(config).unwrap());
     hammer(&db);
@@ -95,21 +94,20 @@ fn concurrent_engine_has_no_lockdep_violations() {
         CachePolicyKind::FaceGsc,
         CachePolicyKind::S3Fifo,
     ] {
-        for lock_light in [false, true] {
-            scenario(policy, lock_light, false);
-        }
+        scenario(policy, false);
     }
-    // The I/O detector is wired into the device stack: the `lock_light
-    // (false)` scenarios' flash fetches read the device under the shard lock
-    // (the classic fetch's acknowledged scope), so a stack that dropped
-    // `check_device_op` would tally nothing here (and pass the
+    // The I/O detector is wired into the device stack: every scenario's
+    // warm restart reads flash under the cache shard locks inside
+    // `crash_and_recover`'s acknowledged scope, and a ring dequeue that
+    // reads back a dirty victim does so inside its own, so a stack that
+    // dropped `check_device_op` would tally nothing here (and pass the
     // zero-violations assertion below vacuously).
     assert!(
         witness::exempted_io_ops() > 0,
         "no device op reached the I/O-under-lock detector — is the check hooked in?"
     );
     // The ghost-admission filter nests its stripe inside the shard lock.
-    scenario(CachePolicyKind::FaceGsc, true, true);
+    scenario(CachePolicyKind::FaceGsc, true);
 
     if let Ok(path) = std::env::var("LOCKDEP_DOT") {
         if !path.is_empty() {

@@ -43,12 +43,12 @@ use crate::StagedPage;
 /// Each shard sits behind an `RwLock`: mutating operations take the write
 /// lock, while pure lookups ([`ShardedFlashCache::contains`], the validate
 /// half of the lock-light fetch, [`ShardedFlashCache::stats`]) share a read
-/// lock. With [`CacheConfig::lock_light_reads`] set,
-/// [`ShardedFlashCache::fetch`] pins the version under a short write lock,
-/// **drops the lock, performs the flash device read with no lock held**, and
-/// revalidates against the slot's generation — so one slow device read never
-/// stalls the other threads hashing to the shard (the read-side counterpart
-/// of the deferred group writes).
+/// lock. Every fetch is lock-light: [`ShardedFlashCache::fetch`] pins the
+/// version under a short write lock, **drops the lock, performs the flash
+/// device read with no lock held**, and revalidates against the slot's
+/// generation — so one slow device read never stalls the other threads
+/// hashing to the shard (the read-side counterpart of the deferred group
+/// writes).
 pub struct ShardedFlashCache {
     shards: Vec<OrderedRwLock<Box<dyn RingCache>>>,
     stores: Vec<Arc<dyn FlashStore>>,
@@ -63,8 +63,6 @@ pub struct ShardedFlashCache {
     configs: Vec<CacheConfig>,
     kind: CachePolicyKind,
     capacity: usize,
-    /// Mirror of [`CacheConfig::lock_light_reads`].
-    lock_light: bool,
     name: &'static str,
     /// Ghost-queue admission filter in front of the mvFIFO family
     /// ([`CacheConfig::ghost_admission`]): a clean first-touch page is
@@ -147,7 +145,6 @@ impl ShardedFlashCache {
             configs,
             kind,
             capacity,
-            lock_light: config.lock_light_reads,
             name,
         })
     }
@@ -215,15 +212,14 @@ impl ShardedFlashCache {
 
     /// Look up `page` on a DRAM miss (see [`crate::FlashCache::fetch`]).
     ///
-    /// With [`CacheConfig::lock_light_reads`] set this is the lock-light
-    /// protocol: pin the version under a short shard write lock
-    /// ([`RingCache::fetch_pin`]), drop the lock, perform the flash device
-    /// read **off-lock**, then revalidate the slot's generation under a read
-    /// lock ([`RingCache::fetch_validate`]). Losing the race to an eviction
-    /// or slot reuse discards the read and retries the lookup from scratch
-    /// ([`CacheStats::fetch_retries`]); versions still in a deferred group
-    /// are served from their shared RAM frames with no device read at all.
-    /// Without the flag, the classic read-under-lock path runs unchanged.
+    /// The lock-light protocol: pin the version under a short shard write
+    /// lock ([`RingCache::fetch_pin`]), drop the lock, perform the flash
+    /// device read **off-lock**, then revalidate the slot's generation under
+    /// a read lock ([`RingCache::fetch_validate`]). Losing the race to an
+    /// eviction or slot reuse discards the read and retries the lookup from
+    /// scratch ([`CacheStats::fetch_retries`]); versions still in a deferred
+    /// group are served from their shared RAM frames with no device read at
+    /// all.
     ///
     /// Device read errors surface as `Err`: transient errors are retried
     /// off-lock (with backoff, up to the degrade controller's budget) before
@@ -231,15 +227,7 @@ impl ShardedFlashCache {
     /// the disk is still authoritative and a miss-to-disk is safe; for a
     /// dirty copy the flash held the only current version.
     pub fn fetch(&self, page: PageId, io: &mut IoLog) -> DeviceResult<Option<FlashFetch>> {
-        let shard = self.shard_of(page);
-        if !self.lock_light {
-            // The classic read-under-lock path is the A/B baseline the
-            // lock-light experiments compare against: its device read under
-            // the shard lock is the measured cost, not an accident.
-            let _allow = witness::allow_device_io("cache: classic read-under-lock fetch");
-            return self.shards[shard].write().fetch(page, io);
-        }
-        self.fetch_from(shard, page, false, io)
+        self.fetch_from(self.shard_of(page), page, false, io)
     }
 
     /// Look up several pages on DRAM misses at once — a warm restart's
@@ -254,16 +242,12 @@ impl ShardedFlashCache {
     /// need no read. A page whose validation lost to an eviction or slot
     /// reuse goes back to the single-page path as a retry; if the batch read
     /// fails, each pinned page is read on its own, so an error names the
-    /// slot it belongs to and surfaces for that page alone. Without
-    /// [`CacheConfig::lock_light_reads`] this is one `fetch` per page.
+    /// slot it belongs to and surfaces for that page alone.
     pub fn fetch_batch(
         &self,
         pages: &[PageId],
         io: &mut IoLog,
     ) -> Vec<DeviceResult<Option<FlashFetch>>> {
-        if !self.lock_light {
-            return pages.iter().map(|&page| self.fetch(page, io)).collect();
-        }
         let mut by_shard = vec![Vec::new(); self.shards.len()];
         for (i, &page) in pages.iter().enumerate() {
             by_shard[self.shard_of(page)].push(i);
@@ -737,10 +721,6 @@ mod tests {
             capacity_pages: capacity,
             group_size: 4,
             meta_checkpoint_interval_groups: 1_000_000,
-            // The whole suite runs through the lock-light read path (the
-            // policy-level tests in mvfifo/s3fifo keep covering the classic
-            // read-under-lock fetch).
-            lock_light_reads: true,
             ..CacheConfig::default()
         };
         ShardedFlashCache::build(kind, config, shards, |cap| {
@@ -1006,11 +986,10 @@ mod tests {
     }
 
     #[test]
-    fn lock_light_fetch_holds_no_shard_lock_across_flash_reads() {
+    fn fetch_holds_no_shard_lock_across_flash_reads() {
         let config = CacheConfig {
             capacity_pages: 64,
             group_size: 4,
-            lock_light_reads: true,
             meta_checkpoint_interval_groups: 1_000_000,
             ..CacheConfig::default()
         };
@@ -1064,7 +1043,7 @@ mod tests {
     }
 
     #[test]
-    fn lock_light_fetch_retries_when_losing_the_eviction_race() {
+    fn fetch_retries_when_losing_the_eviction_race() {
         // Single shard, capacity = one group, clean pages throughout: the
         // dequeue that steals the parked reader's slot performs no device
         // read of its own (clean + valid + no second chance = silent drop),
@@ -1072,7 +1051,6 @@ mod tests {
         let config = CacheConfig {
             capacity_pages: 4,
             group_size: 4,
-            lock_light_reads: true,
             meta_checkpoint_interval_groups: 1_000_000,
             ..CacheConfig::default()
         };
@@ -1129,7 +1107,6 @@ mod tests {
         let config = CacheConfig {
             capacity_pages: 4,
             group_size: 4,
-            lock_light_reads: true,
             meta_checkpoint_interval_groups: 1_000_000,
             ..CacheConfig::default()
         };
@@ -1202,7 +1179,6 @@ mod tests {
         let config = CacheConfig {
             capacity_pages: 8,
             group_size: 4,
-            lock_light_reads: true,
             meta_checkpoint_interval_groups: 1_000_000,
             ..CacheConfig::default()
         };
@@ -1276,35 +1252,6 @@ mod tests {
         assert!(c.is_empty());
     }
 
-    #[test]
-    fn exclusive_fetch_path_still_serves_hits() {
-        // lock_light_reads off: the classic read-under-lock fetch.
-        let config = CacheConfig {
-            capacity_pages: 64,
-            group_size: 4,
-            meta_checkpoint_interval_groups: 1_000_000,
-            ..CacheConfig::default()
-        };
-        assert!(!config.lock_light_reads);
-        let c = ShardedFlashCache::build(CachePolicyKind::FaceGsc, config, 2, |cap| {
-            Arc::new(MemFlashStore::new(cap)) as Arc<dyn FlashStore>
-        })
-        .unwrap();
-        let mut io = IoLog::new();
-        for n in 0..16u32 {
-            c.insert(data_page(n), &mut io).unwrap();
-        }
-        for n in 0..16u32 {
-            let hit = c
-                .fetch(PageId::new(0, n), &mut io)
-                .unwrap()
-                .expect("cached");
-            assert_eq!(hit.data.unwrap().read_body(0, 4), &n.to_le_bytes());
-        }
-        assert_eq!(c.stats().fetch_retries, 0);
-        assert_eq!(c.stats().hits, 16);
-    }
-
     fn clean_page(n: u32) -> StagedPage {
         let mut p = Page::new(PageId::new(0, n));
         p.set_lsn(Lsn(n as u64 + 1));
@@ -1373,7 +1320,6 @@ mod tests {
             capacity_pages: 256,
             group_size: 4,
             meta_checkpoint_interval_groups: 1_000_000,
-            lock_light_reads: true,
             ..CacheConfig::default()
         };
         let c = ShardedFlashCache::build(CachePolicyKind::S3Fifo, config, 4, |cap| {

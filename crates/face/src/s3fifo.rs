@@ -387,7 +387,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_serves_data_and_lock_light_pins_validate() {
+    fn fetch_serves_data_and_pins_validate() {
         let (mut c, _) = cache(16, 1);
         let mut io = IoLog::new();
         c.insert(staged(7, 3, true), &mut NoSupplier, &mut io)

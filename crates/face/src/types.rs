@@ -271,15 +271,14 @@ pub struct CacheConfig {
     /// the group itself before it returns, the contract the trace-driven
     /// simulator and single-threaded callers keep.
     pub defer_group_writes: bool,
-    /// When set, [`crate::ShardedFlashCache::fetch`] uses the lock-light
-    /// read path: the version is pinned under the shard lock
-    /// ([`crate::RingCache::fetch_pin`]), the lock is dropped, the
-    /// flash device read runs **off-lock**, and the result is validated
-    /// against the slot's generation counter
-    /// ([`crate::RingCache::fetch_validate`]) — a lost eviction
-    /// race retries ([`CacheStats::fetch_retries`]). Off by default: the
-    /// trace-driven simulator and single-threaded callers keep the
-    /// read-under-lock contract (the engine turns it on).
+    /// Read by no code; kept only so existing configurations that set it
+    /// still build. Every [`crate::ShardedFlashCache::fetch`] is lock-light
+    /// whatever its value: the version is pinned under the shard lock
+    /// ([`crate::RingCache::fetch_pin`]), the lock is dropped, the flash
+    /// device read runs **off-lock**, and the result is validated against
+    /// the slot's generation counter ([`crate::RingCache::fetch_validate`])
+    /// — a lost eviction race retries ([`CacheStats::fetch_retries`]). The
+    /// read-under-lock fetch it once selected was removed.
     pub lock_light_reads: bool,
     /// Ghost-queue admission filtering for the mvFIFO family, applied by
     /// [`crate::ShardedFlashCache`]: a **clean** page's first touch is
@@ -349,13 +348,6 @@ impl CacheConfig {
     /// [`CacheConfig::defer_group_writes`]).
     pub fn defer_group_writes(mut self, on: bool) -> Self {
         self.defer_group_writes = on;
-        self
-    }
-
-    /// Builder-style enable of the lock-light read path (see
-    /// [`CacheConfig::lock_light_reads`]).
-    pub fn lock_light_reads(mut self, on: bool) -> Self {
-        self.lock_light_reads = on;
         self
     }
 
