@@ -317,14 +317,9 @@ impl Database {
                 ..DeviceHooks::default()
             },
         );
-        // Group writes run through the asynchronous destage pipeline: the
-        // policy hands filled groups back instead of writing them under the
-        // shard lock, as flash fetches read the device off-lock.
-        let mut cache_config = config.cache_config.clone();
-        cache_config.defer_group_writes = true;
         let cache = ShardedFlashCache::build(
             config.cache_policy,
-            cache_config,
+            config.cache_config.clone(),
             config.cache_shards,
             |shard_capacity| {
                 let store: Arc<dyn FlashStore> = match &config.flash_store_factory {
@@ -901,7 +896,7 @@ impl Database {
         report.pages_from_disk = after_redo.disk_fetches - before.disk_fetches;
 
         // Undo pass: newest-first over all losers. Each compensation goes
-        // through the normal tier (WAL-ahead guard, wash table, wounded-page
+        // through the normal tier (WAL-ahead guard, pages in transit, wounded-page
         // rules all apply) and logs a CLR, so a crash here never repeats
         // completed undo work on the next attempt.
         let mut ahead = ReadAhead::new(undo_plan.updates.iter().map(|u| u.page));

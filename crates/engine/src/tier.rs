@@ -19,81 +19,71 @@
 //!
 //! A tier with a flash cache owns a [`Destager`], and the destager alone
 //! writes what the tier sends down: a foreground `write_back` only mutates
-//! the cache directory and hands the group's flash batch write and the
-//! dequeued-dirty-page disk writes over. With destage threads, background
-//! workers perform them; with none (the sync A/B baseline) the destager runs
-//! the same job body on the calling thread before the hand-over returns.
-//! Pages handed over for a disk destage remain readable through the tier's
-//! wash table (`washing`) until their write completes, so a fetch can never
-//! observe the stale disk version of a page whose write-out is still in
-//! flight. The write-ahead guard runs **before** anything is handed over, in
-//! both drivers. Checkpoints and evacuations hand over the groups still owed
-//! (`flush_owed_groups`) the same way, so `destage::execute` is the one code
-//! path that writes a group: its retry, abort, quarantine and fail-over cover
-//! a checkpoint's write too. And every staged page bound for the disk — a
-//! stage-out, a failed insert's fallout, a quarantine evacuee, a trip's or a
-//! cold reset's evacuation — goes through `dispatch_staged_out` onto its
-//! shard's queue: one shard's disk writes land in hand-over order, so an
-//! older version of a page can never overwrite a newer one.
+//! the cache directory and hands over the group's flash batch write and the
+//! disk writes of the dirty pages it dequeued. With destage threads,
+//! background workers perform them; with none (the sync A/B baseline) the
+//! destager runs the same job body on the calling thread before the
+//! hand-over returns. The write-ahead guard runs **before** anything is
+//! handed over, in both drivers. Checkpoints and evacuations hand over the
+//! groups still owed (`flush_owed_groups`) the same way, so
+//! `destage::execute` is the one code path that writes a group. Every
+//! staged page bound for the disk — a stage-out, a failed insert's fallout,
+//! a quarantine evacuee, a trip's or a cold reset's evacuation — goes
+//! through `dispatch_staged_out` onto its shard's queue, so one shard's disk
+//! writes land in hand-over order and an older version never overwrites a
+//! newer one.
 //!
-//! ## The lock-light read path
+//! ## Pages in transit
 //!
-//! Fetches are the mirror image, and there is no other read path:
+//! The tier keeps no map of its own. The cache shard that un-caches a dirty
+//! page records it as in transit in the same critical section, and
+//! `persist_staged_page` retires it after its disk write
+//! ([`ShardedFlashCache::retire_in_transit`]). A fetch the cache cannot
+//! serve asks for the copy in transit ([`ShardedFlashCache::in_transit`])
+//! before the disk, so it never reads the stale disk version of a page
+//! whose write-out is in flight, and it refuses a wounded page.
+//!
+//! ## The read paths
+//!
 //! [`ShardedFlashCache::fetch`] pins the version under a short cache-shard
-//! lock, **drops the lock, performs the flash device read off-lock**, and
-//! revalidates against the slot's generation (retrying if an eviction or
-//! slot reuse won the race).
-//! Versions still in a deferred group are served from their shared
-//! `Arc<Page>` RAM frames — a destage completing mid-read can never free a
-//! frame a reader holds. The wash table is a read-mostly `RwLock`: the
-//! fetch path shares it, only publish (under the cache shard lock) and
-//! retire (destage completion) take it exclusively.
-//!
-//! ## The batched read path
-//!
-//! A warm restart reads its pages ahead of redo and undo, a window at a
-//! time ([`face_buffer::BufferPool::prefetch`]), through
-//! [`FaceTier::fetch_batch`]. While the breaker is closed, the window goes
-//! to [`ShardedFlashCache::fetch_batch`]: each cache shard pins all of its
-//! versions under one lock, then reads them off-lock with one
-//! `FlashStore::read_batch`, sorted by slot, and validates each pin as the
-//! single fetch does. Every answer is then served exactly as
-//! [`FaceTier::fetch`] serves one: a device error goes to the degrade
-//! controller (a re-attempt it allows is a single-page fetch), and a page
-//! the cache does not hold goes to the wash table and the disk. A breaker
-//! that is not closed sends the whole window down the single-page path,
-//! which claims a requested trip or bypasses a tripped cache.
+//! lock, reads the flash device **off-lock** and revalidates against the
+//! slot's generation; versions still in a deferred group are served from
+//! their shared `Arc<Page>` frames. A warm restart reads a window at a time
+//! ([`face_buffer::BufferPool::prefetch`]) through [`FaceTier::fetch_batch`]:
+//! while the breaker is closed, [`ShardedFlashCache::fetch_batch`] pins each
+//! shard's versions under one lock and reads them with one
+//! `FlashStore::read_batch`, and every answer is then served as
+//! [`FaceTier::fetch`] serves one (a device error goes to the degrade
+//! controller, whose allowed re-attempt is a single-page fetch). A breaker
+//! that is not closed sends the window down the single-page path, which
+//! claims a requested trip or bypasses a tripped cache.
 //!
 //! ## One copy, one checksum per crossing
 //!
 //! A page that leaves DRAM is copied once, into the frame `stage` builds,
 //! and a dirty one is checksummed there. The pending group, the flash store's
-//! batch write, the wash table, the destage queue and the disk write all
+//! batch write, the copy in transit, the destage queue and the disk write all
 //! share that `Arc<Page>`; `persist_staged_page` writes it as it is (after
 //! verifying the stamp). Coming back up, a store copies into the buffer the
 //! pool handed down (`Page::clone_from`), never into a fresh one.
 //!
-//! Lock order (outer → inner): buffer shard (structural mutex → mapping →
-//! page latch) → cache shard directory → wash table → destage queue → WAL.
-//! **No device I/O happens under a cache shard lock**: group writes
-//! (checkpoints' and evacuations' included) and every disk write of a
-//! staged page run on destager threads (or, in sync-destage mode, on the
-//! calling thread after every cache lock is released). A fetch hands a
-//! quarantine's evacuee over under its page latch and a write-back its
-//! fallout under the structural mutex, both of which rank above the destage
-//! queue. Flash fetch reads run between the pin and validate halves of the
-//! fetch with no lock held — one slow flash read never stalls the other
-//! threads hashing to that cache shard. [`FaceTier::fetch`] is called under the loading
-//! frame's page latch only (the buffer pool releases its structural mutex
-//! first), so a slow fetch delays accesses to that page and nobody else —
-//! [`FaceTier::fetch_batch`] under the latches of its window's frames;
-//! [`FaceTier::write_back_with`] still runs under the evicting shard's
-//! structural mutex.
+//! ## Locks
+//!
+//! Outer → inner: buffer shard (structural mutex → mapping → page latch) →
+//! cache shard (directory and pages in transit) → destage queue → WAL.
+//! **No device I/O happens under a cache shard lock**: group writes and
+//! every disk write of a staged page run on destager threads (or, in
+//! sync-destage mode, on the calling thread after every cache lock is
+//! released), and a retirement takes the shard lock only after its disk
+//! write. [`FaceTier::fetch`] runs under the loading frame's page latch only
+//! and [`FaceTier::fetch_batch`] under its window's latches, so a slow fetch
+//! delays that page and nobody else; [`FaceTier::write_back_with`] runs
+//! under the evicting shard's structural mutex. Both hand disk writes over
+//! (an evacuee, a fallout) under those locks, which rank above the destage
+//! queue.
 
 use std::sync::Arc;
 
-use face_analysis::classes::WASH_TABLE;
-use face_analysis::OrderedRwLock;
 use face_buffer::{
     FetchOutcome, FetchSource, LowerTier, TierError, TierResult, VictimPull, WriteBackOutcome,
     WriteBackReason,
@@ -104,7 +94,7 @@ use face_cache::{
     InsertFailure, IoLog, PageSupplier, PendingGroupWrite, ShardedFlashCache, StagedPage,
 };
 use face_pagestore::{
-    DeviceError, DeviceResult, IdHashMap, Lsn, Page, PageId, PageStore, StoreError, StoreResult,
+    DeviceError, DeviceResult, Lsn, Page, PageId, PageStore, StoreError, StoreResult,
 };
 use face_wal::WalWriter;
 
@@ -115,9 +105,9 @@ pub struct TierStats {
     pub flash_fetches: u64,
     /// Pages fetched from disk.
     pub disk_fetches: u64,
-    /// Disk fetches served from the tier's wash table (the page's destage
-    /// disk write had not completed yet; serving the disk copy would have
-    /// been stale).
+    /// Disk fetches served from a copy in transit to disk (the page's
+    /// destage disk write had not completed yet; serving the disk copy
+    /// would have been stale).
     pub wash_table_hits: u64,
     /// Pages written to disk (stage-outs, fail-overs and no-cache writes).
     pub disk_writes: u64,
@@ -157,16 +147,11 @@ impl TierStatCounters {
     }
 }
 
-/// Pages whose destage disk write is queued or in flight, readable until the
-/// write lands. Keyed by page id; the LSN disambiguates versions so a
-/// completed older write never evicts a newer queued one.
-type WashTable = OrderedRwLock<IdHashMap<PageId, StagedPage>>;
-
 /// A page leaving DRAM becomes a staged page. `page` is the one private copy
 /// of its trip down the hierarchy (the evicted frame's clone, or a frame a
 /// GSC pull took out of the pool), and a dirty one is checksummed here and
 /// nowhere later (see the `face_pagestore::page` module docs): every hop
-/// below — pending group, flash slot, wash table, destage queue, disk —
+/// below — pending group, flash slot, in-transit map, destage queue, disk —
 /// shares or moves these bytes. A clean page keeps the checksum it was read
 /// with; it is never written to disk.
 fn stage(mut page: Page, dirty: bool, fdirty: bool) -> StagedPage {
@@ -192,57 +177,27 @@ fn write_verifying(disk: &dyn PageStore, page: &Page) -> StoreResult<()> {
 
 /// The one place a staged page's bytes reach the disk, called only from the
 /// destager's jobs ([`DestageTarget::write_pages_to_disk`]), so the write
-/// protocol (checksum, store write, accounting, wash-table retirement) is
-/// stated once. The shared frame was checksummed
-/// when it was staged; [`write_verifying`] checks that rather than assume it.
+/// protocol (checksum, store write, accounting, retiring the copy in
+/// transit) is stated once. The shared frame was checksummed when it was
+/// staged; [`write_verifying`] checks that rather than assume it.
 fn persist_staged_page(
     disk: &dyn PageStore,
     stats: &TierStatCounters,
-    washing: &WashTable,
+    cache: &ShardedFlashCache,
     s: &StagedPage,
 ) -> StoreResult<()> {
     let Some(data) = &s.data else {
         // A wound marker (dirty page whose flash bytes were lost): nothing
-        // to write, and the wash-table entry must *stay* so fetches refuse
+        // to write, and the marker must *stay* in transit so fetches refuse
         // the stale disk copy until a newer version or WAL redo heals it.
         return Ok(());
     };
     write_verifying(disk, data)?;
     stats.disk_writes.inc();
-    // The disk now holds this version: retire the wash-table entry unless a
-    // newer version of the page was queued meanwhile.
-    let mut washing = washing.write();
-    if washing.get(&s.page).is_some_and(|w| w.lsn <= s.lsn) {
-        washing.remove(&s.page);
-    }
+    // The disk now holds this version: retire the copy in transit unless a
+    // newer version of the page was un-cached meanwhile.
+    cache.retire_in_transit(s.page, s.lsn);
     Ok(())
-}
-
-/// Publish staged pages into the wash table. Stage-outs are published
-/// **under the cache shard lock** (the sink of
-/// [`ShardedFlashCache::insert_with_sink`]), so the entry appears atomically
-/// with the page's removal from the directory — a concurrent fetch can never
-/// miss both and serve the stale disk version. Short map work only.
-fn publish_to_wash(washing: &WashTable, staged: &[StagedPage]) {
-    let mut washing = washing.write();
-    for s in staged {
-        // Data-less *clean* pages carry nothing worth publishing. Data-less
-        // *dirty* pages are wound markers: the page's newest committed
-        // version died with a flash slot, and the entry makes fetches refuse
-        // the stale disk copy until redo (or a newer write-back) heals it.
-        if s.data.is_none() && !s.dirty {
-            continue;
-        }
-        let superseded = match washing.get(&s.page) {
-            None => false,
-            // Never replace an entry that has the bytes with a same-version
-            // wound marker — the bytes win.
-            Some(w) => w.lsn > s.lsn || (w.lsn == s.lsn && w.data.is_some()),
-        };
-        if !superseded {
-            washing.insert(s.page, s.clone());
-        }
-    }
 }
 
 /// The typed error served for a *wounded* page: its newest committed version
@@ -276,20 +231,17 @@ fn disk_write_error(page: PageId, e: StoreError) -> DeviceError {
 }
 
 /// Take a condemned slot out of rotation: the one quarantine the tier and
-/// the destage sink share. The displaced dirty resident is wash-published
-/// under the shard lock and returned for the caller to hand to the disk. A
-/// slot counts once, when this call condemned it; an evacuee counts as
-/// evacuated only with bytes, and as unread without.
+/// the destage sink share. The displaced dirty resident, recorded in transit
+/// by the cache, is returned for the caller to hand to the disk. A slot
+/// counts once, when this call condemned it; an evacuee counts as evacuated
+/// only with bytes, and as unread without.
 fn quarantine(
     cache: &ShardedFlashCache,
-    washing: &WashTable,
     degrade: &DegradeController,
     shard: usize,
     slot: usize,
 ) -> Option<StagedPage> {
-    let out = cache.quarantine_slot(shard, slot, &mut IoLog::new(), &mut |s| {
-        publish_to_wash(washing, s)
-    });
+    let out = cache.quarantine_slot(shard, slot, &mut IoLog::new());
     if out.quarantined {
         degrade.note_quarantined();
     }
@@ -302,15 +254,14 @@ fn quarantine(
     out.evacuee
 }
 
-/// The destager's view of the tier: the cache front for group writes, the
-/// disk store + wash table for destage writes, the tier's counters for
-/// accounting.
+/// The destager's view of the tier: the cache front for group writes and
+/// for retiring pages in transit, the disk store for destage writes, the
+/// tier's counters for accounting.
 struct DestageTarget {
     cache: Arc<ShardedFlashCache>,
     disk: Arc<dyn PageStore>,
     wal: Arc<WalWriter>,
     stats: Arc<TierStatCounters>,
-    washing: Arc<WashTable>,
     degrade: Arc<DegradeController>,
 }
 
@@ -330,14 +281,11 @@ impl DestageSink for DestageTarget {
     }
 
     fn abort_group(&self, shard: usize, epoch: u64) -> Vec<StagedPage> {
-        self.cache
-            .abort_group(shard, epoch, &mut IoLog::new(), &mut |out| {
-                publish_to_wash(&self.washing, out)
-            })
+        self.cache.abort_group(shard, epoch, &mut IoLog::new())
     }
 
     fn quarantine_slot(&self, shard: usize, slot: usize) -> Option<StagedPage> {
-        quarantine(&self.cache, &self.washing, &self.degrade, shard, slot)
+        quarantine(&self.cache, &self.degrade, shard, slot)
     }
 
     fn write_pages_to_disk(&self, pages: &[StagedPage]) -> Result<(), DeviceError> {
@@ -352,7 +300,7 @@ impl DestageSink for DestageTarget {
                 s.page,
                 s.lsn.0
             );
-            persist_staged_page(&*self.disk, &self.stats, &self.washing, s)
+            persist_staged_page(&*self.disk, &self.stats, &self.cache, s)
                 .map_err(|e| disk_write_error(s.page, e))?;
         }
         Ok(())
@@ -382,9 +330,6 @@ pub struct FaceTier {
     /// new ordering is introduced.
     wal: Arc<WalWriter>,
     stats: Arc<TierStatCounters>,
-    /// See [`WashTable`]. Shared with the destage sink; empty without a
-    /// cache.
-    washing: Arc<WashTable>,
 }
 
 impl FaceTier {
@@ -392,10 +337,7 @@ impl FaceTier {
     /// observing the write-ahead rule against `wal`. With a cache the tier
     /// builds the degrade controller the cache front, the tier and the
     /// destager share, and the destager itself: `destage.threads` workers,
-    /// or with `0` the inline driver. Callers should have enabled
-    /// [`face_cache::CacheConfig::defer_group_writes`] on the cache so group
-    /// writes actually reach the destager (stage-out disk writes use it
-    /// either way).
+    /// or with `0` the inline driver.
     pub fn new(
         disk: Arc<dyn PageStore>,
         cache: Option<ShardedFlashCache>,
@@ -404,7 +346,6 @@ impl FaceTier {
         destage: DestageConfig,
     ) -> Self {
         let stats = Arc::new(TierStatCounters::default());
-        let washing = Arc::new(OrderedRwLock::new(WASH_TABLE, IdHashMap::default()));
         let flash = cache.map(|cache| {
             let degrade = Arc::new(DegradeController::new(degrade));
             let cache = Arc::new(cache.with_degrade(Arc::clone(&degrade)));
@@ -413,7 +354,6 @@ impl FaceTier {
                 disk: Arc::clone(&disk),
                 wal: Arc::clone(&wal),
                 stats: Arc::clone(&stats),
-                washing: Arc::clone(&washing),
                 degrade: Arc::clone(&degrade),
             };
             let destager = Destager::new(destage, Arc::new(target), Arc::clone(&degrade));
@@ -428,7 +368,6 @@ impl FaceTier {
             disk,
             wal,
             stats,
-            washing,
         }
     }
 
@@ -501,7 +440,7 @@ impl FaceTier {
         match action {
             DegradeAction::Continue => Ok(None),
             DegradeAction::Quarantine { shard, slot } => {
-                let evacuee = quarantine(&flash.cache, &self.washing, &flash.degrade, shard, slot);
+                let evacuee = quarantine(&flash.cache, &flash.degrade, shard, slot);
                 self.dispatch_staged_out(flash, shard, evacuee.iter().cloned().collect())?;
                 Ok(evacuee)
             }
@@ -511,9 +450,9 @@ impl FaceTier {
 
     /// Claim and run the breaker's trip transition if one is requested:
     /// drain the pipeline, evacuate every dirty flash page to disk
-    /// (WAL-guarded, wash-published), then flip the breaker to `Tripped` so
-    /// fetches and inserts bypass the flash tier. Exactly one caller wins
-    /// the claim; the rest return immediately.
+    /// (WAL-guarded, in transit until written), then flip the breaker to
+    /// `Tripped` so fetches and inserts bypass the flash tier. Exactly one
+    /// caller wins the claim; the rest return immediately.
     fn maybe_claim_trip(&self, flash: &FlashSide) -> TierResult<()> {
         let controller = &flash.degrade;
         if controller.state() != BreakerState::TripRequested || !controller.begin_evacuation() {
@@ -522,17 +461,17 @@ impl FaceTier {
         let (evacuated, persisted) = self.evacuate_to_disk(flash);
         controller.note_evacuated(evacuated as u64);
         // Complete the trip even if the disk also failed: the evacuated
-        // pages stay readable through the wash table, and a wedged
-        // `Evacuating` state would keep routing traffic at the bad device.
+        // pages stay readable in transit, and a wedged `Evacuating` state
+        // would keep routing traffic at the bad device.
         controller.complete_trip();
         persisted
     }
 
     /// The first half of a breaker trip and of a cold reset: drain the
-    /// pipeline, write the owed groups, evacuate every dirty flash page,
-    /// wash-publish them all, hand each shard's share to its disk queue and
-    /// drain again, so every evacuee is on disk when this returns. Returns
-    /// how many carried bytes, and the disk writes' result.
+    /// pipeline, write the owed groups, evacuate every dirty flash page (the
+    /// cache records them in transit), hand each shard's share to its disk
+    /// queue and drain again, so every evacuee is on disk when this returns.
+    /// Returns how many carried bytes, and the disk writes' result.
     fn evacuate_to_disk(&self, flash: &FlashSide) -> (usize, TierResult<()>) {
         // The device is failing: a drain or group-write error is more of the
         // same evidence and must not abort the evacuation, which is the
@@ -544,9 +483,6 @@ impl FaceTier {
         let evacuations = flash.cache.evacuate_dirty(&mut IoLog::new());
         for (shard, ev) in evacuations.into_iter().enumerate() {
             flash.degrade.note_dirty_unread(ev.unread_dirty);
-            // Wound markers (data-less) stay published, past a wipe too, so
-            // fetches keep refusing the stale disk copies.
-            publish_to_wash(&self.washing, &ev.pages);
             evacuated += ev.pages.iter().filter(|s| s.data.is_some()).count();
             handed = handed.and(self.dispatch_staged_out(flash, shard, ev.pages));
         }
@@ -604,15 +540,16 @@ impl FaceTier {
     /// Crash semantics for the pipeline: queued jobs are dropped (their
     /// writes never reached a device) and in-flight completions are
     /// invalidated — a worker mid-write finishes the device operation but
-    /// the group is never sealed. The wash table is volatile and dies too.
+    /// the group is never sealed. The pages in transit are volatile and die
+    /// too.
     pub fn crash_destage(&self) {
         if let Some(flash) = self.flash.as_ref() {
             flash.destager.abort_pending();
+            flash.cache.clear_in_transit();
         }
-        self.washing.write().clear();
     }
 
-    /// Hand staged pages bound for the disk, already wash-published, to
+    /// Hand staged pages bound for the disk, already in transit, to
     /// `shard`'s destage queue — the one way the tier's staged pages reach
     /// the disk (stage-outs, a failed insert's fallout, quarantine evacuees,
     /// evacuations), so one shard's disk writes land in hand-over order. The
@@ -646,22 +583,10 @@ impl FaceTier {
         self.stats.disk_writes.inc();
         // The disk now holds this version: any wound at or below its LSN is
         // healed (the lost flash version is superseded).
-        self.clear_wound(page.id(), page.lsn());
-        Ok(())
-    }
-
-    /// Heal a wound marker once a version at or above the lost one has been
-    /// placed durably (in flash, or on disk). Data-ful
-    /// wash entries are untouched — their retirement belongs to
-    /// `persist_staged_page`.
-    fn clear_wound(&self, id: PageId, lsn: Lsn) {
-        let mut washing = self.washing.write();
-        if washing
-            .get(&id)
-            .is_some_and(|w| w.data.is_none() && w.dirty && w.lsn <= lsn)
-        {
-            washing.remove(&id);
+        if let Some(flash) = self.flash.as_ref() {
+            flash.cache.heal_wound(page.id(), page.lsn());
         }
+        Ok(())
     }
 
     /// Checkpoint support: write the cache's owed groups through the
@@ -677,15 +602,10 @@ impl FaceTier {
         // (its flash copy died unread). A checkpoint taken now would let the
         // log truncate past the records that can still rebuild it — refuse
         // until the wound heals or a restart's redo repairs the disk copy.
-        if let Some(w) = self
-            .washing
-            .read()
-            .values()
-            .find(|s| s.data.is_none() && s.dirty)
-        {
-            return Err(lost_page_error(w.page, w.lsn));
+        match flash.cache.first_wound() {
+            Some((page, lsn)) => Err(lost_page_error(page, lsn)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Restart support: crash and recover the flash cache from its persistent
@@ -757,7 +677,7 @@ impl PageSupplier for GscSupplier<'_> {
 
 impl FaceTier {
     /// The cache arm of [`FaceTier::fetch`]: returns the served outcome, or
-    /// `None` to fall through to the wash table and disk.
+    /// `None` to fall through to the copy in transit and the disk.
     ///
     /// Device errors reaching here already exhausted the concurrent layer's
     /// off-lock transient retries, so each one is *final*: it is reported to
@@ -813,8 +733,8 @@ impl FaceTier {
                         continue;
                     }
                     // A quarantine of the slot that held our page rescued
-                    // it: serve its bytes (wash-published, and queued for
-                    // their disk write).
+                    // it: serve its bytes (in transit, and queued for their
+                    // disk write).
                     if let Some(s) = self.carry_out(flash, action)?.filter(|s| s.page == id) {
                         if let Some(data) = &s.data {
                             buf.clone_from(data);
@@ -826,13 +746,13 @@ impl FaceTier {
                         }
                         if s.dirty {
                             // The dirty resident's bytes are gone: the page
-                            // is wounded (wash-published by the quarantine)
-                            // — refuse the stale disk copy.
+                            // is wounded (the quarantine left a marker in
+                            // transit) — refuse the stale disk copy.
                             return Err(lost_page_error(id, s.lsn));
                         }
                     }
                     // A clean (or vanished) resident, or a trip: the disk
-                    // copy or the wash table is current — fall through.
+                    // copy or the copy in transit is current — fall through.
                     return Ok(None);
                 }
             }
@@ -840,31 +760,30 @@ impl FaceTier {
     }
 
     /// The rest of a fetch once the flash cache has no copy to serve.
-    fn fetch_below_cache(&self, id: PageId, buf: &mut Page) -> TierResult<FetchOutcome> {
-        // A page whose stage-out disk write is queued or in flight must be
-        // served from the wash table: the disk still holds the older
-        // version. (The inline driver publishes and retires within one
-        // write-back too, so concurrent fetches need the table either way.)
-        let washed = self
-            .washing
-            .read()
-            .get(&id)
-            .map(|s| (s.data.as_ref().map(Arc::clone), s.dirty, s.lsn));
-        match washed {
-            Some((Some(frame), _, _)) => {
-                buf.clone_from(&frame);
-                self.stats.disk_fetches.inc();
-                self.stats.wash_table_hits.inc();
-                return Ok(FetchOutcome {
-                    source: FetchSource::Disk,
-                    dirty: false,
-                });
-            }
-            // A wound marker: the page's newest committed version died
-            // with a flash slot. Refuse the stale disk copy (see
-            // `lost_page_error`) rather than serve it.
-            Some((None, true, lsn)) => return Err(lost_page_error(id, lsn)),
-            _ => {}
+    fn fetch_below_cache(
+        &self,
+        flash: &FlashSide,
+        id: PageId,
+        buf: &mut Page,
+    ) -> TierResult<FetchOutcome> {
+        // A page whose disk write is queued or in flight must be served from
+        // its copy in transit: the disk still holds the older version. (The
+        // inline driver records and retires within one write-back too, so
+        // concurrent fetches need the copy either way.)
+        if let Some(s) = flash.cache.in_transit(id) {
+            let Some(frame) = &s.data else {
+                // A wound marker: the page's newest committed version died
+                // with a flash slot. Refuse the stale disk copy (see
+                // `lost_page_error`) rather than serve it.
+                return Err(lost_page_error(id, s.lsn));
+            };
+            buf.clone_from(frame);
+            self.stats.disk_fetches.inc();
+            self.stats.wash_table_hits.inc();
+            return Ok(FetchOutcome {
+                source: FetchSource::Disk,
+                dirty: false,
+            });
         }
         self.fetch_from_disk(id, buf)
     }
@@ -891,13 +810,13 @@ impl LowerTier for FaceTier {
         } else if let Some(outcome) = self.fetch_from_cache(flash, id, buf)? {
             return Ok(outcome);
         }
-        self.fetch_below_cache(id, buf)
+        self.fetch_below_cache(flash, id, buf)
     }
 
     /// One flash read call per cache shard for the flash-resident pages
     /// ([`ShardedFlashCache::fetch_batch`]); each answer is then served as
     /// [`FaceTier::fetch`] serves it, and the pages the cache does not hold
-    /// go to the wash table and the disk one by one.
+    /// go to their copies in transit and the disk one by one.
     fn fetch_batch(&self, ids: &[PageId], bufs: &mut [&mut Page]) -> Vec<TierResult<FetchOutcome>> {
         let pages = ids.iter().zip(bufs.iter_mut());
         // Without a cache, or once a trip is requested, running or done, the
@@ -913,7 +832,7 @@ impl LowerTier for FaceTier {
             .map(|((&id, buf), looked_up)| {
                 match self.serve_from_cache(flash, id, buf, looked_up)? {
                     Some(outcome) => Ok(outcome),
-                    None => self.fetch_below_cache(id, buf),
+                    None => self.fetch_below_cache(flash, id, buf),
                 }
             })
             .collect()
@@ -982,13 +901,9 @@ impl LowerTier for FaceTier {
                 durable_lsn: self.wal.durable_lsn(),
                 stats: &self.stats,
             };
-            cache.insert_with_sink(staged, &mut supplier, &mut io, &mut |out| {
-                publish_to_wash(&self.washing, out)
-            })
+            cache.insert_with_supplier(staged, &mut supplier, &mut io)
         } else {
-            cache.insert_with_sink(staged, &mut face_cache::NoSupplier, &mut io, &mut |out| {
-                publish_to_wash(&self.washing, out)
-            })
+            cache.insert(staged, &mut io)
         };
         let outcome = match inserted {
             Ok(outcome) => outcome,
@@ -1006,12 +921,6 @@ impl LowerTier for FaceTier {
         };
         if outcome.cached {
             self.stats.cache_inserts.inc();
-            // The flash copy joins the persistent database, so it
-            // supersedes any wound this page carries (the lost version is
-            // at or below it).
-            if dirty {
-                self.clear_wound(page.id(), page.lsn());
-            }
         }
         // Stage-outs and the filled group are the destager's from here —
         // strictly after every cache lock was released, in both drivers. The
@@ -1344,12 +1253,11 @@ mod tests {
     fn destaged_stage_outs_reach_disk_and_stay_readable_meanwhile() {
         // A tiny FaCE cache + a destager: stage-outs are queued, not written
         // synchronously — yet a fetch between enqueue and completion must
-        // see the new version (wash table), never the stale disk copy.
+        // see the new version (its copy in transit), never the stale disk copy.
         let disk = Arc::new(InMemoryPageStore::new());
         let cfg = CacheConfig {
             capacity_pages: 4,
             group_size: 2,
-            defer_group_writes: true,
             ..CacheConfig::default()
         };
         let cache = ShardedFlashCache::build(CachePolicyKind::FaceGr, cfg, 1, |cap| {
@@ -1363,7 +1271,7 @@ mod tests {
                 .unwrap();
         }
         // Every page is readable right now with its latest contents,
-        // whether it sits in flash, the wash table or on disk already.
+        // whether it sits in flash, in transit or on disk already.
         for (i, id) in ids.iter().enumerate() {
             let mut buf = Page::zeroed();
             tier.fetch(*id, &mut buf).unwrap();
@@ -1403,7 +1311,6 @@ mod tests {
         let cfg = CacheConfig {
             capacity_pages: 4,
             group_size: 2,
-            defer_group_writes: true,
             ..CacheConfig::default()
         };
         let cache = ShardedFlashCache::build(CachePolicyKind::FaceGr, cfg, 1, |cap| {
@@ -1556,7 +1463,6 @@ mod tests {
             let cfg = CacheConfig {
                 capacity_pages: 64,
                 group_size: 8,
-                defer_group_writes: true,
                 ..CacheConfig::default()
             };
             let cache = ShardedFlashCache::build(CachePolicyKind::FaceGsc, cfg, 2, |cap| {
@@ -1613,7 +1519,6 @@ mod tests {
             let cfg = CacheConfig {
                 capacity_pages: 64,
                 group_size: 8,
-                defer_group_writes: true,
                 ..CacheConfig::default()
             };
             let gate = Arc::clone(&store);
@@ -1679,7 +1584,6 @@ mod tests {
         let cfg = CacheConfig {
             capacity_pages: capacity,
             group_size,
-            defer_group_writes: true,
             ..CacheConfig::default()
         };
         ShardedFlashCache::build(CachePolicyKind::Face, cfg, 1, store)

@@ -132,26 +132,24 @@ fn concurrent_engine_has_no_lockdep_violations() {
 }
 
 /// A `Page` is created and dropped wherever the engine happens to be — a
-/// flash read's result dies under the cache shard, a retired wash entry under
-/// the wash table, a store's old slot under its own lock — and both can reach
-/// for the shared free list of page buffers. Its lock class ranks innermost,
-/// so doing that under any of those guards is in order.
+/// flash read's result or a retired page in transit dies under the cache
+/// shard, a store's old slot under its own lock — and both can reach for the
+/// shared free list of page buffers. Its lock class ranks innermost, so
+/// doing that under any of those guards is in order.
 #[test]
 fn pages_are_created_and_dropped_under_engine_locks_in_order() {
-    use face_analysis::classes::{CACHE_SHARD, FLASH_SLOTS, WASH_TABLE};
+    use face_analysis::classes::{CACHE_SHARD, FLASH_SLOTS};
     use face_analysis::{OrderedMutex, OrderedRwLock};
     use face_pagestore::page::THREAD_CACHE_BUFFERS;
     use face_pagestore::Page;
 
     // A fresh thread starts with an empty buffer cache: its first page
     // refills from the shared list, and dropping more pages than the cache
-    // holds spills back to it — both under all three guards.
+    // holds spills back to it — both under both guards.
     thread::spawn(|| {
         let shard = OrderedRwLock::new(CACHE_SHARD, ());
-        let wash = OrderedRwLock::new(WASH_TABLE, ());
         let slots = OrderedMutex::new(FLASH_SLOTS, ());
         let _shard = shard.write();
-        let _wash = wash.write();
         let _slots = slots.lock();
         let pages: Vec<Page> = (0..2 * THREAD_CACHE_BUFFERS + 1)
             .map(|_| Page::zeroed())
@@ -183,8 +181,8 @@ fn pages_are_created_and_dropped_under_engine_locks_in_order() {
 /// read after arming) holds the loading frame's page latch and nothing else
 /// of the buffer pool: with a single buffer shard, an update of a resident
 /// page and a miss on a third page both complete while it is parked, and the
-/// witness sees the fetch's locks (page latch → cache shard → wash table →
-/// disk) in order.
+/// witness sees the fetch's locks (page latch → cache shard → disk) in
+/// order.
 #[test]
 fn parked_disk_read_does_not_hold_the_buffer_shard() {
     const SPIKE: Duration = Duration::from_secs(1);

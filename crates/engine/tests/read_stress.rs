@@ -7,7 +7,7 @@
 //! * readers hammering `get` while writers churn the flash cache (destager
 //!   on, groups destaged and slots reused underneath them) never observe a
 //!   torn page (value/key mismatch) and never observe time running backwards
-//!   (a stale wash-table or disk copy served after a newer version was
+//!   (a stale in-transit or disk copy served after a newer version was
 //!   readable) — and the generation-validation retry path is *actually
 //!   exercised* (`CacheStats::fetch_retries > 0`), not just never needed;
 //! * with the crash-point gated store holding the flash batch write open,
@@ -146,7 +146,7 @@ fn readers_survive_concurrent_destage_and_eviction() {
             // Four readers over the whole key space. Each checks both halves
             // of the contract: the value belongs to the key it asked for
             // (no torn or foreign page), and per-key rounds never regress
-            // (no stale wash-table/disk copy served after a newer version).
+            // (no stale in-transit/disk copy served after a newer version).
             let mut readers = Vec::new();
             for r in 0..4u64 {
                 let db = Arc::clone(&db);
@@ -230,7 +230,7 @@ fn inflight_groups_serve_reads_while_destage_write_is_parked() {
     db.commit(filler).unwrap();
 
     // Every hot key must read back its round-7 value right now — from DRAM,
-    // from an in-flight RAM frame, or from the wash table — never the stale
+    // from an in-flight RAM frame, or from its copy in transit — never the stale
     // flash/disk copy, and never blocking on the parked device write.
     let start = Instant::now();
     for &key in &hot {

@@ -9,10 +9,21 @@
 //! the paper's host system (PostgreSQL) partitions its buffer table: the
 //! page-id space is hashed over `N` independent shards, each a full policy
 //! instance over its own slice of the flash device, each behind its own
-//! mutex. Callers holding different pages proceed in parallel; the global
+//! lock. Callers holding different pages proceed in parallel; the global
 //! mvFIFO order becomes a per-shard FIFO order, which preserves every
 //! property the paper relies on (sequential batch writes, multi-version
 //! invalidation, bounded occupancy) within each shard.
+//!
+//! Every page below DRAM has one newest copy: in a flash slot, in transit
+//! to disk, or on disk. A shard owns the first two, under one lock. Whatever
+//! un-caches a dirty page (a stage-out, a failed insert's fallout, a
+//! quarantine evacuee, an aborted group, an evacuation) records it in the
+//! shard's in-transit map in the same critical section, so a lookup never
+//! misses both; the caller writes it to disk, then retires it
+//! ([`ShardedFlashCache::retire_in_transit`]). A data-less entry is a *wound
+//! marker*: the newest version died with a flash slot and is refused until
+//! a version at or above its LSN is placed. The map sits beside the ring
+//! because a cold reset rebuilds the ring and the markers must outlive it.
 //!
 //! Statistics are atomic inside the policies ([`crate::types::Counter`]), so
 //! [`ShardedFlashCache::stats`] merges per-shard snapshots without stalling
@@ -22,7 +33,7 @@ use std::sync::Arc;
 
 use face_analysis::classes::CACHE_SHARD;
 use face_analysis::{witness, OrderedRwLock};
-use face_pagestore::{backoff_sleep, Counter, DeviceResult, Lsn, Page, PageId};
+use face_pagestore::{backoff_sleep, Counter, DeviceResult, IdHashMap, Lsn, Page, PageId};
 
 use crate::admission::SharedGhost;
 use crate::degrade::{DegradeConfig, DegradeController};
@@ -37,20 +48,62 @@ use crate::types::{
 };
 use crate::StagedPage;
 
+/// What one shard lock guards: the ring, and the dirty pages it un-cached
+/// whose disk write has not landed, one entry per page (its newest version).
+struct Shard {
+    ring: Box<dyn RingCache>,
+    in_transit: IdHashMap<PageId, StagedPage>,
+}
+
+impl Shard {
+    /// Record un-cached pages as in transit. A data-less clean page carries
+    /// nothing worth keeping, so every data-less entry is a dirty page's
+    /// wound marker. An older LSN never replaces a newer entry, and a
+    /// same-LSN marker never replaces the bytes.
+    fn publish(&mut self, staged: &[StagedPage]) {
+        for s in staged {
+            if s.data.is_none() && !s.dirty {
+                continue;
+            }
+            let superseded = self
+                .in_transit
+                .get(&s.page)
+                .is_some_and(|w| w.lsn > s.lsn || (w.lsn == s.lsn && w.data.is_some()));
+            if !superseded {
+                self.in_transit.insert(s.page, s.clone());
+            }
+        }
+    }
+
+    /// Drop `page`'s wound marker if a version at or above its LSN is now
+    /// placed. Entries with bytes are left to
+    /// [`ShardedFlashCache::retire_in_transit`].
+    fn heal_wound(&mut self, page: PageId, lsn: Lsn) {
+        if self
+            .in_transit
+            .get(&page)
+            .is_some_and(|w| w.data.is_none() && w.lsn <= lsn)
+        {
+            self.in_transit.remove(&page);
+        }
+    }
+}
+
 /// A lock-striped set of independent ring-policy instances, routable by page
-/// id, exposing the whole [`RingCache`] surface through `&self`.
+/// id, exposing the whole [`RingCache`] surface through `&self`, plus the
+/// pages each shard has in transit to disk.
 ///
 /// Each shard sits behind an `RwLock`: mutating operations take the write
-/// lock, while pure lookups ([`ShardedFlashCache::contains`], the validate
-/// half of the lock-light fetch, [`ShardedFlashCache::stats`]) share a read
-/// lock. Every fetch is lock-light: [`ShardedFlashCache::fetch`] pins the
-/// version under a short write lock, **drops the lock, performs the flash
-/// device read with no lock held**, and revalidates against the slot's
-/// generation — so one slow device read never stalls the other threads
-/// hashing to the shard (the read-side counterpart of the deferred group
-/// writes).
+/// lock, while pure lookups ([`ShardedFlashCache::contains`],
+/// [`ShardedFlashCache::in_transit`], the validate half of the lock-light
+/// fetch, [`ShardedFlashCache::stats`]) share a read lock. Every fetch is
+/// lock-light: [`ShardedFlashCache::fetch`] pins the version under a short
+/// write lock, **drops the lock, performs the flash device read with no lock
+/// held**, and revalidates against the slot's generation — so one slow
+/// device read never stalls the other threads hashing to the shard (the
+/// read-side counterpart of the deferred group writes).
 pub struct ShardedFlashCache {
-    shards: Vec<OrderedRwLock<Box<dyn RingCache>>>,
+    shards: Vec<OrderedRwLock<Shard>>,
     stores: Vec<Arc<dyn FlashStore>>,
     /// Per-shard occupancy mirrors, refreshed after every mutating shard
     /// operation, so [`ShardedFlashCache::len`] never sweeps the shard locks
@@ -84,7 +137,8 @@ impl ShardedFlashCache {
     /// Build `shards` independent caches of `kind`, splitting
     /// `config.capacity_pages` between them. `store_factory` is called once
     /// per shard with that shard's slot capacity (the functional engine hands
-    /// out one [`crate::MemFlashStore`] per shard).
+    /// out one [`crate::MemFlashStore`] per shard). Group writes are always
+    /// deferred: a shard never writes flash under its lock.
     ///
     /// Returns `None` for [`CachePolicyKind::None`].
     ///
@@ -99,6 +153,10 @@ impl ShardedFlashCache {
         if kind == CachePolicyKind::None {
             return None;
         }
+        let config = CacheConfig {
+            defer_group_writes: true,
+            ..config
+        };
         let capacity = config.capacity_pages.max(1);
         // Never create shards so small that a policy's group size exceeds its
         // capacity; each shard must hold at least one replacement group.
@@ -123,12 +181,16 @@ impl ShardedFlashCache {
                 ..config.clone()
             };
             let store = store_factory(shard_capacity);
-            let cache = build_ring(kind, shard_config.clone(), Arc::clone(&store))
+            let ring = build_ring(kind, shard_config.clone(), Arc::clone(&store))
                 .expect("kind is not None");
-            name = cache.policy_name();
+            name = ring.policy_name();
             stores.push(store);
             configs.push(shard_config);
-            built.push(OrderedRwLock::new(CACHE_SHARD, cache));
+            let shard = Shard {
+                ring,
+                in_transit: IdHashMap::default(),
+            };
+            built.push(OrderedRwLock::new(CACHE_SHARD, shard));
         }
         // One filter for the whole cache, not per shard: a page's first touch
         // and its comeback must meet even though insert order is arbitrary.
@@ -203,11 +265,16 @@ impl ShardedFlashCache {
         face_pagestore::stripe_of(page.to_u64(), self.shards.len())
     }
 
+    /// The shard lock `page` routes to.
+    fn shard_for(&self, page: PageId) -> &OrderedRwLock<Shard> {
+        &self.shards[self.shard_of(page)]
+    }
+
     /// Whether a valid copy of `page` is cached. Takes only the shard's
     /// **read** lock, so hot-path callers never serialize behind writers
     /// already inside the shard (and never block readers at all).
     pub fn contains(&self, page: PageId) -> bool {
-        self.shards[self.shard_of(page)].read().contains(page)
+        self.shard_for(page).read().ring.contains(page)
     }
 
     /// Look up `page` on a DRAM miss (see [`crate::FlashCache::fetch`]).
@@ -262,7 +329,7 @@ impl ShardedFlashCache {
                 let mut guard = self.shards[shard].write();
                 wanted
                     .into_iter()
-                    .map(|i| (i, guard.fetch_pin(pages[i], false, io)))
+                    .map(|i| (i, guard.ring.fetch_pin(pages[i], false, io)))
                     .collect()
             };
             let mut reads = Vec::with_capacity(pins.len());
@@ -314,7 +381,7 @@ impl ShardedFlashCache {
         io: &mut IoLog,
     ) -> DeviceResult<Option<FlashFetch>> {
         loop {
-            let Some(pin) = self.shards[shard].write().fetch_pin(page, retry, io) else {
+            let Some(pin) = self.shards[shard].write().ring.fetch_pin(page, retry, io) else {
                 return Ok(None);
             };
             if let Some(hit) = self.served_without_read(shard, &pin) {
@@ -347,6 +414,7 @@ impl ShardedFlashCache {
     fn still_valid(&self, shard: usize, pin: &FetchPin) -> bool {
         self.shards[shard]
             .read()
+            .ring
             .fetch_validate(pin.slot, pin.generation)
     }
 
@@ -386,13 +454,13 @@ impl ShardedFlashCache {
     }
 
     /// Hand a page leaving the DRAM buffer to its shard (see
-    /// [`crate::FlashCache::insert`]) with no GSC supplier and no sink.
+    /// [`crate::FlashCache::insert`]) with no GSC supplier.
     pub fn insert(
         &self,
         staged: StagedPage,
         io: &mut IoLog,
     ) -> Result<InsertOutcome, InsertFailure> {
-        self.insert_with_sink(staged, &mut NoSupplier, io, &mut |_| {})
+        self.insert_with_supplier(staged, &mut NoSupplier, io)
     }
 
     /// Hand a page to its shard with a Group Second Chance supplier. The
@@ -403,29 +471,25 @@ impl ShardedFlashCache {
     /// the lock graph acyclic. Pages it returns must already be WAL-covered
     /// — they enter the persistent database right here.
     ///
-    /// In deferred mode ([`CacheConfig::defer_group_writes`]) the returned
-    /// outcome may carry a [`PendingGroupWrite`] stamped with this shard's
-    /// index; the caller must apply it off-lock
+    /// A filled group comes back as a [`PendingGroupWrite`] stamped with this
+    /// shard's index; the caller must apply it off-lock
     /// ([`ShardedFlashCache::apply_group_write`]) and then seal it
     /// ([`ShardedFlashCache::complete_group`]) — typically by enqueueing it
     /// on a [`crate::destage::Destager`].
     ///
-    /// `staged_out_sink` sees the dequeued pages **before the shard lock is
-    /// released**. The tier uses this to publish stage-outs into its wash
-    /// table atomically with their removal from the directory — otherwise a
-    /// concurrent fetch could miss both the cache (entry already gone) and
-    /// the wash table (entry not yet published) and serve the stale disk
-    /// version. The sink must be short and must not take cache locks. A
-    /// failed insert hands the dirty pages it un-cached to the sink the same
-    /// way and returns them in [`InsertFailure::fallout`].
-    pub fn insert_with_sink(
+    /// The dequeued dirty pages ([`InsertOutcome::staged_out`]) and, when
+    /// the insert fails, the dirty pages it un-cached
+    /// ([`InsertFailure::fallout`]) are recorded in transit before the shard
+    /// lock drops; the caller writes them to disk. A dirty page that was
+    /// cached heals a wound marker at or below its LSN.
+    pub fn insert_with_supplier(
         &self,
         staged: StagedPage,
         supplier: &mut dyn PageSupplier,
         io: &mut IoLog,
-        staged_out_sink: &mut dyn FnMut(&[StagedPage]),
     ) -> Result<InsertOutcome, InsertFailure> {
         let shard = self.shard_of(staged.page);
+        let (page, lsn, dirty) = (staged.page, staged.lsn, staged.dirty);
         let mut guard = self.shards[shard].write();
         if let Some(ghost) = &self.ghost {
             // The admission filter applies to **clean first touches only**:
@@ -436,8 +500,8 @@ impl ShardedFlashCache {
             // is safe. The ghost stripe nests inside the shard lock
             // (`ghost_admission` ranks below `cache_shard`), keeping the
             // reject decision atomic with the directory check.
-            if !staged.dirty && !guard.contains(staged.page) {
-                if ghost.admit_or_record(staged.page) {
+            if !dirty && !guard.ring.contains(page) {
+                if ghost.admit_or_record(page) {
                     self.admission_ghost_hits.inc();
                 } else {
                     self.admission_filtered.inc();
@@ -448,30 +512,72 @@ impl ShardedFlashCache {
                 }
             }
         }
-        let mut outcome = match guard.insert(staged, supplier, io) {
+        let mut outcome = match guard.ring.insert(staged, supplier, io) {
             Ok(outcome) => outcome,
             Err(error) => {
                 // The policy rolled its directory back and parked every
                 // dirty page it had to un-cache in its fallout buffer.
-                // Publish them to the sink *before* releasing the lock (same
-                // race as regular stage-outs), then hand them up.
-                let fallout = guard.take_write_fallout();
-                if !fallout.is_empty() {
-                    staged_out_sink(&fallout);
-                }
-                self.note_len(shard, &**guard);
+                let fallout = guard.ring.take_write_fallout();
+                guard.publish(&fallout);
+                self.note_len(shard, &*guard.ring);
                 return Err(InsertFailure { error, fallout });
             }
         };
-        if !outcome.staged_out.is_empty() {
-            staged_out_sink(&outcome.staged_out);
+        guard.publish(&outcome.staged_out);
+        if outcome.cached && dirty {
+            guard.heal_wound(page, lsn);
         }
-        self.note_len(shard, &**guard);
+        self.note_len(shard, &*guard.ring);
         drop(guard);
         if let Some(pending) = outcome.pending_group.as_mut() {
             pending.shard = shard;
         }
         Ok(outcome)
+    }
+
+    /// The copy of `page` in transit to disk, if any: the bytes to serve
+    /// instead of the stale disk copy, or a wound marker (`data: None`,
+    /// dirty) saying the newest version is lost until WAL redo rebuilds it.
+    /// Takes the shard's read lock.
+    pub fn in_transit(&self, page: PageId) -> Option<StagedPage> {
+        self.shard_for(page).read().in_transit.get(&page).cloned()
+    }
+
+    /// Retire `page`'s in-transit entry now that its version at `lsn` is on
+    /// disk, unless a newer version was un-cached meanwhile.
+    pub fn retire_in_transit(&self, page: PageId, lsn: Lsn) {
+        let mut guard = self.shard_for(page).write();
+        if guard.in_transit.get(&page).is_some_and(|w| w.lsn <= lsn) {
+            guard.in_transit.remove(&page);
+        }
+    }
+
+    /// Heal `page`'s wound marker, if any, now that a version at `lsn` was
+    /// written past the cache straight to disk. A cached dirty insert heals
+    /// its own ([`ShardedFlashCache::insert_with_supplier`]).
+    pub fn heal_wound(&self, page: PageId, lsn: Lsn) {
+        self.shard_for(page).write().heal_wound(page, lsn);
+    }
+
+    /// Some wound marker, as `(page, lsn)`, if any shard holds one: a
+    /// committed version that exists only in the WAL.
+    pub fn first_wound(&self) -> Option<(PageId, Lsn)> {
+        self.shards.iter().find_map(|shard| {
+            shard
+                .read()
+                .in_transit
+                .values()
+                .find(|s| s.data.is_none())
+                .map(|s| (s.page, s.lsn))
+        })
+    }
+
+    /// Forget every page in transit: the map is volatile and dies with a
+    /// crash, together with the disk writes that were to retire it.
+    pub fn clear_in_transit(&self) {
+        for shard in &self.shards {
+            shard.write().in_transit.clear();
+        }
     }
 
     /// Apply a deferred group's physical flash batch write against its
@@ -491,6 +597,7 @@ impl ShardedFlashCache {
     pub fn group_write_pending(&self, shard: usize, epoch: u64) -> bool {
         self.shards[shard % self.shards.len()]
             .read()
+            .ring
             .group_write_pending(epoch)
     }
 
@@ -500,6 +607,7 @@ impl ShardedFlashCache {
     pub fn complete_group(&self, shard: usize, epoch: u64, io: &mut IoLog) {
         self.shards[shard % self.shards.len()]
             .write()
+            .ring
             .complete_group(epoch, io);
     }
 
@@ -510,7 +618,7 @@ impl ShardedFlashCache {
     pub fn owed_groups(&self) -> Vec<PendingGroupWrite> {
         let mut owed = Vec::new();
         for (shard, cache) in self.shards.iter().enumerate() {
-            for mut write in cache.write().owed_groups() {
+            for mut write in cache.write().ring.owed_groups() {
                 write.shard = shard;
                 owed.push(write);
             }
@@ -522,71 +630,57 @@ impl ShardedFlashCache {
     /// [`RingCache::checkpoint_metadata`]); write the owed groups first.
     pub fn checkpoint_metadata(&self, io: &mut IoLog) {
         for shard in &self.shards {
-            shard.write().checkpoint_metadata(io);
+            shard.write().ring.checkpoint_metadata(io);
         }
     }
 
     /// Evacuate every dirty valid page from every shard (see
     /// [`RingCache::evacuate_dirty`]), one evacuation per shard, indexed by
-    /// shard: the caller must write them to disk before wiping the cache
-    /// with [`ShardedFlashCache::reset_cold`]. `unread_dirty` counts dirty
-    /// pages whose slots could not be read — their committed updates are
-    /// recoverable only through WAL redo.
+    /// shard, each recorded in transit under its shard lock: the caller must
+    /// write them to disk before wiping the cache with
+    /// [`ShardedFlashCache::reset_cold`]. `unread_dirty` counts dirty pages
+    /// whose slots could not be read — their wound markers stay in transit,
+    /// past the wipe, until a newer version or WAL redo heals them.
     pub fn evacuate_dirty(&self, io: &mut IoLog) -> Vec<Evacuation> {
         // Admin/quiesced operation: reads every dirty slot under the lock.
         let _allow = witness::allow_device_io("cache: quiesced dirty evacuation");
         self.shards
             .iter()
-            .map(|shard| shard.write().evacuate_dirty(io))
+            .map(|shard| {
+                let mut guard = shard.write();
+                let evacuation = guard.ring.evacuate_dirty(io);
+                guard.publish(&evacuation.pages);
+                evacuation
+            })
             .collect()
     }
 
     /// Quarantine one slot of one shard (see [`RingCache::quarantine_slot`]):
     /// the slot leaves rotation, a clean resident is dropped, a dirty
-    /// resident is evacuated. The evacuee (if any) is published to
-    /// `staged_out_sink` **before the shard lock is released** — same
-    /// atomicity contract as [`ShardedFlashCache::insert_with_sink`] — and
-    /// also returned for the caller to hand to its disk writer.
-    pub fn quarantine_slot(
-        &self,
-        shard: usize,
-        slot: usize,
-        io: &mut IoLog,
-        staged_out_sink: &mut dyn FnMut(&[StagedPage]),
-    ) -> QuarantineOutcome {
+    /// resident is evacuated — recorded in transit before the shard lock
+    /// drops, and returned for the caller to hand to its disk writer.
+    pub fn quarantine_slot(&self, shard: usize, slot: usize, io: &mut IoLog) -> QuarantineOutcome {
         // Quarantine makes a last-resort read of the failing slot to rescue
         // a dirty resident; acknowledged under-lock I/O.
         let _allow = witness::allow_device_io("cache: quarantine evacuates the failing slot");
         let shard = shard % self.shards.len();
         let mut guard = self.shards[shard].write();
-        let out = guard.quarantine_slot(slot, io);
-        if let Some(evacuee) = &out.evacuee {
-            staged_out_sink(std::slice::from_ref(evacuee));
-        }
-        self.note_len(shard, &**guard);
+        let out = guard.ring.quarantine_slot(slot, io);
+        guard.publish(out.evacuee.as_slice());
+        self.note_len(shard, &*guard.ring);
         out
     }
 
     /// Abort a deferred group whose batch write failed (see
     /// [`RingCache::abort_group`]): the group's slots become reclaimable
     /// holes, its journal records die unsealed, and its dirty pages come
-    /// back for disk failover. Like
-    /// [`ShardedFlashCache::quarantine_slot`], the returned pages are
-    /// published to `staged_out_sink` under the shard lock.
-    pub fn abort_group(
-        &self,
-        shard: usize,
-        epoch: u64,
-        io: &mut IoLog,
-        staged_out_sink: &mut dyn FnMut(&[StagedPage]),
-    ) -> Vec<StagedPage> {
+    /// back for disk failover, recorded in transit under the shard lock.
+    pub fn abort_group(&self, shard: usize, epoch: u64, io: &mut IoLog) -> Vec<StagedPage> {
         let shard = shard % self.shards.len();
         let mut guard = self.shards[shard].write();
-        let fallout = guard.abort_group(epoch, io);
-        if !fallout.is_empty() {
-            staged_out_sink(&fallout);
-        }
-        self.note_len(shard, &**guard);
+        let fallout = guard.ring.abort_group(epoch, io);
+        guard.publish(&fallout);
+        self.note_len(shard, &*guard.ring);
         fallout
     }
 
@@ -594,7 +688,9 @@ impl ShardedFlashCache {
     /// `survived` is true only if every shard's metadata survived.
     /// Each shard reconciles its recovered directory against `durable_lsn`
     /// (the durable end of the WAL): versions newer than it are discarded.
-    /// Callers without a WAL pass `Lsn(u64::MAX)`.
+    /// Callers without a WAL pass `Lsn(u64::MAX)`. The in-transit maps are
+    /// left as they are ([`ShardedFlashCache::clear_in_transit`] is the
+    /// crash's).
     pub fn crash_and_recover(&self, durable_lsn: Lsn, io: &mut IoLog) -> CacheRecoveryInfo {
         // Restart path: the world is quiesced, metadata scans and slot reads
         // run under the shard lock by construction.
@@ -605,8 +701,8 @@ impl ShardedFlashCache {
         };
         for (i, shard) in self.shards.iter().enumerate() {
             let mut guard = shard.write();
-            let info = guard.crash_and_recover(durable_lsn, io);
-            self.note_len(i, &**guard);
+            let info = guard.ring.crash_and_recover(durable_lsn, io);
+            self.note_len(i, &*guard.ring);
             merged = merged.merged(&info);
         }
         merged
@@ -616,6 +712,7 @@ impl ShardedFlashCache {
     /// (journal, checkpoint, directory) are discarded and fresh policy
     /// instances are built. Models restarting with a wiped or replaced cache
     /// device — the baseline the warm-recovery experiments compare against.
+    /// Pages in transit stay: their wound markers must outlive the wipe.
     pub fn reset_cold(&self) {
         let _allow = witness::allow_device_io("cache: quiesced cold reset wipes stores");
         for (i, ((shard, store), config)) in self
@@ -627,9 +724,9 @@ impl ShardedFlashCache {
         {
             let mut guard = shard.write();
             store.clear();
-            *guard =
+            guard.ring =
                 build_ring(self.kind, config.clone(), Arc::clone(store)).expect("kind is not None");
-            self.note_len(i, &**guard);
+            self.note_len(i, &*guard.ring);
         }
         if let Some(ghost) = &self.ghost {
             ghost.clear();
@@ -651,7 +748,7 @@ impl ShardedFlashCache {
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
         let mut merged = guards
             .iter()
-            .map(|g| g.stats())
+            .map(|g| g.ring.stats())
             .fold(CacheStats::default(), |acc, s| acc.merged(&s));
         // Device-level page-program tally and the sharded admission filter's
         // counters live outside the shards — atomic reads, no extra lock
@@ -679,7 +776,7 @@ impl ShardedFlashCache {
     pub fn reset_stats(&self) {
         let guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
         for g in &guards {
-            g.reset_stats();
+            g.ring.reset_stats();
         }
         self.admission_filtered.set(0);
         self.admission_ghost_hits.set(0);
@@ -917,7 +1014,7 @@ mod tests {
             next += 1;
             Some(s)
         };
-        c.insert_with_sink(data_page(100), &mut supplier, &mut io, &mut |_| {})
+        c.insert_with_supplier(data_page(100), &mut supplier, &mut io)
             .unwrap();
         assert!(c.stats().pulled_from_dram > 0, "supplier was consulted");
         assert_eq!(c.shard_of(PageId::new(0, 200)), 0);
@@ -931,7 +1028,6 @@ mod tests {
         let config = CacheConfig {
             capacity_pages: 64,
             group_size: 4,
-            defer_group_writes: true,
             meta_checkpoint_interval_groups: 1_000_000,
             ..CacheConfig::default()
         };
@@ -1004,8 +1100,9 @@ mod tests {
         );
         let mut io = IoLog::new();
         for n in 0..8u32 {
-            c.insert(data_page(n), &mut io).unwrap(); // two sealed groups on the store
+            c.insert(data_page(n), &mut io).unwrap();
         }
+        sync(&c, &mut io); // two sealed groups on the store
 
         // Background: a fetch parks inside the device read. The shard must
         // stay fully usable the whole time — the reader holds no shard lock
@@ -1073,6 +1170,7 @@ mod tests {
         for n in 0..4u32 {
             c.insert(clean(n), &mut io).unwrap();
         }
+        sync(&c, &mut io);
 
         store.hold_reads();
         let bg = {
@@ -1129,6 +1227,7 @@ mod tests {
         for n in 0..4u32 {
             c.insert(clean(n, n), &mut io).unwrap();
         }
+        sync(&c, &mut io);
 
         store.hold_reads();
         let bg = {
@@ -1219,6 +1318,7 @@ mod tests {
         for n in 0..8u32 {
             c.insert(data_page(n), &mut io).unwrap();
         }
+        sync(&c, &mut io);
         c
     }
 
@@ -1240,12 +1340,12 @@ mod tests {
             c.insert(data_page(n), &mut io).unwrap();
         }
         // The lock-free mirror agrees with a locked sweep of the shards.
-        let swept: usize = c.shards.iter().map(|s| s.read().len()).sum();
+        let swept: usize = c.shards.iter().map(|s| s.read().ring.len()).sum();
         assert_eq!(c.len(), swept);
         assert_eq!(c.len(), 100);
         let info = c.crash_and_recover(Lsn(u64::MAX), &mut io);
         assert!(info.survived);
-        let swept: usize = c.shards.iter().map(|s| s.read().len()).sum();
+        let swept: usize = c.shards.iter().map(|s| s.read().ring.len()).sum();
         assert_eq!(c.len(), swept, "mirror refreshed by recovery");
         c.reset_cold();
         assert_eq!(c.len(), 0);
@@ -1357,5 +1457,162 @@ mod tests {
         for n in 0..64u32 {
             assert!(c.contains(PageId::new(0, n)), "page {n} lost in crash");
         }
+    }
+
+    /// One FaCE+GR shard of four slots in groups of two.
+    fn four_slots() -> ShardedFlashCache {
+        let config = CacheConfig {
+            capacity_pages: 4,
+            group_size: 2,
+            meta_checkpoint_interval_groups: 1_000_000,
+            ..CacheConfig::default()
+        };
+        ShardedFlashCache::build(CachePolicyKind::FaceGr, config, 1, |cap| {
+            Arc::new(MemFlashStore::new(cap)) as Arc<dyn FlashStore>
+        })
+        .unwrap()
+    }
+
+    /// A dirty version of page `n` at `lsn` whose body starts with `marker`.
+    fn version(n: u32, lsn: u64, marker: u32) -> StagedPage {
+        let mut p = Page::new(PageId::new(0, n));
+        p.set_lsn(Lsn(lsn));
+        p.write_body(0, &marker.to_le_bytes());
+        StagedPage::with_data(p, true, true)
+    }
+
+    /// Insert `staged`, write and seal the group it owes, and return the
+    /// pages the insert dequeued.
+    fn insert_synced(c: &ShardedFlashCache, staged: StagedPage) -> Vec<StagedPage> {
+        let mut io = IoLog::new();
+        let out = c.insert(staged, &mut io).unwrap();
+        sync(c, &mut io);
+        out.staged_out
+    }
+
+    #[test]
+    fn a_dequeued_dirty_victim_is_in_transit_as_soon_as_the_insert_returns() {
+        let c = four_slots();
+        for n in 0..4u32 {
+            assert!(insert_synced(&c, version(n, 1, n)).is_empty());
+        }
+        let page_0 = PageId::new(0, 0);
+        assert!(c.in_transit(page_0).is_none(), "nothing dequeued yet");
+        // The cache is full: page 4's insert dequeues the oldest group.
+        let staged_out = insert_synced(&c, version(4, 1, 4));
+        assert!(staged_out.iter().any(|s| s.page == page_0));
+        // No disk write happened (there is no disk here): the lookup that
+        // misses the directory finds the victim's bytes in transit.
+        assert!(!c.contains(page_0));
+        assert!(c.fetch(page_0, &mut IoLog::new()).unwrap().is_none());
+        let in_transit = c.in_transit(page_0).expect("the victim is in transit");
+        assert!(in_transit.dirty);
+        assert_eq!(in_transit.lsn, Lsn(1));
+        let bytes = in_transit.data.expect("a stage-out carries its bytes");
+        assert_eq!(bytes.read_body(0, 4), 0u32.to_le_bytes());
+        // Its disk write landed: retired.
+        c.retire_in_transit(page_0, Lsn(1));
+        assert!(c.in_transit(page_0).is_none());
+    }
+
+    #[test]
+    fn retiring_an_older_version_leaves_the_newer_one_in_transit() {
+        let c = four_slots();
+        let page_0 = PageId::new(0, 0);
+        // v1 of page 0 (lsn 1) is dequeued, then v2 (lsn 5) is cached and
+        // dequeued too, before v1's disk write lands.
+        let mut next = 1u32;
+        let mut dequeue = |c: &ShardedFlashCache, lsn: u64| loop {
+            let out = insert_synced(c, version(next, 1, next));
+            next += 1;
+            if let Some(s) = out.iter().find(|s| s.page == page_0) {
+                assert_eq!(s.lsn, Lsn(lsn));
+                return;
+            }
+        };
+        insert_synced(&c, version(0, 1, 1));
+        dequeue(&c, 1);
+        insert_synced(&c, version(0, 5, 2));
+        dequeue(&c, 5);
+        // v1's write lands: v2 stays in transit.
+        c.retire_in_transit(page_0, Lsn(1));
+        let newer = c.in_transit(page_0).expect("v2 still in transit");
+        assert_eq!(newer.lsn, Lsn(5));
+        assert_eq!(newer.data.unwrap().read_body(0, 4), 2u32.to_le_bytes());
+        c.retire_in_transit(page_0, Lsn(5));
+        assert!(c.in_transit(page_0).is_none());
+    }
+
+    #[test]
+    fn a_wound_marker_outlives_a_cold_reset_and_heals_only_at_or_above_its_lsn() {
+        let config = CacheConfig {
+            capacity_pages: 8,
+            group_size: 4,
+            meta_checkpoint_interval_groups: 1_000_000,
+            ..CacheConfig::default()
+        };
+        // Page 5 (lsn 6) sits on a slot whose reads fail for good.
+        let probe = sharded_one(config.clone(), Arc::new(MemFlashStore::new(8)));
+        let bad = probe_slot(&probe, 5);
+        let store = Arc::new(crate::store::BadSlotStore {
+            inner: MemFlashStore::new(8),
+            bad,
+        });
+        let c = sharded_one(config, store);
+        let page_5 = PageId::new(0, 5);
+        let out = c.quarantine_slot(0, bad, &mut IoLog::new());
+        assert!(out.quarantined && out.dirty_unread);
+        let marker = c.in_transit(page_5).expect("a wound marker");
+        assert!(marker.data.is_none() && marker.dirty);
+        assert_eq!(marker.lsn, Lsn(6));
+        assert_eq!(c.first_wound(), Some((page_5, Lsn(6))));
+
+        c.reset_cold();
+        assert!(c.is_empty());
+        assert_eq!(
+            c.first_wound(),
+            Some((page_5, Lsn(6))),
+            "wiped with the ring"
+        );
+
+        // Neither a same-LSN data-less clean entry nor an older version with
+        // bytes replaces the marker.
+        let mut clean = marker.clone();
+        clean.dirty = false;
+        let older = version(5, 5, 55);
+        c.shards[0].write().publish(&[clean, older.clone()]);
+        assert_eq!(c.first_wound(), Some((page_5, Lsn(6))));
+
+        // A version below the lost one, cached or written past the cache,
+        // does not heal it; one at its LSN does.
+        assert!(c.insert(older, &mut IoLog::new()).unwrap().cached);
+        c.heal_wound(page_5, Lsn(5));
+        assert_eq!(c.first_wound(), Some((page_5, Lsn(6))));
+        assert!(
+            c.insert(version(5, 6, 66), &mut IoLog::new())
+                .unwrap()
+                .cached
+        );
+        assert_eq!(c.first_wound(), None);
+        assert!(c.in_transit(page_5).is_none());
+    }
+
+    #[test]
+    fn the_bytes_win_over_a_same_lsn_wound_marker() {
+        let c = four_slots();
+        let page_0 = PageId::new(0, 0);
+        let bytes = version(0, 3, 7);
+        let mut marker = bytes.clone();
+        marker.data = None;
+        c.shards[0].write().publish(&[bytes, marker.clone()]);
+        let kept = c.in_transit(page_0).unwrap();
+        assert_eq!(kept.data.unwrap().read_body(0, 4), 7u32.to_le_bytes());
+        assert_eq!(c.first_wound(), None);
+        // Written straight to disk at its LSN: a heal leaves the bytes to
+        // their own retirement.
+        c.heal_wound(page_0, Lsn(3));
+        assert!(c.in_transit(page_0).is_some());
+        c.clear_in_transit();
+        assert!(c.in_transit(page_0).is_none());
     }
 }

@@ -143,8 +143,9 @@ pub struct InsertOutcome {
     /// The page was admitted to the flash cache (metadata now references it).
     pub cached: bool,
     /// Dirty pages staged *out* of the flash cache to disk as a consequence
-    /// of this insert. In data-carrying mode each carries its contents; the
-    /// caller must write them to the disk store.
+    /// of this insert. In data-carrying mode each carries its contents;
+    /// [`crate::ShardedFlashCache`] records them in transit before its shard
+    /// lock drops, and the caller must write them to the disk store.
     pub staged_out: Vec<StagedPage>,
     /// With [`CacheConfig::defer_group_writes`] set, a filled replacement
     /// group is *returned* here instead of being written under the caller's
@@ -156,8 +157,8 @@ pub struct InsertOutcome {
 
 /// A failed [`crate::ShardedFlashCache::insert`]: the device error, and the
 /// dirty pages the insert un-cached (the page itself, if dirty, and any it
-/// had already dequeued). They were published to the caller's stage-out
-/// sink under the shard lock; the caller must write them to disk.
+/// had already dequeued). The cache recorded them in transit under the
+/// shard lock; the caller must write them to disk.
 #[derive(Debug)]
 pub struct InsertFailure {
     /// The final device error.
@@ -174,8 +175,9 @@ pub struct Evacuation {
     /// Every dirty valid cached page. Pages whose bytes could be produced
     /// (from RAM or a successful device read) carry `data` and must be
     /// written to disk by the caller; unreadable ones appear with
-    /// `data: None` — *wound markers* the caller publishes so stale disk
-    /// copies are refused until WAL redo rebuilds the page.
+    /// `data: None` — *wound markers*, kept in transit by
+    /// [`crate::ShardedFlashCache`] so stale disk copies are refused until
+    /// WAL redo rebuilds the page.
     pub pages: Vec<StagedPage>,
     /// Dirty valid pages whose flash bytes were unreadable (the number of
     /// `data: None` markers in `pages`).
@@ -190,8 +192,9 @@ pub struct QuarantineOutcome {
     pub quarantined: bool,
     /// A *dirty* displaced resident. With bytes (`data: Some`) the caller
     /// writes it to disk under the WAL guard; with `data: None` (see
-    /// `dirty_unread`) it is a wound marker the caller publishes so stale
-    /// disk copies are refused until WAL redo rebuilds the page.
+    /// `dirty_unread`) it is a wound marker, kept in transit by
+    /// [`crate::ShardedFlashCache`] so stale disk copies are refused until
+    /// WAL redo rebuilds the page.
     pub evacuee: Option<StagedPage>,
     /// The displaced resident was dirty but its bytes were unreadable
     /// (neither in RAM nor readable from the failing device): it must be
@@ -269,7 +272,10 @@ pub struct CacheConfig {
     /// [`crate::RingCache::complete_group`] seals its journal records. Off
     /// by default: [`crate::policy::FlashCache::insert`] applies and seals
     /// the group itself before it returns, the contract the trace-driven
-    /// simulator and single-threaded callers keep.
+    /// simulator and single-threaded callers keep. Only a bare ring reads
+    /// it (the trace simulator and the `ring_golden` tests):
+    /// [`crate::ShardedFlashCache::build`] turns it on for every shard,
+    /// because a shard never writes flash under its lock.
     pub defer_group_writes: bool,
     /// Read by no code; kept only so existing configurations that set it
     /// still build. Every [`crate::ShardedFlashCache::fetch`] is lock-light
@@ -289,11 +295,6 @@ pub struct CacheConfig {
     /// built on. [`crate::CachePolicyKind::S3Fifo`] ignores this flag: its ghost
     /// queue is an integral part of the policy and always on.
     pub ghost_admission: bool,
-    /// Capacity of the ghost directory in page ids (both the sharded
-    /// admission filter and the S3-FIFO policy's ghost queue). `0` (default)
-    /// sizes it automatically to the cache capacity, the classic S3-FIFO
-    /// choice ("as many ghosts as the main cache holds objects").
-    pub ghost_capacity_pages: usize,
     /// S3-FIFO only: fraction of the capacity given to the small
     /// (probationary) queue. The remainder is the main queue. Clamped so both
     /// regions hold at least one page.
@@ -310,7 +311,6 @@ impl Default for CacheConfig {
             defer_group_writes: false,
             lock_light_reads: false,
             ghost_admission: false,
-            ghost_capacity_pages: 0,
             s3_small_fraction: 0.1,
         }
     }
@@ -344,24 +344,10 @@ impl CacheConfig {
         self
     }
 
-    /// Builder-style enable of deferred group writes (see
-    /// [`CacheConfig::defer_group_writes`]).
-    pub fn defer_group_writes(mut self, on: bool) -> Self {
-        self.defer_group_writes = on;
-        self
-    }
-
     /// Builder-style enable of ghost-queue admission filtering (see
     /// [`CacheConfig::ghost_admission`]).
     pub fn ghost_admission(mut self, on: bool) -> Self {
         self.ghost_admission = on;
-        self
-    }
-
-    /// Builder-style override of the ghost-directory capacity (see
-    /// [`CacheConfig::ghost_capacity_pages`]; `0` = auto-size to capacity).
-    pub fn ghost_capacity_pages(mut self, pages: usize) -> Self {
-        self.ghost_capacity_pages = pages;
         self
     }
 
@@ -371,14 +357,12 @@ impl CacheConfig {
         self
     }
 
-    /// The effective ghost-directory capacity: the explicit setting, or the
-    /// cache capacity when left at `0`.
+    /// The ghost-directory capacity in page ids (both the sharded admission
+    /// filter and the S3-FIFO policy's ghost queue): the cache capacity, the
+    /// classic S3-FIFO choice ("as many ghosts as the main cache holds
+    /// objects").
     pub fn effective_ghost_capacity(&self) -> usize {
-        if self.ghost_capacity_pages == 0 {
-            self.capacity_pages.max(1)
-        } else {
-            self.ghost_capacity_pages
-        }
+        self.capacity_pages.max(1)
     }
 
     /// Capacity in bytes.

@@ -14,7 +14,7 @@
 //!
 //! 1. **Lockdep check** ([`check_device_op`]) — outermost, so the witness
 //!    sees exactly the locks the *caller* holds when it touches the device.
-//!    A lock of a `forbids_io` class (cache shard, wash table, destage
+//!    A lock of a `forbids_io` class (cache shard, ghost admission, destage
 //!    queue) held here is an `IoUnderLock` violation: the machine-checked
 //!    form of FaCE's contract that foreground paths never touch a device
 //!    under a hot lock. The flash check applies to the FaCE-family policies

@@ -6,7 +6,7 @@
 //! standard library's SipHash defends a map against keys crafted to collide;
 //! these keys come from counters inside the engine, so that defence buys
 //! nothing and costs a keyed hash on every buffer lookup, directory probe and
-//! wash-table check. Maps keyed by anything that arrives from outside the
+//! in-transit check. Maps keyed by anything that arrives from outside the
 //! process (user keys, file names, network input) keep the default hasher.
 //!
 //! The mix is one multiply by the 64-bit golden-ratio constant per word

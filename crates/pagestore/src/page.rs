@@ -11,7 +11,7 @@
 //! private copy made when the page leaves DRAM** — the buffer pool's
 //! eviction or checkpoint hands the tier a `&Page`, the tier copies it into
 //! the frame it stages and stamps that copy. Every later hop (pending group,
-//! flash slot, wash table, destage queue, disk) moves or shares those same
+//! flash slot, copy in transit, destage queue, disk) moves or shares those same
 //! bytes, so the stamp is still right when they reach a page store, and a
 //! store verifies it ([`crate::store::validate_read`]) on every read.
 //!
