@@ -37,7 +37,7 @@ use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::classes::{LockClassId, CLASSES, NUM_CLASSES};
+use crate::classes::{LockClassId, NUM_CLASSES};
 
 /// Whether the witness is compiled in: debug builds and `lockdep` builds.
 pub const ENABLED: bool = cfg!(any(debug_assertions, feature = "lockdep"));
@@ -442,11 +442,6 @@ pub fn edges() -> Vec<(LockClassId, LockClassId)> {
         }
     }
     out
-}
-
-/// Number of classes the witness knows about (for DOT rendering).
-pub fn class_count() -> usize {
-    CLASSES.len()
 }
 
 /// The classes currently held by this thread, outermost first (test aid and

@@ -514,13 +514,10 @@ impl ShardedFlashCache {
         }
         let mut outcome = match guard.ring.insert(staged, supplier, io) {
             Ok(outcome) => outcome,
-            Err(error) => {
-                // The policy rolled its directory back and parked every
-                // dirty page it had to un-cache in its fallout buffer.
-                let fallout = guard.ring.take_write_fallout();
-                guard.publish(&fallout);
+            Err(failure) => {
+                guard.publish(&failure.fallout);
                 self.note_len(shard, &*guard.ring);
-                return Err(InsertFailure { error, fallout });
+                return Err(failure);
             }
         };
         guard.publish(&outcome.staged_out);

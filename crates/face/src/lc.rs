@@ -22,8 +22,8 @@ use crate::io::IoLog;
 use crate::policy::{FlashCache, PageSupplier};
 use crate::store::FlashStore;
 use crate::types::{
-    CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, FlashFetch, InsertOutcome,
-    StagedPage,
+    CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, FlashFetch, InsertFailure,
+    InsertOutcome, StagedPage,
 };
 
 /// Fraction of dirty pages that triggers the lazy cleaner.
@@ -212,7 +212,7 @@ impl FlashCache for LcCache {
         staged: StagedPage,
         _supplier: &mut dyn PageSupplier,
         io: &mut IoLog,
-    ) -> DeviceResult<InsertOutcome> {
+    ) -> Result<InsertOutcome, InsertFailure> {
         self.stats.inserts.inc();
         if staged.dirty {
             self.stats.dirty_inserts.inc();
@@ -272,7 +272,7 @@ impl FlashCache for LcCache {
         Ok(outcome)
     }
 
-    fn sync(&mut self, _io: &mut IoLog) -> DeviceResult<()> {
+    fn sync(&mut self, _io: &mut IoLog) -> Result<(), InsertFailure> {
         // LC has no buffered batch; nothing to do.
         Ok(())
     }

@@ -14,7 +14,8 @@ use crate::s3fifo::S3FifoCache;
 use crate::store::FlashStore;
 use crate::tac::TacCache;
 use crate::types::{
-    CacheConfig, CacheRecoveryInfo, CacheStats, FlashFetch, InsertOutcome, StagedPage,
+    CacheConfig, CacheRecoveryInfo, CacheStats, FlashFetch, InsertFailure, InsertOutcome,
+    StagedPage,
 };
 
 /// Supplies additional dirty pages from the DRAM buffer's LRU tail so Group
@@ -75,18 +76,16 @@ pub trait FlashCache: Send + Sync {
     /// [`InsertOutcome::pending_group`](crate::types::InsertOutcome) instead
     /// of writing it here (see [`crate::RingCache::complete_group`]).
     ///
-    /// An `Err` means a device operation inside the call failed: a victim
-    /// read, or the batch write of a group the policy applied itself. A ring
-    /// policy then aborts what it could not finish and parks the dirty pages
-    /// it had to un-cache in
-    /// [`crate::RingCache::take_write_fallout`]; LC and TAC, which only the
-    /// simulator runs over stores that never fail, simply propagate it.
+    /// An `Err` means a device operation inside the call failed (a victim
+    /// read, or a group write the policy applied itself); its
+    /// [`InsertFailure::fallout`] lists the dirty pages the call un-cached,
+    /// in the order they left. LC and TAC never un-cache any.
     fn insert(
         &mut self,
         staged: StagedPage,
         supplier: &mut dyn PageSupplier,
         io: &mut IoLog,
-    ) -> DeviceResult<InsertOutcome>;
+    ) -> Result<InsertOutcome, InsertFailure>;
 
     /// Notification that `page` was fetched from *disk* into the DRAM buffer.
     /// Only on-entry policies (TAC) react to this.
@@ -99,8 +98,8 @@ pub trait FlashCache: Send + Sync {
     }
 
     /// Flush any buffered page batch and metadata to flash (called by
-    /// checkpoints and before clean shutdown).
-    fn sync(&mut self, io: &mut IoLog) -> DeviceResult<()>;
+    /// checkpoints and before clean shutdown), failing as `insert` does.
+    fn sync(&mut self, io: &mut IoLog) -> Result<(), InsertFailure>;
 
     /// Checkpoint support for policies whose cached dirty pages are *not*
     /// part of the persistent database (LC): return every dirty cached page

@@ -12,15 +12,15 @@
 //! [`GroupRing`] owns everything about that which is not a replacement
 //! decision:
 //!
-//! * **Slots, regions, directory, generations.** Every change of a slot's
-//!   occupant (enqueue, dequeue, rollback, abort, quarantine) bumps the
-//!   slot's generation, which is what lets a lock-light reader detect that
-//!   the bytes it read off-lock no longer belong to the version it pinned
+//! * **One slot table.** A slot's entry holds its generation, its occupant
+//!   and, until the occupant's group seals, its RAM frame. Every change of
+//!   occupant bumps the generation, which lets a lock-light reader detect
+//!   that bytes it read off-lock no longer belong to the version it pinned
 //!   ([`RingCache::fetch_pin`] / [`RingCache::fetch_validate`]).
 //! * **One group lifecycle.** Enqueues collect in the pending batch until
 //!   `group_size` of them exist. Every batch then leaves it the same way:
 //!   it *forms* a group (`form_pending_group`), whose frames stay readable
-//!   from the in-flight table, and the group is applied — one batch write —
+//!   in their slot entries, and the group is applied — one batch write —
 //!   and then completed ([`RingCache::complete_group`]) or, if the write
 //!   failed, aborted ([`RingCache::abort_group`]).
 //!   [`CacheConfig::defer_group_writes`] decides only *who* applies it: the
@@ -45,9 +45,9 @@
 //!   ([`FlashStore::read_batch`]) for all the rest; a device error therefore
 //!   aborts with no mutation at all. Which victims survive is the policy's
 //!   call.
-//! * **Failure handling.** Abort of a group whose batch write failed, the
-//!   write-fallout buffer the caller drains to disk after an inline
-//!   failure, slot quarantine, and dirty evacuation before a cache wipe.
+//! * **Failure handling.** Abort of a group whose batch write failed, slot
+//!   quarantine, dirty evacuation before a cache wipe, and the fallout a
+//!   failed call returns in its [`InsertFailure`], in the order it left.
 //! * **Recovery.** The directory is rebuilt from the cache checkpoint plus
 //!   the sealed groups and reconciled against the WAL: versions above the
 //!   durable LSN are discarded ([`GroupRing::recover`]).
@@ -73,7 +73,7 @@ use crate::policy::{FlashCache, PageSupplier};
 use crate::store::FlashStore;
 use crate::types::{
     CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, Evacuation, FetchPin,
-    FlashFetch, InsertOutcome, QuarantineOutcome, SlotGenerations, StagedPage,
+    FlashFetch, InsertFailure, InsertOutcome, QuarantineOutcome, StagedPage,
 };
 
 /// The replacement decisions a [`GroupRing`] leaves open. Implemented inside
@@ -149,6 +149,18 @@ impl SlotMeta {
             data,
         }
     }
+}
+
+/// One flash slot of the ring's slot table.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    /// Bumped at every change of occupant: a pin on the previous one fails.
+    generation: u64,
+    /// `None` outside every queue window, or a hole inside one.
+    occupant: Option<SlotMeta>,
+    /// The occupant's bytes until its group seals (pending or in flight);
+    /// `None` for a metadata-only page.
+    frame: Option<Arc<Page>>,
 }
 
 /// A formed group: the directory already references its slots, but the
@@ -242,36 +254,25 @@ pub(crate) struct Dequeued {
 pub struct GroupRing<P> {
     config: CacheConfig,
     pub(crate) store: Arc<dyn FlashStore>,
-    /// Slot metadata over the whole device; `None` means the slot is outside
-    /// every queue window, or a hole inside one.
-    slots: Vec<Option<SlotMeta>>,
+    /// The slot table over the whole device.
+    slots: Vec<Slot>,
     pub(crate) regions: Vec<Region>,
     /// Latest valid version of each cached page.
     pub(crate) dir: IdHashMap<PageId, usize>,
-    /// Slots assigned to the group now collecting, with their data when the
-    /// store carries data. Shared by all regions: their entries seal under
-    /// one journal group.
-    pending: Vec<(usize, Option<Arc<Page>>)>,
+    /// Slots assigned to the group now collecting, in write order. Shared by
+    /// all regions: their entries seal under one journal group.
+    pending: Vec<usize>,
     /// Formed groups awaiting their physical batch write or their seal, by
     /// epoch.
     inflight: BTreeMap<u64, InflightGroup>,
-    /// `slot -> (epoch, frame)` for the in-flight groups, so fetches of
-    /// versions whose batch write has not completed are served from RAM —
-    /// the foreground never waits for a specific group write to finish.
-    inflight_data: IdHashMap<usize, (u64, Arc<Page>)>,
-    generations: SlotGenerations,
     /// Slots removed from the replacement rotation after repeated device
     /// failures ([`RingCache::quarantine_slot`]). RAM-only by design: the
     /// flash bytes are not trimmed, so a post-crash recovery may still use
     /// them if they turn out readable; a slot that keeps failing is simply
     /// re-quarantined. Inside a queue window a quarantined slot is a hole
-    /// (`slots[s]` stays `None`); at the rear it is absorbed into the window
+    /// (its slot has no occupant); at the rear it is absorbed into the window
     /// without a page (`absorb_quarantined_rear`).
     quarantined: HashSet<usize>,
-    /// Dirty pages un-cached by a failed call — an aborted inline group or a
-    /// failed dequeue — awaiting the caller's disk failover
-    /// ([`RingCache::take_write_fallout`]).
-    write_fallout: Vec<StagedPage>,
     journal: MetaJournal,
     pub(crate) stats: CacheStatCounters,
     pub(crate) policy: P,
@@ -315,15 +316,12 @@ impl<P: RingPolicy> GroupRing<P> {
             journal: MetaJournal::new(config.meta_checkpoint_interval_groups),
             config,
             store,
-            slots: vec![None; capacity],
+            slots: vec![Slot::default(); capacity],
             regions,
             dir: IdHashMap::default(),
             pending: Vec::new(),
             inflight: BTreeMap::new(),
-            inflight_data: IdHashMap::default(),
-            generations: SlotGenerations::new(capacity),
             quarantined: HashSet::new(),
-            write_fallout: Vec::new(),
             stats: CacheStatCounters::default(),
         }
     }
@@ -354,8 +352,14 @@ impl<P: RingPolicy> GroupRing<P> {
         if self.is_empty() {
             return 0.0;
         }
-        let invalid = self.slots.iter().flatten().filter(|m| !m.valid).count();
+        let occupants = self.slots.iter().filter_map(|s| s.occupant.as_ref());
+        let invalid = occupants.filter(|m| !m.valid).count();
         invalid as f64 / self.len() as f64
+    }
+
+    /// The occupant of `slot`, if any.
+    fn occupant(&self, slot: usize) -> Option<&SlotMeta> {
+        self.slots[slot].occupant.as_ref()
     }
 
     /// Slots of every occupied window, region by region in queue order.
@@ -370,7 +374,7 @@ impl<P: RingPolicy> GroupRing<P> {
     fn snapshot_filtered(&self, below_epoch: u64) -> Vec<JournalEntry> {
         self.window_slots()
             .filter_map(|slot| {
-                let m = self.slots[slot].as_ref()?;
+                let m = self.occupant(slot)?;
                 (m.valid && m.epoch < below_epoch).then(|| m.journal_entry(slot))
             })
             .collect()
@@ -436,39 +440,39 @@ impl<P: RingPolicy> GroupRing<P> {
     /// to the front (a dequeue of an empty slot is a no-op).
     pub(crate) fn absorb_quarantined_rear(&mut self, region: usize) {
         while self.free(region) > 0 && self.quarantined.contains(&self.regions[region].rear()) {
-            let slot = self.regions[region].rear();
-            debug_assert!(self.slots[slot].is_none(), "quarantined slot occupied");
-            self.generations.bump(slot);
+            let entry = &mut self.slots[self.regions[region].rear()];
+            debug_assert!(entry.occupant.is_none(), "quarantined slot occupied");
+            entry.generation += 1;
             self.regions[region].size += 1;
         }
     }
 
-    /// The RAM-resident frame for `slot`, when its batch write has not
-    /// reached the device yet: `Some(frame)` for a slot in the not-yet-formed
-    /// pending batch or an in-flight group (the inner option is
-    /// `None` for metadata-only staged pages), `None` when the slot's bytes
-    /// live on the flash store.
+    /// The RAM-resident frame for `slot`'s occupant, when its batch write
+    /// has not reached the device yet: `Some(frame)` for a slot in the
+    /// pending batch (the inner option is `None` for a metadata-only page)
+    /// or in an in-flight group that carries data, `None` when the slot's
+    /// bytes live on the flash store.
     fn ram_frame(&self, slot: usize) -> Option<Option<Arc<Page>>> {
-        if let Some((_, frame)) = self.pending.iter().find(|(s, _)| *s == slot) {
-            return Some(frame.clone());
+        let entry = &self.slots[slot];
+        let pending = entry.occupant.as_ref()?.epoch == self.journal.current_epoch();
+        if pending {
+            return Some(entry.frame.clone());
         }
-        self.inflight_data
-            .get(&slot)
-            .map(|(_, frame)| Some(Arc::clone(frame)))
-    }
-
-    /// Drop `slot` from the pending batch, returning its frame.
-    fn take_pending(&mut self, slot: usize) -> Option<Option<Arc<Page>>> {
-        let pos = self.pending.iter().position(|(s, _)| *s == slot)?;
-        Some(self.pending.remove(pos).1)
+        entry.frame.clone().map(Some)
     }
 
     /// The slot's occupant leaves: bump the generation (outstanding
-    /// lock-light pins on the slot must fail), take the metadata and drop the
-    /// directory entry if it pointed here.
+    /// lock-light pins on the slot must fail), drop its frame, take the
+    /// metadata and drop the directory entry if it pointed here. A pending
+    /// occupant leaves the batch too, so no record of it ever seals.
     fn vacate(&mut self, slot: usize) -> Option<SlotMeta> {
-        self.generations.bump(slot);
-        let meta = self.slots[slot].take()?;
+        let entry = &mut self.slots[slot];
+        entry.generation += 1;
+        entry.frame = None;
+        let meta = entry.occupant.take()?;
+        if meta.epoch == self.journal.current_epoch() {
+            self.pending.retain(|&s| s != slot);
+        }
         if self.dir.get(&meta.page) == Some(&slot) {
             self.dir.remove(&meta.page);
         }
@@ -486,8 +490,9 @@ impl<P: RingPolicy> GroupRing<P> {
             "enqueue onto a quarantined slot"
         );
         self.regions[region].size += 1;
-        self.generations.bump(slot);
-        self.slots[slot] = Some(SlotMeta {
+        let entry = &mut self.slots[slot];
+        entry.generation += 1;
+        entry.occupant = Some(SlotMeta {
             page: staged.page,
             lsn: staged.lsn,
             dirty: staged.dirty,
@@ -495,14 +500,15 @@ impl<P: RingPolicy> GroupRing<P> {
             referenced: false,
             epoch: self.journal.current_epoch(),
         });
+        entry.frame = staged.data.clone();
         self.dir.insert(staged.page, slot);
-        self.pending.push((slot, staged.data.clone()));
+        self.pending.push(slot);
     }
 
     /// Invalidate the previous version of `page`, if cached.
     fn invalidate_previous(&mut self, page: PageId) {
         if let Some(slot) = self.dir.remove(&page) {
-            if let Some(meta) = &mut self.slots[slot] {
+            if let Some(meta) = &mut self.slots[slot].occupant {
                 meta.valid = false;
                 self.stats.invalidations.inc();
             }
@@ -554,9 +560,9 @@ impl<P: RingPolicy> GroupRing<P> {
     /// the victims' fate), then assign a slot.
     ///
     /// On a device error the insert is not admitted: the staged page (if
-    /// dirty) moves to the write-fallout buffer for disk failover, and the
-    /// error propagates. Pages already dequeued into `outcome.staged_out`
-    /// follow it there in [`FlashCache::insert`].
+    /// dirty) joins `outcome.staged_out` after the victims already dequeued
+    /// there, and the error propagates; [`FlashCache::insert`] returns them
+    /// all as its failure's fallout.
     pub(crate) fn admit(
         &mut self,
         region: usize,
@@ -579,7 +585,7 @@ impl<P: RingPolicy> GroupRing<P> {
                 break;
             }
             if let Err(e) = P::make_room(self, region, outcome, io) {
-                Self::serve_through(&self.stats, staged, &mut self.write_fallout, io);
+                Self::serve_through(&self.stats, staged, &mut outcome.staged_out, io);
                 return Err(e);
             }
         }
@@ -588,9 +594,9 @@ impl<P: RingPolicy> GroupRing<P> {
     }
 
     /// [`GroupRing::admit`] each of `pages` into `region`, in order. On a
-    /// device error the pages not yet admitted move to the write-fallout
-    /// buffer: they were already dequeued, so dropping them would lose the
-    /// only copy of a dirty one.
+    /// device error the pages not yet admitted join `outcome.staged_out`:
+    /// they were already dequeued, so dropping them would lose the only copy
+    /// of a dirty one.
     pub(crate) fn admit_all(
         &mut self,
         region: usize,
@@ -602,7 +608,7 @@ impl<P: RingPolicy> GroupRing<P> {
         while let Some(page) = pages.next() {
             if let Err(e) = self.admit(region, page, outcome, io) {
                 for rest in pages {
-                    Self::serve_through(&self.stats, rest, &mut self.write_fallout, io);
+                    Self::serve_through(&self.stats, rest, &mut outcome.staged_out, io);
                 }
                 return Err(e);
             }
@@ -666,7 +672,7 @@ impl<P: RingPolicy> GroupRing<P> {
         let mut on_device: Vec<usize> = Vec::new();
         for (i, frame) in prefetched.iter_mut().enumerate() {
             let slot = window.slot_at(i);
-            let Some(m) = &self.slots[slot] else {
+            let Some(m) = self.occupant(slot) else {
                 continue;
             };
             if m.valid && (m.dirty || (second_chance && m.referenced)) {
@@ -713,17 +719,13 @@ impl<P: RingPolicy> GroupRing<P> {
 
         for (i, data) in prefetched.into_iter().enumerate() {
             let slot = window.slot_at(i);
+            // A pending slot leaves the batch unwritten; a slot whose write
+            // is *in flight* keeps its queued write (the frames are shared
+            // and a later re-enqueue of the slot lands in a later group,
+            // which the per-shard FIFO destage order applies after).
             let Some(meta) = self.vacate(slot) else {
                 continue;
             };
-            // If this slot's write is still pending, take it out of the
-            // pending batch: its bytes are never written and, since a
-            // group's records derive from its slots, no record of it ever
-            // seals. A slot
-            // whose write is *in flight* keeps its queued write (the frames
-            // are shared and a later re-enqueue of the slot lands in a later
-            // group, which the per-shard FIFO destage order applies after).
-            self.take_pending(slot);
             self.stats.staged_out.inc();
             if !meta.valid {
                 continue;
@@ -769,8 +771,8 @@ impl<P: RingPolicy> GroupRing<P> {
     }
 
     /// Form a group from the pending batch: the directory keeps referencing
-    /// the slots, the frames move into the in-flight table so fetches and
-    /// dequeues still see them, and the group's journal records — one per
+    /// the slots, their entries keep the frames so fetches and dequeues
+    /// still see them, and the group's journal records — one per
     /// slot the batch will write — wait in the in-flight table until
     /// [`RingCache::complete_group`] seals them. No I/O happens here: the
     /// batch write is the caller's under
@@ -783,20 +785,16 @@ impl<P: RingPolicy> GroupRing<P> {
         let epoch = self.journal.begin_group();
         let mut pages = Vec::with_capacity(self.pending.len());
         let mut records = Vec::with_capacity(self.pending.len());
-        for (slot, data) in std::mem::take(&mut self.pending) {
-            let meta = self.slots[slot]
-                .as_ref()
-                .expect("pending slot has metadata");
+        for slot in std::mem::take(&mut self.pending) {
+            let entry = &self.slots[slot];
+            let meta = entry.occupant.as_ref().expect("pending slot has metadata");
             debug_assert_eq!(meta.epoch, epoch, "pending slot of another group");
             records.push(meta.journal_entry(slot));
-            if let Some(frame) = &data {
-                self.inflight_data.insert(slot, (epoch, Arc::clone(frame)));
-            }
             pages.push(PendingSlotWrite {
                 slot,
                 page: meta.page,
                 lsn: meta.lsn,
-                data,
+                data: entry.frame.clone(),
             });
         }
         let write = PendingGroupWrite {
@@ -816,18 +814,18 @@ impl<P: RingPolicy> GroupRing<P> {
     }
 
     /// Apply one group's batch write inline and seal it; on a device error
-    /// abort it, its dirty pages joining the write-fallout buffer. A prefix
-    /// of the batch may have persisted, but its records never seal, so those
-    /// bytes are invisible to recovery — exactly what a crash between the
-    /// write and the seal would leave.
+    /// abort it, its dirty pages joining `fallout`. A prefix of the batch
+    /// may have persisted, but its records never seal, so those bytes are
+    /// invisible to recovery — exactly what a crash between the write and
+    /// the seal would leave.
     fn apply_group_inline(
         &mut self,
         write: &PendingGroupWrite,
+        fallout: &mut Vec<StagedPage>,
         io: &mut IoLog,
     ) -> DeviceResult<()> {
         if let Err(e) = write.apply(&*self.store, io) {
-            let fallout = self.abort_group(write.epoch, io);
-            self.write_fallout.extend(fallout);
+            fallout.append(&mut self.abort_group(write.epoch, io));
             return Err(e);
         }
         self.complete_group(write.epoch, io);
@@ -844,7 +842,7 @@ impl<P: RingPolicy> GroupRing<P> {
                 break;
             }
             let group = entry.remove();
-            self.release_inflight_frames(&group.write);
+            self.release_frames(&group.write);
             let (front, size) = self.packed_pointers();
             self.journal.seal_group(group.records, front, size, io);
         }
@@ -854,11 +852,13 @@ impl<P: RingPolicy> GroupRing<P> {
         }
     }
 
-    /// Drop the in-flight frames `write` still owns.
-    fn release_inflight_frames(&mut self, write: &PendingGroupWrite) {
+    /// The group `write` sealed: its occupants' bytes are on flash, so their
+    /// entries drop the RAM frames (a slot reused since keeps its new
+    /// occupant's).
+    fn release_frames(&mut self, write: &PendingGroupWrite) {
         for w in &write.pages {
-            if matches!(self.inflight_data.get(&w.slot), Some((e, _)) if *e == write.epoch) {
-                self.inflight_data.remove(&w.slot);
+            if self.occupant(w.slot).map(|m| m.epoch) == Some(write.epoch) {
+                self.slots[w.slot].frame = None;
             }
         }
     }
@@ -941,19 +941,19 @@ impl<P: RingPolicy> GroupRing<P> {
                 doomed_slots.remove(&slot);
             }
             // A stale occupant of a reused slot loses its directory entry.
-            if let Some(old) = &cache.slots[slot] {
+            if let Some(old) = &cache.slots[slot].occupant {
                 if old.page != e.page && cache.dir.get(&old.page) == Some(&slot) {
                     cache.dir.remove(&old.page);
                 }
             }
             if let Some(prev) = cache.dir.insert(e.page, slot) {
                 if prev != slot {
-                    if let Some(m) = &mut cache.slots[prev] {
+                    if let Some(m) = &mut cache.slots[prev].occupant {
                         m.valid = false;
                     }
                 }
             }
-            cache.slots[slot] = Some(SlotMeta {
+            cache.slots[slot].occupant = Some(SlotMeta {
                 page: e.page,
                 lsn: e.lsn,
                 dirty: e.dirty,
@@ -984,7 +984,7 @@ impl<P: RingPolicy> GroupRing<P> {
                 if scanned >= scan_cap {
                     break;
                 }
-                if cache.slots[slot].is_some() {
+                if cache.occupant(slot).is_some() {
                     continue;
                 }
                 scanned += 1;
@@ -995,7 +995,7 @@ impl<P: RingPolicy> GroupRing<P> {
                     continue;
                 }
                 cache.dir.insert(page, slot);
-                cache.slots[slot] = Some(SlotMeta {
+                cache.slots[slot].occupant = Some(SlotMeta {
                     page,
                     lsn,
                     // The dirty flag is not in the page header; assume dirty
@@ -1041,7 +1041,7 @@ impl<P: RingPolicy> GroupRing<P> {
             self.stats.lookups.inc();
         }
         let slot = *self.dir.get(&page)?;
-        let meta = self.slots[slot].as_mut()?;
+        let meta = self.slots[slot].occupant.as_mut()?;
         debug_assert!(meta.valid, "directory points at an invalid version");
         if !retry {
             self.stats.hits.inc();
@@ -1093,14 +1093,6 @@ pub trait RingCache: FlashCache {
     /// reused while the caller read the device off-lock — the bytes may
     /// belong to a different version (or page) and must be discarded.
     fn fetch_validate(&self, slot: usize, generation: u64) -> bool;
-
-    /// Dirty pages un-cached by a failed call — a dequeue whose victim read
-    /// failed, or a group write the ring applied itself — awaiting disk
-    /// failover. Populated when [`FlashCache::insert`] or
-    /// [`FlashCache::sync`] return a device error; the caller drains this
-    /// immediately (under the same lock) and routes the pages through its
-    /// stage-out-to-disk path.
-    fn take_write_fallout(&mut self) -> Vec<StagedPage>;
 
     /// Report that a group's physical batch write finished: the group's
     /// journal records may now seal (become crash-durable) — never before,
@@ -1186,7 +1178,7 @@ impl<P: RingPolicy> FlashCache for GroupRing<P> {
         staged: StagedPage,
         supplier: &mut dyn PageSupplier,
         io: &mut IoLog,
-    ) -> DeviceResult<InsertOutcome> {
+    ) -> Result<InsertOutcome, InsertFailure> {
         self.count_insert(&staged);
         let mut outcome = InsertOutcome {
             cached: true,
@@ -1201,27 +1193,28 @@ impl<P: RingPolicy> FlashCache for GroupRing<P> {
                 if self.config.defer_group_writes {
                     outcome.pending_group = Some(write);
                 } else {
-                    done = self.apply_group_inline(&write, io);
+                    done = self.apply_group_inline(&write, &mut outcome.staged_out, io);
                 }
             }
         }
-        if let Err(e) = done {
-            // The page (or the whole group) went to the fallout buffer.
-            // Pages already dequeued by this call join it — `Err` carries no
-            // outcome, and the caller must still write them to disk.
-            self.write_fallout.append(&mut outcome.staged_out);
-            return Err(e);
+        // On failure every page this call un-cached is in `staged_out`, in
+        // the order it left: the caller must still write them to disk.
+        if let Err(error) = done {
+            let fallout = outcome.staged_out;
+            return Err(InsertFailure { error, fallout });
         }
         Ok(outcome)
     }
 
-    fn sync(&mut self, io: &mut IoLog) -> DeviceResult<()> {
+    fn sync(&mut self, io: &mut IoLog) -> Result<(), InsertFailure> {
         // Apply and seal every owed group, then snapshot the directory, so a
         // clean shutdown restarts with zero replay. A failed write aborts
-        // its group (dirty pages to the write fallout) and skips the
-        // snapshot.
+        // its group (dirty pages to the fallout) and skips the snapshot.
+        let mut fallout = Vec::new();
         for write in self.owed_groups() {
-            self.apply_group_inline(&write, io)?;
+            if let Err(error) = self.apply_group_inline(&write, &mut fallout, io) {
+                return Err(InsertFailure { error, fallout });
+            }
         }
         self.checkpoint_metadata(io);
         Ok(())
@@ -1290,18 +1283,14 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
             slot,
             lsn,
             dirty,
-            generation: self.generations.current(slot),
+            generation: self.slots[slot].generation,
             frame,
             data_expected,
         })
     }
 
     fn fetch_validate(&self, slot: usize, generation: u64) -> bool {
-        self.generations.check(slot, generation)
-    }
-
-    fn take_write_fallout(&mut self) -> Vec<StagedPage> {
-        std::mem::take(&mut self.write_fallout)
+        self.slots.get(slot).map(|s| s.generation) == Some(generation)
     }
 
     fn group_write_pending(&self, epoch: u64) -> bool {
@@ -1344,11 +1333,10 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
         let Some(group) = self.inflight.remove(&epoch) else {
             return Vec::new();
         };
-        self.release_inflight_frames(&group.write);
         let mut out = Vec::new();
         for w in group.write.pages {
-            let occupant_matches = self.slots[w.slot]
-                .as_ref()
+            let occupant_matches = self
+                .occupant(w.slot)
                 .is_some_and(|m| m.epoch == epoch && m.page == w.page);
             if !occupant_matches {
                 // Already dequeued, or the slot was reused by a later
@@ -1373,10 +1361,9 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
             return out;
         }
         out.quarantined = true;
-        // Pull the slot out of the not-yet-written pending batch: its record
-        // is never derived, so data and metadata leave together.
-        let pending = self.take_pending(slot).flatten();
-        let inflight = self.inflight_data.get(&slot).map(|(_, f)| Arc::clone(f));
+        // Vacating pulls a pending slot out of the not-yet-written batch: its
+        // record is never derived, so data and metadata leave together.
+        let frame = self.slots[slot].frame.take();
         let Some(meta) = self.vacate(slot).filter(|m| m.valid) else {
             return out;
         };
@@ -1389,7 +1376,7 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
         // the device only as a last resort — the slot is being quarantined
         // because it fails, so an unreadable dirty resident is counted and
         // recovered through WAL redo instead.
-        let data = match pending.or(inflight) {
+        let data = match frame {
             Some(frame) => Some(frame),
             None if self.store.carries_data() => match self.store.read_slot(slot) {
                 Ok(Some(p)) => Some(Arc::new(p)),
@@ -1426,7 +1413,7 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
         let mut ev = Evacuation::default();
         let mut read = 0u32;
         for slot in self.window_slots() {
-            let Some(meta) = self.slots[slot].as_ref().filter(|m| m.valid && m.dirty) else {
+            let Some(meta) = self.occupant(slot).filter(|m| m.valid && m.dirty) else {
                 continue;
             };
             // A version whose group write is still owed lives in RAM only:
@@ -1522,17 +1509,16 @@ pub(crate) mod tests {
     }
 
     /// The structural invariants of a ring: bounded regions, a directory
-    /// that only points at valid in-window slots holding the right page, and
-    /// at most one valid version per page.
+    /// that only points at valid in-window slots holding the right page, at
+    /// most one valid version per page, and a slot table that keeps a RAM
+    /// frame only for an occupant whose group has not sealed.
     pub(crate) fn check_structure<P: RingPolicy>(cache: &GroupRing<P>) {
         assert!(cache.len() <= cache.capacity());
         for r in &cache.regions {
             assert!(r.size <= r.cap, "region within its cap");
         }
         for (p, s) in cache.dir.iter() {
-            let m = cache.slots[*s]
-                .as_ref()
-                .expect("directory points at a slot");
+            let m = cache.occupant(*s).expect("directory points at a slot");
             assert!(m.valid, "directory must reference valid versions only");
             assert_eq!(m.page, *p);
             assert!(
@@ -1541,10 +1527,21 @@ pub(crate) mod tests {
             );
         }
         let mut valid_pages = HashSet::new();
-        for m in cache.slots.iter().flatten() {
+        for (slot, entry) in cache.slots.iter().enumerate() {
+            let Some(m) = &entry.occupant else {
+                assert!(entry.frame.is_none(), "empty slot {slot} holds a frame");
+                continue;
+            };
             if m.valid {
                 assert!(valid_pages.insert(m.page), "duplicate valid version");
             }
+            let unsealed =
+                m.epoch == cache.journal.current_epoch() || cache.inflight.contains_key(&m.epoch);
+            assert!(
+                unsealed || entry.frame.is_none(),
+                "slot {slot} keeps a frame after epoch {} sealed",
+                m.epoch
+            );
         }
     }
 
@@ -1603,7 +1600,8 @@ pub(crate) mod tests {
         assert_eq!(store.occupied(), 0, "no batch reached the device yet");
 
         for write in c.owed_groups() {
-            c.apply_group_inline(&write, &mut io).unwrap();
+            c.apply_group_inline(&write, &mut Vec::new(), &mut io)
+                .unwrap();
         }
         assert_eq!(store.occupied(), 2, "the one batch wrote two slots");
         assert_eq!(c.journal().sealed_groups(), 1);
@@ -1737,6 +1735,7 @@ pub(crate) mod tests {
                         max_lsn = lsn.0;
                     }
                 }
+                check_structure(&cache);
             }
             let durable = Lsn((durable_pick as u64) % (max_lsn + 2));
             let info = cache.crash_and_recover(durable, &mut io);
@@ -2070,7 +2069,7 @@ pub(crate) mod tests {
         fn filled_fifo<P: RingPolicy>(
             cfg: CacheConfig,
             store: impl FnOnce(usize) -> Arc<dyn FlashStore>,
-        ) -> (GroupRing<P>, DeviceResult<InsertOutcome>, IoLog) {
+        ) -> (GroupRing<P>, Result<InsertOutcome, InsertFailure>, IoLog) {
             let cfg = fifo_cfg::<P>(cfg);
             let store = store(cfg.capacity_pages);
             let mut cache: GroupRing<P> = GroupRing::new(cfg, store);
@@ -2089,7 +2088,7 @@ pub(crate) mod tests {
         ) -> (
             GroupRing<P>,
             Arc<FaultPlan>,
-            DeviceResult<InsertOutcome>,
+            Result<InsertOutcome, InsertFailure>,
             IoLog,
         ) {
             let plan = Arc::new(plan);
@@ -2107,10 +2106,10 @@ pub(crate) mod tests {
                     .fail_nth(1)
                     .mode(FaultMode::TornWrite)
                     .permanent();
-                let (mut c, plan, last, io) = faulty_fifo::<P>(meta_cfg(4, 4, false), plan);
-                assert!(last.is_err(), "the inline batch write failed");
+                let (c, plan, last, io) = faulty_fifo::<P>(meta_cfg(4, 4, false), plan);
+                let err = last.expect_err("the inline batch write failed");
                 assert_eq!(plan.faults_injected(), 1);
-                assert_eq!(c.take_write_fallout().len(), 4);
+                assert_eq!(err.fallout.len(), 4);
                 assert_eq!(c.stats().staged_out_to_disk, 4);
                 assert_eq!(io.disk_writes(), 4);
                 assert_eq!(io.flash_pages_written(), 0, "a failed batch is not charged");
@@ -2120,6 +2119,40 @@ pub(crate) mod tests {
                     0,
                     "records dropped with the data"
                 );
+            }
+            case::<MvFifo>();
+            case::<S3Fifo>();
+        }
+
+        #[test]
+        fn a_failed_inserts_fallout_lists_the_victims_it_dequeued_first() {
+            fn case<P: RingPolicy>() {
+                // One slot per queue and groups of one, written inline: each
+                // new version of page 0 dequeues the one before it to disk.
+                let plan = FaultPlan::new(8)
+                    .writes_only()
+                    .probability(1.0)
+                    .armed_on_crash();
+                let plan = Arc::new(plan);
+                let regions = P::region_capacities(&meta_cfg(2, 1, false)).len();
+                let store = faulty_store(regions, &plan);
+                let mut c: GroupRing<P> = GroupRing::new(meta_cfg(regions, 1, false), store);
+                let mut io = IoLog::new();
+                for lsn in 1..=2 {
+                    c.insert(staged(0, lsn, true), &mut NoSupplier, &mut io)
+                        .unwrap();
+                }
+                plan.arm();
+                // Version 3 dequeues version 2, then its own group write
+                // fails and is aborted.
+                let err = c
+                    .insert(staged(0, 3, true), &mut NoSupplier, &mut io)
+                    .unwrap_err();
+                let lsns: Vec<Lsn> = err.fallout.iter().map(|s| s.lsn).collect();
+                // A disk job writes in list order: the newest version last.
+                assert_eq!(lsns, [Lsn(2), Lsn(3)]);
+                assert!(!c.contains(pid(0)));
+                check_structure(&c);
             }
             case::<MvFifo>();
             case::<S3Fifo>();
@@ -2161,10 +2194,10 @@ pub(crate) mod tests {
                 plan.arm();
                 // The queue is full; the victim's bytes are on the device and
                 // cannot be read, so the dequeue aborts before any mutation.
-                assert!(c
+                let fallout = c
                     .insert(staged(9, 9, true), &mut NoSupplier, &mut io)
-                    .is_err());
-                let fallout = c.take_write_fallout();
+                    .unwrap_err()
+                    .fallout;
                 assert_eq!(fallout.len(), 1);
                 assert_eq!(fallout[0].page, pid(9));
                 assert_eq!(c.stats().staged_out_to_disk, 1);
@@ -2234,7 +2267,7 @@ pub(crate) mod tests {
                     .unwrap_err();
                 // No slot to narrow down: nothing is re-read, and a one-shot
                 // fault is not retried away before the breaker hears of it.
-                assert_eq!(err.slot(), None);
+                assert_eq!(err.error.slot(), None);
                 assert_eq!(plan.ops_observed() - ops, 1);
                 assert_eq!(c.valid_versions(), before);
             }
@@ -2278,10 +2311,14 @@ pub(crate) mod tests {
                 let err = c
                     .insert(staged(9, 9, true), &mut NoSupplier, &mut io)
                     .unwrap_err();
-                assert_eq!(err.slot(), Some(BAD), "the slot quarantine must act on");
+                assert_eq!(
+                    err.error.slot(),
+                    Some(BAD),
+                    "the slot quarantine must act on"
+                );
                 assert_eq!(c.valid_versions(), before, "no victim was touched");
                 check_structure(&c);
-                assert_eq!(c.take_write_fallout().len(), 1, "only the new page");
+                assert_eq!(err.fallout.len(), 1, "only the new page");
                 // The ladder's next step works on that slot and unblocks the
                 // queue: the resident leaves (its bytes are gone), and the
                 // retried insert dequeues the three readable victims.
@@ -2357,14 +2394,10 @@ pub(crate) mod tests {
             }
             assert_eq!(c.region_sizes(), (2, 18));
             plan.arm();
-            assert!(c
+            let err = c
                 .insert(staged(102, 4, true), &mut NoSupplier, &mut io)
-                .is_err());
-            let mut lost: Vec<u32> = c
-                .take_write_fallout()
-                .iter()
-                .map(|s| s.page.page_no)
-                .collect();
+                .unwrap_err();
+            let mut lost: Vec<u32> = err.fallout.iter().map(|s| s.page.page_no).collect();
             lost.sort_unstable();
             assert_eq!(lost, [100, 101, 102], "no dequeued dirty page may vanish");
         }

@@ -23,8 +23,8 @@ use crate::io::IoLog;
 use crate::policy::{FlashCache, PageSupplier};
 use crate::store::FlashStore;
 use crate::types::{
-    CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, FlashFetch, InsertOutcome,
-    StagedPage,
+    CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, FlashFetch, InsertFailure,
+    InsertOutcome, StagedPage,
 };
 
 /// Pages per temperature extent.
@@ -176,7 +176,7 @@ impl FlashCache for TacCache {
         staged: StagedPage,
         _supplier: &mut dyn PageSupplier,
         io: &mut IoLog,
-    ) -> DeviceResult<InsertOutcome> {
+    ) -> Result<InsertOutcome, InsertFailure> {
         self.stats.inserts.inc();
         if staged.dirty {
             self.stats.dirty_inserts.inc();
@@ -230,7 +230,7 @@ impl FlashCache for TacCache {
         Ok(outcome)
     }
 
-    fn sync(&mut self, _io: &mut IoLog) -> DeviceResult<()> {
+    fn sync(&mut self, _io: &mut IoLog) -> Result<(), InsertFailure> {
         Ok(())
     }
 

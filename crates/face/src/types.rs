@@ -97,35 +97,6 @@ pub struct FetchPin {
     pub data_expected: bool,
 }
 
-/// Per-slot version counters backing the ring's lock-light fetch protocol:
-/// [`SlotGenerations::bump`] whenever a slot's occupant changes, and
-/// [`SlotGenerations::check`] to validate a pin after an off-lock device
-/// read.
-#[derive(Debug)]
-pub struct SlotGenerations(Vec<u64>);
-
-impl SlotGenerations {
-    /// Counters for `capacity` slots, all starting at zero.
-    pub fn new(capacity: usize) -> Self {
-        Self(vec![0; capacity])
-    }
-
-    /// The slot's current generation (what a [`FetchPin`] carries).
-    pub fn current(&self, slot: usize) -> u64 {
-        self.0[slot]
-    }
-
-    /// Invalidate outstanding pins on `slot`.
-    pub fn bump(&mut self, slot: usize) {
-        self.0[slot] = self.0[slot].wrapping_add(1);
-    }
-
-    /// Whether `slot` still holds the version pinned at `generation`.
-    pub fn check(&self, slot: usize, generation: u64) -> bool {
-        self.0.get(slot) == Some(&generation)
-    }
-}
-
 /// The result of a successful flash-cache fetch.
 #[derive(Debug, Clone)]
 pub struct FlashFetch {
@@ -155,16 +126,27 @@ pub struct InsertOutcome {
     pub pending_group: Option<PendingGroupWrite>,
 }
 
-/// A failed [`crate::ShardedFlashCache::insert`]: the device error, and the
-/// dirty pages the insert un-cached (the page itself, if dirty, and any it
-/// had already dequeued). The cache recorded them in transit under the
-/// shard lock; the caller must write them to disk.
+/// A failed [`crate::FlashCache::insert`] or [`crate::FlashCache::sync`]:
+/// the device error, and the dirty pages the call un-cached, in the order
+/// they left — victims it had already dequeued, then the page it could not
+/// place or the group it aborted. [`crate::ShardedFlashCache`] records them
+/// in transit under the shard lock; the caller must write them to disk.
 #[derive(Debug)]
 pub struct InsertFailure {
     /// The final device error.
     pub error: DeviceError,
     /// The dirty pages that now need a disk write.
     pub fallout: Vec<StagedPage>,
+}
+
+/// A failure that un-cached nothing (LC and TAC never do).
+impl From<DeviceError> for InsertFailure {
+    fn from(error: DeviceError) -> Self {
+        Self {
+            error,
+            fallout: Vec::new(),
+        }
+    }
 }
 
 /// What [`crate::RingCache::evacuate_dirty`] salvaged. Best-effort

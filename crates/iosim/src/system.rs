@@ -248,12 +248,6 @@ impl IoSystemBuilder {
         self
     }
 
-    /// Use an arbitrary target for the data role.
-    pub fn data_target(mut self, target: Box<dyn IoTarget>) -> Self {
-        self.data = Some(target);
-        self
-    }
-
     /// Add a flash-cache device with the given profile.
     pub fn flash_device(mut self, profile: DeviceProfile) -> Self {
         self.flash = Some(Box::new(Device::new(DeviceId(200), profile)));

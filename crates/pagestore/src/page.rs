@@ -315,11 +315,6 @@ impl Page {
         &self.bytes[PAGE_HEADER_SIZE..]
     }
 
-    /// Mutable access to the page body.
-    pub fn body_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes[PAGE_HEADER_SIZE..]
-    }
-
     /// Copy `data` into the body at `offset`.
     ///
     /// # Panics

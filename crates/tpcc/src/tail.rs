@@ -112,13 +112,6 @@ pub struct TailReport {
     pub wall: Duration,
 }
 
-impl TailReport {
-    /// p99 (µs) of each window, in window order.
-    pub fn window_p99s(&self) -> Vec<f64> {
-        self.windows.iter().map(|w| w.summary.p99_us).collect()
-    }
-}
-
 struct TailThreadResult {
     window_hists: Vec<LatencyHistogram>,
     window_committed: Vec<u64>,
