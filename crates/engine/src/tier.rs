@@ -19,19 +19,18 @@
 //!
 //! A tier with a flash cache owns a [`Destager`], and the destager alone
 //! writes what the tier sends down: a foreground `write_back` only mutates
-//! the cache directory and hands over the group's flash batch write and the
-//! disk writes of the dirty pages it dequeued. With destage threads,
-//! background workers perform them; with none (the sync A/B baseline) the
-//! destager runs the same job body on the calling thread before the
-//! hand-over returns. The write-ahead guard runs **before** anything is
-//! handed over, in both drivers. Checkpoints and evacuations hand over the
-//! groups still owed (`flush_owed_groups`) the same way, so
-//! `destage::execute` is the one code path that writes a group. Every
-//! staged page bound for the disk — a stage-out, a failed insert's fallout,
-//! a quarantine evacuee, a trip's or a cold reset's evacuation — goes
-//! through `dispatch_staged_out` onto its shard's queue, so one shard's disk
-//! writes land in hand-over order and an older version never overwrites a
-//! newer one.
+//! the cache directory and hands over one job — the disk writes of the
+//! dirty pages it dequeued and the group's flash batch write. With destage
+//! threads, background workers perform it; with none (the sync A/B
+//! baseline) the destager runs the same job body on the calling thread
+//! before the hand-over returns. Every job goes through `hand_over`, which
+//! runs the write-ahead guard **before** anything is handed over, in both
+//! drivers: a write-back's stage-outs and group, a failed insert's fallout,
+//! a quarantine evacuee, a trip's or a cold reset's evacuation, and the
+//! groups a checkpoint or an evacuation finds still owed
+//! (`flush_owed_groups`). So `destage::execute` is the one code path that
+//! writes a group, and one shard's jobs run on its queue in hand-over order:
+//! an older version never overwrites a newer one.
 //!
 //! ## Pages in transit
 //!
@@ -441,7 +440,7 @@ impl FaceTier {
             DegradeAction::Continue => Ok(None),
             DegradeAction::Quarantine { shard, slot } => {
                 let evacuee = quarantine(&flash.cache, &flash.degrade, shard, slot);
-                self.dispatch_staged_out(flash, shard, evacuee.iter().cloned().collect())?;
+                self.hand_over(flash, shard, evacuee.iter().cloned().collect(), None)?;
                 Ok(evacuee)
             }
             DegradeAction::Trip => self.maybe_claim_trip(flash).map(|()| None),
@@ -484,7 +483,7 @@ impl FaceTier {
         for (shard, ev) in evacuations.into_iter().enumerate() {
             flash.degrade.note_dirty_unread(ev.unread_dirty);
             evacuated += ev.pages.iter().filter(|s| s.data.is_some()).count();
-            handed = handed.and(self.dispatch_staged_out(flash, shard, ev.pages));
+            handed = handed.and(self.hand_over(flash, shard, ev.pages, None));
         }
         let drained = flash.destager.drain().map_err(TierError::Device);
         (evacuated, handed.and(drained))
@@ -495,10 +494,7 @@ impl FaceTier {
     /// retried, aborted, quarantined and failed over like any other.
     fn flush_owed_groups(&self, flash: &FlashSide) -> TierResult<()> {
         for write in flash.cache.owed_groups() {
-            flash
-                .destager
-                .enqueue(DestageJob::Group(write))
-                .map_err(TierError::Device)?;
+            self.hand_over(flash, write.shard, Vec::new(), Some(write))?;
         }
         flash.destager.drain().map_err(TierError::Device)
     }
@@ -549,32 +545,37 @@ impl FaceTier {
         }
     }
 
-    /// Hand staged pages bound for the disk, already in transit, to
-    /// `shard`'s destage queue — the one way the tier's staged pages reach
-    /// the disk (stage-outs, a failed insert's fallout, quarantine evacuees,
-    /// evacuations), so one shard's disk writes land in hand-over order. The
-    /// write-ahead guard runs here — *before* the hand-over, whichever driver
-    /// takes it — so a destage job always finds durable log records (normally
-    /// a no-op: the guard already ran when the page entered the cache).
-    fn dispatch_staged_out(
+    /// Hand `shard`'s destager one job: staged pages bound for the disk,
+    /// already in transit (stage-outs, a failed insert's fallout, quarantine
+    /// evacuees, evacuations), and a formed group. This is the one way the
+    /// tier's work reaches the destager, so one shard's writes land in
+    /// hand-over order. The write-ahead guard runs here on the disk-bound
+    /// pages — *before* the hand-over, whichever driver takes it — so a
+    /// destage job always finds durable log records (normally a no-op: the
+    /// guard already ran when the page entered the cache). If it fails, the
+    /// pages stay in transit and the error is returned, but the group still
+    /// goes over: a formed group nobody enqueues stays owed, and every later
+    /// group of its shard completes but cannot seal behind it.
+    fn hand_over(
         &self,
         flash: &FlashSide,
         shard: usize,
-        staged: Vec<StagedPage>,
+        to_disk: Vec<StagedPage>,
+        group: Option<PendingGroupWrite>,
     ) -> TierResult<()> {
-        if staged.is_empty() {
-            return Ok(());
+        let guarded = to_disk
+            .iter()
+            .try_for_each(|s| self.ensure_wal_durable(s.lsn));
+        let to_disk = if guarded.is_ok() { to_disk } else { Vec::new() };
+        if to_disk.is_empty() && group.is_none() {
+            return guarded;
         }
-        for s in &staged {
-            self.ensure_wal_durable(s.lsn)?;
-        }
-        flash
-            .destager
-            .enqueue(DestageJob::Disk {
-                shard,
-                pages: staged,
-            })
-            .map_err(TierError::Device)
+        let job = DestageJob {
+            shard,
+            to_disk,
+            group,
+        };
+        guarded.and(flash.destager.enqueue(job).map_err(TierError::Device))
     }
 
     fn write_page_to_disk(&self, page: &Page) -> TierResult<()> {
@@ -913,7 +914,7 @@ impl LowerTier for FaceTier {
                 // they go down like any stage-out, then the controller
                 // decides whether the slot or the whole device is condemned
                 // — whatever the hand-over returned.
-                let fell_out = self.dispatch_staged_out(flash, shard, fallout);
+                let fell_out = self.hand_over(flash, shard, fallout, None);
                 let verdict = self.carry_out(flash, flash.degrade.note_error(shard, &error));
                 fell_out.and(verdict)?;
                 return Ok(ON_DISK);
@@ -922,19 +923,10 @@ impl LowerTier for FaceTier {
         if outcome.cached {
             self.stats.cache_inserts.inc();
         }
-        // Stage-outs and the filled group are the destager's from here —
-        // strictly after every cache lock was released, in both drivers. The
-        // group goes over even if the stage-outs' hand-over failed: a formed
-        // group nobody enqueues stays owed, and every later group of its
-        // shard completes but cannot seal behind it.
-        let staged_out = self.dispatch_staged_out(flash, shard, outcome.staged_out);
-        let group = outcome.pending_group.map_or(Ok(()), |write| {
-            flash
-                .destager
-                .enqueue(DestageJob::Group(write))
-                .map_err(TierError::Device)
-        });
-        staged_out.and(group)?;
+        // Stage-outs and the filled group are the destager's from here, as
+        // one job — strictly after every cache lock was released, in both
+        // drivers.
+        self.hand_over(flash, shard, outcome.staged_out, outcome.pending_group)?;
         Ok(WriteBackOutcome {
             in_flash: outcome.cached,
             on_disk: false,
@@ -1123,7 +1115,7 @@ mod tests {
         let flash = tier.flash.as_ref().unwrap();
         for s in [stamped, unstamped.clone()] {
             let shard = flash.cache.shard_of(s.page);
-            tier.dispatch_staged_out(flash, shard, vec![s]).unwrap();
+            tier.hand_over(flash, shard, vec![s], None).unwrap();
         }
         assert_eq!(tier.stats().disk_writes, 2);
         let mut buf = Page::zeroed();
@@ -1164,7 +1156,7 @@ mod tests {
         // whose stamp verifies from where it is.
         let staged = stage(dirty_page(ids[0], b"staged"), true, true);
         let flash = tier.flash.as_ref().unwrap();
-        tier.dispatch_staged_out(flash, 0, vec![staged.clone()])
+        tier.hand_over(flash, 0, vec![staged.clone()], None)
             .unwrap();
         flash.degrade.request_trip();
         tier.maybe_claim_trip(flash).unwrap();
@@ -1764,7 +1756,12 @@ mod tests {
                 .unwrap();
             assert_eq!(evacuee.map(|s| s.page), Some(ids[2]));
             // ... and then the group's batch write fails on the same slot.
-            flash.destager.enqueue(DestageJob::Group(write)).unwrap();
+            let job = DestageJob {
+                shard: write.shard,
+                to_disk: Vec::new(),
+                group: Some(write),
+            };
+            flash.destager.enqueue(job).unwrap();
             tier.drain_destage().unwrap();
             let stats = tier.degrade_stats().unwrap();
             assert_eq!(

@@ -1,20 +1,22 @@
 //! The asynchronous group-write & destage pipeline.
 //!
-//! PR 2 sharded the flash cache so concurrent callers rarely meet; this
-//! module takes the next step the paper's host systems take (PostgreSQL's
-//! bgwriter, Oracle's DBWR): the *foreground* thread no longer pays for the
-//! group's device I/O at all. An insert that fills a replacement group only
-//! mutates the shard's directory and hands back a [`PendingGroupWrite`]; the
-//! physical batch write, the journal-group seal and the dequeued-dirty-page
-//! disk writes all happen on a small pool of background destager threads.
+//! As in the paper's host systems (PostgreSQL's bgwriter, Oracle's DBWR),
+//! the *foreground* thread does not pay for a group's device I/O: an insert
+//! that fills a replacement group only mutates the shard's directory and
+//! hands back a [`PendingGroupWrite`]; the batch write, the journal-group
+//! seal and the disk writes of dequeued dirty pages run on the destager.
 //!
 //! ## Ordering and durability
 //!
+//! * A job ([`DestageJob`]) is one hand-over from one cache shard, and
+//!   `execute` runs its phases in the one order its docs list. Every disk
+//!   write of a job, an aborted group's fallout included, goes through one
+//!   retrying write-out.
 //! * Jobs are routed to workers by **cache shard** (`shard % threads`), so
-//!   one shard's group writes and disk destages execute in FIFO order on one
-//!   worker. Two versions of the same page can therefore never reach the
-//!   disk (or the same flash slot) out of order — a page always routes to
-//!   the same shard, and a shard always routes to the same worker.
+//!   one shard's jobs execute in FIFO order on one worker. Two versions of
+//!   the same page can therefore never reach the disk (or the same flash
+//!   slot) out of order — a page always routes to the same shard, and a
+//!   shard always routes to the same worker.
 //! * A group's journal records are sealed (made crash-durable) by
 //!   [`crate::RingCache::complete_group`] strictly **after** its
 //!   batch write is applied, preserving PR 3's invariant that metadata never
@@ -51,9 +53,10 @@
 //! Each worker owns a bounded queue ([`DestageConfig::queue_depth`] jobs).
 //! A foreground thread that enqueues into a full queue blocks — without
 //! holding any cache lock — until the worker drains; the stall is counted in
-//! [`DestageStats::backpressure_stalls`]. Fetches of pages whose group write
-//! has not completed are served from the policy's in-flight frame map, so
-//! the foreground never waits for a *specific* group to finish.
+//! [`DestageStats::backpressure_stalls`]. A page whose group write has not
+//! completed is served from its slot's RAM frame, which the ring's slot
+//! table keeps until the group seals, so the foreground never waits for a
+//! *specific* group to finish.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -147,29 +150,19 @@ impl Default for DestageConfig {
     }
 }
 
-/// Work accepted by the destager.
+/// One hand-over from the tier to a shard's destager: the staged pages the
+/// shard sends to the disk, and the group it formed, if any (phases in
+/// `execute`'s order).
 #[derive(Debug, Clone)]
-pub enum DestageJob {
+pub struct DestageJob {
+    /// The cache shard that handed the job over (routing key).
+    pub shard: usize,
+    /// Pages bound for the disk array, each already WAL-covered and in
+    /// transit.
+    pub to_disk: Vec<StagedPage>,
     /// A deferred flash group write: apply the batch, then seal its journal
     /// group.
-    Group(PendingGroupWrite),
-    /// Dirty pages dequeued from the cache, bound for the disk array. The
-    /// shard is carried explicitly so same-page writes stay ordered.
-    Disk {
-        /// The cache shard that dequeued the pages (routing key).
-        shard: usize,
-        /// The pages to write, each already WAL-covered.
-        pages: Vec<StagedPage>,
-    },
-}
-
-impl DestageJob {
-    fn shard(&self) -> usize {
-        match self {
-            DestageJob::Group(w) => w.shard,
-            DestageJob::Disk { shard, .. } => *shard,
-        }
-    }
+    pub group: Option<PendingGroupWrite>,
 }
 
 /// Where the destager sends its work. Implemented by the engine tier, which
@@ -210,7 +203,9 @@ pub struct DestageStats {
     pub groups_completed: u64,
     /// Group writes dropped by a crash ([`Destager::abort_pending`]).
     pub groups_dropped: u64,
-    /// Dirty pages accepted for disk destaging.
+    /// Dirty pages accepted for disk destaging: a job's pages when it is
+    /// enqueued, an aborted group's fallout when its job takes it over.
+    /// Each one ends up completed or dropped.
     pub disk_pages_enqueued: u64,
     /// Dirty pages written to disk.
     pub disk_pages_completed: u64,
@@ -259,6 +254,14 @@ impl DestageStatCounters {
             transient_errors: self.transient_errors.get(),
             permanent_errors: self.permanent_errors.get(),
             groups_aborted: self.groups_aborted.get(),
+        }
+    }
+
+    /// Count a job's pages and group as dropped by a crash.
+    fn note_dropped(&self, job: &DestageJob) {
+        self.disk_pages_dropped.add(job.to_disk.len() as u64);
+        if job.group.is_some() {
+            self.groups_dropped.inc();
         }
     }
 
@@ -367,20 +370,16 @@ impl Destager {
     /// and return the write error nothing could absorb to the caller whose
     /// write-back caused it.
     pub fn enqueue(&self, job: DestageJob) -> Result<(), DeviceError> {
-        match &job {
-            DestageJob::Group(_) => self.shared.stats.groups_enqueued.inc(),
-            DestageJob::Disk { pages, .. } => {
-                self.shared
-                    .stats
-                    .disk_pages_enqueued
-                    .add(pages.len() as u64);
-            }
+        let stats = &self.shared.stats;
+        stats.disk_pages_enqueued.add(job.to_disk.len() as u64);
+        if job.group.is_some() {
+            stats.groups_enqueued.inc();
         }
         let generation = self.shared.generation.load(Ordering::Acquire);
         if self.shared.queues.is_empty() {
             return execute(&self.shared, generation, job);
         }
-        let queue = &self.shared.queues[job.shard() % self.shared.queues.len()];
+        let queue = &self.shared.queues[job.shard % self.shared.queues.len()];
         let mut state = queue.state.lock();
         // One logical stall per blocking enqueue, however many wakeups the
         // wait loop takes (notify_all wakes every sleeper on each completed
@@ -421,17 +420,9 @@ impl Destager {
     pub fn abort_pending(&self) {
         self.shared.generation.fetch_add(1, Ordering::AcqRel);
         for queue in &self.shared.queues {
-            let dropped: Vec<(u64, DestageJob)> = {
-                let mut state = queue.state.lock();
-                state.jobs.drain(..).collect()
-            };
+            let dropped = std::mem::take(&mut queue.state.lock().jobs);
             for (_, job) in dropped {
-                match job {
-                    DestageJob::Group(_) => self.shared.stats.groups_dropped.inc(),
-                    DestageJob::Disk { pages, .. } => {
-                        self.shared.stats.disk_pages_dropped.add(pages.len() as u64)
-                    }
-                }
+                self.shared.stats.note_dropped(&job);
             }
             queue.space_ready.notify_all();
         }
@@ -445,8 +436,12 @@ impl Destager {
 
 impl Drop for Destager {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
         for queue in &self.shared.queues {
+            // Raised under the queue's lock: a worker reads the flag under
+            // it and then waits, so the notify cannot fall in between.
+            let state = queue.state.lock();
+            self.shared.shutdown.store(true, Ordering::Release);
+            drop(state);
             queue.work_ready.notify_all();
             queue.space_ready.notify_all();
         }
@@ -475,102 +470,116 @@ fn worker_loop(shared: &Shared, index: usize) {
         if let Err(e) = execute(shared, generation, job) {
             *shared.last_error.lock() = Some(e);
         }
-        let mut state = queue.state.lock();
-        state.busy = false;
-        drop(state);
+        queue.state.lock().busy = false;
         // Wake both backpressured producers and drain()ers.
         queue.space_ready.notify_all();
     }
 }
 
 /// Run one job to its end on the calling thread — a worker, or under the
-/// inline driver the thread that enqueued it. `Err` is a disk write-out that
-/// failed for good with nothing below it to absorb the pages: a worker parks
-/// it for the next [`Destager::drain`], the inline driver returns it.
+/// inline driver the thread that enqueued it. The phases run in this order,
+/// and a crash ([`Destager::abort_pending`]) before phase 1, phase 2 or the
+/// seal drops what is left:
+///
+/// 1. the stage-outs go to disk;
+/// 2. the group's batch write runs;
+/// 3. the group seals, or — its batch failed for good — it aborts, its slot
+///    may be quarantined and its dirty pages go to disk.
+///
+/// `Err` is a disk write-out that failed for good with nothing below it to
+/// absorb the pages (the first, if two did): a worker parks it for the next
+/// [`Destager::drain`], the inline driver returns it.
 fn execute(shared: &Shared, generation: u64, job: DestageJob) -> Result<(), DeviceError> {
-    let current = |s: &Shared| s.generation.load(Ordering::Acquire) == generation;
-    match job {
-        DestageJob::Group(write) => {
-            if !current(shared) {
-                shared.stats.groups_dropped.inc();
-                return Ok(());
-            }
-            let mut attempt: u32 = 0;
-            loop {
-                match shared.sink.apply_group(&write) {
-                    Ok(()) => {
-                        // Crash point: the batch hit the device but the crash
-                        // raced the seal — the journal must never reference it.
-                        if current(shared) {
-                            shared.sink.complete_group(write.shard, write.epoch);
-                            shared.stats.groups_completed.inc();
-                        } else {
-                            shared.stats.groups_dropped.inc();
-                        }
-                        return Ok(());
-                    }
-                    Err(e) => {
-                        if e.is_transient()
-                            && attempt < shared.controller.config().max_retries
-                            && current(shared)
-                            && !shared.shutdown.load(Ordering::Acquire)
-                        {
-                            attempt += 1;
-                            shared.stats.retries.inc();
-                            shared.controller.note_retry();
-                            backoff_sleep(attempt);
-                            continue;
-                        }
-                        return fail_group(shared, &write, &e);
-                    }
-                }
-            }
+    let current = || shared.generation.load(Ordering::Acquire) == generation;
+    if !current() {
+        shared.stats.note_dropped(&job);
+        return Ok(());
+    }
+    let written = write_out(shared, job.to_disk);
+    let Some(write) = job.group else {
+        return written;
+    };
+    if !current() {
+        shared.stats.groups_dropped.inc();
+        return written;
+    }
+    match retrying(shared, Some(&current), || shared.sink.apply_group(&write)) {
+        // Crash point: the batch hit the device but the crash raced the
+        // seal — the journal must never reference it.
+        Ok(()) if !current() => shared.stats.groups_dropped.inc(),
+        Ok(()) => {
+            shared.sink.complete_group(write.shard, write.epoch);
+            shared.stats.groups_completed.inc();
         }
-        DestageJob::Disk { pages, .. } => {
-            if !current(shared) {
-                shared.stats.disk_pages_dropped.add(pages.len() as u64);
-                return Ok(());
-            }
-            // Disk is the backstop, not the breaker's subject: transient
-            // failures are retried here but never reported to the degrade
-            // controller (tripping would not help — there is no tier below
-            // disk to fail over to; recovery's WAL redo is the last resort).
-            let mut attempt: u32 = 0;
-            loop {
-                match shared.sink.write_pages_to_disk(&pages) {
-                    Ok(()) => {
-                        shared.stats.disk_pages_completed.add(pages.len() as u64);
-                        return Ok(());
-                    }
-                    Err(e) => {
-                        if e.is_transient()
-                            && attempt < shared.controller.config().max_retries
-                            && !shared.shutdown.load(Ordering::Acquire)
-                        {
-                            attempt += 1;
-                            shared.stats.retries.inc();
-                            backoff_sleep(attempt);
-                            continue;
-                        }
-                        shared.stats.note_final_error(&e);
-                        shared.stats.disk_pages_dropped.add(pages.len() as u64);
-                        return Err(e);
-                    }
+        Err(e) => {
+            // A successfully absorbed abort (slots freed, dirty pages safe
+            // on disk) shows in the abort and error counters, not as an
+            // error: only a fail-over that itself failed leaves data in
+            // jeopardy.
+            let fallout = fail_group(shared, &write, &e);
+            shared.stats.disk_pages_enqueued.add(fallout.len() as u64);
+            return written.and(write_out(shared, fallout));
+        }
+    }
+    written
+}
+
+/// Run `op` until it succeeds or fails for good: a transient error is
+/// retried with backoff within the controller's budget while the pool runs.
+/// A flash write passes its job's `current` check, whose `false` (a crash
+/// came) ends the retries, and its retries count with the controller. The
+/// disk is the backstop, not the breaker's subject: its retries are never
+/// reported (tripping would not help — there is no tier below disk to fail
+/// over to; recovery's WAL redo is the last resort).
+fn retrying(
+    shared: &Shared,
+    current: Option<&dyn Fn() -> bool>,
+    mut op: impl FnMut() -> DeviceResult<()>,
+) -> DeviceResult<()> {
+    let mut attempt: u32 = 0;
+    loop {
+        match op() {
+            Err(e)
+                if e.is_transient()
+                    && attempt < shared.controller.config().max_retries
+                    && !shared.shutdown.load(Ordering::Acquire)
+                    && current.is_none_or(|current| current()) =>
+            {
+                attempt += 1;
+                shared.stats.retries.inc();
+                if current.is_some() {
+                    shared.controller.note_retry();
                 }
+                backoff_sleep(attempt);
             }
+            done => return done,
         }
     }
 }
 
+/// The one way a job's pages reach the disk: the stage-outs it was handed
+/// and the fallout of its aborted group, each written with retries.
+fn write_out(shared: &Shared, pages: Vec<StagedPage>) -> Result<(), DeviceError> {
+    if pages.is_empty() {
+        return Ok(());
+    }
+    let n = pages.len() as u64;
+    let written = retrying(shared, None, || shared.sink.write_pages_to_disk(&pages));
+    match &written {
+        Ok(()) => shared.stats.disk_pages_completed.add(n),
+        Err(e) => {
+            shared.stats.note_final_error(e);
+            shared.stats.disk_pages_dropped.add(n);
+        }
+    }
+    written
+}
+
 /// A group write failed for good: abandon the group (its journal records
-/// drop with it, its slots free up), fail its dirty pages over to disk, and
-/// let the degrade controller decide whether the offending slot leaves the
-/// rotation or the breaker trips.
-fn fail_group(
-    shared: &Shared,
-    write: &PendingGroupWrite,
-    err: &DeviceError,
-) -> Result<(), DeviceError> {
+/// drop with it, its slots free up) and let the degrade controller decide
+/// whether the offending slot leaves the rotation or the breaker trips.
+/// Returns the dirty pages that now need the disk.
+fn fail_group(shared: &Shared, write: &PendingGroupWrite, err: &DeviceError) -> Vec<StagedPage> {
     shared.stats.note_final_error(err);
     shared.stats.groups_aborted.inc();
     let mut fallout = shared.sink.abort_group(write.shard, write.epoch);
@@ -584,28 +593,16 @@ fn fail_group(
     // `DegradeAction::Trip` already moved the breaker to TripRequested
     // inside note_error; the next foreground operation claims the
     // evacuation (a job never forces the log). `Continue` needs nothing.
-    //
-    // A successfully absorbed abort (slots freed, dirty pages safe on disk)
-    // is visible in the abort/error counters, not as an error — only a
-    // failover that itself failed leaves data in jeopardy.
-    if !fallout.is_empty() {
-        match shared.sink.write_pages_to_disk(&fallout) {
-            Ok(()) => shared.stats.disk_pages_completed.add(fallout.len() as u64),
-            Err(e) => {
-                shared.stats.disk_pages_dropped.add(fallout.len() as u64);
-                return Err(e);
-            }
-        }
-    }
-    Ok(())
+    fallout
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
     use std::thread::ThreadId;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     use face_pagestore::DeviceOp;
 
@@ -622,13 +619,21 @@ mod tests {
         aborts: AtomicUsize,
         quarantines: AtomicUsize,
         delay: Option<Duration>,
+        /// apply_group meets the test at the first barrier on entry and
+        /// waits at the second until the test lets it go on.
+        gate: Option<(Barrier, Barrier)>,
         fail_disk: AtomicBool,
+        /// Fail the next N write_pages_to_disk calls with a transient error.
+        fail_disk_transient: AtomicUsize,
         /// Fail the next N apply_group calls with a transient slot error.
         fail_group_transient: AtomicUsize,
         /// Fail every apply_group call with a permanent slot error.
         fail_group_permanent: AtomicBool,
-        /// Pages abort_group hands back for disk failover.
+        /// Pages abort_group hands back for disk failover: pages `0..n` of
+        /// file 0, at LSN 2.
         abort_fallout: usize,
+        /// Every page written to disk, in write order.
+        written: std::sync::Mutex<Vec<(PageId, Lsn)>>,
         /// The thread of every sink call, in call order.
         callers: std::sync::Mutex<Vec<ThreadId>>,
     }
@@ -647,6 +652,10 @@ mod tests {
             self.called();
             if let Some(d) = self.delay {
                 std::thread::sleep(d);
+            }
+            if let Some((entered, go_on)) = &self.gate {
+                entered.wait();
+                go_on.wait();
             }
             if self.fail_group_permanent.load(Ordering::SeqCst) {
                 return Err(DeviceError::permanent_slot(DeviceOp::Write, 0, "injected"));
@@ -669,7 +678,7 @@ mod tests {
             self.called();
             self.aborts.fetch_add(1, Ordering::SeqCst);
             (0..self.abort_fallout)
-                .map(|i| StagedPage::meta_only(PageId::new(0, i as u32), Lsn(1), true, false))
+                .map(|i| StagedPage::meta_only(PageId::new(0, i as u32), Lsn(2), true, false))
                 .collect()
         }
         fn quarantine_slot(&self, _shard: usize, _slot: usize) -> Option<StagedPage> {
@@ -685,7 +694,16 @@ mod tests {
                     "injected disk failure",
                 ));
             }
+            if self
+                .fail_disk_transient
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok()
+            {
+                return Err(DeviceError::transient_device(DeviceOp::Write, "injected"));
+            }
             self.disk_pages.fetch_add(pages.len(), Ordering::SeqCst);
+            let mut written = self.written.lock().unwrap();
+            written.extend(pages.iter().map(|s| (s.page, s.lsn)));
             Ok(())
         }
     }
@@ -719,16 +737,38 @@ mod tests {
         }
     }
 
-    fn disk_job(shard: usize, page_no: u32) -> DestageJob {
-        DestageJob::Disk {
+    fn group_job(shard: usize, epoch: u64) -> DestageJob {
+        DestageJob {
             shard,
-            pages: vec![StagedPage::meta_only(
+            to_disk: Vec::new(),
+            group: Some(group(shard, epoch)),
+        }
+    }
+
+    fn disk_job(shard: usize, page_no: u32) -> DestageJob {
+        DestageJob {
+            shard,
+            to_disk: vec![StagedPage::meta_only(
                 PageId::new(0, page_no),
                 Lsn(1),
                 true,
                 false,
             )],
+            group: None,
         }
+    }
+
+    /// Drain `d`, then check its books: every page a job took over was
+    /// written or dropped.
+    fn drain(d: &Destager) -> Result<(), DeviceError> {
+        let drained = d.drain();
+        let s = d.stats();
+        assert_eq!(
+            s.disk_pages_enqueued,
+            s.disk_pages_completed + s.disk_pages_dropped,
+            "{s:?}"
+        );
+        drained
     }
 
     #[test]
@@ -738,11 +778,10 @@ mod tests {
             let d = destager(threads, 4, &sink, &Arc::default());
             assert_eq!(d.threads(), threads);
             for e in 0..10 {
-                d.enqueue(DestageJob::Group(group(e as usize % 3, e)))
-                    .unwrap();
+                d.enqueue(group_job(e as usize % 3, e)).unwrap();
             }
             d.enqueue(disk_job(1, 9)).unwrap();
-            d.drain().unwrap();
+            drain(&d).unwrap();
             assert_eq!(sink.groups.load(Ordering::SeqCst), 10);
             assert_eq!(sink.completions.load(Ordering::SeqCst), 10);
             assert_eq!(sink.disk_pages.load(Ordering::SeqCst), 1);
@@ -763,14 +802,14 @@ mod tests {
         let controller = Arc::new(DegradeController::default());
         let d = destager(0, 4, &sink, &controller);
         // A group that fails for good walks every sink method but the seal …
-        d.enqueue(DestageJob::Group(group(0, 1))).unwrap();
+        d.enqueue(group_job(0, 1)).unwrap();
         assert_eq!(sink.aborts.load(Ordering::SeqCst), 1);
         assert_eq!(sink.quarantines.load(Ordering::SeqCst), 1);
         assert_eq!(sink.disk_pages.load(Ordering::SeqCst), 2, "failed over");
         // … a healthy one seals, and a stage-out is written: all before
         // `enqueue` returned, with no drain.
         sink.fail_group_permanent.store(false, Ordering::SeqCst);
-        d.enqueue(DestageJob::Group(group(0, 2))).unwrap();
+        d.enqueue(group_job(0, 2)).unwrap();
         d.enqueue(disk_job(0, 9)).unwrap();
         assert_eq!(sink.completions.load(Ordering::SeqCst), 1);
         assert_eq!(sink.disk_pages.load(Ordering::SeqCst), 3);
@@ -784,6 +823,8 @@ mod tests {
             callers.iter().all(|&t| t == me),
             "a sink call left the caller"
         );
+        drop(callers);
+        drain(&d).unwrap();
     }
 
     #[test]
@@ -794,9 +835,9 @@ mod tests {
         });
         let d = destager(1, 2, &sink, &Arc::default());
         for e in 0..8 {
-            d.enqueue(DestageJob::Group(group(0, e))).unwrap();
+            d.enqueue(group_job(0, e)).unwrap();
         }
-        d.drain().unwrap();
+        drain(&d).unwrap();
         assert_eq!(sink.completions.load(Ordering::SeqCst), 8);
         assert!(
             d.stats().backpressure_stalls > 0,
@@ -812,12 +853,12 @@ mod tests {
         });
         let d = destager(1, 16, &sink, &Arc::default());
         for e in 0..5 {
-            d.enqueue(DestageJob::Group(group(0, e))).unwrap();
+            d.enqueue(group_job(0, e)).unwrap();
         }
         // Give the worker time to start job 0, then crash.
         std::thread::sleep(Duration::from_millis(5));
         d.abort_pending();
-        d.drain().unwrap();
+        drain(&d).unwrap();
         let stats = d.stats();
         // The in-flight job may have applied its device write, but nothing
         // from this generation was ever *completed* (sealed).
@@ -826,8 +867,8 @@ mod tests {
         assert_eq!(stats.groups_dropped, 5);
         assert_eq!(sink.completions.load(Ordering::SeqCst), 0);
         // The pipeline still accepts and completes post-crash work.
-        d.enqueue(DestageJob::Group(group(0, 99))).unwrap();
-        d.drain().unwrap();
+        d.enqueue(group_job(0, 99)).unwrap();
+        drain(&d).unwrap();
         assert_eq!(d.stats().groups_completed, 1);
     }
 
@@ -841,9 +882,9 @@ mod tests {
             // it straight back. Either way it is reported exactly once.
             let enqueued = d.enqueue(disk_job(0, 1));
             assert_eq!(enqueued.is_err(), threads == 0);
-            let err = enqueued.and(d.drain()).unwrap_err();
+            let err = enqueued.and(drain(&d)).unwrap_err();
             assert!(err.to_string().contains("injected"), "{err}");
-            assert!(d.drain().is_ok(), "error reported exactly once");
+            assert!(drain(&d).is_ok(), "error reported exactly once");
             assert_eq!(d.stats().disk_pages_dropped, 1);
             assert_eq!(d.stats().permanent_errors, 1);
         }
@@ -857,8 +898,8 @@ mod tests {
                 ..RecordingSink::default()
             });
             let d = destager(threads, 4, &sink, &Arc::default());
-            d.enqueue(DestageJob::Group(group(0, 1))).unwrap();
-            d.drain().unwrap();
+            d.enqueue(group_job(0, 1)).unwrap();
+            drain(&d).unwrap();
             let stats = d.stats();
             assert_eq!(stats.groups_completed, 1, "third attempt succeeds");
             assert_eq!(stats.retries, 2);
@@ -879,8 +920,8 @@ mod tests {
             let d = destager(threads, 4, &sink, &controller);
             // A permanent error never retries and the failover absorbed the
             // dirty pages, so neither the enqueue nor the drain reports it.
-            d.enqueue(DestageJob::Group(group(0, 1))).unwrap();
-            d.drain().unwrap();
+            d.enqueue(group_job(0, 1)).unwrap();
+            drain(&d).unwrap();
             let stats = d.stats();
             assert_eq!(stats.groups_aborted, 1);
             assert_eq!(stats.permanent_errors, 1);
@@ -909,8 +950,8 @@ mod tests {
                 trip_threshold: 100,
             }));
             let d = destager(threads, 4, &sink, &controller);
-            d.enqueue(DestageJob::Group(group(0, 1))).unwrap();
-            d.drain().unwrap();
+            d.enqueue(group_job(0, 1)).unwrap();
+            drain(&d).unwrap();
             let stats = d.stats();
             assert_eq!(stats.retries, 2, "budget from the controller config");
             assert_eq!(stats.transient_errors, 1);
@@ -948,10 +989,120 @@ mod tests {
         );
         for e in 0..50 {
             // one shard -> one worker
-            d.enqueue(DestageJob::Group(group(4, e))).unwrap();
+            d.enqueue(group_job(4, e)).unwrap();
         }
-        d.drain().unwrap();
+        drain(&d).unwrap();
         let seen = sink.seen.lock();
         assert_eq!(*seen, (0..50).collect::<Vec<u64>>(), "FIFO per shard");
+    }
+
+    #[test]
+    fn a_jobs_stage_outs_land_before_its_groups_fallout_and_the_next_jobs_pages() {
+        for threads in DRIVERS {
+            let sink = Arc::new(RecordingSink {
+                fail_group_permanent: AtomicBool::new(true),
+                abort_fallout: 1,
+                ..RecordingSink::default()
+            });
+            let d = destager(threads, 4, &sink, &Arc::default());
+            // Page 0:0 at LSN 1 is staged out; the job's group fails for
+            // good with page 0:0 at LSN 2 in its fallout.
+            let job = DestageJob {
+                group: Some(group(0, 1)),
+                ..disk_job(0, 0)
+            };
+            d.enqueue(job).unwrap();
+            d.enqueue(disk_job(0, 9)).unwrap();
+            drain(&d).unwrap();
+            let p = |n| PageId::new(0, n);
+            assert_eq!(
+                *sink.written.lock().unwrap(),
+                [(p(0), Lsn(1)), (p(0), Lsn(2)), (p(9), Lsn(1))],
+                "driver {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_transient_disk_error_on_an_aborted_groups_fallout_is_retried() {
+        for threads in DRIVERS {
+            let sink = Arc::new(RecordingSink {
+                fail_group_permanent: AtomicBool::new(true),
+                fail_disk_transient: AtomicUsize::new(2),
+                abort_fallout: 3,
+                ..RecordingSink::default()
+            });
+            let d = destager(threads, 4, &sink, &Arc::default());
+            d.enqueue(group_job(0, 1)).unwrap();
+            drain(&d).unwrap();
+            let stats = d.stats();
+            assert_eq!(stats.retries, 2, "driver {threads}");
+            assert_eq!(stats.disk_pages_completed, 3);
+            assert_eq!(stats.disk_pages_dropped, 0);
+            assert_eq!(stats.transient_errors, 0);
+            assert_eq!(sink.disk_pages.load(Ordering::SeqCst), 3);
+        }
+    }
+
+    #[test]
+    fn a_crash_drops_both_halves_of_a_queued_job() {
+        let sink = Arc::new(RecordingSink {
+            gate: Some((Barrier::new(2), Barrier::new(2))),
+            ..RecordingSink::default()
+        });
+        let d = destager(1, 16, &sink, &Arc::default());
+        for e in 0..4 {
+            let job = DestageJob {
+                group: Some(group(0, e)),
+                ..disk_job(0, e as u32)
+            };
+            d.enqueue(job).unwrap();
+        }
+        // Crash while the first job's batch write is on the device: its
+        // page is on disk, its group never seals, and the three queued jobs
+        // drop both halves.
+        let (entered, go_on) = sink.gate.as_ref().unwrap();
+        entered.wait();
+        d.abort_pending();
+        go_on.wait();
+        drain(&d).unwrap();
+        let stats = d.stats();
+        assert_eq!((stats.groups_enqueued, stats.groups_dropped), (4, 4));
+        assert_eq!(stats.groups_completed, 0);
+        assert_eq!(
+            (stats.disk_pages_completed, stats.disk_pages_dropped),
+            (1, 3)
+        );
+    }
+
+    #[test]
+    fn dropping_a_pool_never_loses_a_workers_wakeup() {
+        // A worker that read `shutdown` as false but had not started its
+        // wait yet slept through the drop's notify, and the join hung.
+        const DROPS: usize = 20_000;
+        const STALL: Duration = Duration::from_secs(5);
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&dropped);
+        // Joined only if it finishes: a hung drop leaves it parked.
+        let dropper = std::thread::spawn(move || {
+            for _ in 0..DROPS {
+                drop(destager(2, 4, &Arc::default(), &Arc::default()));
+                counter.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        let (mut seen, mut since) = (0, Instant::now());
+        while seen < DROPS {
+            std::thread::sleep(Duration::from_millis(10));
+            let now = dropped.load(Ordering::SeqCst);
+            if now != seen {
+                (seen, since) = (now, Instant::now());
+            }
+            assert!(
+                since.elapsed() < STALL,
+                "drop {} of a 2-worker pool hung for {STALL:?}",
+                seen + 1
+            );
+        }
+        dropper.join().unwrap();
     }
 }

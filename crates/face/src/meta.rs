@@ -307,13 +307,6 @@ impl MetaJournal {
         }
         out
     }
-
-    /// Persistent metadata size in bytes (checkpoint plus sealed groups) —
-    /// what recovery must read.
-    pub fn persisted_bytes(&self) -> u64 {
-        let ckpt = self.checkpoint.as_ref().map(|c| c.bytes()).unwrap_or(0);
-        ckpt + self.replay_entries() * JOURNAL_ENTRY_BYTES as u64
-    }
 }
 
 #[cfg(test)]
@@ -463,7 +456,6 @@ mod tests {
         j.recover(&mut rio);
         assert!(!rio.is_empty());
         assert!(rio.events().iter().all(|e| e.is_flash() && !e.is_write()));
-        assert!(j.persisted_bytes() > 0);
     }
 
     #[test]

@@ -299,23 +299,9 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// A configuration sized to `bytes` of flash, everything else default.
-    pub fn with_capacity_bytes(bytes: u64) -> Self {
-        Self {
-            capacity_pages: (bytes / face_pagestore::PAGE_SIZE as u64) as usize,
-            ..Self::default()
-        }
-    }
-
     /// Builder-style override of the group size.
     pub fn group_size(mut self, group_size: usize) -> Self {
         self.group_size = group_size;
-        self
-    }
-
-    /// Builder-style enable of second chance.
-    pub fn with_second_chance(mut self, on: bool) -> Self {
-        self.second_chance = on;
         self
     }
 
@@ -345,11 +331,6 @@ impl CacheConfig {
     /// objects").
     pub fn effective_ghost_capacity(&self) -> usize {
         self.capacity_pages.max(1)
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_pages as u64 * face_pagestore::PAGE_SIZE as u64
     }
 }
 
@@ -579,16 +560,6 @@ mod tests {
         assert_eq!(with_data.page, PageId::new(4, 5));
         assert_eq!(with_data.lsn, Lsn(9));
         assert!(with_data.data.is_some());
-    }
-
-    #[test]
-    fn config_capacity_conversions() {
-        let cfg = CacheConfig::with_capacity_bytes(2 * 1024 * 1024 * 1024);
-        assert_eq!(cfg.capacity_pages, 524_288);
-        assert_eq!(cfg.capacity_bytes(), 2 * 1024 * 1024 * 1024);
-        let cfg = cfg.group_size(128).with_second_chance(true);
-        assert_eq!(cfg.group_size, 128);
-        assert!(cfg.second_chance);
     }
 
     #[test]

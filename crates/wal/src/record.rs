@@ -198,11 +198,6 @@ impl LogRecord {
         }
     }
 
-    /// Whether this record is a commit.
-    pub fn is_commit(&self) -> bool {
-        matches!(self, LogRecord::Commit { .. })
-    }
-
     /// Encode the record payload (without framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(32);
@@ -468,8 +463,6 @@ mod tests {
             .txn(),
             Some(TxnId(6))
         );
-        assert!(LogRecord::Commit { txn: TxnId(1) }.is_commit());
-        assert!(!LogRecord::Abort { txn: TxnId(1) }.is_commit());
     }
 
     #[test]

@@ -450,14 +450,6 @@ pub fn build_recovery_plan(
     Ok((analysis, redo, undo))
 }
 
-/// Build only the redo plan (committed updates and CLRs at or after the
-/// checkpoint's redo LSN). Thin wrapper over [`build_recovery_plan`] kept
-/// for callers that do not run undo (e.g. redo-cost benchmarks).
-pub fn build_redo_plan(storage: Arc<dyn LogStorage>) -> WalResult<(AnalysisResult, RedoPlan)> {
-    let (analysis, redo, _) = build_recovery_plan(storage)?;
-    Ok((analysis, redo))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,7 +530,7 @@ mod tests {
             w.append(&update(2, 2, 0xBB));
             // Txn 2 in-flight: must not be redone.
         });
-        let (_, plan) = build_redo_plan(storage).unwrap();
+        let (_, plan, _) = build_recovery_plan(storage).unwrap();
         assert_eq!(plan.len(), 1);
         assert!(!plan.is_empty());
         assert_eq!(plan.updates[0].page, PageId::new(0, 1));
@@ -563,7 +555,7 @@ mod tests {
         w.append(&LogRecord::Commit { txn: TxnId(2) });
         w.force_all().unwrap();
 
-        let (analysis, plan) = build_redo_plan(storage).unwrap();
+        let (analysis, plan, _) = build_recovery_plan(storage).unwrap();
         assert!(analysis.last_checkpoint.is_some());
         // Anchored: the three records below the checkpoint were never read,
         // the checkpoint was probed and scanned, the tail was read twice.
@@ -611,7 +603,7 @@ mod tests {
             w.append(&update(1, 3, 3));
             w.append(&LogRecord::Commit { txn: TxnId(1) });
         });
-        let (_, plan) = build_redo_plan(storage).unwrap();
+        let (_, plan, _) = build_recovery_plan(storage).unwrap();
         assert_eq!(plan.len(), 3);
         assert!(plan.updates.windows(2).all(|w| w[0].lsn < w[1].lsn));
         assert_eq!(plan.pages.len(), 2);
