@@ -65,14 +65,7 @@ pub const CLASSES: &[LockClassSpec] = &[
         rank: 50,
         nestable: true,
         forbids_io: true,
-        doc: "flash-cache shard: directory, policy and journal state, and the dirty pages the shard un-cached until their disk write lands (`face_cache::concurrent`); full sweeps (stats, recovery) take shards in ascending index order",
-    },
-    LockClassSpec {
-        name: "ghost_admission",
-        rank: 55,
-        nestable: false,
-        forbids_io: true,
-        doc: "ghost-queue admission directory stripe (`face_cache::admission`); taken under the cache shard to decide whether a clean first-touch page earns a flash write",
+        doc: "flash-cache shard: directory, policy state (the admission ghost queue included) and journal state, and the dirty pages the shard un-cached until their disk write lands (`face_cache::concurrent`); full sweeps (stats, recovery) take shards in ascending index order",
     },
     LockClassSpec {
         name: "destage_queue",
@@ -198,20 +191,19 @@ pub const BUFFER_STRUCTURAL: LockClassId = LockClassId(1);
 pub const BUFFER_MAP: LockClassId = LockClassId(2);
 pub const PAGE_LATCH: LockClassId = LockClassId(3);
 pub const CACHE_SHARD: LockClassId = LockClassId(4);
-pub const GHOST_ADMISSION: LockClassId = LockClassId(5);
-pub const DESTAGE_QUEUE: LockClassId = LockClassId(6);
-pub const WAL_FLUSH: LockClassId = LockClassId(7);
-pub const WAL_APPEND: LockClassId = LockClassId(8);
-pub const WAL_STORAGE: LockClassId = LockClassId(9);
-pub const FLASH_SLOTS: LockClassId = LockClassId(10);
-pub const PAGE_STORE: LockClassId = LockClassId(11);
-pub const DIAG: LockClassId = LockClassId(12);
-pub const PAGE_BUFFERS: LockClassId = LockClassId(13);
-pub const SCRATCH_A: LockClassId = LockClassId(14);
-pub const SCRATCH_B: LockClassId = LockClassId(15);
-pub const SCRATCH_C: LockClassId = LockClassId(16);
-pub const SCRATCH_OUTER: LockClassId = LockClassId(17);
-pub const SCRATCH_INNER: LockClassId = LockClassId(18);
+pub const DESTAGE_QUEUE: LockClassId = LockClassId(5);
+pub const WAL_FLUSH: LockClassId = LockClassId(6);
+pub const WAL_APPEND: LockClassId = LockClassId(7);
+pub const WAL_STORAGE: LockClassId = LockClassId(8);
+pub const FLASH_SLOTS: LockClassId = LockClassId(9);
+pub const PAGE_STORE: LockClassId = LockClassId(10);
+pub const DIAG: LockClassId = LockClassId(11);
+pub const PAGE_BUFFERS: LockClassId = LockClassId(12);
+pub const SCRATCH_A: LockClassId = LockClassId(13);
+pub const SCRATCH_B: LockClassId = LockClassId(14);
+pub const SCRATCH_C: LockClassId = LockClassId(15);
+pub const SCRATCH_OUTER: LockClassId = LockClassId(16);
+pub const SCRATCH_INNER: LockClassId = LockClassId(17);
 
 /// Number of registered classes, scratch included.
 pub const NUM_CLASSES: usize = CLASSES.len();
@@ -258,7 +250,6 @@ mod tests {
             (BUFFER_MAP, "buffer_map"),
             (PAGE_LATCH, "page_latch"),
             (CACHE_SHARD, "cache_shard"),
-            (GHOST_ADMISSION, "ghost_admission"),
             (DESTAGE_QUEUE, "destage_queue"),
             (WAL_FLUSH, "wal_flush"),
             (WAL_APPEND, "wal_append"),

@@ -298,15 +298,15 @@ pub fn run_fig4(scale: &ExperimentScale, flash_profile: DeviceProfile) -> Vec<Ru
 }
 
 /// Ablation (§3.3): FaCE+GSC at a 12 % cache across group sizes (scan
-/// depths); group size 1 is exactly base FaCE. Rows are
-/// `(group size, tpmC, cache statistics)`.
+/// depths). Every row runs FaCE+GSC: group size 1 is not base FaCE, because
+/// GSC's dequeue still reads referenced victims' bytes to give them their
+/// second chance. Rows are `(group size, tpmC, cache statistics)`.
 pub fn run_gsc_depth_ablation(scale: &ExperimentScale) -> Vec<(usize, f64, CacheStats)> {
     [1usize, 16, 32, 64, 128]
         .into_iter()
         .map(|group_size| {
             let (mut config, mut workload) = sim_config(scale, &SystemSetup::face_gsc(0.12));
             config.cache_config.group_size = group_size;
-            config.cache_config.second_chance = group_size > 1;
             let mut engine = SimEngine::new(config);
             warm_and_measure(&mut engine, &mut workload, scale, false);
             let stats = engine.cache_stats().expect("FaCE+GSC has a cache");

@@ -672,10 +672,10 @@ impl Database {
     pub fn checkpoint(&self) -> EngineResult<usize> {
         self.check_not_crashed()?;
         let redo_lsn = self.wal.next_lsn();
+        // The flush ends with the lower tier's sync: the flushed pages'
+        // groups are sealed and the cache's own metadata checkpointed, so
+        // they are durable in flash.
         let flushed = self.pool.flush_all_dirty()?;
-        // Seal the flushed pages' groups and write the cache's own metadata
-        // checkpoint, so they are durable in flash.
-        self.pool.lower().checkpoint_cache()?;
         // The table and the id fence are read after `redo_lsn` was taken: a
         // transaction missing from the table either ended before this point
         // or logs its first update after it, and every id in a record below

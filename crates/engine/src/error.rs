@@ -30,8 +30,6 @@ pub enum EngineError {
         /// The chain LSN at which the walk failed.
         at: u64,
     },
-    /// The requested key does not exist.
-    KeyNotFound(u64),
     /// A value is too large to fit in a page.
     ValueTooLarge {
         /// Length of the offending value.
@@ -90,7 +88,6 @@ impl std::fmt::Display for EngineError {
                     "undo chain of transaction {txn} broken at LSN {at} (truncated or corrupt log)"
                 )
             }
-            EngineError::KeyNotFound(k) => write!(f, "key {k} not found"),
             EngineError::ValueTooLarge { len, max } => {
                 write!(f, "value of {len} bytes exceeds the {max}-byte limit")
             }
@@ -173,7 +170,6 @@ mod tests {
         assert!(format!("{}", EngineError::UnknownTransaction(7)).contains('7'));
         assert!(format!("{}", EngineError::TransactionBusy(4)).contains('4'));
         assert!(format!("{}", EngineError::CorruptUndoChain { txn: 2, at: 64 }).contains("64"));
-        assert!(format!("{}", EngineError::KeyNotFound(9)).contains('9'));
         assert!(format!("{}", EngineError::ValueTooLarge { len: 10, max: 5 }).contains("10"));
         assert!(format!("{}", EngineError::TableFull(3)).contains('3'));
         assert!(format!("{}", EngineError::Crashed).contains("restart"));

@@ -6,7 +6,8 @@
 //!
 //! * the metadata-only DRAM buffer ([`face_buffer::BufferSim`]),
 //! * a real flash-cache policy instance (the same code the functional engine
-//!   runs, over a data-less [`face_cache::NullFlashStore`]), and
+//!   runs, over a [`face_cache::HeaderFlashStore`] that keeps each slot's
+//!   page id and pageLSN but no page bodies), and
 //! * the calibrated device models of `face-iosim`
 //!
 //! and replays logical page-access traces (TPC-C transactions generated by

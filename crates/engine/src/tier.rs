@@ -499,16 +499,6 @@ impl FaceTier {
         flash.destager.drain().map_err(TierError::Device)
     }
 
-    /// Drain the pipeline, write every owed group and checkpoint the cache
-    /// metadata. A trip that a failed group write requested is claimed
-    /// before this returns.
-    fn sync_cache(&self, flash: &FlashSide) -> TierResult<()> {
-        flash.destager.drain().map_err(TierError::Device)?;
-        self.flush_owed_groups(flash)?;
-        flash.cache.checkpoint_metadata(&mut IoLog::new());
-        self.maybe_claim_trip(flash)
-    }
-
     /// Re-enable a tripped (or merely suspect) flash tier: evacuate whatever
     /// dirty pages remain, wipe the cache cold, and re-close the breaker —
     /// forgiving quarantine tallies (the policies were rebuilt, so their
@@ -588,25 +578,6 @@ impl FaceTier {
             flash.cache.heal_wound(page.id(), page.lsn());
         }
         Ok(())
-    }
-
-    /// Checkpoint support: write the cache's owed groups through the
-    /// destager, then its metadata checkpoint, so the pages the checkpoint
-    /// flushed into flash are durable there (or, where a group write failed
-    /// for good, on disk).
-    pub fn checkpoint_cache(&self) -> TierResult<()> {
-        let Some(flash) = self.flash.as_ref() else {
-            return Ok(());
-        };
-        self.sync_cache(flash)?;
-        // A wound marker means a committed version exists only in the WAL
-        // (its flash copy died unread). A checkpoint taken now would let the
-        // log truncate past the records that can still rebuild it — refuse
-        // until the wound heals or a restart's redo repairs the disk copy.
-        match flash.cache.first_wound() {
-            Some((page, lsn)) => Err(lost_page_error(page, lsn)),
-            None => Ok(()),
-        }
     }
 
     /// Restart support: crash and recover the flash cache from its persistent
@@ -937,12 +908,31 @@ impl LowerTier for FaceTier {
         self.disk.allocate(file).map_err(TierError::from)
     }
 
+    /// A checkpoint's one pass through the tier: drain the pipeline, write
+    /// every owed group through the destager and checkpoint the cache
+    /// metadata, so the pages the checkpoint flushed into flash are durable
+    /// there (or, where a group write failed for good, on disk); claim a
+    /// trip a failed group write requested; sync the disk.
     fn sync(&self) -> TierResult<()> {
         if let Some(flash) = self.flash.as_ref() {
-            self.sync_cache(flash)?;
+            flash.destager.drain().map_err(TierError::Device)?;
+            self.flush_owed_groups(flash)?;
+            flash.cache.checkpoint_metadata(&mut IoLog::new());
+            self.maybe_claim_trip(flash)?;
         }
         self.disk.sync()?;
-        Ok(())
+        // A wound marker means a committed version exists only in the WAL
+        // (its flash copy died unread). A checkpoint taken now would let the
+        // log truncate past the records that can still rebuild it — refuse
+        // until the wound heals or a restart's redo repairs the disk copy.
+        match self
+            .flash
+            .as_ref()
+            .and_then(|flash| flash.cache.first_wound())
+        {
+            Some((page, lsn)) => Err(lost_page_error(page, lsn)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -1064,7 +1054,7 @@ mod tests {
         assert!(!tier.has_cache());
         assert!(tier.cache().is_none());
         assert!(tier.destage_stats().is_none() && tier.degrade_stats().is_none());
-        tier.checkpoint_cache().unwrap();
+        tier.sync().unwrap();
         assert!(!tier.recover_cache(Lsn(u64::MAX)).survived);
         assert_eq!(tier.reset_cache_cold().unwrap(), 0);
         let id = tier.allocate(0).unwrap();
@@ -1482,7 +1472,7 @@ mod tests {
             assert!(!on_0.is_empty() && !on_1.is_empty(), "pages on both shards");
 
             plan.arm();
-            tier.checkpoint_cache().unwrap();
+            tier.sync().unwrap();
             let stats = tier.degrade_stats().unwrap();
             assert_eq!(stats.quarantined_slots, 1, "driver {destage_threads}");
             assert!(
@@ -1533,7 +1523,7 @@ mod tests {
             store.hold_writes();
             let checkpoint = {
                 let tier = Arc::clone(&tier);
-                std::thread::spawn(move || tier.checkpoint_cache())
+                std::thread::spawn(move || tier.sync())
             };
             while store.write_calls() == calls {
                 std::thread::yield_now();
@@ -1783,6 +1773,60 @@ mod tests {
                 (2, 1, 1),
                 "driver {destage_threads}"
             );
+        }
+    }
+
+    #[test]
+    fn a_sync_refuses_while_a_wound_stands_and_succeeds_once_it_heals() {
+        use face_pagestore::FaultPlan;
+
+        for destage_threads in DRIVERS {
+            // Flash reads fail for good once armed.
+            let plan = Arc::new(
+                FaultPlan::new(17)
+                    .reads_only()
+                    .permanent()
+                    .probability(1.0)
+                    .armed_on_crash(),
+            );
+            let cache = one_shard_face(8, 2, |cap| faulty_flash(cap, &plan));
+            let tier = tier_over(Arc::new(InMemoryPageStore::new()), cache, destage_threads);
+            let ids: Vec<PageId> = (0..2).map(|_| tier.allocate(0).unwrap()).collect();
+            // A and B: a group written and sealed, dirty on the device only.
+            for id in &ids {
+                tier.write_back(
+                    &dirty_page(*id, b"v1"),
+                    true,
+                    true,
+                    WriteBackReason::Eviction,
+                )
+                .unwrap();
+            }
+            tier.sync().unwrap();
+            plan.arm();
+            // A's read fails: its slot is quarantined with the dirty resident
+            // unread, leaving a data-less marker in transit.
+            let mut buf = Page::zeroed();
+            assert!(tier.fetch(ids[0], &mut buf).is_err());
+            let cache = tier.cache().unwrap();
+            assert_eq!(cache.first_wound(), Some((ids[0], Lsn(1))));
+            let refused = tier.sync().expect_err("a sync with a wound standing");
+            assert!(
+                refused
+                    .to_string()
+                    .contains("was lost with a failing flash slot"),
+                "driver {destage_threads}: {refused}"
+            );
+            // A newer version of A placed in the cache heals the wound.
+            tier.write_back(
+                &dirty_page(ids[0], b"v2"),
+                true,
+                true,
+                WriteBackReason::Eviction,
+            )
+            .unwrap();
+            assert_eq!(cache.first_wound(), None);
+            tier.sync().unwrap();
         }
     }
 }

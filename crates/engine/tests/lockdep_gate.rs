@@ -106,7 +106,8 @@ fn concurrent_engine_has_no_lockdep_violations() {
         witness::exempted_io_ops() > 0,
         "no device op reached the I/O-under-lock detector — is the check hooked in?"
     );
-    // The ghost-admission filter nests its stripe inside the shard lock.
+    // The ghost-admission filter runs inside the mvFIFO policy, under the
+    // shard lock.
     scenario(CachePolicyKind::FaceGsc, true);
 
     if let Ok(path) = std::env::var("LOCKDEP_DOT") {

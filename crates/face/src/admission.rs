@@ -9,15 +9,17 @@
 //! re-referenced while its ghost entry is live, the page has proven it is no
 //! one-hit wonder and the re-reference earns the flash write.
 //!
-//! Two consumers share the [`GhostQueue`] core:
+//! Both ring policies that filter admission own a [`GhostQueue`] outright,
+//! one per ring, under the ring's cache-shard lock:
 //!
-//! * [`SharedGhost`] — a lock-striped filter applied by
-//!   [`crate::ShardedFlashCache`] in front of the mvFIFO family when
-//!   [`crate::CacheConfig::ghost_admission`] is set.
-//!   Its stripes rank `ghost_admission` in the lock order: strictly inside
-//!   the cache shard, device I/O forbidden while held.
-//! * [`crate::s3fifo::S3FifoCache`] — owns a `GhostQueue` outright (under its
-//!   shard lock) as the third queue of the S3-FIFO policy.
+//! * [`crate::mvfifo::MvFifo`] — when [`crate::CacheConfig::ghost_admission`]
+//!   is set, a clean page the directory does not hold is recorded here on
+//!   its first touch and admitted only on its comeback;
+//! * [`crate::s3fifo::S3Fifo`] — always, as the third queue of the S3-FIFO
+//!   policy.
+//!
+//! A page always routes to the same cache shard, so its first touch and its
+//! comeback meet in the same ghost.
 //!
 //! The ghost directory is deliberately **RAM-only**: it is an admission
 //! heuristic, not cache metadata. After a crash it restarts empty — the worst
@@ -40,8 +42,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use face_analysis::classes::GHOST_ADMISSION;
-use face_analysis::OrderedMutex;
 use face_pagestore::PageId;
 
 /// A bounded FIFO of page ids with O(1) membership, insertion and logical
@@ -124,77 +124,6 @@ impl GhostQueue {
             false
         }
     }
-
-    /// Drop every ghost (crash: the directory is RAM-only).
-    pub fn clear(&mut self) {
-        self.queue.clear();
-        self.index.clear();
-    }
-}
-
-/// How many stripes a [`SharedGhost`] spreads its directory over. Admission
-/// checks are one hash probe; 8 stripes keep them off each other's necks at
-/// the engine's thread counts without wasting capacity granularity.
-const GHOST_STRIPES: usize = 8;
-
-/// A lock-striped ghost directory shared by every shard of a
-/// [`crate::ShardedFlashCache`]. One filter for the whole cache (not one per
-/// shard): a page always hashes to the same stripe, so its first touch and
-/// its re-reference meet regardless of shard routing.
-pub struct SharedGhost {
-    stripes: Vec<OrderedMutex<GhostQueue>>,
-}
-
-impl SharedGhost {
-    /// A filter remembering about `capacity` page ids, split evenly over the
-    /// stripes.
-    pub fn new(capacity: usize) -> Self {
-        let per_stripe = capacity.div_ceil(GHOST_STRIPES).max(1);
-        Self {
-            stripes: (0..GHOST_STRIPES)
-                .map(|_| OrderedMutex::new(GHOST_ADMISSION, GhostQueue::new(per_stripe)))
-                .collect(),
-        }
-    }
-
-    fn stripe(&self, page: PageId) -> &OrderedMutex<GhostQueue> {
-        let mut h = page.to_u64();
-        // splitmix-style finalizer: PageId's low bits are page numbers and
-        // would otherwise land consecutive pages on consecutive stripes only.
-        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^= h >> 31;
-        &self.stripes[(h as usize) % self.stripes.len()]
-    }
-
-    /// The admission decision for `page` (see
-    /// [`GhostQueue::admit_or_record`]). Takes one `ghost_admission` stripe —
-    /// legal under a `cache_shard` lock, no device I/O while held.
-    pub fn admit_or_record(&self, page: PageId) -> bool {
-        self.stripe(page).lock().admit_or_record(page)
-    }
-
-    /// Whether `page` currently has a live ghost entry (diagnostics/tests).
-    pub fn contains(&self, page: PageId) -> bool {
-        self.stripe(page).lock().contains(page)
-    }
-
-    /// Live entries across all stripes.
-    pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Whether every stripe is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every ghost (cold restart).
-    pub fn clear(&self) {
-        for s in &self.stripes {
-            s.lock().clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -252,26 +181,5 @@ mod tests {
             "stale entries must not accumulate: {}",
             g.queue.len()
         );
-    }
-
-    #[test]
-    fn shared_ghost_routes_a_page_consistently() {
-        let g = SharedGhost::new(64);
-        assert!(!g.admit_or_record(p(7)));
-        assert!(g.contains(p(7)));
-        assert!(g.admit_or_record(p(7)));
-        assert!(g.is_empty());
-        for n in 0..32 {
-            g.record_for_test(p(n));
-        }
-        assert!(g.len() <= 64);
-        g.clear();
-        assert!(g.is_empty());
-    }
-
-    impl SharedGhost {
-        fn record_for_test(&self, page: PageId) {
-            self.stripe(page).lock().record(page);
-        }
     }
 }

@@ -12,7 +12,11 @@
 //! lock. Callers holding different pages proceed in parallel; the global
 //! mvFIFO order becomes a per-shard FIFO order, which preserves every
 //! property the paper relies on (sequential batch writes, multi-version
-//! invalidation, bounded occupancy) within each shard.
+//! invalidation, bounded occupancy) within each shard. Admission is each
+//! shard's policy's too: a ghost-filtered clean first touch (S3-FIFO always,
+//! mvFIFO under [`CacheConfig::ghost_admission`]) is decided in the ring,
+//! under the shard lock, and a page always routes to the same shard, so its
+//! comeback meets the same ghost.
 //!
 //! Every page below DRAM has one newest copy: in a flash slot, in transit
 //! to disk, or on disk. A shard owns the first two, under one lock. Whatever
@@ -33,9 +37,8 @@ use std::sync::Arc;
 
 use face_analysis::classes::CACHE_SHARD;
 use face_analysis::{witness, OrderedRwLock};
-use face_pagestore::{backoff_sleep, Counter, DeviceResult, IdHashMap, Lsn, Page, PageId};
+use face_pagestore::{backoff_sleep, DeviceResult, IdHashMap, Lsn, Page, PageId};
 
-use crate::admission::SharedGhost;
 use crate::degrade::{DegradeConfig, DegradeController};
 use crate::destage::PendingGroupWrite;
 use crate::io::IoLog;
@@ -105,27 +108,12 @@ impl Shard {
 pub struct ShardedFlashCache {
     shards: Vec<OrderedRwLock<Shard>>,
     stores: Vec<Arc<dyn FlashStore>>,
-    /// Per-shard occupancy mirrors, refreshed after every mutating shard
-    /// operation, so [`ShardedFlashCache::len`] never sweeps the shard locks
-    /// (it used to take every lock per call). Exact whenever writers are
-    /// quiesced; a point-in-time approximation under concurrency, like
-    /// [`ShardedFlashCache::stats`].
-    occupancy: Vec<Counter>,
     /// Per-shard configurations (each shard owns a slice of the capacity);
     /// kept so a shard can be rebuilt cold ([`ShardedFlashCache::reset_cold`]).
     configs: Vec<CacheConfig>,
     kind: CachePolicyKind,
     capacity: usize,
     name: &'static str,
-    /// Ghost-queue admission filter in front of the mvFIFO family
-    /// ([`CacheConfig::ghost_admission`]): a clean first-touch page is
-    /// recorded here instead of earning a flash write. `None` when the flag
-    /// is off and for S3-FIFO, whose ghost queue is integral to the policy.
-    ghost: Option<SharedGhost>,
-    /// Clean first touches the ghost filter kept off the flash.
-    admission_filtered: Counter,
-    /// Ghost re-references that earned their flash write.
-    admission_ghost_hits: Counter,
     /// Degrade controller, when the owner installed one
     /// ([`ShardedFlashCache::with_degrade`]): bounds the off-lock fetch
     /// retries and counts them. Error *classification* (quarantine, breaker)
@@ -192,16 +180,8 @@ impl ShardedFlashCache {
             };
             built.push(OrderedRwLock::new(CACHE_SHARD, shard));
         }
-        // One filter for the whole cache, not per shard: a page's first touch
-        // and its comeback must meet even though insert order is arbitrary.
-        let ghost = (config.ghost_admission && kind != CachePolicyKind::S3Fifo)
-            .then(|| SharedGhost::new(config.effective_ghost_capacity()));
         Some(Self {
-            ghost,
-            admission_filtered: Counter::default(),
-            admission_ghost_hits: Counter::default(),
             degrade: None,
-            occupancy: (0..built.len()).map(|_| Counter::default()).collect(),
             shards: built,
             stores,
             configs,
@@ -225,12 +205,6 @@ impl ShardedFlashCache {
             .as_ref()
             .map(|c| c.config().max_retries)
             .unwrap_or_else(|| DegradeConfig::default().max_retries)
-    }
-
-    /// Refresh a shard's occupancy mirror from the policy, while its lock is
-    /// still held by the caller.
-    fn note_len(&self, shard: usize, cache: &dyn RingCache) {
-        self.occupancy[shard].set(cache.len() as u64);
     }
 
     /// Number of shards.
@@ -463,7 +437,9 @@ impl ShardedFlashCache {
         self.insert_with_supplier(staged, &mut NoSupplier, io)
     }
 
-    /// Hand a page to its shard with a Group Second Chance supplier. The
+    /// Hand a page to its shard with a Group Second Chance supplier; the
+    /// shard's policy decides whether it is cached at all (a ghost-filtered
+    /// clean first touch comes back `cached: false`). The
     /// supplier runs **while the shard lock is held**, so it must never block
     /// on another cache shard and must only return pages that route to this
     /// same shard (check with [`ShardedFlashCache::shard_of`]); the engine's
@@ -491,32 +467,10 @@ impl ShardedFlashCache {
         let shard = self.shard_of(staged.page);
         let (page, lsn, dirty) = (staged.page, staged.lsn, staged.dirty);
         let mut guard = self.shards[shard].write();
-        if let Some(ghost) = &self.ghost {
-            // The admission filter applies to **clean first touches only**:
-            // dirty pages must be absorbed (rejecting one would drop the only
-            // up-to-date copy), and an already-cached page's insert is the
-            // policy's business (conditional enqueue / version supersession).
-            // A rejected clean page still exists on disk, so `cached: false`
-            // is safe. The ghost stripe nests inside the shard lock
-            // (`ghost_admission` ranks below `cache_shard`), keeping the
-            // reject decision atomic with the directory check.
-            if !dirty && !guard.ring.contains(page) {
-                if ghost.admit_or_record(page) {
-                    self.admission_ghost_hits.inc();
-                } else {
-                    self.admission_filtered.inc();
-                    return Ok(InsertOutcome {
-                        cached: false,
-                        ..Default::default()
-                    });
-                }
-            }
-        }
         let mut outcome = match guard.ring.insert(staged, supplier, io) {
             Ok(outcome) => outcome,
             Err(failure) => {
                 guard.publish(&failure.fallout);
-                self.note_len(shard, &*guard.ring);
                 return Err(failure);
             }
         };
@@ -524,7 +478,6 @@ impl ShardedFlashCache {
         if outcome.cached && dirty {
             guard.heal_wound(page, lsn);
         }
-        self.note_len(shard, &*guard.ring);
         drop(guard);
         if let Some(pending) = outcome.pending_group.as_mut() {
             pending.shard = shard;
@@ -664,7 +617,6 @@ impl ShardedFlashCache {
         let mut guard = self.shards[shard].write();
         let out = guard.ring.quarantine_slot(slot, io);
         guard.publish(out.evacuee.as_slice());
-        self.note_len(shard, &*guard.ring);
         out
     }
 
@@ -677,7 +629,6 @@ impl ShardedFlashCache {
         let mut guard = self.shards[shard].write();
         let fallout = guard.ring.abort_group(epoch, io);
         guard.publish(&fallout);
-        self.note_len(shard, &*guard.ring);
         fallout
     }
 
@@ -696,10 +647,8 @@ impl ShardedFlashCache {
             survived: true,
             ..CacheRecoveryInfo::default()
         };
-        for (i, shard) in self.shards.iter().enumerate() {
-            let mut guard = shard.write();
-            let info = guard.ring.crash_and_recover(durable_lsn, io);
-            self.note_len(i, &*guard.ring);
+        for shard in &self.shards {
+            let info = shard.write().ring.crash_and_recover(durable_lsn, io);
             merged = merged.merged(&info);
         }
         merged
@@ -712,21 +661,16 @@ impl ShardedFlashCache {
     /// Pages in transit stay: their wound markers must outlive the wipe.
     pub fn reset_cold(&self) {
         let _allow = witness::allow_device_io("cache: quiesced cold reset wipes stores");
-        for (i, ((shard, store), config)) in self
+        for ((shard, store), config) in self
             .shards
             .iter()
             .zip(self.stores.iter())
             .zip(self.configs.iter())
-            .enumerate()
         {
             let mut guard = shard.write();
             store.clear();
             guard.ring =
                 build_ring(self.kind, config.clone(), Arc::clone(store)).expect("kind is not None");
-            self.note_len(i, &*guard.ring);
-        }
-        if let Some(ghost) = &self.ghost {
-            ghost.clear();
         }
     }
 
@@ -747,14 +691,9 @@ impl ShardedFlashCache {
             .iter()
             .map(|g| g.ring.stats())
             .fold(CacheStats::default(), |acc, s| acc.merged(&s));
-        // Device-level page-program tally and the sharded admission filter's
-        // counters live outside the shards — atomic reads, no extra lock
-        // sweep. (S3-FIFO shards report their admission counters through the
-        // per-shard stats merged above; exactly one of the two sources is
-        // nonzero.)
+        // The device-level page-program tally lives outside the shards — an
+        // atomic read, no extra lock sweep.
         merged.flash_pages_written = self.flash_pages_written();
-        merged.admission_filtered += self.admission_filtered.get();
-        merged.admission_ghost_hits += self.admission_ghost_hits.get();
         merged
     }
 
@@ -775,17 +714,13 @@ impl ShardedFlashCache {
         for g in &guards {
             g.ring.reset_stats();
         }
-        self.admission_filtered.set(0);
-        self.admission_ghost_hits.set(0);
     }
 
-    /// Occupied page slots across shards, from the per-shard occupancy
-    /// mirrors — **no shard lock is taken**. Exact at quiesce; under
-    /// concurrent inserts the value may lag the shards by in-flight
-    /// operations (the previous implementation locked every shard per call,
-    /// which serialized hot-path callers against the whole cache).
+    /// Occupied page slots across shards, each shard's read under its read
+    /// lock in turn: exact at quiesce, a point-in-time sum under concurrent
+    /// inserts.
     pub fn len(&self) -> usize {
-        self.occupancy.iter().map(|c| c.get() as usize).sum()
+        self.shards.iter().map(|s| s.read().ring.len()).sum()
     }
 
     /// Whether no shard holds anything (same contract as
@@ -1330,20 +1265,19 @@ mod tests {
     }
 
     #[test]
-    fn len_mirror_matches_shards_at_quiesce() {
+    fn len_sums_the_shards_at_quiesce() {
         let c = sharded(CachePolicyKind::FaceGsc, 256, 4);
         let mut io = IoLog::new();
         for n in 0..100u32 {
             c.insert(data_page(n), &mut io).unwrap();
         }
-        // The lock-free mirror agrees with a locked sweep of the shards.
         let swept: usize = c.shards.iter().map(|s| s.read().ring.len()).sum();
         assert_eq!(c.len(), swept);
         assert_eq!(c.len(), 100);
         let info = c.crash_and_recover(Lsn(u64::MAX), &mut io);
         assert!(info.survived);
         let swept: usize = c.shards.iter().map(|s| s.read().ring.len()).sum();
-        assert_eq!(c.len(), swept, "mirror refreshed by recovery");
+        assert_eq!(c.len(), swept, "recovery's rebuilt rings are counted");
         c.reset_cold();
         assert_eq!(c.len(), 0);
         assert!(c.is_empty());
@@ -1409,6 +1343,25 @@ mod tests {
             assert!(c.contains(PageId::new(0, n)));
         }
         assert_eq!(c.stats().admission_filtered, 0);
+    }
+
+    #[test]
+    fn ghost_admission_is_forgotten_by_a_crash() {
+        for kind in [CachePolicyKind::FaceGsc, CachePolicyKind::S3Fifo] {
+            let c = ghosted(kind, 256, 4);
+            let mut io = IoLog::new();
+            let first = c.insert(clean_page(7), &mut io).unwrap();
+            assert!(!first.cached, "{kind:?}: clean first touch is filtered");
+            c.crash_and_recover(Lsn(u64::MAX), &mut io);
+            // The ghost is RAM-only: after the crash the comeback is a first
+            // touch again.
+            let comeback = c.insert(clean_page(7), &mut io).unwrap();
+            assert!(!comeback.cached, "{kind:?}: the crash forgets the ghost");
+            assert!(!c.contains(PageId::new(0, 7)));
+            let stats = c.stats();
+            assert_eq!(stats.admission_filtered, 2, "{kind:?}");
+            assert_eq!(stats.admission_ghost_hits, 0, "{kind:?}");
+        }
     }
 
     #[test]

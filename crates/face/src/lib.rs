@@ -63,7 +63,7 @@ pub mod store;
 pub mod tac;
 pub mod types;
 
-pub use admission::{GhostQueue, SharedGhost};
+pub use admission::GhostQueue;
 pub use concurrent::ShardedFlashCache;
 pub use cost_model::{AccessMix, CostModel};
 pub use degrade::{BreakerState, DegradeAction, DegradeConfig, DegradeController, DegradeStats};

@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::io::IoLog;
 
-/// Serialised size of one journal entry in bytes (the paper's 24-byte entries
+/// Size of one journal entry on flash in bytes (the paper's 24-byte entries
 /// plus the 8-byte group epoch).
 pub const JOURNAL_ENTRY_BYTES: usize = 32;
 
@@ -54,40 +54,10 @@ pub struct JournalEntry {
     pub dirty: bool,
 }
 
-impl JournalEntry {
-    /// Serialise to the fixed 32-byte on-flash representation.
-    pub fn to_bytes(&self) -> [u8; JOURNAL_ENTRY_BYTES] {
-        let mut out = [0u8; JOURNAL_ENTRY_BYTES];
-        out[0..8].copy_from_slice(&self.epoch.to_le_bytes());
-        out[8..16].copy_from_slice(&self.page.to_u64().to_le_bytes());
-        out[16..24].copy_from_slice(&self.lsn.0.to_le_bytes());
-        out[24..28].copy_from_slice(&self.slot.to_le_bytes());
-        out[28] = self.dirty as u8;
-        out
-    }
-
-    /// Deserialise from the 32-byte representation.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < JOURNAL_ENTRY_BYTES {
-            return None;
-        }
-        Some(Self {
-            epoch: u64::from_le_bytes(bytes[0..8].try_into().ok()?),
-            page: PageId::from_u64(u64::from_le_bytes(bytes[8..16].try_into().ok()?)),
-            lsn: Lsn(u64::from_le_bytes(bytes[16..24].try_into().ok()?)),
-            slot: u32::from_le_bytes(bytes[24..28].try_into().ok()?),
-            dirty: bytes[28] != 0,
-        })
-    }
-}
-
 /// A point-in-time snapshot of a shard's directory, persisted to flash so
 /// that restart replays at most `checkpoint_interval_groups` of journal.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CacheCheckpoint {
-    /// Every sealed group with epoch at or below this is folded into the
-    /// snapshot; recovery replays only groups with a higher epoch.
-    pub epoch: u64,
     /// Index of the oldest occupied queue slot at snapshot time.
     pub front: u64,
     /// Number of occupied queue slots at snapshot time.
@@ -190,11 +160,6 @@ impl MetaJournal {
         self.checkpoint.as_ref()
     }
 
-    /// Configured checkpoint cadence in sealed groups.
-    pub fn checkpoint_interval_groups(&self) -> usize {
-        self.checkpoint_interval_groups
-    }
-
     /// A group forms: hand out its epoch and advance the counter, so the
     /// versions enqueued from now on belong to the next group. Nothing
     /// becomes durable here; the group's entries wait in the caller until
@@ -253,8 +218,6 @@ impl MetaJournal {
         io: &mut IoLog,
     ) {
         let ckpt = CacheCheckpoint {
-            // Everything sealed so far is covered by the snapshot.
-            epoch: self.next_epoch - 1,
             front,
             size,
             entries: live,
@@ -321,21 +284,6 @@ mod tests {
             lsn: Lsn(lsn),
             dirty,
         }
-    }
-
-    #[test]
-    fn entry_serialisation_round_trips() {
-        let e = JournalEntry {
-            epoch: 7,
-            slot: 12,
-            page: PageId::new(3, 99),
-            lsn: Lsn(1234),
-            dirty: true,
-        };
-        let bytes = e.to_bytes();
-        assert_eq!(bytes.len(), JOURNAL_ENTRY_BYTES);
-        assert_eq!(JournalEntry::from_bytes(&bytes), Some(e));
-        assert_eq!(JournalEntry::from_bytes(&bytes[..16]), None);
     }
 
     /// Form a group of versions `n` (slot `n`, page `n`, pageLSN `n`) under

@@ -16,12 +16,18 @@
 //!   the whole group was referenced, in which case the oldest is forced out
 //!   so the replacement makes progress. If the write batch still has room it
 //!   is topped up with dirty pages pulled from the DRAM buffer's LRU tail.
+//! * **Ghost admission** ([`CacheConfig::ghost_admission`], off by default):
+//!   a clean page the directory does not hold is recorded in a RAM-only
+//!   [`GhostQueue`] on its first touch and not cached; only its comeback
+//!   while the ghost entry is live earns the flash write. Dirty pages, GSC's
+//!   pulled extras included, are always admitted.
 
 use face_pagestore::DeviceResult;
 
+use crate::admission::GhostQueue;
 use crate::io::IoLog;
 use crate::policy::PageSupplier;
-use crate::ring::{GroupRing, RingPolicy};
+use crate::ring::{GroupRing, RingCache, RingPolicy};
 use crate::types::{CacheConfig, InsertOutcome, StagedPage};
 
 /// The FaCE flash cache: mvFIFO decisions over the shared ring.
@@ -30,14 +36,22 @@ pub type MvFifoCache = GroupRing<MvFifo>;
 /// The mvFIFO decision rules; which of FaCE, FaCE+GR and FaCE+GSC runs is
 /// read from [`CacheConfig::group_size`] and [`CacheConfig::second_chance`].
 #[derive(Debug, Default)]
-pub struct MvFifo;
+pub struct MvFifo {
+    /// The admission filter's RAM-only ghost directory, when
+    /// [`CacheConfig::ghost_admission`] is set. Lost on crash.
+    ghost: Option<GhostQueue>,
+}
 
 /// The single queue.
 const QUEUE: usize = 0;
 
 impl RingPolicy for MvFifo {
-    fn new(_config: &CacheConfig) -> Self {
-        MvFifo
+    fn new(config: &CacheConfig) -> Self {
+        Self {
+            ghost: config
+                .ghost_admission
+                .then(|| GhostQueue::new(config.effective_ghost_capacity())),
+        }
     }
 
     fn name(config: &CacheConfig) -> &'static str {
@@ -63,6 +77,19 @@ impl RingPolicy for MvFifo {
     ) -> DeviceResult<()> {
         if ring.skip_clean_duplicate(&staged) {
             return Ok(());
+        }
+        if !staged.dirty && !ring.contains(staged.page) {
+            if let Some(ghost) = ring.policy.ghost.as_mut() {
+                // A clean first touch: the disk copy is current, so leaving
+                // it uncached is safe. Its comeback earns the flash write.
+                if ghost.admit_or_record(staged.page) {
+                    ring.stats.admission_ghost_hits.inc();
+                } else {
+                    ring.stats.admission_filtered.inc();
+                    outcome.cached = false;
+                    return Ok(());
+                }
+            }
         }
         let replacing = ring.free(QUEUE) == 0;
         ring.admit(QUEUE, staged, outcome, io)?;
@@ -180,6 +207,46 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().invalidations, 1);
         assert!((c.duplicate_ratio() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ghost_admission_filters_clean_first_touches_only() {
+        let mut cfg = meta_cfg(8, 1, false);
+        cfg.ghost_admission = true;
+        let mut c = MvFifoCache::new(cfg, Arc::new(NullFlashStore::new(8)));
+        let mut io = IoLog::new();
+        // A clean first touch is remembered, not cached: no flash write.
+        let out = c
+            .insert(staged(1, false, true), &mut NoSupplier, &mut io)
+            .unwrap();
+        assert!(!out.cached);
+        assert!(!c.contains(pid(1)));
+        assert!(io.is_empty());
+        // Its comeback while the ghost entry is live earns the write.
+        let out = c
+            .insert(staged(1, false, true), &mut NoSupplier, &mut io)
+            .unwrap();
+        assert!(out.cached);
+        assert!(c.contains(pid(1)));
+        // A dirty first touch is always admitted.
+        let out = c
+            .insert(staged(2, true, true), &mut NoSupplier, &mut io)
+            .unwrap();
+        assert!(out.cached);
+        assert!(c.contains(pid(2)));
+        let stats = c.stats();
+        assert_eq!(stats.inserts, 3, "a filtered insert still counts");
+        assert_eq!(stats.admission_filtered, 1);
+        assert_eq!(stats.admission_ghost_hits, 1);
+
+        // With the flag off nothing is filtered.
+        let mut c = meta_cache(8, 1, false);
+        let out = c
+            .insert(staged(3, false, true), &mut NoSupplier, &mut io)
+            .unwrap();
+        assert!(out.cached);
+        assert!(c.contains(pid(3)));
+        assert_eq!(c.stats().admission_filtered, 0);
     }
 
     #[test]

@@ -268,14 +268,15 @@ pub struct CacheConfig {
     /// — a lost eviction race retries ([`CacheStats::fetch_retries`]). The
     /// read-under-lock fetch it once selected was removed.
     pub lock_light_reads: bool,
-    /// Ghost-queue admission filtering for the mvFIFO family, applied by
-    /// [`crate::ShardedFlashCache`]: a **clean** page's first touch is
-    /// recorded only in a RAM-resident ghost directory and is *not* admitted
-    /// (no flash write); only a re-reference while the ghost entry is live
-    /// earns the flash write. Dirty pages are always
-    /// admitted — rejecting them would forfeit the write absorption FaCE is
-    /// built on. [`crate::CachePolicyKind::S3Fifo`] ignores this flag: its ghost
-    /// queue is an integral part of the policy and always on.
+    /// Ghost-queue admission filtering for the mvFIFO family, read by the
+    /// mvFIFO policy ([`crate::mvfifo::MvFifo`]) of every ring it builds: a
+    /// **clean** page the directory does not hold is recorded on its first
+    /// touch only in the ring's RAM-resident ghost directory and is *not*
+    /// admitted (no flash write); only a re-reference while the ghost entry
+    /// is live earns the flash write. Dirty pages are always admitted —
+    /// rejecting them would forfeit the write absorption FaCE is built on.
+    /// [`crate::CachePolicyKind::S3Fifo`] ignores this flag: its ghost queue
+    /// is an integral part of the policy and always on.
     pub ghost_admission: bool,
     /// S3-FIFO only: fraction of the capacity given to the small
     /// (probationary) queue. The remainder is the main queue. Clamped so both
@@ -325,10 +326,12 @@ impl CacheConfig {
         self
     }
 
-    /// The ghost-directory capacity in page ids (both the sharded admission
-    /// filter and the S3-FIFO policy's ghost queue): the cache capacity, the
-    /// classic S3-FIFO choice ("as many ghosts as the main cache holds
-    /// objects").
+    /// The ghost-directory capacity in page ids of one ring (the mvFIFO
+    /// admission filter's and the S3-FIFO policy's ghost queue alike): the
+    /// ring's capacity, the classic S3-FIFO choice ("as many ghosts as the
+    /// main cache holds objects"). A sharded cache gives each shard's ring
+    /// its slice of the capacity, so its ghosts together remember as many
+    /// ids as the whole cache holds pages.
     pub fn effective_ghost_capacity(&self) -> usize {
         self.capacity_pages.max(1)
     }
