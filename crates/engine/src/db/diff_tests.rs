@@ -468,9 +468,17 @@ fn logged_bytes(db: &Database, op: impl FnOnce()) -> u64 {
     db.wal.next_lsn().0 - start.0
 }
 
-/// Record sizes as numbers. A framed update is 8 bytes of frame header, 37
-/// of fixed fields and the two images; the parent commit's images were
-/// always the 128-byte slot, 301 bytes per record.
+/// Record sizes as numbers. A framed update is a 5-byte header (a one-byte
+/// payload length and the CRC; 6 bytes once the payload reaches 128), then
+/// the tag and seven varints — txn, file, page, offset, the two image
+/// lengths, `prev_lsn` — of one byte each below 128 and two below 16,384,
+/// then the two images. Here txn 1 writes page 19 (key 7) and page 40
+/// (key 8) of file 1 at offsets 0, 11 and 19, and every update chains to the
+/// one before it, so `prev_lsn` is 0 for the first record, takes one byte
+/// up to LSN 127 and two after. With one-byte lengths and `prev_lsn` a
+/// record is 13 bytes plus its images. Before diff logging the images were
+/// always the 128-byte slot, 301 bytes per record in the fixed-width
+/// encoding.
 #[test]
 fn update_records_are_as_large_as_the_change() {
     const PARENT: u64 = 301;
@@ -480,22 +488,23 @@ fn update_records_are_as_large_as_the_change() {
 
     // A first insert logs the slot from its flag to the value's last
     // non-zero byte (flag, key, length, 9 value bytes), both ways.
-    assert_eq!(put(7, &counter_value(7, 41)), 45 + 2 * 20);
+    // (The Begin before it is 7 bytes, so this record sits at LSN 7.)
+    assert_eq!(put(7, &counter_value(7, 41)), 13 + 2 * 20);
     // Overwriting a 16-byte value whose counter moved: one byte each way...
-    assert_eq!(put(7, &counter_value(7, 42)), 47);
+    assert_eq!(put(7, &counter_value(7, 42)), 15);
     // ...two when a carry crosses a byte, three for a far-off counter.
-    assert_eq!(put(7, &counter_value(7, 0x0100)), 49);
-    assert_eq!(put(7, &counter_value(7, 0x02_0001)), 51);
+    assert_eq!(put(7, &counter_value(7, 0x0100)), 17);
+    assert_eq!(put(7, &counter_value(7, 0x02_0001)), 19);
     // The same value again: one record, no image bytes.
-    assert_eq!(put(7, &counter_value(7, 0x02_0001)), 45);
+    assert_eq!(put(7, &counter_value(7, 0x02_0001)), 13);
     // The worst 16-byte overwrite — every value byte differs — still leaves
-    // out the prefix and the padding.
+    // out the prefix and the padding (prev_lsn 111 is still one byte).
     let inverted = counter_value(7, 0x02_0001).map(|b| !b);
-    assert_eq!(put(7, &inverted), 45 + 2 * 16);
+    assert_eq!(put(7, &inverted), 13 + 2 * 16);
 
     // Full-length values of high-entropy bytes: an insert into an empty slot
-    // is the whole slot, exactly the parent's record and never more; an
-    // overwrite saves the unchanged 11-byte prefix, twice.
+    // is the whole slot, never more than the 301-byte whole-slot record; an overwrite
+    // saves the unchanged 11-byte prefix, twice.
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut random = || {
         let mut v = [0u8; VALUE_CAPACITY];
@@ -507,15 +516,21 @@ fn update_records_are_as_large_as_the_change() {
         }
         v
     };
-    assert_eq!(put(8, &random()), PARENT);
-    assert_eq!(put(8, &random()), PARENT - 22);
-    assert_eq!(
-        logged_bytes(&db, || assert!(db.delete(txn, 8).unwrap())),
-        PARENT
-    );
+    // Payload 5 + 2 × (2-byte length + 128) + 1 (prev_lsn 124) = 266, so a
+    // 6-byte header: 272.
+    let insert = put(8, &random());
+    assert_eq!(insert, 6 + 266);
+    assert!(insert <= PARENT);
+    // Payload 5 + 2 × (1 + 117) + 2 (prev_lsn 169) = 243; framed 249.
+    assert_eq!(put(8, &random()), 6 + 243);
+    // Payload 5 + 2 × (2 + 128) + 2 (prev_lsn 441) = 267; framed 273.
+    let delete = logged_bytes(&db, || assert!(db.delete(txn, 8).unwrap()));
+    assert_eq!(delete, 6 + 267);
+    assert!(delete <= PARENT);
+    // Payload 5 + 2 × (1 + 27) + 2 (prev_lsn 690) = 63; framed 68.
     assert_eq!(
         logged_bytes(&db, || assert!(db.delete(txn, 7).unwrap())),
-        45 + 2 * 27
+        5 + 63
     );
     db.commit(txn).unwrap();
 }

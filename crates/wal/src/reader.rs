@@ -4,20 +4,21 @@ use std::sync::Arc;
 
 use face_pagestore::Lsn;
 
+use crate::codec::{FrameHeader, MAX_FRAME_HEADER_SIZE};
 use crate::record::LogRecord;
 use crate::storage::{LogStorage, WalError, WalResult};
-use crate::writer::FRAME_HEADER_SIZE;
 use face_pagestore::crc32;
 
 /// Bytes a sequential scan asks the storage for at a time.
 const SCAN_CHUNK: usize = 64 * 1024;
 /// Bytes a single-record read asks for first: the engine's usual update —
-/// an 8-byte frame header, 37 bytes of fixed fields and two images of the
-/// byte range that changed, a handful of bytes each — fits with room to
+/// a 5-byte frame header, a dozen bytes of varint fields and two images of
+/// the byte range that changed, a handful of bytes each — fits with room to
 /// spare. A record that does not (an insert into an empty slot logs the
-/// whole 128-byte slot both ways, 301 bytes framed) costs one more read of
-/// exactly its frame.
+/// whole 128-byte slot both ways, about 272 bytes framed) costs one more
+/// read of exactly its frame.
 const POINT_CHUNK: usize = 128;
+const _: () = assert!(POINT_CHUNK >= MAX_FRAME_HEADER_SIZE);
 
 /// Reads records back from a [`LogStorage`], starting at any LSN that is a
 /// record boundary.
@@ -81,12 +82,11 @@ impl LogReader {
         Lsn(self.pos)
     }
 
-    /// Payload length of the frame at `pos`, if the buffer holds all of it.
-    fn buffered_frame(&self) -> Option<usize> {
+    /// The header of the frame at `pos`, if the buffer holds all of the frame.
+    fn buffered_frame(&self) -> Option<FrameHeader> {
         let window = &self.buf[(self.pos - self.buf_start) as usize..];
-        let header = window.get(..FRAME_HEADER_SIZE as usize)?;
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        (window.len() - header.len() >= len).then_some(len)
+        let frame = FrameHeader::decode(window).ok()?;
+        (window.len() >= frame.frame_len()).then_some(frame)
     }
 
     /// Replace the buffer with `want` bytes of the log starting at `pos`
@@ -99,48 +99,48 @@ impl LogReader {
         Ok(())
     }
 
-    /// Fetch the frame at `pos` from storage and return its payload length.
+    /// Fetch the frame at `pos` from storage and return its header.
     /// `Ok(None)` when the log ends before the frame does: the clean end, or
     /// a torn tail.
-    fn fetch_frame(&mut self) -> WalResult<Option<usize>> {
+    fn fetch_frame(&mut self) -> WalResult<Option<FrameHeader>> {
         // The frame length comes from the log itself; the log's own length
         // bounds what is read (and allocated) for it.
         let available = self.storage.len()?.saturating_sub(self.pos);
-        if available < FRAME_HEADER_SIZE {
+        if available == 0 {
             self.buf.clear();
             self.buf_start = self.pos;
             return Ok(None);
         }
         self.fill(available.min(self.chunk as u64) as usize)?;
-        if let Some(len) = self.buffered_frame() {
-            return Ok(Some(len));
-        }
-        let Some(header) = self.buf.get(..4) else {
+        // A chunk holds the longest header, so a header the buffer cuts
+        // short is torn by the end of the log; one that does not parse claims
+        // an absurd length. Either ends the log, as does a frame longer than
+        // what is left of it.
+        let Ok(frame) = FrameHeader::decode(&self.buf) else {
             return Ok(None);
         };
-        let frame = FRAME_HEADER_SIZE + u32::from_le_bytes(header.try_into().unwrap()) as u64;
-        if frame > available {
+        if frame.frame_len() as u64 > available {
             return Ok(None);
         }
-        self.fill(frame as usize)?;
-        Ok(self.buffered_frame())
+        if frame.frame_len() > self.buf.len() {
+            self.fill(frame.frame_len())?;
+        }
+        Ok((self.buf.len() >= frame.frame_len()).then_some(frame))
     }
 
     /// Read the next record, or `Ok(None)` at end of log (including a torn
     /// tail).
     pub fn next_record(&mut self) -> WalResult<Option<LoggedRecord>> {
-        let len = match self.buffered_frame() {
-            Some(len) => len,
+        let frame = match self.buffered_frame() {
+            Some(frame) => frame,
             None => match self.fetch_frame()? {
-                Some(len) => len,
+                Some(frame) => frame,
                 None => return Ok(None),
             },
         };
-        let at = (self.pos - self.buf_start) as usize;
-        let header = &self.buf[at..at + FRAME_HEADER_SIZE as usize];
-        let expected_crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let payload = &self.buf[at + header.len()..at + header.len() + len];
-        if crc32(payload) != expected_crc {
+        let at = (self.pos - self.buf_start) as usize + frame.header_len;
+        let payload = &self.buf[at..at + frame.payload_len];
+        if crc32(payload) != frame.crc {
             return Err(WalError::Corrupt {
                 at: self.pos,
                 reason: "CRC mismatch".to_string(),
@@ -151,7 +151,7 @@ impl LogReader {
             reason: e.to_string(),
         })?;
         let lsn = Lsn(self.pos);
-        self.pos += FRAME_HEADER_SIZE + len as u64;
+        self.pos += frame.frame_len() as u64;
         Ok(Some(LoggedRecord {
             lsn,
             next_lsn: Lsn(self.pos),
@@ -294,8 +294,13 @@ mod tests {
     fn point_reads_cover_empty_images_and_both_sides_of_the_first_fetch() {
         let storage: Arc<dyn LogStorage> = Arc::new(InMemoryLogStorage::new());
         let w = WalWriter::new(Arc::clone(&storage)).unwrap();
-        // A framed update is 45 bytes plus its two images.
-        let fits = (POINT_CHUNK - 45) / 2;
+        // A framed update with images shorter than 60 bytes is 13 bytes plus
+        // its two images: a 5-byte header (a one-byte length, the CRC) and 8
+        // payload bytes (the tag, then txn, file, page, offset, two image
+        // lengths and prev_lsn as one-byte varints). So `fits` ends one byte
+        // inside the first fetch (13 + 2 × 57 = 127), `fits + 1` one byte
+        // outside it (129).
+        let fits = (POINT_CHUNK - 13) / 2;
         let mut written = Vec::new();
         for (i, len) in [0, 1, fits, fits + 1, 128, 0, fits + 1, 0]
             .into_iter()
@@ -305,7 +310,11 @@ mod tests {
             written.push((w.append(&rec), rec));
         }
         w.force_all().unwrap();
-        assert_eq!(written[1].0 .0 - written[0].0 .0, 45);
+        assert_eq!(written[1].0 .0 - written[0].0 .0, 13);
+        assert_eq!(
+            written[4].0 .0 - written[3].0 .0,
+            13 + 2 * (fits as u64 + 1)
+        );
         for (lsn, rec) in &written {
             let got = LogReader::record_at(Arc::clone(&storage), *lsn)
                 .unwrap()
@@ -332,15 +341,163 @@ mod tests {
 
     #[test]
     fn a_torn_length_field_cannot_make_the_reader_allocate_the_claim() {
-        let (storage, lsns) = setup();
-        // The last frame's header survives but claims 4 GiB of payload.
-        storage.truncate(lsns[2].0).unwrap();
-        let mut header = [0xFFu8; FRAME_HEADER_SIZE as usize].to_vec();
-        header.extend_from_slice(b"tail");
-        storage.append(&header).unwrap();
-        let mut r = LogReader::new(storage);
-        assert_eq!(r.read_to_end().unwrap().len(), 2);
-        assert!(r.buf.capacity() <= SCAN_CHUNK);
+        // The last frame's header is all 0xFF bytes — a length varint that
+        // runs on into the tail and claims exabytes — or a well-formed one
+        // claiming 4 GiB of payload.
+        let mut claims_4_gib = vec![0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+        claims_4_gib.extend_from_slice(&[0xFF; 4]);
+        for mut header in [vec![0xFFu8; MAX_FRAME_HEADER_SIZE], claims_4_gib] {
+            let (storage, lsns) = setup();
+            storage.truncate(lsns[2].0).unwrap();
+            header.extend_from_slice(b"tail");
+            storage.append(&header).unwrap();
+            let mut r = LogReader::new(storage);
+            assert_eq!(r.read_to_end().unwrap().len(), 2);
+            assert!(r.buf.capacity() <= SCAN_CHUNK);
+        }
+    }
+
+    /// A frame whose length varint the end of the log cuts in two is a torn
+    /// tail, for a two- and a three-byte length alike; the record before it
+    /// still reads.
+    #[test]
+    fn a_varint_length_torn_at_the_tail_is_a_clean_end_of_log() {
+        for image in [100, 10_000] {
+            let (storage, lsns) = setup();
+            let w = WalWriter::new(Arc::clone(&storage)).unwrap();
+            let lsn = w.append(&big_update(2, image));
+            w.force_all().unwrap();
+            let mut first = [0u8; 1];
+            storage.read_at(lsn.0, &mut first).unwrap();
+            assert!(first[0] >= 0x80, "the length takes more than one byte");
+            for cut in [2, 1] {
+                storage.truncate(lsn.0 + cut).unwrap();
+                let mut r = LogReader::new(Arc::clone(&storage));
+                let recs = r.read_to_end().unwrap();
+                assert_eq!(recs.len(), 3);
+                assert_eq!(recs[2].lsn, lsns[2]);
+                assert_eq!(r.position(), lsn);
+                assert!(LogReader::record_at(Arc::clone(&storage), lsn)
+                    .unwrap()
+                    .is_none());
+            }
+        }
+    }
+
+    /// An update whose payload is exactly `payload` bytes: its after-image
+    /// is sized to fill it, its before-image is empty.
+    fn update_with_payload(txn: u64, payload: usize) -> LogRecord {
+        // Tag, txn, file, page, offset, the empty image's length and
+        // prev_lsn (one byte each), then the after-image behind its length.
+        let varint_len = |v: usize| (usize::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize;
+        let image = (1..=3)
+            .map(|width| payload - 7 - width)
+            .find(|&len| 7 + varint_len(len) + len == payload)
+            .unwrap();
+        let rec = LogRecord::Update {
+            txn: TxnId(txn),
+            page: PageId::new(1, txn as u32),
+            offset: 64,
+            data: vec![txn as u8; image],
+            before: vec![],
+            prev_lsn: Lsn(txn),
+        };
+        assert_eq!(rec.encode().len(), payload);
+        rec
+    }
+
+    /// Frames with payloads of 127, 128, 16,383 and 16,384 bytes — one-,
+    /// two-, two- and three-byte lengths — among small records: a point read
+    /// at every LSN returns that record, and the LSNs step by the frames'
+    /// sizes.
+    #[test]
+    fn record_at_reads_every_record_across_length_widths() {
+        let storage: Arc<dyn LogStorage> = Arc::new(InMemoryLogStorage::new());
+        let w = WalWriter::new(Arc::clone(&storage)).unwrap();
+        let mut written = Vec::new();
+        for (i, (payload, header)) in [(127, 5), (128, 6), (16_383, 6), (16_384, 7)]
+            .into_iter()
+            .enumerate()
+        {
+            let i = i as u64 + 1;
+            for rec in [
+                LogRecord::Begin { txn: TxnId(i) },
+                update_with_payload(i, payload),
+                LogRecord::Commit { txn: TxnId(i) },
+            ] {
+                written.push((w.append(&rec), rec));
+            }
+            let n = written.len();
+            let (update, commit) = (written[n - 2].0, written[n - 1].0);
+            assert_eq!(commit.0 - update.0, (header + payload) as u64);
+        }
+        w.force_all().unwrap();
+        for (lsn, rec) in &written {
+            let got = LogReader::record_at(Arc::clone(&storage), *lsn)
+                .unwrap()
+                .unwrap();
+            assert_eq!((got.lsn, &got.record), (*lsn, rec));
+        }
+        let recs = LogReader::new(storage).read_to_end().unwrap();
+        let lsns: Vec<Lsn> = recs.iter().map(|r| r.lsn).collect();
+        assert_eq!(lsns, written.iter().map(|(l, _)| *l).collect::<Vec<_>>());
+    }
+
+    /// A log written by hand in the older fixed-width format — `[u32 len]
+    /// [u32 crc]` frames around fixed-width fields — is reported corrupt at LSN 0, by
+    /// the reader and by restart analysis; it never decodes.
+    #[test]
+    fn a_log_in_the_fixed_width_format_is_corrupt_at_lsn_zero() {
+        let old_frame = |payload: Vec<u8>| {
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+            frame.extend(payload);
+            frame
+        };
+        let begin = |tag: u8, txn: u64| {
+            let mut p = vec![tag];
+            p.extend_from_slice(&txn.to_le_bytes());
+            p
+        };
+        let update = |txn: u64, image: usize| {
+            let mut p = begin(2, txn);
+            p.extend_from_slice(&PageId::new(1, 3).to_u64().to_le_bytes());
+            p.extend_from_slice(&256u32.to_le_bytes());
+            for b in [0xAA, 0x55] {
+                p.extend_from_slice(&(image as u32).to_le_bytes());
+                p.resize(p.len() + image, b);
+            }
+            p.extend_from_slice(&17u64.to_le_bytes());
+            p
+        };
+        // First records of every length class the old format wrote: short
+        // payloads, one whose low length byte has the high bit set, and a
+        // full-slot one.
+        for first in [
+            begin(1, 1),
+            begin(1, 300),
+            update(1, 4),
+            update(1, 60),
+            update(1, 128),
+        ] {
+            let mut log = old_frame(first);
+            log.extend(old_frame(update(1, 4)));
+            log.extend(old_frame(begin(3, 1)));
+            let storage = InMemoryLogStorage::new();
+            storage.append(&log).unwrap();
+            let storage: Arc<dyn LogStorage> = Arc::new(storage);
+            let read = LogReader::new(Arc::clone(&storage)).next_record();
+            assert!(
+                matches!(read, Err(WalError::Corrupt { at: 0, .. })),
+                "{read:?}"
+            );
+            let plan = crate::recovery::build_recovery_plan(storage);
+            assert!(
+                matches!(plan, Err(WalError::Corrupt { at: 0, .. })),
+                "{:?}",
+                plan.err()
+            );
+        }
     }
 
     #[test]
@@ -350,7 +507,7 @@ mod tests {
         // rewriting the whole stream (storage has no random write; rebuild).
         let mut all = vec![0u8; storage.len().unwrap() as usize];
         storage.read_at(0, &mut all).unwrap();
-        all[(lsns[1].0 + FRAME_HEADER_SIZE + 2) as usize] ^= 0xFF;
+        all[(lsns[2].0 - 3) as usize] ^= 0xFF;
         let corrupted = InMemoryLogStorage::new();
         corrupted.append(&all).unwrap();
         let mut r = LogReader::new(Arc::new(corrupted));

@@ -159,12 +159,12 @@ pub fn encode_update(
     prev_lsn: Lsn,
 ) {
     w.put_u8(TAG_UPDATE);
-    w.put_u64(txn.0);
-    w.put_u64(page.to_u64());
-    w.put_u32(offset);
+    w.put_varint(txn.0);
+    put_page(w, page);
+    w.put_varint(offset.into());
     w.put_bytes(data);
     w.put_bytes(before);
-    w.put_u64(prev_lsn.0);
+    w.put_varint(prev_lsn.0);
 }
 
 /// Append the payload of a [`LogRecord::Clr`] with these fields to `w`; the
@@ -178,11 +178,23 @@ pub fn encode_clr(
     undo_next_lsn: Lsn,
 ) {
     w.put_u8(TAG_CLR);
-    w.put_u64(txn.0);
-    w.put_u64(page.to_u64());
-    w.put_u32(offset);
+    w.put_varint(txn.0);
+    put_page(w, page);
+    w.put_varint(offset.into());
     w.put_bytes(data);
-    w.put_u64(undo_next_lsn.0);
+    w.put_varint(undo_next_lsn.0);
+}
+
+/// A page id is two varints, file then page number: the table file's pages
+/// take two to four bytes, where the packed [`PageId::to_u64`] would take
+/// five or more.
+fn put_page(w: &mut ByteWriter, page: PageId) {
+    w.put_varint(page.file.into());
+    w.put_varint(page.page_no.into());
+}
+
+fn get_page(r: &mut ByteReader<'_>) -> Result<PageId, CodecError> {
+    Ok(PageId::new(r.get_varint_u32()?, r.get_varint_u32()?))
 }
 
 impl LogRecord {
@@ -211,7 +223,7 @@ impl LogRecord {
         match self {
             LogRecord::Begin { txn } => {
                 w.put_u8(TAG_BEGIN);
-                w.put_u64(txn.0);
+                w.put_varint(txn.0);
             }
             LogRecord::Update {
                 txn,
@@ -223,11 +235,11 @@ impl LogRecord {
             } => encode_update(w, *txn, *page, *offset, data, before, *prev_lsn),
             LogRecord::Commit { txn } => {
                 w.put_u8(TAG_COMMIT);
-                w.put_u64(txn.0);
+                w.put_varint(txn.0);
             }
             LogRecord::Abort { txn } => {
                 w.put_u8(TAG_ABORT);
-                w.put_u64(txn.0);
+                w.put_varint(txn.0);
             }
             LogRecord::Clr {
                 txn,
@@ -238,12 +250,12 @@ impl LogRecord {
             } => encode_clr(w, *txn, *page, *offset, data, *undo_next_lsn),
             LogRecord::Checkpoint(data) => {
                 w.put_u8(TAG_CHECKPOINT);
-                w.put_u64(data.redo_lsn.0);
-                w.put_u64(data.next_txn.0);
-                w.put_u32(data.active_txns.len() as u32);
+                w.put_varint(data.redo_lsn.0);
+                w.put_varint(data.next_txn.0);
+                w.put_varint(data.active_txns.len() as u64);
                 for t in &data.active_txns {
-                    w.put_u64(t.txn.0);
-                    w.put_u64(t.first_lsn.0);
+                    w.put_varint(t.txn.0);
+                    w.put_varint(t.first_lsn.0);
                 }
             }
         }
@@ -255,15 +267,15 @@ impl LogRecord {
         let tag = r.get_u8()?;
         match tag {
             TAG_BEGIN => Ok(LogRecord::Begin {
-                txn: TxnId(r.get_u64()?),
+                txn: TxnId(r.get_varint()?),
             }),
             TAG_UPDATE => {
-                let txn = TxnId(r.get_u64()?);
-                let page = PageId::from_u64(r.get_u64()?);
-                let offset = r.get_u32()?;
+                let txn = TxnId(r.get_varint()?);
+                let page = get_page(&mut r)?;
+                let offset = r.get_varint_u32()?;
                 let data = r.get_bytes()?.to_vec();
                 let before = r.get_bytes()?.to_vec();
-                let prev_lsn = Lsn(r.get_u64()?);
+                let prev_lsn = Lsn(r.get_varint()?);
                 Ok(LogRecord::Update {
                     txn,
                     page,
@@ -274,17 +286,17 @@ impl LogRecord {
                 })
             }
             TAG_COMMIT => Ok(LogRecord::Commit {
-                txn: TxnId(r.get_u64()?),
+                txn: TxnId(r.get_varint()?),
             }),
             TAG_ABORT => Ok(LogRecord::Abort {
-                txn: TxnId(r.get_u64()?),
+                txn: TxnId(r.get_varint()?),
             }),
             TAG_CLR => {
-                let txn = TxnId(r.get_u64()?);
-                let page = PageId::from_u64(r.get_u64()?);
-                let offset = r.get_u32()?;
+                let txn = TxnId(r.get_varint()?);
+                let page = get_page(&mut r)?;
+                let offset = r.get_varint_u32()?;
                 let data = r.get_bytes()?.to_vec();
-                let undo_next_lsn = Lsn(r.get_u64()?);
+                let undo_next_lsn = Lsn(r.get_varint()?);
                 Ok(LogRecord::Clr {
                     txn,
                     page,
@@ -294,19 +306,20 @@ impl LogRecord {
                 })
             }
             TAG_CHECKPOINT => {
-                let redo_lsn = Lsn(r.get_u64()?);
-                let next_txn = TxnId(r.get_u64()?);
-                let n = r.get_u32()? as usize;
+                let redo_lsn = Lsn(r.get_varint()?);
+                let next_txn = TxnId(r.get_varint()?);
+                let n = r.get_varint()?;
                 // The count comes from the log: bound it by what the payload
-                // can hold before allocating for it.
-                if n > r.remaining() / 16 {
+                // can hold (a row is two varints, two bytes at least) before
+                // allocating for it.
+                if n > (r.remaining() / 2) as u64 {
                     return Err(CodecError::UnexpectedEnd);
                 }
-                let mut active_txns = Vec::with_capacity(n);
+                let mut active_txns = Vec::with_capacity(n as usize);
                 for _ in 0..n {
                     active_txns.push(ActiveTxn {
-                        txn: TxnId(r.get_u64()?),
-                        first_lsn: Lsn(r.get_u64()?),
+                        txn: TxnId(r.get_varint()?),
+                        first_lsn: Lsn(r.get_varint()?),
                     });
                 }
                 Ok(LogRecord::Checkpoint(CheckpointData {
@@ -422,10 +435,12 @@ mod tests {
             assert_eq!(w.into_vec(), clr.encode());
             roundtrip(clr);
         }
-        // 37 fixed payload bytes: what a zero-length update costs the log.
+        // What a zero-length update costs the log: 8 payload bytes, the tag
+        // and seven one-byte varints (txn 1, file 1, page 1, offset 0, two
+        // zero image lengths, prev_lsn 1).
         let mut w = ByteWriter::new();
         encode_update(&mut w, TxnId(1), PageId::new(1, 1), 0, &[], &[], Lsn(1));
-        assert_eq!(w.len(), 37);
+        assert_eq!(w.len(), 8);
     }
 
     #[test]
@@ -479,16 +494,16 @@ mod tests {
         );
         // A table count the payload cannot hold is rejected before any
         // allocation.
-        let mut w = crate::codec::ByteWriter::new();
+        let mut w = ByteWriter::new();
         w.put_u8(TAG_CHECKPOINT);
-        w.put_u64(0);
-        w.put_u64(1);
-        w.put_u32(u32::MAX);
+        w.put_varint(0);
+        w.put_varint(1);
+        w.put_varint(u32::MAX.into());
         assert_eq!(
             LogRecord::decode(&w.into_vec()).unwrap_err(),
             CodecError::UnexpectedEnd
         );
-        // Truncated payloads.
+        // Truncated payloads: a txn and a file, then nothing.
         assert_eq!(
             LogRecord::decode(&[TAG_UPDATE, 1, 2]).unwrap_err(),
             CodecError::UnexpectedEnd
@@ -504,16 +519,111 @@ mod tests {
         // An old-format update (after-image only, no before-image or chain
         // pointer) must not silently decode: the trailing fields are
         // required.
-        let mut w = crate::codec::ByteWriter::with_capacity(32);
+        let mut w = ByteWriter::with_capacity(32);
         w.put_u8(TAG_UPDATE);
-        w.put_u64(1);
-        w.put_u64(PageId::new(0, 1).to_u64());
-        w.put_u32(0);
+        w.put_varint(1);
+        put_page(&mut w, PageId::new(0, 1));
+        w.put_varint(0);
         w.put_bytes(&[1, 2, 3]);
         assert_eq!(
             LogRecord::decode(&w.into_vec()).unwrap_err(),
             CodecError::UnexpectedEnd
         );
+    }
+
+    /// The widest transaction id is a ten-byte varint; a longer varint, or a
+    /// ten-byte one past `u64::MAX`, is an error, not a wrapped id.
+    #[test]
+    fn u64_max_fields_round_trip_and_longer_varints_are_rejected() {
+        let begin = LogRecord::Begin {
+            txn: TxnId(u64::MAX),
+        };
+        assert_eq!(begin.encode().len(), 1 + 10);
+        roundtrip(begin);
+        roundtrip(LogRecord::Update {
+            txn: TxnId(u64::MAX),
+            page: PageId::new(u32::MAX, u32::MAX),
+            offset: u32::MAX,
+            data: vec![1],
+            before: vec![2],
+            prev_lsn: Lsn(u64::MAX),
+        });
+
+        let mut eleven = vec![TAG_BEGIN];
+        eleven.extend_from_slice(&[0x80; 10]);
+        eleven.push(0);
+        assert_eq!(LogRecord::decode(&eleven), Err(CodecError::InvalidVarint));
+        let mut overflowing = vec![TAG_COMMIT];
+        overflowing.extend_from_slice(&[0xFF; 9]);
+        overflowing.push(0x02);
+        assert_eq!(
+            LogRecord::decode(&overflowing),
+            Err(CodecError::InvalidVarint)
+        );
+    }
+
+    /// `file`, `page_no` and `offset` are `u32`s: a larger value in any of
+    /// them is an error, never silently truncated.
+    #[test]
+    fn page_and_offset_fields_above_u32_max_are_errors() {
+        let too_big = u64::from(u32::MAX) + 1;
+        for field in 0..3 {
+            for tag in [TAG_UPDATE, TAG_CLR] {
+                let mut w = ByteWriter::new();
+                w.put_u8(tag);
+                w.put_varint(7);
+                for i in 0..3 {
+                    w.put_varint(if i == field { too_big } else { 1 });
+                }
+                w.put_bytes(&[]);
+                if tag == TAG_UPDATE {
+                    w.put_bytes(&[]);
+                }
+                w.put_varint(0);
+                assert_eq!(
+                    LogRecord::decode(&w.into_vec()),
+                    Err(CodecError::OutOfRange),
+                    "tag {tag}, field {field}"
+                );
+            }
+        }
+    }
+
+    /// A checkpoint's table count is checked against what its payload can
+    /// hold before the table is allocated: a count of `u64::MAX` would abort
+    /// the allocation instead of returning.
+    #[test]
+    fn a_checkpoint_count_beyond_its_payload_fails_before_allocating() {
+        let with_count = |n: u64, rows: u64| {
+            let mut w = ByteWriter::new();
+            w.put_u8(TAG_CHECKPOINT);
+            w.put_varint(100);
+            w.put_varint(9);
+            w.put_varint(n);
+            for t in 0..rows {
+                w.put_varint(t);
+                w.put_varint(40 + t);
+            }
+            LogRecord::decode(&w.into_vec())
+        };
+        assert_eq!(with_count(3, 3).unwrap(), {
+            let mut ckpt = CheckpointData {
+                redo_lsn: Lsn(100),
+                active_txns: vec![],
+                next_txn: TxnId(9),
+            };
+            for t in 0..3 {
+                ckpt.active_txns.push(ActiveTxn {
+                    txn: TxnId(t),
+                    first_lsn: Lsn(40 + t),
+                });
+            }
+            LogRecord::Checkpoint(ckpt)
+        });
+        // Six payload bytes hold three rows at most.
+        for n in [4, u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(with_count(n, 3), Err(CodecError::UnexpectedEnd), "{n}");
+        }
     }
 
     #[test]

@@ -30,10 +30,6 @@ use face_pagestore::{Lsn, PageId};
 use crate::codec::ByteWriter;
 use crate::record::{encode_clr, encode_update, CheckpointData, LogRecord, TxnId};
 use crate::storage::{LogStorage, WalError, WalResult};
-use face_pagestore::crc32;
-
-/// Size of the per-record frame header: `u32` payload length + `u32` CRC.
-pub const FRAME_HEADER_SIZE: u64 = 8;
 
 #[derive(Debug, Default, Clone, Copy)]
 struct WriterStats {
@@ -47,10 +43,11 @@ struct WriterStats {
 /// tail regrows from empty, so one burst does not pin its high-water mark.
 const MAX_RETAINED_TAIL: usize = 1 << 20;
 
-/// What a thread's frame scratch buffer starts with: the engine's usual
-/// update (8 bytes of frame header, 37 of fixed fields, two images of the
-/// few bytes that changed) with room to spare. A full-slot insert (301
-/// bytes framed) grows it once and it stays grown.
+/// What a thread's frame scratch buffer starts with: room for the longest
+/// frame header ([`crate::codec::MAX_FRAME_HEADER_SIZE`], 8 bytes) and the
+/// engine's usual update (a dozen bytes of varint fields, two images of the
+/// few bytes that changed), with room to spare. A full-slot insert (about
+/// 272 bytes framed) grows it once and it stays grown.
 const FRAME_SCRATCH: usize = 128;
 
 /// Largest scratch buffer a thread keeps between records; one huge record (a
@@ -350,8 +347,10 @@ impl WalWriter {
     }
 }
 
-/// Build the frame `[u32 len][u32 crc][payload]` around the payload `encode`
-/// writes, in this thread's scratch buffer, and hand it to `then`.
+/// Build the frame `[varint len][u32 crc][payload]` (see [`crate::codec`])
+/// around the payload `encode` writes, in this thread's scratch buffer, and
+/// hand it to `then`. The payload is written after room for the longest
+/// header, and the header right before it, so nothing is moved.
 fn with_frame<R>(encode: impl FnOnce(&mut ByteWriter), then: impl FnOnce(&[u8]) -> R) -> R {
     // `try_with`: a record appended while the thread's locals are being torn
     // down just frames into a fresh buffer.
@@ -359,14 +358,11 @@ fn with_frame<R>(encode: impl FnOnce(&mut ByteWriter), then: impl FnOnce(&[u8]) 
     if buf.capacity() == 0 {
         buf.reserve(FRAME_SCRATCH);
     }
-    let mut w = ByteWriter::reusing(buf);
-    w.put_u64(0); // the header, filled in below
+    let mut w = ByteWriter::frame(buf);
     encode(&mut w);
-    let mut frame = w.into_vec();
-    let (header, payload) = frame.split_at_mut(FRAME_HEADER_SIZE as usize);
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    let result = then(&frame);
+    let start = w.finish_frame();
+    let frame = w.into_vec();
+    let result = then(&frame[start..]);
     if frame.capacity() <= MAX_RETAINED_SCRATCH {
         let _ = SCRATCH.try_with(|scratch| scratch.set(frame));
     }
@@ -394,8 +390,9 @@ mod tests {
         let l1 = w.append(&LogRecord::Begin { txn: TxnId(1) });
         let l2 = w.append(&LogRecord::Commit { txn: TxnId(1) });
         assert_eq!(l1, Lsn(0));
-        // Begin payload = 1 tag + 8 txn = 9 bytes, framed = 17.
-        assert_eq!(l2, Lsn(17));
+        // Begin payload = 1 tag + 1 varint txn = 2 bytes; framed = 1 length
+        // byte + 4 CRC bytes + 2 = 7.
+        assert_eq!(l2, Lsn(7));
         assert!(w.next_lsn() > l2);
     }
 
@@ -575,10 +572,10 @@ mod tests {
         assert_eq!(w.durable_lsn(), inner.next_lsn);
     }
 
-    /// One framed `Update`, byte for byte as the commit before the
-    /// carry-less-multiply CRC path wrote it, and the frame header of an
-    /// engine-sized one whose payload is long enough to take that path: a
-    /// log written then still opens now.
+    /// The log format, byte for byte: one framed `Update`, and the frame
+    /// header of an engine-sized one whose payload is long enough to take
+    /// the carry-less-multiply CRC path. The CRCs are zlib's CRC-32 of the
+    /// payloads, computed outside this crate.
     #[test]
     fn framed_update_records_are_the_recorded_literals() {
         let small = LogRecord::Update {
@@ -589,12 +586,15 @@ mod tests {
             before: (0..8u8).map(|i| 0x10 + i).collect(),
             prev_lsn: Lsn(4242),
         };
+        // Payload: tag 2; txn 9, file 3, page 17, offset 64 and the first
+        // image's length 8, one byte each; 8 image bytes; length 8; 8 image
+        // bytes; prev_lsn 4242 = 0x21 << 7 | 0x12 as [0x92, 0x21]. That is
+        // 1 + 5 + 8 + 1 + 8 + 2 = 25 bytes, framed as [25][crc] + payload.
         assert_eq!(
             frame(&small),
             [
-                53, 0, 0, 0, 223, 254, 8, 43, 2, 9, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 3, 0, 0, 0,
-                64, 0, 0, 0, 8, 0, 0, 0, 160, 161, 162, 163, 164, 165, 166, 167, 8, 0, 0, 0, 16,
-                17, 18, 19, 20, 21, 22, 23, 146, 16, 0, 0, 0, 0, 0, 0
+                25, 34, 213, 91, 45, 2, 9, 3, 17, 64, 8, 160, 161, 162, 163, 164, 165, 166, 167, 8,
+                16, 17, 18, 19, 20, 21, 22, 23, 146, 33
             ]
         );
         let big = LogRecord::Update {
@@ -605,10 +605,14 @@ mod tests {
             before: (0..128u32).map(|i| (i * 13 + 1) as u8).collect(),
             prev_lsn: Lsn(987_654_321),
         };
+        // Payload: tag 1 + txn 6 (41 bits) + file 1 + page 3 (17 bits) +
+        // offset 2 (11 bits) + 2 × (length 2 + 128 image bytes) + prev_lsn 5
+        // (30 bits) = 278 bytes; its length takes two varint bytes
+        // (278 = 2 << 7 | 22: [0x96, 0x02]), so the frame is 2 + 4 + 278.
         let framed = frame(&big);
-        assert_eq!(framed.len(), 301);
-        assert!(framed.len() - FRAME_HEADER_SIZE as usize >= face_pagestore::crc::CLMUL_MIN_LEN);
-        assert_eq!(framed[..8], [37, 1, 0, 0, 76, 141, 57, 77]);
+        assert_eq!(framed.len(), 284);
+        assert!(framed.len() - 6 >= face_pagestore::crc::CLMUL_MIN_LEN);
+        assert_eq!(framed[..8], [150, 2, 133, 18, 166, 10, 2, 134]);
     }
 
     /// The borrowed appends put on the log exactly the frame the owned
@@ -659,8 +663,12 @@ mod tests {
         let small = update(2, 2);
         let (first, big, again) = (frame(&small), frame(&huge), frame(&small));
         assert_eq!(first, again);
-        assert_eq!(big.len(), 45 + 2 * MAX_RETAINED_SCRATCH);
-        let payload = &big[FRAME_HEADER_SIZE as usize..];
+        // Payload: tag, txn, file, page, offset and prev_lsn (one byte each)
+        // and two images of 65,536 bytes behind three-byte lengths:
+        // 12 + 2 × 65,536 = 131,084 bytes, framed behind a three-byte length
+        // (18 bits) and the CRC.
+        assert_eq!(big.len(), 7 + 12 + 2 * MAX_RETAINED_SCRATCH);
+        let payload = &big[7..];
         assert_eq!(LogRecord::decode(payload).unwrap(), huge);
     }
 
