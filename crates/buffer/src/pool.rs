@@ -302,9 +302,6 @@ pub struct BufferPool<L: LowerTier> {
     shards: Vec<Shard>,
     lower: L,
     stats: AtomicBufferStats,
-    /// Resident-frame mirror, so [`BufferPool::len`] never sweeps the shard
-    /// locks. Maintained at insert/evict; exact at quiesce.
-    resident: Counter,
 }
 
 impl<L: LowerTier> BufferPool<L> {
@@ -342,7 +339,6 @@ impl<L: LowerTier> BufferPool<L> {
             shards,
             lower,
             stats: AtomicBufferStats::default(),
-            resident: Counter::default(),
         }
     }
 
@@ -373,22 +369,16 @@ impl<L: LowerTier> BufferPool<L> {
         self.shards.len()
     }
 
-    /// Number of resident pages, from the atomic mirror — no shard lock is
-    /// taken (the previous implementation locked every shard per call).
-    /// Exact whenever no insert/evict is in flight.
+    /// Number of resident pages: each shard's map counted under its read
+    /// lock in turn. Exact at quiesce; under concurrent loads and evictions
+    /// a point-in-time sum of the shards.
     pub fn len(&self) -> usize {
-        self.resident.get() as usize
+        self.shards.iter().map(|s| s.map.read().len()).sum()
     }
 
     /// Whether the pool holds no pages (same contract as [`BufferPool::len`]).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Resident pages per shard, counted under the mapping locks (test and
-    /// diagnostic support for checking the [`BufferPool::len`] mirror).
-    pub fn resident_by_shard(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.map.read().len()).collect()
     }
 
     /// Whether `id` is resident. A shared map lookup — never an exclusive
@@ -532,28 +522,7 @@ impl<L: LowerTier> BufferPool<L> {
             .write()
             .insert(id, Arc::new(FrameCell::new(Page::new(id), flags)));
         core.admit(id);
-        self.resident.inc();
         Ok(id)
-    }
-
-    /// Evict S3-FIFO's next victim in the *fullest* shard, handing it to the
-    /// lower tier. Returns the evicted page id, or `None` if the pool is
-    /// empty.
-    ///
-    /// With one shard this is the whole pool's next victim; with several it
-    /// is the most loaded stripe's — the hook Group Second Chance uses to
-    /// "pull pages from the LRU tail of the DRAM buffer" (paper §3.3) only
-    /// needs *a* cold dirty page, not *the* coldest.
-    pub fn evict_lru_frame(&self) -> TierResult<Option<PageId>> {
-        let fullest = self
-            .shards
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, s)| s.map.read().len())
-            .map(|(i, _)| i)
-            .expect("at least one shard");
-        let mut core = self.shards[fullest].core.lock();
-        self.evict_from(fullest, &mut core)
     }
 
     /// Opportunistically remove one cold frame whose flash copy is stale
@@ -624,7 +593,6 @@ impl<L: LowerTier> BufferPool<L> {
                 }
                 let page = cell.page.write();
                 cell.evicted.store(true, Ordering::Release);
-                self.resident.sub(1);
                 let flags = cell.flags.load();
                 self.stats.evictions.inc();
                 self.stats.dirty_evictions.inc();
@@ -696,7 +664,6 @@ impl<L: LowerTier> BufferPool<L> {
             map.clear();
             core.clear();
         }
-        self.resident.set(0);
     }
 
     /// The resident pages, next eviction candidates first within each
@@ -763,7 +730,6 @@ impl<L: LowerTier> BufferPool<L> {
             cell.page.write()
         };
         core.admit(id);
-        self.resident.inc();
         drop(core);
         match self.lower.fetch(id, &mut page) {
             Ok(outcome) => self.loaded(id, &cell, &mut page, outcome),
@@ -886,7 +852,6 @@ impl<L: LowerTier> BufferPool<L> {
                     map.insert(*id, Arc::clone(cell));
                     loading.push((*id, &**cell, cell.page.write()));
                     core.admit(*id);
-                    self.resident.inc();
                     self.stats.accesses.inc();
                     self.stats.misses.inc();
                 }
@@ -920,16 +885,15 @@ impl<L: LowerTier> BufferPool<L> {
         first_error.map_or(Ok((taken, installed)), Err)
     }
 
-    /// Take `cell` out of the map, its queue and the resident count — if
-    /// it is still the frame mapped for `id`. An evictor may have unmapped it
-    /// already, and a later miss may have mapped a new frame under the same
-    /// id; neither may be disturbed.
+    /// Take `cell` out of the map and its queue — if it is still the frame
+    /// mapped for `id`. An evictor may have unmapped it already, and a later
+    /// miss may have mapped a new frame under the same id; neither may be
+    /// disturbed.
     fn unlink(&self, shard: &Shard, core: &mut ShardCore, id: PageId, cell: &Arc<FrameCell>) {
         let mut map = shard.map.write();
         if map.get(&id).is_some_and(|mapped| Arc::ptr_eq(mapped, cell)) {
             map.remove(&id);
             core.remove(&id);
-            self.resident.sub(1);
         }
     }
 
@@ -956,7 +920,6 @@ impl<L: LowerTier> BufferPool<L> {
         // every frame of the shard was busy.) `evicted` then turns away
         // everyone who already holds the cell.
         let page = cell.page.write();
-        self.resident.sub(1);
         if cell.evicted.swap(true, Ordering::AcqRel) {
             // Its load failed while we waited: there is nothing to write.
             return Ok(Some(victim));
@@ -1216,21 +1179,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_evict_lru_frame() {
-        let (pool, _) = pool(4);
-        let a = pool.allocate_page(0).unwrap();
-        let b = pool.allocate_page(0).unwrap();
-        pool.read(a, |_| ()).unwrap();
-        pool.read(a, |_| ()).unwrap();
-        // `a`, hit twice, is promoted past `b`, the victim; then `a` goes
-        // once the main queue's sweep has spent its two counts.
-        assert_eq!(pool.evict_lru_frame().unwrap(), Some(b));
-        assert_eq!(pool.evict_lru_frame().unwrap(), Some(a));
-        assert_eq!(pool.evict_lru_frame().unwrap(), None);
-        assert_eq!(pool.stats().ref_rescues, 1 + 2);
-    }
-
-    #[test]
     fn capacity_never_exceeded() {
         let (pool, _) = pool(3);
         for _ in 0..20 {
@@ -1263,7 +1211,7 @@ mod tests {
     }
 
     #[test]
-    fn resident_mirror_matches_shards_at_quiesce() {
+    fn len_sums_the_shards_at_quiesce() {
         let (pool, _) = sharded_pool(64, 8);
         let ids: Vec<PageId> = (0..48).map(|_| pool.allocate_page(0).unwrap()).collect();
         std::thread::scope(|s| {
@@ -1281,9 +1229,10 @@ mod tests {
                 });
             }
         });
-        // At quiesce, the lock-free mirror equals the per-shard truth.
-        let swept: usize = pool.resident_by_shard().iter().sum();
-        assert_eq!(pool.len(), swept);
+        // At quiesce, the sum over the shards counts exactly the resident
+        // pages.
+        let resident = ids.iter().filter(|&&id| pool.contains(id)).count();
+        assert_eq!(pool.len(), resident);
         assert!(pool.len() <= pool.capacity());
     }
 
@@ -1570,7 +1519,7 @@ mod tests {
         by_shard
             .iter()
             .for_each(|s| s[2..4].iter().for_each(|id| update(*id)));
-        assert_eq!(pool.resident_by_shard(), [4, 4, 4, 4]);
+        assert_eq!(pool.len(), 16);
         assert!(pool.lower().pulled().is_empty());
 
         // A miss in shard 0 evicts there and offers the tier every frame of
@@ -1760,7 +1709,6 @@ mod tests {
             });
             assert_eq!(tier.fetches(ids[0]), 1);
             assert!(pool.len() <= pool.capacity());
-            assert_eq!(pool.len(), pool.resident_by_shard()[0]);
         }
 
         #[test]
@@ -1840,7 +1788,6 @@ mod tests {
             // Room was made before the fetch, as it always was; the frame
             // that was to hold the page is gone from map, LRU and count.
             assert_eq!(pool.resident_lru_order(), [ids[5], ids[6], ids[7]]);
-            assert_eq!(pool.resident_by_shard(), [3]);
             assert_eq!(pool.len(), 3);
             // The page itself is fine: the next access loads it.
             assert_eq!(first_byte(&pool, ids[0]).unwrap(), 0);
@@ -1868,7 +1815,6 @@ mod tests {
                 assert_eq!(second.join().unwrap().unwrap(), 0);
             });
             assert_eq!(tier.fetches(ids[0]), 2);
-            assert_eq!(pool.len(), pool.resident_by_shard()[0]);
             assert_eq!(pool.resident_lru_order().last(), Some(&ids[0]));
         }
 
@@ -2033,7 +1979,6 @@ mod tests {
                 assert!(pool.contains(id), "{id} stays installed");
             }
             assert_eq!(pool.len(), 2);
-            assert_eq!(pool.resident_by_shard().iter().sum::<usize>(), 2);
             let stats = pool.stats();
             assert_eq!(stats.hits + stats.misses, stats.accesses);
         }

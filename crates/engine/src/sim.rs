@@ -471,16 +471,6 @@ impl SimEngine {
         new_orders as f64 * 60.0 / secs
     }
 
-    /// All-transaction throughput per minute over the measurement window.
-    pub fn tpm_total(&self) -> f64 {
-        let secs = self.measured_secs();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        let committed = self.counters.committed - self.counters_at_measure_start.committed;
-        committed as f64 * 60.0 / secs
-    }
-
     /// Utilisation of the flash caching device over the measurement window.
     pub fn flash_utilization(&self) -> f64 {
         self.io.utilization(
@@ -518,11 +508,6 @@ impl SimEngine {
     /// DRAM buffer statistics.
     pub fn buffer_stats(&self) -> face_buffer::sim::SimBufferStats {
         self.buffer.stats()
-    }
-
-    /// The I/O system (for device-level snapshots in reports).
-    pub fn io_system(&self) -> &IoSystem {
-        &self.io
     }
 }
 
@@ -582,14 +567,12 @@ mod tests {
         engine.start_measurement();
         drive(&mut engine, 400, 7);
         assert!(engine.tpmc() > 0.0);
-        assert!(engine.tpm_total() >= engine.tpmc());
         assert!(engine.measured_secs() > 0.0);
         assert!(engine.flash_utilization() > 0.0);
         assert!(engine.data_utilization() > 0.0);
         assert!(engine.counters().accesses > 0);
         assert!(engine.cache_stats().unwrap().lookups > 0);
         assert!(engine.buffer_stats().misses > 0);
-        assert_eq!(engine.io_system().snapshots(1).len(), 3);
     }
 
     #[test]

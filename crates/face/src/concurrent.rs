@@ -29,9 +29,9 @@
 //! a version at or above its LSN is placed. The map sits beside the ring
 //! because a cold reset rebuilds the ring and the markers must outlive it.
 //!
-//! Statistics are atomic inside the policies ([`crate::types::Counter`]), so
-//! [`ShardedFlashCache::stats`] merges per-shard snapshots without stalling
-//! writers for long.
+//! Statistics are plain [`CacheStats`] fields inside each ring, bumped under
+//! the shard's write lock; [`ShardedFlashCache::stats`] merges per-shard
+//! copies under every shard's read lock.
 
 use std::sync::Arc;
 
@@ -710,8 +710,8 @@ impl ShardedFlashCache {
     /// concurrent [`ShardedFlashCache::stats`] snapshot interleave with the
     /// zeroing and merge pre-reset and post-reset shard values.
     pub fn reset_stats(&self) {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        for g in &guards {
+        let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
+        for g in &mut guards {
             g.ring.reset_stats();
         }
     }

@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use face_iosim::{DeviceProfile, OpClass};
+use face_iosim::DeviceProfile;
 
 /// Inputs to the break-even analysis.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -78,19 +78,6 @@ impl CostModel {
         let theta = self.break_even_theta(delta);
         (theta * self.flash_price_per_gb) / (delta * self.dram_price_per_gb)
     }
-
-    /// Reduction in I/O time (seconds saved per logical access, relative to
-    /// an all-miss baseline) when adding a flash cache with hit-rate gain
-    /// `flash_hit_gain` — used by the Table 5 style comparison.
-    pub fn io_time_saved_by_flash(&self, flash_hit_gain: f64) -> f64 {
-        flash_hit_gain * (self.c_disk - self.c_flash)
-    }
-
-    /// Reduction in I/O time when a DRAM increment raises the DRAM hit rate
-    /// by `dram_hit_gain`.
-    pub fn io_time_saved_by_dram(&self, dram_hit_gain: f64) -> f64 {
-        dram_hit_gain * self.c_disk
-    }
 }
 
 /// Convenience: the paper's reference pairing (Seagate 15K.6 + Samsung 470).
@@ -100,29 +87,6 @@ pub fn paper_reference_model(mix: AccessMix) -> CostModel {
         &DeviceProfile::samsung470_mlc(),
         mix,
     )
-}
-
-/// The service-time entries of Table 1 that the model is derived from, for
-/// reporting alongside experiment output.
-pub fn table1_service_times() -> Vec<(String, f64, f64, f64, f64)> {
-    [
-        DeviceProfile::samsung470_mlc(),
-        DeviceProfile::intel_x25m_mlc(),
-        DeviceProfile::intel_x25e_slc(),
-        DeviceProfile::seagate_15k(),
-        DeviceProfile::raid0_8disk_measured(),
-    ]
-    .iter()
-    .map(|p| {
-        (
-            p.name.clone(),
-            p.service_time(OpClass::RandomRead, 4096) as f64 / 1e9,
-            p.service_time(OpClass::RandomWrite, 4096) as f64 / 1e9,
-            p.seq_read_mbps,
-            p.seq_write_mbps,
-        )
-    })
-    .collect()
 }
 
 #[cfg(test)]
@@ -170,27 +134,5 @@ mod tests {
         for delta in [0.1, 0.5, 1.0] {
             assert!(m.cost_ratio(delta) < 0.2, "flash should be >5x cheaper");
         }
-    }
-
-    #[test]
-    fn io_time_savings_ordering() {
-        let m = paper_reference_model(AccessMix::Mixed);
-        // The same hit-rate gain saves slightly more when it comes from DRAM
-        // (no flash access at all) than from flash.
-        let dram = m.io_time_saved_by_dram(0.1);
-        let flash = m.io_time_saved_by_flash(0.1);
-        assert!(dram > flash);
-        assert!(flash > 0.9 * dram, "flash saving is nearly as good");
-    }
-
-    #[test]
-    fn table1_report_has_all_devices() {
-        let rows = table1_service_times();
-        assert_eq!(rows.len(), 5);
-        // Disk random read ~2.4ms, SSD ~35us.
-        let disk = rows.iter().find(|r| r.0.contains("Seagate")).unwrap();
-        assert!(disk.1 > 0.002);
-        let ssd = rows.iter().find(|r| r.0.contains("Samsung")).unwrap();
-        assert!(ssd.1 < 0.0001);
     }
 }

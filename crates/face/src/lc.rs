@@ -22,8 +22,8 @@ use crate::io::IoLog;
 use crate::policy::{FlashCache, PageSupplier};
 use crate::store::FlashStore;
 use crate::types::{
-    CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, FlashFetch, InsertFailure,
-    InsertOutcome, StagedPage,
+    CacheConfig, CacheRecoveryInfo, CacheStats, FlashFetch, InsertFailure, InsertOutcome,
+    StagedPage,
 };
 
 /// Fraction of dirty pages that triggers the lazy cleaner.
@@ -53,7 +53,7 @@ pub struct LcCache {
     free_slots: Vec<usize>,
     clock: u64,
     dirty_count: usize,
-    stats: CacheStatCounters,
+    stats: CacheStats,
 }
 
 impl LcCache {
@@ -73,7 +73,7 @@ impl LcCache {
             free_slots,
             clock: 0,
             dirty_count: 0,
-            stats: CacheStatCounters::default(),
+            stats: CacheStats::default(),
         }
     }
 
@@ -133,10 +133,10 @@ impl LcCache {
             None
         };
         self.remove_entry(victim).expect("victim is cached");
-        self.stats.staged_out.inc();
+        self.stats.staged_out += 1;
         if meta.dirty {
             io.disk_write(victim);
-            self.stats.staged_out_to_disk.inc();
+            self.stats.staged_out_to_disk += 1;
             Ok(Some(StagedPage {
                 page: victim,
                 lsn: meta.lsn,
@@ -177,7 +177,7 @@ impl LcCache {
             let meta = self.map.get_mut(&page).expect("still cached");
             meta.dirty = false;
             self.dirty_count -= 1;
-            self.stats.lazily_cleaned.inc();
+            self.stats.lazily_cleaned += 1;
             io.disk_write(page);
             cleaned.push(StagedPage {
                 page,
@@ -193,11 +193,11 @@ impl LcCache {
 
 impl FlashCache for LcCache {
     fn fetch(&mut self, page: PageId, io: &mut IoLog) -> DeviceResult<Option<FlashFetch>> {
-        self.stats.lookups.inc();
+        self.stats.lookups += 1;
         let Some(meta) = self.map.get(&page).copied() else {
             return Ok(None);
         };
-        self.stats.hits.inc();
+        self.stats.hits += 1;
         self.bump(page);
         io.flash_read_rand(1);
         Ok(Some(FlashFetch {
@@ -213,9 +213,9 @@ impl FlashCache for LcCache {
         _supplier: &mut dyn PageSupplier,
         io: &mut IoLog,
     ) -> Result<InsertOutcome, InsertFailure> {
-        self.stats.inserts.inc();
+        self.stats.inserts += 1;
         if staged.dirty {
-            self.stats.dirty_inserts.inc();
+            self.stats.dirty_inserts += 1;
         }
         let mut outcome = InsertOutcome {
             cached: true,
@@ -236,7 +236,7 @@ impl FlashCache for LcCache {
                 self.store.write_slot(slot, data)?;
             }
             self.bump(staged.page);
-            self.stats.cached_inserts.inc();
+            self.stats.cached_inserts += 1;
         } else {
             // Admit a new page, evicting the LRU-2 victim if full.
             if self.free_slots.is_empty() {
@@ -264,7 +264,7 @@ impl FlashCache for LcCache {
             if staged.dirty {
                 self.dirty_count += 1;
             }
-            self.stats.cached_inserts.inc();
+            self.stats.cached_inserts += 1;
         }
 
         // Background lazy cleaning.
@@ -323,11 +323,11 @@ impl FlashCache for LcCache {
     }
 
     fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
+        self.stats
     }
 
-    fn reset_stats(&self) {
-        self.stats.reset();
+    fn reset_stats(&mut self) {
+        self.stats = CacheStats::default();
     }
 }
 

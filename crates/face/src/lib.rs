@@ -84,6 +84,6 @@ pub use store::{
 };
 pub use tac::TacCache;
 pub use types::{
-    CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, Counter, Evacuation, FetchPin,
-    FlashFetch, InsertFailure, InsertOutcome, QuarantineOutcome, StagedPage,
+    CacheConfig, CacheRecoveryInfo, CacheStats, Counter, Evacuation, FetchPin, FlashFetch,
+    InsertFailure, InsertOutcome, QuarantineOutcome, StagedPage,
 };

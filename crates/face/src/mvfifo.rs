@@ -83,9 +83,9 @@ impl RingPolicy for MvFifo {
                 // A clean first touch: the disk copy is current, so leaving
                 // it uncached is safe. Its comeback earns the flash write.
                 if ghost.admit_or_record(staged.page) {
-                    ring.stats.admission_ghost_hits.inc();
+                    ring.stats.admission_ghost_hits += 1;
                 } else {
-                    ring.stats.admission_filtered.inc();
+                    ring.stats.admission_filtered += 1;
                     outcome.cached = false;
                     return Ok(());
                 }
@@ -105,7 +105,7 @@ impl RingPolicy for MvFifo {
                 let Some(extra) = supplier.next_dirty_page() else {
                     break;
                 };
-                ring.stats.pulled_from_dram.inc();
+                ring.stats.pulled_from_dram += 1;
                 ring.count_insert(&extra);
                 if !ring.skip_clean_duplicate(&extra) {
                     ring.enqueue_fresh(QUEUE, &extra);
@@ -206,7 +206,11 @@ mod tests {
             .unwrap();
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().invalidations, 1);
-        assert!((c.duplicate_ratio() - 0.5).abs() < 1e-9);
+        assert_eq!(
+            c.valid_versions().len(),
+            1,
+            "one of the two versions is valid"
+        );
     }
 
     #[test]

@@ -56,8 +56,8 @@ where
 ///
 /// `Sync` is required because [`crate::ShardedFlashCache`] exposes the
 /// `&self` surface (lookups, validation, stats) through shared `RwLock` read
-/// guards — implementations keep their mutable state behind `&mut self` and
-/// their counters atomic, so this is free.
+/// guards — implementations keep their mutable state behind `&mut self`, so
+/// this is free.
 pub trait FlashCache: Send + Sync {
     /// Look up `page` on a DRAM miss. On a hit the cached copy is returned
     /// (with data when the backing store carries data) and the physical flash
@@ -135,7 +135,7 @@ pub trait FlashCache: Send + Sync {
     fn stats(&self) -> CacheStats;
 
     /// Reset activity counters (after warm-up).
-    fn reset_stats(&self);
+    fn reset_stats(&mut self);
 }
 
 /// Which caching policy to run. `None` disables the flash cache entirely
@@ -252,6 +252,7 @@ pub fn build_ring(
 mod tests {
     use super::*;
     use crate::store::NullFlashStore;
+    use face_pagestore::Lsn;
 
     #[test]
     fn labels_and_display() {
@@ -293,6 +294,34 @@ mod tests {
         )
         .unwrap();
         assert_eq!(gsc.policy_name(), "FaCE+GSC");
+    }
+
+    #[test]
+    fn every_policy_keeps_its_stats_across_a_crash_and_resets_them() {
+        let cfg = CacheConfig {
+            capacity_pages: 32,
+            group_size: 4,
+            ..CacheConfig::default()
+        };
+        for kind in CachePolicyKind::CACHING {
+            let mut cache = build_cache(kind, cfg.clone(), Arc::new(NullFlashStore::new(32)))
+                .expect("a caching policy");
+            let mut io = IoLog::new();
+            // Twice the capacity, so every policy also replaces.
+            for n in 0..64u32 {
+                let page = PageId::new(1, n % 48);
+                cache.on_fetched_from_disk(page, &mut io).unwrap();
+                let staged = StagedPage::meta_only(page, Lsn(u64::from(n) + 1), n % 2 == 0, true);
+                cache.insert(staged, &mut NoSupplier, &mut io).unwrap();
+                cache.fetch(PageId::new(1, n % 16), &mut io).unwrap();
+            }
+            let stats = cache.stats();
+            assert!(stats.lookups > 0 && stats.inserts > 0, "{kind}: {stats:?}");
+            cache.crash_and_recover(Lsn(u64::MAX), &mut io);
+            assert_eq!(cache.stats(), stats, "{kind}: a crash keeps the counters");
+            cache.reset_stats();
+            assert_eq!(cache.stats(), CacheStats::default(), "{kind}");
+        }
     }
 
     #[test]

@@ -39,6 +39,28 @@
 //!   entries whose group has sealed. The [`MetaJournal`] itself holds only
 //!   that durable state. Both regions share the one journal; their queue
 //!   pointers pack into the journal's `front`/`size` pair (`pack_pointers`).
+//! * **The durable window.** Recovery trusts every sealed record whose slot
+//!   lies in the last stamped `[front, front + size)`. Seals and cadence
+//!   checkpoints stamp the ring's *current* pointers, so the window moves
+//!   with the RAM queue. Three more ordering rules belong beside "seal
+//!   strictly after the batch write"; **none of them is enforced yet**
+//!   (ROADMAP item 1), and each has a test that shows it:
+//!   - **(W)** A slot may be overwritten only after the durable window
+//!     stops covering it. A group write that reuses a covered slot, then a
+//!     crash before its seal, leaves records of the previous lap naming the
+//!     new lap's bytes. Shown by
+//!     `db::diff_tests::restart_undo_of_every_diff_width_restores_pages_from_any_crash_point`
+//!     (face-engine).
+//!   - **(F)** The durable front may pass a dirty valid version only after
+//!     its stage-out has reached disk; otherwise a crash leaves the version
+//!     neither in flash metadata nor on disk. Shown by the benchmark's
+//!     ignored `async_destage_keeps_every_committed_update_across_restarts`
+//!     and by `tests/functional_recovery.rs`.
+//!   - **(S)** The durable front may pass a superseded version only after
+//!     its successor is sealed; a dequeue drops an invalid version with no
+//!     I/O. Suspected, not reproduced: the likely cause of the rare
+//!     failures of `db::tests::face_recovery_fetches_pages_from_flash`
+//!     (face-engine).
 //! * **Dequeue mechanics.** A group dequeue first collects, read-only, the
 //!   bytes of every victim that needs them — RAM frames where the write is
 //!   still pending or in flight, and **one batch read**
@@ -72,8 +94,8 @@ use crate::meta::{JournalEntry, MetaJournal};
 use crate::policy::{FlashCache, PageSupplier};
 use crate::store::FlashStore;
 use crate::types::{
-    CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, Evacuation, FetchPin,
-    FlashFetch, InsertFailure, InsertOutcome, QuarantineOutcome, StagedPage,
+    CacheConfig, CacheRecoveryInfo, CacheStats, Evacuation, FetchPin, FlashFetch, InsertFailure,
+    InsertOutcome, QuarantineOutcome, StagedPage,
 };
 
 /// The replacement decisions a [`GroupRing`] leaves open. Implemented inside
@@ -274,7 +296,7 @@ pub struct GroupRing<P> {
     /// without a page (`absorb_quarantined_rear`).
     quarantined: HashSet<usize>,
     journal: MetaJournal,
-    pub(crate) stats: CacheStatCounters,
+    pub(crate) stats: CacheStats,
     pub(crate) policy: P,
 }
 
@@ -322,7 +344,7 @@ impl<P: RingPolicy> GroupRing<P> {
             pending: Vec::new(),
             inflight: BTreeMap::new(),
             quarantined: HashSet::new(),
-            stats: CacheStatCounters::default(),
+            stats: CacheStats::default(),
         }
     }
 
@@ -344,17 +366,6 @@ impl<P: RingPolicy> GroupRing<P> {
             .into_iter()
             .map(|e| (e.page, e.lsn, e.dirty))
             .collect()
-    }
-
-    /// Fraction of occupied slots holding invalidated (duplicate) versions —
-    /// the paper reports 30–40 % duplicates for an 8 GB cache.
-    pub fn duplicate_ratio(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let occupants = self.slots.iter().filter_map(|s| s.occupant.as_ref());
-        let invalid = occupants.filter(|m| !m.valid).count();
-        invalid as f64 / self.len() as f64
     }
 
     /// The occupant of `slot`, if any.
@@ -510,7 +521,7 @@ impl<P: RingPolicy> GroupRing<P> {
         if let Some(slot) = self.dir.remove(&page) {
             if let Some(meta) = &mut self.slots[slot].occupant {
                 meta.valid = false;
-                self.stats.invalidations.inc();
+                self.stats.invalidations += 1;
             }
         }
     }
@@ -519,23 +530,23 @@ impl<P: RingPolicy> GroupRing<P> {
     pub(crate) fn enqueue_fresh(&mut self, region: usize, staged: &StagedPage) {
         self.invalidate_previous(staged.page);
         self.enqueue_assign(region, staged);
-        self.stats.cached_inserts.inc();
+        self.stats.cached_inserts += 1;
     }
 
     /// Count a page handed to the cache.
-    pub(crate) fn count_insert(&self, staged: &StagedPage) {
-        self.stats.inserts.inc();
+    pub(crate) fn count_insert(&mut self, staged: &StagedPage) {
+        self.stats.inserts += 1;
         if staged.dirty {
-            self.stats.dirty_inserts.inc();
+            self.stats.dirty_inserts += 1;
         }
     }
 
     /// Conditional enqueue (Algorithm 1): a clean page whose identical copy
     /// is already cached is not enqueued again.
-    pub(crate) fn skip_clean_duplicate(&self, staged: &StagedPage) -> bool {
+    pub(crate) fn skip_clean_duplicate(&mut self, staged: &StagedPage) -> bool {
         let skip = !staged.fdirty && self.dir.contains_key(&staged.page);
         if skip {
-            self.stats.skipped_inserts.inc();
+            self.stats.skipped_inserts += 1;
         }
         skip
     }
@@ -544,14 +555,14 @@ impl<P: RingPolicy> GroupRing<P> {
     /// counted, charged as a disk write and pushed to `sink` for the caller
     /// to write; a clean page is simply dropped (the disk copy is current).
     fn serve_through(
-        stats: &CacheStatCounters,
+        stats: &mut CacheStats,
         staged: StagedPage,
         sink: &mut Vec<StagedPage>,
         io: &mut IoLog,
     ) {
         if staged.dirty {
             io.disk_write(staged.page);
-            stats.staged_out_to_disk.inc();
+            stats.staged_out_to_disk += 1;
             sink.push(staged);
         }
     }
@@ -573,7 +584,7 @@ impl<P: RingPolicy> GroupRing<P> {
         if self.usable_capacity(region) == 0 {
             // Every slot of the region is quarantined: serve through.
             outcome.cached = false;
-            Self::serve_through(&self.stats, staged, &mut outcome.staged_out, io);
+            Self::serve_through(&mut self.stats, staged, &mut outcome.staged_out, io);
             return Ok(());
         }
         // Each iteration frees at least one slot; quarantined holes at the
@@ -585,7 +596,7 @@ impl<P: RingPolicy> GroupRing<P> {
                 break;
             }
             if let Err(e) = P::make_room(self, region, outcome, io) {
-                Self::serve_through(&self.stats, staged, &mut outcome.staged_out, io);
+                Self::serve_through(&mut self.stats, staged, &mut outcome.staged_out, io);
                 return Err(e);
             }
         }
@@ -608,7 +619,7 @@ impl<P: RingPolicy> GroupRing<P> {
         while let Some(page) = pages.next() {
             if let Err(e) = self.admit(region, page, outcome, io) {
                 for rest in pages {
-                    Self::serve_through(&self.stats, rest, &mut outcome.staged_out, io);
+                    Self::serve_through(&mut self.stats, rest, &mut outcome.staged_out, io);
                 }
                 return Err(e);
             }
@@ -631,7 +642,7 @@ impl<P: RingPolicy> GroupRing<P> {
         for survivor in survivors {
             self.absorb_quarantined_rear(region);
             if self.free(region) == 0 {
-                Self::serve_through(&self.stats, survivor, &mut outcome.staged_out, io);
+                Self::serve_through(&mut self.stats, survivor, &mut outcome.staged_out, io);
                 continue;
             }
             self.invalidate_previous(survivor.page);
@@ -726,12 +737,12 @@ impl<P: RingPolicy> GroupRing<P> {
             let Some(meta) = self.vacate(slot) else {
                 continue;
             };
-            self.stats.staged_out.inc();
+            self.stats.staged_out += 1;
             if !meta.valid {
                 continue;
             }
             if second_chance && meta.referenced {
-                self.stats.second_chances.inc();
+                self.stats.second_chances += 1;
                 batch.survivors.push(StagedPage {
                     page: meta.page,
                     lsn: meta.lsn,
@@ -743,30 +754,23 @@ impl<P: RingPolicy> GroupRing<P> {
                 batch.evicted.push(meta.page);
                 if meta.dirty {
                     let victim = meta.disk_bound(data);
-                    Self::serve_through(&self.stats, victim, &mut batch.to_disk, io);
+                    Self::serve_through(&mut self.stats, victim, &mut batch.to_disk, io);
                 }
             }
         }
         let r = &mut self.regions[region];
         r.front = (r.front + n) % r.cap;
         r.size -= n;
-        // Pointer movement becomes durable with the next group seal or
-        // checkpoint; recovery may therefore see a slightly stale front and
-        // re-admit recently dequeued versions. That is safe because every
-        // re-admitted version is at or below the durable LSN (so redo
-        // patches it forward), not because it matches the disk — a
-        // second-chance survivor's old slot, for example, was never staged
-        // to disk.
         Ok(batch)
     }
 
     /// Forced progress (paper §3.3): if every slot of the dequeue survived, a
     /// full re-enqueue would replace nothing — force the oldest survivor out.
-    pub(crate) fn force_progress(&self, batch: &mut Dequeued, io: &mut IoLog) {
+    pub(crate) fn force_progress(&mut self, batch: &mut Dequeued, io: &mut IoLog) {
         if batch.slots > 0 && batch.survivors.len() == batch.slots {
             let forced = batch.survivors.remove(0);
-            self.stats.second_chances.sub(1);
-            Self::serve_through(&self.stats, forced, &mut batch.to_disk, io);
+            self.stats.second_chances -= 1;
+            Self::serve_through(&mut self.stats, forced, &mut batch.to_disk, io);
         }
     }
 
@@ -848,7 +852,7 @@ impl<P: RingPolicy> GroupRing<P> {
         }
         if self.journal.checkpoint_due() {
             self.install_checkpoint(self.durable_directory_snapshot(), io);
-            self.stats.metadata_flushes.inc();
+            self.stats.metadata_flushes += 1;
         }
     }
 
@@ -1036,15 +1040,15 @@ impl<P: RingPolicy> GroupRing<P> {
         io: &mut IoLog,
     ) -> Option<(usize, Lsn, bool)> {
         if retry {
-            self.stats.fetch_retries.inc();
+            self.stats.fetch_retries += 1;
         } else {
-            self.stats.lookups.inc();
+            self.stats.lookups += 1;
         }
         let slot = *self.dir.get(&page)?;
         let meta = self.slots[slot].occupant.as_mut()?;
         debug_assert!(meta.valid, "directory points at an invalid version");
         if !retry {
-            self.stats.hits.inc();
+            self.stats.hits += 1;
         }
         meta.referenced = true;
         io.flash_read_rand(1);
@@ -1232,19 +1236,18 @@ impl<P: RingPolicy> FlashCache for GroupRing<P> {
         // against `durable_lsn`.
         let config = self.config.clone();
         let store = Arc::clone(&self.store);
-        let stats = self.stats.snapshot();
         let (mut rebuilt, info) = Self::recover(config, store, &self.journal, durable_lsn, io);
-        rebuilt.stats = CacheStatCounters::from(stats);
+        rebuilt.stats = self.stats;
         *self = rebuilt;
         info
     }
 
     fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
+        self.stats
     }
 
-    fn reset_stats(&self) {
-        self.stats.reset();
+    fn reset_stats(&mut self) {
+        self.stats = CacheStats::default();
     }
 }
 
@@ -1325,7 +1328,7 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
             && self.journal.checkpoint().map(|c| (c.front, c.size)) == Some(pointers);
         if !already_folded {
             self.install_checkpoint(self.durable_directory_snapshot(), io);
-            self.stats.metadata_flushes.inc();
+            self.stats.metadata_flushes += 1;
         }
     }
 
@@ -1345,7 +1348,7 @@ impl<P: RingPolicy> RingCache for GroupRing<P> {
             }
             let meta = self.vacate(w.slot).expect("occupant just observed");
             if meta.valid && meta.dirty {
-                Self::serve_through(&self.stats, meta.disk_bound(w.data), &mut out, io);
+                Self::serve_through(&mut self.stats, meta.disk_bound(w.data), &mut out, io);
             }
         }
         // The group's journal records drop with `group`: they never seal,

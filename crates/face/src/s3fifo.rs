@@ -135,7 +135,7 @@ impl RingPolicy for S3Fifo {
         } else if ring.policy.ghost.take(staged.page) {
             // The id came back while its ghost entry was live: the
             // re-reference earns the flash write, straight into main.
-            ring.stats.admission_ghost_hits.inc();
+            ring.stats.admission_ghost_hits += 1;
             ring.admit(MAIN, staged, outcome, io)
         } else if staged.dirty {
             // A dirty first touch must be absorbed (write economy is bought
@@ -145,7 +145,7 @@ impl RingPolicy for S3Fifo {
             // Clean first touch: ghost only. No flash write for a potential
             // one-hit wonder; the disk copy is current, so rejecting is safe.
             ring.policy.ghost.record(staged.page);
-            ring.stats.admission_filtered.inc();
+            ring.stats.admission_filtered += 1;
             outcome.cached = false;
             Ok(())
         }

@@ -23,8 +23,8 @@ use crate::io::IoLog;
 use crate::policy::{FlashCache, PageSupplier};
 use crate::store::FlashStore;
 use crate::types::{
-    CacheConfig, CacheRecoveryInfo, CacheStatCounters, CacheStats, FlashFetch, InsertFailure,
-    InsertOutcome, StagedPage,
+    CacheConfig, CacheRecoveryInfo, CacheStats, FlashFetch, InsertFailure, InsertOutcome,
+    StagedPage,
 };
 
 /// Pages per temperature extent.
@@ -53,7 +53,7 @@ pub struct TacCache {
     extent_heat: HashMap<u64, u32>,
     free_slots: Vec<usize>,
     clock: u64,
-    stats: CacheStatCounters,
+    stats: CacheStats,
 }
 
 impl TacCache {
@@ -72,7 +72,7 @@ impl TacCache {
             extent_heat: HashMap::new(),
             free_slots,
             clock: 0,
-            stats: CacheStatCounters::default(),
+            stats: CacheStats::default(),
         }
     }
 
@@ -94,7 +94,7 @@ impl TacCache {
     fn charge_metadata_update(&mut self, io: &mut IoLog) {
         io.flash_write_rand(1);
         io.flash_write_rand(1);
-        self.stats.metadata_flushes.inc();
+        self.stats.metadata_flushes += 1;
     }
 
     /// Evict a victim chosen by temperature (coldest extent first, LRU as the
@@ -110,7 +110,7 @@ impl TacCache {
         if let Some(victim) = victim {
             let meta = self.map.remove(&victim).expect("victim cached");
             self.free_slots.push(meta.slot);
-            self.stats.staged_out.inc();
+            self.stats.staged_out += 1;
             self.charge_metadata_update(io);
         }
     }
@@ -142,14 +142,14 @@ impl TacCache {
                 has_data,
             },
         );
-        self.stats.cached_inserts.inc();
+        self.stats.cached_inserts += 1;
         Ok(())
     }
 }
 
 impl FlashCache for TacCache {
     fn fetch(&mut self, page: PageId, io: &mut IoLog) -> DeviceResult<Option<FlashFetch>> {
-        self.stats.lookups.inc();
+        self.stats.lookups += 1;
         self.warm_up(page);
         let Some(meta) = self.map.get_mut(&page) else {
             return Ok(None);
@@ -157,7 +157,7 @@ impl FlashCache for TacCache {
         self.clock += 1;
         meta.last_access = self.clock;
         let meta = *meta;
-        self.stats.hits.inc();
+        self.stats.hits += 1;
         io.flash_read_rand(1);
         Ok(Some(FlashFetch {
             data: if meta.has_data {
@@ -177,9 +177,9 @@ impl FlashCache for TacCache {
         _supplier: &mut dyn PageSupplier,
         io: &mut IoLog,
     ) -> Result<InsertOutcome, InsertFailure> {
-        self.stats.inserts.inc();
+        self.stats.inserts += 1;
         if staged.dirty {
-            self.stats.dirty_inserts.inc();
+            self.stats.dirty_inserts += 1;
         }
         let mut outcome = InsertOutcome::default();
         if staged.dirty {
@@ -187,7 +187,7 @@ impl FlashCache for TacCache {
             // reduces the disk write traffic (counted as a stage-out so the
             // write-reduction metric reflects that).
             io.disk_write(staged.page);
-            self.stats.staged_out_to_disk.inc();
+            self.stats.staged_out_to_disk += 1;
             // And, if a flash copy exists, it is refreshed in place.
             if let Some(meta) = self.map.get_mut(&staged.page) {
                 meta.lsn = staged.lsn;
@@ -201,7 +201,7 @@ impl FlashCache for TacCache {
                     self.store.write_slot(slot, d)?;
                 }
                 outcome.cached = true;
-                self.stats.cached_inserts.inc();
+                self.stats.cached_inserts += 1;
             }
         } else {
             // Clean pages leaving the DRAM buffer are not cached on exit —
@@ -253,11 +253,11 @@ impl FlashCache for TacCache {
     }
 
     fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
+        self.stats
     }
 
-    fn reset_stats(&self) {
-        self.stats.reset();
+    fn reset_stats(&mut self) {
+        self.stats = CacheStats::default();
     }
 }
 

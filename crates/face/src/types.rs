@@ -392,106 +392,6 @@ pub struct CacheStats {
     pub admission_ghost_hits: u64,
 }
 
-/// Atomic twin of [`CacheStats`], held inside each policy so that counters
-/// can be bumped through `&self`/`&mut self` alike and snapshotted without
-/// taking the cache's structural lock.
-#[derive(Debug, Default)]
-pub struct CacheStatCounters {
-    /// See [`CacheStats::lookups`].
-    pub lookups: Counter,
-    /// See [`CacheStats::hits`].
-    pub hits: Counter,
-    /// See [`CacheStats::inserts`].
-    pub inserts: Counter,
-    /// See [`CacheStats::cached_inserts`].
-    pub cached_inserts: Counter,
-    /// See [`CacheStats::skipped_inserts`].
-    pub skipped_inserts: Counter,
-    /// See [`CacheStats::dirty_inserts`].
-    pub dirty_inserts: Counter,
-    /// See [`CacheStats::invalidations`].
-    pub invalidations: Counter,
-    /// See [`CacheStats::staged_out`].
-    pub staged_out: Counter,
-    /// See [`CacheStats::staged_out_to_disk`].
-    pub staged_out_to_disk: Counter,
-    /// See [`CacheStats::second_chances`].
-    pub second_chances: Counter,
-    /// See [`CacheStats::pulled_from_dram`].
-    pub pulled_from_dram: Counter,
-    /// See [`CacheStats::lazily_cleaned`].
-    pub lazily_cleaned: Counter,
-    /// See [`CacheStats::metadata_flushes`].
-    pub metadata_flushes: Counter,
-    /// See [`CacheStats::fetch_retries`].
-    pub fetch_retries: Counter,
-    /// See [`CacheStats::admission_filtered`].
-    pub admission_filtered: Counter,
-    /// See [`CacheStats::admission_ghost_hits`].
-    pub admission_ghost_hits: Counter,
-}
-
-impl CacheStatCounters {
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> CacheStats {
-        CacheStats {
-            lookups: self.lookups.get(),
-            hits: self.hits.get(),
-            inserts: self.inserts.get(),
-            cached_inserts: self.cached_inserts.get(),
-            skipped_inserts: self.skipped_inserts.get(),
-            dirty_inserts: self.dirty_inserts.get(),
-            invalidations: self.invalidations.get(),
-            staged_out: self.staged_out.get(),
-            staged_out_to_disk: self.staged_out_to_disk.get(),
-            second_chances: self.second_chances.get(),
-            pulled_from_dram: self.pulled_from_dram.get(),
-            lazily_cleaned: self.lazily_cleaned.get(),
-            metadata_flushes: self.metadata_flushes.get(),
-            fetch_retries: self.fetch_retries.get(),
-            // Device-level tally, owned by the flash stores (see
-            // [`CacheStats::flash_pages_written`]).
-            flash_pages_written: 0,
-            admission_filtered: self.admission_filtered.get(),
-            admission_ghost_hits: self.admission_ghost_hits.get(),
-        }
-    }
-
-    /// Reset every counter to zero.
-    pub fn reset(&self) {
-        self.restore(CacheStats::default());
-    }
-
-    /// Overwrite every counter from a snapshot (crash-recovery rebuilds a
-    /// policy instance but keeps its lifetime statistics).
-    pub fn restore(&self, s: CacheStats) {
-        self.lookups.set(s.lookups);
-        self.hits.set(s.hits);
-        self.inserts.set(s.inserts);
-        self.cached_inserts.set(s.cached_inserts);
-        self.skipped_inserts.set(s.skipped_inserts);
-        self.dirty_inserts.set(s.dirty_inserts);
-        self.invalidations.set(s.invalidations);
-        self.staged_out.set(s.staged_out);
-        self.staged_out_to_disk.set(s.staged_out_to_disk);
-        self.second_chances.set(s.second_chances);
-        self.pulled_from_dram.set(s.pulled_from_dram);
-        self.lazily_cleaned.set(s.lazily_cleaned);
-        self.metadata_flushes.set(s.metadata_flushes);
-        self.fetch_retries.set(s.fetch_retries);
-        self.admission_filtered.set(s.admission_filtered);
-        self.admission_ghost_hits.set(s.admission_ghost_hits);
-    }
-}
-
-impl From<CacheStats> for CacheStatCounters {
-    fn from(s: CacheStats) -> Self {
-        let c = Self::default();
-        c.restore(s);
-        c
-    }
-}
-
 impl CacheStats {
     /// Element-wise sum with `other` (merging per-shard snapshots).
     pub fn merged(&self, other: &CacheStats) -> CacheStats {
@@ -589,50 +489,23 @@ mod tests {
     }
 
     #[test]
-    fn counters_snapshot_and_merge() {
-        let c = CacheStatCounters::default();
-        c.lookups.add(10);
-        c.hits.inc();
-        c.hits.inc();
-        c.second_chances.inc();
-        c.second_chances.sub(1);
-        let snap = c.snapshot();
-        assert_eq!(snap.lookups, 10);
-        assert_eq!(snap.hits, 2);
-        assert_eq!(snap.second_chances, 0);
-
-        let other = CacheStats {
+    fn stats_merge_element_wise() {
+        let a = CacheStats {
+            lookups: 10,
+            hits: 2,
+            flash_pages_written: 3,
+            ..CacheStats::default()
+        };
+        let b = CacheStats {
             lookups: 5,
             hits: 1,
             ..CacheStats::default()
         };
-        let merged = snap.merged(&other);
+        let merged = a.merged(&b);
         assert_eq!(merged.lookups, 15);
         assert_eq!(merged.hits, 3);
-
-        let restored = CacheStatCounters::from(merged);
-        assert_eq!(restored.snapshot(), merged);
-        restored.reset();
-        assert_eq!(restored.snapshot(), CacheStats::default());
-    }
-
-    #[test]
-    fn counters_are_shareable_across_threads() {
-        let c = std::sync::Arc::new(CacheStatCounters::default());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let c = std::sync::Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        c.lookups.inc();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(c.snapshot().lookups, 4000);
+        assert_eq!(merged.flash_pages_written, 3);
+        assert_eq!(merged.second_chances, 0);
     }
 
     #[test]

@@ -17,25 +17,12 @@ pub type SimDuration = u64;
 /// Nanoseconds per second, for conversions.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
-/// Nanoseconds per millisecond.
-pub const NANOS_PER_MILLI: u64 = 1_000_000;
-
 /// Nanoseconds per microsecond.
 pub const NANOS_PER_MICRO: u64 = 1_000;
-
-/// Convert a floating-point number of seconds to a [`SimDuration`].
-pub fn secs_to_duration(secs: f64) -> SimDuration {
-    (secs * NANOS_PER_SEC as f64).round() as SimDuration
-}
 
 /// Convert a [`SimDuration`] to floating-point seconds.
 pub fn duration_to_secs(d: SimDuration) -> f64 {
     d as f64 / NANOS_PER_SEC as f64
-}
-
-/// Convert a [`SimDuration`] to floating-point milliseconds.
-pub fn duration_to_millis(d: SimDuration) -> f64 {
-    d as f64 / NANOS_PER_MILLI as f64
 }
 
 /// A shared, monotonically non-decreasing virtual clock.
@@ -139,11 +126,8 @@ mod tests {
     }
 
     #[test]
-    fn conversions_round_trip() {
-        assert_eq!(secs_to_duration(1.0), NANOS_PER_SEC);
-        assert_eq!(secs_to_duration(0.001), NANOS_PER_MILLI);
-        let d = secs_to_duration(2.5);
-        assert!((duration_to_secs(d) - 2.5).abs() < 1e-9);
-        assert!((duration_to_millis(NANOS_PER_MILLI * 3) - 3.0).abs() < 1e-9);
+    fn duration_converts_to_seconds() {
+        assert_eq!(duration_to_secs(NANOS_PER_SEC), 1.0);
+        assert!((duration_to_secs(NANOS_PER_SEC * 5 / 2) - 2.5).abs() < 1e-9);
     }
 }

@@ -27,9 +27,10 @@
 //!   order. Sequentiality is detected from the byte offset of consecutive
 //!   requests (plus an explicit hint for append-only writes).
 //! * [`RaidArray`] — RAID-0 striping across N member disks.
-//! * [`IoSystem`] — the set of devices used by an experiment plus a closed
-//!   population of clients ([`ClientSet`]); it produces device utilisation,
-//!   IOPS and elapsed simulated time.
+//! * [`IoSystem`] — the set of devices used by an experiment, one per role
+//!   (data, flash cache, log); it produces device utilisation, IOPS and
+//!   elapsed simulated time. The closed client population that drives it
+//!   lives in the workload driver (`face_engine::sim`).
 //!
 //! The model is intentionally a *service-time* model, not a full disk
 //! geometry model: the reproduction targets the shape of the paper's results
@@ -53,7 +54,7 @@ pub use profile::{DeviceKind, DeviceProfile};
 pub use raid::RaidArray;
 pub use request::{AccessPattern, IoOp, IoRequest};
 pub use stats::{DeviceStats, OpClass, StatsSnapshot};
-pub use system::{ClientSet, IoSystem, IoSystemBuilder, IoTarget, Role};
+pub use system::{IoSystem, IoSystemBuilder, IoTarget, Role};
 
 /// The page size used throughout the reproduction (PostgreSQL's 4 KiB pages,
 /// matching the paper's setup).

@@ -201,19 +201,6 @@ impl DeviceProfile {
         0.5 / self.random_read_iops + 0.5 / self.random_write_iops
     }
 
-    /// Random-write to sequential-write bandwidth ratio — the asymmetry the
-    /// FaCE design exploits (paper §2.1: 10-13% for the tested SSDs).
-    pub fn random_write_fraction_of_sequential(&self) -> f64 {
-        let rand_mbps = self.random_write_iops * crate::PAGE_SIZE as f64 / 1_000_000.0;
-        rand_mbps / self.seq_write_mbps
-    }
-
-    /// Random-read to sequential-read bandwidth ratio (48-60% in the paper).
-    pub fn random_read_fraction_of_sequential(&self) -> f64 {
-        let rand_mbps = self.random_read_iops * crate::PAGE_SIZE as f64 / 1_000_000.0;
-        rand_mbps / self.seq_read_mbps
-    }
-
     /// Returns true if this device is a flash SSD.
     pub fn is_flash(&self) -> bool {
         self.kind == DeviceKind::FlashSsd
@@ -259,33 +246,6 @@ mod tests {
         assert!(big > one_page);
         // 64 pages at 242.8 MB/s = ~1.08 ms (+setup)
         assert!((big as f64 / 1e6 - 1.1).abs() < 0.2);
-    }
-
-    #[test]
-    fn flash_random_write_penalty_matches_paper() {
-        // Paper §2.1: random write bandwidth is 10-13% of sequential for the
-        // tested SSDs.
-        for p in [
-            DeviceProfile::samsung470_mlc(),
-            DeviceProfile::intel_x25m_mlc(),
-            DeviceProfile::intel_x25e_slc(),
-        ] {
-            let f = p.random_write_fraction_of_sequential();
-            assert!(f > 0.08 && f < 0.14, "{}: {}", p.name, f);
-        }
-    }
-
-    #[test]
-    fn flash_random_read_close_to_sequential() {
-        // Paper §2.1: 48-60% of sequential read bandwidth.
-        for p in [
-            DeviceProfile::samsung470_mlc(),
-            DeviceProfile::intel_x25m_mlc(),
-            DeviceProfile::intel_x25e_slc(),
-        ] {
-            let f = p.random_read_fraction_of_sequential();
-            assert!(f > 0.40 && f < 0.65, "{}: {}", p.name, f);
-        }
     }
 
     #[test]

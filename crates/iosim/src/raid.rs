@@ -111,15 +111,6 @@ impl RaidArray {
         (busy as f64 / cap as f64).min(1.0)
     }
 
-    /// Utilisation of the busiest member — the array saturates when its
-    /// hottest spindle saturates.
-    pub fn max_member_utilization(&self, elapsed: SimDuration) -> f64 {
-        self.members
-            .iter()
-            .map(|m| m.stats().utilization(elapsed))
-            .fold(0.0, f64::max)
-    }
-
     /// Snapshot aggregate statistics over a window.
     pub fn snapshot(&self, elapsed: SimDuration) -> StatsSnapshot {
         self.aggregate_stats().snapshot(&self.name, elapsed)
@@ -137,25 +128,6 @@ impl RaidArray {
         for m in &mut self.members {
             m.reset();
         }
-    }
-
-    /// The earliest instant at which *some* member is free (useful for
-    /// back-pressure heuristics).
-    pub fn earliest_free(&self) -> SimInstant {
-        self.members
-            .iter()
-            .map(Device::next_free)
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// The instant at which *all* members are free.
-    pub fn all_free(&self) -> SimInstant {
-        self.members
-            .iter()
-            .map(Device::next_free)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -240,7 +212,6 @@ mod tests {
         let elapsed = t;
         let u = arr.utilization(elapsed);
         assert!((u - 0.5).abs() < 0.05, "u={u}");
-        assert!(arr.max_member_utilization(elapsed) > 0.95);
     }
 
     #[test]
@@ -250,10 +221,10 @@ mod tests {
         assert_eq!(arr.aggregate_stats().total_ops(), 1);
         arr.reset_stats();
         assert_eq!(arr.aggregate_stats().total_ops(), 0);
-        assert!(arr.all_free() > 0);
+        // Statistics reset, queue kept: a request issued at 0 still waits.
+        assert!(arr.submit(&IoRequest::random_page_read(0), 0).wait > 0);
         arr.reset();
-        assert_eq!(arr.all_free(), 0);
-        assert_eq!(arr.earliest_free(), 0);
+        assert_eq!(arr.submit(&IoRequest::random_page_read(0), 0).wait, 0);
     }
 
     #[test]

@@ -56,16 +56,6 @@ pub struct IoRequest {
 }
 
 impl IoRequest {
-    /// A 4 KiB page read at `offset` with automatic pattern detection.
-    pub fn page_read(offset: u64) -> Self {
-        Self {
-            op: IoOp::Read,
-            offset,
-            len: PAGE_SIZE as u32,
-            pattern: AccessPattern::Auto,
-        }
-    }
-
     /// A 4 KiB page write at `offset` with automatic pattern detection.
     pub fn page_write(offset: u64) -> Self {
         Self {
@@ -116,18 +106,6 @@ impl IoRequest {
         }
     }
 
-    /// Override the declared pattern, returning a new request.
-    pub fn with_pattern(mut self, pattern: AccessPattern) -> Self {
-        self.pattern = pattern;
-        self
-    }
-
-    /// Override the length, returning a new request.
-    pub fn with_len(mut self, len: u32) -> Self {
-        self.len = len;
-        self
-    }
-
     /// The byte offset one past the end of this request.
     pub fn end_offset(&self) -> u64 {
         self.offset + self.len as u64
@@ -140,15 +118,16 @@ mod tests {
 
     #[test]
     fn page_helpers_use_page_size() {
-        let r = IoRequest::page_read(8192);
-        assert_eq!(r.len as usize, PAGE_SIZE);
-        assert_eq!(r.op, IoOp::Read);
-        assert_eq!(r.pattern, AccessPattern::Auto);
-        assert_eq!(r.end_offset(), 8192 + PAGE_SIZE as u64);
-
-        let w = IoRequest::page_write(0);
+        let w = IoRequest::page_write(8192);
+        assert_eq!(w.len as usize, PAGE_SIZE);
+        assert_eq!(w.pattern, AccessPattern::Auto);
+        assert_eq!(w.end_offset(), 8192 + PAGE_SIZE as u64);
         assert!(w.op.is_write());
         assert!(!w.op.is_read());
+
+        let r = IoRequest::random_page_read(0);
+        assert_eq!(r.len as usize, PAGE_SIZE);
+        assert_eq!(r.op, IoOp::Read);
     }
 
     #[test]
@@ -169,14 +148,5 @@ mod tests {
             IoRequest::sequential_read(0, 64 * 1024).pattern,
             AccessPattern::Sequential
         );
-    }
-
-    #[test]
-    fn builders_override_fields() {
-        let r = IoRequest::page_read(0)
-            .with_pattern(AccessPattern::Sequential)
-            .with_len(65536);
-        assert_eq!(r.pattern, AccessPattern::Sequential);
-        assert_eq!(r.len, 65536);
     }
 }

@@ -47,11 +47,6 @@ impl OpClass {
         !self.is_read()
     }
 
-    /// `true` for the two sequential classes.
-    pub fn is_sequential(self) -> bool {
-        matches!(self, OpClass::SequentialRead | OpClass::SequentialWrite)
-    }
-
     /// Short label used in reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -108,16 +103,6 @@ impl DeviceStats {
         self.ops.iter().sum()
     }
 
-    /// Total read operations (random + sequential).
-    pub fn read_ops(&self) -> u64 {
-        self.ops(OpClass::RandomRead) + self.ops(OpClass::SequentialRead)
-    }
-
-    /// Total write operations (random + sequential).
-    pub fn write_ops(&self) -> u64 {
-        self.ops(OpClass::RandomWrite) + self.ops(OpClass::SequentialWrite)
-    }
-
     /// Bytes transferred for one class.
     pub fn bytes(&self, class: OpClass) -> u64 {
         self.bytes[class.index()]
@@ -141,11 +126,6 @@ impl DeviceStats {
     /// Total time the device was servicing requests.
     pub fn busy_time(&self) -> SimDuration {
         self.busy
-    }
-
-    /// Total time requests spent queued before service.
-    pub fn total_queue_wait(&self) -> SimDuration {
-        self.queue_wait
     }
 
     /// Longest single queueing delay.
@@ -300,8 +280,6 @@ mod tests {
     fn op_class_predicates() {
         assert!(OpClass::RandomRead.is_read());
         assert!(!OpClass::RandomRead.is_write());
-        assert!(OpClass::SequentialWrite.is_sequential());
-        assert!(!OpClass::RandomWrite.is_sequential());
         assert_eq!(OpClass::ALL.len(), 4);
     }
 
@@ -314,12 +292,9 @@ mod tests {
         assert_eq!(s.ops(OpClass::RandomRead), 2);
         assert_eq!(s.ops(OpClass::SequentialWrite), 1);
         assert_eq!(s.total_ops(), 3);
-        assert_eq!(s.read_ops(), 2);
-        assert_eq!(s.write_ops(), 1);
         assert_eq!(s.bytes_read(), 8192);
         assert_eq!(s.bytes_written(), 65536);
         assert_eq!(s.busy_time(), 7000);
-        assert_eq!(s.total_queue_wait(), 40);
         assert_eq!(s.max_queue_wait(), 30);
     }
 

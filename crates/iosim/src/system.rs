@@ -1,4 +1,4 @@
-//! The set of devices used by one experiment plus the closed client population.
+//! The set of devices used by one experiment.
 //!
 //! The paper's testbed has three I/O roles:
 //!
@@ -9,13 +9,13 @@
 //! * **Log** — the WAL device. The paper keeps the log on the disk array;
 //!   commit-time log forces are sequential appends.
 //!
-//! [`IoSystem`] owns one [`IoTarget`] per role, a shared virtual clock and a
-//! closed population of clients ([`ClientSet`], 50 in the paper). The workload
-//! driver picks the earliest-ready client, executes one transaction's logical
-//! page accesses, and charges each resulting physical I/O to the proper role
-//! at the client's current virtual time. Device queueing, overlap between
-//! clients, utilisation and the location of the bottleneck all emerge from
-//! this model.
+//! [`IoSystem`] owns one [`IoTarget`] per role and a shared virtual clock.
+//! The workload driver (`face_engine::sim`) keeps the closed population of
+//! clients (50 in the paper): it picks the earliest-ready client, executes
+//! one transaction's logical page accesses, and charges each resulting
+//! physical I/O to the proper role at the client's current virtual time.
+//! Device queueing, overlap between clients, utilisation and the location of
+//! the bottleneck all emerge from this model.
 
 use crate::clock::{SimClock, SimDuration, SimInstant};
 use crate::device::{Completion, Device, DeviceId};
@@ -110,11 +110,6 @@ impl IoSystem {
     /// The shared virtual clock.
     pub fn clock(&self) -> &SimClock {
         &self.clock
-    }
-
-    /// Whether a flash-cache device is configured.
-    pub fn has_flash(&self) -> bool {
-        self.flash.is_some()
     }
 
     /// Submit a request to the device in the given role at `issue_time`.
@@ -254,12 +249,6 @@ impl IoSystemBuilder {
         self
     }
 
-    /// Remove the flash-cache device (HDD-only / SSD-only configurations).
-    pub fn no_flash(mut self) -> Self {
-        self.flash = None;
-        self
-    }
-
     /// Put the log on a single device with the given profile.
     pub fn log_device(mut self, profile: DeviceProfile) -> Self {
         self.log = Some(Box::new(Device::new(DeviceId(300), profile)));
@@ -282,83 +271,6 @@ impl IoSystemBuilder {
     }
 }
 
-/// A closed population of clients, as in the paper's 50-terminal TPC-C runs.
-///
-/// Each client has a "ready time": the virtual instant at which it finishes
-/// its current transaction and can start the next one. The driver repeatedly
-/// takes the earliest-ready client, which models a closed system with zero
-/// think time.
-#[derive(Debug, Clone)]
-pub struct ClientSet {
-    ready: Vec<SimInstant>,
-}
-
-impl ClientSet {
-    /// Create `n` clients, all ready at time zero.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "need at least one client");
-        Self { ready: vec![0; n] }
-    }
-
-    /// Create `n` clients all ready at `start`.
-    pub fn starting_at(n: usize, start: SimInstant) -> Self {
-        assert!(n > 0, "need at least one client");
-        Self {
-            ready: vec![start; n],
-        }
-    }
-
-    /// Number of clients.
-    pub fn len(&self) -> usize {
-        self.ready.len()
-    }
-
-    /// Always false (the constructor requires n > 0); provided for API
-    /// completeness.
-    pub fn is_empty(&self) -> bool {
-        self.ready.is_empty()
-    }
-
-    /// Index and ready-time of the earliest-ready client.
-    pub fn next_client(&self) -> (usize, SimInstant) {
-        let (i, &t) = self
-            .ready
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &t)| t)
-            .expect("client set is non-empty");
-        (i, t)
-    }
-
-    /// Ready time of a specific client.
-    pub fn ready_at(&self, client: usize) -> SimInstant {
-        self.ready[client]
-    }
-
-    /// Record that `client` finishes its current work at `t`.
-    pub fn finish_at(&mut self, client: usize, t: SimInstant) {
-        self.ready[client] = t;
-    }
-
-    /// The instant by which every client has finished: the makespan of the
-    /// run, used as the elapsed time for throughput computations.
-    pub fn makespan(&self) -> SimInstant {
-        *self.ready.iter().max().expect("non-empty")
-    }
-
-    /// The earliest client ready time.
-    pub fn min_ready(&self) -> SimInstant {
-        *self.ready.iter().min().expect("non-empty")
-    }
-
-    /// Reset all clients to be ready at `t`.
-    pub fn reset(&mut self, t: SimInstant) {
-        for r in &mut self.ready {
-            *r = t;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,8 +287,7 @@ mod tests {
     #[test]
     fn builder_defaults() {
         let sys = IoSystem::builder().build();
-        assert!(!sys.has_flash());
-        assert_eq!(sys.target(Role::Flash).map(|_| ()), None);
+        assert!(sys.target(Role::Flash).is_none());
         assert!(sys.target(Role::Data).is_some());
         assert!(sys.target(Role::Log).is_some());
     }
@@ -384,7 +295,7 @@ mod tests {
     #[test]
     fn submit_routes_by_role_and_advances_clock() {
         let mut sys = face_system();
-        assert!(sys.has_flash());
+        assert!(sys.target(Role::Flash).is_some());
         let c = sys.submit(Role::Flash, &IoRequest::random_page_read(0), 0);
         assert!(c.finish > 0);
         assert!(sys.clock().now() >= c.finish);
@@ -400,7 +311,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no flash cache device")]
     fn flash_submit_without_flash_panics() {
-        let mut sys = IoSystem::builder().no_flash().build();
+        let mut sys = IoSystem::builder().build();
         sys.submit(Role::Flash, &IoRequest::random_page_read(0), 0);
     }
 
@@ -410,7 +321,7 @@ mod tests {
         sys.submit(Role::Data, &IoRequest::random_page_read(0), 0);
         let snaps = sys.snapshots(1_000_000_000);
         assert_eq!(snaps.len(), 3);
-        let hdd_only = IoSystem::builder().no_flash().build();
+        let hdd_only = IoSystem::builder().build();
         assert_eq!(hdd_only.snapshots(1).len(), 2);
     }
 
@@ -429,7 +340,6 @@ mod tests {
     fn ssd_only_configuration() {
         let mut sys = IoSystem::builder()
             .data_on_device(DeviceProfile::samsung470_mlc())
-            .no_flash()
             .log_device(DeviceProfile::seagate_15k())
             .build();
         let c = sys.submit(Role::Data, &IoRequest::random_page_read(0), 0);
@@ -438,61 +348,25 @@ mod tests {
     }
 
     #[test]
-    fn client_set_closed_loop() {
-        let mut clients = ClientSet::new(3);
-        assert_eq!(clients.len(), 3);
-        assert!(!clients.is_empty());
-        let (c0, t0) = clients.next_client();
-        assert_eq!(t0, 0);
-        clients.finish_at(c0, 100);
-        let (c1, _) = clients.next_client();
-        assert_ne!(c0, c1);
-        clients.finish_at(c1, 50);
-        // c1 finished earlier, so it's next again.
-        let (c2, t2) = clients.next_client();
-        // The remaining untouched client (ready at 0) goes first.
-        assert_eq!(t2, 0);
-        clients.finish_at(c2, 200);
-        assert_eq!(clients.makespan(), 200);
-        assert_eq!(clients.min_ready(), 50);
-        clients.reset(10);
-        assert_eq!(clients.makespan(), 10);
-        assert_eq!(clients.ready_at(0), 10);
-    }
-
-    #[test]
-    fn client_set_starting_at() {
-        let clients = ClientSet::starting_at(2, 500);
-        assert_eq!(clients.min_ready(), 500);
-        assert_eq!(clients.makespan(), 500);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one client")]
-    fn empty_client_set_rejected() {
-        let _ = ClientSet::new(0);
-    }
-
-    #[test]
     fn concurrent_clients_overlap_on_parallel_devices() {
         // With 8 spindles and 8 clients doing random reads, the makespan
         // should be far below the serial sum of service times.
-        let mut sys = IoSystem::builder().data_on_disk_array(8).no_flash().build();
-        let mut clients = ClientSet::new(8);
+        let mut sys = IoSystem::builder().data_on_disk_array(8).build();
+        let mut ready: Vec<SimInstant> = vec![0; 8];
         let per_client_reads = 50;
         let mut serial_time = 0u64;
         let mut offset = 0u64;
         for _ in 0..(8 * per_client_reads) {
-            let (c, ready) = clients.next_client();
+            let (c, &at) = ready.iter().enumerate().min_by_key(|(_, &t)| t).unwrap();
             offset = offset
                 .wrapping_mul(2862933555777941757)
                 .wrapping_add(3037000493);
             let off = (offset % (1u64 << 34)) & !0xFFF;
-            let comp = sys.submit(Role::Data, &IoRequest::random_page_read(off), ready);
+            let comp = sys.submit(Role::Data, &IoRequest::random_page_read(off), at);
             serial_time += comp.service;
-            clients.finish_at(c, comp.finish);
+            ready[c] = comp.finish;
         }
-        let makespan = clients.makespan();
+        let makespan = *ready.iter().max().unwrap();
         assert!(
             (makespan as f64) < 0.4 * serial_time as f64,
             "makespan {makespan} vs serial {serial_time}"

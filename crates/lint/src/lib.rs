@@ -31,6 +31,10 @@
 //! The separate docs check ([`check_docs`]) renders the canonical lock-order
 //! block from `face_analysis::classes` and rejects drift between it and the
 //! marked regions in README.md and ROADMAP.md.
+//!
+//! [`count_loc`] reports (never gates) each crate's non-test lines: a file's
+//! lines before the first line that mentions `#[cfg(test)]`, and nothing of
+//! a file declared only under `#[cfg(test)]` (`#[cfg(test)] mod x;`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -366,6 +370,68 @@ pub fn check_docs(root: &Path) -> Vec<Finding> {
     findings
 }
 
+/// Non-test lines of each crate's `src/` tree under `root/crates`, as
+/// `(path relative to root, lines)` in path order. A file counts its lines
+/// before the first line that mentions `#[cfg(test)]` — a doc comment naming
+/// it included, as the line counts quoted in ROADMAP.md were taken; a file
+/// declared only under `#[cfg(test)]` counts as test.
+pub fn count_loc(root: &Path) -> Vec<(String, usize)> {
+    let Ok(entries) = fs::read_dir(root.join("crates")) else {
+        return Vec::new();
+    };
+    let mut srcs: Vec<PathBuf> = entries
+        .flatten()
+        .map(|e| e.path().join("src"))
+        .filter(|p| p.is_dir())
+        .collect();
+    srcs.sort();
+    srcs.into_iter()
+        .map(|src| {
+            let mut files = Vec::new();
+            collect_rs_files(&src, &mut files);
+            let test_only = test_only_files(&files);
+            let lines = files
+                .iter()
+                .filter(|f| !test_only.contains(f))
+                .map(|f| {
+                    let text = fs::read_to_string(f).unwrap_or_default();
+                    text.lines()
+                        .take_while(|l| !l.contains("#[cfg(test)]"))
+                        .count()
+                })
+                .sum();
+            let rel = src.strip_prefix(root).unwrap_or(&src);
+            (rel.to_string_lossy().replace('\\', "/"), lines)
+        })
+        .collect()
+}
+
+/// The files `files` declare as `#[cfg(test)] mod name;`: `name.rs` in the
+/// declaring module's directory.
+fn test_only_files(files: &[PathBuf]) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for file in files {
+        let Ok(text) = fs::read_to_string(file) else {
+            continue;
+        };
+        let dir = match file.file_stem().and_then(|s| s.to_str()) {
+            Some("lib" | "main" | "mod") => file.parent().unwrap_or(Path::new("")).to_path_buf(),
+            _ => file.with_extension(""),
+        };
+        let mut lines = text.lines().map(str::trim);
+        while let Some(line) = lines.next() {
+            if line != "#[cfg(test)]" {
+                continue;
+            }
+            let next = lines.next().unwrap_or("");
+            if let Some(name) = next.strip_prefix("mod ").and_then(|n| n.strip_suffix(';')) {
+                out.push(dir.join(format!("{name}.rs")));
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,6 +519,45 @@ mod tests {
         assert!(rules.contains(&"sleep"), "{findings:?}");
         assert!(rules.contains(&"print"), "{findings:?}");
         assert!(rules.contains(&"unwrap-device"), "{findings:?}");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn loc_counts_lines_before_the_first_cfg_test_and_skips_test_only_files() {
+        let root = temp_root("loc");
+        write(
+            &root,
+            "crates/a/src/lib.rs",
+            "pub mod db;\n\
+             pub fn f() {}\n\
+             #[cfg(test)]\n\
+             mod tests {}\n",
+        );
+        write(
+            &root,
+            "crates/a/src/db.rs",
+            "pub fn g() {}\n\
+             \n\
+             #[cfg(test)]\n\
+             mod diff_tests;\n",
+        );
+        write(
+            &root,
+            "crates/a/src/db/diff_tests.rs",
+            "fn t() {}\nfn u() {}\n",
+        );
+        write(
+            &root,
+            "crates/b/src/lib.rs",
+            "//! No test module.\npub fn h() {}\n",
+        );
+        assert_eq!(
+            count_loc(&root),
+            [
+                ("crates/a/src".to_string(), 2 + 2),
+                ("crates/b/src".to_string(), 2)
+            ]
+        );
         fs::remove_dir_all(&root).unwrap();
     }
 

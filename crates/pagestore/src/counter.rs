@@ -2,7 +2,8 @@
 //!
 //! Relaxed ordering is sufficient: each counter is an independent monotonic
 //! tally, never used to synchronise other memory. The buffer pool, the flash
-//! cache policies and the engine all snapshot these without stopping writers.
+//! stores, the destager and the engine all snapshot these without stopping
+//! writers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -23,12 +24,6 @@ impl Counter {
         self.add(1);
     }
 
-    /// Decrement by `n` (used by the rare GSC bookkeeping reversal).
-    #[inline]
-    pub fn sub(&self, n: u64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -42,26 +37,18 @@ impl Counter {
     }
 }
 
-impl From<u64> for Counter {
-    fn from(n: u64) -> Self {
-        Self(AtomicU64::new(n))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn add_sub_get_set_round_trip() {
+    fn add_get_set_round_trip() {
         let c = Counter::default();
         c.inc();
         c.add(4);
-        c.sub(2);
-        assert_eq!(c.get(), 3);
+        assert_eq!(c.get(), 5);
         c.set(10);
         assert_eq!(c.get(), 10);
-        assert_eq!(Counter::from(7).get(), 7);
     }
 
     #[test]
