@@ -26,6 +26,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+#[cfg(test)]
+mod direct_disk;
 pub mod flags;
 pub mod lru;
 pub mod pool;
@@ -37,6 +39,6 @@ pub use lru::LruList;
 pub use pool::{BufferPool, BufferStats, DEFAULT_POOL_SHARDS};
 pub use sim::{BufferSim, EvictedMeta, SimAccess};
 pub use tier::{
-    DirectDiskTier, FetchOutcome, FetchSource, LowerTier, NoVictims, TierError, TierResult,
-    VictimPull, WriteBackOutcome, WriteBackReason,
+    FetchOutcome, FetchSource, LowerTier, NoVictims, TierError, TierResult, VictimPull,
+    WriteBackOutcome, WriteBackReason,
 };

@@ -1036,7 +1036,8 @@ impl<L: LowerTier> VictimPull for PoolVictims<'_, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tier::{DirectDiskTier, WriteBackOutcome};
+    use crate::direct_disk::DirectDiskTier;
+    use crate::tier::WriteBackOutcome;
     use face_pagestore::{InMemoryPageStore, PageStore};
     use std::sync::Arc;
 

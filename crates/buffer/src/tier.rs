@@ -6,9 +6,7 @@
 //! "simply goes along with the replacement mechanism provided by the DRAM
 //! buffer pool".
 
-use std::sync::Arc;
-
-use face_pagestore::{Counter, DeviceError, Lsn, Page, PageId, PageStore, StoreError};
+use face_pagestore::{DeviceError, Lsn, Page, PageId, StoreError};
 
 /// Errors surfaced by a lower tier.
 #[derive(Debug)]
@@ -202,84 +200,12 @@ pub trait LowerTier: Send + Sync {
     fn sync(&self) -> TierResult<()>;
 }
 
-/// The no-flash-cache baseline: fetches come from disk, dirty write-backs go
-/// straight to disk. This is the paper's "HDD only" configuration (and, with
-/// the data store placed on an SSD profile, the "SSD only" configuration).
-pub struct DirectDiskTier {
-    store: Arc<dyn PageStore>,
-    disk_reads: Counter,
-    disk_writes: Counter,
-}
-
-impl DirectDiskTier {
-    /// Create a tier over the given store.
-    pub fn new(store: Arc<dyn PageStore>) -> Self {
-        Self {
-            store,
-            disk_reads: Counter::default(),
-            disk_writes: Counter::default(),
-        }
-    }
-
-    /// Physical reads issued to the store.
-    pub fn disk_reads(&self) -> u64 {
-        self.disk_reads.get()
-    }
-
-    /// Physical writes issued to the store.
-    pub fn disk_writes(&self) -> u64 {
-        self.disk_writes.get()
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &Arc<dyn PageStore> {
-        &self.store
-    }
-}
-
-impl LowerTier for DirectDiskTier {
-    fn fetch(&self, id: PageId, buf: &mut Page) -> TierResult<FetchOutcome> {
-        self.store.read_page(id, buf)?;
-        self.disk_reads.inc();
-        Ok(FetchOutcome {
-            source: FetchSource::Disk,
-            dirty: false,
-        })
-    }
-
-    fn write_back(
-        &self,
-        page: &Page,
-        dirty: bool,
-        _fdirty: bool,
-        _reason: WriteBackReason,
-    ) -> TierResult<WriteBackOutcome> {
-        if dirty {
-            let mut copy = page.clone();
-            copy.update_checksum();
-            self.store.write_page(copy.id(), &copy)?;
-            self.disk_writes.inc();
-        }
-        Ok(WriteBackOutcome {
-            in_flash: false,
-            on_disk: true,
-        })
-    }
-
-    fn allocate(&self, file: u32) -> TierResult<PageId> {
-        Ok(self.store.allocate(file)?)
-    }
-
-    fn sync(&self) -> TierResult<()> {
-        self.store.sync()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::direct_disk::DirectDiskTier;
     use face_pagestore::InMemoryPageStore;
+    use std::sync::Arc;
 
     #[test]
     fn direct_tier_reads_and_writes_disk() {

@@ -26,8 +26,8 @@ use face_cache::{
     HeaderFlashStore, IoLog, NoSupplier, StagedPage,
 };
 use face_iosim::{
-    clock::duration_to_secs, DeviceProfile, IoRequest, IoSystem, Role, SimDuration, SimInstant,
-    PAGE_SIZE,
+    duration_to_secs, DeviceProfile, IoOp, IoRequest, IoSystem, RaidArray, Role, SimDuration,
+    SimInstant, PAGE_SIZE,
 };
 use face_pagestore::{Lsn, PageId};
 use serde::{Deserialize, Serialize};
@@ -139,23 +139,20 @@ pub struct SimEngine {
     /// Start of the current measurement window.
     measure_start: SimInstant,
     counters_at_measure_start: SimCounters,
-    /// Monotonically increasing pseudo-offset for log writes.
-    log_offset: u64,
 }
 
 impl SimEngine {
     /// Build a simulated system from its configuration.
     pub fn new(config: SimConfig) -> Self {
-        let mut builder = IoSystem::builder();
-        builder = if config.data_on_flash {
-            builder.data_on_device(config.flash_profile.clone())
+        let data = if config.data_on_flash {
+            RaidArray::new(config.flash_profile.clone(), 1)
         } else {
-            builder.data_on_disk_array(config.num_disks)
+            RaidArray::new(DeviceProfile::seagate_15k(), config.num_disks)
         };
-        if config.policy != CachePolicyKind::None {
-            builder = builder.flash_device(config.flash_profile.clone());
-        }
-        let io = builder.log_device(DeviceProfile::seagate_15k()).build();
+        let flash = (config.policy != CachePolicyKind::None)
+            .then(|| RaidArray::new(config.flash_profile.clone(), 1));
+        let log = RaidArray::new(DeviceProfile::seagate_15k(), 1);
+        let io = IoSystem::new(data, flash, log);
         let cache = build_cache(
             config.policy,
             config.cache_config.clone(),
@@ -176,7 +173,6 @@ impl SimEngine {
             log_bytes_since_checkpoint: 0,
             measure_start: 0,
             counters_at_measure_start: SimCounters::default(),
-            log_offset: 0,
             config,
         }
     }
@@ -208,27 +204,19 @@ impl SimEngine {
                 FlashIoEvent::FlashWrite { pages, sequential } => (
                     Role::Flash,
                     IoRequest {
-                        op: face_iosim::IoOp::Write,
+                        op: IoOp::Write,
                         offset: 0,
                         len: pages * PAGE_SIZE as u32,
-                        pattern: if sequential {
-                            face_iosim::AccessPattern::Sequential
-                        } else {
-                            face_iosim::AccessPattern::Random
-                        },
+                        sequential,
                     },
                 ),
                 FlashIoEvent::FlashRead { pages, sequential } => (
                     Role::Flash,
                     IoRequest {
-                        op: face_iosim::IoOp::Read,
+                        op: IoOp::Read,
                         offset: 0,
                         len: pages * PAGE_SIZE as u32,
-                        pattern: if sequential {
-                            face_iosim::AccessPattern::Sequential
-                        } else {
-                            face_iosim::AccessPattern::Random
-                        },
+                        sequential,
                     },
                 ),
                 FlashIoEvent::DiskWrite { page } => (
@@ -240,8 +228,7 @@ impl SimEngine {
                     IoRequest::random_page_read(self.disk_offset(page)),
                 ),
             };
-            let completion = self.io.submit(role, &req, t);
-            t = completion.finish;
+            t = self.io.submit(role, &req, t);
         }
         t
     }
@@ -270,8 +257,7 @@ impl SimEngine {
             None => {
                 if evicted.dirty {
                     let req = IoRequest::random_page_write(self.disk_offset(evicted.page));
-                    let completion = self.io.submit(Role::Data, &req, t);
-                    return completion.finish;
+                    return self.io.submit(Role::Data, &req, t);
                 }
                 t
             }
@@ -302,8 +288,7 @@ impl SimEngine {
                 t = self.charge_io(t);
                 if !served_by_flash {
                     let req = IoRequest::random_page_read(self.disk_offset(access.page));
-                    let completion = self.io.submit(Role::Data, &req, t);
-                    t = completion.finish;
+                    t = self.io.submit(Role::Data, &req, t);
                     if let Some(cache) = self.cache.as_mut() {
                         cache
                             .on_fetched_from_disk(access.page, &mut self.io_log)
@@ -324,10 +309,8 @@ impl SimEngine {
             }
         }
         // Commit: force the log tail (sequential append on the log device).
-        let req = IoRequest::sequential_write(self.log_offset, self.config.log_force_bytes);
-        self.log_offset += self.config.log_force_bytes as u64;
-        let completion = self.io.submit(Role::Log, &req, t);
-        t = completion.finish;
+        let req = IoRequest::sequential_write(0, self.config.log_force_bytes);
+        t = self.io.submit(Role::Log, &req, t);
 
         self.counters.committed += 1;
         if is_new_order {
@@ -401,8 +384,7 @@ impl SimEngine {
                 0,
                 self.log_bytes_since_checkpoint.min(u32::MAX as u64) as u32,
             );
-            let completion = self.io.submit(Role::Log, &req, t);
-            t = completion.finish;
+            t = self.io.submit(Role::Log, &req, t);
         }
 
         // Phase 3: redo — fetch every page in the redo working set.
@@ -423,8 +405,7 @@ impl SimEngine {
             } else {
                 report.pages_from_disk += 1;
                 let req = IoRequest::random_page_read(self.disk_offset(page));
-                let completion = self.io.submit(Role::Data, &req, t);
-                t = completion.finish;
+                t = self.io.submit(Role::Data, &req, t);
             }
         }
         report.restart_secs = duration_to_secs(t - crash_time);

@@ -1846,7 +1846,7 @@ pub(crate) mod tests {
                 assert_eq!(store.occupied(), 4);
                 c.complete_group(write.epoch, &mut apply_io);
                 assert_eq!(c.journal().sealed_groups(), 1);
-                // Completion is idempotent.
+                // Completing a group twice seals it once.
                 c.complete_group(write.epoch, &mut apply_io);
                 assert_eq!(c.journal().sealed_groups(), 1);
             }

@@ -1,248 +1,164 @@
 //! A single simulated device modelled as a FIFO queueing server.
 
-use serde::{Deserialize, Serialize};
-
-use crate::clock::{SimDuration, SimInstant};
 use crate::profile::DeviceProfile;
-use crate::request::{AccessPattern, IoRequest};
-use crate::stats::{DeviceStats, OpClass, StatsSnapshot};
+use crate::request::IoRequest;
+use crate::{duration_to_secs, SimDuration, SimInstant, PAGE_SIZE};
 
-/// Identifies a device within an [`crate::IoSystem`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct DeviceId(pub u32);
+/// What a device (or an array of them) did since its statistics were last
+/// reset.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeviceStats {
+    /// Time spent servicing requests.
+    pub busy: SimDuration,
+    /// Bytes transferred.
+    pub bytes: u64,
+}
 
-impl DeviceId {
-    /// The raw index.
-    pub fn index(self) -> usize {
-        self.0 as usize
+impl DeviceStats {
+    /// Operations per second over an elapsed window, counting every request
+    /// as its 4 KiB-page equivalents (the paper's Table 4(b) reports
+    /// "throughput of 4KB-page I/O operations").
+    pub fn page_iops(&self, elapsed: SimDuration) -> f64 {
+        if elapsed == 0 {
+            return 0.0;
+        }
+        let pages = self.bytes as f64 / PAGE_SIZE as f64;
+        pages / duration_to_secs(elapsed)
     }
 }
 
-/// The outcome of submitting a request to a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Completion {
-    /// When service began (>= the issue time; later if the device was busy).
-    pub start: SimInstant,
-    /// When the request finished.
-    pub finish: SimInstant,
-    /// Pure service time (finish - start).
-    pub service: SimDuration,
-    /// Queueing delay (start - issue time).
-    pub wait: SimDuration,
-    /// How the request was classified (after sequentiality detection).
-    pub class: OpClass,
-}
-
-/// A single device: one queueing server with Table 1-calibrated service times.
-///
-/// The device keeps the end offset of the most recent request so that an
-/// [`AccessPattern::Auto`] request contiguous with the previous one is charged
-/// the sequential service time. This is how real drives (and the paper's
-/// Orion measurements) distinguish the patterns.
+/// A single device: one queueing server with Table 1-calibrated service
+/// times. A request starts when both it has been issued and every earlier
+/// request has finished.
 #[derive(Debug, Clone)]
-pub struct Device {
-    id: DeviceId,
+pub(crate) struct Device {
     profile: DeviceProfile,
     next_free: SimInstant,
-    last_end_offset: Option<u64>,
     stats: DeviceStats,
 }
 
 impl Device {
-    /// Create a device with the given identifier and calibration profile.
-    pub fn new(id: DeviceId, profile: DeviceProfile) -> Self {
+    /// An idle device with the given calibration profile.
+    pub(crate) fn new(profile: DeviceProfile) -> Self {
         Self {
-            id,
             profile,
             next_free: 0,
-            last_end_offset: None,
-            stats: DeviceStats::new(),
+            stats: DeviceStats::default(),
         }
     }
 
-    /// This device's identifier.
-    pub fn id(&self) -> DeviceId {
-        self.id
+    /// Statistics since the last `reset_stats`.
+    pub(crate) fn stats(&self) -> DeviceStats {
+        self.stats
     }
 
-    /// The calibration profile.
-    pub fn profile(&self) -> &DeviceProfile {
-        &self.profile
-    }
-
-    /// The instant at which the device becomes idle.
-    pub fn next_free(&self) -> SimInstant {
-        self.next_free
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &DeviceStats {
-        &self.stats
-    }
-
-    /// Snapshot the statistics over an elapsed window.
-    pub fn snapshot(&self, elapsed: SimDuration) -> StatsSnapshot {
-        self.stats.snapshot(&self.profile.name, elapsed)
-    }
-
-    /// Classify a request as random or sequential.
-    ///
-    /// An explicit pattern wins; `Auto` requests are sequential when they
-    /// start exactly where the previous request ended.
-    pub fn classify(&self, req: &IoRequest) -> OpClass {
-        let sequential = match req.pattern {
-            AccessPattern::Random => false,
-            AccessPattern::Sequential => true,
-            AccessPattern::Auto => self.last_end_offset == Some(req.offset),
-        };
-        OpClass::from_op(req.op, sequential)
-    }
-
-    /// Submit a request at `issue_time`. The request is serviced after any
-    /// earlier requests finish; returns when it started and completed.
-    pub fn submit(&mut self, req: &IoRequest, issue_time: SimInstant) -> Completion {
-        let class = self.classify(req);
-        let service = self.profile.service_time_for(req, class);
-        let start = issue_time.max(self.next_free);
-        let finish = start + service;
-        let wait = start - issue_time;
+    /// Submit a request at `issue_time`; returns the instant it finishes.
+    pub(crate) fn submit(&mut self, req: &IoRequest, issue_time: SimInstant) -> SimInstant {
+        let service = self.profile.service_time(req.class(), req.len);
+        let finish = issue_time.max(self.next_free) + service;
         self.next_free = finish;
-        self.last_end_offset = Some(req.end_offset());
-        self.stats.record(class, req.len, service, wait);
-        Completion {
-            start,
-            finish,
-            service,
-            wait,
-            class,
-        }
+        self.stats.busy += service;
+        self.stats.bytes += req.len as u64;
+        finish
     }
 
-    /// Reset the queue and statistics (offset history is kept — the data on
-    /// the device does not change between measurement windows).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    /// Fully reset the device: statistics, queue and sequentiality history.
-    pub fn reset(&mut self) {
-        self.stats.reset();
-        self.next_free = 0;
-        self.last_end_offset = None;
+    /// Zero the statistics. The queue is kept: requests already submitted
+    /// still occupy the device.
+    pub(crate) fn reset_stats(&mut self) {
+        self.stats = DeviceStats::default();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::DeviceProfile;
-    use crate::request::{IoOp, IoRequest};
+    use crate::request::OpClass;
+    use crate::NANOS_PER_SEC;
 
     fn ssd() -> Device {
-        Device::new(DeviceId(0), DeviceProfile::samsung470_mlc())
+        Device::new(DeviceProfile::samsung470_mlc())
     }
 
     fn disk() -> Device {
-        Device::new(DeviceId(1), DeviceProfile::seagate_15k())
+        Device::new(DeviceProfile::seagate_15k())
     }
 
     #[test]
     fn idle_device_services_immediately() {
         let mut d = ssd();
-        let c = d.submit(&IoRequest::random_page_read(0), 1_000);
-        assert_eq!(c.start, 1_000);
-        assert_eq!(c.wait, 0);
-        assert!(c.finish > c.start);
-        assert_eq!(c.class, OpClass::RandomRead);
+        let service = DeviceProfile::samsung470_mlc().service_time(OpClass::RandomRead, 4096);
+        assert!(service > 0);
+        assert_eq!(
+            d.submit(&IoRequest::random_page_read(0), 1_000),
+            1_000 + service
+        );
     }
 
     #[test]
     fn busy_device_queues_requests() {
         let mut d = disk();
+        let service = DeviceProfile::seagate_15k().service_time(OpClass::RandomRead, 4096);
         let a = d.submit(&IoRequest::random_page_read(0), 0);
         let b = d.submit(&IoRequest::random_page_read(4096 * 100), 0);
-        assert_eq!(b.start, a.finish);
-        assert_eq!(b.wait, a.service);
-        assert_eq!(d.next_free(), b.finish);
-    }
-
-    #[test]
-    fn auto_pattern_detects_sequential_runs() {
-        let mut d = ssd();
-        let first = d.submit(&IoRequest::page_write(0), 0);
-        // First access has no history: random.
-        assert_eq!(first.class, OpClass::RandomWrite);
-        let second = d.submit(&IoRequest::page_write(4096), first.finish);
-        assert_eq!(second.class, OpClass::SequentialWrite);
-        // A jump breaks the run.
-        let third = d.submit(&IoRequest::page_write(4096 * 100), second.finish);
-        assert_eq!(third.class, OpClass::RandomWrite);
-    }
-
-    #[test]
-    fn explicit_pattern_overrides_detection() {
-        let mut d = ssd();
-        d.submit(&IoRequest::page_write(0), 0);
-        // Non-contiguous but declared sequential (FaCE's append-only queue).
-        let c = d.submit(&IoRequest::sequential_write(1 << 30, 4096), 0);
-        assert_eq!(c.class, OpClass::SequentialWrite);
-    }
-
-    #[test]
-    fn sequential_writes_much_faster_than_random_on_flash() {
-        let mut d = ssd();
-        let rnd = d.submit(&IoRequest::random_page_write(0), 0);
-        d.reset();
-        let seq = d.submit(&IoRequest::sequential_write(0, 4096), 0);
-        // 4KB random write ~158us vs sequential ~17+20us.
-        assert!(
-            rnd.service > 3 * seq.service,
-            "random {} vs sequential {}",
-            rnd.service,
-            seq.service
+        assert_eq!(a, service);
+        assert_eq!(b, a + service);
+        // A request issued after the queue drained starts at once.
+        assert_eq!(
+            d.submit(&IoRequest::random_page_read(0), 10 * b),
+            10 * b + service
         );
     }
 
     #[test]
+    fn sequential_writes_much_faster_than_random_on_flash() {
+        let rnd = ssd().submit(&IoRequest::random_page_write(0), 0);
+        let seq = ssd().submit(&IoRequest::sequential_write(0, 4096), 0);
+        // 4KB random write ~158us vs sequential ~17+20us.
+        assert!(rnd > 3 * seq, "random {rnd} vs sequential {seq}");
+    }
+
+    #[test]
     fn flash_random_read_much_faster_than_disk() {
-        let mut s = ssd();
-        let mut h = disk();
-        let fs = s.submit(&IoRequest::random_page_read(0), 0);
-        let hd = h.submit(&IoRequest::random_page_read(0), 0);
+        let fs = ssd().submit(&IoRequest::random_page_read(0), 0);
+        let hd = disk().submit(&IoRequest::random_page_read(0), 0);
         // ~35us vs ~2.4ms: more than 50x.
-        assert!(hd.service > 50 * fs.service);
+        assert!(hd > 50 * fs);
     }
 
     #[test]
     fn stats_accumulate_and_reset() {
         let mut d = ssd();
+        let mut finish = 0;
         for i in 0..10 {
-            d.submit(&IoRequest::random_page_read(i * (1 << 20)), 0);
+            finish = d.submit(&IoRequest::random_page_read(i * (1 << 20)), 0);
         }
-        assert_eq!(d.stats().total_ops(), 10);
-        assert!(d.stats().busy_time() > 0);
+        assert_eq!(d.stats().busy, finish);
+        assert_eq!(d.stats().bytes, 10 * 4096);
         d.reset_stats();
-        assert_eq!(d.stats().total_ops(), 0);
-        // Queue position preserved by reset_stats...
-        assert!(d.next_free() > 0);
-        d.reset();
-        assert_eq!(d.next_free(), 0);
+        assert_eq!(d.stats(), DeviceStats::default());
+        // The queue survives the reset: a request issued at 0 still waits.
+        assert!(d.submit(&IoRequest::random_page_read(0), 0) > finish);
     }
 
     #[test]
     fn writes_and_reads_classified_independently() {
+        let p = DeviceProfile::seagate_15k();
         let mut d = disk();
-        let w = d.submit(
-            &IoRequest {
-                op: IoOp::Write,
-                offset: 0,
-                len: 4096,
-                pattern: AccessPattern::Random,
-            },
-            0,
-        );
-        assert_eq!(w.class, OpClass::RandomWrite);
-        let r = d.submit(&IoRequest::sequential_read(4096, 8192), w.finish);
-        assert_eq!(r.class, OpClass::SequentialRead);
+        let w = d.submit(&IoRequest::random_page_write(0), 0);
+        assert_eq!(w, p.service_time(OpClass::RandomWrite, 4096));
+        let r = d.submit(&IoRequest::sequential_read(4096, 8192), w);
+        assert_eq!(r - w, p.service_time(OpClass::SequentialRead, 8192));
+    }
+
+    #[test]
+    fn page_iops_counts_large_requests_as_multiple_pages() {
+        let s = DeviceStats {
+            busy: 1_000_000,
+            bytes: 16 * 4096,
+        };
+        assert!((s.page_iops(NANOS_PER_SEC) - 16.0).abs() < 1e-9);
+        assert!((s.page_iops(2 * NANOS_PER_SEC) - 8.0).abs() < 1e-9);
+        // A zero window yields zero, not NaN.
+        assert_eq!(s.page_iops(0), 0.0);
     }
 }

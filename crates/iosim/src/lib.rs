@@ -1,8 +1,8 @@
-//! # face-iosim — calibrated storage device simulator
+//! # face-iosim — calibrated storage device model
 //!
-//! This crate provides the hardware substrate for the FaCE reproduction: a
-//! virtual-clock simulation of the storage devices used in the paper's
-//! evaluation (Table 1 of the paper):
+//! This crate provides the hardware substrate for the FaCE reproduction's
+//! trace simulator: a service-time model of the storage devices used in the
+//! paper's evaluation (Table 1 of the paper):
 //!
 //! | Device | 4KB rand read | 4KB rand write | seq read | seq write |
 //! |---|---|---|---|---|
@@ -12,7 +12,7 @@
 //! | Seagate 15k.6 disk | 409 IOPS | 343 IOPS | 156 MB/s | 154 MB/s |
 //! | 8-disk RAID-0 | 2,598 IOPS | 2,502 IOPS | 848 MB/s | 843 MB/s |
 //!
-//! The simulator distinguishes the four operation classes (random/sequential x
+//! The model distinguishes the four operation classes (random/sequential x
 //! read/write) because the entire FaCE design is motivated by the asymmetry
 //! between them on flash SSDs: random writes are roughly an order of magnitude
 //! slower than sequential writes, while random reads are close to sequential
@@ -20,17 +20,19 @@
 //!
 //! ## Model
 //!
-//! * [`SimClock`] — a shared virtual clock in nanoseconds.
 //! * [`DeviceProfile`] — the calibration numbers of a device.
-//! * [`Device`] — a queueing server: each request occupies the device for its
-//!   service time; requests submitted while the device is busy wait in FIFO
-//!   order. Sequentiality is detected from the byte offset of consecutive
-//!   requests (plus an explicit hint for append-only writes).
-//! * [`RaidArray`] — RAID-0 striping across N member disks.
-//! * [`IoSystem`] — the set of devices used by an experiment, one per role
-//!   (data, flash cache, log); it produces device utilisation, IOPS and
-//!   elapsed simulated time. The closed client population that drives it
-//!   lives in the workload driver (`face_engine::sim`).
+//! * A device — a FIFO queueing server: a request submitted at some
+//!   instant starts when the device is free and occupies it for the service
+//!   time of its [`OpClass`]. The submitter says whether a request is
+//!   sequential; the device infers nothing.
+//! * [`RaidArray`] — RAID-0 striping across N member devices; a single
+//!   device is an array of one.
+//! * [`IoSystem`] — the arrays of one experiment, one per [`Role`] (data,
+//!   flash cache, log); it reports device utilisation and page IOPS.
+//!
+//! There is no shared clock: [`IoSystem::submit`] takes the issuing
+//! instant and returns the finish instant, and the closed client population
+//! that drives it keeps its own clocks (`face_engine::sim`).
 //!
 //! The model is intentionally a *service-time* model, not a full disk
 //! geometry model: the reproduction targets the shape of the paper's results
@@ -40,22 +42,43 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod clock;
-pub mod device;
-pub mod profile;
-pub mod raid;
-pub mod request;
-pub mod stats;
-pub mod system;
+mod device;
+mod profile;
+mod raid;
+mod request;
+mod system;
 
-pub use clock::{SimClock, SimDuration, SimInstant};
-pub use device::{Device, DeviceId};
+pub use device::DeviceStats;
 pub use profile::{DeviceKind, DeviceProfile};
 pub use raid::RaidArray;
-pub use request::{AccessPattern, IoOp, IoRequest};
-pub use stats::{DeviceStats, OpClass, StatsSnapshot};
-pub use system::{IoSystem, IoSystemBuilder, IoTarget, Role};
+pub use request::{IoOp, IoRequest, OpClass};
+pub use system::{IoSystem, Role};
 
 /// The page size used throughout the reproduction (PostgreSQL's 4 KiB pages,
 /// matching the paper's setup).
 pub const PAGE_SIZE: usize = 4096;
+
+/// A point in simulated time, in nanoseconds since the start of the run.
+pub type SimInstant = u64;
+
+/// A span of simulated time, in nanoseconds.
+pub type SimDuration = u64;
+
+/// Nanoseconds per second, for conversions.
+pub const NANOS_PER_SEC: u64 = 1_000_000_000;
+
+/// Convert a [`SimDuration`] to floating-point seconds.
+pub fn duration_to_secs(d: SimDuration) -> f64 {
+    d as f64 / NANOS_PER_SEC as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn duration_converts_to_seconds() {
+        assert_eq!(duration_to_secs(NANOS_PER_SEC), 1.0);
+        assert!((duration_to_secs(NANOS_PER_SEC * 5 / 2) - 2.5).abs() < 1e-9);
+    }
+}

@@ -7,21 +7,16 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::clock::{SimDuration, NANOS_PER_SEC};
-use crate::request::IoRequest;
-use crate::stats::OpClass;
+use crate::request::OpClass;
+use crate::{SimDuration, NANOS_PER_SEC};
 
-/// Broad class of a device, used for reporting and for choosing sensible
-/// defaults (e.g. the flash cache must be placed on a flash device).
+/// Broad class of a device, reported with its calibration numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DeviceKind {
     /// A rotating magnetic disk (or an array of them).
     HardDisk,
     /// A NAND-flash solid state drive.
     FlashSsd,
-    /// DRAM; used to model the log device in some configurations and for the
-    /// cost-model comparisons.
-    Dram,
 }
 
 /// Calibration numbers for one device.
@@ -126,21 +121,6 @@ impl DeviceProfile {
         }
     }
 
-    /// A DRAM "device": effectively instantaneous compared to storage. Used by
-    /// the cost model and by tests that need a near-zero-latency tier.
-    pub fn dram() -> Self {
-        Self {
-            name: "DRAM".to_string(),
-            kind: DeviceKind::Dram,
-            random_read_iops: 10_000_000.0,
-            random_write_iops: 10_000_000.0,
-            seq_read_mbps: 10_000.0,
-            seq_write_mbps: 10_000.0,
-            capacity_gb: 4.0,
-            price_usd: 80.0,
-        }
-    }
-
     /// Price per gigabyte in USD.
     pub fn price_per_gb(&self) -> f64 {
         self.price_usd / self.capacity_gb
@@ -170,13 +150,6 @@ impl DeviceProfile {
         (secs * NANOS_PER_SEC as f64).round() as SimDuration
     }
 
-    /// Service time of a request whose class has already been resolved by the
-    /// device's sequentiality detector.
-    pub fn service_time_for(&self, req: &IoRequest, class: OpClass) -> SimDuration {
-        debug_assert_eq!(class.is_read(), req.op.is_read());
-        self.service_time(class, req.len)
-    }
-
     /// A small fixed per-request setup cost for sequential requests
     /// (command issue, DMA setup). 20 microseconds.
     const SEQ_SETUP_SECS: f64 = 20e-6;
@@ -200,17 +173,11 @@ impl DeviceProfile {
     pub fn avg_random_page_access_secs(&self) -> f64 {
         0.5 / self.random_read_iops + 0.5 / self.random_write_iops
     }
-
-    /// Returns true if this device is a flash SSD.
-    pub fn is_flash(&self) -> bool {
-        self.kind == DeviceKind::FlashSsd
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::NANOS_PER_MICRO;
 
     #[test]
     fn table1_profiles_have_expected_iops() {
@@ -230,7 +197,7 @@ mod tests {
         let t = p.service_time(OpClass::RandomRead, 4096);
         // 1/28495 s = ~35.1 us
         let expected_us = 1e6 / 28_495.0;
-        assert!((t as f64 / NANOS_PER_MICRO as f64 - expected_us).abs() < 0.5);
+        assert!((t as f64 / 1e3 - expected_us).abs() < 0.5);
 
         let disk = DeviceProfile::seagate_15k();
         let t = disk.service_time(OpClass::RandomRead, 4096);
@@ -265,7 +232,8 @@ mod tests {
         let disk = DeviceProfile::seagate_15k().price_per_gb();
         let mlc = DeviceProfile::samsung470_mlc().price_per_gb();
         let slc = DeviceProfile::intel_x25e_slc().price_per_gb();
-        let dram = DeviceProfile::dram().price_per_gb();
+        // 4 GB of DRAM for $80 (2012).
+        let dram = 80.0 / 4.0;
         assert!(disk < mlc);
         assert!(mlc < slc);
         // DRAM is roughly 10x MLC flash per GB (paper §5.4.1 assumption).

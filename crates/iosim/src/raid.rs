@@ -1,132 +1,74 @@
-//! RAID-0 striping over N member disks.
+//! RAID-0 striping over N member devices.
 //!
 //! The paper's testbed stores the database on an 8-disk RAID-0 array of
 //! 15k-RPM drives, and Figure 5 varies the number of spindles from 4 to 16.
 //! Modelling the array as N independent queueing servers with requests routed
 //! by stripe reproduces both the aggregate random-IOPS scaling (Table 1 shows
 //! the 8-disk array at ~6.3x a single disk) and the throughput scaling of
-//! Figure 5.
+//! Figure 5. A single device is an array of one.
 
-use crate::clock::{SimDuration, SimInstant};
-use crate::device::{Completion, Device, DeviceId};
+use crate::device::{Device, DeviceStats};
 use crate::profile::DeviceProfile;
 use crate::request::IoRequest;
-use crate::stats::{DeviceStats, StatsSnapshot};
+use crate::{SimDuration, SimInstant};
 
-/// Default stripe size: 64 KiB, a common hardware-RAID default.
-pub const DEFAULT_STRIPE_BYTES: u64 = 64 * 1024;
+/// Stripe size: 64 KiB, a common hardware-RAID default.
+const STRIPE_BYTES: u64 = 64 * 1024;
 
 /// A RAID-0 array of identical member devices.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RaidArray {
-    name: String,
     members: Vec<Device>,
-    stripe_bytes: u64,
 }
 
 impl RaidArray {
-    /// Build an array of `n` members with the given per-member profile and the
-    /// default stripe size.
-    pub fn new(name: impl Into<String>, member_profile: DeviceProfile, n: usize) -> Self {
-        Self::with_stripe(name, member_profile, n, DEFAULT_STRIPE_BYTES)
-    }
-
-    /// Build an array with an explicit stripe size in bytes.
-    pub fn with_stripe(
-        name: impl Into<String>,
-        member_profile: DeviceProfile,
-        n: usize,
-        stripe_bytes: u64,
-    ) -> Self {
+    /// An array of `n` members with the given per-member profile.
+    pub fn new(member_profile: DeviceProfile, n: usize) -> Self {
         assert!(n >= 1, "a RAID array needs at least one member");
-        assert!(stripe_bytes > 0, "stripe size must be non-zero");
-        let members = (0..n)
-            .map(|i| Device::new(DeviceId(i as u32), member_profile.clone()))
-            .collect();
         Self {
-            name: name.into(),
-            members,
-            stripe_bytes,
+            members: vec![Device::new(member_profile); n],
         }
     }
 
-    /// The paper's data store: `n` Seagate 15K.6 drives in RAID-0.
-    pub fn seagate_raid0(n: usize) -> Self {
-        Self::new(
-            format!("{n}-disk RAID-0 (Seagate 15K.6)"),
-            DeviceProfile::seagate_15k(),
-            n,
-        )
-    }
-
-    /// Number of member disks.
-    pub fn width(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The array's display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The member servicing a given byte offset.
-    pub fn member_for_offset(&self, offset: u64) -> usize {
-        ((offset / self.stripe_bytes) % self.members.len() as u64) as usize
-    }
-
-    /// Access a member device (for inspection in tests).
-    pub fn member(&self, i: usize) -> &Device {
-        &self.members[i]
+    fn member_for_offset(&self, offset: u64) -> usize {
+        ((offset / STRIPE_BYTES) % self.members.len() as u64) as usize
     }
 
     /// Submit a request; it is routed to the member that owns the starting
-    /// stripe. Requests larger than a stripe are still serviced by a single
-    /// member — OLTP requests are 4 KiB pages, far below the stripe size.
-    pub fn submit(&mut self, req: &IoRequest, issue_time: SimInstant) -> Completion {
+    /// stripe, and the instant it finishes is returned. Requests larger than
+    /// a stripe are still serviced by a single member — OLTP requests are
+    /// 4 KiB pages, far below the stripe size.
+    pub fn submit(&mut self, req: &IoRequest, issue_time: SimInstant) -> SimInstant {
         let idx = self.member_for_offset(req.offset);
         self.members[idx].submit(req, issue_time)
     }
 
-    /// Aggregate statistics across all members.
-    pub fn aggregate_stats(&self) -> DeviceStats {
-        let mut agg = DeviceStats::new();
-        for m in &self.members {
-            agg.merge(m.stats());
-        }
-        agg
+    /// Statistics summed over the members.
+    pub fn stats(&self) -> DeviceStats {
+        self.members
+            .iter()
+            .fold(DeviceStats::default(), |sum, m| DeviceStats {
+                busy: sum.busy + m.stats().busy,
+                bytes: sum.bytes + m.stats().bytes,
+            })
     }
 
     /// Array utilisation over a window: total member busy time divided by
-    /// `width * elapsed` (i.e. the mean member utilisation).
+    /// `width * elapsed` (i.e. the mean member utilisation), at most 1.
     pub fn utilization(&self, elapsed: SimDuration) -> f64 {
         if elapsed == 0 {
             return 0.0;
         }
-        let busy: u128 = self
-            .members
-            .iter()
-            .map(|m| m.stats().busy_time() as u128)
-            .sum();
+        let busy: u128 = self.members.iter().map(|m| m.stats().busy as u128).sum();
         let cap = elapsed as u128 * self.members.len() as u128;
         (busy as f64 / cap as f64).min(1.0)
     }
 
-    /// Snapshot aggregate statistics over a window.
-    pub fn snapshot(&self, elapsed: SimDuration) -> StatsSnapshot {
-        self.aggregate_stats().snapshot(&self.name, elapsed)
-    }
-
-    /// Reset statistics on every member (keeps queue positions).
+    /// Zero every member's statistics (queues are kept).
     pub fn reset_stats(&mut self) {
         for m in &mut self.members {
             m.reset_stats();
-        }
-    }
-
-    /// Fully reset every member.
-    pub fn reset(&mut self) {
-        for m in &mut self.members {
-            m.reset();
         }
     }
 }
@@ -134,39 +76,44 @@ impl RaidArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::NANOS_PER_SEC;
-    use crate::request::IoRequest;
+    use crate::request::OpClass;
+    use crate::NANOS_PER_SEC;
+
+    fn seagate_raid0(n: usize) -> RaidArray {
+        RaidArray::new(DeviceProfile::seagate_15k(), n)
+    }
+
+    fn read_service() -> SimDuration {
+        DeviceProfile::seagate_15k().service_time(OpClass::RandomRead, 4096)
+    }
 
     #[test]
     fn striping_routes_by_offset() {
-        let arr = RaidArray::seagate_raid0(4);
+        let arr = seagate_raid0(4);
         assert_eq!(arr.member_for_offset(0), 0);
-        assert_eq!(arr.member_for_offset(DEFAULT_STRIPE_BYTES), 1);
-        assert_eq!(arr.member_for_offset(DEFAULT_STRIPE_BYTES * 4), 0);
-        assert_eq!(arr.member_for_offset(DEFAULT_STRIPE_BYTES * 7), 3);
+        assert_eq!(arr.member_for_offset(STRIPE_BYTES), 1);
+        assert_eq!(arr.member_for_offset(STRIPE_BYTES * 4), 0);
+        assert_eq!(arr.member_for_offset(STRIPE_BYTES * 7), 3);
     }
 
     #[test]
     fn parallel_members_overlap_service() {
-        let mut arr = RaidArray::seagate_raid0(4);
-        // Four random reads landing on four different members all start at 0.
-        let mut finishes = Vec::new();
+        let mut arr = seagate_raid0(4);
+        // Four random reads landing on four different members are all
+        // serviced at once: none waits.
         for i in 0..4u64 {
-            let c = arr.submit(&IoRequest::random_page_read(i * DEFAULT_STRIPE_BYTES), 0);
-            assert_eq!(c.wait, 0);
-            finishes.push(c.finish);
+            let finish = arr.submit(&IoRequest::random_page_read(i * STRIPE_BYTES), 0);
+            assert_eq!(finish, read_service());
         }
-        // All serviced in parallel: same finish time.
-        assert!(finishes.iter().all(|&f| f == finishes[0]));
     }
 
     #[test]
     fn same_member_requests_serialize() {
-        let mut arr = RaidArray::seagate_raid0(4);
+        let mut arr = seagate_raid0(4);
         let a = arr.submit(&IoRequest::random_page_read(0), 0);
         let b = arr.submit(&IoRequest::random_page_read(4096), 0);
         // Offsets 0 and 4096 are in the same 64 KiB stripe -> same member.
-        assert_eq!(b.start, a.finish);
+        assert_eq!(b, a + read_service());
     }
 
     #[test]
@@ -174,7 +121,7 @@ mod tests {
         // Issue a fixed random-read workload with high concurrency and check
         // the array-level throughput scales roughly with member count.
         let run = |n: usize| -> f64 {
-            let mut arr = RaidArray::seagate_raid0(n);
+            let mut arr = seagate_raid0(n);
             let requests = 4000;
             // 16 concurrent streams.
             let mut client_time = [0u64; 16];
@@ -183,8 +130,7 @@ mod tests {
                 let c = i % 16;
                 rng_off = rng_off.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let off = (rng_off % (1 << 30)) & !0xFFF;
-                let comp = arr.submit(&IoRequest::random_page_read(off), client_time[c]);
-                client_time[c] = comp.finish;
+                client_time[c] = arr.submit(&IoRequest::random_page_read(off), client_time[c]);
             }
             let elapsed = *client_time.iter().max().unwrap();
             requests as f64 / (elapsed as f64 / NANOS_PER_SEC as f64)
@@ -202,34 +148,39 @@ mod tests {
 
     #[test]
     fn utilization_is_mean_member_utilization() {
-        let mut arr = RaidArray::seagate_raid0(2);
+        let mut arr = seagate_raid0(2);
         // Busy member 0 for ~1s of service.
         let mut t = 0;
         for _ in 0..409 {
-            let c = arr.submit(&IoRequest::random_page_read(0), t);
-            t = c.finish;
+            t = arr.submit(&IoRequest::random_page_read(0), t);
         }
-        let elapsed = t;
-        let u = arr.utilization(elapsed);
+        let u = arr.utilization(t);
         assert!((u - 0.5).abs() < 0.05, "u={u}");
+        // Clamped to fully busy; a zero window yields zero, not NaN.
+        assert_eq!(arr.utilization(t / 4), 1.0);
+        assert_eq!(arr.utilization(0), 0.0);
     }
 
     #[test]
-    fn reset_clears_members() {
-        let mut arr = RaidArray::seagate_raid0(2);
-        arr.submit(&IoRequest::random_page_read(0), 0);
-        assert_eq!(arr.aggregate_stats().total_ops(), 1);
+    fn reset_stats_clears_members_and_keeps_queues() {
+        let mut arr = seagate_raid0(2);
+        let first = arr.submit(&IoRequest::random_page_read(0), 0);
+        assert_eq!(
+            arr.stats(),
+            DeviceStats {
+                busy: first,
+                bytes: 4096
+            }
+        );
         arr.reset_stats();
-        assert_eq!(arr.aggregate_stats().total_ops(), 0);
+        assert_eq!(arr.stats(), DeviceStats::default());
         // Statistics reset, queue kept: a request issued at 0 still waits.
-        assert!(arr.submit(&IoRequest::random_page_read(0), 0).wait > 0);
-        arr.reset();
-        assert_eq!(arr.submit(&IoRequest::random_page_read(0), 0).wait, 0);
+        assert_eq!(arr.submit(&IoRequest::random_page_read(0), 0), 2 * first);
     }
 
     #[test]
     #[should_panic(expected = "at least one member")]
     fn zero_width_array_rejected() {
-        let _ = RaidArray::seagate_raid0(0);
+        let _ = seagate_raid0(0);
     }
 }

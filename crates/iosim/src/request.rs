@@ -1,11 +1,9 @@
 //! I/O request descriptions submitted to simulated devices.
 
-use serde::{Deserialize, Serialize};
-
 use crate::PAGE_SIZE;
 
 /// Whether a request reads or writes the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoOp {
     /// A read from the device into memory.
     Read,
@@ -13,76 +11,55 @@ pub enum IoOp {
     Write,
 }
 
-impl IoOp {
-    /// `true` if this is a read.
-    pub fn is_read(self) -> bool {
-        matches!(self, IoOp::Read)
-    }
-
-    /// `true` if this is a write.
-    pub fn is_write(self) -> bool {
-        matches!(self, IoOp::Write)
-    }
-}
-
-/// The access pattern of a request as declared by the submitter.
-///
-/// `Auto` lets the device infer the pattern from the byte offset of the
-/// previous request (contiguous offsets are treated as sequential). FaCE's
-/// append-only flash writes declare `Sequential` explicitly because the flash
-/// cache is maintained as a circular queue whose writes are always contiguous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AccessPattern {
-    /// Force the random-access service time.
-    Random,
-    /// Force the sequential-access service time.
-    Sequential,
-    /// Infer from the previous request's offset.
-    Auto,
+/// The four operation classes whose costs differ on flash devices (the
+/// columns of Table 1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum OpClass {
+    /// Random read.
+    RandomRead,
+    /// Random write.
+    RandomWrite,
+    /// Sequential read.
+    SequentialRead,
+    /// Sequential write.
+    SequentialWrite,
 }
 
 /// A single I/O request against one simulated device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The submitter declares whether the request is sequential: FaCE's flash
+/// writes are appends to a circular queue, the log is appended, and data
+/// pages are read and written at random.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoRequest {
     /// Read or write.
     pub op: IoOp,
-    /// Byte offset on the device. Used for sequentiality detection and RAID
-    /// striping.
+    /// Byte offset on the device; routes the request to a RAID member.
     pub offset: u64,
     /// Length in bytes. Usually [`PAGE_SIZE`].
     pub len: u32,
-    /// Declared access pattern.
-    pub pattern: AccessPattern,
+    /// Charge the sequential rather than the random service time.
+    pub sequential: bool,
 }
 
 impl IoRequest {
-    /// A 4 KiB page write at `offset` with automatic pattern detection.
-    pub fn page_write(offset: u64) -> Self {
-        Self {
-            op: IoOp::Write,
-            offset,
-            len: PAGE_SIZE as u32,
-            pattern: AccessPattern::Auto,
-        }
-    }
-
-    /// A random 4 KiB page read (pattern forced).
+    /// A random 4 KiB page read.
     pub fn random_page_read(offset: u64) -> Self {
         Self {
             op: IoOp::Read,
             offset,
             len: PAGE_SIZE as u32,
-            pattern: AccessPattern::Random,
+            sequential: false,
         }
     }
 
-    /// A random 4 KiB page write (pattern forced).
+    /// A random 4 KiB page write.
     pub fn random_page_write(offset: u64) -> Self {
         Self {
             op: IoOp::Write,
             offset,
             len: PAGE_SIZE as u32,
-            pattern: AccessPattern::Random,
+            sequential: false,
         }
     }
 
@@ -92,7 +69,7 @@ impl IoRequest {
             op: IoOp::Write,
             offset,
             len,
-            pattern: AccessPattern::Sequential,
+            sequential: true,
         }
     }
 
@@ -102,13 +79,18 @@ impl IoRequest {
             op: IoOp::Read,
             offset,
             len,
-            pattern: AccessPattern::Sequential,
+            sequential: true,
         }
     }
 
-    /// The byte offset one past the end of this request.
-    pub fn end_offset(&self) -> u64 {
-        self.offset + self.len as u64
+    /// The Table 1 class this request is charged as.
+    pub fn class(&self) -> OpClass {
+        match (self.op, self.sequential) {
+            (IoOp::Read, false) => OpClass::RandomRead,
+            (IoOp::Write, false) => OpClass::RandomWrite,
+            (IoOp::Read, true) => OpClass::SequentialRead,
+            (IoOp::Write, true) => OpClass::SequentialWrite,
+        }
     }
 }
 
@@ -118,12 +100,10 @@ mod tests {
 
     #[test]
     fn page_helpers_use_page_size() {
-        let w = IoRequest::page_write(8192);
+        let w = IoRequest::random_page_write(8192);
         assert_eq!(w.len as usize, PAGE_SIZE);
-        assert_eq!(w.pattern, AccessPattern::Auto);
-        assert_eq!(w.end_offset(), 8192 + PAGE_SIZE as u64);
-        assert!(w.op.is_write());
-        assert!(!w.op.is_read());
+        assert_eq!(w.offset, 8192);
+        assert_eq!(w.op, IoOp::Write);
 
         let r = IoRequest::random_page_read(0);
         assert_eq!(r.len as usize, PAGE_SIZE);
@@ -131,22 +111,19 @@ mod tests {
     }
 
     #[test]
-    fn forced_patterns() {
+    fn helpers_declare_their_class() {
+        assert_eq!(IoRequest::random_page_read(0).class(), OpClass::RandomRead);
         assert_eq!(
-            IoRequest::random_page_read(0).pattern,
-            AccessPattern::Random
+            IoRequest::random_page_write(0).class(),
+            OpClass::RandomWrite
         );
         assert_eq!(
-            IoRequest::random_page_write(0).pattern,
-            AccessPattern::Random
+            IoRequest::sequential_write(0, 64 * 1024).class(),
+            OpClass::SequentialWrite
         );
         assert_eq!(
-            IoRequest::sequential_write(0, 64 * 1024).pattern,
-            AccessPattern::Sequential
-        );
-        assert_eq!(
-            IoRequest::sequential_read(0, 64 * 1024).pattern,
-            AccessPattern::Sequential
+            IoRequest::sequential_read(0, 64 * 1024).class(),
+            OpClass::SequentialRead
         );
     }
 }

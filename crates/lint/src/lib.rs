@@ -33,8 +33,8 @@
 //! marked regions in README.md and ROADMAP.md.
 //!
 //! [`count_loc`] reports (never gates) each crate's non-test lines: a file's
-//! lines before the first line that mentions `#[cfg(test)]`, and nothing of
-//! a file declared only under `#[cfg(test)]` (`#[cfg(test)] mod x;`).
+//! lines before the first line that starts with `#[cfg(test)]`, and nothing
+//! of a file declared only under `#[cfg(test)]` (`#[cfg(test)] mod x;`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -372,8 +372,8 @@ pub fn check_docs(root: &Path) -> Vec<Finding> {
 
 /// Non-test lines of each crate's `src/` tree under `root/crates`, as
 /// `(path relative to root, lines)` in path order. A file counts its lines
-/// before the first line that mentions `#[cfg(test)]` — a doc comment naming
-/// it included, as the line counts quoted in ROADMAP.md were taken; a file
+/// before the first line whose trimmed text starts with `#[cfg(test)]` (a
+/// comment that only names the attribute does not stop the count); a file
 /// declared only under `#[cfg(test)]` counts as test.
 pub fn count_loc(root: &Path) -> Vec<(String, usize)> {
     let Ok(entries) = fs::read_dir(root.join("crates")) else {
@@ -396,7 +396,7 @@ pub fn count_loc(root: &Path) -> Vec<(String, usize)> {
                 .map(|f| {
                     let text = fs::read_to_string(f).unwrap_or_default();
                     text.lines()
-                        .take_while(|l| !l.contains("#[cfg(test)]"))
+                        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
                         .count()
                 })
                 .sum();
@@ -558,6 +558,22 @@ mod tests {
                 ("crates/b/src".to_string(), 2)
             ]
         );
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn loc_keeps_counting_past_a_comment_that_names_cfg_test() {
+        let root = temp_root("loc_doc");
+        write(
+            &root,
+            "crates/a/src/lib.rs",
+            "//! Skips `#[cfg(test)]` scopes.\n\
+             /// Not under #[cfg(test)].\n\
+             pub fn f() {}\n\
+             \u{20}   #[cfg(test)]\n\
+             mod tests {}\n",
+        );
+        assert_eq!(count_loc(&root), [("crates/a/src".to_string(), 3)]);
         fs::remove_dir_all(&root).unwrap();
     }
 
